@@ -2,7 +2,8 @@
 //!
 //! Runs a reduced-scale version of each "beyond the paper" scenario —
 //! sharded-scaling, adaptive-drift, selectivity-drift, cross-partition,
-//! compiled-pipeline, delta-window-scaling, multi-query-sharing — and
+//! compiled-pipeline, delta-window-scaling, multi-query-sharing,
+//! keyed-join — and
 //! reports, per scenario, its wall time plus a set of **deterministic
 //! output counts** (match counts, plan swaps, dedup hits, …). Every
 //! workload is seeded and every engine is deterministic, so the counts are
@@ -29,6 +30,12 @@
 //! pin down the storage asymmetry — materializing partial matches blow up
 //! superlinearly with the window while the delta engine's buffered-event
 //! peak grows at most linearly and it materializes no partials at all.
+//!
+//! The `keyed-join` scenario runs one keyed `SEQ(3)` over 1, 16 and 64
+//! interleaved replicas of the same event sequence on the NFA and tree
+//! backends: with hash-partitioned join state a replica's work does not
+//! depend on how many other replicas are live, so matches *and* predicate
+//! evaluations must scale exactly linearly in the replica count.
 
 use crate::env::{
     cross_key_stock_workload, drifting_stock_workload, replicated_stock_workload,
@@ -579,6 +586,126 @@ fn multi_query_sharing() -> ScenarioReport {
     }
 }
 
+/// Keyed-join scaling: `SEQ(A a, B b, C c)` equating a key along the chain
+/// (plus one inequality, so buckets still run a residual predicate) over
+/// `k ∈ {1, 16, 64}` interleaved replicas of one seeded event sequence —
+/// replica `r` carries key `r`, all replicas of an event share its
+/// timestamp. The NFA and tree engines keep the join state of such steps
+/// in key buckets, so the scenario asserts (and the baseline pins) that
+/// matches and predicate evaluations are exactly `k ×` the single-replica
+/// counts — evaluations *per event* flat in `k` — and that the work was
+/// done by index probes.
+fn keyed_join() -> ScenarioReport {
+    use cep_core::compile::CompiledPattern;
+    use cep_core::event::{Event, TypeId};
+    use cep_core::pattern::PatternBuilder;
+    use cep_core::predicate::{CmpOp, Predicate};
+    use cep_core::stream::StreamBuilder;
+    use cep_core::value::Value;
+    use cep_tree::TreeEngine;
+
+    let start = Instant::now();
+    let mut b = PatternBuilder::new(12);
+    let a = b.event(TypeId(0), "a");
+    let bb = b.event(TypeId(1), "b");
+    let c = b.event(TypeId(2), "c");
+    b.predicate(Predicate::attr_cmp(a.pos(), 0, CmpOp::Eq, bb.pos(), 0));
+    b.predicate(Predicate::attr_cmp(bb.pos(), 0, CmpOp::Eq, c.pos(), 0));
+    b.predicate(Predicate::attr_cmp(a.pos(), 1, CmpOp::Lt, bb.pos(), 1));
+    let cp = CompiledPattern::compile_single(&b.seq([a, bb, c]).unwrap()).unwrap();
+
+    // One row of static count and wall names per replica count: the
+    // canonical baseline JSON needs `&'static str` keys.
+    let rows: [(u64, [&'static str; 5], &'static str); 3] = [
+        (
+            1,
+            [
+                "matches_k1",
+                "nfa_pred_evals_k1",
+                "tree_pred_evals_k1",
+                "nfa_index_probes_k1",
+                "tree_index_probes_k1",
+            ],
+            "nfa_k1_ms",
+        ),
+        (
+            16,
+            [
+                "matches_k16",
+                "nfa_pred_evals_k16",
+                "tree_pred_evals_k16",
+                "nfa_index_probes_k16",
+                "tree_index_probes_k16",
+            ],
+            "nfa_k16_ms",
+        ),
+        (
+            64,
+            [
+                "matches_k64",
+                "nfa_pred_evals_k64",
+                "tree_pred_evals_k64",
+                "nfa_index_probes_k64",
+                "tree_index_probes_k64",
+            ],
+            "nfa_k64_ms",
+        ),
+    ];
+    let mut counts = Vec::new();
+    let mut walls = Vec::new();
+    let mut single: Option<[u64; 3]> = None;
+    for (replicas, keys, wall_key) in rows {
+        let mut sb = StreamBuilder::new();
+        for i in 0..1_500u64 {
+            let h = i.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            let tid = ((h >> 23) % 3) as u32;
+            let x = ((h >> 41) % 7) as i64 - 3;
+            for r in 0..replicas {
+                sb.push(Event::new(
+                    TypeId(tid),
+                    i,
+                    vec![Value::Int(r as i64), Value::Int(x)],
+                ));
+            }
+        }
+        let stream = sb.build();
+        let mut nfa = NfaEngine::with_trivial_plan(cp.clone(), engine_config());
+        let t = Instant::now();
+        let matches = run_to_completion(&mut nfa, &stream, false).match_count;
+        let nfa_wall = t.elapsed().as_secs_f64() * 1e3;
+        let mut tree = TreeEngine::with_trivial_plan(cp.clone(), engine_config());
+        let tree_matches = run_to_completion(&mut tree, &stream, false).match_count;
+        let (nm, tm) = (nfa.metrics(), tree.metrics());
+        assert_eq!(
+            matches, tree_matches,
+            "tree diverged from NFA at k={replicas}"
+        );
+        assert!(nm.index_probes > 0 && tm.index_probes > 0);
+        let row = [matches, nm.predicate_evaluations, tm.predicate_evaluations];
+        let base = *single.get_or_insert(row);
+        assert_eq!(
+            row,
+            base.map(|v| v * replicas),
+            "matches and predicate evaluations must be linear in the replica count (k={replicas})"
+        );
+        counts.extend([
+            (keys[0], matches),
+            (keys[1], nm.predicate_evaluations),
+            (keys[2], tm.predicate_evaluations),
+            (keys[3], nm.index_probes),
+            (keys[4], tm.index_probes),
+        ]);
+        walls.push((wall_key, nfa_wall));
+    }
+    ScenarioReport {
+        name: "keyed-join",
+        wall_ms: start.elapsed().as_secs_f64() * 1e3,
+        counts,
+        percentiles: Vec::new(),
+        walls,
+    }
+}
+
 /// Runs all gate scenarios at the fixed quick scale.
 pub fn run_all() -> Vec<ScenarioReport> {
     vec![
@@ -589,6 +716,7 @@ pub fn run_all() -> Vec<ScenarioReport> {
         compiled_pipeline(),
         delta_window_scaling(),
         multi_query_sharing(),
+        keyed_join(),
     ]
 }
 

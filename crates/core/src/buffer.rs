@@ -1,15 +1,17 @@
 //! Per-type sliding-window event buffers shared by the engines.
 
-use crate::event::{EventRef, Timestamp, TypeId};
+use crate::event::{expired_at, EventRef, Timestamp, TypeId};
 use std::collections::HashMap;
 use std::collections::VecDeque;
 
 /// Buffers events per type, retaining only those inside the time window
 /// relative to the stream watermark.
 ///
-/// Both engines (and the naive oracle) store out-of-plan-order events here;
-/// this is the "dedicated buffer" of the lazy NFA (Section 2.2) and the leaf
-/// storage of the tree model (Section 2.3).
+/// The naive oracle buffers every participating event here; the engines
+/// buffer the events of negated types (the anti-join scan of
+/// [`DeferredStore::admit`](crate::negation::DeferredStore::admit)). The
+/// lazy NFA's positive catch-up buffers are
+/// [`KeyedStore`](crate::keyed::KeyedStore)s, one per plan step.
 #[derive(Debug, Default)]
 pub struct TypeBuffers {
     buffers: HashMap<TypeId, VecDeque<EventRef>>,
@@ -28,17 +30,16 @@ impl TypeBuffers {
         self.total += 1;
     }
 
-    /// Drops events that can no longer participate in any match:
-    /// `ts + window < watermark`.
+    /// Drops events that can no longer participate in any match
+    /// ([`expired_at`]).
     pub fn prune(&mut self, watermark: Timestamp, window: u64) {
         for buf in self.buffers.values_mut() {
-            while let Some(front) = buf.front() {
-                if front.ts + window < watermark {
-                    buf.pop_front();
-                    self.total -= 1;
-                } else {
-                    break;
-                }
+            while buf
+                .front()
+                .is_some_and(|e| expired_at(e.ts, window, watermark))
+            {
+                buf.pop_front();
+                self.total -= 1;
             }
         }
     }
@@ -91,6 +92,19 @@ mod tests {
         let ts: Vec<u64> = b.iter_type(TypeId(0)).map(|e| e.ts).collect();
         assert_eq!(ts, vec![10]);
         assert_eq!(b.len(), 1);
+    }
+
+    #[test]
+    fn pruning_saturates_at_timestamp_extremes() {
+        let mut b = TypeBuffers::new();
+        b.push(ev(0, 0));
+        b.push(ev(0, u64::MAX - 1));
+        b.push(ev(0, u64::MAX));
+        b.prune(u64::MAX, 5); // only ts = 0 is out of reach
+        assert_eq!(b.len(), 2);
+        b.prune(u64::MAX, 0); // window 0: equal timestamps still survive
+        let ts: Vec<u64> = b.iter_type(TypeId(0)).map(|e| e.ts).collect();
+        assert_eq!(ts, vec![u64::MAX]);
     }
 
     #[test]

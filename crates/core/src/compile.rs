@@ -17,8 +17,9 @@
 
 use crate::error::CepError;
 use crate::event::TypeId;
+use crate::keyed::EqJoin;
 use crate::pattern::{Pattern, PatternExpr};
-use crate::predicate::Predicate;
+use crate::predicate::{CmpOp, Operand, Predicate};
 use crate::selection::SelectionStrategy;
 use std::collections::HashMap;
 
@@ -102,6 +103,8 @@ pub struct CompiledPattern {
     neg_preds: Vec<Vec<usize>>,
     /// position -> positive element index.
     pos_to_elem: HashMap<usize, usize>,
+    /// Equality joins owned by each positive element, in predicate order.
+    eq_joins: Vec<Vec<EqJoin>>,
 }
 
 impl CompiledPattern {
@@ -312,6 +315,42 @@ impl CompiledPattern {
             }
         }
 
+        // Equality joins between positive elements. Negated positions have
+        // no element index; their predicates are enforced by the
+        // deferred-negation machinery, not by join state.
+        let mut eq_joins = vec![Vec::new(); n];
+        for (pred, p) in predicates.iter().enumerate() {
+            let (
+                CmpOp::Eq,
+                Operand::Attr {
+                    position: pa,
+                    attr: aa,
+                },
+                Operand::Attr {
+                    position: pb,
+                    attr: ab,
+                },
+            ) = (p.op, &p.left, &p.right)
+            else {
+                continue;
+            };
+            let (Some(&i), Some(&j)) = (pos_to_elem.get(pa), pos_to_elem.get(pb)) else {
+                continue;
+            };
+            if i == j {
+                continue;
+            }
+            for (elem, attr, other, other_attr) in [(i, *aa, j, *ab), (j, *ab, i, *aa)] {
+                eq_joins[elem].push(EqJoin {
+                    pred,
+                    elem,
+                    attr,
+                    other,
+                    other_attr,
+                });
+            }
+        }
+
         Ok(CompiledPattern {
             op,
             elements,
@@ -324,6 +363,7 @@ impl CompiledPattern {
             filters,
             neg_preds,
             pos_to_elem,
+            eq_joins,
         })
     }
 
@@ -350,6 +390,35 @@ impl CompiledPattern {
     /// Indices of predicates involving negated element `k`.
     pub fn negated_predicates(&self, k: usize) -> &[usize] {
         &self.neg_preds[k]
+    }
+
+    /// The equality joins owned by positive element `i`, in predicate
+    /// order: an `a.x == b.y` predicate between two positive elements
+    /// yields one entry under `a` and a mirrored one under `b` (Kleene
+    /// elements included).
+    pub fn eq_joins(&self, i: usize) -> &[EqJoin] {
+        &self.eq_joins[i]
+    }
+
+    /// The equality key of a join step between the element sets `own` and
+    /// `partners`: the earliest `==` predicate crossing them with both
+    /// sides non-Kleene, from `own`'s point of view — so the call with the
+    /// sets swapped returns the mirrored entry of the same predicate.
+    /// `None` (one unkeyed bucket) when there is no such predicate, and
+    /// under skip-till-next-match, whose greedy `swap_remove` order over
+    /// the whole store is result-relevant.
+    pub fn join_key(&self, own: &[usize], partners: &[usize]) -> Option<&EqJoin> {
+        if self.strategy.consumes() {
+            return None;
+        }
+        own.iter()
+            .flat_map(|&i| &self.eq_joins[i])
+            .filter(|j| {
+                partners.contains(&j.other)
+                    && !self.elements[j.elem].kleene
+                    && !self.elements[j.other].kleene
+            })
+            .min_by_key(|j| j.pred)
     }
 
     /// Whether element `i` must occur strictly before element `j`.

@@ -11,6 +11,16 @@ pub struct TypeId(pub u32);
 /// Logical occurrence timestamp, in milliseconds.
 pub type Timestamp = u64;
 
+/// The window-expiry rule every engine and buffer shares: state whose
+/// earliest event occurred at `ts` can no longer join anything arriving at
+/// or after `watermark` once `ts + window < watermark`. The sum saturates,
+/// so timestamps near `u64::MAX` never expire early (or panic).
+/// (`#[inline]`: every engine calls this per event from another crate.)
+#[inline]
+pub fn expired_at(ts: Timestamp, window: u64, watermark: Timestamp) -> bool {
+    ts.saturating_add(window) < watermark
+}
+
 /// A primitive event: one data item of the input stream.
 ///
 /// Besides the schema-declared attribute tuple, every event carries:
@@ -96,6 +106,27 @@ mod tests {
     fn display_is_compact() {
         let e = Event::new(TypeId(3), 42, vec![Value::Int(1)]);
         assert_eq!(e.to_string(), "T3@42#0(1)");
+    }
+
+    #[test]
+    fn expiry_boundaries() {
+        // ts + window == watermark is still usable; one past is not.
+        assert!(!expired_at(5, 5, 10));
+        assert!(expired_at(5, 5, 11));
+        // ts = 0 and window = 0.
+        assert!(!expired_at(0, 0, 0));
+        assert!(expired_at(0, 0, 1));
+        assert!(!expired_at(0, 10, 10));
+        // All-equal timestamps never expire each other, whatever the window.
+        for w in [0, 1, u64::MAX] {
+            assert!(!expired_at(7, w, 7));
+            assert!(!expired_at(u64::MAX, w, u64::MAX));
+        }
+        // The sum saturates instead of wrapping (or panicking in debug).
+        assert!(!expired_at(u64::MAX, 1, u64::MAX));
+        assert!(!expired_at(u64::MAX - 1, 5, u64::MAX));
+        assert!(!expired_at(1, u64::MAX, u64::MAX));
+        assert!(expired_at(0, u64::MAX - 1, u64::MAX));
     }
 
     #[test]

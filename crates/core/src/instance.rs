@@ -3,7 +3,8 @@
 
 use crate::compile::CompiledPattern;
 use crate::compiled::PredicateProgram;
-use crate::event::{EventRef, Timestamp};
+use crate::event::{expired_at, EventRef, Timestamp};
+use crate::keyed::Slot;
 use crate::matches::Binding;
 use crate::metrics::EngineMetrics;
 use crate::selection::SelectionStrategy;
@@ -123,10 +124,21 @@ impl Instance {
         }
     }
 
+    /// The [`Slot`] this instance occupies (and probes) under an equality
+    /// key on attribute `attr` of the event bound at non-Kleene element
+    /// `elem`.
+    #[inline]
+    pub fn join_slot(&self, elem: usize, attr: usize) -> Slot {
+        match &self.bindings[elem] {
+            Some(Binding::One(e)) => Slot::of(e.attr(attr)),
+            _ => unreachable!("join keys are derived over bound, non-Kleene elements"),
+        }
+    }
+
     /// Whether the instance has expired: nothing arriving at or after the
     /// watermark can complete it inside the window.
     pub fn expired(&self, watermark: Timestamp, window: u64) -> bool {
-        self.event_count > 0 && self.min_ts + window < watermark
+        self.event_count > 0 && expired_at(self.min_ts, window, watermark)
     }
 }
 
@@ -385,8 +397,9 @@ impl Instance {
 /// (forks, Kleene growth, joins) and kill most of them shortly after
 /// (window expiry, consumed events). Deriving through the arena reuses the
 /// `bindings` vector spine of retired instances instead of re-allocating
-/// it, and [`retain_or_retire`] routes kill-path removals back into the
-/// pool. Each derived instance is stamped with a monotonically increasing
+/// it, and the engines route kill-path removals
+/// ([`KeyedStore::retain`](crate::keyed::KeyedStore::retain)) back into
+/// the pool. Each derived instance is stamped with a monotonically increasing
 /// [`Instance::generation`].
 ///
 /// The arena is purely an allocation strategy: derived instances are fully
@@ -490,27 +503,6 @@ impl InstanceArena {
     /// Shells currently pooled.
     pub fn pooled(&self) -> usize {
         self.free.len()
-    }
-}
-
-/// In-place stable retain over an instance store that retires removed
-/// instances into `arena` instead of dropping them. Kept instances preserve
-/// their relative order (engines emit matches in store order, so order
-/// stability is load-bearing for byte-identical output).
-pub fn retain_or_retire(
-    v: &mut Vec<Instance>,
-    arena: &mut InstanceArena,
-    mut keep: impl FnMut(&Instance) -> bool,
-) {
-    let mut kept = 0;
-    for idx in 0..v.len() {
-        if keep(&v[idx]) {
-            v.swap(kept, idx);
-            kept += 1;
-        }
-    }
-    for inst in v.drain(kept..) {
-        arena.retire(inst);
     }
 }
 
@@ -636,6 +628,12 @@ mod tests {
         assert!(!i.expired(110, 10));
         assert!(i.expired(111, 10));
         assert!(!Instance::empty(1).expired(1000, 10)); // empty never expires
+
+        // Saturating at the top of the timestamp range.
+        let late = Instance::empty(1).with_single(0, ev(0, u64::MAX - 1, 0, 0));
+        assert!(!late.expired(u64::MAX, 10));
+        assert!(!late.expired(u64::MAX, 1));
+        assert!(late.expired(u64::MAX, 0));
     }
 
     #[test]
@@ -790,18 +788,6 @@ mod tests {
         assert_eq!(m_arena.bindings, m_clone.bindings);
         assert_eq!(m_arena.event_count, m_clone.event_count);
         assert_eq!(m_arena.min_ts, m_clone.min_ts);
-    }
-
-    #[test]
-    fn retain_or_retire_is_stable_and_pools_removed() {
-        let mut arena = InstanceArena::new();
-        let mut v: Vec<Instance> = (0..6u64)
-            .map(|s| Instance::empty(1).with_single(0, ev(0, s, s, 0)))
-            .collect();
-        retain_or_retire(&mut v, &mut arena, |i| i.min_seq % 2 == 1);
-        let seqs: Vec<u64> = v.iter().map(|i| i.min_seq).collect();
-        assert_eq!(seqs, vec![1, 3, 5], "kept order preserved");
-        assert_eq!(arena.pooled(), 3);
     }
 
     #[test]

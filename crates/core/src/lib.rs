@@ -33,6 +33,7 @@ pub mod engine;
 pub mod error;
 pub mod event;
 pub mod instance;
+pub mod keyed;
 pub mod matches;
 pub mod metrics;
 pub mod naive;

@@ -89,8 +89,10 @@ pub struct EngineMetrics {
     /// Compiled-plan cache misses: engine builds that had to lower the
     /// pattern's predicates from scratch (0 when no cache is in play).
     pub plan_cache_misses: u64,
-    /// Equality-join posting-list probes performed by a delta-indexed
-    /// engine (0 for materializing engines).
+    /// Equality-join probes: posting-list probes of a delta-indexed
+    /// engine, key-bucket probes of the NFA/tree engines' join state
+    /// ([`crate::keyed::KeyedStore`]); 0 when no join step carries a
+    /// usable `==` predicate.
     pub index_probes: u64,
     /// Index list operations (inserts + expirations, across the type
     /// store and every posting list) performed by a delta-indexed engine
@@ -353,7 +355,7 @@ impl EngineMetrics {
         );
         reg.counter(
             "cep_index_probes_total",
-            "Equality-join posting-list probes (delta engine)",
+            "Equality-join probes (delta posting lists, NFA/tree key buckets)",
             labels,
             self.index_probes,
         );

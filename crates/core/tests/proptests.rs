@@ -3,15 +3,95 @@
 use cep_core::buffer::TypeBuffers;
 use cep_core::compile::CompiledPattern;
 use cep_core::event::{Event, TypeId};
+use cep_core::keyed::{KeyedStore, Slot};
 use cep_core::pattern::{PatternBuilder, PatternExpr};
 use cep_core::plan::{OrderPlan, TreeNode, TreePlan};
 use cep_core::predicate::{CmpOp, Predicate};
 use cep_core::stats::PatternStats;
 use cep_core::value::Value;
 use proptest::prelude::*;
+use std::cmp::Ordering;
 use std::sync::Arc;
 
+/// Join values that stress key canonicalization: cross-kind numeric
+/// equality, both zeros, `NaN`, a missing attribute (`None`), strings,
+/// booleans, and two integers sharing one `f64` image (a key collision
+/// that only the residual predicate tells apart).
+fn join_value(code: u8) -> Option<Value> {
+    match code % 12 {
+        0 => Some(Value::Int(0)),
+        1 => Some(Value::Float(-0.0)),
+        2 => Some(Value::Float(0.0)),
+        3 => Some(Value::Int(1)),
+        4 => Some(Value::Float(1.0)),
+        5 => Some(Value::Float(f64::NAN)),
+        6 => None,
+        7 => Some(Value::from("a")),
+        8 => Some(Value::from("b")),
+        9 => Some(Value::Bool(true)),
+        10 => Some(Value::Int(1 << 53)),
+        _ => Some(Value::Int((1 << 53) + 1)),
+    }
+}
+
+fn joins(a: &Option<Value>, b: &Option<Value>) -> bool {
+    match (a, b) {
+        (Some(a), Some(b)) => a.partial_cmp_value(b) == Some(Ordering::Equal),
+        _ => false,
+    }
+}
+
 proptest! {
+    /// A keyed store visits, in the same order, exactly the members a flat
+    /// insertion-ordered scan filtered by the join equality would — across
+    /// pushes, stable `retain` kills and front-drain expiry — and its
+    /// maintained `len` never drifts.
+    #[test]
+    fn keyed_store_visits_what_a_filtered_scan_would(
+        ops in prop::collection::vec((0u8..8, 0u8..12, 0u32..5), 1..120),
+    ) {
+        let mut store: KeyedStore<(Option<Value>, u32)> = KeyedStore::new();
+        let mut flat: Vec<(Option<Value>, u32)> = Vec::new();
+        let mut next_id = 0u32;
+        for (op, code, arg) in ops {
+            match op {
+                // Mostly pushes, so buckets fill up between prunes.
+                0..=4 => {
+                    let value = join_value(code);
+                    store.push(Slot::of(value.as_ref()), (value.clone(), next_id));
+                    flat.push((value, next_id));
+                    next_id += 1;
+                }
+                5 => {
+                    let modulus = arg + 2;
+                    store.retain(|(_, id)| id % modulus != 0, |_| {});
+                    flat.retain(|(_, id)| id % modulus != 0);
+                }
+                6 => {
+                    // Ids are insertion-ordered, like event timestamps.
+                    let cutoff = next_id.saturating_sub(arg * 4);
+                    store.drain_front_while(|(_, id)| *id < cutoff);
+                    flat.retain(|(_, id)| *id >= cutoff);
+                }
+                _ => {}
+            }
+            prop_assert_eq!(store.len(), flat.len());
+            let probe = join_value(code);
+            let visited: Vec<u32> = store
+                .visit(&Slot::of(probe.as_ref()))
+                .iter()
+                .filter(|(v, _)| joins(v, &probe))
+                .map(|(_, id)| *id)
+                .collect();
+            let scanned: Vec<u32> = flat
+                .iter()
+                .filter(|(v, _)| joins(v, &probe))
+                .map(|(_, id)| *id)
+                .collect();
+            prop_assert_eq!(visited, scanned);
+        }
+    }
+
     /// Buffer pruning keeps exactly the events still inside the window and
     /// `len()` stays consistent with per-type contents.
     #[test]

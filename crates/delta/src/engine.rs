@@ -1,77 +1,20 @@
 //! The delta-indexed evaluation engine.
 
-use crate::index::{index_key, ts_range, IndexKey, WindowIndex};
+use crate::index::{ts_range, WindowIndex};
 use cep_core::buffer::TypeBuffers;
 use cep_core::compile::CompiledPattern;
 use cep_core::compiled::PredicateProgram;
 use cep_core::engine::{Engine, EngineConfig};
 use cep_core::event::{EventRef, Timestamp};
 use cep_core::instance::{compatible_with, Instance};
+use cep_core::keyed::{index_key, IndexKey};
 use cep_core::matches::{validate_match, Match};
 use cep_core::metrics::EngineMetrics;
 use cep_core::negation::DeferredStore;
-use cep_core::predicate::{CmpOp, Operand};
 use std::collections::HashSet;
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Instant;
-
-/// An equality join between two positive elements, extracted from a `==`
-/// predicate: candidates for the owning element can be found by probing
-/// the `(type, attr)` posting list with the key read from the partner's
-/// bound event (attribute `other_attr` of element `other`).
-#[derive(Debug, Clone)]
-struct EqJoin {
-    /// Partner element index.
-    other: usize,
-    /// Attribute of the owning element (the probe's posting-list side).
-    attr: usize,
-    /// Attribute of the partner element (the probe key's side).
-    other_attr: usize,
-}
-
-/// Equality joins per element of `cp` (symmetric: a `a.x == b.y`
-/// predicate yields one entry under `a` and one under `b`).
-fn eq_joins_of(cp: &CompiledPattern) -> Vec<Vec<EqJoin>> {
-    let mut joins = vec![Vec::new(); cp.n()];
-    for p in &cp.predicates {
-        if p.op != CmpOp::Eq {
-            continue;
-        }
-        let (
-            Operand::Attr {
-                position: pa,
-                attr: aa,
-            },
-            Operand::Attr {
-                position: pb,
-                attr: ab,
-            },
-        ) = (&p.left, &p.right)
-        else {
-            continue;
-        };
-        if pa == pb {
-            continue;
-        }
-        // Negated positions have no element index; their predicates are
-        // enforced by the deferred-negation machinery, not the index.
-        let (Some(i), Some(j)) = (cp.elem_index(*pa), cp.elem_index(*pb)) else {
-            continue;
-        };
-        joins[i].push(EqJoin {
-            other: j,
-            attr: *aa,
-            other_attr: *ab,
-        });
-        joins[j].push(EqJoin {
-            other: i,
-            attr: *ab,
-            other_attr: *aa,
-        });
-    }
-    joins
-}
 
 /// The candidate source chosen for one element at one search node.
 /// (A third case — an equality join against an unkeyable partner value —
@@ -102,7 +45,6 @@ pub struct DeltaEngine {
     cp: CompiledPattern,
     cfg: EngineConfig,
     program: Option<Arc<PredicateProgram>>,
-    eq_joins: Vec<Vec<EqJoin>>,
     index: WindowIndex,
     /// Negated-type events for the anchored anti-join scan performed by
     /// [`DeferredStore::admit`]; pruned in lockstep with the index.
@@ -137,17 +79,15 @@ impl DeltaEngine {
         } else {
             None
         };
-        let eq_joins = eq_joins_of(&cp);
-        let keys = eq_joins.iter().enumerate().flat_map(|(elem, joins)| {
+        let keys = (0..cp.n()).flat_map(|elem| {
             let ty = cp.elements[elem].event_type;
-            joins.iter().map(move |j| (ty, j.attr))
+            cp.eq_joins(elem).iter().map(move |j| (ty, j.attr))
         });
         let index = WindowIndex::new(keys);
         DeltaEngine {
             cp,
             cfg,
             program,
-            eq_joins,
             index,
             neg_buffers: TypeBuffers::new(),
             deferred: DeferredStore::new(),
@@ -401,7 +341,7 @@ impl DeltaEngine {
     fn pool_estimate(&self, elem: usize, inst: &Instance) -> usize {
         let ty = self.cp.elements[elem].event_type;
         let mut best = self.index.type_len(ty);
-        for join in &self.eq_joins[elem] {
+        for join in self.cp.eq_joins(elem) {
             let Some(b) = &inst.bindings[join.other] else {
                 continue;
             };
@@ -453,7 +393,7 @@ impl DeltaEngine {
         // Pool: cheapest equality-join probe over bound partners, else scan.
         let mut pool = Pool::Scan;
         let mut pool_len = self.index.type_len(ty);
-        for join in &self.eq_joins[elem] {
+        for join in self.cp.eq_joins(elem) {
             let Some(b) = &inst.bindings[join.other] else {
                 continue;
             };

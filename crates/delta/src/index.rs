@@ -8,53 +8,9 @@
 //! event per indexed attribute, because arrival order is timestamp order —
 //! the expiring event is always at the front of every list it is in.
 
-use cep_core::event::{EventRef, Timestamp, TypeId};
-use cep_core::value::Value;
+use cep_core::event::{expired_at, EventRef, Timestamp, TypeId};
+use cep_core::keyed::{index_key, IndexKey};
 use std::collections::{HashMap, VecDeque};
-
-/// Hashable canonical form of a [`Value`] for equality-join probes.
-///
-/// Numeric values hash by their `f64` image (with `-0.0` folded into
-/// `+0.0`) so `Int(1)` and `Float(1.0)` land in the same bucket, matching
-/// [`cep_core::value::Value::partial_cmp_value`]'s cross-kind equality. `NaN` has
-/// no key at all — `==` never holds for it, so an event with a `NaN` join
-/// attribute is simply not indexed under that attribute, and a probe *by*
-/// `NaN` finds nothing. Collisions are harmless (probe results are
-/// re-checked by the full predicate evaluator); missed candidates are
-/// impossible by construction.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum IndexKey {
-    /// Canonicalized bit pattern of the value's `f64` image.
-    Num(u64),
-    /// Boolean values hash as themselves.
-    Bool(bool),
-    /// String values hash by content.
-    Str(std::sync::Arc<str>),
-}
-
-/// The canonical equality key of `value`, or `None` when no event can ever
-/// compare `==` to it (`NaN`).
-pub fn index_key(value: &Value) -> Option<IndexKey> {
-    fn canon(f: f64) -> u64 {
-        if f == 0.0 {
-            0.0f64.to_bits()
-        } else {
-            f.to_bits()
-        }
-    }
-    match value {
-        Value::Int(i) => Some(IndexKey::Num(canon(*i as f64))),
-        Value::Float(f) => {
-            if f.is_nan() {
-                None
-            } else {
-                Some(IndexKey::Num(canon(*f)))
-            }
-        }
-        Value::Bool(b) => Some(IndexKey::Bool(*b)),
-        Value::Str(s) => Some(IndexKey::Str(s.clone())),
-    }
-}
 
 /// Per-type windowed event store plus `(type, attr) → key → events`
 /// posting lists over the pattern's equality-join attributes.
@@ -112,15 +68,14 @@ impl WindowIndex {
         ops
     }
 
-    /// Expires every event with `ts + window < watermark` (the inverse
-    /// delta — events with `ts + window == watermark` survive, matching
-    /// [`cep_core::buffer::TypeBuffers::prune`]). Returns the number of
-    /// list removals performed.
+    /// Expires every event the window rule [`expired_at`] drops (the
+    /// inverse delta — events with `ts + window == watermark` survive).
+    /// Returns the number of list removals performed.
     pub fn expire(&mut self, watermark: Timestamp, window: u64) -> u64 {
         let mut ops = 0;
         for (&ty, deque) in &mut self.store {
             while let Some(front) = deque.front() {
-                if front.ts + window >= watermark {
+                if !expired_at(front.ts, window, watermark) {
                     break;
                 }
                 let ev = deque.pop_front().expect("checked front");
@@ -204,23 +159,12 @@ fn slice_range(slice: &[EventRef], lo: Timestamp, hi: Timestamp) -> std::slice::
 mod tests {
     use super::*;
     use cep_core::event::Event;
+    use cep_core::value::Value;
 
     fn ev(tid: u32, ts: u64, seq: u64, x: i64) -> EventRef {
         let mut e = Event::new(TypeId(tid), ts, vec![Value::Int(x)]);
         e.seq = seq;
         std::sync::Arc::new(e)
-    }
-
-    #[test]
-    fn numeric_keys_unify_int_and_float() {
-        assert_eq!(
-            index_key(&Value::Int(1)),
-            index_key(&Value::Float(1.0)),
-            "Int/Float equality must share a bucket"
-        );
-        assert_eq!(index_key(&Value::Float(-0.0)), index_key(&Value::Int(0)));
-        assert_eq!(index_key(&Value::Float(f64::NAN)), None);
-        assert_ne!(index_key(&Value::Bool(true)), index_key(&Value::Int(1)));
     }
 
     #[test]
@@ -243,6 +187,20 @@ mod tests {
         idx.expire(100, 5);
         assert!(idx.is_empty());
         assert_eq!(idx.posting_len(TypeId(0), 0, &key), 0);
+    }
+
+    #[test]
+    fn expiry_saturates_at_timestamp_extremes() {
+        let mut idx = WindowIndex::new([(TypeId(0), 0)]);
+        idx.insert(ev(0, 0, 0, 7));
+        idx.insert(ev(0, u64::MAX - 1, 1, 7));
+        idx.insert(ev(0, u64::MAX, 2, 7));
+        idx.expire(u64::MAX, 5); // only ts = 0 is out of reach
+        assert_eq!(idx.len(), 2);
+        idx.expire(u64::MAX, 0); // equal timestamps survive a zero window
+        assert_eq!(idx.len(), 1);
+        let key = index_key(&Value::Int(7)).unwrap();
+        assert_eq!(idx.posting_len(TypeId(0), 0, &key), 1);
     }
 
     #[test]

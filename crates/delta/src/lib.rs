@@ -60,7 +60,7 @@ mod engine;
 mod index;
 
 pub use engine::DeltaEngine;
-pub use index::{index_key, ts_range, IndexKey, WindowIndex};
+pub use index::{ts_range, WindowIndex};
 
 #[cfg(test)]
 mod tests {

@@ -4,22 +4,27 @@
 //! [`CompiledPattern`], the engine maintains a chain of `n + 1` states.
 //! An instance at state `k` has bound the first `k` elements of `O` and
 //! waits for element `O[k]`. Out-of-order processing is achieved by
-//! buffering: every participating event is appended to a per-type buffer;
-//! an instance *entering* state `k` performs a catch-up scan over the
-//! buffer, while events arriving later are *delivered* to the instances
-//! already waiting at the state. Together these consider every
-//! (instance, event) pair exactly once — the invariant that makes the NFA
-//! results identical to the naive oracle.
+//! buffering: every participating event is appended to the buffer of each
+//! step accepting its type; an instance *entering* state `k` performs a
+//! catch-up scan over the step's buffer, while events arriving later are
+//! *delivered* to the instances already waiting at the state. Together
+//! these consider every (instance, event) pair exactly once — the
+//! invariant that makes the NFA results identical to the naive oracle.
+//!
+//! Both the waiting instances and the buffered events of a step are
+//! [`KeyedStore`]s: when the step carries an equality join against an
+//! earlier step ([`CompiledPattern::join_key`]), delivery and catch-up
+//! visit only the bucket of the arriving event's (entering instance's)
+//! join value instead of the whole state.
 
 use cep_core::buffer::TypeBuffers;
 use cep_core::compile::CompiledPattern;
 use cep_core::compiled::PredicateProgram;
 use cep_core::engine::{Engine, EngineConfig};
 use cep_core::error::CepError;
-use cep_core::event::{EventRef, Timestamp};
-use cep_core::instance::{
-    compatible_with, contiguity_ok, retain_or_retire, Instance, InstanceArena,
-};
+use cep_core::event::{expired_at, EventRef, Timestamp};
+use cep_core::instance::{compatible_with, contiguity_ok, Instance, InstanceArena};
+use cep_core::keyed::{BucketId, EqJoin, KeyedStore, Slot};
 use cep_core::matches::Match;
 use cep_core::metrics::EngineMetrics;
 use cep_core::negation::DeferredStore;
@@ -34,10 +39,16 @@ pub struct NfaEngine {
     cfg: EngineConfig,
     /// Compiled predicate program (`None` = interpreted evaluation).
     program: Option<Arc<PredicateProgram>>,
+    /// `keys[k]`: the equality join of `order[k]` against an element of
+    /// `order[..k]` that buckets step `k`'s state, if there is one.
+    keys: Vec<Option<EqJoin>>,
     /// `states[k]`: instances waiting for element `order[k]`.
-    states: Vec<Vec<Instance>>,
+    states: Vec<KeyedStore<Instance>>,
+    /// `buffers[k]`: buffered events of `order[k]`'s type, in arrival order.
+    buffers: Vec<KeyedStore<EventRef>>,
     arena: InstanceArena,
-    buffers: TypeBuffers,
+    /// Buffered events of negated types, for negation checks only.
+    neg_buffers: TypeBuffers,
     deferred: DeferredStore,
     consumed: HashSet<u64>,
     watermark: Timestamp,
@@ -77,15 +88,20 @@ impl NfaEngine {
         } else {
             None
         };
-        let n = cp.n();
+        let order = plan.order().to_vec();
+        let keys = (0..order.len())
+            .map(|k| cp.join_key(&order[k..=k], &order[..k]).cloned())
+            .collect();
         Ok(NfaEngine {
+            states: order.iter().map(|_| KeyedStore::new()).collect(),
+            buffers: order.iter().map(|_| KeyedStore::new()).collect(),
             cp,
-            order: plan.order().to_vec(),
+            order,
             cfg,
             program,
-            states: vec![Vec::new(); n],
+            keys,
             arena: InstanceArena::new(),
-            buffers: TypeBuffers::new(),
+            neg_buffers: TypeBuffers::new(),
             deferred: DeferredStore::new(),
             consumed: HashSet::new(),
             watermark: 0,
@@ -116,8 +132,41 @@ impl NfaEngine {
         &self.order
     }
 
-    fn live_instances(&self) -> usize {
-        self.states.iter().map(|s| s.len()).sum::<usize>() + self.deferred.len()
+    fn record_live(&mut self) {
+        let live = self.states.iter().map(KeyedStore::len).sum::<usize>() + self.deferred.len();
+        let buffered =
+            self.buffers.iter().map(KeyedStore::len).sum::<usize>() + self.neg_buffers.len();
+        self.metrics.record_live(live, buffered);
+    }
+
+    /// Where an event lives in (and which bucket it probes at) step `k`.
+    fn event_slot(&self, k: usize, event: &EventRef) -> Slot {
+        match &self.keys[k] {
+            Some(join) => Slot::of(event.attr(join.attr)),
+            None => Slot::All,
+        }
+    }
+
+    /// Where an instance that bound `order[..k]` lives in (and which
+    /// bucket it probes at) step `k`.
+    fn instance_slot(&self, k: usize, inst: &Instance) -> Slot {
+        match &self.keys[k] {
+            Some(join) => inst.join_slot(join.other, join.other_attr),
+            None => Slot::All,
+        }
+    }
+
+    /// Registers `inst` as waiting at state `k`.
+    fn wait(&mut self, k: usize, inst: Instance) {
+        let slot = self.instance_slot(k, &inst);
+        self.states[k].push(slot, inst);
+    }
+
+    /// The bucket of step `k`'s buffer an instance entering the state
+    /// catches up on.
+    fn catch_up(&mut self, k: usize, inst: &Instance) -> Option<BucketId> {
+        self.metrics.index_probes += u64::from(self.keys[k].is_some());
+        self.buffers[k].probe(&self.instance_slot(k, inst))
     }
 
     fn emit(&mut self, m: Match, out: &mut Vec<Match>) {
@@ -130,9 +179,9 @@ impl NfaEngine {
             }
             // Kill partial matches that used now-consumed events; their
             // shells go back to the arena.
-            let consumed = &self.consumed;
+            let (consumed, arena) = (&self.consumed, &mut self.arena);
             for state in &mut self.states {
-                retain_or_retire(state, &mut self.arena, |i| !i.intersects(consumed));
+                state.retain(|i| !i.intersects(consumed), |i| arena.retire(i));
             }
         }
         self.metrics.matches_emitted += 1;
@@ -178,7 +227,7 @@ impl NfaEngine {
         }
         if let Some(m) = self
             .deferred
-            .admit(&self.cp, m, self.watermark, &self.buffers)
+            .admit(&self.cp, m, self.watermark, &self.neg_buffers)
         {
             self.emit(m, out);
         }
@@ -199,38 +248,34 @@ impl NfaEngine {
         }
     }
 
-    fn candidates(&self, elem: usize) -> Vec<EventRef> {
-        self.buffers
-            .iter_type(self.cp.elements[elem].event_type)
-            .cloned()
-            .collect()
-    }
-
     fn enter_single(&mut self, inst: Instance, k: usize, out: &mut Vec<Match>) {
         let elem = self.order[k];
-        for c in self.candidates(elem) {
-            if !compatible_with(
-                &self.cp,
-                self.program.as_deref(),
-                &inst,
-                elem,
-                &c,
-                &self.consumed,
-                &mut self.metrics,
-            ) {
-                continue;
-            }
-            let advanced = self.arena.with_single(&inst, elem, c);
-            if self.cp.strategy.forks() {
+        // Buffers are never mutated while an event is being processed, so
+        // the bucket is walked by index and only a binding event is cloned.
+        if let Some(bucket) = self.catch_up(k, &inst) {
+            for idx in 0..self.buffers[k].bucket(bucket).len() {
+                let c = &self.buffers[k].bucket(bucket)[idx];
+                if !compatible_with(
+                    &self.cp,
+                    self.program.as_deref(),
+                    &inst,
+                    elem,
+                    c,
+                    &self.consumed,
+                    &mut self.metrics,
+                ) {
+                    continue;
+                }
+                let advanced = self.arena.with_single(&inst, elem, c.clone());
                 self.enter(advanced, k + 1, out);
-            } else {
-                // Non-forking: take the first match and leave this state.
-                self.enter(advanced, k + 1, out);
-                self.arena.retire(inst);
-                return;
+                if !self.cp.strategy.forks() {
+                    // Non-forking: take the first match and leave this state.
+                    self.arena.retire(inst);
+                    return;
+                }
             }
         }
-        self.states[k].push(inst);
+        self.wait(k, inst);
     }
 
     /// Kleene state entry: the instance waits with an empty accumulator and
@@ -239,27 +284,30 @@ impl NfaEngine {
     fn enter_kleene(&mut self, inst: Instance, k: usize, out: &mut Vec<Match>) {
         if self.cp.strategy.forks() {
             self.kleene_grow(&inst, k, out);
-            self.states[k].push(inst);
+            self.wait(k, inst);
         } else {
             // Non-forking strategies: greedy singleton set (see crate docs).
             let elem = self.order[k];
-            for c in self.candidates(elem) {
-                if compatible_with(
-                    &self.cp,
-                    self.program.as_deref(),
-                    &inst,
-                    elem,
-                    &c,
-                    &self.consumed,
-                    &mut self.metrics,
-                ) {
-                    let advanced = self.arena.with_kleene(&inst, elem, c);
-                    self.enter(advanced, k + 1, out);
-                    self.arena.retire(inst);
-                    return;
+            if let Some(bucket) = self.catch_up(k, &inst) {
+                for idx in 0..self.buffers[k].bucket(bucket).len() {
+                    let c = &self.buffers[k].bucket(bucket)[idx];
+                    if compatible_with(
+                        &self.cp,
+                        self.program.as_deref(),
+                        &inst,
+                        elem,
+                        c,
+                        &self.consumed,
+                        &mut self.metrics,
+                    ) {
+                        let advanced = self.arena.with_kleene(&inst, elem, c.clone());
+                        self.enter(advanced, k + 1, out);
+                        self.arena.retire(inst);
+                        return;
+                    }
                 }
             }
-            self.states[k].push(inst);
+            self.wait(k, inst);
         }
     }
 
@@ -271,7 +319,11 @@ impl NfaEngine {
         if base.kleene_len(elem) >= self.cfg.max_kleene_events {
             return;
         }
-        for c in self.candidates(elem) {
+        let Some(bucket) = self.catch_up(k, base) else {
+            return;
+        };
+        for idx in 0..self.buffers[k].bucket(bucket).len() {
+            let c = &self.buffers[k].bucket(bucket)[idx];
             if c.seq < base.kl_gate {
                 continue;
             }
@@ -280,63 +332,41 @@ impl NfaEngine {
                 self.program.as_deref(),
                 base,
                 elem,
-                &c,
+                c,
                 &self.consumed,
                 &mut self.metrics,
             ) {
                 continue;
             }
-            let grown = self.arena.with_kleene(base, elem, c);
+            let grown = self.arena.with_kleene(base, elem, c.clone());
             self.metrics.partial_matches_created += 1;
             self.enter(grown.clone(), k + 1, out);
             self.kleene_grow(&grown, k, out);
-            self.states[k].push(grown);
+            self.wait(k, grown);
         }
     }
 
-    /// Delivers a fresh event to the instances already waiting at state `k`.
-    fn deliver(&mut self, k: usize, event: &EventRef, out: &mut Vec<Match>) {
+    /// Delivers a fresh event to the instances already waiting at state
+    /// `k` in the bucket `slot` addresses.
+    fn deliver(&mut self, k: usize, slot: &Slot, event: &EventRef, out: &mut Vec<Match>) {
         let elem = self.order[k];
-        if self.cp.elements[elem].event_type != event.type_id {
+        self.metrics.index_probes += u64::from(self.keys[k].is_some());
+        let Some(bucket) = self.states[k].probe(slot) else {
             return;
-        }
+        };
         let kleene = self.cp.elements[elem].kleene;
         let forks = self.cp.strategy.forks();
-        let len = self.states[k].len();
+        let len = self.states[k].bucket(bucket).len();
         let mut idx = 0;
         let mut visited = 0;
-        while visited < len && idx < self.states[k].len() {
-            let inst = &self.states[k][idx];
-            if kleene {
-                let ok = event.seq >= inst.kl_gate
-                    && inst.kleene_len(elem) < self.cfg.max_kleene_events
-                    && compatible_with(
-                        &self.cp,
-                        self.program.as_deref(),
-                        inst,
-                        elem,
-                        event,
-                        &self.consumed,
-                        &mut self.metrics,
-                    );
-                if ok {
-                    let grown = self
-                        .arena
-                        .with_kleene(&self.states[k][idx], elem, event.clone());
-                    self.metrics.partial_matches_created += 1;
-                    if forks {
-                        self.enter(grown.clone(), k + 1, out);
-                        self.states[k].push(grown);
-                    } else {
-                        let old = self.states[k].swap_remove(idx);
-                        self.arena.retire(old);
-                        self.enter(grown, k + 1, out);
-                        visited += 1;
-                        continue; // swap_remove moved a new element to idx
-                    }
-                }
-            } else {
-                let ok = compatible_with(
+        // Kills on emission (consuming strategies) can shrink the bucket
+        // under the loop, hence the re-checked length.
+        while visited < len && idx < self.states[k].bucket(bucket).len() {
+            let inst = &self.states[k].bucket(bucket)[idx];
+            let ok = (!kleene
+                || (event.seq >= inst.kl_gate
+                    && inst.kleene_len(elem) < self.cfg.max_kleene_events))
+                && compatible_with(
                     &self.cp,
                     self.program.as_deref(),
                     inst,
@@ -345,19 +375,25 @@ impl NfaEngine {
                     &self.consumed,
                     &mut self.metrics,
                 );
-                if ok {
-                    let advanced =
-                        self.arena
-                            .with_single(&self.states[k][idx], elem, event.clone());
-                    if forks {
-                        self.enter(advanced, k + 1, out);
-                    } else {
-                        let old = self.states[k].swap_remove(idx);
-                        self.arena.retire(old);
-                        self.enter(advanced, k + 1, out);
-                        visited += 1;
-                        continue;
-                    }
+            if ok {
+                let next = if kleene {
+                    self.metrics.partial_matches_created += 1;
+                    self.arena.with_kleene(inst, elem, event.clone())
+                } else {
+                    self.arena.with_single(inst, elem, event.clone())
+                };
+                if !forks {
+                    let old = self.states[k].swap_remove(bucket, idx);
+                    self.arena.retire(old);
+                    self.enter(next, k + 1, out);
+                    visited += 1;
+                    continue; // swap_remove moved a new element to idx
+                }
+                if kleene {
+                    self.enter(next.clone(), k + 1, out);
+                    self.wait(k, next);
+                } else {
+                    self.enter(next, k + 1, out);
                 }
             }
             idx += 1;
@@ -368,19 +404,18 @@ impl NfaEngine {
     fn prune(&mut self) {
         let watermark = self.watermark;
         let window = self.cp.window;
-        self.buffers.prune(watermark, window);
-        for state in &mut self.states {
-            retain_or_retire(state, &mut self.arena, |i| !i.expired(watermark, window));
+        self.neg_buffers.prune(watermark, window);
+        for buffer in &mut self.buffers {
+            buffer.drain_front_while(|e| expired_at(e.ts, window, watermark));
         }
-        if self.cp.strategy.consumes() {
-            // Consumed serial numbers older than the window can't recur.
-            let horizon = watermark.saturating_sub(window);
-            // Events are seq-ordered by ts only loosely; conservatively keep
-            // everything unless the set grows large.
-            if self.consumed.len() > 100_000 {
-                let _ = horizon;
-                self.consumed.clear();
-            }
+        let arena = &mut self.arena;
+        for state in &mut self.states {
+            state.retain(|i| !i.expired(watermark, window), |i| arena.retire(i));
+        }
+        // Events are seq-ordered by ts only loosely; conservatively keep
+        // every consumed serial number unless the set grows large.
+        if self.cp.strategy.consumes() && self.consumed.len() > 100_000 {
+            self.consumed.clear();
         }
     }
 }
@@ -410,17 +445,24 @@ impl Engine for NfaEngine {
         // Skipping it entirely keeps the buffers and state sets lean.
         if let Some(pr) = &self.program {
             if !pr.can_ever_bind(event, &mut self.metrics.predicate_evaluations) {
-                self.metrics
-                    .record_live(self.live_instances(), self.buffers.len());
+                self.record_live();
                 return;
             }
         }
-        self.buffers.push(event.clone());
-        // Deliveries, deepest state first so instances created while
-        // processing this event are never delivered the event again (their
-        // entry scans already saw it in the buffer).
+        if self.cp.negated_of_type(event.type_id).next().is_some() {
+            self.neg_buffers.push(event.clone());
+        }
+        // Deliver and buffer, deepest state first: instances created while
+        // processing this event only ever enter deeper states, whose
+        // buffers already hold the event (their entry scans see it) and
+        // whose deliveries are already done (they are not handed it again).
         for k in (0..self.order.len()).rev() {
-            self.deliver(k, event, out);
+            if self.cp.elements[self.order[k]].event_type != event.type_id {
+                continue;
+            }
+            let slot = self.event_slot(k, event);
+            self.deliver(k, &slot, event, out);
+            self.buffers[k].push(slot, event.clone());
         }
         // Virtual initial state: the first plan element starts instances.
         let first = self.order[0];
@@ -440,7 +482,7 @@ impl Engine for NfaEngine {
                     self.metrics.partial_matches_created += 1;
                     if self.cp.strategy.forks() {
                         self.enter(seeded.clone(), 1, out);
-                        self.states[0].push(seeded);
+                        self.wait(0, seeded);
                     } else {
                         self.enter(seeded, 1, out);
                     }
@@ -458,8 +500,7 @@ impl Engine for NfaEngine {
                 self.enter(seeded, 1, out);
             }
         }
-        self.metrics
-            .record_live(self.live_instances(), self.buffers.len());
+        self.record_live();
     }
 
     fn flush(&mut self, out: &mut Vec<Match>) {

@@ -367,4 +367,124 @@ mod tests {
         assert_eq!(r.metrics.events_relevant, 2);
         assert_eq!(r.matches.len(), 1);
     }
+
+    /// `SEQ(A a, B b, C c)` equating attribute 0 along the chain, over
+    /// `keys` interleaved copies of one event sequence (copy `r` carries
+    /// key `r`, all copies of an event share its timestamp).
+    fn keyed_chain(
+        keys: i64,
+        kleene_b: bool,
+        strategy: SelectionStrategy,
+    ) -> (Pattern, Vec<Event>) {
+        let mut b = PatternBuilder::new(6);
+        b.strategy(strategy);
+        let a = b.event(t(0), "a");
+        let bb = b.event(t(1), "b");
+        let c = b.event(t(2), "c");
+        b.predicate(Predicate::attr_cmp(a.pos(), 0, CmpOp::Eq, bb.pos(), 0));
+        b.predicate(Predicate::attr_cmp(bb.pos(), 0, CmpOp::Eq, c.pos(), 0));
+        let (ae, ce) = (b.expr(a), b.expr(c));
+        let be = if kleene_b { b.kleene(bb) } else { b.expr(bb) };
+        let p = b.seq_exprs([ae, be, ce]).unwrap();
+        let mut events = Vec::new();
+        for i in 0..30u64 {
+            for r in 0..keys {
+                events.push(ev((i * 7 % 3) as u32, i, r));
+            }
+        }
+        (p, events)
+    }
+
+    #[test]
+    fn equality_steps_probe_one_bucket_and_scale_flat_in_keys() {
+        let run = |keys: i64| {
+            let (p, events) = keyed_chain(keys, false, SelectionStrategy::SkipTillAnyMatch);
+            let cp = CompiledPattern::compile_single(&p).unwrap();
+            // b first: both later steps carry an equality against it.
+            let plan = OrderPlan::new(vec![1, 2, 0]).unwrap();
+            let mut engine = NfaEngine::new(cp, plan, EngineConfig::default()).unwrap();
+            run_to_completion(&mut engine, &stream(events), true)
+        };
+        let (one, many) = (run(1), run(16));
+        assert!(!one.matches.is_empty(), "fixture must produce matches");
+        assert_eq!(many.matches.len(), 16 * one.matches.len());
+        assert_eq!(
+            many.metrics.predicate_evaluations,
+            16 * one.metrics.predicate_evaluations,
+            "per-key work must not depend on how many other keys are live"
+        );
+        assert_eq!(
+            many.metrics.partial_matches_created,
+            16 * one.metrics.partial_matches_created
+        );
+        assert!(many.metrics.index_probes > 0);
+    }
+
+    #[test]
+    fn keyed_steps_match_oracle_in_every_order() {
+        let (p, events) = keyed_chain(3, false, SelectionStrategy::SkipTillAnyMatch);
+        assert_all_orders_match_oracle(&p, events);
+    }
+
+    #[test]
+    fn kleene_partner_and_next_match_fall_back_to_one_bucket() {
+        // b is Kleene: neither equality has two plain sides, nothing is keyed.
+        let (p, events) = keyed_chain(3, true, SelectionStrategy::SkipTillAnyMatch);
+        let cp = CompiledPattern::compile_single(&p).unwrap();
+        let s = stream(events);
+        let mut oracle = NaiveEngine::new(cp.clone(), EngineConfig::default());
+        let expected = signatures(&run_to_completion(&mut oracle, &s, true).matches);
+        assert!(!expected.is_empty(), "fixture must produce matches");
+        for order in permutations(3) {
+            let plan = OrderPlan::new(order).unwrap();
+            let mut engine = NfaEngine::new(cp.clone(), plan, EngineConfig::default()).unwrap();
+            let r = run_to_completion(&mut engine, &s, true);
+            assert_eq!(signatures(&r.matches), expected);
+            assert_eq!(r.metrics.index_probes, 0);
+        }
+        // Skip-till-next-match: the greedy removal order spans the whole
+        // state, so the store stays one bucket.
+        let (p, events) = keyed_chain(3, false, SelectionStrategy::SkipTillNextMatch);
+        let cp = CompiledPattern::compile_single(&p).unwrap();
+        let mut engine =
+            NfaEngine::new(cp.clone(), OrderPlan::trivial(&cp), EngineConfig::default()).unwrap();
+        let r = run_to_completion(&mut engine, &stream(events), true);
+        assert!(!r.matches.is_empty());
+        assert_eq!(r.metrics.index_probes, 0);
+    }
+
+    #[test]
+    fn unkeyable_join_values_are_parked_until_expiry() {
+        // Every a carries NaN: no b can ever equal it, yet each a is a live
+        // partial match until the window drops it.
+        let mut b = PatternBuilder::new(4);
+        let a = b.event(t(0), "a");
+        let c = b.event(t(1), "c");
+        b.predicate(Predicate::attr_cmp(a.pos(), 0, CmpOp::Eq, c.pos(), 0));
+        let p = b.seq([a, c]).unwrap();
+        let cp = CompiledPattern::compile_single(&p).unwrap();
+        let mut events = Vec::new();
+        for i in 0..200u64 {
+            let x = if i % 2 == 0 {
+                Value::Float(f64::NAN)
+            } else {
+                Value::Float(0.5)
+            };
+            events.push(Event::new(t((i % 2) as u32), i, vec![x]));
+        }
+        let cfg = EngineConfig {
+            prune_every: 1,
+            ..EngineConfig::default()
+        };
+        let mut engine = NfaEngine::new(cp.clone(), OrderPlan::trivial(&cp), cfg).unwrap();
+        let r = run_to_completion(&mut engine, &stream(events), true);
+        assert!(r.matches.is_empty());
+        assert_eq!(r.metrics.partial_matches_created, 100);
+        assert_eq!(r.metrics.predicate_evaluations, 0, "parked, never probed");
+        assert!(
+            (2..=4).contains(&r.metrics.peak_partial_matches),
+            "parked instances count as live and expire with the window, peak {}",
+            r.metrics.peak_partial_matches
+        );
+    }
 }

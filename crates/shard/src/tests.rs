@@ -204,6 +204,66 @@ fn shard_count_does_not_change_results() {
     assert_eq!(again.matches, base.matches);
 }
 
+/// The benchmark's `sharded-keyed` shape — replicated market, `SEQ(3)`
+/// equating `replica` along the chain plus a `difference` chain — on the
+/// hash-partitioned join state: NFA (in an order that keys both later
+/// steps) and tree, each byte-identical to its serial run at 1/2/4 shards.
+#[test]
+fn sharded_keyed_query_is_byte_identical_to_serial_on_keyed_stores() {
+    use cep_core::plan::{OrderPlan, TreePlan};
+    use cep_core::schema::Catalog;
+    use cep_streamgen::{StockConfig, StockStreamGenerator};
+    let mut catalog = Catalog::new();
+    let config = StockConfig::nasdaq_like(4, 4_000, 0.25, 0xCE9);
+    let gen = StockStreamGenerator::generate_replicated(&config, 16, &mut catalog).unwrap();
+    let pattern = cep_sase::parse_pattern(
+        "PATTERN SEQ(S0000 a, S0001 b, S0002 c)
+         WHERE (a.replica == b.replica AND b.replica == c.replica
+                AND a.difference < b.difference AND b.difference < c.difference)
+         WITHIN 600 ms",
+        &catalog,
+    )
+    .unwrap();
+    let cp = CompiledPattern::compile_single(&pattern).unwrap();
+    let nfa = {
+        let cp = cp.clone();
+        move || {
+            let plan = OrderPlan::new(vec![1, 2, 0]).unwrap();
+            Box::new(NfaEngine::new(cp.clone(), plan, EngineConfig::default()).unwrap())
+                as Box<dyn Engine>
+        }
+    };
+    let tree = move || {
+        let plan = TreePlan::left_deep(&OrderPlan::new(vec![1, 2, 0]).unwrap());
+        Box::new(TreeEngine::new(cp.clone(), plan, EngineConfig::default()).unwrap())
+            as Box<dyn Engine>
+    };
+    let factories: [(&str, &dyn EngineFactory); 2] = [("nfa", &nfa), ("tree", &tree)];
+    let mut serial_counts = Vec::new();
+    for (name, factory) in factories {
+        let mut engine = factory.build();
+        let serial = run_to_completion(engine.as_mut(), &gen.stream, true);
+        assert!(!serial.matches.is_empty(), "fixture should produce matches");
+        assert!(
+            serial.metrics.index_probes > 0,
+            "{name}: the replica equalities must key the join state"
+        );
+        let mut expected = serial.matches;
+        canonical_sort(&mut expected);
+        for shards in [1, 2, 4] {
+            let r = ShardedRuntime::with_shards(shards).run(
+                factory,
+                &gen.stream,
+                RoutingPolicy::Partition,
+                true,
+            );
+            assert_eq!(r.matches, expected, "{name} with {shards} shards diverged");
+        }
+        serial_counts.push(expected.len());
+    }
+    assert_eq!(serial_counts[0], serial_counts[1], "nfa and tree disagree");
+}
+
 #[test]
 fn tiny_batches_and_queues_only_change_plumbing() {
     let stream = keyed_stream(lcg_workload(120, 3, 4, 99));

@@ -7,17 +7,22 @@
 //! new instance is created at a node, it is combined with the instances
 //! stored at the *sibling* node, producing new instances at the parent —
 //! a symmetric-join discipline that counts every pair exactly once.
+//!
+//! Node stores are [`KeyedStore`]s: when an equality join crosses a node's
+//! and its sibling's element sets ([`CompiledPattern::join_key`]), both
+//! stores are bucketed by the join value and a new instance meets only the
+//! sibling bucket of its own value instead of the whole store.
 
 use cep_core::buffer::TypeBuffers;
 use cep_core::compile::CompiledPattern;
 use cep_core::compiled::PredicateProgram;
 use cep_core::engine::{Engine, EngineConfig};
 use cep_core::error::CepError;
-use cep_core::event::{EventRef, Timestamp};
+use cep_core::event::{EventRef, Timestamp, TypeId};
 use cep_core::instance::{
-    compatible_with, contiguity_ok, merge_compatible_with, retain_or_retire, Instance,
-    InstanceArena,
+    compatible_with, contiguity_ok, merge_compatible_with, Instance, InstanceArena,
 };
+use cep_core::keyed::{EqJoin, KeyedStore, Slot};
 use cep_core::matches::Match;
 use cep_core::metrics::EngineMetrics;
 use cep_core::negation::DeferredStore;
@@ -37,6 +42,9 @@ struct NodeSpec {
     kind: NodeKind,
     parent: Option<usize>,
     sibling: Option<usize>,
+    /// The equality join from this node's elements to its sibling's that
+    /// buckets this node's store (the sibling holds the mirrored entry).
+    key: Option<EqJoin>,
 }
 
 /// Tree-based (ZStream-style) evaluation engine.
@@ -47,8 +55,10 @@ pub struct TreeEngine {
     program: Option<Arc<PredicateProgram>>,
     nodes: Vec<NodeSpec>,
     root: usize,
+    /// `(accepted type, leaf node)` per leaf, in node order.
+    leaves: Vec<(TypeId, usize)>,
     /// Instances stored at each node, within the window.
-    stores: Vec<Vec<Instance>>,
+    stores: Vec<KeyedStore<Instance>>,
     arena: InstanceArena,
     /// Buffered events of negated types (for negation checks only; positive
     /// events live in the leaf stores).
@@ -93,23 +103,34 @@ impl TreeEngine {
             None
         };
         let mut nodes = Vec::new();
-        let root = flatten(&plan.root, &mut nodes);
-        // Fill parent/sibling links.
+        let mut elems = Vec::new();
+        let root = flatten(&plan.root, &mut nodes, &mut elems);
+        // Fill parent/sibling links and the join keys crossing each pair.
         for i in 0..nodes.len() {
             if let NodeKind::Internal { left, right } = nodes[i].kind {
-                nodes[left].parent = Some(i);
-                nodes[left].sibling = Some(right);
-                nodes[right].parent = Some(i);
-                nodes[right].sibling = Some(left);
+                for (node, sibling) in [(left, right), (right, left)] {
+                    nodes[node].parent = Some(i);
+                    nodes[node].sibling = Some(sibling);
+                    nodes[node].key = cp.join_key(&elems[node], &elems[sibling]).cloned();
+                }
             }
         }
-        let stores = vec![Vec::new(); nodes.len()];
+        let leaves = nodes
+            .iter()
+            .enumerate()
+            .filter_map(|(i, n)| match n.kind {
+                NodeKind::Leaf { elem } => Some((cp.elements[elem].event_type, i)),
+                NodeKind::Internal { .. } => None,
+            })
+            .collect();
+        let stores = nodes.iter().map(|_| KeyedStore::new()).collect();
         Ok(TreeEngine {
             cp,
             cfg,
             program,
             nodes,
             root,
+            leaves,
             stores,
             arena: InstanceArena::new(),
             buffers: TypeBuffers::new(),
@@ -129,7 +150,7 @@ impl TreeEngine {
     }
 
     fn live_instances(&self) -> usize {
-        self.stores.iter().map(|s| s.len()).sum::<usize>() + self.deferred.len()
+        self.stores.iter().map(KeyedStore::len).sum::<usize>() + self.deferred.len()
     }
 
     /// The compiled predicate program driving this engine (`None` when
@@ -151,9 +172,9 @@ impl TreeEngine {
             for e in m.events() {
                 self.consumed.insert(e.seq);
             }
-            let consumed = &self.consumed;
+            let (consumed, arena) = (&self.consumed, &mut self.arena);
             for store in &mut self.stores {
-                retain_or_retire(store, &mut self.arena, |i| !i.intersects(consumed));
+                store.retain(|i| !i.intersects(consumed), |i| arena.retire(i));
             }
         }
         self.metrics.matches_emitted += 1;
@@ -213,7 +234,15 @@ impl TreeEngine {
         }
         let parent = self.nodes[node].parent.expect("non-root has a parent");
         let sibling = self.nodes[node].sibling.expect("non-root has a sibling");
-        self.stores[node].push(inst.clone());
+        // The instance lives in its own store under the same join value it
+        // probes the sibling's with.
+        let slot = match &self.nodes[node].key {
+            Some(join) => {
+                self.metrics.index_probes += 1;
+                inst.join_slot(join.elem, join.attr)
+            }
+            None => Slot::All,
+        };
         // Symmetric join with the sibling's current store: every (new, old)
         // pair is considered exactly once, at the newer side's creation.
         let merged: Vec<Instance> = {
@@ -223,11 +252,13 @@ impl TreeEngine {
             let metrics = &mut self.metrics;
             let arena = &mut self.arena;
             self.stores[sibling]
+                .visit(&slot)
                 .iter()
                 .filter(|s| merge_compatible_with(cp, prog, &inst, s, consumed, metrics))
                 .map(|s| arena.merge(&inst, s))
                 .collect()
         };
+        self.stores[node].push(slot, inst);
         for m in merged {
             self.propagate(parent, m, out);
         }
@@ -254,6 +285,7 @@ impl TreeEngine {
         if self.cp.elements[elem].kleene {
             // Grow every stored accumulator (gated by serial number so each
             // subset appears exactly once), then seed the singleton set.
+            // (A Kleene leaf is never keyed: its store is one bucket.)
             let grown: Vec<Instance> = {
                 let cp = &self.cp;
                 let prog = self.program.as_deref();
@@ -262,6 +294,7 @@ impl TreeEngine {
                 let metrics = &mut self.metrics;
                 let arena = &mut self.arena;
                 self.stores[leaf]
+                    .visit(&Slot::All)
                     .iter()
                     .filter(|i| {
                         event.seq >= i.kl_gate
@@ -286,8 +319,9 @@ impl TreeEngine {
         let watermark = self.watermark;
         let window = self.cp.window;
         self.buffers.prune(watermark, window);
+        let arena = &mut self.arena;
         for store in &mut self.stores {
-            retain_or_retire(store, &mut self.arena, |i| !i.expired(watermark, window));
+            store.retain(|i| !i.expired(watermark, window), |i| arena.retire(i));
         }
         if self.cp.strategy.consumes() && self.consumed.len() > 100_000 {
             self.consumed.clear();
@@ -295,30 +329,26 @@ impl TreeEngine {
     }
 }
 
-fn flatten(node: &TreeNode, out: &mut Vec<NodeSpec>) -> usize {
-    match node {
-        TreeNode::Leaf(elem) => {
-            out.push(NodeSpec {
-                kind: NodeKind::Leaf { elem: *elem },
-                parent: None,
-                sibling: None,
-            });
-            out.len() - 1
-        }
+/// Flattens `node` into `out` (children before parents), recording each
+/// flattened node's element set in `elems`; returns the node's index.
+fn flatten(node: &TreeNode, out: &mut Vec<NodeSpec>, elems: &mut Vec<Vec<usize>>) -> usize {
+    let (kind, covered) = match node {
+        TreeNode::Leaf(elem) => (NodeKind::Leaf { elem: *elem }, vec![*elem]),
         TreeNode::Node(l, r) => {
-            let li = flatten(l, out);
-            let ri = flatten(r, out);
-            out.push(NodeSpec {
-                kind: NodeKind::Internal {
-                    left: li,
-                    right: ri,
-                },
-                parent: None,
-                sibling: None,
-            });
-            out.len() - 1
+            let left = flatten(l, out, elems);
+            let right = flatten(r, out, elems);
+            let covered = [elems[left].as_slice(), elems[right].as_slice()].concat();
+            (NodeKind::Internal { left, right }, covered)
         }
-    }
+    };
+    out.push(NodeSpec {
+        kind,
+        parent: None,
+        sibling: None,
+        key: None,
+    });
+    elems.push(covered);
+    out.len() - 1
 }
 
 impl Engine for TreeEngine {
@@ -343,19 +373,11 @@ impl Engine for TreeEngine {
         }
         self.metrics.events_relevant += 1;
         // Route to every leaf accepting this type.
-        let leaves: Vec<usize> = self
-            .nodes
-            .iter()
-            .enumerate()
-            .filter_map(|(i, n)| match n.kind {
-                NodeKind::Leaf { elem } if self.cp.elements[elem].event_type == event.type_id => {
-                    Some(i)
-                }
-                _ => None,
-            })
-            .collect();
-        for leaf in leaves {
-            self.leaf_arrival(leaf, event, out);
+        for i in 0..self.leaves.len() {
+            let (accepts, leaf) = self.leaves[i];
+            if accepts == event.type_id {
+                self.leaf_arrival(leaf, event, out);
+            }
         }
         self.metrics
             .record_live(self.live_instances(), self.buffers.len());

@@ -360,3 +360,78 @@ fn bushy_tree_beats_left_deep_on_selective_outer_pair() {
         r1.metrics.partial_matches_created
     );
 }
+
+/// `SEQ(A a, B b, C c)` equating attribute 0 along the chain, over `keys`
+/// interleaved copies of one event sequence (copy `r` carries key `r`,
+/// all copies of an event share its timestamp).
+fn keyed_chain(keys: i64, kleene_b: bool) -> (Pattern, Vec<Event>) {
+    let mut b = PatternBuilder::new(6);
+    let a = b.event(t(0), "a");
+    let bb = b.event(t(1), "b");
+    let c = b.event(t(2), "c");
+    b.predicate(Predicate::attr_cmp(a.pos(), 0, CmpOp::Eq, bb.pos(), 0));
+    b.predicate(Predicate::attr_cmp(bb.pos(), 0, CmpOp::Eq, c.pos(), 0));
+    let (ae, ce) = (b.expr(a), b.expr(c));
+    let be = if kleene_b { b.kleene(bb) } else { b.expr(bb) };
+    let p = b.seq_exprs([ae, be, ce]).unwrap();
+    let mut events = Vec::new();
+    for i in 0..30u64 {
+        for r in 0..keys {
+            events.push(ev((i * 7 % 3) as u32, i, r));
+        }
+    }
+    (p, events)
+}
+
+#[test]
+fn equality_nodes_probe_one_bucket_and_scale_flat_in_keys() {
+    let run = |keys: i64| {
+        let (p, events) = keyed_chain(keys, false);
+        let cp = CompiledPattern::compile_single(&p).unwrap();
+        // ((b c) a): b == c crosses the inner join, a == b the outer one.
+        let plan = TreePlan::new(TreeNode::join(
+            TreeNode::join(TreeNode::Leaf(1), TreeNode::Leaf(2)),
+            TreeNode::Leaf(0),
+        ))
+        .unwrap();
+        let mut engine = TreeEngine::new(cp, plan, EngineConfig::default()).unwrap();
+        run_to_completion(&mut engine, &stream(events), true)
+    };
+    let (one, many) = (run(1), run(16));
+    assert!(!one.matches.is_empty(), "fixture must produce matches");
+    assert_eq!(many.matches.len(), 16 * one.matches.len());
+    assert_eq!(
+        many.metrics.predicate_evaluations,
+        16 * one.metrics.predicate_evaluations,
+        "per-key work must not depend on how many other keys are live"
+    );
+    assert_eq!(
+        many.metrics.partial_matches_created,
+        16 * one.metrics.partial_matches_created
+    );
+    assert!(many.metrics.index_probes > 0);
+}
+
+#[test]
+fn keyed_nodes_match_oracle_in_every_tree() {
+    let (p, events) = keyed_chain(3, false);
+    assert_all_trees_match_oracle(&p, events);
+}
+
+#[test]
+fn kleene_partner_falls_back_to_one_bucket() {
+    // b is Kleene: neither equality has two plain sides, nothing is keyed.
+    let (p, events) = keyed_chain(3, true);
+    let cp = CompiledPattern::compile_single(&p).unwrap();
+    let s = stream(events);
+    let mut oracle = NaiveEngine::new(cp.clone(), EngineConfig::default());
+    let expected = signatures(&run_to_completion(&mut oracle, &s, true).matches);
+    assert!(!expected.is_empty(), "fixture must produce matches");
+    for root in all_trees(3) {
+        let plan = TreePlan::new(root).unwrap();
+        let mut engine = TreeEngine::new(cp.clone(), plan, EngineConfig::default()).unwrap();
+        let r = run_to_completion(&mut engine, &s, true);
+        assert_eq!(signatures(&r.matches), expected);
+        assert_eq!(r.metrics.index_probes, 0);
+    }
+}

@@ -119,6 +119,43 @@ pub fn build_stream(raw: &[(u32, u8, i8)]) -> Vec<EventRef> {
     sb.build()
 }
 
+/// Adversarial equality-join values by code: cross-kind numeric equality
+/// (`Int`/`Float`), both zeros, content-equal strings behind distinct
+/// allocations, `NaN` (equal to nothing, itself included) and `None` (the
+/// attribute is missing). Codes repeat the joinable classes so `==` hits
+/// stay likely.
+pub fn join_value(code: u8) -> Option<Value> {
+    match code % 10 {
+        0 | 9 => Some(Value::Int(0)),
+        1 => Some(Value::Float(-0.0)),
+        2 => Some(Value::Float(0.0)),
+        3 => Some(Value::Int(1)),
+        4 => Some(Value::Float(1.0)),
+        5 | 6 => Some(Value::from("k")),
+        7 => Some(Value::Float(f64::NAN)),
+        _ => None,
+    }
+}
+
+/// Materializes a raw `(type, Δts, key0, key1)` tuple list as a stream
+/// whose events carry two [`join_value`] attributes (types modulo 4, Δts
+/// modulo 3 — ties included). A missing `key0` yields an event without
+/// attributes, a missing `key1` one with `key0` only.
+pub fn build_join_stream(raw: &[(u32, u8, u8, u8)]) -> Vec<EventRef> {
+    let mut sb = StreamBuilder::new();
+    let mut ts = 0u64;
+    for &(tid, dt, k0, k1) in raw {
+        ts += (dt % 3) as u64;
+        let attrs = match (join_value(k0), join_value(k1)) {
+            (Some(a), Some(b)) => vec![a, b],
+            (Some(a), None) => vec![a],
+            (None, _) => vec![],
+        };
+        sb.push(Event::new(TypeId(tid % 4), ts, attrs));
+    }
+    sb.build()
+}
+
 /// Sorted match signatures — the set-identity key.
 pub fn signatures(ms: &[Match]) -> Vec<Vec<(usize, Vec<u64>)>> {
     let mut sigs: Vec<_> = ms.iter().map(|m| m.signature()).collect();

@@ -102,42 +102,60 @@ proptest! {
         check_equivalence_under(spec, raw, seed, SelectionStrategy::StrictContiguity);
     }
 
+    /// Equality-join sweep over adversarial join values
+    /// ([`cep::conformance::join_value`]): every draw runs under all three
+    /// exact strategies, and `check_stream_under` runs NFA (random order),
+    /// tree (random shape) and delta, interpreted and compiled. Draws
+    /// cover a Kleene join partner (the step must fall back to one
+    /// bucket), several `==` predicates on one step, `==` on either of two
+    /// attributes, and one type at several positions.
     #[test]
     fn eq_join_patterns_equivalent(
         is_seq in any::<bool>(),
-        types in prop::collection::vec(0u32..3, 2..=3),
-        join_at in 0usize..3,
-        raw in prop::collection::vec((0u32..4, 0u8..3, -2i8..3), 10..=35),
+        types in prop::collection::vec(0u32..3, 2..=4),
+        kleene_at in 0usize..8,
+        joins in prop::collection::vec((0usize..4, 0usize..4, 0usize..2, 0usize..2), 1..=2),
+        others in prop::collection::vec((0usize..4, 0usize..4, 0u8..8), 0..=1),
+        raw in prop::collection::vec((0u32..3, 0u8..3, 0u8..10, 0u8..10), 14..=30),
         seed in any::<u64>(),
-        window in 4u64..12,
+        window in 5u64..12,
     ) {
-        // Equality-join sweep: the narrow attribute domain (-2..3) makes
-        // `==` hits likely, exercising the delta engine's posting-list
-        // probes rather than its scan fallback.
+        let n = types.len();
         let Some(mut pattern) = build_pattern(&PatternSpec {
             is_seq,
-            elements: types.iter().map(|&t| (t, 0)).collect(),
-            predicates: vec![],
+            // `kleene_at >= n` draws no Kleene element.
+            elements: types
+                .iter()
+                .enumerate()
+                .map(|(i, &t)| (t, if i == kleene_at { 2 } else { 0 }))
+                .collect(),
+            predicates: others,
             window,
         }) else { return Ok(()); };
-        let n = types.len();
-        let (i, j) = (join_at % n, (join_at + 1) % n);
-        if i != j {
-            let prims = pattern.primitives();
-            let (pi, pj) = (prims[i].position, prims[j].position);
-            pattern
-                .predicates
-                .push(Predicate::attr_cmp(pi, 0, CmpOp::Eq, pj, 0));
+        let prims = pattern.primitives();
+        for (i, j, attr_i, attr_j) in joins {
+            let (i, j) = (i % n, j % n);
+            if i != j {
+                pattern.predicates.push(Predicate::attr_cmp(
+                    prims[i].position,
+                    attr_i,
+                    CmpOp::Eq,
+                    prims[j].position,
+                    attr_j,
+                ));
+            }
         }
-        let Ok(cp) = CompiledPattern::compile_single(&pattern) else { return Ok(()); };
-        let stream = cep::conformance::build_stream(&raw);
-        check_stream_under(
-            &cp,
-            &stream,
-            &EngineConfig::default(),
-            seed,
-            &format!("{pattern}"),
-        );
+        let stream = cep::conformance::build_join_stream(&raw);
+        let cfg = EngineConfig { max_kleene_events: 4, ..Default::default() };
+        for strategy in [
+            SelectionStrategy::SkipTillAnyMatch,
+            SelectionStrategy::StrictContiguity,
+            SelectionStrategy::PartitionContiguity,
+        ] {
+            pattern.strategy = strategy;
+            let Ok(cp) = CompiledPattern::compile_single(&pattern) else { return Ok(()); };
+            check_stream_under(&cp, &stream, &cfg, seed, &format!("{pattern} [{strategy}]"));
+        }
     }
 }
 
@@ -268,5 +286,117 @@ fn four_cameras_all_plans_agree() {
             "delta must not materialize partial matches"
         );
         assert_eq!(signatures(&r.matches).len(), expected.len());
+    }
+}
+
+/// Regression fixture for hash-partitioned join state: every adversarial
+/// join value of [`cep::conformance::join_value`] meets every other, on
+/// patterns with one type at two positions, two `==` predicates on one
+/// step, `==` on a second attribute, and a Kleene join partner — under
+/// all three exact strategies and eight plan seeds each (NFA orders and
+/// tree shapes), interpreted and compiled.
+#[test]
+fn eq_join_adversarial_keys_fixture() {
+    let seq3 = |kleene_mid: bool| {
+        let mut b = PatternBuilder::new(9);
+        let a = b.event(TypeId(0), "a");
+        let m = b.event(TypeId(1), "m");
+        let c = b.event(TypeId(0), "c"); // same type as `a`
+        b.predicate(Predicate::attr_cmp(a.pos(), 0, CmpOp::Eq, m.pos(), 0));
+        b.predicate(Predicate::attr_cmp(m.pos(), 0, CmpOp::Eq, c.pos(), 0));
+        b.predicate(Predicate::attr_cmp(a.pos(), 1, CmpOp::Eq, c.pos(), 1));
+        b.predicate(Predicate::attr_cmp(a.pos(), 0, CmpOp::Eq, c.pos(), 0));
+        let (ae, ce) = (b.expr(a), b.expr(c));
+        let me = if kleene_mid { b.kleene(m) } else { b.expr(m) };
+        b.seq_exprs([ae, me, ce]).unwrap()
+    };
+    // Key codes walk the whole value pool against itself (7 and 10 are
+    // coprime); the second attribute alternates between two joinable codes
+    // and the unkeyable ones.
+    let raw: Vec<(u32, u8, u8, u8)> = (0..60u32)
+        .map(|i| {
+            (
+                i % 2,
+                1,
+                (i * 7 % 10) as u8,
+                [0, 9, 7, 8, 2][(i % 5) as usize],
+            )
+        })
+        .collect();
+    let stream = cep::conformance::build_join_stream(&raw);
+    let cfg = EngineConfig {
+        max_kleene_events: 3,
+        ..Default::default()
+    };
+    for kleene_mid in [false, true] {
+        let mut pattern = seq3(kleene_mid);
+        for strategy in [
+            SelectionStrategy::SkipTillAnyMatch,
+            SelectionStrategy::StrictContiguity,
+            SelectionStrategy::PartitionContiguity,
+        ] {
+            pattern.strategy = strategy;
+            let cp = CompiledPattern::compile_single(&pattern).unwrap();
+            if strategy == SelectionStrategy::SkipTillAnyMatch {
+                let mut oracle = NaiveEngine::new(cp.clone(), cfg.clone());
+                let expected = run_to_completion(&mut oracle, &stream, true).matches;
+                assert!(!expected.is_empty(), "fixture must produce matches");
+            }
+            for seed in 0..8 {
+                check_stream_under(&cp, &stream, &cfg, seed, &format!("{pattern} [{strategy}]"));
+            }
+        }
+    }
+}
+
+/// Window expiry at the timestamp extremes: `ts = 0`, all-equal
+/// timestamps, the smallest and the largest window, and events at the
+/// very top of the `u64` range, where an unchecked `ts + window` would
+/// overflow. Pruning runs on every event so each backend's expiry rule is
+/// exercised at each step. (Patterns reject `window = 0`; the helper's own
+/// tests cover it.)
+#[test]
+fn timestamp_extremes_match_oracle() {
+    let top = u64::MAX;
+    let times = [
+        0,
+        0,
+        0,
+        0,
+        3,
+        3,
+        top - 6,
+        top - 6,
+        top - 2,
+        top - 1,
+        top,
+        top,
+        top,
+    ];
+    let mut sb = StreamBuilder::new();
+    for (i, &ts) in times.iter().enumerate() {
+        sb.push(Event::new(
+            TypeId(i as u32 % 2),
+            ts,
+            vec![Value::Int(i as i64 % 3 / 2)],
+        ));
+    }
+    let stream = sb.build();
+    let cfg = EngineConfig {
+        prune_every: 1,
+        ..Default::default()
+    };
+    for window in [1, 5, top] {
+        for is_seq in [true, false] {
+            let mut b = PatternBuilder::new(window);
+            let a = b.event(TypeId(0), "a");
+            let c = b.event(TypeId(1), "c");
+            b.predicate(Predicate::attr_cmp(a.pos(), 0, CmpOp::Eq, c.pos(), 0));
+            let pattern = if is_seq { b.seq([a, c]) } else { b.and([a, c]) }.unwrap();
+            let cp = CompiledPattern::compile_single(&pattern).unwrap();
+            for seed in 0..2 {
+                check_stream_under(&cp, &stream, &cfg, seed, &format!("{pattern}"));
+            }
+        }
     }
 }
