@@ -1,10 +1,11 @@
 //! The engine abstraction shared by the NFA, tree, and naive evaluators.
 
+use crate::dedup::BranchDedup;
 use crate::matches::Match;
 use crate::metrics::EngineMetrics;
 use crate::stream::EventStream;
 use cep_obs::{TraceRecord, Tracer};
-use std::collections::HashMap;
+use std::cell::OnceCell;
 use std::time::Instant;
 
 /// Runtime knobs common to all engines.
@@ -183,14 +184,26 @@ pub fn run_traced(
 /// Evaluates several engines (one per DNF branch of a nested pattern) as a
 /// unit, returning the union of their matches (Section 5.4).
 ///
-/// Duplicate matches — possible when branches overlap — are suppressed via
-/// match signatures, remembered for one window length.
+/// Duplicate matches — possible when branches overlap — are suppressed by
+/// the same signature memory the registry's fan-out uses (first branch
+/// wins, signatures forgotten a window later). The wrapper does not know
+/// its branches' patterns, so unlike the registry it cannot rule
+/// collisions out statically and always deduplicates.
 pub struct MultiEngine {
     engines: Vec<Box<dyn Engine>>,
-    window: u64,
-    seen: HashMap<Vec<(usize, Vec<u64>)>, u64>,
-    metrics: EngineMetrics,
-    name: &'static str,
+    dedup: BranchDedup,
+    /// Per-event scratch buffer of the branches' matches.
+    staged: Vec<Match>,
+    /// The wrapper's own counters (`events_processed`, `matches_emitted`)
+    /// plus whatever the harness records through
+    /// [`metrics_mut`](Engine::metrics_mut) (wall time, histograms).
+    own: EngineMetrics,
+    /// The aggregate view [`metrics`](Engine::metrics) returns, computed on
+    /// first read after any change.
+    view: OnceCell<EngineMetrics>,
+    /// Whether any event or flush has been processed; before that the view
+    /// is the wrapper's own counters alone.
+    started: bool,
 }
 
 impl MultiEngine {
@@ -199,10 +212,11 @@ impl MultiEngine {
         assert!(!engines.is_empty(), "MultiEngine needs >= 1 branch engine");
         MultiEngine {
             engines,
-            window,
-            seen: HashMap::new(),
-            metrics: EngineMetrics::new(),
-            name: "multi",
+            dedup: BranchDedup::new(window),
+            staged: Vec::new(),
+            own: EngineMetrics::new(),
+            view: OnceCell::new(),
+            started: false,
         }
     }
 
@@ -211,73 +225,71 @@ impl MultiEngine {
         self.engines.len()
     }
 
-    fn dedup(&mut self, staged: Vec<Match>, out: &mut Vec<Match>) {
-        for m in staged {
-            let sig = m.signature();
-            let ts = m.max_ts();
-            if self.seen.insert(sig, ts).is_none() {
+    /// Moves the branches' staged matches to `out`, first sighting of each
+    /// signature only.
+    fn emit_staged(&mut self, out: &mut Vec<Match>) {
+        self.started = true;
+        self.view.take();
+        let before = out.len();
+        for m in self.staged.drain(..) {
+            if self.dedup.admit(&m) {
                 out.push(m);
             }
         }
+        self.own.matches_emitted += (out.len() - before) as u64;
     }
 
-    fn refresh_metrics(&mut self) {
-        let mut agg = EngineMetrics::new();
-        agg.events_processed = self.metrics.events_processed;
-        agg.wall_time_ns = self.metrics.wall_time_ns;
+    fn aggregate(&self) -> EngineMetrics {
+        if !self.started {
+            return self.own.clone();
+        }
         // The harness records latency/event-time histograms on *our*
         // metrics, not the branch engines' — carry them over.
-        agg.event_ns = self.metrics.event_ns.clone();
-        agg.match_latency_ns = self.metrics.match_latency_ns.clone();
-        agg.replay_ns = self.metrics.replay_ns.clone();
+        let mut agg = EngineMetrics {
+            events_processed: self.own.events_processed,
+            wall_time_ns: self.own.wall_time_ns,
+            event_ns: self.own.event_ns.clone(),
+            match_latency_ns: self.own.match_latency_ns.clone(),
+            replay_ns: self.own.replay_ns.clone(),
+            ..EngineMetrics::new()
+        };
         for e in &self.engines {
             agg.absorb(e.metrics());
         }
         // Deduplication may have dropped some emissions: count our own.
-        agg.matches_emitted = self.metrics.matches_emitted;
-        self.metrics = agg;
+        agg.matches_emitted = self.own.matches_emitted;
+        agg
     }
 }
 
 impl Engine for MultiEngine {
     fn process(&mut self, event: &crate::event::EventRef, out: &mut Vec<Match>) {
-        self.metrics.events_processed += 1;
-        let mut staged = Vec::new();
+        self.own.events_processed += 1;
         for e in &mut self.engines {
-            e.process(event, &mut staged);
+            e.process(event, &mut self.staged);
         }
-        let before = out.len();
-        self.dedup(staged, out);
-        self.metrics.matches_emitted += (out.len() - before) as u64;
-        // Forget signatures that can no longer recur (outside the window).
-        if self.metrics.events_processed.is_multiple_of(256) {
-            let horizon = event.ts.saturating_sub(self.window);
-            self.seen.retain(|_, &mut ts| ts >= horizon);
-        }
-        self.refresh_metrics();
+        self.emit_staged(out);
+        self.dedup.end_event(self.own.events_processed, event.ts);
     }
 
     fn flush(&mut self, out: &mut Vec<Match>) {
-        let mut staged = Vec::new();
         for e in &mut self.engines {
-            e.flush(&mut staged);
+            e.flush(&mut self.staged);
         }
-        let before = out.len();
-        self.dedup(staged, out);
-        self.metrics.matches_emitted += (out.len() - before) as u64;
-        self.refresh_metrics();
+        self.emit_staged(out);
     }
 
     fn metrics(&self) -> &EngineMetrics {
-        &self.metrics
+        self.view.get_or_init(|| self.aggregate())
     }
 
     fn metrics_mut(&mut self) -> &mut EngineMetrics {
-        &mut self.metrics
+        self.view.take();
+        &mut self.own
     }
 
     fn name(&self) -> &'static str {
-        self.name
+        "multi"
     }
 }
 
@@ -389,5 +401,26 @@ mod tests {
         me.process(&ev(0, 1), &mut out);
         assert_eq!(out.len(), 2);
         assert_eq!(me.metrics().matches_emitted, 2);
+    }
+
+    #[test]
+    fn multi_engine_metrics_view_is_computed_on_read() {
+        let mut branch = StubEngine::new(1);
+        branch.metrics.plan_cache_hits = 3;
+        let mut me = MultiEngine::new(vec![Box::new(branch), Box::new(StubEngine::new(2))], 10);
+        // Before any event the view is the wrapper's own counters alone.
+        assert_eq!(me.metrics().plan_cache_hits, 0);
+        let mut out = Vec::new();
+        me.process(&ev(0, 1), &mut out);
+        let m = me.metrics();
+        assert_eq!(
+            (m.events_processed, m.matches_emitted, m.plan_cache_hits),
+            (1, 2, 3)
+        );
+        me.metrics_mut().wall_time_ns += 7;
+        assert_eq!(me.metrics().wall_time_ns, 7, "harness writes show on read");
+        me.process(&ev(1, 2), &mut out);
+        assert_eq!(me.metrics().events_processed, 2);
+        assert_eq!(me.metrics().wall_time_ns, 7);
     }
 }

@@ -490,6 +490,16 @@ impl InstanceArena {
         }
     }
 
+    /// Returns a completed instance's shell to the pool, but only when the
+    /// pool is empty — the one case where the next derivation would
+    /// allocate. Completion then never pools more shells than the kill
+    /// path left behind, so pooled memory stays where it was.
+    pub fn recycle(&mut self, inst: Instance) {
+        if self.free.is_empty() {
+            self.retire(inst);
+        }
+    }
+
     /// Instances derived from fresh allocations.
     pub fn allocs(&self) -> u64 {
         self.allocs
@@ -788,6 +798,12 @@ mod tests {
         assert_eq!(m_arena.bindings, m_clone.bindings);
         assert_eq!(m_arena.event_count, m_clone.event_count);
         assert_eq!(m_arena.min_ts, m_clone.min_ts);
+        // Completed shells refill an empty pool and never grow a full one.
+        assert_eq!(arena.pooled(), 0);
+        arena.recycle(b);
+        assert_eq!(arena.pooled(), 1);
+        arena.recycle(k);
+        assert_eq!(arena.pooled(), 1);
     }
 
     #[test]

@@ -29,6 +29,7 @@ pub mod buffer;
 pub mod compile;
 pub mod compiled;
 pub mod cost;
+mod dedup;
 pub mod engine;
 pub mod error;
 pub mod event;

@@ -6,7 +6,8 @@
 //! * `L = max ts(before)` if the negated element has preceding positives,
 //!   else `max_ts(M) − W` (any earlier event cannot share the window);
 //! * `U = min ts(after)` if it has succeeding positives, else
-//!   `min_ts(M) + W`.
+//!   `min_ts(M) + W` (saturating at the top of the timestamp range, like
+//!   `L` at the bottom).
 //!
 //! When `U` lies beyond the current watermark (a *trailing* negation, or
 //! negation inside a conjunction), the decision is deferred: the match is
@@ -34,7 +35,7 @@ pub fn forbidden_interval(cp: &CompiledPattern, k: usize, m: &Match) -> (Timesta
             .expect("non-empty before")
     };
     let hi = if ne.after.is_empty() {
-        m.min_ts() + cp.window
+        m.min_ts().saturating_add(cp.window)
     } else {
         ne.after
             .iter()
@@ -336,6 +337,15 @@ mod tests {
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].emitted_at, 110);
         assert!(store.is_empty());
+    }
+
+    #[test]
+    fn trailing_interval_saturates_at_timestamp_top() {
+        let cp = cp_trailing_not();
+        let top = u64::MAX;
+        let m = mk(vec![(0, Binding::One(ev(0, top - 5, 0, 0)))]);
+        assert_eq!(forbidden_interval(&cp, 0, &m), (top - 5, top));
+        assert!(violates(&cp, 0, &m, &ev(1, top - 3, 1, 0)));
     }
 
     #[test]

@@ -17,17 +17,27 @@
 //! — to what an independent engine built from the same fragments would
 //! emit. Two mechanisms preserve it:
 //!
-//! * **Type routing.** An event is only offered to fragments whose
-//!   pattern uses its type, *except* fragments with negated elements:
-//!   deferred (trailing-negation) emission stamps `emitted_at` with the
-//!   engine's watermark, which advances on every processed event, so
-//!   those fragments receive the full stream.
-//! * **Per-query fan-out dedup.** A query with multiple branches
-//!   deduplicates fanned-out matches exactly like
-//!   [`crate::engine::MultiEngine`] (first branch in branch order wins,
-//!   signature memory pruned on the same 256-event cadence), so a
-//!   multi-branch query's output is identical to a `MultiEngine` over
-//!   independently built branch engines.
+//! * **Type routing.** A `type → [fragment]` table, maintained
+//!   incrementally by [`register`](QueryRegistry::register) and
+//!   [`unregister`](QueryRegistry::unregister) and keyed by hash (never
+//!   sized by the raw type id), offers an event only to fragments whose
+//!   pattern uses its type — *except* fragments with negated elements,
+//!   which sit in every list: deferred (trailing-negation) emission
+//!   stamps `emitted_at` with the engine's watermark, which advances on
+//!   every processed event, so those fragments receive the full stream.
+//! * **Subscriber fan-out.** Each fragment lists its subscribed queries;
+//!   only subscribers of fragments that staged matches are visited, in
+//!   [`QueryId`] order and each in branch order. A staged match is moved
+//!   to its fragment's last subscription and cloned for the others. The
+//!   per-event cost is the fragments of the event's type plus the
+//!   subscribers of the fragments that matched, not the registry's size.
+//! * **Per-query fan-out dedup, only where branches can collide.** A
+//!   query whose branches can report the same match deduplicates exactly
+//!   like [`crate::engine::MultiEngine`], through the same dedup core:
+//!   first branch in branch order wins, signature memory pruned on the
+//!   same 256-event cadence. Signatures list bound positions, so only
+//!   branches over the same positive position set can collide; every
+//!   other query skips the signature work with identical output.
 //!
 //! Set-level planning: fragments are deduplicated by signature before
 //! any engine is built (shared fragments are planned once), lowered
@@ -40,9 +50,10 @@
 
 use crate::compile::CompiledPattern;
 use crate::compiled::{shared_plan_cache, PredicateProgram, SharedPlanCache};
+use crate::dedup::{branches_can_collide, BranchDedup};
 use crate::engine::{Engine, EngineConfig};
 use crate::error::CepError;
-use crate::event::EventRef;
+use crate::event::{EventRef, TypeId};
 use crate::matches::Match;
 use crate::metrics::EngineMetrics;
 use crate::pattern::Pattern;
@@ -108,28 +119,36 @@ const REGISTRY_PLAN_CACHE_CAP: usize = 256;
 struct Fragment {
     cp: CompiledPattern,
     engine: Box<dyn Engine>,
-    /// Live (query, branch) subscriptions; the fragment is torn down
-    /// when this reaches zero.
-    subscribers: usize,
-    /// Whether the fragment must see every event regardless of type:
-    /// true for patterns with negated elements, whose deferred-emission
-    /// watermark advances on every processed event.
-    route_all: bool,
+    /// Subscribed queries, ascending, once per subscribed branch; the
+    /// fragment is torn down when this empties.
+    subscribers: Vec<QueryId>,
+    /// Subscriptions still to be served the current `staged` batch: the
+    /// last one takes the matches by move, the others get clones.
+    pending: usize,
     /// Per-event scratch buffer of freshly detected matches.
     staged: Vec<Match>,
 }
 
+impl Fragment {
+    /// Whether the fragment must see every event regardless of type:
+    /// true for patterns with negated elements, whose deferred-emission
+    /// watermark advances on every processed event.
+    fn route_all(&self) -> bool {
+        !self.cp.negated.is_empty()
+    }
+}
+
 /// One registered query: its branch subscriptions in branch order plus
-/// the `MultiEngine`-mirroring dedup state for multi-branch queries.
+/// cross-branch dedup state when its branches can collide.
 struct QueryEntry {
     /// Fragment slot per DNF branch, in the pattern's branch order
     /// (duplicates allowed: identical branches subscribe twice).
     fragments: Vec<usize>,
-    window: u64,
-    /// Signature memory for multi-branch dedup (unused single-branch).
-    seen: HashMap<Vec<(usize, Vec<u64>)>, u64>,
-    /// Events offered to the registry while this query was live.
-    events_processed: u64,
+    /// The registry's `events_processed` when this query registered.
+    registered_at: u64,
+    /// Signature memory, present only when two branches bind the same
+    /// positions (`branches_can_collide`).
+    dedup: Option<BranchDedup>,
     /// Matches delivered to this query (post-dedup).
     matches_emitted: u64,
 }
@@ -147,7 +166,19 @@ pub struct QueryRegistry {
     /// indices stay stable).
     slots: Vec<Option<Fragment>>,
     by_sig: HashMap<u64, usize>,
+    /// The slots offered an event, per type some non-route-all fragment
+    /// uses; every list also holds the route-all slots.
+    by_type: HashMap<TypeId, Vec<usize>>,
+    /// Route-all slots: the dispatch list of every type `by_type` lacks.
+    route_all: Vec<usize>,
     queries: BTreeMap<QueryId, QueryEntry>,
+    /// Queries holding a `BranchDedup`, whose prune cadence runs on
+    /// every event whether or not they receive matches.
+    deduping: Vec<QueryId>,
+    /// Per-event scratch: slots that staged matches, and the queries
+    /// subscribed to them.
+    hit: Vec<usize>,
+    visit: Vec<QueryId>,
     next_id: u64,
     /// Registry-owned counters (`events_processed`, `wall_time_ns`,
     /// `registered_queries`, `shared_fragments`, `fanout_emits`); the
@@ -181,7 +212,12 @@ impl QueryRegistry {
             tracer: Tracer::disabled(),
             slots: Vec::new(),
             by_sig: HashMap::new(),
+            by_type: HashMap::new(),
+            route_all: Vec::new(),
             queries: BTreeMap::new(),
+            deduping: Vec::new(),
+            hit: Vec::new(),
+            visit: Vec::new(),
             next_id: 0,
             own: EngineMetrics::new(),
             retired: EngineMetrics::new(),
@@ -249,12 +285,11 @@ impl QueryRegistry {
         // Phase 2 (infallible): commit fragments and the query entry.
         let mut slot_of_built = vec![usize::MAX; built.len()];
         for (bi, (cp, engine)) in built.into_iter().enumerate() {
-            let route_all = !cp.negated.is_empty();
             let fragment = Fragment {
                 cp,
                 engine,
-                subscribers: 0,
-                route_all,
+                subscribers: Vec::new(),
+                pending: 0,
                 staged: Vec::new(),
             };
             let slot = match self.slots.iter().position(Option::is_none) {
@@ -275,6 +310,7 @@ impl QueryRegistry {
                     .signature(),
                 slot,
             );
+            self.dispatch_add(slot);
             slot_of_built[bi] = slot;
         }
         let fragments: Vec<usize> = resolved
@@ -284,19 +320,27 @@ impl QueryRegistry {
                 Resolved::New(bi) => slot_of_built[*bi],
             })
             .collect();
-        for &slot in &fragments {
-            self.slots[slot].as_mut().expect("live slot").subscribers += 1;
-        }
         let id = QueryId(self.next_id);
         self.next_id += 1;
+        // Ids only grow, so pushing keeps every subscriber list ascending.
+        for &slot in &fragments {
+            self.slots[slot]
+                .as_mut()
+                .expect("live slot")
+                .subscribers
+                .push(id);
+        }
+        let dedup = branches_can_collide(&branches).then(|| BranchDedup::new(window));
+        if dedup.is_some() {
+            self.deduping.push(id);
+        }
         let branch_count = fragments.len() as u64;
         self.queries.insert(
             id,
             QueryEntry {
                 fragments,
-                window,
-                seen: HashMap::new(),
-                events_processed: 0,
+                registered_at: self.own.events_processed,
+                dedup,
                 matches_emitted: 0,
             },
         );
@@ -316,14 +360,18 @@ impl QueryRegistry {
     /// torn down (their final counters are folded into the registry
     /// aggregate). Returns `false` for unknown ids.
     pub fn unregister(&mut self, id: QueryId) -> bool {
-        let Some(entry) = self.queries.remove(&id) else {
+        let Some(mut entry) = self.queries.remove(&id) else {
             return false;
         };
+        self.deduping.retain(|&q| q != id);
         let mut retired = 0u64;
+        entry.fragments.sort_unstable();
+        entry.fragments.dedup();
         for slot in entry.fragments {
             let frag = self.slots[slot].as_mut().expect("subscribed slot is live");
-            frag.subscribers -= 1;
-            if frag.subscribers == 0 {
+            frag.subscribers.retain(|&q| q != id);
+            if frag.subscribers.is_empty() {
+                self.dispatch_remove(slot);
                 let frag = self.slots[slot].take().expect("live slot");
                 self.by_sig.remove(&frag.cp.signature());
                 let mut last = frag.engine.metrics().clone();
@@ -345,40 +393,89 @@ impl QueryRegistry {
         true
     }
 
-    /// Offers one event to every live fragment (each evaluated at most
-    /// once, and only if the event's type is relevant to it — see the
-    /// [module docs](self)) and fans freshly detected matches out to the
-    /// subscribed queries, tagged with their [`QueryId`].
+    /// Offers one event to the live fragments its type dispatches to
+    /// (each evaluated at most once — see the [module docs](self)) and
+    /// fans freshly detected matches out to the subscribed queries,
+    /// tagged with their [`QueryId`].
     pub fn process(&mut self, event: &EventRef, out: &mut Vec<(QueryId, Match)>) {
         self.own.events_processed += 1;
-        for frag in self.slots.iter_mut().flatten() {
-            frag.staged.clear();
-            if frag.route_all || frag.cp.uses_type(event.type_id) {
-                frag.engine.process(event, &mut frag.staged);
+        let targets = self.by_type.get(&event.type_id).unwrap_or(&self.route_all);
+        for &slot in targets {
+            let frag = self.slots[slot].as_mut().expect("dispatched slot is live");
+            frag.engine.process(event, &mut frag.staged);
+            if !frag.staged.is_empty() {
+                self.hit.push(slot);
             }
         }
-        for (id, q) in self.queries.iter_mut() {
-            q.events_processed += 1;
+        self.fan_out(out);
+        for id in &self.deduping {
+            let q = self.queries.get_mut(id).expect("deduping query is live");
+            let nth = self.own.events_processed - q.registered_at;
+            if let Some(dedup) = &mut q.dedup {
+                dedup.end_event(nth, event.ts);
+            }
+        }
+    }
+
+    /// Flushes every fragment (releasing deferred trailing-negation
+    /// matches) and fans the results out like
+    /// [`process`](QueryRegistry::process).
+    pub fn flush(&mut self, out: &mut Vec<(QueryId, Match)>) {
+        for (slot, frag) in self.slots.iter_mut().enumerate() {
+            let Some(frag) = frag else { continue };
+            frag.engine.flush(&mut frag.staged);
+            if !frag.staged.is_empty() {
+                self.hit.push(slot);
+            }
+        }
+        self.fan_out(out);
+    }
+
+    /// Hands the staged matches of the `hit` fragments to their
+    /// subscribers: queries in [`QueryId`] order, each query's branches
+    /// in branch order, deduplicated where the query keeps a
+    /// `BranchDedup`. Every staged match is moved to its fragment's
+    /// last subscription and cloned for the others.
+    fn fan_out(&mut self, out: &mut Vec<(QueryId, Match)>) {
+        if self.hit.is_empty() {
+            return;
+        }
+        let visit = &mut self.visit;
+        visit.clear();
+        for &slot in &self.hit {
+            let frag = self.slots[slot].as_mut().expect("hit slot is live");
+            frag.pending = frag.subscribers.len();
+            visit.extend_from_slice(&frag.subscribers);
+        }
+        // One fragment's list is already ascending; it repeats a query
+        // that subscribed twice.
+        if self.hit.len() > 1 {
+            visit.sort_unstable();
+        }
+        visit.dedup();
+        self.hit.clear();
+        for &id in visit.iter() {
+            let q = self.queries.get_mut(&id).expect("subscriber is live");
             let before = out.len();
-            if q.fragments.len() == 1 {
-                let frag = self.slots[q.fragments[0]].as_ref().expect("live slot");
-                for m in &frag.staged {
-                    out.push((*id, m.clone()));
+            for &slot in &q.fragments {
+                let frag = self.slots[slot].as_mut().expect("live slot");
+                if frag.staged.is_empty() {
+                    continue;
                 }
-            } else {
-                // Mirror `MultiEngine`: branch order, first sighting of a
-                // signature wins, memory pruned every 256 events.
-                for &slot in &q.fragments {
-                    let frag = self.slots[slot].as_ref().expect("live slot");
-                    for m in &frag.staged {
-                        if q.seen.insert(m.signature(), m.max_ts()).is_none() {
-                            out.push((*id, m.clone()));
-                        }
+                frag.pending -= 1;
+                let staged = &mut frag.staged;
+                match (&mut q.dedup, frag.pending == 0) {
+                    (None, true) => out.extend(staged.drain(..).map(|m| (id, m))),
+                    (None, false) => out.extend(staged.iter().map(|m| (id, m.clone()))),
+                    (Some(d), true) => {
+                        out.extend(staged.drain(..).filter(|m| d.admit(m)).map(|m| (id, m)))
                     }
-                }
-                if q.events_processed.is_multiple_of(256) {
-                    let horizon = event.ts.saturating_sub(q.window);
-                    q.seen.retain(|_, &mut ts| ts >= horizon);
+                    (Some(d), false) => out.extend(
+                        staged
+                            .iter()
+                            .filter(|m| d.admit(m))
+                            .map(|m| (id, m.clone())),
+                    ),
                 }
             }
             let emitted = (out.len() - before) as u64;
@@ -387,34 +484,45 @@ impl QueryRegistry {
         }
     }
 
-    /// Flushes every fragment (releasing deferred trailing-negation
-    /// matches) and fans the results out like
-    /// [`process`](QueryRegistry::process).
-    pub fn flush(&mut self, out: &mut Vec<(QueryId, Match)>) {
-        for frag in self.slots.iter_mut().flatten() {
-            frag.staged.clear();
-            frag.engine.flush(&mut frag.staged);
+    /// Adds live slot `slot` to the type dispatch table.
+    fn dispatch_add(&mut self, slot: usize) {
+        let frag = self.slots[slot].as_ref().expect("live slot");
+        if frag.route_all() {
+            self.route_all.push(slot);
+            for list in self.by_type.values_mut() {
+                list.push(slot);
+            }
+            return;
         }
-        for (id, q) in self.queries.iter_mut() {
-            let before = out.len();
-            if q.fragments.len() == 1 {
-                let frag = self.slots[q.fragments[0]].as_ref().expect("live slot");
-                for m in &frag.staged {
-                    out.push((*id, m.clone()));
-                }
-            } else {
-                for &slot in &q.fragments {
-                    let frag = self.slots[slot].as_ref().expect("live slot");
-                    for m in &frag.staged {
-                        if q.seen.insert(m.signature(), m.max_ts()).is_none() {
-                            out.push((*id, m.clone()));
-                        }
-                    }
+        for e in &frag.cp.elements {
+            let list = self
+                .by_type
+                .entry(e.event_type)
+                .or_insert_with(|| self.route_all.clone());
+            if !list.contains(&slot) {
+                list.push(slot);
+            }
+        }
+    }
+
+    /// Removes live slot `slot` from the type dispatch table, dropping
+    /// lists left holding route-all slots only.
+    fn dispatch_remove(&mut self, slot: usize) {
+        let frag = self.slots[slot].as_ref().expect("live slot");
+        if frag.route_all() {
+            self.route_all.retain(|&s| s != slot);
+            for list in self.by_type.values_mut() {
+                list.retain(|&s| s != slot);
+            }
+            return;
+        }
+        for e in &frag.cp.elements {
+            if let Some(list) = self.by_type.get_mut(&e.event_type) {
+                list.retain(|&s| s != slot);
+                if list.len() == self.route_all.len() {
+                    self.by_type.remove(&e.event_type);
                 }
             }
-            let emitted = (out.len() - before) as u64;
-            q.matches_emitted += emitted;
-            self.own.fanout_emits += emitted;
         }
     }
 
@@ -472,7 +580,7 @@ impl QueryRegistry {
             let frag = self.slots[slot].as_ref().expect("live slot");
             agg.absorb(frag.engine.metrics());
         }
-        agg.events_processed = q.events_processed;
+        agg.events_processed = self.own.events_processed - q.registered_at;
         agg.matches_emitted = q.matches_emitted;
         Some(agg)
     }
@@ -805,6 +913,33 @@ mod tests {
         b.seq_exprs(exprs).unwrap()
     }
 
+    /// SEQ(a, OR(NOT x, NOT y), b): two DNF branches, both over `{a, b}`.
+    fn seq_or_nots(window: u64, ta: u32, tx: u32, ty: u32, tb: u32) -> Pattern {
+        let mut b = PatternBuilder::new(window);
+        let a = b.event(t(ta), "a");
+        let x = b.event(t(tx), "x");
+        let y = b.event(t(ty), "y");
+        let c = b.event(t(tb), "b");
+        let exprs = vec![
+            b.expr(a),
+            crate::pattern::PatternExpr::Or(vec![b.not(x), b.not(y)]),
+            b.expr(c),
+        ];
+        b.seq_exprs(exprs).unwrap()
+    }
+
+    /// OR(SEQ(a, b), SEQ(c, d)): two branches over disjoint positions.
+    fn or_of_seqs(window: u64) -> Pattern {
+        let mut b = PatternBuilder::new(window);
+        let a = b.event(t(0), "a");
+        let x = b.event(t(1), "b");
+        let c = b.event(t(1), "c");
+        let d = b.event(t(2), "d");
+        let left = PatternExprHelpers::seq2(&b, a, x);
+        let right = PatternExprHelpers::seq2(&b, c, d);
+        b.or_exprs(vec![left, right]).unwrap()
+    }
+
     fn stream(raw: &[(u32, u64, i64)]) -> Vec<EventRef> {
         let mut sb = StreamBuilder::new();
         for &(tid, ts, x) in raw {
@@ -814,10 +949,14 @@ mod tests {
     }
 
     fn mixed_stream() -> Vec<EventRef> {
+        mixed_stream_of(200)
+    }
+
+    fn mixed_stream_of(len: i64) -> Vec<EventRef> {
         // Types 0..4, some ts ties, varying attribute values.
         let mut raw = Vec::new();
         let mut ts = 0;
-        for i in 0..200i64 {
+        for i in 0..len {
             ts += (i % 3) as u64;
             raw.push(((i % 5) as u32, ts, (i * 7) % 13 - 6));
         }
@@ -826,14 +965,14 @@ mod tests {
 
     type MatchKey = (Vec<(usize, Vec<u64>)>, u64);
 
+    /// `(signature, emitted_at)` per match, in emission order: the
+    /// registry must reproduce each query's sequence, not just its set.
     fn keyed(ms: &[Match]) -> Vec<MatchKey> {
-        let mut ks: Vec<_> = ms.iter().map(|m| (m.signature(), m.emitted_at)).collect();
-        ks.sort();
-        ks
+        ms.iter().map(|m| (m.signature(), m.emitted_at)).collect()
     }
 
-    /// Registry output per query must be byte-identical to independent
-    /// naive engines over the same branches.
+    /// Registry output per query must be byte-identical, in order, to
+    /// independent naive engines over the same branches.
     fn assert_registry_matches_independent(patterns: &[Pattern]) {
         let cfg = EngineConfig::default();
         let mut registry = QueryRegistry::new(naive_builder(&cfg), cfg.clone());
@@ -907,29 +1046,138 @@ mod tests {
 
     #[test]
     fn overlapping_set_is_byte_identical_per_query() {
-        // 8 registrations over 4 distinct patterns, including negation
-        // (deferred emission) and a disjunction (MultiEngine dedup).
-        let or_pattern = {
-            let mut b2 = PatternBuilder::new(9);
-            let a2 = b2.event(t(0), "a");
-            let c2 = b2.event(t(1), "b");
-            let d2 = b2.event(t(1), "c");
-            let e2 = b2.event(t(2), "d");
-            let left = PatternExprHelpers::seq2(&b2, a2, c2);
-            let right = PatternExprHelpers::seq2(&b2, d2, e2);
-            b2.or_exprs(vec![left, right]).unwrap()
-        };
+        // 10 registrations over 5 distinct patterns, including negation
+        // (deferred emission), a disjunction over disjoint positions (no
+        // dedup needed) and one whose branches share positions (dedup).
         let patterns = vec![
             seq_ab(10, 0, 1, true),
             seq_ab(10, 0, 1, true), // duplicate
             seq_with_not(8, 0, 2, 1),
-            or_pattern.clone(),
+            or_of_seqs(9),
             seq_abc(10, 0, 1, 2),
+            seq_or_nots(8, 0, 2, 3, 1),
             seq_ab(10, 0, 1, false),
-            or_pattern,
-            seq_with_not(8, 0, 2, 1), // duplicate
+            or_of_seqs(9),
+            seq_with_not(8, 0, 2, 1),   // duplicate
+            seq_or_nots(8, 0, 2, 3, 1), // duplicate
         ];
         assert_registry_matches_independent(&patterns);
+    }
+
+    #[test]
+    fn dedup_is_kept_only_where_branches_share_positions() {
+        let cfg = EngineConfig::default();
+        let shared = seq_or_nots(8, 0, 2, 3, 1);
+        let stream = mixed_stream();
+        // Alone, the two branches report some of the same matches: the
+        // registry has real duplicates to suppress.
+        let per_branch: Vec<Vec<MatchKey>> = CompiledPattern::compile(&shared)
+            .unwrap()
+            .into_iter()
+            .map(|cp| {
+                let mut e = NaiveEngine::new(cp, cfg.clone());
+                keyed(&run_to_completion(&mut e, &stream, true).matches)
+            })
+            .collect();
+        assert_eq!(per_branch.len(), 2);
+        assert!(
+            per_branch[0].iter().any(|k| per_branch[1].contains(k)),
+            "fixture must make the branches collide"
+        );
+        let mut reg = QueryRegistry::new(naive_builder(&cfg), cfg);
+        let q_shared = reg.register(&shared).unwrap();
+        let q_disjoint = reg.register(&or_of_seqs(9)).unwrap();
+        let q_single = reg.register(&seq_ab(10, 0, 1, true)).unwrap();
+        assert!(reg.queries[&q_shared].dedup.is_some());
+        assert!(reg.queries[&q_disjoint].dedup.is_none());
+        assert!(reg.queries[&q_single].dedup.is_none());
+        assert_eq!(reg.deduping, vec![q_shared]);
+        let result = reg.run(&stream);
+        let sigs: Vec<_> = result.per_query[&q_shared]
+            .iter()
+            .map(Match::signature)
+            .collect();
+        let distinct: std::collections::HashSet<_> = sigs.iter().collect();
+        assert!(!sigs.is_empty());
+        assert_eq!(distinct.len(), sigs.len(), "a signature repeated");
+        assert!(reg.unregister(q_shared));
+        assert!(reg.deduping.is_empty());
+    }
+
+    #[test]
+    fn mid_stream_registration_counts_and_matches_from_registration_on() {
+        let cfg = EngineConfig::default();
+        // Long enough for the dedup memory's 256-event prune cadence.
+        let stream = mixed_stream_of(900);
+        let (join_at, leave_at) = (stream.len() / 3, 2 * stream.len() / 3);
+        let late_pattern = seq_or_nots(8, 0, 2, 3, 1);
+        let mut reg = QueryRegistry::new(naive_builder(&cfg), cfg.clone());
+        let early = reg.register(&seq_ab(10, 0, 1, true)).unwrap();
+        let mut late = None;
+        let mut late_matches = Vec::new();
+        let mut out = Vec::new();
+        for (i, e) in stream.iter().enumerate() {
+            if i == join_at {
+                let id = reg.register(&late_pattern).unwrap();
+                assert_eq!(reg.query_metrics(id).unwrap().events_processed, 0);
+                late = Some(id);
+            }
+            if i == leave_at {
+                let m = reg.query_metrics(early).unwrap();
+                assert_eq!(m.events_processed, leave_at as u64);
+                assert!(reg.unregister(early));
+                assert!(reg.query_metrics(early).is_none());
+            }
+            reg.process(e, &mut out);
+            late_matches.extend(
+                out.drain(..)
+                    .filter(|(id, _)| Some(*id) == late)
+                    .map(|(_, m)| m),
+            );
+        }
+        reg.flush(&mut out);
+        late_matches.extend(out.drain(..).map(|(_, m)| m));
+        let late = late.unwrap();
+        assert_eq!(
+            reg.query_metrics(late).unwrap().events_processed,
+            (stream.len() - join_at) as u64
+        );
+        assert_eq!(reg.metrics().events_processed, stream.len() as u64);
+        // Identical, in order, to a MultiEngine started at the same event.
+        let engines: Vec<Box<dyn Engine>> = CompiledPattern::compile(&late_pattern)
+            .unwrap()
+            .into_iter()
+            .map(|cp| Box::new(NaiveEngine::new(cp, cfg.clone())) as Box<dyn Engine>)
+            .collect();
+        let mut multi = crate::engine::MultiEngine::new(engines, late_pattern.window);
+        let expected = run_to_completion(&mut multi, &stream[join_at..].to_vec(), true).matches;
+        assert!(!expected.is_empty());
+        assert_eq!(keyed(&late_matches), keyed(&expected));
+    }
+
+    #[test]
+    fn type_ids_at_the_top_of_the_range_dispatch_without_a_dense_table() {
+        // A table indexed by raw type id would need 2^32 lists here.
+        let top = u32::MAX;
+        let cfg = EngineConfig::default();
+        let raw: Vec<(u32, u64, i64)> = (0..90u32)
+            .map(|i| {
+                let ty = if i % 3 == 0 { top } else { i % 2 };
+                (ty, u64::from(i / 2), i64::from(i * 5 % 7))
+            })
+            .collect();
+        let stream = stream(&raw);
+        let patterns = [seq_ab(10, top, 0, true), seq_with_not(6, top, 1, 0)];
+        let mut reg = QueryRegistry::new(naive_builder(&cfg), cfg.clone());
+        let ids: Vec<QueryId> = patterns.iter().map(|p| reg.register(p).unwrap()).collect();
+        let result = reg.run(&stream);
+        for (p, id) in patterns.iter().zip(&ids) {
+            let cp = CompiledPattern::compile_single(p).unwrap();
+            let mut oracle = NaiveEngine::new(cp, cfg.clone());
+            let expected = run_to_completion(&mut oracle, &stream, true).matches;
+            assert!(!expected.is_empty(), "{p} must match");
+            assert_eq!(keyed(&result.per_query[id]), keyed(&expected), "{p}");
+        }
     }
 
     /// Helper for building SEQ sub-expressions inside an OR.

@@ -199,17 +199,17 @@ impl NfaEngine {
         }
     }
 
-    fn finalize(&mut self, inst: Instance, out: &mut Vec<Match>) {
-        if !contiguity_ok(&self.cp, &inst) {
-            return;
-        }
-        if self.cp.strategy.consumes() && inst.intersects(&self.consumed) {
+    fn finalize(&mut self, mut inst: Instance, out: &mut Vec<Match>) {
+        if !contiguity_ok(&self.cp, &inst)
+            || (self.cp.strategy.consumes() && inst.intersects(&self.consumed))
+        {
+            self.arena.recycle(inst);
             return;
         }
         let m = Match {
             bindings: inst
                 .bindings
-                .into_iter()
+                .drain(..)
                 .enumerate()
                 .map(|(i, b)| {
                     (
@@ -221,6 +221,7 @@ impl NfaEngine {
             last_ts: inst.max_ts,
             emitted_at: self.watermark,
         };
+        self.arena.recycle(inst);
         if self.cp.negated.is_empty() {
             self.emit(m, out);
             return;

@@ -192,14 +192,15 @@ impl TreeEngine {
         }
     }
 
-    fn finalize(&mut self, inst: Instance, out: &mut Vec<Match>) {
+    fn finalize(&mut self, mut inst: Instance, out: &mut Vec<Match>) {
         if !contiguity_ok(&self.cp, &inst) {
+            self.arena.recycle(inst);
             return;
         }
         let m = Match {
             bindings: inst
                 .bindings
-                .into_iter()
+                .drain(..)
                 .enumerate()
                 .map(|(i, b)| {
                     (
@@ -211,6 +212,7 @@ impl TreeEngine {
             last_ts: inst.max_ts,
             emitted_at: self.watermark,
         };
+        self.arena.recycle(inst);
         if self.cp.negated.is_empty() {
             self.emit(m, out);
             return;

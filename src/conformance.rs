@@ -174,6 +174,13 @@ pub fn keyed(ms: &[Match]) -> Vec<MatchKey> {
     ks
 }
 
+/// `(signature, emitted_at)` pairs in emission order — the stricter key
+/// for comparisons where the order is part of the contract (a registry
+/// query against its independent engine).
+pub fn in_order(ms: &[Match]) -> Vec<MatchKey> {
+    ms.iter().map(|m| (m.signature(), m.emitted_at)).collect()
+}
+
 /// Deterministic "random" permutation of `0..n` derived from a seed.
 pub fn order_from_seed(n: usize, seed: u64) -> Vec<usize> {
     let mut order: Vec<usize> = (0..n).collect();
@@ -329,10 +336,11 @@ pub fn check_stream_under(
 /// Multi-query conformance: registers every pattern in one
 /// [`QueryRegistry`] per standard backend — interpreted and compiled
 /// predicate paths both — and asserts each query's collected output
-/// byte-identical ([`keyed`]) to an independent per-query
-/// [`MultiEngine`] over the same backend's branch engines, built under
-/// the same plan seed. This is the registry's core contract: sharing
-/// fragments across queries must be invisible in every query's output.
+/// byte-identical and in the same order ([`in_order`]) to an independent
+/// per-query [`MultiEngine`] over the same backend's branch engines,
+/// built under the same plan seed. This is the registry's core contract:
+/// sharing fragments across queries must be invisible in every query's
+/// output.
 #[allow(clippy::ptr_arg)] // `EventStream` is `Vec<EventRef>`; callers hold one.
 pub fn check_registry_stream(
     patterns: &[Pattern],
@@ -357,7 +365,9 @@ pub fn check_registry_stream(
                     .map(|cp| backend.build(cp, seed, &cfg))
                     .collect();
                 let mut multi = MultiEngine::new(engines, pattern.window);
-                expected.push(keyed(&run_to_completion(&mut multi, stream, true).matches));
+                expected.push(in_order(
+                    &run_to_completion(&mut multi, stream, true).matches,
+                ));
             }
             // One registry over all the queries, same builder and seed.
             let b = Arc::clone(&backend);
@@ -374,7 +384,7 @@ pub fn check_registry_stream(
                 .collect();
             let result = registry.run(stream);
             for (id, want) in ids.iter().zip(&expected) {
-                let got = keyed(result.per_query.get(id).map_or(&[][..], Vec::as_slice));
+                let got = in_order(result.per_query.get(id).map_or(&[][..], Vec::as_slice));
                 assert_eq!(
                     &got, want,
                     "{}(seed {seed}, compiled={compiled}): registry query {id} \

@@ -400,3 +400,35 @@ fn timestamp_extremes_match_oracle() {
         }
     }
 }
+
+/// Hand-checked trailing negation at the top of the timestamp range: in
+/// `SEQ(a, NOT n) WITHIN 10` with `a` at `MAX-5`, the forbidden interval
+/// runs to `MAX-5+10`, saturated to `MAX`, so `n` at `MAX-3` kills the
+/// match. An unchecked sum panics in debug builds and wraps in release,
+/// forbidding nothing. The oracle shares the negation code, so the
+/// expected output here is written down, not computed.
+#[test]
+fn trailing_negation_near_timestamp_top_forbids() {
+    let top = u64::MAX;
+    let mut b = PatternBuilder::new(10);
+    let a = b.event(TypeId(0), "a");
+    let n = b.event(TypeId(1), "n");
+    let exprs = [b.expr(a), b.not(n)];
+    let pattern = b.seq_exprs(exprs).unwrap();
+    let cp = CompiledPattern::compile_single(&pattern).unwrap();
+    let mut sb = StreamBuilder::new();
+    sb.push(Event::new(TypeId(0), top - 5, vec![]));
+    sb.push(Event::new(TypeId(1), top - 3, vec![]));
+    let stream = sb.build();
+    let cfg = EngineConfig::default();
+    for backend in cep::conformance::standard_backends() {
+        let mut engine = backend.build(&cp, 0, &cfg);
+        let r = run_to_completion(engine.as_mut(), &stream, true);
+        assert!(
+            r.matches.is_empty(),
+            "{}: `n` inside the saturated interval must forbid the match, got {:?}",
+            backend.name,
+            r.matches
+        );
+    }
+}

@@ -1,13 +1,13 @@
 //! Multi-query registry conformance: a [`cep::core::registry::QueryRegistry`]
 //! evaluating N overlapping queries must be *invisible* — each query's
-//! output byte-identical (`(signature, emitted_at)`) to an independent
-//! engine evaluating that query alone — while shared fragments execute
-//! once. The property sweep draws random query sets through
+//! output byte-identical (`(signature, emitted_at)`, in emission order)
+//! to an independent engine evaluating that query alone — while shared
+//! fragments execute once. The property sweep draws random query sets through
 //! [`cep::conformance`]; the acceptance fixture pins the headline claim:
 //! 32 overlapping queries, three backends, byte-identity per query, and
 //! sub-linear predicate work.
 
-use cep::conformance::{check_registry_equivalence_under, keyed, PatternSpec};
+use cep::conformance::{check_registry_equivalence_under, in_order, PatternSpec};
 use cep::core::engine::run_to_completion;
 use cep::core::selection::SelectionStrategy;
 use cep::prelude::*;
@@ -156,8 +156,8 @@ fn registry_32_overlapping_queries_match_independent_engines() {
             independent_predicate_evals += r.metrics.predicate_evaluations;
             any_matches |= r.match_count > 0;
             assert_eq!(
-                keyed(&result.per_query[id]),
-                keyed(&r.matches),
+                in_order(&result.per_query[id]),
+                in_order(&r.matches),
                 "{backend:?}: query {id} diverged from its independent engine"
             );
         }
