@@ -45,6 +45,17 @@ impl Default for EngineConfig {
 /// releasing matches whose emission was deferred (trailing negations).
 pub trait Engine {
     /// Processes one event, appending any matches it completes.
+    ///
+    /// Precondition: `event.ts` is at or above every timestamp processed
+    /// before (streams are ts-ordered; [`StreamBuilder`] enforces it). The
+    /// NFA, tree and delta backends rely on it: their join stores are then
+    /// sorted by time, and a probe visits only the slice that window and
+    /// precedence allow
+    /// ([`partner_ts_range`](crate::instance::partner_ts_range)). A late
+    /// event trips a `debug_assert!` there; release builds may miss
+    /// matches.
+    ///
+    /// [`StreamBuilder`]: crate::stream::StreamBuilder
     fn process(&mut self, event: &crate::event::EventRef, out: &mut Vec<Match>);
 
     /// Signals end-of-stream; releases deferred matches.

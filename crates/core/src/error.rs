@@ -46,6 +46,14 @@ pub enum CepError {
     /// attribute is not the routing attribute). The message points at the
     /// sound alternative — usually the replicate-join policy.
     Routing(String),
+    /// A worker thread of a sharded run died (its engine or fragment
+    /// builder panicked); the run's results are incomplete.
+    Worker {
+        /// Index of the shard whose worker died.
+        shard: usize,
+        /// The panic message, when it was a string.
+        message: String,
+    },
 }
 
 impl fmt::Display for CepError {
@@ -76,6 +84,9 @@ impl fmt::Display for CepError {
                  streams must be pushed in non-decreasing ts order"
             ),
             CepError::Routing(m) => write!(f, "routing error: {m}"),
+            CepError::Worker { shard, message } => {
+                write!(f, "shard {shard} worker panicked: {message}")
+            }
         }
     }
 }
@@ -116,6 +127,11 @@ mod tests {
         assert!(CepError::Routing("x".into())
             .to_string()
             .contains("routing"));
+        let w = CepError::Worker {
+            shard: 2,
+            message: "boom".into(),
+        };
+        assert_eq!(w.to_string(), "shard 2 worker panicked: boom");
         let o = CepError::OutOfOrder { ts: 3, last_ts: 9 };
         let s = o.to_string();
         assert!(s.contains("ts 3"));

@@ -9,6 +9,7 @@ use crate::matches::Binding;
 use crate::metrics::EngineMetrics;
 use crate::selection::SelectionStrategy;
 use std::collections::HashSet;
+use std::ops::{Range, RangeInclusive};
 
 /// A partial match progressing through the NFA chain.
 ///
@@ -140,6 +141,92 @@ impl Instance {
     pub fn expired(&self, watermark: Timestamp, window: u64) -> bool {
         self.event_count > 0 && expired_at(self.min_ts, window, watermark)
     }
+
+    /// `(element, min_ts, max_ts)` of every bound element: the bound side
+    /// of [`partner_ts_range`].
+    pub fn extents(&self) -> impl Iterator<Item = (usize, Timestamp, Timestamp)> + Clone + '_ {
+        self.bindings
+            .iter()
+            .enumerate()
+            .filter_map(|(i, b)| b.as_ref().map(|b| (i, b.min_ts(), b.max_ts())))
+    }
+}
+
+/// The inclusive range of `max_ts` a join partner may have and still pass
+/// the window and strict-precedence checks of [`compatible_with`] and
+/// [`merge_compatible_with`] against one side, or `None` when no partner
+/// can pass them.
+///
+/// `bound` lists the side's bound elements with their extents
+/// `(element, min_ts, max_ts)` — [`Instance::extents`] for an instance, a
+/// single `(elem, ts, ts)` for an event. `partner` lists the elements a
+/// partner binds; a partner may leave one of them unbound only when no
+/// bound element is ordered against it (a Kleene accumulator that both
+/// sides may hold).
+///
+/// * The lower bound is the side's `max_ts − window`, raised to
+///   `max_ts(i) + 1` for every bound `i` that must precede a partner
+///   element.
+/// * The upper bound is the side's `min_ts + window`. A partner's `max_ts`
+///   is that of its latest element, so the `min_ts(i) − 1` precedence
+///   bounds lower it only when *every* partner element must precede some
+///   bound element.
+///
+/// The window bounds saturate; a precedence bound outside the `u64` range
+/// (`u64::MAX + 1`, `0 − 1`) admits no partner. Every partner outside the
+/// range fails the full check, so a store sorted by `max_ts` can be cut
+/// to the range with [`sorted_span`] without changing which members pass.
+pub fn partner_ts_range<I>(
+    cp: &CompiledPattern,
+    bound: I,
+    partner: &[usize],
+) -> Option<RangeInclusive<Timestamp>>
+where
+    I: Iterator<Item = (usize, Timestamp, Timestamp)> + Clone,
+{
+    let (mut side_min, mut side_max) = (Timestamp::MAX, 0);
+    let mut lo = 0;
+    for (i, min_ts, max_ts) in bound.clone() {
+        side_min = side_min.min(min_ts);
+        side_max = side_max.max(max_ts);
+        if partner.iter().any(|&p| cp.must_precede(i, p)) {
+            lo = lo.max(max_ts.checked_add(1)?);
+        }
+    }
+    let mut hi = Timestamp::MAX;
+    if side_min <= side_max {
+        lo = lo.max(side_max.saturating_sub(cp.window));
+        hi = side_min.saturating_add(cp.window);
+    }
+    // The latest timestamp every partner element may take, while each one
+    // must precede some bound element.
+    let mut latest = (!partner.is_empty()).then_some(0);
+    for &p in partner {
+        let mut before: Option<Timestamp> = None;
+        for (i, min_ts, _) in bound.clone() {
+            if cp.must_precede(p, i) {
+                let b = min_ts.checked_sub(1)?;
+                before = Some(before.map_or(b, |t| t.min(b)));
+            }
+        }
+        latest = latest.zip(before).map(|(l, b)| l.max(b));
+    }
+    if let Some(latest) = latest {
+        hi = hi.min(latest);
+    }
+    (lo <= hi).then_some(lo..=hi)
+}
+
+/// The index range of the members of `items`, sorted by `key`, whose key
+/// lies in `range`.
+pub fn sorted_span<T>(
+    items: &[T],
+    range: &RangeInclusive<Timestamp>,
+    key: impl Fn(&T) -> Timestamp,
+) -> Range<usize> {
+    let start = items.partition_point(|x| key(x) < *range.start());
+    let end = items.partition_point(|x| key(x) <= *range.end());
+    start..end.max(start)
 }
 
 /// Checks whether `event` can bind at `elem` given the instance's current
@@ -804,6 +891,110 @@ mod tests {
         assert_eq!(arena.pooled(), 1);
         arena.recycle(k);
         assert_eq!(arena.pooled(), 1);
+    }
+
+    /// `SEQ(a, b, c)` (or `AND` when `seq` is false) over types 0, 1, 2.
+    fn cp3(seq: bool, window: u64) -> CompiledPattern {
+        let mut b = PatternBuilder::new(window);
+        let evs = [b.event(TypeId(0), "a"), b.event(TypeId(1), "b")];
+        let c = b.event(TypeId(2), "c");
+        let p = if seq {
+            b.seq([evs[0], evs[1], c])
+        } else {
+            b.and([evs[0], evs[1], c])
+        };
+        CompiledPattern::compile_single(&p.unwrap()).unwrap()
+    }
+
+    fn at(elem: usize, ts: u64) -> std::iter::Once<(usize, u64, u64)> {
+        std::iter::once((elem, ts, ts))
+    }
+
+    #[test]
+    fn partner_range_applies_window_and_precedence() {
+        let cp = cp3(true, 10);
+        // An instance holding `a`@5 catches up on `b`: after 5, within 15.
+        let i = Instance::empty(3).with_single(0, ev(0, 5, 0, 0));
+        assert_eq!(partner_ts_range(&cp, i.extents(), &[1]), Some(6..=15));
+        // `c`@20 delivered to instances over {a, b}: both precede it.
+        assert_eq!(partner_ts_range(&cp, at(2, 20), &[0, 1]), Some(10..=19));
+        // `b`@10 against {a, c}: `c` must follow (lower bound), but `a`
+        // alone preceding `b` does not cap the partner's latest element.
+        assert_eq!(partner_ts_range(&cp, at(1, 10), &[0, 2]), Some(11..=20));
+        // Unordered elements: the window alone.
+        let and = cp3(false, 10);
+        assert_eq!(partner_ts_range(&and, at(1, 10), &[0, 2]), Some(0..=20));
+        // No bound side, no partner: everything.
+        let none = std::iter::empty();
+        assert_eq!(partner_ts_range(&cp, none, &[1]), Some(0..=u64::MAX));
+        assert_eq!(partner_ts_range(&cp, at(1, 10), &[]), Some(0..=20));
+    }
+
+    #[test]
+    fn partner_range_at_the_timestamp_extremes() {
+        let cp = cp3(true, 10);
+        let top = u64::MAX;
+        // A partner that must precede an element bound at ts 0: `0 - 1`.
+        assert_eq!(partner_ts_range(&cp, at(1, 0), &[0]), None);
+        assert_eq!(partner_ts_range(&cp, at(2, 0), &[0, 1]), None);
+        // A partner that must follow an element bound at the top: `MAX + 1`.
+        assert_eq!(partner_ts_range(&cp, at(0, top), &[1]), None);
+        // The window bounds saturate instead.
+        assert_eq!(
+            partner_ts_range(&cp, at(0, top - 3), &[1]),
+            Some(top - 2..=top)
+        );
+        assert_eq!(partner_ts_range(&cp, at(2, 3), &[0, 1]), Some(0..=2));
+        // Following ts 0 and preceding the top are fine.
+        assert_eq!(partner_ts_range(&cp, at(0, 0), &[1]), Some(1..=10));
+        assert_eq!(
+            partner_ts_range(&cp, at(1, top), &[0]),
+            Some(top - 10..=top - 1)
+        );
+    }
+
+    #[test]
+    fn partner_range_with_a_zero_window() {
+        let mut and = cp3(false, 10);
+        and.window = 0;
+        assert_eq!(partner_ts_range(&and, at(0, 7), &[1]), Some(7..=7));
+        let mut seq = cp3(true, 10);
+        seq.window = 0;
+        assert_eq!(partner_ts_range(&seq, at(0, 7), &[1]), None);
+        assert_eq!(partner_ts_range(&seq, at(1, 7), &[0]), None);
+    }
+
+    #[test]
+    fn partner_range_on_all_equal_timestamps() {
+        // Equal timestamps never satisfy strict precedence, and the window
+        // never excludes them: the span is empty under SEQ, whole under AND.
+        let bucket: Vec<EventRef> = (0..6).map(|s| ev(1, 4, s + 1, 0)).collect();
+        let inst = Instance::empty(3).with_single(0, ev(0, 4, 0, 0));
+        let by_ts = |e: &EventRef| e.ts;
+        for (seq, want) in [(true, 0), (false, 6)] {
+            let cp = cp3(seq, 10);
+            let range = partner_ts_range(&cp, inst.extents(), &[1]);
+            let span = range.map_or(0..0, |r| sorted_span(&bucket, &r, by_ts));
+            assert_eq!(span.len(), want, "seq {seq}");
+            let mut m = EngineMetrics::new();
+            let passing = bucket
+                .iter()
+                .filter(|e| compatible(&cp, &inst, 1, e, &HashSet::new(), &mut m))
+                .count();
+            assert_eq!(passing, want, "the span is exactly the passing set");
+        }
+    }
+
+    #[test]
+    fn sorted_span_is_inclusive_at_both_ends() {
+        let ts = [1u64, 2, 2, 2, 3, 5, 5, 8];
+        let span = |lo, hi| sorted_span(&ts, &(lo..=hi), |&t| t);
+        assert_eq!(span(2, 5), 1..7);
+        assert_eq!(span(2, 2), 1..4);
+        assert_eq!(span(4, 4), 5..5);
+        assert_eq!(span(0, 0), 0..0);
+        assert_eq!(span(9, u64::MAX), 8..8);
+        assert_eq!(span(0, u64::MAX), 0..8);
     }
 
     #[test]

@@ -166,6 +166,19 @@ impl<T> KeyedStore<T> {
         self.len += 1;
     }
 
+    /// [`push`](Self::push) into a store whose buckets are filled in
+    /// `key` order (the engines' time-sorted join state); debug builds
+    /// check that `item` sorts at or after the bucket's last member.
+    pub fn push_in_order(&mut self, slot: Slot, item: T, key: impl Fn(&T) -> u64) {
+        debug_assert!(
+            self.visit(&slot)
+                .last()
+                .is_none_or(|last| key(last) <= key(&item)),
+            "bucket members are pushed in key order"
+        );
+        self.push(slot, item);
+    }
+
     /// The bucket a probe with `slot` visits, if any member could match.
     pub fn probe(&self, slot: &Slot) -> Option<BucketId> {
         match slot {
@@ -304,6 +317,17 @@ mod tests {
         store.push(key(9), 99);
         assert_eq!(store.buckets.len(), slots);
         assert_eq!(store.visit(&key(9)), vec![99]);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "pushed in key order")]
+    fn push_in_order_checks_each_bucket_in_debug_builds() {
+        let mut store = KeyedStore::new();
+        store.push_in_order(key(1), 5u64, |&t| t);
+        store.push_in_order(key(2), 3, |&t| t); // another bucket: fine
+        store.push_in_order(key(1), 5, |&t| t); // a tie: fine
+        store.push_in_order(key(1), 4, |&t| t);
     }
 
     #[test]

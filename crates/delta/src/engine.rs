@@ -6,7 +6,7 @@ use cep_core::compile::CompiledPattern;
 use cep_core::compiled::PredicateProgram;
 use cep_core::engine::{Engine, EngineConfig};
 use cep_core::event::{EventRef, Timestamp};
-use cep_core::instance::{compatible_with, Instance};
+use cep_core::instance::{compatible_with, partner_ts_range, Instance};
 use cep_core::keyed::{index_key, IndexKey};
 use cep_core::matches::{validate_match, Match};
 use cep_core::metrics::EngineMetrics;
@@ -363,33 +363,9 @@ impl DeltaEngine {
         let ty = self.cp.elements[elem].event_type;
         // Timestamp bounds: window span against the bound extents, strict
         // precedence against each bound element.
-        let (mut lo, mut hi) = if inst.event_count > 0 {
-            (
-                inst.max_ts.saturating_sub(self.cp.window),
-                inst.min_ts.saturating_add(self.cp.window),
-            )
-        } else {
-            (0, Timestamp::MAX)
-        };
-        for (j, binding) in inst.bindings.iter().enumerate() {
-            let Some(binding) = binding else { continue };
-            if j == elem {
-                continue;
-            }
-            if self.cp.must_precede(elem, j) {
-                let m = binding.min_ts();
-                if m == 0 {
-                    return Vec::new();
-                }
-                hi = hi.min(m - 1);
-            }
-            if self.cp.must_precede(j, elem) {
-                lo = lo.max(binding.max_ts().saturating_add(1));
-            }
-        }
-        if lo > hi {
+        let Some(range) = partner_ts_range(&self.cp, inst.extents(), &[elem]) else {
             return Vec::new();
-        }
+        };
         // Pool: cheapest equality-join probe over bound partners, else scan.
         let mut pool = Pool::Scan;
         let mut pool_len = self.index.type_len(ty);
@@ -414,7 +390,7 @@ impl DeltaEngine {
             Pool::Scan => self.index.of_type(ty),
         };
         let out: Vec<EventRef> = match list {
-            Some(d) => ts_range(d, lo, hi).cloned().collect(),
+            Some(d) => ts_range(d, &range).cloned().collect(),
             None => Vec::new(),
         };
         if matches!(pool, Pool::Probe(..)) {
@@ -426,6 +402,7 @@ impl DeltaEngine {
 
 impl Engine for DeltaEngine {
     fn process(&mut self, event: &EventRef, out: &mut Vec<Match>) {
+        debug_assert!(event.ts >= self.watermark, "events arrive in ts order");
         self.metrics.events_processed += 1;
         self.watermark = self.watermark.max(event.ts);
         let watermark = self.watermark;

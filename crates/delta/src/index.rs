@@ -9,8 +9,10 @@
 //! the expiring event is always at the front of every list it is in.
 
 use cep_core::event::{expired_at, EventRef, Timestamp, TypeId};
+use cep_core::instance::sorted_span;
 use cep_core::keyed::{index_key, IndexKey};
 use std::collections::{HashMap, VecDeque};
+use std::ops::RangeInclusive;
 
 /// Per-type windowed event store plus `(type, attr) → key → events`
 /// posting lists over the pattern's equality-join attributes.
@@ -138,21 +140,15 @@ impl WindowIndex {
 }
 
 /// Iterates the events of a ts-ordered deque whose timestamps fall in
-/// `[lo, hi]`, locating the boundaries by binary search on both halves of
+/// `range`, locating the boundaries by binary search on both halves of
 /// the deque's ring buffer.
-pub fn ts_range(
-    deque: &VecDeque<EventRef>,
-    lo: Timestamp,
-    hi: Timestamp,
-) -> impl Iterator<Item = &EventRef> {
+pub fn ts_range<'a>(
+    deque: &'a VecDeque<EventRef>,
+    range: &RangeInclusive<Timestamp>,
+) -> impl Iterator<Item = &'a EventRef> {
     let (a, b) = deque.as_slices();
-    slice_range(a, lo, hi).chain(slice_range(b, lo, hi))
-}
-
-fn slice_range(slice: &[EventRef], lo: Timestamp, hi: Timestamp) -> std::slice::Iter<'_, EventRef> {
-    let start = slice.partition_point(|e| e.ts < lo);
-    let end = slice.partition_point(|e| e.ts <= hi);
-    slice[start..end.max(start)].iter()
+    let in_range = |half: &'a [EventRef]| half[sorted_span(half, range, |e| e.ts)].iter();
+    in_range(a).chain(in_range(b))
 }
 
 #[cfg(test)]
@@ -212,9 +208,9 @@ mod tests {
         d.pop_front();
         d.push_back(ev(0, 3, 2, 0));
         d.push_back(ev(0, 4, 3, 0));
-        let ts: Vec<u64> = ts_range(&d, 2, 3).map(|e| e.ts).collect();
+        let ts: Vec<u64> = ts_range(&d, &(2..=3)).map(|e| e.ts).collect();
         assert_eq!(ts, vec![2, 3]);
-        assert_eq!(ts_range(&d, 5, 10).count(), 0);
-        assert_eq!(ts_range(&d, 0, 10).count(), 3);
+        assert_eq!(ts_range(&d, &(5..=10)).count(), 0);
+        assert_eq!(ts_range(&d, &(0..=10)).count(), 3);
     }
 }

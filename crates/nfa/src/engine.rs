@@ -16,6 +16,13 @@
 //! earlier step ([`CompiledPattern::join_key`]), delivery and catch-up
 //! visit only the bucket of the arriving event's (entering instance's)
 //! join value instead of the whole state.
+//!
+//! Both are also sorted by time — buffers by `ts` (events arrive in order,
+//! pruning drops a prefix), states by `max_ts` (every instance is created
+//! while its newest event is processed, pruning is stable) — so a scan
+//! starts and stops where [`partner_ts_range`] says window and precedence
+//! allow. Skip-till-next-match delivery is the one exception: its
+//! `swap_remove` reorders a state, so it scans the whole bucket.
 
 use cep_core::buffer::TypeBuffers;
 use cep_core::compile::CompiledPattern;
@@ -23,13 +30,16 @@ use cep_core::compiled::PredicateProgram;
 use cep_core::engine::{Engine, EngineConfig};
 use cep_core::error::CepError;
 use cep_core::event::{expired_at, EventRef, Timestamp};
-use cep_core::instance::{compatible_with, contiguity_ok, Instance, InstanceArena};
+use cep_core::instance::{
+    compatible_with, contiguity_ok, partner_ts_range, sorted_span, Instance, InstanceArena,
+};
 use cep_core::keyed::{BucketId, EqJoin, KeyedStore, Slot};
 use cep_core::matches::Match;
 use cep_core::metrics::EngineMetrics;
 use cep_core::negation::DeferredStore;
 use cep_core::plan::OrderPlan;
 use std::collections::HashSet;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Order-based (lazy NFA) evaluation engine.
@@ -159,14 +169,18 @@ impl NfaEngine {
     /// Registers `inst` as waiting at state `k`.
     fn wait(&mut self, k: usize, inst: Instance) {
         let slot = self.instance_slot(k, &inst);
-        self.states[k].push(slot, inst);
+        self.states[k].push_in_order(slot, inst, |i| i.max_ts);
     }
 
     /// The bucket of step `k`'s buffer an instance entering the state
-    /// catches up on.
-    fn catch_up(&mut self, k: usize, inst: &Instance) -> Option<BucketId> {
+    /// catches up on, and the slice of it the instance can bind by window
+    /// and precedence (`None`: nothing to visit).
+    fn catch_up(&mut self, k: usize, inst: &Instance) -> Option<(BucketId, Range<usize>)> {
         self.metrics.index_probes += u64::from(self.keys[k].is_some());
-        self.buffers[k].probe(&self.instance_slot(k, inst))
+        let bucket = self.buffers[k].probe(&self.instance_slot(k, inst))?;
+        let range = partner_ts_range(&self.cp, inst.extents(), &self.order[k..=k])?;
+        let span = sorted_span(self.buffers[k].bucket(bucket), &range, |e| e.ts);
+        Some((bucket, span))
     }
 
     fn emit(&mut self, m: Match, out: &mut Vec<Match>) {
@@ -253,8 +267,8 @@ impl NfaEngine {
         let elem = self.order[k];
         // Buffers are never mutated while an event is being processed, so
         // the bucket is walked by index and only a binding event is cloned.
-        if let Some(bucket) = self.catch_up(k, &inst) {
-            for idx in 0..self.buffers[k].bucket(bucket).len() {
+        if let Some((bucket, span)) = self.catch_up(k, &inst) {
+            for idx in span {
                 let c = &self.buffers[k].bucket(bucket)[idx];
                 if !compatible_with(
                     &self.cp,
@@ -289,8 +303,8 @@ impl NfaEngine {
         } else {
             // Non-forking strategies: greedy singleton set (see crate docs).
             let elem = self.order[k];
-            if let Some(bucket) = self.catch_up(k, &inst) {
-                for idx in 0..self.buffers[k].bucket(bucket).len() {
+            if let Some((bucket, span)) = self.catch_up(k, &inst) {
+                for idx in span {
                     let c = &self.buffers[k].bucket(bucket)[idx];
                     if compatible_with(
                         &self.cp,
@@ -320,10 +334,10 @@ impl NfaEngine {
         if base.kleene_len(elem) >= self.cfg.max_kleene_events {
             return;
         }
-        let Some(bucket) = self.catch_up(k, base) else {
+        let Some((bucket, span)) = self.catch_up(k, base) else {
             return;
         };
-        for idx in 0..self.buffers[k].bucket(bucket).len() {
+        for idx in span {
             let c = &self.buffers[k].bucket(bucket)[idx];
             if c.seq < base.kl_gate {
                 continue;
@@ -357,11 +371,26 @@ impl NfaEngine {
         };
         let kleene = self.cp.elements[elem].kleene;
         let forks = self.cp.strategy.forks();
-        let len = self.states[k].bucket(bucket).len();
-        let mut idx = 0;
+        // Forking strategies never reorder a bucket, so only the slice of
+        // instances the event can extend by window and precedence is
+        // visited (a waiting Kleene instance may already hold members of
+        // `elem`). Skip-till-next-match's `swap_remove` does reorder it.
+        let span = if forks {
+            let partner = &self.order[..k + usize::from(kleene)];
+            let bound = std::iter::once((elem, event.ts, event.ts));
+            let Some(range) = partner_ts_range(&self.cp, bound, partner) else {
+                return;
+            };
+            sorted_span(self.states[k].bucket(bucket), &range, |i| i.max_ts)
+        } else {
+            0..self.states[k].bucket(bucket).len()
+        };
+        let len = span.len();
+        let mut idx = span.start;
         let mut visited = 0;
         // Kills on emission (consuming strategies) can shrink the bucket
-        // under the loop, hence the re-checked length.
+        // under the loop, hence the re-checked length; instances appended
+        // while delivering (Kleene growth) lie past the span.
         while visited < len && idx < self.states[k].bucket(bucket).len() {
             let inst = &self.states[k].bucket(bucket)[idx];
             let ok = (!kleene
@@ -423,6 +452,7 @@ impl NfaEngine {
 
 impl Engine for NfaEngine {
     fn process(&mut self, event: &EventRef, out: &mut Vec<Match>) {
+        debug_assert!(event.ts >= self.watermark, "events arrive in ts order");
         self.metrics.events_processed += 1;
         self.watermark = self.watermark.max(event.ts);
         let watermark = self.watermark;
@@ -463,7 +493,7 @@ impl Engine for NfaEngine {
             }
             let slot = self.event_slot(k, event);
             self.deliver(k, &slot, event, out);
-            self.buffers[k].push(slot, event.clone());
+            self.buffers[k].push_in_order(slot, event.clone(), |e| e.ts);
         }
         // Virtual initial state: the first plan element starts instances.
         let first = self.order[0];

@@ -378,7 +378,9 @@ impl ShardedRuntime {
     /// # Errors
     /// [`CepError::Routing`] for an empty spec or a policy unsound for
     /// some branch; fragment-builder errors surface from
-    /// [`RegistrySpec::instantiate`].
+    /// [`RegistrySpec::instantiate`]; a worker that panics (in a fragment
+    /// builder or an engine) surfaces as [`CepError::Worker`] naming the
+    /// lowest such shard.
     pub fn run_registry(
         &self,
         spec: &RegistrySpec,
@@ -424,9 +426,9 @@ impl ShardedRuntime {
         let mut replicated_extra = 0u64;
         // Workers instantiate their own registry from the shared spec
         // (engines are not `Send`, so registries cannot be built here and
-        // moved in); a builder failure aborts that worker, whose queue
-        // simply drains into a closed channel, and the error is
-        // propagated after join.
+        // moved in); a builder failure or a panic aborts that worker,
+        // whose queue simply drains into a closed channel, and the error
+        // is propagated after join.
         let results: Vec<Result<RegistryOutcome, CepError>> = std::thread::scope(|s| {
             let handles: Vec<_> = rxs
                 .into_iter()
@@ -440,7 +442,15 @@ impl ShardedRuntime {
                 route_and_feed(tracer, &mut router, stream, txs, &depths, batch_size);
             handles
                 .into_iter()
-                .map(|h| h.join().expect("shard worker panicked"))
+                .enumerate()
+                .map(|(shard, h)| {
+                    h.join().unwrap_or_else(|panic| {
+                        Err(CepError::Worker {
+                            shard,
+                            message: panic_message(panic.as_ref()),
+                        })
+                    })
+                })
                 .collect()
         });
         let outcomes: Vec<RegistryOutcome> = results.into_iter().collect::<Result<_, _>>()?;
@@ -580,6 +590,15 @@ fn worker(
         events_routed,
         metrics: engine.metrics().clone(),
     }
+}
+
+/// The message of a panic payload (`panic!` with a literal or a format).
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|m| m.to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "non-string panic payload".into())
 }
 
 /// Routes and batches the whole stream into the worker channels (shared

@@ -1415,6 +1415,61 @@ fn run_registry_rejects_policy_unsound_for_any_member() {
 }
 
 #[test]
+fn run_registry_worker_panic_is_a_typed_error() {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    let stream = keyed_stream(lcg_workload(200, 3, 4, 0xBEEF));
+    let pattern = keyed_seq(2, 10, SelectionStrategy::SkipTillAnyMatch);
+    let cfg = EngineConfig::default();
+    // Every worker's builder panics: the lowest shard is named.
+    let always: StdArc<dyn FragmentBuilder> = StdArc::new(
+        |_: &CompiledPattern,
+         _: Option<StdArc<PredicateProgram>>|
+         -> Result<Box<dyn Engine>, CepError> { panic!("fragment builder exploded") },
+    );
+    let mut spec = RegistrySpec::new(always, cfg.clone());
+    spec.add(&pattern).unwrap();
+    for shards in [1usize, 3] {
+        let err = ShardedRuntime::with_shards(shards)
+            .run_registry(&spec, &stream, RoutingPolicy::HashAttr(0), true)
+            .unwrap_err();
+        assert_eq!(
+            err,
+            CepError::Worker {
+                shard: 0,
+                message: "fragment builder exploded".into()
+            }
+        );
+    }
+    // One worker of three dies (a formatted panic message); the others
+    // run to completion and the call still returns the typed error.
+    let calls = StdArc::new(AtomicUsize::new(0));
+    let nfa = nfa_fragment_builder(cfg.clone());
+    let counted = StdArc::clone(&calls);
+    let once: StdArc<dyn FragmentBuilder> = StdArc::new(
+        move |cp: &CompiledPattern, program: Option<StdArc<PredicateProgram>>| {
+            let call = counted.fetch_add(1, Ordering::SeqCst);
+            if call == 1 {
+                panic!("fragment builder exploded on call {call}");
+            }
+            nfa.build_fragment(cp, program)
+        },
+    );
+    let mut spec = RegistrySpec::new(once, cfg);
+    spec.add(&pattern).unwrap();
+    let err = ShardedRuntime::with_shards(3)
+        .run_registry(&spec, &stream, RoutingPolicy::HashAttr(0), true)
+        .unwrap_err();
+    match err {
+        CepError::Worker { shard, message } => {
+            assert!(shard < 3);
+            assert_eq!(message, "fragment builder exploded on call 1");
+        }
+        other => panic!("expected a worker error, got {other:?}"),
+    }
+    assert_eq!(calls.load(Ordering::SeqCst), 3, "every worker ran");
+}
+
+#[test]
 fn run_registry_empty_spec_is_a_routing_error() {
     let cfg = EngineConfig::default();
     let spec = RegistrySpec::new(nfa_fragment_builder(cfg.clone()), cfg);

@@ -12,6 +12,11 @@
 //! and its sibling's element sets ([`CompiledPattern::join_key`]), both
 //! stores are bucketed by the join value and a new instance meets only the
 //! sibling bucket of its own value instead of the whole store.
+//!
+//! Every bucket is also sorted by `max_ts`: each instance is created while
+//! its newest event is processed, and pruning is stable. A new instance
+//! therefore meets only the slice of the sibling bucket that window and
+//! precedence allow ([`partner_ts_range`] over the sibling's elements).
 
 use cep_core::buffer::TypeBuffers;
 use cep_core::compile::CompiledPattern;
@@ -20,7 +25,8 @@ use cep_core::engine::{Engine, EngineConfig};
 use cep_core::error::CepError;
 use cep_core::event::{EventRef, Timestamp, TypeId};
 use cep_core::instance::{
-    compatible_with, contiguity_ok, merge_compatible_with, Instance, InstanceArena,
+    compatible_with, contiguity_ok, merge_compatible_with, partner_ts_range, sorted_span, Instance,
+    InstanceArena,
 };
 use cep_core::keyed::{EqJoin, KeyedStore, Slot};
 use cep_core::matches::Match;
@@ -45,6 +51,8 @@ struct NodeSpec {
     /// The equality join from this node's elements to its sibling's that
     /// buckets this node's store (the sibling holds the mirrored entry).
     key: Option<EqJoin>,
+    /// The elements every instance stored at the sibling binds.
+    sibling_elems: Vec<usize>,
 }
 
 /// Tree-based (ZStream-style) evaluation engine.
@@ -112,6 +120,7 @@ impl TreeEngine {
                     nodes[node].parent = Some(i);
                     nodes[node].sibling = Some(sibling);
                     nodes[node].key = cp.join_key(&elems[node], &elems[sibling]).cloned();
+                    nodes[node].sibling_elems = elems[sibling].clone();
                 }
             }
         }
@@ -247,20 +256,23 @@ impl TreeEngine {
         };
         // Symmetric join with the sibling's current store: every (new, old)
         // pair is considered exactly once, at the newer side's creation.
+        // Members outside the window/precedence slice could not merge.
         let merged: Vec<Instance> = {
             let cp = &self.cp;
             let prog = self.program.as_deref();
             let consumed = &self.consumed;
             let metrics = &mut self.metrics;
             let arena = &mut self.arena;
-            self.stores[sibling]
-                .visit(&slot)
+            let members = self.stores[sibling].visit(&slot);
+            let span = partner_ts_range(cp, inst.extents(), &self.nodes[node].sibling_elems)
+                .map_or(0..0, |range| sorted_span(members, &range, |s| s.max_ts));
+            members[span]
                 .iter()
                 .filter(|s| merge_compatible_with(cp, prog, &inst, s, consumed, metrics))
                 .map(|s| arena.merge(&inst, s))
                 .collect()
         };
-        self.stores[node].push(slot, inst);
+        self.stores[node].push_in_order(slot, inst, |i| i.max_ts);
         for m in merged {
             self.propagate(parent, m, out);
         }
@@ -348,6 +360,7 @@ fn flatten(node: &TreeNode, out: &mut Vec<NodeSpec>, elems: &mut Vec<Vec<usize>>
         parent: None,
         sibling: None,
         key: None,
+        sibling_elems: Vec::new(),
     });
     elems.push(covered);
     out.len() - 1
@@ -355,6 +368,7 @@ fn flatten(node: &TreeNode, out: &mut Vec<NodeSpec>, elems: &mut Vec<Vec<usize>>
 
 impl Engine for TreeEngine {
     fn process(&mut self, event: &EventRef, out: &mut Vec<Match>) {
+        debug_assert!(event.ts >= self.watermark, "events arrive in ts order");
         self.metrics.events_processed += 1;
         self.watermark = self.watermark.max(event.ts);
         let watermark = self.watermark;

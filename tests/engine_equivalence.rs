@@ -11,13 +11,16 @@
 //! the random cases and fixtures through it, so any future backend added
 //! to [`cep::conformance::standard_backends`] inherits the full sweep.
 
+use std::collections::HashSet;
+
 use cep::conformance::{
-    build_pattern, check_equivalence, check_equivalence_under, check_stream_under, keyed,
-    signatures, PatternSpec,
+    build_pattern, build_stream, check_equivalence, check_equivalence_under, check_stream_under,
+    in_order, keyed, signatures, standard_backends, PatternSpec,
 };
 use cep::core::compile::CompiledPattern;
 use cep::core::engine::{run_to_completion, EngineConfig};
 use cep::core::event::{Event, TypeId};
+use cep::core::matches::validate_match;
 use cep::core::naive::NaiveEngine;
 use cep::core::pattern::PatternBuilder;
 use cep::core::plan::{OrderPlan, TreeNode, TreePlan};
@@ -204,6 +207,109 @@ proptest! {
         ] {
             check_equivalence_under(spec.clone(), raw.clone(), seed, strategy);
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig {
+        cases: 64,
+        max_shrink_iters: 200,
+    })]
+
+    /// Tie-heavy sweep for the time-bounded probes: about half of the
+    /// consecutive events share a timestamp, so equal-`ts` partners sit on
+    /// both edges of every probe's slice, where an off-by-one in a
+    /// `partition_point` bound would drop or admit one. Random plans
+    /// (NFA orders, tree shapes), both predicate paths, optional negation
+    /// and Kleene; byte-identical to the oracle under the three exact
+    /// strategies, and [`check_next_match`] under skip-till-next-match.
+    #[test]
+    fn tie_heavy_streams_equivalent_under_every_strategy(
+        is_seq in any::<bool>(),
+        types in prop::collection::vec(0u32..4, 2..=4),
+        flag_at in 0usize..6,
+        flag_draw in 0u8..3,
+        preds in prop::collection::vec((0usize..4, 0usize..4, 0u8..8), 0..=3),
+        raw in prop::collection::vec((0u32..5, 0u8..2, -3i8..4), 10..=36),
+        seed in any::<u64>(),
+        window in 1u64..8,
+    ) {
+        // `flag_at` past the end draws a pure pattern; the flagged element
+        // is negated or, twice as often, Kleene.
+        let flag = if flag_draw == 0 { 1 } else { 2 };
+        let elements = types
+            .iter()
+            .enumerate()
+            .map(|(i, &t)| (t, if i == flag_at { flag } else { 0 }))
+            .collect();
+        let spec = PatternSpec { is_seq, elements, predicates: preds, window };
+        for strategy in [
+            SelectionStrategy::SkipTillAnyMatch,
+            SelectionStrategy::StrictContiguity,
+            SelectionStrategy::PartitionContiguity,
+        ] {
+            check_equivalence_under(spec.clone(), raw.clone(), seed, strategy);
+        }
+        check_next_match(&spec, &raw, seed);
+    }
+}
+
+/// Skip-till-next-match is greedy, so no backend reproduces the oracle's
+/// output under it. What holds instead, checked for every standard
+/// backend: each emitted match is valid, no event is in two matches,
+/// every `(signature, emitted_at)` is one the skip-till-any-match oracle
+/// emits, and the interpreted and compiled paths emit the same sequence.
+fn check_next_match(spec: &PatternSpec, raw: &[(u32, u8, i8)], seed: u64) {
+    let Some(mut pattern) = build_pattern(spec) else {
+        return;
+    };
+    let stream = build_stream(raw);
+    let cfg = EngineConfig {
+        max_kleene_events: 4,
+        ..Default::default()
+    };
+    let Ok(any_cp) = CompiledPattern::compile_single(&pattern) else {
+        return;
+    };
+    let mut oracle = NaiveEngine::new(any_cp, cfg.clone());
+    let all: HashSet<_> = keyed(&run_to_completion(&mut oracle, &stream, true).matches)
+        .into_iter()
+        .collect();
+    pattern.strategy = SelectionStrategy::SkipTillNextMatch;
+    let cp = CompiledPattern::compile_single(&pattern).unwrap();
+    for backend in standard_backends() {
+        let mut outputs = Vec::new();
+        for compiled in [false, true] {
+            let cfg = EngineConfig {
+                compiled_predicates: compiled,
+                ..cfg.clone()
+            };
+            let mut engine = backend.build(&cp, seed, &cfg);
+            let matches = run_to_completion(engine.as_mut(), &stream, true).matches;
+            let mut used = HashSet::new();
+            for m in &matches {
+                validate_match(&cp, m).unwrap_or_else(|e| panic!("{}: {e}", backend.name));
+                assert!(
+                    m.events().all(|e| used.insert(e.seq)),
+                    "{}: next-match output shares an event, {pattern}",
+                    backend.name
+                );
+            }
+            for key in in_order(&matches) {
+                assert!(
+                    all.contains(&key),
+                    "{}(seed {seed}, compiled={compiled}) emitted {key:?}, \
+                     not an any-match result, for {pattern}",
+                    backend.name
+                );
+            }
+            outputs.push(in_order(&matches));
+        }
+        assert_eq!(
+            outputs[0], outputs[1],
+            "{}: predicate paths differ",
+            backend.name
+        );
     }
 }
 
