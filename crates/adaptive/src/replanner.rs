@@ -290,16 +290,11 @@ impl Replanner for PlanReplanner {
                 // Signature-keyed program reuse: across hot swaps the
                 // pattern (and so its signature) is unchanged, so every
                 // rebuild after the first is a cache hit.
-                let program = if self.engine_config.compiled_predicates {
-                    Some(
-                        self.plan_cache
-                            .lock()
-                            .expect("plan cache poisoned")
-                            .get_or_compile(&b.cp),
-                    )
-                } else {
-                    None
-                };
+                let (program, _, _) = self
+                    .plan_cache
+                    .lock()
+                    .expect("plan cache poisoned")
+                    .get_or_compile(&b.cp);
                 match &b.plan {
                     CurrentPlan::Order(plan) => Box::new(
                         NfaEngine::with_program(

@@ -253,25 +253,6 @@ fn adaptive_replans_hit_the_compiled_plan_cache() {
         assert_eq!(adaptive.metrics().plan_cache_hits, swaps);
         assert_eq!(adaptive.metrics().plan_cache_misses, 1);
     }
-    // With compiled predicates disabled the cache is never consulted.
-    let cp =
-        CompiledPattern::compile_single(&seq_pattern(3, 50, SelectionStrategy::SkipTillAnyMatch))
-            .unwrap();
-    let replanner = PlanReplanner::new(
-        vec![(cp, vec![])],
-        &phase1_stats(),
-        Planner::default(),
-        PlanKind::Order(OrderAlgorithm::DpLd),
-        EngineConfig {
-            compiled_predicates: false,
-            ..EngineConfig::default()
-        },
-    )
-    .unwrap();
-    let cache = replanner.plan_cache().clone();
-    let _ = replanner.build();
-    let c = cache.lock().unwrap();
-    assert_eq!(c.hits() + c.misses(), 0);
 }
 
 #[test]

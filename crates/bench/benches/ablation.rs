@@ -83,10 +83,9 @@ fn kleene_cap(c: &mut Criterion) {
         .unwrap()
         .pattern;
     let cp = CompiledPattern::compile_single(&pattern).unwrap();
-    let run_once = |cap: usize, compiled: bool| {
+    let run_once = |cap: usize| {
         let cfg = EngineConfig {
             max_kleene_events: cap,
-            compiled_predicates: compiled,
             ..Default::default()
         };
         let mut engine = NfaEngine::with_trivial_plan(cp.clone(), cfg);
@@ -98,19 +97,9 @@ fn kleene_cap(c: &mut Criterion) {
         .warm_up_time(Duration::from_millis(200))
         .measurement_time(Duration::from_secs(1));
     for cap in [2usize, 4, 8, 12] {
-        // The compiled pipeline is a pure optimization at every cap: any
-        // divergence in match counts makes the timing meaningless, so
-        // assert it before measuring.
-        assert_eq!(
-            run_once(cap, false),
-            run_once(cap, true),
-            "compiled pipeline changed match counts at kleene cap {cap}"
-        );
-        for (label, compiled) in [("nfa-interpreted", false), ("nfa-compiled", true)] {
-            group.bench_with_input(BenchmarkId::new(label, cap), &cap, |b, &cap| {
-                b.iter(|| black_box(run_once(cap, compiled)))
-            });
-        }
+        group.bench_with_input(BenchmarkId::new("nfa", cap), &cap, |b, &cap| {
+            b.iter(|| black_box(run_once(cap)))
+        });
     }
     group.finish();
 }

@@ -221,7 +221,7 @@ fn observe(cmd: &str, args: &[String]) -> ExitCode {
 /// deterministic scenarios, write the full report, and fail on any count
 /// divergence from the committed baseline.
 fn bench_smoke(args: &[String]) -> ExitCode {
-    let mut out_path = "BENCH_PR10.json".to_string();
+    let mut out_path = "bench_smoke.json".to_string();
     let mut baseline_path = "ci/bench_baseline.json".to_string();
     let mut write_baseline = false;
     let mut i = 0;

@@ -8,7 +8,7 @@
 //! * [`mod@env`] — stream/workload setup at configurable [`env::Scale`]s;
 //! * [`runner`] — plan-then-execute machinery over both engines;
 //! * [`figures`] — one driver per paper figure;
-//! * [`smoke`] — the CI bench-regression gate (`BENCH_PR10.json`);
+//! * [`smoke`] — the CI bench-regression gate (`bench_smoke.json`);
 //! * [`analyze_demo`] — the `experiments analyze` static-analysis demo;
 //! * [`observe`] — the `experiments observe` traced-run demo and the
 //!   `check-obs` artifact gate;

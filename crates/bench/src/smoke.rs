@@ -14,15 +14,13 @@
 //! serialized to the same canonical JSON as the baseline and compared
 //! *textually* — any divergence (a lost match, a missing swap, a dedup
 //! regression) fails the job, while timing noise cannot. The full report
-//! (counts + wall times) is written to `BENCH_PR10.json` as a build
+//! (counts + wall times) is written to `bench_smoke.json` as a build
 //! artifact.
 //!
-//! The `compiled-pipeline` scenario additionally runs the same workload
-//! through the interpreted predicate path and the compiled pipeline
-//! (fused evaluators + arena + eager pruning): match counts and predicate
-//! evaluation counts are gated like every other scenario, and the two
-//! wall times are reported side by side so a compiled-path slowdown is
-//! visible in every CI log.
+//! The `compiled-pipeline` scenario runs one workload through the
+//! compiled predicate pipeline (fused evaluators + arena + eager pruning)
+//! on both engine families: match counts and the predicate-evaluation
+//! count are gated like every other scenario.
 //!
 //! The `delta-window-scaling` scenario sweeps the pattern window over the
 //! same rare-completion join workload on the NFA, tree, and delta
@@ -61,8 +59,7 @@ pub struct ScenarioReport {
     /// logs and the full JSON but **excluded from [`counts_json`]** — the
     /// committed baseline stays machine-independent.
     pub percentiles: Vec<(&'static str, [u64; 3])>,
-    /// Named sub-run wall times in milliseconds (e.g. interpreted vs
-    /// compiled). Timing-dependent like [`ScenarioReport::percentiles`]:
+    /// Named sub-run wall times in milliseconds (e.g. one per backend). Timing-dependent like [`ScenarioReport::percentiles`]:
     /// logged and written to the full JSON, never part of the diffed
     /// baseline.
     pub walls: Vec<(&'static str, f64)>,
@@ -265,74 +262,34 @@ fn cross_partition() -> ScenarioReport {
     })
 }
 
-/// Compiled pipeline vs interpreted predicates on the same seeded
-/// workload, both engine families. Match counts and predicate-evaluation
-/// counts are deterministic and gated against the baseline; the
-/// interpreted/compiled wall times land in [`ScenarioReport::walls`] so
-/// every CI log shows the speedup (and the test below holds the compiled
-/// path to "not slower").
+/// The compiled predicate pipeline (fused evaluators + arena + eager
+/// pruning) on one seeded workload, both engine families. Match counts
+/// and the predicate-evaluation count are deterministic and gated against
+/// the baseline; wall times land in [`ScenarioReport::walls`].
 fn compiled_pipeline() -> ScenarioReport {
     use cep_tree::TreeEngine;
     let start = Instant::now();
     let (gen, cp) = replicated_stock_workload(6_000, 0.5, 0xCE9, 8, 1_500);
-    let nfa_run = |compiled: bool| {
-        let cfg = EngineConfig {
-            compiled_predicates: compiled,
-            ..engine_config()
-        };
-        let mut engine = NfaEngine::with_trivial_plan(cp.clone(), cfg);
-        let t = Instant::now();
-        let matches = run_to_completion(&mut engine, &gen.stream, false).match_count;
-        let wall = t.elapsed().as_secs_f64() * 1e3;
-        let m = engine.metrics().clone();
-        (
-            matches,
-            m.predicate_evaluations,
-            wall,
-            m.event_ns.percentiles(),
-        )
-    };
-    let tree_run = |compiled: bool| {
-        let cfg = EngineConfig {
-            compiled_predicates: compiled,
-            ..engine_config()
-        };
-        let mut engine = TreeEngine::with_trivial_plan(cp.clone(), cfg);
-        let t = Instant::now();
-        let matches = run_to_completion(&mut engine, &gen.stream, false).match_count;
-        (matches, t.elapsed().as_secs_f64() * 1e3)
-    };
-    // Three passes per mode, alternating, each mode keeping its fastest:
-    // both modes see the same scheduler noise, and a busy moment costs
-    // one pass rather than one mode.
-    let (int_matches, int_evals, mut int_wall, int_pcts) = nfa_run(false);
-    let (cmp_matches, cmp_evals, mut cmp_wall, cmp_pcts) = nfa_run(true);
-    for _ in 0..2 {
-        int_wall = int_wall.min(nfa_run(false).2);
-        cmp_wall = cmp_wall.min(nfa_run(true).2);
-    }
-    let (tree_int_matches, tree_int_wall) = tree_run(false);
-    let (tree_cmp_matches, tree_cmp_wall) = tree_run(true);
+    let mut nfa = NfaEngine::with_trivial_plan(cp.clone(), engine_config());
+    let t = Instant::now();
+    let matches = run_to_completion(&mut nfa, &gen.stream, false).match_count;
+    let nfa_wall = t.elapsed().as_secs_f64() * 1e3;
+    let mut tree = TreeEngine::with_trivial_plan(cp, engine_config());
+    let t = Instant::now();
+    let tree_matches = run_to_completion(&mut tree, &gen.stream, false).match_count;
+    let tree_wall = t.elapsed().as_secs_f64() * 1e3;
     ScenarioReport {
         name: "compiled-pipeline",
         wall_ms: start.elapsed().as_secs_f64() * 1e3,
         counts: vec![
-            ("interpreted_matches", int_matches),
-            ("compiled_matches", cmp_matches),
-            ("interpreted_pred_evals", int_evals),
-            ("compiled_pred_evals", cmp_evals),
-            ("tree_interpreted_matches", tree_int_matches),
-            ("tree_compiled_matches", tree_cmp_matches),
+            ("compiled_matches", matches),
+            ("compiled_pred_evals", nfa.metrics().predicate_evaluations),
+            ("tree_compiled_matches", tree_matches),
         ],
-        percentiles: vec![
-            ("interpreted_event_ns", int_pcts),
-            ("compiled_event_ns", cmp_pcts),
-        ],
+        percentiles: vec![("compiled_event_ns", nfa.metrics().event_ns.percentiles())],
         walls: vec![
-            ("nfa_interpreted_ms", int_wall),
-            ("nfa_compiled_ms", cmp_wall),
-            ("tree_interpreted_ms", tree_int_wall),
-            ("tree_compiled_ms", tree_cmp_wall),
+            ("nfa_compiled_ms", nfa_wall),
+            ("tree_compiled_ms", tree_wall),
         ],
     }
 }
@@ -534,7 +491,7 @@ fn multi_query_sharing() -> ScenarioReport {
     let builder = {
         let config = config.clone();
         move |cp: &CompiledPattern,
-              program: Option<Arc<cep_core::compiled::PredicateProgram>>|
+              program: Arc<cep_core::compiled::PredicateProgram>|
               -> Result<Box<dyn Engine>, cep_core::error::CepError> {
             Ok(Box::new(NfaEngine::with_program(
                 cp.clone(),
@@ -544,7 +501,7 @@ fn multi_query_sharing() -> ScenarioReport {
             )?))
         }
     };
-    let mut registry = QueryRegistry::new(Arc::new(builder), config.clone());
+    let mut registry = QueryRegistry::new(Arc::new(builder));
     for q in &queries {
         registry.register(q).expect("registrable pool query");
     }
@@ -742,7 +699,7 @@ pub fn counts_json(reports: &[ScenarioReport]) -> String {
 }
 
 /// Full report JSON (counts + wall times + latency percentiles) written
-/// to `BENCH_PR10.json`. Percentiles live here and in the logs only — the
+/// to `bench_smoke.json`. Percentiles live here and in the logs only — the
 /// diffed baseline format ([`counts_json`]) never includes them.
 pub fn full_json(reports: &[ScenarioReport]) -> String {
     let mut s = String::from("{\n  \"scenarios\": [\n");
@@ -893,12 +850,9 @@ mod tests {
             .all(|&(_, v)| v == serial));
     }
 
-    /// The compiled pipeline must be a pure optimization: identical match
-    /// counts on both engine families, strictly fewer predicate
-    /// evaluations (fused filters + eager pruning), and a wall time that
-    /// does not regress past noise.
+    /// Both engine families agree on the compiled pipeline's workload.
     #[test]
-    fn compiled_pipeline_is_equal_output_and_not_slower() {
+    fn compiled_pipeline_agrees_across_engine_families() {
         let r = compiled_pipeline();
         let count = |key: &str| {
             r.counts
@@ -907,30 +861,9 @@ mod tests {
                 .map(|&(_, v)| v)
                 .unwrap()
         };
-        assert_eq!(count("interpreted_matches"), count("compiled_matches"));
-        assert_eq!(
-            count("tree_interpreted_matches"),
-            count("tree_compiled_matches")
-        );
-        assert!(
-            count("compiled_pred_evals") <= count("interpreted_pred_evals"),
-            "fused evaluators should never evaluate more than the interpreter"
-        );
-        let wall = |key: &str| {
-            r.walls
-                .iter()
-                .find(|(k, _)| *k == key)
-                .map(|&(_, w)| w)
-                .unwrap()
-        };
-        // Generous noise allowance: the gate is "not slower", the precise
-        // speedup is criterion's job (benches/ablation.rs).
-        assert!(
-            wall("nfa_compiled_ms") <= wall("nfa_interpreted_ms") * 1.5,
-            "compiled path regressed: {:.1} ms vs {:.1} ms interpreted",
-            wall("nfa_compiled_ms"),
-            wall("nfa_interpreted_ms"),
-        );
+        assert_eq!(count("compiled_matches"), count("tree_compiled_matches"));
+        assert!(count("compiled_matches") > 0);
+        assert!(count("compiled_pred_evals") > 0);
     }
 
     /// Multi-query sharing's headline property at bench scale: the

@@ -650,8 +650,9 @@ impl PlanCache {
     }
 
     /// Returns the compiled program for `cp`, compiling and caching it on a
-    /// miss.
-    pub fn get_or_compile(&mut self, cp: &CompiledPattern) -> Arc<PredicateProgram> {
+    /// miss, plus this lookup's hit and miss counts (`(1, 0)` or `(0, 1)`)
+    /// for stamping onto the engine built from it.
+    pub fn get_or_compile(&mut self, cp: &CompiledPattern) -> (Arc<PredicateProgram>, u64, u64) {
         let signature = cp.signature();
         let (program, hit) = match self.map.get(&signature) {
             Some(p) => (p.clone(), true),
@@ -678,7 +679,7 @@ impl PlanCache {
             hit,
             size,
         });
-        program
+        (program, u64::from(hit), u64::from(!hit))
     }
 
     /// Number of cache hits so far.
@@ -949,9 +950,11 @@ mod tests {
             CompiledPattern::compile_single(&b.seq([a, c]).unwrap()).unwrap()
         };
         let mut cache = PlanCache::new(2);
-        let p1 = cache.get_or_compile(&mk(0, 100));
+        let (p1, h, m) = cache.get_or_compile(&mk(0, 100));
+        assert_eq!((h, m), (0, 1), "per-lookup delta");
         assert_eq!((cache.hits(), cache.misses()), (0, 1));
-        let p1b = cache.get_or_compile(&mk(0, 100));
+        let (p1b, h, m) = cache.get_or_compile(&mk(0, 100));
+        assert_eq!((h, m), (1, 0));
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
         assert!(StdArc::ptr_eq(&p1, &p1b), "hit returns the same program");
         cache.get_or_compile(&mk(2, 100));

@@ -19,13 +19,6 @@ pub struct EngineConfig {
     pub max_kleene_events: usize,
     /// Prune window-expired state every `prune_every` events.
     pub prune_every: u64,
-    /// Evaluate predicates through the compiled pipeline
-    /// ([`crate::compiled::PredicateProgram`]) instead of interpreting the
-    /// predicate ASTs per evaluation. Semantics are identical; the compiled
-    /// path resolves operands and fuses conjunctive interval filters at
-    /// plan-build time. On by default; switch off to measure the
-    /// interpreted baseline.
-    pub compiled_predicates: bool,
 }
 
 impl Default for EngineConfig {
@@ -33,7 +26,6 @@ impl Default for EngineConfig {
         EngineConfig {
             max_kleene_events: 16,
             prune_every: 64,
-            compiled_predicates: true,
         }
     }
 }

@@ -233,28 +233,11 @@ pub fn sorted_span<T>(
 /// bindings: distinctness, filters, pairwise predicates, temporal
 /// precedence, window, and selection-strategy feasibility.
 ///
-/// `metrics` counts predicate evaluations. Interpreted path; see
-/// [`compatible_with`] for the compiled one.
-pub fn compatible(
-    cp: &CompiledPattern,
-    inst: &Instance,
-    elem: usize,
-    event: &EventRef,
-    consumed: &HashSet<u64>,
-    metrics: &mut EngineMetrics,
-) -> bool {
-    compatible_with(cp, None, inst, elem, event, consumed, metrics)
-}
-
-/// [`compatible`] with an optional compiled [`PredicateProgram`]: when
-/// `prog` is `Some`, filters and pairwise predicates evaluate through the
-/// pre-lowered (and fused) evaluators instead of walking the predicate
-/// ASTs. The decision is identical either way; only
-/// [`EngineMetrics::predicate_evaluations`] may differ (fused ranges count
-/// one invocation where the interpreted path counts each conjunct).
+/// Filters and pairwise predicates evaluate through `prog`'s pre-lowered
+/// (and fused) evaluators; `metrics` counts predicate evaluations.
 pub fn compatible_with(
     cp: &CompiledPattern,
-    prog: Option<&PredicateProgram>,
+    prog: &PredicateProgram,
     inst: &Instance,
     elem: usize,
     event: &EventRef,
@@ -276,23 +259,10 @@ pub fn compatible_with(
         }
     }
     // Filters.
-    match prog {
-        Some(pr) => {
-            if !pr.element_passes(elem, event, &mut metrics.predicate_evaluations) {
-                return false;
-            }
-        }
-        None => {
-            for &pi in cp.filters_of(elem) {
-                metrics.predicate_evaluations += 1;
-                if !cp.predicates[pi].eval_single(cp.elements[elem].position, event) {
-                    return false;
-                }
-            }
-        }
+    if !prog.element_passes(elem, event, &mut metrics.predicate_evaluations) {
+        return false;
     }
     // Pairwise predicates and precedence against bound elements.
-    let pos = cp.elements[elem].position;
     for (j, binding) in inst.bindings.iter().enumerate() {
         let Some(binding) = binding else { continue };
         if j != elem {
@@ -303,27 +273,11 @@ pub fn compatible_with(
                 return false;
             }
         }
-        match prog {
-            Some(pr) => {
-                for pair in pr.pairs_between(elem, j) {
-                    for other in binding.events() {
-                        metrics.predicate_evaluations += 1;
-                        if !pair.eval(event, other) {
-                            return false;
-                        }
-                    }
-                }
-            }
-            None => {
-                let pos_j = cp.elements[j].position;
-                for &pi in cp.predicates_between(elem, j) {
-                    let p = &cp.predicates[pi];
-                    for other in binding.events() {
-                        metrics.predicate_evaluations += 1;
-                        if !p.eval_pair(pos, event, pos_j, other) {
-                            return false;
-                        }
-                    }
+        for pair in prog.pairs_between(elem, j) {
+            for other in binding.events() {
+                metrics.predicate_evaluations += 1;
+                if !pair.eval(event, other) {
+                    return false;
                 }
             }
         }
@@ -355,23 +309,11 @@ pub fn compatible_with(
 
 /// Checks whether two instances over *disjoint element sets* (sibling
 /// subtrees of a tree plan) can merge: distinct events, window, temporal
-/// precedence, cross predicates, and selection-strategy feasibility.
-/// Interpreted path; see [`merge_compatible_with`] for the compiled one.
-pub fn merge_compatible(
-    cp: &CompiledPattern,
-    left: &Instance,
-    right: &Instance,
-    consumed: &HashSet<u64>,
-    metrics: &mut EngineMetrics,
-) -> bool {
-    merge_compatible_with(cp, None, left, right, consumed, metrics)
-}
-
-/// [`merge_compatible`] with an optional compiled [`PredicateProgram`];
-/// same decision, pre-lowered evaluators when `prog` is `Some`.
+/// precedence, cross predicates (through `prog`), and selection-strategy
+/// feasibility.
 pub fn merge_compatible_with(
     cp: &CompiledPattern,
-    prog: Option<&PredicateProgram>,
+    prog: &PredicateProgram,
     left: &Instance,
     right: &Instance,
     consumed: &HashSet<u64>,
@@ -405,31 +347,12 @@ pub fn merge_compatible_with(
             if cp.must_precede(j, i) && bj.max_ts() >= bi.min_ts() {
                 return false;
             }
-            match prog {
-                Some(pr) => {
-                    for pair in pr.pairs_between(i, j) {
-                        for x in bi.events() {
-                            for y in bj.events() {
-                                metrics.predicate_evaluations += 1;
-                                if !pair.eval(x, y) {
-                                    return false;
-                                }
-                            }
-                        }
-                    }
-                }
-                None => {
-                    let pos_i = cp.elements[i].position;
-                    let pos_j = cp.elements[j].position;
-                    for &pi in cp.predicates_between(i, j) {
-                        let p = &cp.predicates[pi];
-                        for x in bi.events() {
-                            for y in bj.events() {
-                                metrics.predicate_evaluations += 1;
-                                if !p.eval_pair(pos_i, x, pos_j, y) {
-                                    return false;
-                                }
-                            }
+            for pair in prog.pairs_between(i, j) {
+                for x in bi.events() {
+                    for y in bj.events() {
+                        metrics.predicate_evaluations += 1;
+                        if !pair.eval(x, y) {
+                            return false;
                         }
                     }
                 }
@@ -458,7 +381,7 @@ pub fn merge_compatible_with(
 
 impl Instance {
     /// Merges two instances over disjoint element sets (no compatibility
-    /// checks — call [`merge_compatible`] first).
+    /// checks — call [`merge_compatible_with`] first).
     pub fn merge(&self, other: &Instance) -> Instance {
         let mut out = self.clone();
         for (i, b) in other.bindings.iter().enumerate() {
@@ -644,6 +567,31 @@ mod tests {
         CompiledPattern::compile_single(&b.seq([a, c]).unwrap()).unwrap()
     }
 
+    /// [`compatible_with`] through `cp`'s freshly compiled program.
+    fn compatible(
+        cp: &CompiledPattern,
+        inst: &Instance,
+        elem: usize,
+        event: &EventRef,
+        consumed: &HashSet<u64>,
+        metrics: &mut EngineMetrics,
+    ) -> bool {
+        let prog = PredicateProgram::compile(cp);
+        compatible_with(cp, &prog, inst, elem, event, consumed, metrics)
+    }
+
+    /// [`merge_compatible_with`] through `cp`'s freshly compiled program.
+    fn merge_compatible(
+        cp: &CompiledPattern,
+        left: &Instance,
+        right: &Instance,
+        consumed: &HashSet<u64>,
+        metrics: &mut EngineMetrics,
+    ) -> bool {
+        let prog = PredicateProgram::compile(cp);
+        merge_compatible_with(cp, &prog, left, right, consumed, metrics)
+    }
+
     #[test]
     fn single_binding_updates_extents() {
         let i = Instance::empty(2).with_single(0, ev(0, 5, 3, 1));
@@ -823,37 +771,6 @@ mod tests {
         let left = Instance::empty(2).with_single(0, ev(0, 1, 0, 1));
         let right = Instance::empty(2).with_single(1, ev(1, 50, 1, 9));
         assert!(!merge_compatible(&cp, &left, &right, &consumed, &mut m));
-    }
-
-    #[test]
-    fn compiled_program_agrees_with_interpreted_compatible() {
-        use crate::compiled::PredicateProgram;
-        let cp = cp_seq2();
-        let prog = PredicateProgram::compile(&cp);
-        let consumed = HashSet::new();
-        let i = Instance::empty(2).with_single(0, ev(0, 5, 0, 10));
-        for (ts, seq, x) in [(6, 1, 20), (6, 1, 5), (4, 1, 20), (16, 1, 20), (5, 0, 20)] {
-            let e = ev(1, ts, seq, x);
-            let mut m1 = EngineMetrics::new();
-            let mut m2 = EngineMetrics::new();
-            assert_eq!(
-                compatible(&cp, &i, 1, &e, &consumed, &mut m1),
-                compatible_with(&cp, Some(&prog), &i, 1, &e, &consumed, &mut m2),
-                "ts {ts} seq {seq} x {x}"
-            );
-        }
-        // Merge path agrees too.
-        let left = Instance::empty(2).with_single(0, ev(0, 1, 0, 1));
-        for x in [0, 5, 9] {
-            let right = Instance::empty(2).with_single(1, ev(1, 2, 1, x));
-            let mut m1 = EngineMetrics::new();
-            let mut m2 = EngineMetrics::new();
-            assert_eq!(
-                merge_compatible(&cp, &left, &right, &consumed, &mut m1),
-                merge_compatible_with(&cp, Some(&prog), &left, &right, &consumed, &mut m2),
-                "x {x}"
-            );
-        }
     }
 
     #[test]

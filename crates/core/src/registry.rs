@@ -51,7 +51,7 @@
 use crate::compile::CompiledPattern;
 use crate::compiled::{shared_plan_cache, PredicateProgram, SharedPlanCache};
 use crate::dedup::{branches_can_collide, BranchDedup};
-use crate::engine::{Engine, EngineConfig};
+use crate::engine::Engine;
 use crate::error::CepError;
 use crate::event::{EventRef, TypeId};
 use crate::matches::Match;
@@ -80,9 +80,9 @@ impl std::fmt::Display for QueryId {
 /// — this is where "shared fragments are planned once" lands: a
 /// planner-backed implementation pays the planning cost once no matter
 /// how many queries subscribe. `program` is the branch's lowered
-/// predicate program from the registry's shared [`PlanCache`]
-/// (`None` when compiled predicates are disabled); implementations
-/// should thread it into the engine's `with_program` constructor.
+/// predicate program from the registry's shared [`PlanCache`];
+/// implementations thread it into the engine's `with_program`
+/// constructor.
 ///
 /// [`PlanCache`]: crate::compiled::PlanCache
 pub trait FragmentBuilder: Send + Sync {
@@ -90,20 +90,20 @@ pub trait FragmentBuilder: Send + Sync {
     fn build_fragment(
         &self,
         cp: &CompiledPattern,
-        program: Option<Arc<PredicateProgram>>,
+        program: Arc<PredicateProgram>,
     ) -> Result<Box<dyn Engine>, CepError>;
 }
 
 impl<F> FragmentBuilder for F
 where
-    F: Fn(&CompiledPattern, Option<Arc<PredicateProgram>>) -> Result<Box<dyn Engine>, CepError>
+    F: Fn(&CompiledPattern, Arc<PredicateProgram>) -> Result<Box<dyn Engine>, CepError>
         + Send
         + Sync,
 {
     fn build_fragment(
         &self,
         cp: &CompiledPattern,
-        program: Option<Arc<PredicateProgram>>,
+        program: Arc<PredicateProgram>,
     ) -> Result<Box<dyn Engine>, CepError> {
         self(cp, program)
     }
@@ -159,7 +159,6 @@ struct QueryEntry {
 /// byte-identity contract.
 pub struct QueryRegistry {
     builder: Arc<dyn FragmentBuilder>,
-    config: EngineConfig,
     plan_cache: SharedPlanCache,
     tracer: Tracer,
     /// Fragment slots; `None` marks a retired slot (kept so stored slot
@@ -190,10 +189,10 @@ pub struct QueryRegistry {
 }
 
 impl QueryRegistry {
-    /// A registry building fragments with `builder` under `config`, with
-    /// a fresh shared predicate-program cache.
-    pub fn new(builder: Arc<dyn FragmentBuilder>, config: EngineConfig) -> QueryRegistry {
-        Self::with_plan_cache(builder, config, shared_plan_cache(REGISTRY_PLAN_CACHE_CAP))
+    /// A registry building fragments with `builder`, with a fresh shared
+    /// predicate-program cache.
+    pub fn new(builder: Arc<dyn FragmentBuilder>) -> QueryRegistry {
+        Self::with_plan_cache(builder, shared_plan_cache(REGISTRY_PLAN_CACHE_CAP))
     }
 
     /// Like [`new`](QueryRegistry::new) but sharing an external plan
@@ -202,12 +201,10 @@ impl QueryRegistry {
     /// across the whole fleet.
     pub fn with_plan_cache(
         builder: Arc<dyn FragmentBuilder>,
-        config: EngineConfig,
         plan_cache: SharedPlanCache,
     ) -> QueryRegistry {
         QueryRegistry {
             builder,
-            config,
             plan_cache,
             tracer: Tracer::disabled(),
             slots: Vec::new(),
@@ -271,7 +268,13 @@ impl QueryRegistry {
                 resolved.push(Resolved::New(bi));
                 shared += 1;
             } else {
-                let (program, hits, misses) = self.fetch_program(cp);
+                // One lowering per branch, warm for every later
+                // subscriber and sibling registry.
+                let (program, hits, misses) = self
+                    .plan_cache
+                    .lock()
+                    .expect("plan cache poisoned")
+                    .get_or_compile(cp);
                 let mut engine = self.builder.build_fragment(cp, program)?;
                 // Surface cache effectiveness through the normal metrics
                 // pipeline, exactly as the facade factories do.
@@ -635,25 +638,8 @@ pub struct RegistryRunResult {
     pub metrics: EngineMetrics,
 }
 
-impl QueryRegistry {
-    /// Fetches the branch's lowered predicate program from the shared
-    /// cache (when compiled predicates are enabled), warming it for
-    /// every later subscriber and sibling registry. Returns the program
-    /// plus the lookup's hit/miss delta, to be stamped onto the fresh
-    /// fragment engine's metrics.
-    fn fetch_program(&self, cp: &CompiledPattern) -> (Option<Arc<PredicateProgram>>, u64, u64) {
-        if !self.config.compiled_predicates {
-            return (None, 0, 0);
-        }
-        let mut cache = self.plan_cache.lock().expect("plan cache poisoned");
-        let (h0, m0) = (cache.hits(), cache.misses());
-        let program = cache.get_or_compile(cp);
-        (Some(program), cache.hits() - h0, cache.misses() - m0)
-    }
-}
-
 /// A serializable-enough description of a query set: compiled branches
-/// plus the fragment builder and config, from which identical
+/// plus the fragment builder, from which identical
 /// [`QueryRegistry`] instances can be stamped out — the multi-query
 /// analogue of [`crate::engine::EngineFactory`], consumed by
 /// `cep-shard`'s multi-query layout (one registry per worker). All
@@ -662,17 +648,15 @@ impl QueryRegistry {
 pub struct RegistrySpec {
     queries: Vec<(Vec<CompiledPattern>, u64)>,
     builder: Arc<dyn FragmentBuilder>,
-    config: EngineConfig,
     plan_cache: SharedPlanCache,
 }
 
 impl RegistrySpec {
-    /// An empty spec building fragments with `builder` under `config`.
-    pub fn new(builder: Arc<dyn FragmentBuilder>, config: EngineConfig) -> RegistrySpec {
+    /// An empty spec building fragments with `builder`.
+    pub fn new(builder: Arc<dyn FragmentBuilder>) -> RegistrySpec {
         RegistrySpec {
             queries: Vec::new(),
             builder,
-            config,
             plan_cache: shared_plan_cache(REGISTRY_PLAN_CACHE_CAP),
         }
     }
@@ -711,11 +695,8 @@ impl RegistrySpec {
     /// order (so ids match the ones [`add`](RegistrySpec::add)
     /// returned).
     pub fn instantiate(&self) -> Result<QueryRegistry, CepError> {
-        let mut registry = QueryRegistry::with_plan_cache(
-            self.builder.clone(),
-            self.config.clone(),
-            self.plan_cache.clone(),
-        );
+        let mut registry =
+            QueryRegistry::with_plan_cache(self.builder.clone(), self.plan_cache.clone());
         for (branches, window) in &self.queries {
             registry.register_compiled(branches.clone(), *window)?;
         }
@@ -858,7 +839,7 @@ fn shared_prefix_groups(fragments: &[&CompiledPattern]) -> Vec<PrefixGroup> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::run_to_completion;
+    use crate::engine::{run_to_completion, EngineConfig};
     use crate::event::{Event, TypeId};
     use crate::naive::NaiveEngine;
     use crate::pattern::PatternBuilder;
@@ -871,7 +852,7 @@ mod tests {
     fn naive_builder(cfg: &EngineConfig) -> Arc<dyn FragmentBuilder> {
         let cfg = cfg.clone();
         Arc::new(
-            move |cp: &CompiledPattern, _program: Option<Arc<PredicateProgram>>| {
+            move |cp: &CompiledPattern, _program: Arc<PredicateProgram>| {
                 Ok(Box::new(NaiveEngine::new(cp.clone(), cfg.clone())) as Box<dyn Engine>)
             },
         )
@@ -975,7 +956,7 @@ mod tests {
     /// independent naive engines over the same branches.
     fn assert_registry_matches_independent(patterns: &[Pattern]) {
         let cfg = EngineConfig::default();
-        let mut registry = QueryRegistry::new(naive_builder(&cfg), cfg.clone());
+        let mut registry = QueryRegistry::new(naive_builder(&cfg));
         let ids: Vec<QueryId> = patterns
             .iter()
             .map(|p| registry.register(p).unwrap())
@@ -1006,7 +987,7 @@ mod tests {
     #[test]
     fn duplicate_registration_shares_one_fragment() {
         let cfg = EngineConfig::default();
-        let mut reg = QueryRegistry::new(naive_builder(&cfg), cfg);
+        let mut reg = QueryRegistry::new(naive_builder(&cfg));
         let p = seq_ab(10, 0, 1, true);
         let q1 = reg.register(&p).unwrap();
         let q2 = reg.register(&p).unwrap();
@@ -1029,7 +1010,7 @@ mod tests {
     #[test]
     fn zero_overlap_set_degrades_to_independent_execution() {
         let cfg = EngineConfig::default();
-        let mut reg = QueryRegistry::new(naive_builder(&cfg), cfg);
+        let mut reg = QueryRegistry::new(naive_builder(&cfg));
         reg.register(&seq_ab(10, 0, 1, true)).unwrap();
         reg.register(&seq_ab(10, 2, 3, false)).unwrap();
         reg.register(&seq_ab(7, 1, 4, true)).unwrap();
@@ -1084,7 +1065,7 @@ mod tests {
             per_branch[0].iter().any(|k| per_branch[1].contains(k)),
             "fixture must make the branches collide"
         );
-        let mut reg = QueryRegistry::new(naive_builder(&cfg), cfg);
+        let mut reg = QueryRegistry::new(naive_builder(&cfg));
         let q_shared = reg.register(&shared).unwrap();
         let q_disjoint = reg.register(&or_of_seqs(9)).unwrap();
         let q_single = reg.register(&seq_ab(10, 0, 1, true)).unwrap();
@@ -1111,7 +1092,7 @@ mod tests {
         let stream = mixed_stream_of(900);
         let (join_at, leave_at) = (stream.len() / 3, 2 * stream.len() / 3);
         let late_pattern = seq_or_nots(8, 0, 2, 3, 1);
-        let mut reg = QueryRegistry::new(naive_builder(&cfg), cfg.clone());
+        let mut reg = QueryRegistry::new(naive_builder(&cfg));
         let early = reg.register(&seq_ab(10, 0, 1, true)).unwrap();
         let mut late = None;
         let mut late_matches = Vec::new();
@@ -1168,7 +1149,7 @@ mod tests {
             .collect();
         let stream = stream(&raw);
         let patterns = [seq_ab(10, top, 0, true), seq_with_not(6, top, 1, 0)];
-        let mut reg = QueryRegistry::new(naive_builder(&cfg), cfg.clone());
+        let mut reg = QueryRegistry::new(naive_builder(&cfg));
         let ids: Vec<QueryId> = patterns.iter().map(|p| reg.register(p).unwrap()).collect();
         let result = reg.run(&stream);
         for (p, id) in patterns.iter().zip(&ids) {
@@ -1197,7 +1178,7 @@ mod tests {
         let cfg = EngineConfig::default();
         let p_keep = seq_ab(10, 0, 1, true);
         let p_drop = seq_ab(10, 0, 1, false);
-        let mut reg = QueryRegistry::new(naive_builder(&cfg), cfg.clone());
+        let mut reg = QueryRegistry::new(naive_builder(&cfg));
         let keep = reg.register(&p_keep).unwrap();
         let drop_id = reg.register(&p_drop).unwrap();
         let stream = mixed_stream();
@@ -1230,7 +1211,7 @@ mod tests {
     #[test]
     fn unregister_retires_exclusive_fragments_only() {
         let cfg = EngineConfig::default();
-        let mut reg = QueryRegistry::new(naive_builder(&cfg), cfg);
+        let mut reg = QueryRegistry::new(naive_builder(&cfg));
         let shared = seq_ab(10, 0, 1, true);
         let q1 = reg.register(&shared).unwrap();
         let _q2 = reg.register(&shared).unwrap();
@@ -1257,16 +1238,14 @@ mod tests {
         let cfg = EngineConfig::default();
         let flaky: Arc<dyn FragmentBuilder> = {
             let cfg = cfg.clone();
-            Arc::new(
-                move |cp: &CompiledPattern, _p: Option<Arc<PredicateProgram>>| {
-                    if cp.n() >= 3 {
-                        return Err(CepError::Plan("no engine for wide branches".into()));
-                    }
-                    Ok(Box::new(NaiveEngine::new(cp.clone(), cfg.clone())) as Box<dyn Engine>)
-                },
-            )
+            Arc::new(move |cp: &CompiledPattern, _p: Arc<PredicateProgram>| {
+                if cp.n() >= 3 {
+                    return Err(CepError::Plan("no engine for wide branches".into()));
+                }
+                Ok(Box::new(NaiveEngine::new(cp.clone(), cfg.clone())) as Box<dyn Engine>)
+            })
         };
-        let mut reg = QueryRegistry::new(flaky, cfg);
+        let mut reg = QueryRegistry::new(flaky);
         reg.register(&seq_ab(10, 0, 1, true)).unwrap();
         assert_eq!(reg.fragment_count(), 1);
         let err = reg.register(&seq_abc(10, 0, 1, 2));
@@ -1278,7 +1257,7 @@ mod tests {
     #[test]
     fn per_query_metrics_mirror_subscriptions() {
         let cfg = EngineConfig::default();
-        let mut reg = QueryRegistry::new(naive_builder(&cfg), cfg);
+        let mut reg = QueryRegistry::new(naive_builder(&cfg));
         let p = seq_ab(10, 0, 1, true);
         let q1 = reg.register(&p).unwrap();
         let q2 = reg.register(&p).unwrap();
@@ -1299,7 +1278,7 @@ mod tests {
     #[test]
     fn type_routing_skips_irrelevant_fragments() {
         let cfg = EngineConfig::default();
-        let mut reg = QueryRegistry::new(naive_builder(&cfg), cfg.clone());
+        let mut reg = QueryRegistry::new(naive_builder(&cfg));
         let q = reg.register(&seq_ab(10, 0, 1, true)).unwrap();
         let stream = mixed_stream(); // types 0..4; only 0 and 1 relevant
         let result = reg.run(&stream);
@@ -1318,7 +1297,7 @@ mod tests {
     #[test]
     fn set_plan_detects_shared_prefixes() {
         let cfg = EngineConfig::default();
-        let mut reg = QueryRegistry::new(naive_builder(&cfg), cfg);
+        let mut reg = QueryRegistry::new(naive_builder(&cfg));
         // Same (a, b) prefix with predicate, different third element.
         reg.register(&seq_abc(10, 0, 1, 2)).unwrap();
         reg.register(&seq_abc(10, 0, 1, 3)).unwrap();
@@ -1351,7 +1330,7 @@ mod tests {
     #[test]
     fn registry_spec_instantiates_identical_registries() {
         let cfg = EngineConfig::default();
-        let mut spec = RegistrySpec::new(naive_builder(&cfg), cfg);
+        let mut spec = RegistrySpec::new(naive_builder(&cfg));
         let a = spec.add(&seq_ab(10, 0, 1, true)).unwrap();
         let b = spec.add(&seq_abc(10, 0, 1, 2)).unwrap();
         assert_eq!(spec.queries(), 2);
@@ -1372,7 +1351,7 @@ mod tests {
     fn tracer_sees_registrations_and_unregistrations() {
         let ring = Arc::new(cep_obs::RingSink::new(16));
         let cfg = EngineConfig::default();
-        let mut reg = QueryRegistry::new(naive_builder(&cfg), cfg);
+        let mut reg = QueryRegistry::new(naive_builder(&cfg));
         reg.set_tracer(Tracer::to_sink(ring.clone()));
         let p = seq_ab(10, 0, 1, true);
         let q1 = reg.register(&p).unwrap();

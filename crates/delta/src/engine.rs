@@ -44,7 +44,7 @@ enum Pool {
 pub struct DeltaEngine {
     cp: CompiledPattern,
     cfg: EngineConfig,
-    program: Option<Arc<PredicateProgram>>,
+    program: Arc<PredicateProgram>,
     index: WindowIndex,
     /// Negated-type events for the anchored anti-join scan performed by
     /// [`DeferredStore::admit`]; pruned in lockstep with the index.
@@ -61,24 +61,17 @@ impl DeltaEngine {
     /// evaluation plan — its join order is chosen per search node from
     /// live posting-list sizes.
     pub fn new(cp: CompiledPattern, cfg: EngineConfig) -> DeltaEngine {
-        DeltaEngine::with_program(cp, cfg, None)
+        let program = Arc::new(PredicateProgram::compile(&cp));
+        DeltaEngine::with_program(cp, cfg, program)
     }
 
-    /// [`DeltaEngine::new`] with an optional pre-lowered
-    /// [`PredicateProgram`] (e.g. from a shared
-    /// [`cep_core::compiled::PlanCache`]). The config wins: with
-    /// [`EngineConfig::compiled_predicates`] off, any provided program is
-    /// ignored; with it on and no program provided, one is compiled here.
+    /// [`DeltaEngine::new`] with a pre-lowered [`PredicateProgram`] (e.g.
+    /// from a shared [`cep_core::compiled::PlanCache`]).
     pub fn with_program(
         cp: CompiledPattern,
         cfg: EngineConfig,
-        program: Option<Arc<PredicateProgram>>,
+        program: Arc<PredicateProgram>,
     ) -> DeltaEngine {
-        let program = if cfg.compiled_predicates {
-            program.or_else(|| Some(Arc::new(PredicateProgram::compile(&cp))))
-        } else {
-            None
-        };
         let keys = (0..cp.n()).flat_map(|elem| {
             let ty = cp.elements[elem].event_type;
             cp.eq_joins(elem).iter().map(move |j| (ty, j.attr))
@@ -97,10 +90,9 @@ impl DeltaEngine {
         }
     }
 
-    /// The compiled predicate program in use (`None` when running
-    /// interpreted).
-    pub fn program(&self) -> Option<&Arc<PredicateProgram>> {
-        self.program.as_ref()
+    /// The compiled predicate program in use.
+    pub fn program(&self) -> &Arc<PredicateProgram> {
+        &self.program
     }
 
     /// The compiled pattern this engine evaluates.
@@ -144,7 +136,7 @@ impl DeltaEngine {
                 self.pinned_kleene(j, newest, &inst, &mut found);
             } else if compatible_with(
                 &self.cp,
-                self.program.as_deref(),
+                &self.program,
                 &inst,
                 j,
                 newest,
@@ -203,7 +195,7 @@ impl DeltaEngine {
     ) {
         if compatible_with(
             &self.cp,
-            self.program.as_deref(),
+            &self.program,
             inst,
             j,
             newest,
@@ -221,7 +213,7 @@ impl DeltaEngine {
         for i in from..candidates.len() {
             if !compatible_with(
                 &self.cp,
-                self.program.as_deref(),
+                &self.program,
                 inst,
                 j,
                 &candidates[i],
@@ -266,7 +258,7 @@ impl DeltaEngine {
             for c in candidates {
                 if !compatible_with(
                     &self.cp,
-                    self.program.as_deref(),
+                    &self.program,
                     inst,
                     elem,
                     &c,
@@ -304,7 +296,7 @@ impl DeltaEngine {
         for i in from..candidates.len() {
             if !compatible_with(
                 &self.cp,
-                self.program.as_deref(),
+                &self.program,
                 inst,
                 elem,
                 &candidates[i],

@@ -107,24 +107,16 @@ mod tests {
         let s = stream(events);
         let mut oracle = NaiveEngine::new(cp.clone(), cfg.clone());
         let expected = keyed(&run_to_completion(&mut oracle, &s, true).matches);
-        for compiled in [false, true] {
-            let mut c = cfg.clone();
-            c.compiled_predicates = compiled;
-            let mut engine = DeltaEngine::new(cp.clone(), c);
-            let r = run_to_completion(&mut engine, &s, true);
-            for m in &r.matches {
-                validate_match(&cp, m).unwrap();
-            }
-            assert_eq!(
-                keyed(&r.matches),
-                expected,
-                "delta (compiled={compiled}) disagrees with oracle"
-            );
-            assert_eq!(
-                r.metrics.partial_matches_created, 0,
-                "delta must not materialize partial matches"
-            );
+        let mut engine = DeltaEngine::new(cp.clone(), cfg);
+        let r = run_to_completion(&mut engine, &s, true);
+        for m in &r.matches {
+            validate_match(&cp, m).unwrap();
         }
+        assert_eq!(keyed(&r.matches), expected, "delta disagrees with oracle");
+        assert_eq!(
+            r.metrics.partial_matches_created, 0,
+            "delta must not materialize partial matches"
+        );
     }
 
     fn assert_matches_oracle(pattern: &Pattern, events: Vec<Event>) {
@@ -402,7 +394,6 @@ mod tests {
         let cp = CompiledPattern::compile_single(&p).unwrap();
         let mut engine = DeltaEngine::new(cp, EngineConfig::default());
         assert_eq!(engine.name(), "delta");
-        assert!(engine.program().is_some(), "compiled predicates by default");
         let s = stream(vec![ev(0, 1, 0), ev(1, 2, 0)]);
         let r = run_to_completion(&mut engine, &s, true);
         assert_eq!(r.matches.len(), 1);

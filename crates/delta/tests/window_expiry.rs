@@ -88,22 +88,19 @@ proptest! {
         let stream = tie_stream(&raw);
         let mut oracle = NaiveEngine::new(cp.clone(), EngineConfig::default());
         let expected = keyed(&run_to_completion(&mut oracle, &stream, true).matches);
-        for compiled in [false, true] {
-            let cfg = EngineConfig { compiled_predicates: compiled, ..Default::default() };
-            let mut engine = DeltaEngine::new(cp.clone(), cfg);
-            let r = run_to_completion(&mut engine, &stream, true);
-            prop_assert_eq!(keyed(&r.matches), expected.clone());
-            // Eviction actually happened: the engine's peak equals the
-            // simulated retention bound (type 2 is stream noise — it
-            // advances the watermark but is never stored).
-            let bound = simulated_peak(&stream, &[0, 1], window);
-            prop_assert_eq!(
-                r.metrics.peak_buffered_events, bound,
-                "index retention diverged from the window rule (peak {} vs bound {})",
-                r.metrics.peak_buffered_events, bound
-            );
-            prop_assert_eq!(r.metrics.partial_matches_created, 0);
-        }
+        let mut engine = DeltaEngine::new(cp.clone(), EngineConfig::default());
+        let r = run_to_completion(&mut engine, &stream, true);
+        prop_assert_eq!(keyed(&r.matches), expected);
+        // Eviction actually happened: the engine's peak equals the
+        // simulated retention bound (type 2 is stream noise — it
+        // advances the watermark but is never stored).
+        let bound = simulated_peak(&stream, &[0, 1], window);
+        prop_assert_eq!(
+            r.metrics.peak_buffered_events, bound,
+            "index retention diverged from the window rule (peak {} vs bound {})",
+            r.metrics.peak_buffered_events, bound
+        );
+        prop_assert_eq!(r.metrics.partial_matches_created, 0);
     }
 
     #[test]
@@ -127,12 +124,9 @@ proptest! {
         let stream = tie_stream(&raw);
         let mut oracle = NaiveEngine::new(cp.clone(), EngineConfig::default());
         let expected = keyed(&run_to_completion(&mut oracle, &stream, true).matches);
-        for compiled in [false, true] {
-            let cfg = EngineConfig { compiled_predicates: compiled, ..Default::default() };
-            let mut engine = DeltaEngine::new(cp.clone(), cfg);
-            let r = run_to_completion(&mut engine, &stream, true);
-            prop_assert_eq!(keyed(&r.matches), expected.clone());
-        }
+        let mut engine = DeltaEngine::new(cp.clone(), EngineConfig::default());
+        let r = run_to_completion(&mut engine, &stream, true);
+        prop_assert_eq!(keyed(&r.matches), expected);
     }
 
     #[test]

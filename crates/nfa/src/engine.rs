@@ -47,8 +47,8 @@ pub struct NfaEngine {
     cp: CompiledPattern,
     order: Vec<usize>,
     cfg: EngineConfig,
-    /// Compiled predicate program (`None` = interpreted evaluation).
-    program: Option<Arc<PredicateProgram>>,
+    /// Compiled predicate program.
+    program: Arc<PredicateProgram>,
     /// `keys[k]`: the equality join of `order[k]` against an element of
     /// `order[..k]` that buckets step `k`'s state, if there is one.
     keys: Vec<Option<EqJoin>>,
@@ -67,37 +67,28 @@ pub struct NfaEngine {
 }
 
 impl NfaEngine {
-    /// Builds an engine for one compiled pattern branch and an order plan.
-    ///
-    /// When [`EngineConfig::compiled_predicates`] is set (the default) the
-    /// pattern's predicates are lowered into a [`PredicateProgram`] here;
-    /// use [`NfaEngine::with_program`] to supply an already-compiled
-    /// (cached) program instead.
+    /// Builds an engine for one compiled pattern branch and an order plan,
+    /// lowering the pattern's predicates into a [`PredicateProgram`]; use
+    /// [`NfaEngine::with_program`] to supply an already-compiled (cached)
+    /// program instead.
     pub fn new(
         cp: CompiledPattern,
         plan: OrderPlan,
         cfg: EngineConfig,
     ) -> Result<NfaEngine, CepError> {
-        NfaEngine::with_program(cp, plan, cfg, None)
+        let program = Arc::new(PredicateProgram::compile(&cp));
+        NfaEngine::with_program(cp, plan, cfg, program)
     }
 
-    /// [`NfaEngine::new`] with an optional pre-compiled program (typically
-    /// from a [`cep_core::compiled::PlanCache`]), avoiding recompilation.
-    /// With `compiled_predicates` disabled in `cfg`, the program is ignored
-    /// and the engine interprets predicates — the config toggle wins so the
-    /// interpreted baseline stays measurable.
+    /// [`NfaEngine::new`] with a pre-compiled program (typically from a
+    /// [`cep_core::compiled::PlanCache`]), avoiding recompilation.
     pub fn with_program(
         cp: CompiledPattern,
         plan: OrderPlan,
         cfg: EngineConfig,
-        program: Option<Arc<PredicateProgram>>,
+        program: Arc<PredicateProgram>,
     ) -> Result<NfaEngine, CepError> {
         plan.validate(&cp)?;
-        let program = if cfg.compiled_predicates {
-            program.or_else(|| Some(Arc::new(PredicateProgram::compile(&cp))))
-        } else {
-            None
-        };
         let order = plan.order().to_vec();
         let keys = (0..order.len())
             .map(|k| cp.join_key(&order[k..=k], &order[..k]).cloned())
@@ -120,10 +111,9 @@ impl NfaEngine {
         })
     }
 
-    /// The compiled predicate program driving this engine (`None` when
-    /// interpreting).
-    pub fn program(&self) -> Option<&Arc<PredicateProgram>> {
-        self.program.as_ref()
+    /// The compiled predicate program driving this engine.
+    pub fn program(&self) -> &Arc<PredicateProgram> {
+        &self.program
     }
 
     /// Arena statistics: `(instances derived, shells reused)`.
@@ -272,7 +262,7 @@ impl NfaEngine {
                 let c = &self.buffers[k].bucket(bucket)[idx];
                 if !compatible_with(
                     &self.cp,
-                    self.program.as_deref(),
+                    &self.program,
                     &inst,
                     elem,
                     c,
@@ -308,7 +298,7 @@ impl NfaEngine {
                     let c = &self.buffers[k].bucket(bucket)[idx];
                     if compatible_with(
                         &self.cp,
-                        self.program.as_deref(),
+                        &self.program,
                         &inst,
                         elem,
                         c,
@@ -344,7 +334,7 @@ impl NfaEngine {
             }
             if !compatible_with(
                 &self.cp,
-                self.program.as_deref(),
+                &self.program,
                 base,
                 elem,
                 c,
@@ -398,7 +388,7 @@ impl NfaEngine {
                     && inst.kleene_len(elem) < self.cfg.max_kleene_events))
                 && compatible_with(
                     &self.cp,
-                    self.program.as_deref(),
+                    &self.program,
                     inst,
                     elem,
                     event,
@@ -474,11 +464,12 @@ impl Engine for NfaEngine {
         // type (and whose type has no negated element) can never bind —
         // `compatible_with` would reject it at the filter stage everywhere.
         // Skipping it entirely keeps the buffers and state sets lean.
-        if let Some(pr) = &self.program {
-            if !pr.can_ever_bind(event, &mut self.metrics.predicate_evaluations) {
-                self.record_live();
-                return;
-            }
+        if !self
+            .program
+            .can_ever_bind(event, &mut self.metrics.predicate_evaluations)
+        {
+            self.record_live();
+            return;
         }
         if self.cp.negated_of_type(event.type_id).next().is_some() {
             self.neg_buffers.push(event.clone());
@@ -502,7 +493,7 @@ impl Engine for NfaEngine {
             if self.cp.elements[first].kleene {
                 if compatible_with(
                     &self.cp,
-                    self.program.as_deref(),
+                    &self.program,
                     &root,
                     first,
                     event,
@@ -520,7 +511,7 @@ impl Engine for NfaEngine {
                 }
             } else if compatible_with(
                 &self.cp,
-                self.program.as_deref(),
+                &self.program,
                 &root,
                 first,
                 event,

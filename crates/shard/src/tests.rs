@@ -1283,7 +1283,7 @@ use cep_core::registry::{FragmentBuilder, QueryId, RegistrySpec};
 /// registry's cached predicate program through.
 fn nfa_fragment_builder(cfg: EngineConfig) -> StdArc<dyn FragmentBuilder> {
     StdArc::new(
-        move |cp: &CompiledPattern, program: Option<StdArc<PredicateProgram>>| {
+        move |cp: &CompiledPattern, program: StdArc<PredicateProgram>| {
             let plan = OrderPlan::trivial(cp);
             Ok(Box::new(NfaEngine::with_program(
                 cp.clone(),
@@ -1319,7 +1319,7 @@ fn run_registry_equals_independent_engines_per_query() {
     ];
     let expected = expected_per_query(&patterns, &stream);
     let cfg = EngineConfig::default();
-    let mut spec = RegistrySpec::new(nfa_fragment_builder(cfg.clone()), cfg);
+    let mut spec = RegistrySpec::new(nfa_fragment_builder(cfg.clone()));
     let ids: Vec<QueryId> = patterns.iter().map(|p| spec.add(p).unwrap()).collect();
     for shards in [1usize, 2, 4] {
         let r = ShardedRuntime::with_shards(shards)
@@ -1353,7 +1353,7 @@ fn run_registry_replicate_join_dedups_per_query() {
     let patterns = vec![pattern.clone(), pattern];
     let expected = expected_per_query(&patterns, &stream);
     let cfg = EngineConfig::default();
-    let mut spec = RegistrySpec::new(nfa_fragment_builder(cfg.clone()), cfg);
+    let mut spec = RegistrySpec::new(nfa_fragment_builder(cfg.clone()));
     let ids: Vec<QueryId> = patterns.iter().map(|p| spec.add(p).unwrap()).collect();
     for shards in [1usize, 2, 4, 8] {
         let r = ShardedRuntime::with_shards(shards)
@@ -1383,7 +1383,7 @@ fn run_registry_uncollected_still_counts_per_query() {
     ];
     let expected = expected_per_query(&patterns, &stream);
     let cfg = EngineConfig::default();
-    let mut spec = RegistrySpec::new(nfa_fragment_builder(cfg.clone()), cfg);
+    let mut spec = RegistrySpec::new(nfa_fragment_builder(cfg.clone()));
     let ids: Vec<QueryId> = patterns.iter().map(|p| spec.add(p).unwrap()).collect();
     let r = ShardedRuntime::with_shards(3)
         .run_registry(&spec, &stream, RoutingPolicy::HashAttr(0), false)
@@ -1402,7 +1402,7 @@ fn run_registry_rejects_policy_unsound_for_any_member() {
     // q0 is partition-local on attribute 0; q1 joins across keys —
     // hash-attr routing is sound for the first but not the set.
     let cfg = EngineConfig::default();
-    let mut spec = RegistrySpec::new(nfa_fragment_builder(cfg.clone()), cfg);
+    let mut spec = RegistrySpec::new(nfa_fragment_builder(cfg.clone()));
     spec.add(&keyed_seq(2, 10, SelectionStrategy::SkipTillAnyMatch))
         .unwrap();
     spec.add(&cross_key_seq(12, SelectionStrategy::SkipTillAnyMatch))
@@ -1422,11 +1422,11 @@ fn run_registry_worker_panic_is_a_typed_error() {
     let cfg = EngineConfig::default();
     // Every worker's builder panics: the lowest shard is named.
     let always: StdArc<dyn FragmentBuilder> = StdArc::new(
-        |_: &CompiledPattern,
-         _: Option<StdArc<PredicateProgram>>|
-         -> Result<Box<dyn Engine>, CepError> { panic!("fragment builder exploded") },
+        |_: &CompiledPattern, _: StdArc<PredicateProgram>| -> Result<Box<dyn Engine>, CepError> {
+            panic!("fragment builder exploded")
+        },
     );
-    let mut spec = RegistrySpec::new(always, cfg.clone());
+    let mut spec = RegistrySpec::new(always);
     spec.add(&pattern).unwrap();
     for shards in [1usize, 3] {
         let err = ShardedRuntime::with_shards(shards)
@@ -1446,7 +1446,7 @@ fn run_registry_worker_panic_is_a_typed_error() {
     let nfa = nfa_fragment_builder(cfg.clone());
     let counted = StdArc::clone(&calls);
     let once: StdArc<dyn FragmentBuilder> = StdArc::new(
-        move |cp: &CompiledPattern, program: Option<StdArc<PredicateProgram>>| {
+        move |cp: &CompiledPattern, program: StdArc<PredicateProgram>| {
             let call = counted.fetch_add(1, Ordering::SeqCst);
             if call == 1 {
                 panic!("fragment builder exploded on call {call}");
@@ -1454,7 +1454,7 @@ fn run_registry_worker_panic_is_a_typed_error() {
             nfa.build_fragment(cp, program)
         },
     );
-    let mut spec = RegistrySpec::new(once, cfg);
+    let mut spec = RegistrySpec::new(once);
     spec.add(&pattern).unwrap();
     let err = ShardedRuntime::with_shards(3)
         .run_registry(&spec, &stream, RoutingPolicy::HashAttr(0), true)
@@ -1472,7 +1472,7 @@ fn run_registry_worker_panic_is_a_typed_error() {
 #[test]
 fn run_registry_empty_spec_is_a_routing_error() {
     let cfg = EngineConfig::default();
-    let spec = RegistrySpec::new(nfa_fragment_builder(cfg.clone()), cfg);
+    let spec = RegistrySpec::new(nfa_fragment_builder(cfg.clone()));
     let stream = keyed_stream(vec![]);
     let err = ShardedRuntime::with_shards(2)
         .run_registry(&spec, &stream, RoutingPolicy::RoundRobin, true)

@@ -59,8 +59,8 @@ struct NodeSpec {
 pub struct TreeEngine {
     cp: CompiledPattern,
     cfg: EngineConfig,
-    /// Compiled predicate program (`None` = interpreted evaluation).
-    program: Option<Arc<PredicateProgram>>,
+    /// Compiled predicate program.
+    program: Arc<PredicateProgram>,
     nodes: Vec<NodeSpec>,
     root: usize,
     /// `(accepted type, leaf node)` per leaf, in node order.
@@ -79,37 +79,28 @@ pub struct TreeEngine {
 }
 
 impl TreeEngine {
-    /// Builds an engine for one compiled pattern branch and a tree plan.
-    ///
-    /// When [`EngineConfig::compiled_predicates`] is set (the default) the
-    /// pattern's predicates are lowered into a [`PredicateProgram`] here;
-    /// use [`TreeEngine::with_program`] to supply an already-compiled
-    /// (cached) program instead.
+    /// Builds an engine for one compiled pattern branch and a tree plan,
+    /// lowering the pattern's predicates into a [`PredicateProgram`]; use
+    /// [`TreeEngine::with_program`] to supply an already-compiled (cached)
+    /// program instead.
     pub fn new(
         cp: CompiledPattern,
         plan: TreePlan,
         cfg: EngineConfig,
     ) -> Result<TreeEngine, CepError> {
-        TreeEngine::with_program(cp, plan, cfg, None)
+        let program = Arc::new(PredicateProgram::compile(&cp));
+        TreeEngine::with_program(cp, plan, cfg, program)
     }
 
-    /// [`TreeEngine::new`] with an optional pre-compiled program (typically
-    /// from a [`cep_core::compiled::PlanCache`]), avoiding recompilation.
-    /// With `compiled_predicates` disabled in `cfg`, the program is ignored
-    /// and the engine interprets predicates — the config toggle wins so the
-    /// interpreted baseline stays measurable.
+    /// [`TreeEngine::new`] with a pre-compiled program (typically from a
+    /// [`cep_core::compiled::PlanCache`]), avoiding recompilation.
     pub fn with_program(
         cp: CompiledPattern,
         plan: TreePlan,
         cfg: EngineConfig,
-        program: Option<Arc<PredicateProgram>>,
+        program: Arc<PredicateProgram>,
     ) -> Result<TreeEngine, CepError> {
         plan.validate(&cp)?;
-        let program = if cfg.compiled_predicates {
-            program.or_else(|| Some(Arc::new(PredicateProgram::compile(&cp))))
-        } else {
-            None
-        };
         let mut nodes = Vec::new();
         let mut elems = Vec::new();
         let root = flatten(&plan.root, &mut nodes, &mut elems);
@@ -162,10 +153,9 @@ impl TreeEngine {
         self.stores.iter().map(KeyedStore::len).sum::<usize>() + self.deferred.len()
     }
 
-    /// The compiled predicate program driving this engine (`None` when
-    /// interpreting).
-    pub fn program(&self) -> Option<&Arc<PredicateProgram>> {
-        self.program.as_ref()
+    /// The compiled predicate program driving this engine.
+    pub fn program(&self) -> &Arc<PredicateProgram> {
+        &self.program
     }
 
     /// Arena statistics: `(instances derived, shells reused)`.
@@ -259,7 +249,7 @@ impl TreeEngine {
         // Members outside the window/precedence slice could not merge.
         let merged: Vec<Instance> = {
             let cp = &self.cp;
-            let prog = self.program.as_deref();
+            let prog: &PredicateProgram = &self.program;
             let consumed = &self.consumed;
             let metrics = &mut self.metrics;
             let arena = &mut self.arena;
@@ -287,7 +277,7 @@ impl TreeEngine {
         let empty = Instance::empty(self.cp.n());
         if !compatible_with(
             &self.cp,
-            self.program.as_deref(),
+            &self.program,
             &empty,
             elem,
             event,
@@ -302,7 +292,7 @@ impl TreeEngine {
             // (A Kleene leaf is never keyed: its store is one bucket.)
             let grown: Vec<Instance> = {
                 let cp = &self.cp;
-                let prog = self.program.as_deref();
+                let prog: &PredicateProgram = &self.program;
                 let cfg = &self.cfg;
                 let consumed = &self.consumed;
                 let metrics = &mut self.metrics;

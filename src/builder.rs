@@ -5,8 +5,8 @@
 //!
 //! # Migration from the constructor functions
 //!
-//! The twelve per-shape constructors of earlier releases are thin
-//! `#[deprecated]` shims over this builder; replace them as follows:
+//! The twelve per-shape constructors of earlier releases have been
+//! removed; replace them as follows:
 //!
 //! | Old constructor | Builder chain |
 //! |---|---|
@@ -393,16 +393,14 @@ impl RegistryBuilder {
     /// Builds an empty [`QueryRegistry`]; register queries with
     /// [`QueryRegistry::register`].
     pub fn build(self) -> Result<QueryRegistry, CepError> {
-        let config = self.config.clone();
-        Ok(QueryRegistry::new(self.fragment_builder()?, config))
+        Ok(QueryRegistry::new(self.fragment_builder()?))
     }
 
     /// Builds an empty [`RegistrySpec`]; add queries with
     /// [`RegistrySpec::add`] and hand it to
     /// [`cep_shard::ShardedRuntime::run_registry`].
     pub fn spec(self) -> Result<RegistrySpec, CepError> {
-        let config = self.config.clone();
-        Ok(RegistrySpec::new(self.fragment_builder()?, config))
+        Ok(RegistrySpec::new(self.fragment_builder()?))
     }
 
     fn fragment_builder(self) -> Result<Arc<dyn FragmentBuilder>, CepError> {
@@ -489,7 +487,7 @@ impl FragmentBuilder for FacadeFragmentBuilder {
     fn build_fragment(
         &self,
         cp: &CompiledPattern,
-        program: Option<Arc<PredicateProgram>>,
+        program: Arc<PredicateProgram>,
     ) -> Result<Box<dyn Engine>, CepError> {
         match self.backend {
             Backend::Delta => Ok(Box::new(DeltaEngine::with_program(
@@ -553,14 +551,11 @@ impl EngineFactory for PlannedFactory {
         // the freshly built engine's metrics, so cache effectiveness
         // surfaces through the normal metrics pipeline (a [`MultiEngine`]
         // absorbs branch counters into its aggregate view).
-        let fetch = |cp: &CompiledPattern| -> (Option<Arc<PredicateProgram>>, u64, u64) {
-            if !self.config.compiled_predicates {
-                return (None, 0, 0);
-            }
-            let mut cache = self.plan_cache.lock().expect("plan cache poisoned");
-            let (h0, m0) = (cache.hits(), cache.misses());
-            let program = cache.get_or_compile(cp);
-            (Some(program), cache.hits() - h0, cache.misses() - m0)
+        let fetch = |cp| {
+            self.plan_cache
+                .lock()
+                .expect("plan cache poisoned")
+                .get_or_compile(cp)
         };
         let mut engines: Vec<Box<dyn Engine>> = match &self.branches {
             BranchPlans::Order(branches) => branches
@@ -623,14 +618,11 @@ struct DeltaFactory {
 
 impl EngineFactory for DeltaFactory {
     fn build(&self) -> Box<dyn Engine> {
-        let fetch = |cp: &CompiledPattern| -> (Option<Arc<PredicateProgram>>, u64, u64) {
-            if !self.config.compiled_predicates {
-                return (None, 0, 0);
-            }
-            let mut cache = self.plan_cache.lock().expect("plan cache poisoned");
-            let (h0, m0) = (cache.hits(), cache.misses());
-            let program = cache.get_or_compile(cp);
-            (Some(program), cache.hits() - h0, cache.misses() - m0)
+        let fetch = |cp| {
+            self.plan_cache
+                .lock()
+                .expect("plan cache poisoned")
+                .get_or_compile(cp)
         };
         let mut engines: Vec<Box<dyn Engine>> = self
             .branches

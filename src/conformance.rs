@@ -8,8 +8,8 @@
 //! `engine_equivalence` integration suite draws from, plus the backend
 //! registry: a [`Backend`] is a named constructor from a compiled pattern
 //! (and a plan seed) to a boxed engine, and [`check_equivalence_under`]
-//! runs every registered backend — interpreted and compiled predicate
-//! paths both — over the same stream, asserting output *byte-identical*
+//! runs every registered backend over the same stream, asserting output
+//! *byte-identical*
 //! to the oracle: sorted `(signature, emitted_at)` pairs, not just match
 //! sets. New backends get the full differential sweep by adding one entry
 //! to [`standard_backends`].
@@ -270,9 +270,8 @@ pub fn check_equivalence(spec: PatternSpec, raw_stream: Vec<(u32, u8, i8)>, seed
     check_equivalence_under(spec, raw_stream, seed, SelectionStrategy::SkipTillAnyMatch);
 }
 
-/// Runs every [`standard_backends`] backend — interpreted and compiled
-/// predicate paths both — over the spec'd pattern and stream under
-/// `strategy`, asserting each backend's output byte-identical
+/// Runs every [`standard_backends`] backend over the spec'd pattern and
+/// stream under `strategy`, asserting each backend's output byte-identical
 /// (`(signature, emitted_at)`, see [`keyed`]) to the naive oracle's.
 /// Degenerate draws (unbuildable patterns) are silently skipped, matching
 /// proptest usage.
@@ -298,100 +297,86 @@ pub fn check_equivalence_under(
 }
 
 /// The core differential check over an already-compiled pattern and
-/// stream: oracle once, then every backend × {interpreted, compiled},
-/// every emitted match structurally validated, outputs compared with
-/// [`keyed`]. `context` names the query in assertion messages.
+/// stream: oracle once, then every backend, every emitted match
+/// structurally validated, outputs compared with [`keyed`]. `context`
+/// names the query in assertion messages.
 #[allow(clippy::ptr_arg)] // `EventStream` is `Vec<EventRef>`; callers hold one.
 pub fn check_stream_under(
     cp: &CompiledPattern,
     stream: &EventStream,
-    base_cfg: &EngineConfig,
+    cfg: &EngineConfig,
     seed: u64,
     context: &str,
 ) {
-    let mut oracle = NaiveEngine::new(cp.clone(), base_cfg.clone());
+    let mut oracle = NaiveEngine::new(cp.clone(), cfg.clone());
     let expected = keyed(&run_to_completion(&mut oracle, stream, true).matches);
     for backend in standard_backends() {
-        for compiled in [false, true] {
-            let cfg = EngineConfig {
-                compiled_predicates: compiled,
-                ..base_cfg.clone()
-            };
-            let mut engine = backend.build(cp, seed, &cfg);
-            let matches = run_to_completion(engine.as_mut(), stream, true).matches;
-            for m in &matches {
-                validate_match(cp, m)
-                    .unwrap_or_else(|e| panic!("{} emitted an invalid match: {e}", backend.name));
-            }
-            assert_eq!(
-                keyed(&matches),
-                expected,
-                "{}(seed {seed}, compiled={compiled}) disagrees with oracle for {context}",
-                backend.name
-            );
+        let mut engine = backend.build(cp, seed, cfg);
+        let matches = run_to_completion(engine.as_mut(), stream, true).matches;
+        for m in &matches {
+            validate_match(cp, m)
+                .unwrap_or_else(|e| panic!("{} emitted an invalid match: {e}", backend.name));
         }
+        assert_eq!(
+            keyed(&matches),
+            expected,
+            "{}(seed {seed}) disagrees with oracle for {context}",
+            backend.name
+        );
     }
 }
 
 /// Multi-query conformance: registers every pattern in one
-/// [`QueryRegistry`] per standard backend — interpreted and compiled
-/// predicate paths both — and asserts each query's collected output
-/// byte-identical and in the same order ([`in_order`]) to an independent
-/// per-query [`MultiEngine`] over the same backend's branch engines,
-/// built under the same plan seed. This is the registry's core contract:
-/// sharing fragments across queries must be invisible in every query's
-/// output.
+/// [`QueryRegistry`] per standard backend and asserts each query's
+/// collected output byte-identical and in the same order ([`in_order`])
+/// to an independent per-query [`MultiEngine`] over the same backend's
+/// branch engines, built under the same plan seed. This is the
+/// registry's core contract: sharing fragments across queries must be
+/// invisible in every query's output.
 #[allow(clippy::ptr_arg)] // `EventStream` is `Vec<EventRef>`; callers hold one.
 pub fn check_registry_stream(
     patterns: &[Pattern],
     stream: &EventStream,
-    base_cfg: &EngineConfig,
+    cfg: &EngineConfig,
     seed: u64,
 ) {
     for backend in standard_backends() {
         let backend = Arc::new(backend);
-        for compiled in [false, true] {
-            let cfg = EngineConfig {
-                compiled_predicates: compiled,
-                ..base_cfg.clone()
-            };
-            // Independent baselines: a fresh MultiEngine per query (one
-            // branch engine per DNF branch, registry-style dedup).
-            let mut expected = Vec::new();
-            for pattern in patterns {
-                let branches = CompiledPattern::compile(pattern).expect("compilable pattern");
-                let engines: Vec<Box<dyn Engine>> = branches
-                    .iter()
-                    .map(|cp| backend.build(cp, seed, &cfg))
-                    .collect();
-                let mut multi = MultiEngine::new(engines, pattern.window);
-                expected.push(in_order(
-                    &run_to_completion(&mut multi, stream, true).matches,
-                ));
-            }
-            // One registry over all the queries, same builder and seed.
-            let b = Arc::clone(&backend);
-            let bcfg = cfg.clone();
-            let builder: Arc<dyn FragmentBuilder> = Arc::new(
-                move |cp: &CompiledPattern, _program: Option<Arc<PredicateProgram>>| {
-                    Ok(b.build(cp, seed, &bcfg))
-                },
-            );
-            let mut registry = QueryRegistry::new(builder, cfg.clone());
-            let ids: Vec<_> = patterns
+        // Independent baselines: a fresh MultiEngine per query (one
+        // branch engine per DNF branch, registry-style dedup).
+        let mut expected = Vec::new();
+        for pattern in patterns {
+            let branches = CompiledPattern::compile(pattern).expect("compilable pattern");
+            let engines: Vec<Box<dyn Engine>> = branches
                 .iter()
-                .map(|p| registry.register(p).expect("registration"))
+                .map(|cp| backend.build(cp, seed, cfg))
                 .collect();
-            let result = registry.run(stream);
-            for (id, want) in ids.iter().zip(&expected) {
-                let got = in_order(result.per_query.get(id).map_or(&[][..], Vec::as_slice));
-                assert_eq!(
-                    &got, want,
-                    "{}(seed {seed}, compiled={compiled}): registry query {id} \
-                     diverged from its independent engine",
-                    backend.name
-                );
-            }
+            let mut multi = MultiEngine::new(engines, pattern.window);
+            expected.push(in_order(
+                &run_to_completion(&mut multi, stream, true).matches,
+            ));
+        }
+        // One registry over all the queries, same builder and seed.
+        let b = Arc::clone(&backend);
+        let bcfg = cfg.clone();
+        let builder: Arc<dyn FragmentBuilder> = Arc::new(
+            move |cp: &CompiledPattern, _program: Arc<PredicateProgram>| {
+                Ok(b.build(cp, seed, &bcfg))
+            },
+        );
+        let mut registry = QueryRegistry::new(builder);
+        let ids: Vec<_> = patterns
+            .iter()
+            .map(|p| registry.register(p).expect("registration"))
+            .collect();
+        let result = registry.run(stream);
+        for (id, want) in ids.iter().zip(&expected) {
+            let got = in_order(result.per_query.get(id).map_or(&[][..], Vec::as_slice));
+            assert_eq!(
+                &got, want,
+                "{}(seed {seed}): registry query {id} diverged from its independent engine",
+                backend.name
+            );
         }
     }
 }

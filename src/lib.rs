@@ -46,9 +46,7 @@
 //!
 //! Engines are constructed through the fluent [`EngineBuilder`]
 //! (see [`engine`]); multi-query execution through the
-//! [`RegistryBuilder`] (see [`registry`]). The constructor functions of
-//! earlier releases still exist as `#[deprecated]` shims — the
-//! [`builder`] module docs carry the full migration table.
+//! [`RegistryBuilder`] (see [`registry`]).
 //!
 //! ```
 //! use cep::prelude::*;
@@ -89,12 +87,6 @@ pub use cep_shard as shard;
 pub use cep_streamgen as streamgen;
 pub use cep_tree as tree;
 
-use cep_core::engine::{Engine, EngineConfig, EngineFactory};
-use cep_core::error::CepError;
-use cep_core::pattern::Pattern;
-use cep_optimizer::{OrderAlgorithm, TreeAlgorithm};
-use cep_streamgen::GeneratedStream;
-
 pub mod builder;
 pub mod conformance;
 
@@ -122,231 +114,4 @@ pub mod prelude {
     };
     pub use cep_streamgen::{PatternSetKind, StockConfig, StockStreamGenerator};
     pub use cep_tree::TreeEngine;
-}
-
-/// Plans every DNF branch of `pattern` with `algorithm` and returns a
-/// factory stamping out order-based (NFA) engines.
-#[deprecated(
-    since = "0.1.0",
-    note = "use cep::engine(pattern).backend(Backend::Nfa(algorithm)).stats(gen).config(config).factory()"
-)]
-pub fn nfa_engine_factory(
-    pattern: &Pattern,
-    gen: &GeneratedStream,
-    algorithm: OrderAlgorithm,
-    config: EngineConfig,
-) -> Result<Box<dyn EngineFactory>, CepError> {
-    engine(pattern)
-        .backend(Backend::Nfa(algorithm))
-        .stats(gen)
-        .config(config)
-        .factory()
-}
-
-/// Tree-based counterpart of `nfa_engine_factory`.
-#[deprecated(
-    since = "0.1.0",
-    note = "use cep::engine(pattern).backend(Backend::Tree(algorithm)).stats(gen).config(config).factory()"
-)]
-pub fn tree_engine_factory(
-    pattern: &Pattern,
-    gen: &GeneratedStream,
-    algorithm: TreeAlgorithm,
-    config: EngineConfig,
-) -> Result<Box<dyn EngineFactory>, CepError> {
-    engine(pattern)
-        .backend(Backend::Tree(algorithm))
-        .stats(gen)
-        .config(config)
-        .factory()
-}
-
-/// Adaptive counterpart of `nfa_engine_factory`: stamped-out engines
-/// monitor arrival-rate drift and hot-swap replanned orders.
-#[deprecated(
-    since = "0.1.0",
-    note = "use cep::engine(pattern).backend(Backend::Nfa(algorithm)).stats(gen).config(config).adaptive(adaptive).factory()"
-)]
-pub fn adaptive_nfa_engine_factory(
-    pattern: &Pattern,
-    gen: &GeneratedStream,
-    algorithm: OrderAlgorithm,
-    config: EngineConfig,
-    adaptive: cep_adaptive::AdaptiveConfig,
-) -> Result<Box<dyn EngineFactory>, CepError> {
-    engine(pattern)
-        .backend(Backend::Nfa(algorithm))
-        .stats(gen)
-        .config(config)
-        .adaptive(adaptive)
-        .factory()
-}
-
-/// Tree-based counterpart of `adaptive_nfa_engine_factory`.
-#[deprecated(
-    since = "0.1.0",
-    note = "use cep::engine(pattern).backend(Backend::Tree(algorithm)).stats(gen).config(config).adaptive(adaptive).factory()"
-)]
-pub fn adaptive_tree_engine_factory(
-    pattern: &Pattern,
-    gen: &GeneratedStream,
-    algorithm: TreeAlgorithm,
-    config: EngineConfig,
-    adaptive: cep_adaptive::AdaptiveConfig,
-) -> Result<Box<dyn EngineFactory>, CepError> {
-    engine(pattern)
-        .backend(Backend::Tree(algorithm))
-        .stats(gen)
-        .config(config)
-        .adaptive(adaptive)
-        .factory()
-}
-
-/// *Fully* adaptive counterpart of `adaptive_nfa_engine_factory`:
-/// additionally re-estimates predicate selectivities online.
-#[deprecated(
-    since = "0.1.0",
-    note = "use cep::engine(pattern).backend(Backend::Nfa(algorithm)).stats(gen).config(config).full_adaptive(adaptive).factory()"
-)]
-pub fn full_adaptive_nfa_engine_factory(
-    pattern: &Pattern,
-    gen: &GeneratedStream,
-    algorithm: OrderAlgorithm,
-    config: EngineConfig,
-    adaptive: cep_adaptive::AdaptiveConfig,
-) -> Result<Box<dyn EngineFactory>, CepError> {
-    engine(pattern)
-        .backend(Backend::Nfa(algorithm))
-        .stats(gen)
-        .config(config)
-        .full_adaptive(adaptive)
-        .factory()
-}
-
-/// Tree-based counterpart of `full_adaptive_nfa_engine_factory`.
-#[deprecated(
-    since = "0.1.0",
-    note = "use cep::engine(pattern).backend(Backend::Tree(algorithm)).stats(gen).config(config).full_adaptive(adaptive).factory()"
-)]
-pub fn full_adaptive_tree_engine_factory(
-    pattern: &Pattern,
-    gen: &GeneratedStream,
-    algorithm: TreeAlgorithm,
-    config: EngineConfig,
-    adaptive: cep_adaptive::AdaptiveConfig,
-) -> Result<Box<dyn EngineFactory>, CepError> {
-    engine(pattern)
-        .backend(Backend::Tree(algorithm))
-        .stats(gen)
-        .config(config)
-        .full_adaptive(adaptive)
-        .factory()
-}
-
-/// Replicate-join counterpart of `nfa_engine_factory` for
-/// cross-partition queries: the planned factory plus the
-/// [`cep_shard::RoutingPolicy::ReplicateJoin`] policy to run it under.
-#[deprecated(
-    since = "0.1.0",
-    note = "use cep::engine(pattern).backend(Backend::Nfa(algorithm)).stats(gen).config(config).replicate_join().factory_and_policy()"
-)]
-pub fn replicate_join_nfa_engine_factory(
-    pattern: &Pattern,
-    gen: &GeneratedStream,
-    algorithm: OrderAlgorithm,
-    config: EngineConfig,
-) -> Result<(Box<dyn EngineFactory>, cep_shard::RoutingPolicy), CepError> {
-    engine(pattern)
-        .backend(Backend::Nfa(algorithm))
-        .stats(gen)
-        .config(config)
-        .replicate_join()
-        .factory_and_policy()
-}
-
-/// Tree-based counterpart of `replicate_join_nfa_engine_factory`.
-#[deprecated(
-    since = "0.1.0",
-    note = "use cep::engine(pattern).backend(Backend::Tree(algorithm)).stats(gen).config(config).replicate_join().factory_and_policy()"
-)]
-pub fn replicate_join_tree_engine_factory(
-    pattern: &Pattern,
-    gen: &GeneratedStream,
-    algorithm: TreeAlgorithm,
-    config: EngineConfig,
-) -> Result<(Box<dyn EngineFactory>, cep_shard::RoutingPolicy), CepError> {
-    engine(pattern)
-        .backend(Backend::Tree(algorithm))
-        .stats(gen)
-        .config(config)
-        .replicate_join()
-        .factory_and_policy()
-}
-
-/// Delta-indexed counterpart of `nfa_engine_factory`: stamps out
-/// non-materializing delta engines; no stream statistics are needed.
-#[deprecated(
-    since = "0.1.0",
-    note = "use cep::engine(pattern).config(config).factory() — delta is the default backend"
-)]
-pub fn delta_engine_factory(
-    pattern: &Pattern,
-    config: EngineConfig,
-) -> Result<Box<dyn EngineFactory>, CepError> {
-    engine(pattern)
-        .backend(Backend::Delta)
-        .config(config)
-        .factory()
-}
-
-/// Builds a delta-indexed engine for `pattern`.
-#[deprecated(
-    since = "0.1.0",
-    note = "use cep::engine(pattern).config(config).build() — delta is the default backend"
-)]
-pub fn build_delta_engine(
-    pattern: &Pattern,
-    config: EngineConfig,
-) -> Result<Box<dyn Engine>, CepError> {
-    engine(pattern)
-        .backend(Backend::Delta)
-        .config(config)
-        .build()
-}
-
-/// Builds an order-based (NFA) engine for `pattern`, planning every DNF
-/// branch with `algorithm`.
-#[deprecated(
-    since = "0.1.0",
-    note = "use cep::engine(pattern).backend(Backend::Nfa(algorithm)).stats(gen).config(config).build()"
-)]
-pub fn build_nfa_engine(
-    pattern: &Pattern,
-    gen: &GeneratedStream,
-    algorithm: OrderAlgorithm,
-    config: EngineConfig,
-) -> Result<Box<dyn Engine>, CepError> {
-    engine(pattern)
-        .backend(Backend::Nfa(algorithm))
-        .stats(gen)
-        .config(config)
-        .build()
-}
-
-/// Builds a tree-based engine for `pattern` (see `build_nfa_engine`).
-#[deprecated(
-    since = "0.1.0",
-    note = "use cep::engine(pattern).backend(Backend::Tree(algorithm)).stats(gen).config(config).build()"
-)]
-pub fn build_tree_engine(
-    pattern: &Pattern,
-    gen: &GeneratedStream,
-    algorithm: TreeAlgorithm,
-    config: EngineConfig,
-) -> Result<Box<dyn Engine>, CepError> {
-    engine(pattern)
-        .backend(Backend::Tree(algorithm))
-        .stats(gen)
-        .config(config)
-        .build()
 }

@@ -1,9 +1,7 @@
-//! The facade's `EngineBuilder`: the deprecated constructor shims are
-//! exact synonyms for their builder chains (same engines, same output),
-//! and builder misuse fails with typed errors instead of panicking.
+//! The facade's `EngineBuilder`: builder misuse fails with typed errors
+//! instead of panicking, and the registry backends agree.
 
 use cep::conformance::keyed;
-use cep::core::engine::{run_to_completion, EngineConfig};
 use cep::core::error::CepError;
 use cep::prelude::*;
 use cep::streamgen::GeneratedStream;
@@ -28,76 +26,6 @@ fn fixture() -> (cep::core::pattern::Pattern, GeneratedStream) {
     )
     .unwrap();
     (pattern, generated)
-}
-
-/// Every deprecated constructor family produces output byte-identical to
-/// its replacement builder chain (the shims *are* the chains).
-#[test]
-#[allow(deprecated)]
-fn deprecated_shims_equal_builder_chains() {
-    let (pattern, generated) = fixture();
-    let run = |mut e: Box<dyn cep::core::engine::Engine>| {
-        keyed(&run_to_completion(e.as_mut(), &generated.stream, true).matches)
-    };
-
-    let via_shim = run(cep::build_nfa_engine(
-        &pattern,
-        &generated,
-        OrderAlgorithm::DpLd,
-        EngineConfig::default(),
-    )
-    .unwrap());
-    let via_builder = run(cep::engine(&pattern)
-        .backend(Backend::Nfa(OrderAlgorithm::DpLd))
-        .stats(&generated)
-        .build()
-        .unwrap());
-    assert!(!via_builder.is_empty(), "fixture must produce matches");
-    assert_eq!(via_shim, via_builder);
-
-    let via_shim = run(cep::build_tree_engine(
-        &pattern,
-        &generated,
-        TreeAlgorithm::DpB,
-        EngineConfig::default(),
-    )
-    .unwrap());
-    let via_builder = run(cep::engine(&pattern)
-        .backend(Backend::Tree(TreeAlgorithm::DpB))
-        .stats(&generated)
-        .build()
-        .unwrap());
-    assert_eq!(via_shim, via_builder);
-
-    let via_shim = run(cep::build_delta_engine(&pattern, EngineConfig::default()).unwrap());
-    let via_builder = run(cep::engine(&pattern).build().unwrap());
-    assert_eq!(via_shim, via_builder);
-
-    let shim_factory = cep::delta_engine_factory(&pattern, EngineConfig::default()).unwrap();
-    let builder_factory = cep::engine(&pattern).factory().unwrap();
-    assert_eq!(run(shim_factory.build()), run(builder_factory.build()));
-}
-
-/// The replicate-join shims return the same routing policy as
-/// `.replicate_join().factory_and_policy()`.
-#[test]
-#[allow(deprecated)]
-fn deprecated_replicate_join_shim_equals_builder_chain() {
-    let (pattern, generated) = fixture();
-    let (_, shim_policy) = cep::replicate_join_nfa_engine_factory(
-        &pattern,
-        &generated,
-        OrderAlgorithm::DpLd,
-        EngineConfig::default(),
-    )
-    .unwrap();
-    let (_, builder_policy) = cep::engine(&pattern)
-        .backend(Backend::Nfa(OrderAlgorithm::DpLd))
-        .stats(&generated)
-        .replicate_join()
-        .factory_and_policy()
-        .unwrap();
-    assert_eq!(format!("{shim_policy:?}"), format!("{builder_policy:?}"));
 }
 
 /// Builder misuse fails with typed errors, never panics: stats-needing

@@ -108,7 +108,7 @@ proptest! {
     /// Equality-join sweep over adversarial join values
     /// ([`cep::conformance::join_value`]): every draw runs under all three
     /// exact strategies, and `check_stream_under` runs NFA (random order),
-    /// tree (random shape) and delta, interpreted and compiled. Draws
+    /// tree (random shape) and delta. Draws
     /// cover a Kleene join partner (the step must fall back to one
     /// bucket), several `==` predicates on one step, `==` on either of two
     /// attributes, and one type at several positions.
@@ -257,8 +257,8 @@ proptest! {
 /// Skip-till-next-match is greedy, so no backend reproduces the oracle's
 /// output under it. What holds instead, checked for every standard
 /// backend: each emitted match is valid, no event is in two matches,
-/// every `(signature, emitted_at)` is one the skip-till-any-match oracle
-/// emits, and the interpreted and compiled paths emit the same sequence.
+/// and every `(signature, emitted_at)` is one the skip-till-any-match
+/// oracle emits.
 fn check_next_match(spec: &PatternSpec, raw: &[(u32, u8, i8)], seed: u64) {
     let Some(mut pattern) = build_pattern(spec) else {
         return;
@@ -278,38 +278,24 @@ fn check_next_match(spec: &PatternSpec, raw: &[(u32, u8, i8)], seed: u64) {
     pattern.strategy = SelectionStrategy::SkipTillNextMatch;
     let cp = CompiledPattern::compile_single(&pattern).unwrap();
     for backend in standard_backends() {
-        let mut outputs = Vec::new();
-        for compiled in [false, true] {
-            let cfg = EngineConfig {
-                compiled_predicates: compiled,
-                ..cfg.clone()
-            };
-            let mut engine = backend.build(&cp, seed, &cfg);
-            let matches = run_to_completion(engine.as_mut(), &stream, true).matches;
-            let mut used = HashSet::new();
-            for m in &matches {
-                validate_match(&cp, m).unwrap_or_else(|e| panic!("{}: {e}", backend.name));
-                assert!(
-                    m.events().all(|e| used.insert(e.seq)),
-                    "{}: next-match output shares an event, {pattern}",
-                    backend.name
-                );
-            }
-            for key in in_order(&matches) {
-                assert!(
-                    all.contains(&key),
-                    "{}(seed {seed}, compiled={compiled}) emitted {key:?}, \
-                     not an any-match result, for {pattern}",
-                    backend.name
-                );
-            }
-            outputs.push(in_order(&matches));
+        let mut engine = backend.build(&cp, seed, &cfg);
+        let matches = run_to_completion(engine.as_mut(), &stream, true).matches;
+        let mut used = HashSet::new();
+        for m in &matches {
+            validate_match(&cp, m).unwrap_or_else(|e| panic!("{}: {e}", backend.name));
+            assert!(
+                m.events().all(|e| used.insert(e.seq)),
+                "{}: next-match output shares an event, {pattern}",
+                backend.name
+            );
         }
-        assert_eq!(
-            outputs[0], outputs[1],
-            "{}: predicate paths differ",
-            backend.name
-        );
+        for key in in_order(&matches) {
+            assert!(
+                all.contains(&key),
+                "{}(seed {seed}) emitted {key:?}, not an any-match result, for {pattern}",
+                backend.name
+            );
+        }
     }
 }
 
@@ -339,60 +325,55 @@ fn four_cameras_all_plans_agree() {
         }
     }
     let stream = sb.build();
-    let mut oracle = NaiveEngine::new(cp.clone(), EngineConfig::default());
+    let cfg = EngineConfig::default();
+    let mut oracle = NaiveEngine::new(cp.clone(), cfg.clone());
     let expected = keyed(&run_to_completion(&mut oracle, &stream, true).matches);
     assert!(!expected.is_empty(), "fixture must produce matches");
 
-    for compiled in [false, true] {
-        let cfg = EngineConfig {
-            compiled_predicates: compiled,
-            ..Default::default()
-        };
-        // All 24 orders.
-        for p0 in 0..4usize {
-            for p1 in 0..4usize {
-                for p2 in 0..4usize {
-                    let mut full: Vec<usize> = Vec::new();
-                    for x in [p0, p1, p2] {
-                        if !full.contains(&x) {
-                            full.push(x);
-                        }
+    // All 24 orders.
+    for p0 in 0..4usize {
+        for p1 in 0..4usize {
+            for p2 in 0..4usize {
+                let mut full: Vec<usize> = Vec::new();
+                for x in [p0, p1, p2] {
+                    if !full.contains(&x) {
+                        full.push(x);
                     }
-                    for x in 0..4 {
-                        if !full.contains(&x) {
-                            full.push(x);
-                        }
-                    }
-                    let plan = OrderPlan::new(full).unwrap();
-                    let mut e = NfaEngine::new(cp.clone(), plan, cfg.clone()).unwrap();
-                    assert_eq!(
-                        keyed(&run_to_completion(&mut e, &stream, true).matches),
-                        expected
-                    );
                 }
+                for x in 0..4 {
+                    if !full.contains(&x) {
+                        full.push(x);
+                    }
+                }
+                let plan = OrderPlan::new(full).unwrap();
+                let mut e = NfaEngine::new(cp.clone(), plan, cfg.clone()).unwrap();
+                assert_eq!(
+                    keyed(&run_to_completion(&mut e, &stream, true).matches),
+                    expected
+                );
             }
         }
-        // A bushy tree plan.
-        let tree = TreePlan::new(TreeNode::join(
-            TreeNode::join(TreeNode::Leaf(3), TreeNode::Leaf(2)),
-            TreeNode::join(TreeNode::Leaf(1), TreeNode::Leaf(0)),
-        ))
-        .unwrap();
-        let mut te = TreeEngine::new(cp.clone(), tree, cfg.clone()).unwrap();
-        assert_eq!(
-            keyed(&run_to_completion(&mut te, &stream, true).matches),
-            expected
-        );
-        // The plan-free delta backend.
-        let mut de = DeltaEngine::new(cp.clone(), cfg);
-        let r = run_to_completion(&mut de, &stream, true);
-        assert_eq!(keyed(&r.matches), expected);
-        assert_eq!(
-            r.metrics.partial_matches_created, 0,
-            "delta must not materialize partial matches"
-        );
-        assert_eq!(signatures(&r.matches).len(), expected.len());
     }
+    // A bushy tree plan.
+    let tree = TreePlan::new(TreeNode::join(
+        TreeNode::join(TreeNode::Leaf(3), TreeNode::Leaf(2)),
+        TreeNode::join(TreeNode::Leaf(1), TreeNode::Leaf(0)),
+    ))
+    .unwrap();
+    let mut te = TreeEngine::new(cp.clone(), tree, cfg.clone()).unwrap();
+    assert_eq!(
+        keyed(&run_to_completion(&mut te, &stream, true).matches),
+        expected
+    );
+    // The plan-free delta backend.
+    let mut de = DeltaEngine::new(cp.clone(), cfg);
+    let r = run_to_completion(&mut de, &stream, true);
+    assert_eq!(keyed(&r.matches), expected);
+    assert_eq!(
+        r.metrics.partial_matches_created, 0,
+        "delta must not materialize partial matches"
+    );
+    assert_eq!(signatures(&r.matches).len(), expected.len());
 }
 
 /// Regression fixture for hash-partitioned join state: every adversarial
@@ -400,7 +381,7 @@ fn four_cameras_all_plans_agree() {
 /// patterns with one type at two positions, two `==` predicates on one
 /// step, `==` on a second attribute, and a Kleene join partner — under
 /// all three exact strategies and eight plan seeds each (NFA orders and
-/// tree shapes), interpreted and compiled.
+/// tree shapes).
 #[test]
 fn eq_join_adversarial_keys_fixture() {
     let seq3 = |kleene_mid: bool| {

@@ -11,6 +11,7 @@ use cep::core::predicate::{CmpOp, Predicate};
 use cep::core::selection::SelectionStrategy;
 use cep::core::stream::StreamBuilder;
 use cep::core::value::Value;
+use cep::delta::DeltaEngine;
 use cep::nfa::NfaEngine;
 use cep::tree::TreeEngine;
 
@@ -30,6 +31,16 @@ fn stream(events: Vec<Event>) -> Vec<cep::core::event::EventRef> {
     b.build()
 }
 
+/// The NFA, tree and delta engines for `cp`, each with its trivial plan.
+fn every_backend(cp: &CompiledPattern) -> [Box<dyn Engine>; 3] {
+    let cfg = EngineConfig::default();
+    [
+        Box::new(NfaEngine::with_trivial_plan(cp.clone(), cfg.clone())),
+        Box::new(TreeEngine::with_trivial_plan(cp.clone(), cfg.clone())),
+        Box::new(DeltaEngine::new(cp.clone(), cfg)),
+    ]
+}
+
 #[test]
 fn empty_stream_produces_no_matches() {
     let mut b = PatternBuilder::new(10);
@@ -37,10 +48,10 @@ fn empty_stream_produces_no_matches() {
     let c = b.event(t(1), "c");
     let cp = CompiledPattern::compile_single(&b.seq([a, c]).unwrap()).unwrap();
     let s: Vec<cep::core::event::EventRef> = Vec::new();
-    let mut nfa = NfaEngine::with_trivial_plan(cp.clone(), EngineConfig::default());
-    assert_eq!(run_to_completion(&mut nfa, &s, true).match_count, 0);
-    let mut tree = TreeEngine::with_trivial_plan(cp, EngineConfig::default());
-    assert_eq!(run_to_completion(&mut tree, &s, true).match_count, 0);
+    for mut engine in every_backend(&cp) {
+        let r = run_to_completion(engine.as_mut(), &s, true);
+        assert_eq!(r.match_count, 0, "{}", engine.name());
+    }
 }
 
 #[test]
@@ -49,10 +60,10 @@ fn single_element_pattern_matches_every_event() {
     let a = b.event(t(0), "a");
     let cp = CompiledPattern::compile_single(&b.seq([a]).unwrap()).unwrap();
     let s = stream(vec![ev(0, 1, 0), ev(1, 2, 0), ev(0, 3, 0)]);
-    let mut nfa = NfaEngine::with_trivial_plan(cp.clone(), EngineConfig::default());
-    assert_eq!(run_to_completion(&mut nfa, &s, true).match_count, 2);
-    let mut tree = TreeEngine::with_trivial_plan(cp, EngineConfig::default());
-    assert_eq!(run_to_completion(&mut tree, &s, true).match_count, 2);
+    for mut engine in every_backend(&cp) {
+        let r = run_to_completion(engine.as_mut(), &s, true);
+        assert_eq!(r.match_count, 2, "{}", engine.name());
+    }
 }
 
 #[test]
@@ -60,11 +71,12 @@ fn flush_without_events_is_harmless() {
     let mut b = PatternBuilder::new(10);
     let a = b.event(t(0), "a");
     let cp = CompiledPattern::compile_single(&b.seq([a]).unwrap()).unwrap();
-    let mut nfa = NfaEngine::with_trivial_plan(cp, EngineConfig::default());
-    let mut out = Vec::new();
-    nfa.flush(&mut out);
-    nfa.flush(&mut out);
-    assert!(out.is_empty());
+    for mut engine in every_backend(&cp) {
+        let mut out = Vec::new();
+        engine.flush(&mut out);
+        engine.flush(&mut out);
+        assert!(out.is_empty(), "{}", engine.name());
+    }
 }
 
 #[test]
