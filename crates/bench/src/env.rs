@@ -125,7 +125,7 @@ impl ExperimentEnv {
 }
 
 /// Partition-replicated stock workload shared by the sharded-scaling
-/// surfaces (`figures::sharded_scaling`, `benches/sharded_throughput.rs`):
+/// surfaces (`figures::sharded_scaling`, the `bench-smoke` gate):
 /// `replicas` decorrelated copies of a 4-symbol stock stream, plus the
 /// partition-local `SEQ` query that equates `replica` across all
 /// positions — the shape for which sharded evaluation is exact.
@@ -156,10 +156,10 @@ pub fn replicated_stock_workload(
 }
 
 /// Cross-key stock workload shared by the cross-partition surfaces
-/// (`figures::cross_partition`, `benches/cross_partition.rs`, the
-/// `bench-smoke` gate): stock updates over `accounts` trading accounts
-/// where the stream is partitioned by *symbol* but the query correlates by
-/// *account* — the shape PR 2's split-only routing silently gets wrong.
+/// (`figures::cross_partition`, the `bench-smoke` gate): stock updates
+/// over `accounts` trading accounts where the stream is partitioned by
+/// *symbol* but the query correlates by *account* — the shape split-only
+/// routing silently gets wrong.
 /// The query joins the two high-rate symbols on `account` and compares
 /// against the rare third symbol without any key, so a
 /// `QueryPartitioner` hashes S0000/S0001 by account and replicates the
@@ -205,7 +205,7 @@ pub fn cross_key_stock_workload(
 }
 
 /// Drifting stock workload shared by the adaptive surfaces
-/// (`figures::adaptive_drift`, `benches/adaptive_drift.rs`): three symbols
+/// (`figures::adaptive_drift`, the `bench-smoke` gate): three symbols
 /// where the frequent (AAA) and rare (CCC) types swap roles after
 /// `phase1_ms`, plus the `SEQ` query whose cheap evaluation order inverts
 /// with them. Returns the stream, the compiled pattern, and its
@@ -267,7 +267,7 @@ pub fn drifting_stock_workload(
 }
 
 /// Selectivity-drifting stock workload shared by the selectivity-adaptive
-/// surfaces (`figures::selectivity_drift`, `benches/selectivity_drift.rs`):
+/// surfaces (`figures::selectivity_drift`, the `bench-smoke` gate):
 /// three symbols whose arrival rates never change, but whose difference
 /// drifts swap after `phase1_ms` so the selective predicate moves from
 /// `a.difference < c.difference` (phase 1, ~0.05) to

@@ -2,7 +2,7 @@
 //!
 //! Each function prints the same rows/series as the corresponding paper
 //! figure (absolute numbers differ — synthetic stream, different hardware —
-//! but the comparative shape is the deliverable; see `EXPERIMENTS.md`).
+//! but the comparative shape is the deliverable).
 
 use crate::env::ExperimentEnv;
 use crate::report::{bytes, si, Table};

@@ -2,8 +2,8 @@
 //!
 //! Benchmark harness regenerating every table and figure of Section 7 of
 //! *Join Query Optimization Techniques for CEP Applications* (Kolchinsky &
-//! Schuster, VLDB 2018). See `DESIGN.md` §4 for the figure-to-target index
-//! and `EXPERIMENTS.md` for paper-vs-measured results.
+//! Schuster, VLDB 2018). The README's *Paper mapping* table indexes the
+//! figures against the code.
 //!
 //! * [`mod@env`] — stream/workload setup at configurable [`env::Scale`]s;
 //! * [`runner`] — plan-then-execute machinery over both engines;
@@ -11,9 +11,7 @@
 //! * [`smoke`] — the CI bench-regression gate (`bench_smoke.json`);
 //! * [`analyze_demo`] — the `experiments analyze` static-analysis demo;
 //! * [`observe`] — the `experiments observe` traced-run demo and the
-//!   `check-obs` artifact gate;
-//! * `benches/` — Criterion micro/meso benchmarks (engine throughput,
-//!   planning time).
+//!   `check-obs` artifact gate.
 //!
 //! CLI: `cargo run --release -p cep-bench --bin experiments -- all`.
 

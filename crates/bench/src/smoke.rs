@@ -15,7 +15,9 @@
 //! *textually* — any divergence (a lost match, a missing swap, a dedup
 //! regression) fails the job, while timing noise cannot. The full report
 //! (counts + wall times) is written to `bench_smoke.json` as a build
-//! artifact.
+//! artifact. Scenarios that run one workload several ways (serial vs
+//! sharded, static vs adaptive) also assert that the match counts agree,
+//! so `--write-baseline` cannot bless a divergence.
 //!
 //! The `compiled-pipeline` scenario runs one workload through the
 //! compiled predicate pipeline (fused evaluators + arena + eager pruning)
@@ -41,6 +43,7 @@ use crate::env::{
 };
 use cep_core::engine::{run_to_completion, Engine, EngineConfig};
 use cep_nfa::NfaEngine;
+use cep_obs::json::Json;
 use cep_shard::{RoutingPolicy, ShardedRuntime};
 use std::io::Write;
 use std::time::Instant;
@@ -86,6 +89,16 @@ fn timed(name: &'static str, f: impl FnOnce() -> ScenarioData) -> ScenarioReport
     }
 }
 
+/// Asserts that every sharded run (`shards*` keys) found exactly the
+/// serial run's matches, so `--write-baseline` cannot bless a divergence.
+fn assert_same_matches(counts: &[(&'static str, u64)]) {
+    let serial = counts[0];
+    assert_eq!(serial.0, "serial");
+    for &(k, v) in counts.iter().filter(|(k, _)| k.starts_with("shards")) {
+        assert_eq!(v, serial.1, "{k} diverged from the serial run");
+    }
+}
+
 fn sharded_scaling() -> ScenarioReport {
     timed("sharded-scaling", || {
         let (gen, cp) = replicated_stock_workload(4_000, 0.5, 0xCE9, 8, 1_500);
@@ -122,6 +135,7 @@ fn sharded_scaling() -> ScenarioReport {
                 r.metrics.match_latency_ns.percentiles(),
             ));
         }
+        assert_same_matches(&counts);
         (counts, percentiles)
     })
 }
@@ -155,6 +169,10 @@ fn adaptive_drift() -> ScenarioReport {
             },
         );
         let adaptive_matches = run_to_completion(&mut adaptive, &gen.stream, false).match_count;
+        assert_eq!(
+            static_matches, adaptive_matches,
+            "adaptive run diverged from the static plan"
+        );
         let m = adaptive.metrics();
         (
             vec![
@@ -202,6 +220,10 @@ fn selectivity_drift() -> ScenarioReport {
             },
         );
         let full_matches = run_to_completion(&mut full, &gen.stream, false).match_count;
+        assert_eq!(
+            static_matches, full_matches,
+            "selectivity-adaptive run diverged from the static plan"
+        );
         let m = full.metrics();
         (
             vec![
@@ -258,6 +280,7 @@ fn cross_partition() -> ScenarioReport {
                 percentiles.push(("shards4_event_ns", r.metrics.event_ns.percentiles()));
             }
         }
+        assert_same_matches(&counts);
         (counts, percentiles)
     })
 }
@@ -702,41 +725,35 @@ pub fn counts_json(reports: &[ScenarioReport]) -> String {
 /// to `bench_smoke.json`. Percentiles live here and in the logs only — the
 /// diffed baseline format ([`counts_json`]) never includes them.
 pub fn full_json(reports: &[ScenarioReport]) -> String {
-    let mut s = String::from("{\n  \"scenarios\": [\n");
-    for (i, r) in reports.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"name\": \"{}\", \"wall_ms\": {:.3}, \"counts\": {{",
-            r.name, r.wall_ms
-        ));
-        for (j, (k, v)) in r.counts.iter().enumerate() {
-            if j > 0 {
-                s.push_str(", ");
-            }
-            s.push_str(&format!("\"{k}\": {v}"));
-        }
-        s.push_str("}, \"walls_ms\": {");
-        for (j, (k, w)) in r.walls.iter().enumerate() {
-            if j > 0 {
-                s.push_str(", ");
-            }
-            s.push_str(&format!("\"{k}\": {w:.3}"));
-        }
-        s.push_str("}, \"percentiles_ns\": {");
-        for (j, (k, [p50, p95, p99])) in r.percentiles.iter().enumerate() {
-            if j > 0 {
-                s.push_str(", ");
-            }
-            s.push_str(&format!(
-                "\"{k}\": {{\"p50\": {p50}, \"p95\": {p95}, \"p99\": {p99}}}"
-            ));
-        }
-        s.push_str(if i + 1 < reports.len() {
-            "}},\n"
-        } else {
-            "}}\n"
-        });
+    fn obj<T>(pairs: &[(&str, T)], value: impl Fn(&T) -> Json) -> Json {
+        Json::Obj(
+            pairs
+                .iter()
+                .map(|(k, v)| (k.to_string(), value(v)))
+                .collect(),
+        )
     }
-    s.push_str("  ]\n}\n");
+    let scenarios = reports
+        .iter()
+        .map(|r| {
+            Json::Obj(vec![
+                ("name".into(), Json::Str(r.name.into())),
+                ("wall_ms".into(), Json::Float(r.wall_ms)),
+                ("counts".into(), obj(&r.counts, |&v| Json::UInt(v))),
+                ("walls_ms".into(), obj(&r.walls, |&w| Json::Float(w))),
+                (
+                    "percentiles_ns".into(),
+                    obj(&r.percentiles, |&[p50, p95, p99]| {
+                        obj(&[("p50", p50), ("p95", p95), ("p99", p99)], |&v| {
+                            Json::UInt(v)
+                        })
+                    }),
+                ),
+            ])
+        })
+        .collect();
+    let mut s = Json::Obj(vec![("scenarios".into(), Json::Arr(scenarios))]).encode();
+    s.push('\n');
     s
 }
 
@@ -826,12 +843,24 @@ mod tests {
             counts_json(&reports),
             "{\n  \"a\": {\"x\": 1, \"y\": 2},\n  \"b\": {\"z\": 3}\n}\n"
         );
-        let full = full_json(&reports);
-        assert!(full.contains("\"name\": \"a\""));
-        assert!(full.contains("\"wall_ms\""));
-        assert!(full.contains("\"z\": 3"));
-        assert!(full.contains("\"fast\": 0.500"));
-        assert!(full.contains("\"lat\": {\"p50\": 10, \"p95\": 20, \"p99\": 30}"));
+        let full = cep_obs::json::parse(&full_json(&reports)).unwrap();
+        let Some(Json::Arr(scenarios)) = full.get("scenarios") else {
+            panic!("`scenarios` must be an array: {full:?}");
+        };
+        let [a, b] = &scenarios[..] else {
+            panic!("one entry per scenario: {scenarios:?}");
+        };
+        let path = |v, keys: &[&str]| keys.iter().try_fold(v, |v: &Json, k| v.get(k)).cloned();
+        assert_eq!(path(a, &["name"]), Some(Json::Str("a".into())));
+        assert_eq!(path(a, &["wall_ms"]), Some(Json::Float(1.0)));
+        assert_eq!(path(a, &["counts", "y"]), Some(Json::UInt(2)));
+        assert_eq!(path(a, &["walls_ms", "fast"]), Some(Json::Float(0.5)));
+        for (p, v) in [("p50", 10), ("p95", 20), ("p99", 30)] {
+            assert_eq!(path(a, &["percentiles_ns", "lat", p]), Some(Json::UInt(v)));
+        }
+        assert_eq!(path(b, &["name"]), Some(Json::Str("b".into())));
+        assert_eq!(path(b, &["counts", "z"]), Some(Json::UInt(3)));
+        assert_eq!(path(b, &["walls_ms"]), Some(Json::Obj(Vec::new())));
     }
 
     /// The gate's core premise: identical seeds produce identical counts.
@@ -839,15 +868,8 @@ mod tests {
     fn scenario_counts_are_deterministic() {
         let a = cross_partition();
         let b = cross_partition();
+        // Replicate-join exactness is asserted inside the scenario itself.
         assert_eq!(a.counts, b.counts);
-        assert_eq!(a.counts[0].0, "serial");
-        // Replicate-join exactness inside the scenario itself.
-        let serial = a.counts[0].1;
-        assert!(a
-            .counts
-            .iter()
-            .filter(|(k, _)| k.starts_with("shards"))
-            .all(|&(_, v)| v == serial));
     }
 
     /// Both engine families agree on the compiled pipeline's workload.

@@ -51,17 +51,6 @@ impl Planner {
         Planner { config }
     }
 
-    /// Refines the Section 5.2 Kleene rate transform with an engine's
-    /// accumulator cap (see
-    /// [`StatsOptions::max_kleene_events`]): cost estimates then count only
-    /// the subsets a capped engine can actually materialize. Pass the value
-    /// of [`EngineConfig::max_kleene_events`](cep_core::engine::EngineConfig::max_kleene_events)
-    /// the plans will run under.
-    pub fn with_max_kleene_events(mut self, cap: usize) -> Planner {
-        self.config.stats_options.max_kleene_events = Some(cap);
-        self
-    }
-
     /// The cost model used for a compiled pattern under this configuration.
     pub fn cost_model(&self, cp: &CompiledPattern) -> CostModel {
         let anchor = match self.config.anchor {

@@ -5,11 +5,11 @@
 //! ([`stock`]) and the five-category pattern workload generator
 //! ([`workload`]).
 //!
-//! The real dataset (eoddata.com NASDAQ dump) is not redistributable; see
-//! `DESIGN.md` §3 for why this substitution preserves the evaluated
-//! behaviour: the optimizer consumes only arrival rates and predicate
-//! selectivities, both of which the generator reproduces (with closed-form
-//! ground truth) over the paper's measured ranges.
+//! The real dataset (eoddata.com NASDAQ dump) is not redistributable. The
+//! substitution preserves the evaluated behaviour: the optimizer consumes
+//! only arrival rates and predicate selectivities, both of which the
+//! generator reproduces (with closed-form ground truth) over the paper's
+//! measured ranges.
 
 #![warn(missing_docs)]
 
