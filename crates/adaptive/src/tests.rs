@@ -155,7 +155,7 @@ impl Replanner for FlipFlop {
 
 /// Canonical ground-truth order shared with `cep_shard::canonical_sort`.
 fn canonical(mut matches: Vec<Match>) -> Vec<Match> {
-    matches.sort_by_cached_key(|m| (m.emitted_at, m.last_ts, m.signature()));
+    matches.sort_by(Match::canonical_cmp);
     matches
 }
 

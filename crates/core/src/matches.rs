@@ -3,7 +3,9 @@
 use crate::compile::CompiledPattern;
 use crate::event::{EventRef, Timestamp};
 use crate::selection::SelectionStrategy;
+use std::cmp::Ordering;
 use std::fmt;
+use std::hash::Hasher;
 
 /// The event(s) bound at one pattern position.
 #[derive(Debug, Clone, PartialEq)]
@@ -107,6 +109,58 @@ impl Match {
             .collect();
         sig.sort();
         sig
+    }
+
+    /// The canonical order of matches: exactly `(emitted_at, last_ts,
+    /// signature())`, compared without allocating. This is the order the
+    /// sharded merge produces and every equivalence test compares in.
+    pub fn canonical_cmp(&self, other: &Match) -> Ordering {
+        (self.emitted_at, self.last_ts)
+            .cmp(&(other.emitted_at, other.last_ts))
+            .then_with(|| self.signature_cmp(other))
+    }
+
+    /// `self.signature().cmp(&other.signature())`, walked in place when
+    /// both matches already list their bindings in signature order (what
+    /// every engine emits); otherwise the signatures are built.
+    pub fn signature_cmp(&self, other: &Match) -> Ordering {
+        if !(self.in_signature_order() && other.in_signature_order()) {
+            return self.signature().cmp(&other.signature());
+        }
+        for ((pa, ba), (pb, bb)) in self.bindings.iter().zip(&other.bindings) {
+            let ord = pa
+                .cmp(pb)
+                .then_with(|| ba.events().map(|e| e.seq).cmp(bb.events().map(|e| e.seq)));
+            if ord != Ordering::Equal {
+                return ord;
+            }
+        }
+        self.bindings.len().cmp(&other.bindings.len())
+    }
+
+    /// Feeds the signature's serial numbers, in signature order, to
+    /// `state`: matches with equal signatures hash equally. The hash
+    /// counterpart of [`signature_cmp`](Match::signature_cmp), in place
+    /// under the same condition.
+    pub fn hash_signature<H: Hasher>(&self, state: &mut H) {
+        if self.in_signature_order() {
+            self.events().for_each(|e| state.write_u64(e.seq));
+        } else {
+            let sig = self.signature();
+            sig.iter()
+                .flat_map(|(_, seqs)| seqs)
+                .for_each(|&s| state.write_u64(s));
+        }
+    }
+
+    /// Whether the bindings already are the signature: positions strictly
+    /// ascending and every Kleene set in serial-number order.
+    fn in_signature_order(&self) -> bool {
+        self.bindings.windows(2).all(|w| w[0].0 < w[1].0)
+            && self
+                .bindings
+                .iter()
+                .all(|(_, b)| b.events().is_sorted_by_key(|e| e.seq))
     }
 }
 
@@ -262,6 +316,7 @@ mod tests {
     use crate::pattern::PatternBuilder;
     use crate::predicate::{CmpOp, Predicate};
     use crate::value::Value;
+    use proptest::prelude::*;
     use std::sync::Arc;
 
     fn ev(tid: u32, ts: u64, seq: u64, x: i64) -> EventRef {
@@ -372,5 +427,86 @@ mod tests {
     fn display_compact() {
         let m = mk(vec![(0, Binding::One(ev(0, 1, 4, 1)))]);
         assert_eq!(m.to_string(), "{e0=[#4]}");
+    }
+
+    /// A `(position, seqs, kleene)` binding draw.
+    type BindingDraw = (usize, Vec<u64>, bool);
+
+    /// Builds a match from a draw: a one-seq non-Kleene binding is
+    /// `One`, anything else `Many`; `sorted` puts positions strictly
+    /// ascending and every Kleene set in serial-number order, as engines
+    /// emit them. Also returns the match with its last binding cut by one
+    /// event (when it has more), so one seq list is a prefix of the other.
+    fn drawn(
+        (emitted_at, last_ts, bindings, sorted): (u64, u64, Vec<BindingDraw>, bool),
+    ) -> [Match; 2] {
+        let mut bindings = bindings;
+        if sorted {
+            bindings.sort_by_key(|b| b.0);
+            bindings.dedup_by_key(|b| b.0);
+            bindings.iter_mut().for_each(|b| b.1.sort_unstable());
+        }
+        let build = |draws: &[BindingDraw]| Match {
+            bindings: draws
+                .iter()
+                .map(|(pos, seqs, kleene)| {
+                    let mut events: Vec<EventRef> = seqs.iter().map(|&s| ev(0, s, s, 0)).collect();
+                    let b = if events.len() == 1 && !kleene {
+                        Binding::One(events.pop().expect("one seq"))
+                    } else {
+                        Binding::Many(events)
+                    };
+                    (*pos, b)
+                })
+                .collect(),
+            last_ts,
+            emitted_at,
+        };
+        let whole = build(&bindings);
+        if let Some(last) = bindings.last_mut().filter(|b| b.1.len() > 1) {
+            last.1.pop();
+        }
+        [whole, build(&bindings)]
+    }
+
+    fn signature_hash(m: &Match) -> u64 {
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        m.hash_signature(&mut h);
+        h.finish()
+    }
+
+    proptest! {
+        /// `canonical_cmp` is exactly the order of `(emitted_at, last_ts,
+        /// signature())`, and `hash_signature` agrees with signature
+        /// equality, on random matches with Kleene sets, out-of-order
+        /// positions, tied keys, prefix seq lists and identical copies.
+        #[test]
+        fn canonical_cmp_is_the_signature_key_order(
+            draws in prop::collection::vec(
+                (
+                    0u64..3,
+                    0u64..3,
+                    prop::collection::vec(
+                        (0usize..4, prop::collection::vec(0u64..5, 1..4), any::<bool>()),
+                        1..4,
+                    ),
+                    any::<bool>(),
+                ),
+                1..8,
+            ),
+        ) {
+            let mut ms: Vec<Match> = draws.into_iter().flat_map(drawn).collect();
+            ms.push(ms[0].clone());
+            let key = |m: &Match| (m.emitted_at, m.last_ts, m.signature());
+            for a in &ms {
+                for b in &ms {
+                    prop_assert_eq!(a.canonical_cmp(b), key(a).cmp(&key(b)), "{} vs {}", a, b);
+                    prop_assert_eq!(a.signature_cmp(b), a.signature().cmp(&b.signature()));
+                    if a.signature() == b.signature() {
+                        prop_assert_eq!(signature_hash(a), signature_hash(b));
+                    }
+                }
+            }
+        }
     }
 }

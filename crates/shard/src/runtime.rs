@@ -12,6 +12,7 @@ use cep_core::registry::{QueryId, QueryRegistry, RegistrySpec};
 use cep_core::stream::EventStream;
 use cep_obs::{MetricsRegistry, TraceRecord, Tracer};
 use std::collections::{BTreeMap, HashSet};
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
@@ -217,8 +218,11 @@ impl ShardedRuntime {
 
     /// Drives `stream` through `self.config.shards` workers, each running a
     /// fresh engine from `factory`, and merges the results
-    /// deterministically. With `collect_matches == false`, matches are
-    /// counted and discarded shard-side, keeping memory flat on large runs.
+    /// deterministically: each worker [`canonical_sort`]s its own
+    /// emission-ordered output, and the caller k-way merges those runs
+    /// (a single worker's run is moved through as is). With
+    /// `collect_matches == false`, matches are counted and discarded
+    /// shard-side, keeping memory flat on large runs.
     ///
     /// Under [`RoutingPolicy::ReplicateJoin`], replicated event types are
     /// broadcast to every worker (the extra deliveries are counted in the
@@ -228,9 +232,9 @@ impl ShardedRuntime {
     /// counts the rest). Duplicates only arise for matches that bind no
     /// partitioned event, which every shard detects; keeping the
     /// canonically first copy reproduces the single-threaded engine's
-    /// emission exactly. Deduplication needs signatures, so replicate-join
-    /// runs buffer matches shard-side even when `collect_matches` is
-    /// false (they are dropped after counting).
+    /// emission exactly. Deduplication needs the matches themselves, so
+    /// replicate-join runs buffer matches shard-side even when
+    /// `collect_matches` is false (they are dropped after counting).
     ///
     /// See the crate docs for when the merged output is exactly the
     /// single-threaded result — the merge order itself is deterministic
@@ -287,13 +291,13 @@ impl ShardedRuntime {
         });
         let wall = start.elapsed().as_nanos() as u64;
         let mut metrics = EngineMetrics::new();
-        let mut matches = Vec::new();
+        let mut runs = Vec::with_capacity(shards);
         let mut match_count = 0;
         let mut per_shard = Vec::with_capacity(shards);
-        for (shard, mut o) in outcomes.into_iter().enumerate() {
+        for (shard, o) in outcomes.into_iter().enumerate() {
             metrics.merge(&o.metrics);
             match_count += o.match_count;
-            matches.append(&mut o.matches);
+            runs.push(o.matches);
             per_shard.push(ShardStats {
                 shard,
                 events_routed: o.events_routed,
@@ -303,12 +307,9 @@ impl ShardedRuntime {
         }
         metrics.wall_time_ns = wall;
         metrics.replicated_events = replicated_extra;
-        canonical_sort(&mut matches);
+        let mut matches = merge_runs(runs);
         if dedup {
-            let before = matches.len();
-            let mut seen = HashSet::with_capacity(before);
-            matches.retain(|m| seen.insert(m.signature()));
-            metrics.dedup_hits = (before - matches.len()) as u64;
+            metrics.dedup_hits = dedup_by_signature(&mut matches);
             match_count = matches.len() as u64;
             if !collect_matches {
                 matches.clear();
@@ -358,9 +359,9 @@ impl ShardedRuntime {
     /// evaluated once per shard however many queries subscribe to them.
     /// Per-query outputs are merged exactly like
     /// [`run`](ShardedRuntime::run) merges a single query's — per query:
-    /// [`canonical_sort`], then (under non-fully-partitioned
-    /// replicate-join routing) cross-shard duplicate suppression by
-    /// signature.
+    /// worker-side [`canonical_sort`] and a k-way merge, then (under
+    /// non-fully-partitioned replicate-join routing) cross-shard duplicate
+    /// suppression by signature.
     ///
     /// The routing policy is validated against **every branch of every
     /// registered query** ([`ShardRouter::for_query`]): the stream is
@@ -456,14 +457,14 @@ impl ShardedRuntime {
         let outcomes: Vec<RegistryOutcome> = results.into_iter().collect::<Result<_, _>>()?;
         let wall = start.elapsed().as_nanos() as u64;
         let mut metrics = EngineMetrics::new();
-        let mut per_query: BTreeMap<QueryId, Vec<Match>> = BTreeMap::new();
+        let mut runs: BTreeMap<QueryId, Vec<Vec<Match>>> = BTreeMap::new();
         let mut match_counts: BTreeMap<QueryId, u64> = BTreeMap::new();
         let mut per_shard = Vec::with_capacity(shards);
         for (shard, o) in outcomes.into_iter().enumerate() {
             metrics.merge(&o.metrics);
             let shard_matches: u64 = o.counts.values().sum();
-            for (id, mut ms) in o.per_query {
-                per_query.entry(id).or_default().append(&mut ms);
+            for (id, ms) in o.per_query {
+                runs.entry(id).or_default().push(ms);
             }
             for (id, c) in o.counts {
                 *match_counts.entry(id).or_insert(0) += c;
@@ -478,18 +479,17 @@ impl ShardedRuntime {
         metrics.wall_time_ns = wall;
         metrics.replicated_events = replicated_extra;
         let mut dedup_hits = 0u64;
-        for (id, ms) in per_query.iter_mut() {
-            canonical_sort(ms);
+        let mut per_query = BTreeMap::new();
+        for (id, shard_runs) in runs {
+            let mut ms = merge_runs(shard_runs);
             if dedup {
-                let before = ms.len();
-                let mut seen = HashSet::with_capacity(before);
-                ms.retain(|m| seen.insert(m.signature()));
-                dedup_hits += (before - ms.len()) as u64;
-                match_counts.insert(*id, ms.len() as u64);
+                dedup_hits += dedup_by_signature(&mut ms);
+                match_counts.insert(id, ms.len() as u64);
                 if !collect_matches {
                     ms.clear();
                 }
             }
+            per_query.insert(id, ms);
         }
         metrics.dedup_hits = dedup_hits;
         let match_count = match_counts.values().sum();
@@ -528,7 +528,8 @@ pub struct MultiQueryRunResult {
 }
 
 /// One worker: builds its engine, drains its queue batch by batch, flushes
-/// on channel close. Latency accounting mirrors
+/// on channel close, and hands back its matches as one [`canonical_sort`]ed
+/// run for the merge. Latency accounting mirrors
 /// [`run_to_completion`](cep_core::engine::run_to_completion).
 fn worker(
     factory: &dyn EngineFactory,
@@ -584,6 +585,7 @@ fn worker(
     match_count += drain(&mut engine, &mut scratch, &mut matches, flush_start);
     busy_ns += flush_start.elapsed().as_nanos() as u64;
     engine.metrics_mut().wall_time_ns += busy_ns;
+    canonical_sort(&mut matches);
     ShardOutcome {
         matches,
         match_count,
@@ -681,7 +683,8 @@ struct RegistryOutcome {
 }
 
 /// One multi-query worker: owns a private [`QueryRegistry`], drains its
-/// queue batch by batch, flushes on channel close. Latency and per-event
+/// queue batch by batch, flushes on channel close, and sorts each query's
+/// matches into one canonical run. Latency and per-event
 /// cadence mirror [`worker`]; the sampled histograms land in a local
 /// snapshot absorbed into the registry's metrics at the end (absorb
 /// leaves `events_processed`/`wall_time_ns` untouched).
@@ -757,6 +760,7 @@ fn registry_worker(
         flush_start,
     );
     busy_ns += flush_start.elapsed().as_nanos() as u64;
+    per_query.values_mut().for_each(|ms| canonical_sort(ms));
     let mut metrics = registry.metrics();
     metrics.wall_time_ns = busy_ns;
     metrics.absorb(&sampled);
@@ -769,12 +773,79 @@ fn registry_worker(
 }
 
 /// Sorts matches into the canonical deterministic order used to merge
-/// per-shard outputs: by emission watermark, then by the timestamp of the
-/// last contributing event, then by the bound `(position, serial numbers)`
-/// signature. The key identifies a match completely, so the order is total
-/// and independent of shard count — applying this sort to a
-/// single-threaded engine's output yields exactly what a sharded run
-/// returns whenever the query is partition-local.
+/// per-shard outputs ([`Match::canonical_cmp`]): by emission watermark,
+/// then by the timestamp of the last contributing event, then by the bound
+/// `(position, serial numbers)` signature. The key identifies a match
+/// completely, so the order is total and independent of shard count —
+/// applying this sort to a single-threaded engine's output yields exactly
+/// what a sharded run returns whenever the query is partition-local.
+///
+/// Input already in emission order (`emitted_at` non-decreasing, as every
+/// engine emits) costs O(n): only the runs of equal `emitted_at` are
+/// sorted. Any other input is sorted whole in O(n log n). Neither
+/// allocates.
 pub fn canonical_sort(matches: &mut [Match]) {
-    matches.sort_by_cached_key(|m| (m.emitted_at, m.last_ts, m.signature()));
+    if matches.is_sorted_by_key(|m| m.emitted_at) {
+        for run in matches.chunk_by_mut(|a, b| a.emitted_at == b.emitted_at) {
+            run.sort_unstable_by(Match::canonical_cmp);
+        }
+    } else {
+        matches.sort_unstable_by(Match::canonical_cmp);
+    }
+}
+
+/// Merges per-shard runs, each already in [`canonical_sort`] order, into
+/// one canonically ordered vector; equal matches keep shard order. A lone
+/// non-empty run is moved, not copied.
+fn merge_runs(runs: Vec<Vec<Match>>) -> Vec<Match> {
+    let mut runs: Vec<_> = runs.into_iter().filter(|r| !r.is_empty()).collect();
+    if runs.len() <= 1 {
+        return runs.pop().unwrap_or_default();
+    }
+    let mut out = Vec::with_capacity(runs.iter().map(Vec::len).sum());
+    let mut runs: Vec<_> = runs.into_iter().map(|r| r.into_iter().peekable()).collect();
+    // `min_by` keeps the first of equal heads: the lower shard index.
+    while let Some((i, _)) = runs
+        .iter_mut()
+        .enumerate()
+        .filter_map(|(i, r)| Some(i).zip(r.peek()))
+        .min_by(|(_, a), (_, b)| a.canonical_cmp(b))
+    {
+        out.extend(runs[i].next());
+    }
+    out
+}
+
+/// A match keyed by its signature alone: hashing and equality walk the
+/// bindings in place and ignore `last_ts` / `emitted_at`.
+struct BySignature<'a>(&'a Match);
+
+impl Hash for BySignature<'_> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.0.hash_signature(state);
+    }
+}
+
+impl PartialEq for BySignature<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.0.signature_cmp(other.0).is_eq()
+    }
+}
+
+impl Eq for BySignature<'_> {}
+
+/// Drops every match whose signature already occurred earlier in
+/// `matches` (so the canonically first copy survives when `matches` is
+/// canonically sorted) and returns how many were dropped.
+fn dedup_by_signature(matches: &mut Vec<Match>) -> u64 {
+    let mut seen = HashSet::with_capacity(matches.len());
+    let keep: Vec<bool> = matches
+        .iter()
+        .map(|m| seen.insert(BySignature(m)))
+        .collect();
+    drop(seen); // releases the borrow of `matches`
+    let mut keep = keep.into_iter();
+    let before = matches.len();
+    matches.retain(|_| keep.next() == Some(true));
+    (before - matches.len()) as u64
 }

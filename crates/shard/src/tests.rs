@@ -1479,3 +1479,200 @@ fn run_registry_empty_spec_is_a_routing_error() {
         .unwrap_err();
     assert!(matches!(err, CepError::Routing(_)), "got {err:?}");
 }
+
+// ---------------------------------------------------------------------------
+// Merge order under dense ties: worker-side run sorts plus the k-way merge
+// must return, element for element, what one cached `(emitted_at, last_ts,
+// signature())` key per match sorts the serial output into.
+// ---------------------------------------------------------------------------
+
+use crate::{RouteTarget, ShardRouter};
+use std::collections::{HashMap, HashSet};
+
+/// The reference order: one cached `(emitted_at, last_ts, signature())`
+/// key per match, kept here independent of [`canonical_sort`].
+fn cached_key_order(mut matches: Vec<Match>) -> Vec<Match> {
+    matches.sort_by_cached_key(|m| (m.emitted_at, m.last_ts, m.signature()));
+    matches
+}
+
+/// The serial NFA output of `pattern` on `stream` in reference order.
+fn serial_in_cached_key_order(pattern: &Pattern, stream: &EventStream) -> Vec<Match> {
+    let cp = CompiledPattern::compile_single(pattern).unwrap();
+    let mut engine = nfa_factory(cp).build();
+    cached_key_order(run_to_completion(engine.as_mut(), stream, true).matches)
+}
+
+/// Asserts that, at 1/2/4/8/16 shards, `run` under every policy and
+/// `run_registry` under the first (the one its routing check accepts)
+/// return `expected` in order.
+fn assert_sharded_order(
+    pattern: &Pattern,
+    stream: &EventStream,
+    policies: &[RoutingPolicy],
+    expected: &[Match],
+) {
+    let factory = nfa_factory(CompiledPattern::compile_single(pattern).unwrap());
+    let mut spec = RegistrySpec::new(nfa_fragment_builder(EngineConfig::default()));
+    let id = spec.add(pattern).unwrap();
+    for shards in [1usize, 2, 4, 8, 16] {
+        let runtime = ShardedRuntime::with_shards(shards);
+        for policy in policies {
+            let r = runtime.run(&factory, stream, policy.clone(), true);
+            assert_eq!(r.matches, expected, "run under {policy}, {shards} shards");
+        }
+        let r = runtime
+            .run_registry(&spec, stream, policies[0].clone(), true)
+            .unwrap();
+        assert_eq!(
+            r.per_query[&id], expected,
+            "run_registry under {}, {shards} shards",
+            policies[0]
+        );
+    }
+}
+
+/// Size of the largest group of matches sharing `(emitted_at, last_ts)`.
+fn largest_tie(matches: &[Match]) -> usize {
+    let mut groups: HashMap<(u64, u64), usize> = HashMap::new();
+    for m in matches {
+        *groups.entry((m.emitted_at, m.last_ts)).or_default() += 1;
+    }
+    groups.into_values().max().unwrap_or(0)
+}
+
+/// Twenty matches complete on each `C`, and all four keys' `C`s share a
+/// timestamp: runs of 80 matches with equal `(emitted_at, last_ts)`,
+/// within one shard and across shards, ordered by signature alone.
+#[test]
+fn merge_orders_dense_completion_ties_like_the_cached_key_sort() {
+    let mut events = Vec::new();
+    for round in 0..3u64 {
+        let base = round * 100;
+        for i in 0..5 {
+            (0..4).for_each(|key| events.push((0, base + i, key)));
+        }
+        for i in 0..4 {
+            (0..4).for_each(|key| events.push((1, base + 10 + i, key)));
+        }
+        (0..4).for_each(|key| events.push((2, base + 50, key)));
+    }
+    let stream = keyed_stream(events);
+    let pattern = keyed_seq(3, 60, SelectionStrategy::SkipTillAnyMatch);
+    let expected = serial_in_cached_key_order(&pattern, &stream);
+    assert_eq!(expected.len(), 3 * 4 * 5 * 4);
+    assert_eq!(largest_tie(&expected), 4 * 5 * 4);
+    assert_sharded_order(
+        &pattern,
+        &stream,
+        &[RoutingPolicy::HashAttr(0), RoutingPolicy::Partition],
+        &expected,
+    );
+}
+
+/// `SEQ(A a, C c, NOT(N n))`, keyed on attribute 0: the trailing negation
+/// defers emission past the last bound event (`emitted_at > last_ts`),
+/// and parked matches are released in no particular order. Every key has
+/// an event at every tick (type 3 only advances the watermark), so each
+/// shard's watermark keeps step with the unsplit stream's and the
+/// deferred emissions stay exact under splitting.
+#[test]
+fn merge_orders_trailing_negation_releases_like_the_cached_key_sort() {
+    let mut b = PatternBuilder::new(6);
+    let a = b.event(t(0), "a");
+    let c = b.event(t(1), "c");
+    let n = b.event(t(2), "n");
+    b.predicate(Predicate::attr_cmp(a.pos(), 0, CmpOp::Eq, c.pos(), 0));
+    b.predicate(Predicate::attr_cmp(n.pos(), 0, CmpOp::Eq, a.pos(), 0));
+    let (ae, ce, ne) = (b.expr(a), b.expr(c), b.not(n));
+    let pattern = b.seq_exprs([ae, ce, ne]).unwrap();
+    let mut state = 0x7A11u64;
+    let mut events = Vec::new();
+    for ts in 0..120u64 {
+        for key in 0..4 {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let tid = [0, 0, 0, 1, 1, 1, 2, 3, 3, 3][((state >> 33) % 10) as usize];
+            events.push((tid, ts, key));
+        }
+    }
+    let stream = keyed_stream(events);
+    let expected = serial_in_cached_key_order(&pattern, &stream);
+    let mid_stream_deferred = expected
+        .iter()
+        .filter(|m| m.last_ts < m.emitted_at && m.emitted_at < u64::MAX)
+        .count();
+    assert!(
+        mid_stream_deferred >= 20,
+        "fixture must defer mid-stream emissions (got {mid_stream_deferred})"
+    );
+    assert!(largest_tie(&expected) >= 2, "fixture must tie releases");
+    assert_sharded_order(
+        &pattern,
+        &stream,
+        &[RoutingPolicy::HashAttr(0), RoutingPolicy::Partition],
+        &expected,
+    );
+}
+
+/// A fully replicated `SEQ(A a, C c, NOT(N n))`: every shard detects
+/// every match, but type-3 events route by channel and advance only one
+/// shard's watermark, so the copies of one match are released at
+/// different `emitted_at`. The merge must keep the canonically first
+/// (earliest) copy — the serial engine's.
+#[test]
+fn replicate_join_dedup_keeps_the_earliest_released_copy() {
+    let mut b = PatternBuilder::new(6);
+    let a = b.event(t(0), "a");
+    let c = b.event(t(1), "c");
+    let n = b.event(t(2), "n");
+    let (ae, ce, ne) = (b.expr(a), b.expr(c), b.not(n));
+    let pattern = b.seq_exprs([ae, ce, ne]).unwrap();
+    let cp = CompiledPattern::compile_single(&pattern).unwrap();
+    let spec = QueryPartitioner::analyze(std::slice::from_ref(&cp), |_| 1.0).unwrap();
+    assert!(spec.is_fully_replicated(), "no keys: everything broadcast");
+    let policy = RoutingPolicy::ReplicateJoin(StdArc::new(spec));
+    let mut state = 0xDE0Du64;
+    let mut events = Vec::new();
+    for ts in 0..150u64 {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        let tid = [0, 0, 1, 1, 2, 3, 3, 3, 3, 3][((state >> 33) % 10) as usize];
+        events.push((tid, ts, 0, ((state >> 45) % 16) as i64));
+    }
+    let stream = cross_key_stream(events);
+    let expected = serial_in_cached_key_order(&pattern, &stream);
+    assert!(!expected.is_empty(), "fixture should produce matches");
+    // The fixture is only meaningful if some match's copies differ in
+    // `emitted_at`: replay each shard's slice through its own engine.
+    let shards = 4;
+    let mut router = ShardRouter::new(shards, policy.clone());
+    let mut slices: Vec<EventStream> = vec![Vec::new(); shards];
+    for e in &stream {
+        match router.route_target(e) {
+            RouteTarget::One(s) => slices[s].push(e.clone()),
+            RouteTarget::All => slices.iter_mut().for_each(|s| s.push(e.clone())),
+        }
+    }
+    let mut released: HashMap<_, HashSet<u64>> = HashMap::new();
+    for slice in &slices {
+        for m in serial_in_cached_key_order(&pattern, slice) {
+            released
+                .entry(m.signature())
+                .or_default()
+                .insert(m.emitted_at);
+        }
+    }
+    assert!(
+        released.values().any(|at| at.len() > 1),
+        "fixture must release some match at different watermarks on different shards"
+    );
+    assert_sharded_order(&pattern, &stream, std::slice::from_ref(&policy), &expected);
+    let r = ShardedRuntime::with_shards(shards).run(&nfa_factory(cp), &stream, policy, true);
+    assert_eq!(
+        r.metrics.dedup_hits,
+        (shards as u64 - 1) * expected.len() as u64
+    );
+}
