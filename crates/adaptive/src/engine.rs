@@ -4,10 +4,11 @@ use cep_core::engine::{Engine, EngineFactory};
 use cep_core::event::{EventRef, Timestamp};
 use cep_core::matches::Match;
 use cep_core::metrics::EngineMetrics;
+use cep_core::selection::ConsumedSet;
 use cep_core::stats::MeasuredStats;
 use cep_obs::{TraceRecord, Tracer};
 use cep_optimizer::StatsMonitor;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -239,10 +240,10 @@ pub struct AdaptiveEngine<R: Replanner> {
     recent: VecDeque<(Timestamp, Sig)>,
     /// Whether the replanner's strategy consumes events (cached).
     consumes: bool,
-    /// Serial numbers of events consumed by emitted matches, remembered
-    /// for one window; only populated when [`Self::consumes`] is set (see
+    /// Events consumed by emitted matches, remembered for one window; only
+    /// populated when [`Self::consumes`] is set (see
     /// [`Replanner::consumes`]).
-    consumed: HashMap<u64, Timestamp>,
+    consumed: ConsumedSet,
     window: u64,
     cfg: AdaptiveConfig,
     /// Combined counters of engines retired by past swaps.
@@ -273,7 +274,7 @@ impl<R: Replanner> AdaptiveEngine<R> {
             retained: VecDeque::new(),
             recent: VecDeque::new(),
             consumes,
-            consumed: HashMap::new(),
+            consumed: ConsumedSet::new(),
             window,
             cfg,
             retired: EngineMetrics::new(),
@@ -319,11 +320,8 @@ impl<R: Replanner> AdaptiveEngine<R> {
                 // A freshly swapped engine has no memory of what its
                 // predecessor consumed; suppress emissions that would
                 // re-bind a consumed event and record the rest.
-                if m.events().any(|e| self.consumed.contains_key(&e.seq)) {
+                if !self.consumed.consume(&m) {
                     continue;
-                }
-                for e in m.events() {
-                    self.consumed.insert(e.seq, e.ts);
                 }
             }
             self.recent.push_back((m.max_ts(), m.signature()));
@@ -544,7 +542,7 @@ impl<R: Replanner> Engine for AdaptiveEngine<R> {
         if self.consumes && self.metrics.events_processed.is_multiple_of(REFRESH_EVERY) {
             // Consumption marks on events older than the window can never
             // be re-bound by a replay.
-            self.consumed.retain(|_, &mut ts| ts >= keep_from);
+            self.consumed.retain_window(self.watermark, self.window);
         }
         self.maybe_replan(out);
         if self.metrics.events_processed.is_multiple_of(REFRESH_EVERY) {

@@ -448,12 +448,21 @@ impl CompiledPair {
         }
     }
 
-    /// Evaluates against the ordered event pair `(a, b)`.
+    /// Evaluates against the ordered event pair `(a, b)`. An attribute of
+    /// one event against an attribute of the other, the common join, is
+    /// compared directly; a missing attribute fails every operator.
     pub fn eval(&self, a: &Event, b: &Event) -> bool {
-        self.op.test(cmp_resolved(
-            &self.left.resolve(a, b),
-            &self.right.resolve(a, b),
-        ))
+        let (x, y) = match (&self.left, &self.right) {
+            (PairSrc::AAttr(i), PairSrc::BAttr(j)) => (a.attr(*i), b.attr(*j)),
+            (PairSrc::BAttr(j), PairSrc::AAttr(i)) => (b.attr(*j), a.attr(*i)),
+            (left, right) => {
+                return self
+                    .op
+                    .test(cmp_resolved(&left.resolve(a, b), &right.resolve(a, b)))
+            }
+        };
+        self.op
+            .test(x.zip(y).and_then(|(x, y)| x.partial_cmp_value(y)))
     }
 }
 
@@ -478,8 +487,9 @@ pub struct PredicateProgram {
     /// Pairwise evaluators per ordered element pair `[i][j]`, compiled with
     /// element `i` on the `a` side.
     pairs: Vec<Vec<Vec<CompiledPair>>>,
-    /// Per-type entry for eager buffer pruning.
-    by_type: HashMap<TypeId, TypeEntry>,
+    /// Per-type entry for eager buffer pruning, one per type the pattern
+    /// names (at most n + |negated|, so a scan beats hashing).
+    by_type: Vec<(TypeId, TypeEntry)>,
     /// Signature of the source pattern.
     signature: u64,
     /// Number of original filter predicates collapsed away by fusion.
@@ -525,25 +535,16 @@ impl PredicateProgram {
             }
         }
 
-        let mut by_type: HashMap<TypeId, TypeEntry> = HashMap::new();
-        for (i, e) in cp.elements.iter().enumerate() {
-            by_type
-                .entry(e.event_type)
-                .or_insert_with(|| TypeEntry {
-                    elems: Vec::new(),
-                    has_negated: false,
-                })
-                .elems
-                .push(i);
-        }
-        for ne in &cp.negated {
-            by_type
-                .entry(ne.event_type)
-                .or_insert_with(|| TypeEntry {
-                    elems: Vec::new(),
-                    has_negated: true,
-                })
-                .has_negated = true;
+        let mut by_type: Vec<(TypeId, TypeEntry)> = Vec::new();
+        let types = cp.elements.iter().map(|e| e.event_type);
+        for ty in types.chain(cp.negated.iter().map(|ne| ne.event_type)) {
+            if by_type.iter().all(|(t, _)| *t != ty) {
+                let entry = TypeEntry {
+                    elems: cp.elements_of_type(ty).collect(),
+                    has_negated: cp.negated_of_type(ty).next().is_some(),
+                };
+                by_type.push((ty, entry));
+            }
         }
 
         PredicateProgram {
@@ -580,9 +581,9 @@ impl PredicateProgram {
     /// set, because [`element_passes`](Self::element_passes) would reject
     /// them at every bind attempt.
     pub fn can_ever_bind(&self, ev: &Event, evals: &mut u64) -> bool {
-        match self.by_type.get(&ev.type_id) {
+        match self.by_type.iter().find(|(t, _)| *t == ev.type_id) {
             None => false,
-            Some(entry) => {
+            Some((_, entry)) => {
                 entry.has_negated
                     || entry
                         .elems
@@ -872,6 +873,48 @@ mod tests {
         let mk = |ts| Event::new(t(0), ts, vec![]);
         assert_eq!(p.eval_pair(0, &mk(3), 1, &mk(5)), c.eval(&mk(3), &mk(5)));
         assert_eq!(p.eval_pair(0, &mk(5), 1, &mk(5)), c.eval(&mk(5), &mk(5)));
+    }
+
+    #[test]
+    fn direct_attribute_pairs_agree_with_the_resolver() {
+        let values = [
+            None,
+            Some(Value::Int(1)),
+            Some(Value::Int(2)),
+            Some(Value::Float(1.0)),
+            Some(Value::Float(-0.0)),
+            Some(Value::Float(f64::NAN)),
+            Some(Value::Bool(true)),
+            Some(Value::from("s")),
+        ];
+        let ops = [
+            CmpOp::Lt,
+            CmpOp::Le,
+            CmpOp::Eq,
+            CmpOp::Ne,
+            CmpOp::Ge,
+            CmpOp::Gt,
+        ];
+        // `None` is an event without the attribute.
+        let mk = |v: &Option<Value>| Event::new(t(0), 5, v.iter().cloned().collect());
+        for op in ops {
+            for (left, right) in [
+                (PairSrc::AAttr(0), PairSrc::BAttr(0)),
+                (PairSrc::BAttr(0), PairSrc::AAttr(0)),
+            ] {
+                let c = CompiledPair { left, op, right };
+                for x in &values {
+                    for y in &values {
+                        let (a, b) = (mk(x), mk(y));
+                        let resolved = c.op.test(cmp_resolved(
+                            &c.left.resolve(&a, &b),
+                            &c.right.resolve(&a, &b),
+                        ));
+                        assert_eq!(c.eval(&a, &b), resolved, "{c:?} on {x:?}, {y:?}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

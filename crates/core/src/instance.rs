@@ -7,25 +7,34 @@ use crate::event::{expired_at, EventRef, Timestamp};
 use crate::keyed::Slot;
 use crate::matches::Binding;
 use crate::metrics::EngineMetrics;
-use crate::selection::SelectionStrategy;
-use std::collections::HashSet;
+use crate::selection::{ConsumedSet, SelectionStrategy};
 use std::ops::{Range, RangeInclusive};
 
 /// A partial match progressing through the NFA chain.
 ///
 /// `bindings` is indexed by *element index* of the compiled pattern (not by
 /// plan step), so predicate checks can address elements directly.
+///
+/// The four extents `min_ts`, `max_ts`, `min_seq` and `max_seq` must cover
+/// every bound event: [`compatible_with`] and [`merge_compatible_with`]
+/// decide distinctness and precedence from them before they walk the
+/// bindings, and debug builds assert it. Every constructor and derivation
+/// here keeps them exact.
 #[derive(Debug, Clone)]
 pub struct Instance {
     /// Bindings per element; `None` until the element's plan step runs.
     pub bindings: Vec<Option<Binding>>,
-    /// Minimum bound timestamp (`u64::MAX` while empty).
+    /// Minimum bound timestamp (`u64::MAX` while empty); at most the `ts`
+    /// of every bound event.
     pub min_ts: Timestamp,
-    /// Maximum bound timestamp (0 while empty).
+    /// Maximum bound timestamp (0 while empty); at least the `ts` of every
+    /// bound event.
     pub max_ts: Timestamp,
-    /// Minimum bound serial number (`u64::MAX` while empty).
+    /// Minimum bound serial number (`u64::MAX` while empty); at most the
+    /// `seq` of every bound event.
     pub min_seq: u64,
-    /// Maximum bound serial number (0 while empty).
+    /// Maximum bound serial number (0 while empty); at least the `seq` of
+    /// every bound event.
     pub max_seq: u64,
     /// Partition of the first bound event (partition contiguity).
     pub partition: Option<u32>,
@@ -67,12 +76,26 @@ impl Instance {
     }
 
     /// Whether any bound event was consumed (skip-till-next-match kill).
-    pub fn intersects(&self, consumed: &HashSet<u64>) -> bool {
+    pub fn intersects(&self, consumed: &ConsumedSet) -> bool {
         self.bindings
             .iter()
             .flatten()
             .flat_map(|b| b.events())
-            .any(|e| consumed.contains(&e.seq))
+            .any(|e| consumed.contains(e.seq))
+    }
+
+    /// Whether the extents cover every bound event (the invariant the
+    /// cheap checks of [`compatible_with`] and [`merge_compatible_with`]
+    /// rely on).
+    fn extents_cover_bindings(&self) -> bool {
+        self.bindings
+            .iter()
+            .flatten()
+            .flat_map(|b| b.events())
+            .all(|e| {
+                (self.min_ts..=self.max_ts).contains(&e.ts)
+                    && (self.min_seq..=self.max_seq).contains(&e.seq)
+            })
     }
 
     fn absorb_event_extents(&mut self, e: &EventRef) {
@@ -235,19 +258,25 @@ pub fn sorted_span<T>(
 ///
 /// Filters and pairwise predicates evaluate through `prog`'s pre-lowered
 /// (and fused) evaluators; `metrics` counts predicate evaluations.
+///
+/// Cheap checks come first: the instance's extents decide distinctness
+/// for an event outside `[min_seq, max_seq]` and every precedence test
+/// against an event later (earlier) than everything bound, so those walk
+/// no binding. Predicates are evaluated in the same order either way.
 pub fn compatible_with(
     cp: &CompiledPattern,
     prog: &PredicateProgram,
     inst: &Instance,
     elem: usize,
     event: &EventRef,
-    consumed: &HashSet<u64>,
+    consumed: &ConsumedSet,
     metrics: &mut EngineMetrics,
 ) -> bool {
-    if cp.strategy.consumes() && consumed.contains(&event.seq) {
+    debug_assert!(inst.extents_cover_bindings(), "extents cover the bindings");
+    if cp.strategy.consumes() && consumed.contains(event.seq) {
         return false;
     }
-    if inst.contains_seq(event.seq) {
+    if (inst.min_seq..=inst.max_seq).contains(&event.seq) && inst.contains_seq(event.seq) {
         return false;
     }
     // Window feasibility.
@@ -262,14 +291,17 @@ pub fn compatible_with(
     if !prog.element_passes(elem, event, &mut metrics.predicate_evaluations) {
         return false;
     }
-    // Pairwise predicates and precedence against bound elements.
+    // Pairwise predicates and precedence against bound elements. An event
+    // after (before) everything bound follows (precedes) every binding.
+    let after_all = event.ts > inst.max_ts;
+    let before_all = event.ts < inst.min_ts;
     for (j, binding) in inst.bindings.iter().enumerate() {
         let Some(binding) = binding else { continue };
         if j != elem {
-            if cp.must_precede(elem, j) && event.ts >= binding.min_ts() {
+            if !before_all && cp.must_precede(elem, j) && event.ts >= binding.min_ts() {
                 return false;
             }
-            if cp.must_precede(j, elem) && binding.max_ts() >= event.ts {
+            if !after_all && cp.must_precede(j, elem) && binding.max_ts() >= event.ts {
                 return false;
             }
         }
@@ -311,14 +343,22 @@ pub fn compatible_with(
 /// subtrees of a tree plan) can merge: distinct events, window, temporal
 /// precedence, cross predicates (through `prog`), and selection-strategy
 /// feasibility.
+///
+/// As in [`compatible_with`], the extents come first: sides whose seq
+/// ranges do not overlap share no event, and a side entirely before the
+/// other passes every precedence test in that direction without a walk.
 pub fn merge_compatible_with(
     cp: &CompiledPattern,
     prog: &PredicateProgram,
     left: &Instance,
     right: &Instance,
-    consumed: &HashSet<u64>,
+    consumed: &ConsumedSet,
     metrics: &mut EngineMetrics,
 ) -> bool {
+    debug_assert!(
+        left.extents_cover_bindings() && right.extents_cover_bindings(),
+        "extents cover the bindings"
+    );
     // Window over the union.
     let lo = left.min_ts.min(right.min_ts);
     let hi = left.max_ts.max(right.max_ts);
@@ -329,22 +369,26 @@ pub fn merge_compatible_with(
         return false;
     }
     // Event distinctness across the two sides.
-    for b in right.bindings.iter().flatten() {
-        for e in b.events() {
-            if left.contains_seq(e.seq) {
-                return false;
+    if left.min_seq <= right.max_seq && right.min_seq <= left.max_seq {
+        for b in right.bindings.iter().flatten() {
+            for e in b.events() {
+                if left.contains_seq(e.seq) {
+                    return false;
+                }
             }
         }
     }
     // Precedence and predicates between every bound pair across sides.
+    let left_first = left.max_ts < right.min_ts;
+    let right_first = right.max_ts < left.min_ts;
     for (i, bi) in left.bindings.iter().enumerate() {
         let Some(bi) = bi else { continue };
         for (j, bj) in right.bindings.iter().enumerate() {
             let Some(bj) = bj else { continue };
-            if cp.must_precede(i, j) && bi.max_ts() >= bj.min_ts() {
+            if !left_first && cp.must_precede(i, j) && bi.max_ts() >= bj.min_ts() {
                 return false;
             }
-            if cp.must_precede(j, i) && bj.max_ts() >= bi.min_ts() {
+            if !right_first && cp.must_precede(j, i) && bj.max_ts() >= bi.min_ts() {
                 return false;
             }
             for pair in prog.pairs_between(i, j) {
@@ -548,9 +592,11 @@ pub fn contiguity_ok(cp: &CompiledPattern, inst: &Instance) -> bool {
 mod tests {
     use super::*;
     use crate::event::{Event, TypeId};
-    use crate::pattern::PatternBuilder;
+    use crate::matches::Match;
+    use crate::pattern::{PatternBuilder, PatternExpr};
     use crate::predicate::{CmpOp, Predicate};
     use crate::value::Value;
+    use proptest::prelude::*;
     use std::sync::Arc;
 
     fn ev(tid: u32, ts: u64, seq: u64, x: i64) -> EventRef {
@@ -573,7 +619,7 @@ mod tests {
         inst: &Instance,
         elem: usize,
         event: &EventRef,
-        consumed: &HashSet<u64>,
+        consumed: &ConsumedSet,
         metrics: &mut EngineMetrics,
     ) -> bool {
         let prog = PredicateProgram::compile(cp);
@@ -585,7 +631,7 @@ mod tests {
         cp: &CompiledPattern,
         left: &Instance,
         right: &Instance,
-        consumed: &HashSet<u64>,
+        consumed: &ConsumedSet,
         metrics: &mut EngineMetrics,
     ) -> bool {
         let prog = PredicateProgram::compile(cp);
@@ -606,7 +652,7 @@ mod tests {
     fn compatibility_respects_predicates_and_order() {
         let cp = cp_seq2();
         let mut m = EngineMetrics::new();
-        let consumed = HashSet::new();
+        let consumed = ConsumedSet::new();
         let i = Instance::empty(2).with_single(0, ev(0, 5, 0, 10));
         // c later with bigger x: ok.
         assert!(compatible(&cp, &i, 1, &ev(1, 6, 1, 20), &consumed, &mut m));
@@ -634,7 +680,7 @@ mod tests {
         let a2 = b.event(TypeId(0), "a2");
         let cp = CompiledPattern::compile_single(&b.and([a1, a2]).unwrap()).unwrap();
         let mut m = EngineMetrics::new();
-        let consumed = HashSet::new();
+        let consumed = ConsumedSet::new();
         let e = ev(0, 5, 7, 0);
         let i = Instance::empty(2).with_single(0, e.clone());
         assert!(!compatible(&cp, &i, 1, &e, &consumed, &mut m));
@@ -648,10 +694,15 @@ mod tests {
         let c = b.event(TypeId(1), "c");
         let cp = CompiledPattern::compile_single(&b.seq([a, c]).unwrap()).unwrap();
         let mut m = EngineMetrics::new();
-        let mut consumed = HashSet::new();
-        consumed.insert(1);
+        let mut consumed = ConsumedSet::new();
+        let c = ev(1, 6, 1, 0);
+        assert!(consumed.consume(&Match {
+            bindings: vec![(1, Binding::One(c.clone()))],
+            last_ts: 6,
+            emitted_at: 6,
+        }));
         let i = Instance::empty(2).with_single(0, ev(0, 5, 0, 0));
-        assert!(!compatible(&cp, &i, 1, &ev(1, 6, 1, 0), &consumed, &mut m));
+        assert!(!compatible(&cp, &i, 1, &c, &consumed, &mut m));
     }
 
     #[test]
@@ -689,7 +740,7 @@ mod tests {
         let c = b.event(TypeId(1), "c");
         let cp = CompiledPattern::compile_single(&b.seq([a, c]).unwrap()).unwrap();
         let mut m = EngineMetrics::new();
-        let consumed = HashSet::new();
+        let consumed = ConsumedSet::new();
         let i = Instance::empty(2).with_single(0, ev(0, 1, 0, 0));
         // seq 1 adjacent: feasible; seq 5 leaves an unfillable gap.
         assert!(compatible(&cp, &i, 1, &ev(1, 2, 1, 0), &consumed, &mut m));
@@ -704,7 +755,7 @@ mod tests {
         let c = b.event(TypeId(1), "c");
         let cp = CompiledPattern::compile_single(&b.seq([a, c]).unwrap()).unwrap();
         let mut m = EngineMetrics::new();
-        let consumed = HashSet::new();
+        let consumed = ConsumedSet::new();
         let mut e0 = Event::new(TypeId(0), 1, vec![Value::Int(0)]);
         e0.partition = 3;
         let i = Instance::empty(2).with_single(0, Arc::new(e0));
@@ -718,7 +769,7 @@ mod tests {
     fn merge_combines_disjoint_sides() {
         let cp = cp_seq2();
         let mut m = EngineMetrics::new();
-        let consumed = HashSet::new();
+        let consumed = ConsumedSet::new();
         let left = Instance::empty(2).with_single(0, ev(0, 1, 0, 1));
         let right = Instance::empty(2).with_single(1, ev(1, 2, 1, 9));
         assert!(merge_compatible(&cp, &left, &right, &consumed, &mut m));
@@ -733,7 +784,7 @@ mod tests {
     fn merge_rejects_order_violation() {
         let cp = cp_seq2();
         let mut m = EngineMetrics::new();
-        let consumed = HashSet::new();
+        let consumed = ConsumedSet::new();
         let left = Instance::empty(2).with_single(0, ev(0, 5, 1, 1));
         let right = Instance::empty(2).with_single(1, ev(1, 2, 0, 9));
         assert!(!merge_compatible(&cp, &left, &right, &consumed, &mut m));
@@ -743,7 +794,7 @@ mod tests {
     fn merge_rejects_cross_predicate_violation() {
         let cp = cp_seq2();
         let mut m = EngineMetrics::new();
-        let consumed = HashSet::new();
+        let consumed = ConsumedSet::new();
         let left = Instance::empty(2).with_single(0, ev(0, 1, 0, 9));
         let right = Instance::empty(2).with_single(1, ev(1, 2, 1, 1));
         assert!(!merge_compatible(&cp, &left, &right, &consumed, &mut m));
@@ -756,7 +807,7 @@ mod tests {
         let a2 = b.event(TypeId(0), "a2");
         let cp = CompiledPattern::compile_single(&b.and([a1, a2]).unwrap()).unwrap();
         let mut m = EngineMetrics::new();
-        let consumed = HashSet::new();
+        let consumed = ConsumedSet::new();
         let e = ev(0, 1, 7, 0);
         let left = Instance::empty(2).with_single(0, e.clone());
         let right = Instance::empty(2).with_single(1, e);
@@ -767,7 +818,7 @@ mod tests {
     fn merge_rejects_window_violation() {
         let cp = cp_seq2();
         let mut m = EngineMetrics::new();
-        let consumed = HashSet::new();
+        let consumed = ConsumedSet::new();
         let left = Instance::empty(2).with_single(0, ev(0, 1, 0, 1));
         let right = Instance::empty(2).with_single(1, ev(1, 50, 1, 9));
         assert!(!merge_compatible(&cp, &left, &right, &consumed, &mut m));
@@ -896,7 +947,7 @@ mod tests {
             let mut m = EngineMetrics::new();
             let passing = bucket
                 .iter()
-                .filter(|e| compatible(&cp, &inst, 1, e, &HashSet::new(), &mut m))
+                .filter(|e| compatible(&cp, &inst, 1, e, &ConsumedSet::new(), &mut m))
                 .count();
             assert_eq!(passing, want, "the span is exactly the passing set");
         }
@@ -929,5 +980,333 @@ mod tests {
             .with_single(0, ev(0, 1, 0, 0))
             .with_single(1, ev(1, 2, 2, 0));
         assert!(!contiguity_ok(&cp, &bad));
+    }
+
+    /// The full-walk [`compatible_with`] the extent guards must agree with:
+    /// distinctness and precedence visit every binding.
+    fn full_walk_compatible_with(
+        cp: &CompiledPattern,
+        prog: &PredicateProgram,
+        inst: &Instance,
+        elem: usize,
+        event: &EventRef,
+        consumed: &ConsumedSet,
+        metrics: &mut EngineMetrics,
+    ) -> bool {
+        if cp.strategy.consumes() && consumed.contains(event.seq) {
+            return false;
+        }
+        if inst.contains_seq(event.seq) {
+            return false;
+        }
+        if inst.event_count > 0 {
+            let lo = inst.min_ts.min(event.ts);
+            let hi = inst.max_ts.max(event.ts);
+            if hi - lo > cp.window {
+                return false;
+            }
+        }
+        if !prog.element_passes(elem, event, &mut metrics.predicate_evaluations) {
+            return false;
+        }
+        for (j, binding) in inst.bindings.iter().enumerate() {
+            let Some(binding) = binding else { continue };
+            if j != elem {
+                if cp.must_precede(elem, j) && event.ts >= binding.min_ts() {
+                    return false;
+                }
+                if cp.must_precede(j, elem) && binding.max_ts() >= event.ts {
+                    return false;
+                }
+            }
+            for pair in prog.pairs_between(elem, j) {
+                for other in binding.events() {
+                    metrics.predicate_evaluations += 1;
+                    if !pair.eval(event, other) {
+                        return false;
+                    }
+                }
+            }
+        }
+        match cp.strategy {
+            SelectionStrategy::StrictContiguity if !cp.has_kleene() => {
+                let span = inst.max_seq.max(event.seq) - inst.min_seq.min(event.seq);
+                if inst.event_count > 0 && span as usize >= cp.n() {
+                    return false;
+                }
+            }
+            SelectionStrategy::PartitionContiguity => {
+                if let Some(p) = inst.partition {
+                    if p != event.partition {
+                        return false;
+                    }
+                }
+            }
+            _ => {}
+        }
+        true
+    }
+
+    /// The full-walk [`merge_compatible_with`]: the cross-side
+    /// distinctness walk and every precedence test always run.
+    fn full_walk_merge_compatible_with(
+        cp: &CompiledPattern,
+        prog: &PredicateProgram,
+        left: &Instance,
+        right: &Instance,
+        consumed: &ConsumedSet,
+        metrics: &mut EngineMetrics,
+    ) -> bool {
+        let lo = left.min_ts.min(right.min_ts);
+        let hi = left.max_ts.max(right.max_ts);
+        if left.event_count > 0 && right.event_count > 0 && hi - lo > cp.window {
+            return false;
+        }
+        if cp.strategy.consumes() && (left.intersects(consumed) || right.intersects(consumed)) {
+            return false;
+        }
+        for b in right.bindings.iter().flatten() {
+            for e in b.events() {
+                if left.contains_seq(e.seq) {
+                    return false;
+                }
+            }
+        }
+        for (i, bi) in left.bindings.iter().enumerate() {
+            let Some(bi) = bi else { continue };
+            for (j, bj) in right.bindings.iter().enumerate() {
+                let Some(bj) = bj else { continue };
+                if cp.must_precede(i, j) && bi.max_ts() >= bj.min_ts() {
+                    return false;
+                }
+                if cp.must_precede(j, i) && bj.max_ts() >= bi.min_ts() {
+                    return false;
+                }
+                for pair in prog.pairs_between(i, j) {
+                    for x in bi.events() {
+                        for y in bj.events() {
+                            metrics.predicate_evaluations += 1;
+                            if !pair.eval(x, y) {
+                                return false;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        match cp.strategy {
+            SelectionStrategy::StrictContiguity if !cp.has_kleene() => {
+                let span = left.max_seq.max(right.max_seq) - left.min_seq.min(right.min_seq);
+                if span as usize >= cp.n() {
+                    return false;
+                }
+            }
+            SelectionStrategy::PartitionContiguity => {
+                if let (Some(a), Some(b)) = (left.partition, right.partition) {
+                    if a != b {
+                        return false;
+                    }
+                }
+            }
+            _ => {}
+        }
+        true
+    }
+
+    /// `SEQ` or `AND` over `types` (two elements may share a type) with an
+    /// optional Kleene element, drawn filters and pairwise predicates on
+    /// attribute 0, under one of the four strategies.
+    fn drawn_pattern(
+        seq: bool,
+        types: &[u32],
+        kleene_at: usize,
+        preds: &[(usize, usize, u8)],
+        strategy: u8,
+        window: u64,
+    ) -> Option<CompiledPattern> {
+        const OPS: [CmpOp; 6] = [
+            CmpOp::Lt,
+            CmpOp::Le,
+            CmpOp::Eq,
+            CmpOp::Ne,
+            CmpOp::Ge,
+            CmpOp::Gt,
+        ];
+        const STRATEGIES: [SelectionStrategy; 4] = [
+            SelectionStrategy::SkipTillAnyMatch,
+            SelectionStrategy::SkipTillNextMatch,
+            SelectionStrategy::StrictContiguity,
+            SelectionStrategy::PartitionContiguity,
+        ];
+        let mut b = PatternBuilder::new(window);
+        b.strategy(STRATEGIES[strategy as usize % 4]);
+        let evs: Vec<_> = types
+            .iter()
+            .enumerate()
+            .map(|(i, &t)| b.event(TypeId(t), &format!("e{i}")))
+            .collect();
+        let n = evs.len();
+        for &(i, j, opc) in preds {
+            let (i, j, op) = (i % n, j % n, OPS[opc as usize % 6]);
+            b.predicate(if i == j {
+                Predicate::attr_const(evs[i].pos(), 0, op, Value::Int(opc as i64 % 3))
+            } else {
+                Predicate::attr_cmp(evs[i].pos(), 0, op, evs[j].pos(), 0)
+            });
+        }
+        let exprs: Vec<PatternExpr> = evs
+            .iter()
+            .enumerate()
+            .map(|(i, &e)| {
+                if i == kleene_at {
+                    b.kleene(e)
+                } else {
+                    b.expr(e)
+                }
+            })
+            .collect();
+        let expr = if seq {
+            PatternExpr::Seq(exprs)
+        } else {
+            PatternExpr::And(exprs)
+        };
+        CompiledPattern::compile_single(&b.finish(expr).ok()?).ok()
+    }
+
+    /// Events with tie-heavy timestamps (`Δts` in 0..3), serial numbers in
+    /// stream order, two partitions, and attribute 0 an `Int`, a `Float`,
+    /// `NaN` or missing.
+    fn drawn_stream(raw: &[(u32, u8, i8, u8)]) -> Vec<EventRef> {
+        let mut ts = 0;
+        raw.iter()
+            .enumerate()
+            .map(|(seq, &(ty, dts, x, kind))| {
+                ts += u64::from(dts);
+                let attrs = match kind {
+                    0..=2 => vec![Value::Int(x.into())],
+                    3 | 4 => vec![Value::Float(f64::from(x) / 2.0)],
+                    5 => vec![Value::Float(f64::NAN)],
+                    _ => vec![],
+                };
+                let mut e = Event::new(TypeId(ty), ts, attrs);
+                e.seq = seq as u64;
+                e.partition = u32::from(x.unsigned_abs() % 2);
+                Arc::new(e)
+            })
+            .collect()
+    }
+
+    /// An instance binding every element in `mask` to stream events picked
+    /// by `pick`, possibly one bound elsewhere too (one or two events for a
+    /// Kleene element).
+    fn drawn_instance(cp: &CompiledPattern, stream: &[EventRef], mask: u8, pick: u64) -> Instance {
+        let mut s = pick | 1;
+        let mut next = || {
+            s = s
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            stream[(s >> 33) as usize % stream.len()].clone()
+        };
+        let mut inst = Instance::empty(cp.n());
+        for elem in (0..cp.n()).filter(|i| mask >> i & 1 == 1) {
+            if cp.elements[elem].kleene {
+                for _ in 0..1 + (pick & 1) {
+                    inst = inst.with_kleene(elem, next());
+                }
+            } else {
+                inst = inst.with_single(elem, next());
+            }
+        }
+        inst
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig {
+            cases: 512,
+            max_shrink_iters: 200,
+        })]
+
+        /// The extent guards change no verdict and no predicate count:
+        /// every (instance, event) and (instance, instance) pair over
+        /// drawn SEQ/AND patterns, with repeated types, Kleene sets, tied
+        /// timestamps and empty instances, under every strategy, agrees
+        /// with the full walk.
+        #[test]
+        fn extent_guards_agree_with_the_full_walk(
+            seq in any::<bool>(),
+            types in prop::collection::vec(0u32..3, 2..=4),
+            kleene_at in 0usize..6,
+            preds in prop::collection::vec((0usize..4, 0usize..4, 0u8..12), 0..=4),
+            strategy in 0u8..4,
+            window in 0u64..8,
+            raw in prop::collection::vec((0u32..3, 0u8..3, -3i8..4, 0u8..7), 4..=16),
+            draws in prop::collection::vec((any::<u8>(), any::<u64>()), 1..=6),
+            consumed_mask in any::<u32>(),
+        ) {
+            let Some(cp) = drawn_pattern(seq, &types, kleene_at, &preds, strategy, window) else {
+                return Ok(());
+            };
+            let prog = PredicateProgram::compile(&cp);
+            let stream = drawn_stream(&raw);
+            let mut consumed = ConsumedSet::new();
+            let bindings = stream
+                .iter()
+                .filter(|e| consumed_mask >> e.seq & 1 == 1)
+                .map(|e| (0, Binding::One(e.clone())))
+                .collect();
+            consumed.consume(&Match { bindings, last_ts: 0, emitted_at: 0 });
+            let mut instances: Vec<Instance> = draws
+                .iter()
+                .map(|&(mask, pick)| drawn_instance(&cp, &stream, mask, pick))
+                .collect();
+            instances.push(Instance::empty(cp.n()));
+            for inst in &instances {
+                for elem in 0..cp.n() {
+                    for e in &stream {
+                        let (mut fast, mut full) = (EngineMetrics::new(), EngineMetrics::new());
+                        let got = compatible_with(&cp, &prog, inst, elem, e, &consumed, &mut fast);
+                        let want = full_walk_compatible_with(
+                            &cp, &prog, inst, elem, e, &consumed, &mut full,
+                        );
+                        prop_assert_eq!(got, want, "elem {} event {:?}", elem, e);
+                        prop_assert_eq!(fast.predicate_evaluations, full.predicate_evaluations);
+                    }
+                }
+                // Engines merge only non-empty sides; an empty one is the
+                // extreme of the extents, so one side may be empty here.
+                for other in instances.iter().filter(|o| o.event_count + inst.event_count > 0) {
+                    let (mut fast, mut full) = (EngineMetrics::new(), EngineMetrics::new());
+                    let got = merge_compatible_with(&cp, &prog, inst, other, &consumed, &mut fast);
+                    let want = full_walk_merge_compatible_with(
+                        &cp, &prog, inst, other, &consumed, &mut full,
+                    );
+                    prop_assert_eq!(got, want);
+                    prop_assert_eq!(fast.predicate_evaluations, full.predicate_evaluations);
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "extents cover the bindings")]
+    fn stale_extents_fail_the_extension_check_in_debug_builds() {
+        let cp = cp_seq2();
+        let mut inst = Instance::empty(2).with_single(0, ev(0, 5, 3, 1));
+        inst.max_ts = 4;
+        let mut m = EngineMetrics::new();
+        compatible(&cp, &inst, 1, &ev(1, 6, 4, 2), &ConsumedSet::new(), &mut m);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "extents cover the bindings")]
+    fn stale_extents_fail_the_merge_check_in_debug_builds() {
+        let cp = cp_seq2();
+        let left = Instance::empty(2).with_single(0, ev(0, 5, 3, 1));
+        let mut right = Instance::empty(2).with_single(1, ev(1, 6, 4, 2));
+        right.min_seq = 5;
+        let mut m = EngineMetrics::new();
+        merge_compatible(&cp, &left, &right, &ConsumedSet::new(), &mut m);
     }
 }

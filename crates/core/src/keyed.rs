@@ -215,7 +215,9 @@ impl<T> KeyedStore<T> {
             let mut kept = 0;
             for idx in 0..bucket.len() {
                 if keep(&bucket[idx]) {
-                    bucket.swap(kept, idx);
+                    if kept != idx {
+                        bucket.swap(kept, idx);
+                    }
                     kept += 1;
                 }
             }

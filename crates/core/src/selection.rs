@@ -1,5 +1,8 @@
 //! Event selection strategies (Section 6.2 of the paper).
 
+use crate::event::{expired_at, Timestamp};
+use crate::matches::Match;
+use std::collections::HashMap;
 use std::fmt;
 
 /// How events are selected from the input stream into matches.
@@ -75,6 +78,49 @@ impl SelectionStrategy {
     }
 }
 
+/// The events consumed by emitted matches under a consuming strategy
+/// ([`SelectionStrategy::consumes`]), each remembered with its timestamp
+/// until it leaves the window.
+///
+/// Forgetting an event is safe once it has expired: every match completed
+/// from then on contains an event at or after the watermark, so it cannot
+/// also contain the expired one, and a match parked for a negation check is
+/// released no later than `min_ts + window`, before any of its events
+/// expires.
+#[derive(Debug, Clone, Default)]
+pub struct ConsumedSet {
+    seqs: HashMap<u64, Timestamp>,
+}
+
+impl ConsumedSet {
+    /// An empty set.
+    pub fn new() -> ConsumedSet {
+        ConsumedSet::default()
+    }
+
+    /// Whether the event with serial number `seq` is consumed.
+    #[inline]
+    pub fn contains(&self, seq: u64) -> bool {
+        self.seqs.contains_key(&seq)
+    }
+
+    /// Consumes the events of `m`, unless one of them is consumed already.
+    /// Returns whether it did, that is whether `m` may be emitted.
+    pub fn consume(&mut self, m: &Match) -> bool {
+        if m.events().any(|e| self.contains(e.seq)) {
+            return false;
+        }
+        self.seqs.extend(m.events().map(|e| (e.seq, e.ts)));
+        true
+    }
+
+    /// Forgets every event that has expired at `watermark`.
+    pub fn retain_window(&mut self, watermark: Timestamp, window: u64) {
+        self.seqs
+            .retain(|_, &mut ts| !expired_at(ts, window, watermark));
+    }
+}
+
 impl fmt::Display for SelectionStrategy {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
@@ -126,6 +172,31 @@ mod tests {
         assert!(s.neighbours_ok(&ev(10, 2, 0), &ev(14, 2, 1)));
         assert!(!s.neighbours_ok(&ev(10, 2, 0), &ev(14, 3, 1)));
         assert!(!s.neighbours_ok(&ev(10, 2, 0), &ev(14, 2, 2)));
+    }
+
+    #[test]
+    fn consumed_events_are_forgotten_only_once_expired() {
+        use crate::matches::Binding;
+        use std::sync::Arc;
+        let m = |seqs: &[u64]| Match {
+            bindings: seqs
+                .iter()
+                .map(|&s| (s as usize, Binding::One(Arc::new(ev(s, 0, s)))))
+                .collect(),
+            last_ts: 0,
+            emitted_at: 0,
+        };
+        let mut consumed = ConsumedSet::new();
+        assert!(consumed.consume(&m(&[2, 5])));
+        assert!(!consumed.consume(&m(&[5, 7])), "shares event 5");
+        assert!(!consumed.contains(7), "a refused match consumes nothing");
+        assert!(consumed.consume(&m(&[7])));
+        // `ev` stamps ts = seq: at watermark 12 and window 5 only ts < 7
+        // has expired.
+        consumed.retain_window(12, 5);
+        assert!(consumed.contains(7) && !consumed.contains(5) && !consumed.contains(2));
+        consumed.retain_window(u64::MAX, u64::MAX);
+        assert!(consumed.contains(7), "the window saturates");
     }
 
     #[test]

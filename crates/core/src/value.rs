@@ -51,6 +51,7 @@ impl Value {
     pub fn partial_cmp_value(&self, other: &Value) -> Option<Ordering> {
         match (self, other) {
             (Value::Int(a), Value::Int(b)) => Some(a.cmp(b)),
+            (Value::Float(a), Value::Float(b)) => a.partial_cmp(b),
             (Value::Bool(a), Value::Bool(b)) => Some(a.cmp(b)),
             (Value::Str(a), Value::Str(b)) => Some(a.as_ref().cmp(b.as_ref())),
             _ => {
@@ -109,6 +110,48 @@ mod tests {
         assert_eq!(
             Value::Float(3.0).partial_cmp_value(&Value::Int(3)),
             Some(Ordering::Equal)
+        );
+    }
+
+    #[test]
+    fn float_pairs_compare_like_the_numeric_view() {
+        let floats = [
+            f64::NAN,
+            -0.0,
+            0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -2.0,
+            1.5,
+            f64::MIN_POSITIVE,
+            f64::MAX,
+        ];
+        let ints = [
+            Value::Int(0),
+            Value::Int(-2),
+            Value::Int(1),
+            Value::Int(i64::MAX),
+        ];
+        let values: Vec<Value> = floats.map(Value::Float).into_iter().chain(ints).collect();
+        for a in &values {
+            for b in &values {
+                if let (Value::Int(_), Value::Int(_)) = (a, b) {
+                    continue; // exact, never through f64
+                }
+                let numeric = a
+                    .as_f64()
+                    .zip(b.as_f64())
+                    .and_then(|(x, y)| x.partial_cmp(&y));
+                assert_eq!(a.partial_cmp_value(b), numeric, "{a} vs {b}");
+            }
+        }
+        assert_eq!(
+            Value::Float(-0.0).partial_cmp_value(&Value::Float(0.0)),
+            Some(Ordering::Equal)
+        );
+        assert_eq!(
+            Value::Float(f64::NAN).partial_cmp_value(&Value::Float(f64::NAN)),
+            None
         );
     }
 

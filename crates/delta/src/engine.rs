@@ -11,7 +11,7 @@ use cep_core::keyed::{index_key, IndexKey};
 use cep_core::matches::{validate_match, Match};
 use cep_core::metrics::EngineMetrics;
 use cep_core::negation::DeferredStore;
-use std::collections::HashSet;
+use cep_core::selection::ConsumedSet;
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Instant;
@@ -50,7 +50,7 @@ pub struct DeltaEngine {
     /// [`DeferredStore::admit`]; pruned in lockstep with the index.
     neg_buffers: TypeBuffers,
     deferred: DeferredStore,
-    consumed: HashSet<u64>,
+    consumed: ConsumedSet,
     watermark: Timestamp,
     metrics: EngineMetrics,
 }
@@ -84,7 +84,7 @@ impl DeltaEngine {
             index,
             neg_buffers: TypeBuffers::new(),
             deferred: DeferredStore::new(),
-            consumed: HashSet::new(),
+            consumed: ConsumedSet::new(),
             watermark: 0,
             metrics: EngineMetrics::new(),
         }
@@ -101,13 +101,8 @@ impl DeltaEngine {
     }
 
     fn emit(&mut self, m: Match, out: &mut Vec<Match>) {
-        if self.cp.strategy.consumes() {
-            if m.events().any(|e| self.consumed.contains(&e.seq)) {
-                return;
-            }
-            for e in m.events() {
-                self.consumed.insert(e.seq);
-            }
+        if self.cp.strategy.consumes() && !self.consumed.consume(&m) {
+            return;
         }
         self.metrics.matches_emitted += 1;
         out.push(m);
@@ -405,6 +400,13 @@ impl Engine for DeltaEngine {
         let expired = self.index.expire(watermark, self.cp.window);
         self.metrics.delta_updates += expired;
         self.neg_buffers.prune(watermark, self.cp.window);
+        if self
+            .metrics
+            .events_processed
+            .is_multiple_of(self.cfg.prune_every)
+        {
+            self.consumed.retain_window(watermark, self.cp.window);
+        }
         if !self.cp.uses_type(event.type_id) {
             return;
         }

@@ -38,7 +38,7 @@ use cep_core::matches::Match;
 use cep_core::metrics::EngineMetrics;
 use cep_core::negation::DeferredStore;
 use cep_core::plan::OrderPlan;
-use std::collections::HashSet;
+use cep_core::selection::ConsumedSet;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -57,10 +57,13 @@ pub struct NfaEngine {
     /// `buffers[k]`: buffered events of `order[k]`'s type, in arrival order.
     buffers: Vec<KeyedStore<EventRef>>,
     arena: InstanceArena,
+    /// The empty instance every event of the first plan element starts
+    /// from.
+    root: Instance,
     /// Buffered events of negated types, for negation checks only.
     neg_buffers: TypeBuffers,
     deferred: DeferredStore,
-    consumed: HashSet<u64>,
+    consumed: ConsumedSet,
     watermark: Timestamp,
     events_since_prune: u64,
     metrics: EngineMetrics,
@@ -96,6 +99,7 @@ impl NfaEngine {
         Ok(NfaEngine {
             states: order.iter().map(|_| KeyedStore::new()).collect(),
             buffers: order.iter().map(|_| KeyedStore::new()).collect(),
+            root: Instance::empty(cp.n()),
             cp,
             order,
             cfg,
@@ -104,7 +108,7 @@ impl NfaEngine {
             arena: InstanceArena::new(),
             neg_buffers: TypeBuffers::new(),
             deferred: DeferredStore::new(),
-            consumed: HashSet::new(),
+            consumed: ConsumedSet::new(),
             watermark: 0,
             events_since_prune: 0,
             metrics: EngineMetrics::new(),
@@ -175,11 +179,8 @@ impl NfaEngine {
 
     fn emit(&mut self, m: Match, out: &mut Vec<Match>) {
         if self.cp.strategy.consumes() {
-            if m.events().any(|e| self.consumed.contains(&e.seq)) {
+            if !self.consumed.consume(&m) {
                 return;
-            }
-            for e in m.events() {
-                self.consumed.insert(e.seq);
             }
             // Kill partial matches that used now-consumed events; their
             // shells go back to the arena.
@@ -432,11 +433,7 @@ impl NfaEngine {
         for state in &mut self.states {
             state.retain(|i| !i.expired(watermark, window), |i| arena.retire(i));
         }
-        // Events are seq-ordered by ts only loosely; conservatively keep
-        // every consumed serial number unless the set grows large.
-        if self.cp.strategy.consumes() && self.consumed.len() > 100_000 {
-            self.consumed.clear();
-        }
+        self.consumed.retain_window(watermark, window);
     }
 }
 
@@ -489,18 +486,18 @@ impl Engine for NfaEngine {
         // Virtual initial state: the first plan element starts instances.
         let first = self.order[0];
         if self.cp.elements[first].event_type == event.type_id {
-            let root = Instance::empty(self.cp.n());
+            let root = &self.root;
             if self.cp.elements[first].kleene {
                 if compatible_with(
                     &self.cp,
                     &self.program,
-                    &root,
+                    root,
                     first,
                     event,
                     &self.consumed,
                     &mut self.metrics,
                 ) {
-                    let seeded = self.arena.with_kleene(&root, first, event.clone());
+                    let seeded = self.arena.with_kleene(root, first, event.clone());
                     self.metrics.partial_matches_created += 1;
                     if self.cp.strategy.forks() {
                         self.enter(seeded.clone(), 1, out);
@@ -512,13 +509,13 @@ impl Engine for NfaEngine {
             } else if compatible_with(
                 &self.cp,
                 &self.program,
-                &root,
+                root,
                 first,
                 event,
                 &self.consumed,
                 &mut self.metrics,
             ) {
-                let seeded = self.arena.with_single(&root, first, event.clone());
+                let seeded = self.arena.with_single(root, first, event.clone());
                 self.enter(seeded, 1, out);
             }
         }

@@ -33,7 +33,7 @@ use cep_core::matches::Match;
 use cep_core::metrics::EngineMetrics;
 use cep_core::negation::DeferredStore;
 use cep_core::plan::{TreeNode, TreePlan};
-use std::collections::HashSet;
+use cep_core::selection::ConsumedSet;
 use std::sync::Arc;
 
 /// A flattened tree-plan node.
@@ -68,11 +68,14 @@ pub struct TreeEngine {
     /// Instances stored at each node, within the window.
     stores: Vec<KeyedStore<Instance>>,
     arena: InstanceArena,
+    /// The empty instance every leaf arrival is checked against and seeded
+    /// from.
+    empty: Instance,
     /// Buffered events of negated types (for negation checks only; positive
     /// events live in the leaf stores).
     buffers: TypeBuffers,
     deferred: DeferredStore,
-    consumed: HashSet<u64>,
+    consumed: ConsumedSet,
     watermark: Timestamp,
     events_since_prune: u64,
     metrics: EngineMetrics,
@@ -125,6 +128,7 @@ impl TreeEngine {
             .collect();
         let stores = nodes.iter().map(|_| KeyedStore::new()).collect();
         Ok(TreeEngine {
+            empty: Instance::empty(cp.n()),
             cp,
             cfg,
             program,
@@ -135,7 +139,7 @@ impl TreeEngine {
             arena: InstanceArena::new(),
             buffers: TypeBuffers::new(),
             deferred: DeferredStore::new(),
-            consumed: HashSet::new(),
+            consumed: ConsumedSet::new(),
             watermark: 0,
             events_since_prune: 0,
             metrics: EngineMetrics::new(),
@@ -165,11 +169,8 @@ impl TreeEngine {
 
     fn emit(&mut self, m: Match, out: &mut Vec<Match>) {
         if self.cp.strategy.consumes() {
-            if m.events().any(|e| self.consumed.contains(&e.seq)) {
+            if !self.consumed.consume(&m) {
                 return;
-            }
-            for e in m.events() {
-                self.consumed.insert(e.seq);
             }
             let (consumed, arena) = (&self.consumed, &mut self.arena);
             for store in &mut self.stores {
@@ -274,11 +275,10 @@ impl TreeEngine {
             NodeKind::Leaf { elem } => elem,
             NodeKind::Internal { .. } => unreachable!("leaf_arrival on internal node"),
         };
-        let empty = Instance::empty(self.cp.n());
         if !compatible_with(
             &self.cp,
             &self.program,
-            &empty,
+            &self.empty,
             elem,
             event,
             &self.consumed,
@@ -311,10 +311,10 @@ impl TreeEngine {
             for g in grown {
                 self.propagate(leaf, g, out);
             }
-            let seed = self.arena.with_kleene(&empty, elem, event.clone());
+            let seed = self.arena.with_kleene(&self.empty, elem, event.clone());
             self.propagate(leaf, seed, out);
         } else {
-            let seed = self.arena.with_single(&empty, elem, event.clone());
+            let seed = self.arena.with_single(&self.empty, elem, event.clone());
             self.propagate(leaf, seed, out);
         }
     }
@@ -327,9 +327,7 @@ impl TreeEngine {
         for store in &mut self.stores {
             store.retain(|i| !i.expired(watermark, window), |i| arena.retire(i));
         }
-        if self.cp.strategy.consumes() && self.consumed.len() > 100_000 {
-            self.consumed.clear();
-        }
+        self.consumed.retain_window(watermark, window);
     }
 }
 

@@ -11,7 +11,6 @@
 //! about a third of consecutive events share a timestamp — soundness may
 //! not depend on the instances being ones an engine would build.
 
-use std::collections::HashSet;
 use std::iter;
 use std::ops::RangeInclusive;
 
@@ -23,6 +22,7 @@ use cep::core::instance::{compatible_with, merge_compatible_with, partner_ts_ran
 use cep::core::metrics::EngineMetrics;
 use cep::core::pattern::{Pattern, PatternBuilder, PatternExpr};
 use cep::core::predicate::Predicate;
+use cep::core::selection::ConsumedSet;
 use proptest::prelude::*;
 
 /// A pattern over `types` in one of four shapes — flat `SEQ`, flat `AND`,
@@ -137,7 +137,7 @@ impl Tally {
 fn check_pairs(cp: &CompiledPattern, stream: &[EventRef], draws: &[(u8, u64)]) -> Tally {
     let n = cp.n();
     let prog = PredicateProgram::compile(cp);
-    let consumed = HashSet::new();
+    let consumed = ConsumedSet::new();
     let mut tally = Tally::default();
     let drawn: Vec<(Vec<usize>, Instance)> = draws
         .iter()

@@ -32,8 +32,7 @@ fn stream(events: Vec<Event>) -> Vec<cep::core::event::EventRef> {
 }
 
 /// The NFA, tree and delta engines for `cp`, each with its trivial plan.
-fn every_backend(cp: &CompiledPattern) -> [Box<dyn Engine>; 3] {
-    let cfg = EngineConfig::default();
+fn every_backend(cp: &CompiledPattern, cfg: EngineConfig) -> [Box<dyn Engine>; 3] {
     [
         Box::new(NfaEngine::with_trivial_plan(cp.clone(), cfg.clone())),
         Box::new(TreeEngine::with_trivial_plan(cp.clone(), cfg.clone())),
@@ -48,7 +47,7 @@ fn empty_stream_produces_no_matches() {
     let c = b.event(t(1), "c");
     let cp = CompiledPattern::compile_single(&b.seq([a, c]).unwrap()).unwrap();
     let s: Vec<cep::core::event::EventRef> = Vec::new();
-    for mut engine in every_backend(&cp) {
+    for mut engine in every_backend(&cp, EngineConfig::default()) {
         let r = run_to_completion(engine.as_mut(), &s, true);
         assert_eq!(r.match_count, 0, "{}", engine.name());
     }
@@ -60,7 +59,7 @@ fn single_element_pattern_matches_every_event() {
     let a = b.event(t(0), "a");
     let cp = CompiledPattern::compile_single(&b.seq([a]).unwrap()).unwrap();
     let s = stream(vec![ev(0, 1, 0), ev(1, 2, 0), ev(0, 3, 0)]);
-    for mut engine in every_backend(&cp) {
+    for mut engine in every_backend(&cp, EngineConfig::default()) {
         let r = run_to_completion(engine.as_mut(), &s, true);
         assert_eq!(r.match_count, 2, "{}", engine.name());
     }
@@ -71,7 +70,7 @@ fn flush_without_events_is_harmless() {
     let mut b = PatternBuilder::new(10);
     let a = b.event(t(0), "a");
     let cp = CompiledPattern::compile_single(&b.seq([a]).unwrap()).unwrap();
-    for mut engine in every_backend(&cp) {
+    for mut engine in every_backend(&cp, EngineConfig::default()) {
         let mut out = Vec::new();
         engine.flush(&mut out);
         engine.flush(&mut out);
@@ -126,6 +125,49 @@ fn next_match_under_negation_consumes_only_emitted() {
     let r = run_to_completion(&mut nfa, &s, true);
     assert_eq!(r.match_count, 1);
     assert_eq!(r.matches[0].signature(), vec![(0, vec![4]), (2, vec![5])]);
+}
+
+#[test]
+fn next_match_stays_disjoint_after_consuming_a_hundred_thousand_events() {
+    // AND(A, B) and AND(A, NOT(C), B) under next-match over alternating
+    // A/B events, one per tick, no C. A consumed event stays in the window
+    // for a few ticks: buffered, where a later A catches up on it, and, in
+    // the negated pattern, in overlapping matches parked until the window
+    // closes. The engines consume one event pair per tick and must keep
+    // every consumed event for as long as it can bind, however many there
+    // are.
+    let s = stream((0..120_000).map(|i| ev((i % 2) as u32, i, 0)).collect());
+    // Pruning after every event prunes right after every emission.
+    let cfg = EngineConfig {
+        prune_every: 1,
+        ..EngineConfig::default()
+    };
+    for negated in [false, true] {
+        let mut b = PatternBuilder::new(4);
+        b.strategy(SelectionStrategy::SkipTillNextMatch);
+        let a = b.event(t(0), "a");
+        let nc = b.event(t(2), "c");
+        let bb = b.event(t(1), "b");
+        let mut exprs = vec![b.expr(a), b.expr(bb)];
+        if negated {
+            exprs.insert(1, b.not(nc));
+        }
+        let cp = CompiledPattern::compile_single(&b.and_exprs(exprs).unwrap()).unwrap();
+        for mut engine in every_backend(&cp, cfg.clone()) {
+            let r = run_to_completion(engine.as_mut(), &s, true);
+            let name = engine.name();
+            let mut used = std::collections::HashSet::new();
+            for m in &r.matches {
+                for e in m.events() {
+                    assert!(
+                        used.insert(e.seq),
+                        "{name} (negated {negated}): {e:?} reused"
+                    );
+                }
+            }
+            assert!(used.len() > 100_000, "{name}: {} consumed", used.len());
+        }
+    }
 }
 
 #[test]
