@@ -1,7 +1,7 @@
 //! The adaptive engine wrapper: drift detection, exact hot swap, replay.
 
 use cep_core::engine::{Engine, EngineFactory};
-use cep_core::event::{EventRef, Timestamp};
+use cep_core::event::{EventRef, Timestamp, TypeId};
 use cep_core::matches::Match;
 use cep_core::metrics::EngineMetrics;
 use cep_core::selection::ConsumedSet;
@@ -16,9 +16,6 @@ use std::time::Instant;
 /// from the active engine; keeps the per-event hot path free of the
 /// 17-field rebuild (the view is always refreshed at swap and flush).
 const REFRESH_EVERY: u64 = 64;
-
-/// Canonical match identity (see [`Match::signature`]).
-type Sig = Vec<(usize, Vec<u64>)>;
 
 /// Knobs of the detect → replan → swap loop.
 #[derive(Debug, Clone)]
@@ -216,15 +213,26 @@ pub trait Replanner: Send {
     fn consumes(&self) -> bool {
         false
     }
+
+    /// The event types some branch of the pattern negates. A negated
+    /// element can forbid a match over an interval reaching two windows
+    /// back from the watermark, so the wrapper keeps events of these types
+    /// one window longer than the rest of its replay buffer. There is no
+    /// default: a replanner that under-reports them lets a swap emit
+    /// matches the never-swapped engine suppresses.
+    fn negated_types(&self) -> Vec<TypeId>;
 }
 
 /// An [`Engine`] that replans itself while running.
 ///
 /// See the crate docs for the swap protocol and the exactness guarantee.
-/// The wrapper retains the last pattern window of input events; on drift it
-/// builds a fresh engine from the replanner's new plan, replays the
-/// retained window into it, and suppresses replayed re-emissions through a
-/// signature dedup, so downstream consumers never see a duplicate or a gap.
+/// The wrapper retains the last pattern window of input events, plus the
+/// negated-type events of the window before it; on drift it builds a fresh
+/// engine from the replanner's new plan and replays both into it. The swap
+/// runs after the old engine has processed the current event, so every
+/// match the replay completes was already decided by the old engine and is
+/// dropped (exact strategies) or rejected by the consumed set
+/// (skip-till-next-match). No emitted match is remembered.
 pub struct AdaptiveEngine<R: Replanner> {
     inner: Box<dyn Engine>,
     replanner: R,
@@ -232,12 +240,12 @@ pub struct AdaptiveEngine<R: Replanner> {
     /// Window-bounded replay buffer: every event with
     /// `ts ≥ watermark − window`, in arrival order.
     retained: VecDeque<EventRef>,
-    /// Signatures of emitted matches, remembered for one window length
-    /// (everything a replay could re-emit), tagged with their max event ts.
-    /// An append-only deque — emissions are already in non-decreasing
-    /// watermark order — so normal operation pays one push per match; the
-    /// set a replay filters against is only materialized at swap time.
-    recent: VecDeque<(Timestamp, Sig)>,
+    /// Event types some branch negates (see [`Replanner::negated_types`]).
+    negated: Vec<TypeId>,
+    /// Events of [`Self::negated`] types that left `retained` and are at
+    /// most two windows old, in arrival order: all older than every
+    /// retained event, so a replay feeds this tail first.
+    negated_tail: VecDeque<EventRef>,
     /// Whether the replanner's strategy consumes events (cached).
     consumes: bool,
     /// Events consumed by emitted matches, remembered for one window; only
@@ -265,6 +273,7 @@ impl<R: Replanner> AdaptiveEngine<R> {
         assert!(cfg.check_every >= 1, "check_every must be positive");
         let inner = replanner.build();
         let consumes = replanner.consumes();
+        let negated = replanner.negated_types();
         let monitor = StatsMonitor::new(cfg.horizon_ms, cfg.drift_threshold);
         let events_since_swap = cfg.cooldown_events; // first swap is not throttled
         AdaptiveEngine {
@@ -272,7 +281,8 @@ impl<R: Replanner> AdaptiveEngine<R> {
             replanner,
             monitor,
             retained: VecDeque::new(),
-            recent: VecDeque::new(),
+            negated,
+            negated_tail: VecDeque::new(),
             consumes,
             consumed: ConsumedSet::new(),
             window,
@@ -309,11 +319,14 @@ impl<R: Replanner> AdaptiveEngine<R> {
         self.retained.len()
     }
 
-    /// Records emissions (signature for future replay dedup; consumption
-    /// state for consuming strategies) and forwards them downstream. A
-    /// single engine never emits duplicates between swaps, so the normal
-    /// path only *appends* — membership is checked exclusively against the
-    /// swap-time snapshot in [`Self::swap`].
+    /// Negated-type events held beyond the retained window.
+    #[cfg(test)]
+    pub(crate) fn negated_tail_len(&self) -> usize {
+        self.negated_tail.len()
+    }
+
+    /// Records consumption state for consuming strategies and forwards
+    /// emissions downstream.
     fn emit(&mut self, staged: Vec<Match>, out: &mut Vec<Match>) {
         for m in staged {
             if self.consumes {
@@ -324,7 +337,6 @@ impl<R: Replanner> AdaptiveEngine<R> {
                     continue;
                 }
             }
-            self.recent.push_back((m.max_ts(), m.signature()));
             self.replanner.observe_match(&m);
             self.metrics.matches_emitted += 1;
             out.push(m);
@@ -389,12 +401,19 @@ impl<R: Replanner> AdaptiveEngine<R> {
         self.metrics = agg;
     }
 
-    /// Hot swap: build a fresh engine from the replanner's new plan, replay
-    /// the retained window, suppress re-emissions. The old engine is
+    /// Hot swap: build a fresh engine from the replanner's new plan and
+    /// replay the negated tail, then the retained window. The old engine is
     /// dropped **without flushing**: anything it still held deferred (e.g.
     /// matches awaiting a trailing-negation watermark) is reconstructed —
     /// and still correctly gated by future events — inside the new engine,
     /// whereas flushing would emit those matches as if the stream ended.
+    ///
+    /// Every match the replay completes was decided by the old engine (see
+    /// the type docs). The exact strategies drop them all. Under
+    /// skip-till-next-match they pass through [`Self::emit`], except those
+    /// binding a tail event: those were decided a window before anything
+    /// retained, against negated events and consumption marks the wrapper
+    /// no longer holds.
     fn swap(&mut self, out: &mut Vec<Match>) {
         let fresh = self.replanner.build();
         let old = std::mem::replace(&mut self.inner, fresh);
@@ -402,35 +421,30 @@ impl<R: Replanner> AdaptiveEngine<R> {
         drop(old);
         let replay_start = Instant::now();
         let mut staged = Vec::new();
-        for event in &self.retained {
+        for event in self.negated_tail.iter().chain(&self.retained) {
             self.inner.process(event, &mut staged);
         }
         let replay_ns = replay_start.elapsed().as_nanos() as u64;
+        let replayed_events = (self.negated_tail.len() + self.retained.len()) as u64;
         self.metrics.replay_time_ns += replay_ns;
         self.metrics.replay_ns.record(replay_ns);
-        self.metrics.replayed_events += self.retained.len() as u64;
+        self.metrics.replayed_events += replayed_events;
         self.metrics.plan_swaps += 1;
         self.events_since_swap = 0;
-        // Suppress replayed re-detections of matches already emitted
-        // pre-swap. For the exact strategies that is every replayed
-        // completion; emitting survivors keeps the wrapper conservative
-        // rather than silently dropping them.
-        let staged_count = staged.len();
-        let survivors: Vec<Match> = {
-            let seen: std::collections::HashSet<&Sig> =
-                self.recent.iter().map(|(_, sig)| sig).collect();
-            staged
-                .into_iter()
-                .filter(|m| !seen.contains(&m.signature()))
-                .collect()
-        };
+        let replayed_matches = staged.len() as u64;
+        let emitted_before = self.metrics.matches_emitted;
+        if self.consumes {
+            let keep_from = self.watermark.saturating_sub(self.window);
+            staged.retain(|m| m.min_ts() >= keep_from);
+            self.emit(staged, out);
+        }
+        let suppressed_matches = replayed_matches - (self.metrics.matches_emitted - emitted_before);
         self.tracer.emit_with(|| TraceRecord::ReplayWindow {
             at_event: self.metrics.events_processed,
-            replayed_events: self.retained.len() as u64,
+            replayed_events,
             replay_ns,
-            suppressed_matches: (staged_count - survivors.len()) as u64,
+            suppressed_matches,
         });
-        self.emit(survivors, out);
         self.refresh_metrics();
     }
 
@@ -524,16 +538,17 @@ impl<R: Replanner> Engine for AdaptiveEngine<R> {
         // window old can still share a match with an event at the
         // watermark (span == window is within the pattern window).
         let keep_from = self.watermark.saturating_sub(self.window);
-        while self.retained.front().is_some_and(|e| e.ts < keep_from) {
-            self.retained.pop_front();
+        while let Some(e) = self.retained.pop_front_if(|e| e.ts < keep_from) {
+            if self.negated.contains(&e.type_id) {
+                self.negated_tail.push_back(e);
+            }
         }
-        // A replay can only re-emit matches whose events all lie in the
-        // retained window, so older signatures can never recur. Emissions
-        // are pushed in near-watermark order (deferred emissions lag by at
-        // most a window), so trimming the front is enough: a stale entry
-        // stuck behind a fresher one is over-retention, never a miss.
-        while self.recent.front().is_some_and(|(ts, _)| *ts < keep_from) {
-            self.recent.pop_front();
+        // Every match a replay can still emit or park has
+        // `max_ts ≥ keep_from`, and a negated element forbids events only
+        // above `max_ts − window`.
+        let tail_from = keep_from.saturating_sub(self.window);
+        while self.negated_tail.front().is_some_and(|e| e.ts < tail_from) {
+            self.negated_tail.pop_front();
         }
         self.metrics.record_retained(self.retained.len());
         let mut staged = Vec::new();

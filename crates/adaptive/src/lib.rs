@@ -13,16 +13,19 @@
 //!
 //! 1. feeds a [`StatsMonitor`](cep_optimizer::StatsMonitor) (sliding-horizon
 //!    arrival rates + drift detection) and a **retained-event buffer**
-//!    holding exactly the last pattern window of the stream;
-//! 2. forwards the event to the active engine and routes its emissions
-//!    through a signature dedup keyed like the deterministic shard merge;
+//!    holding exactly the last pattern window of the stream, plus a
+//!    **negated tail**: the events of negated types
+//!    ([`Replanner::negated_types`]) from the window before it;
+//! 2. forwards the event to the active engine and its emissions downstream
+//!    — no emitted match is remembered;
 //! 3. every `check_every` events, if the monitor reports drift, asks its
 //!    [`Replanner`] to rebuild the evaluation plan from the live rate
 //!    estimates. If the plan changed, the engine **hot-swaps**: a fresh
-//!    engine is built from the new plan, the retained window is replayed
-//!    into it, and the old engine is dropped *without flushing* (its
-//!    deferred state — e.g. matches pending a trailing-negation watermark —
-//!    is reconstructed exactly by the replay).
+//!    engine is built from the new plan, the negated tail and then the
+//!    retained window are replayed into it, and the old engine is dropped
+//!    *without flushing* (its deferred state — e.g. matches pending a
+//!    trailing-negation watermark — is reconstructed exactly by the
+//!    replay).
 //!
 //! ## Exactness
 //!
@@ -34,9 +37,14 @@
 //!   `ts ≥ w − window` (its last event has `ts ≥ w` and the pattern window
 //!   bounds the span), and the retained buffer holds every such event — the
 //!   new engine misses nothing;
-//! * matches the old engine already emitted are re-detected during replay
-//!   and suppressed by the dedup (signatures are remembered for one window
-//!   length, which covers everything a replay can re-emit);
+//! * the swap runs after the old engine has processed the current event,
+//!   so every match the replay completes is decided at a watermark the old
+//!   engine already reached, and the old engine, being exact, has already
+//!   emitted it: the wrapper drops every replayed emission by construction;
+//! * a negated element forbids events above `max_ts − window`; a match the
+//!   replay parks can have `max_ts` a window before `w`, so the events that
+//!   forbid it reach two windows back. The negated tail holds them, so the
+//!   new engine rejects exactly the matches the old one did;
 //! * match *content* is plan-independent for the exact strategies
 //!   (the plan changes cost, never the result set — the paper's Section 3
 //!   semantics), so swapping plans mid-stream cannot change the output.
@@ -46,9 +54,9 @@
 //! old plan, which a swap rebuilds from the retained window only. The
 //! wrapper *does* migrate consumption state — events bound by emitted
 //! matches are remembered for one window, and post-swap emissions reusing
-//! them are suppressed — so swapped next-match runs remain valid,
-//! event-disjoint, and deterministic per configuration, but bindings may
-//! differ from a never-swapped run's.
+//! them, replayed re-detections included, are suppressed — so swapped
+//! next-match runs remain valid, event-disjoint, and deterministic per
+//! configuration, but bindings may differ from a never-swapped run's.
 //!
 //! Every shard of a `cep-shard`-style worker pool can own its own
 //! `AdaptiveEngine` (via [`AdaptiveFactory`]): each worker then replans

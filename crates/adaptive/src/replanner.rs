@@ -7,7 +7,7 @@ use cep_core::compile::CompiledPattern;
 use cep_core::compiled::{shared_plan_cache, SharedPlanCache};
 use cep_core::engine::{Engine, EngineConfig, MultiEngine};
 use cep_core::error::CepError;
-use cep_core::event::EventRef;
+use cep_core::event::{EventRef, TypeId};
 use cep_core::matches::Match;
 use cep_core::plan::{OrderPlan, TreePlan};
 use cep_core::stats::{MeasuredStats, PatternStats};
@@ -479,5 +479,12 @@ impl Replanner for PlanReplanner {
 
     fn consumes(&self) -> bool {
         self.branches.iter().any(|b| b.cp.strategy.consumes())
+    }
+
+    fn negated_types(&self) -> Vec<TypeId> {
+        self.branches
+            .iter()
+            .flat_map(|b| b.cp.negated.iter().map(|ne| ne.event_type))
+            .collect()
     }
 }

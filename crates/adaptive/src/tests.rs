@@ -11,7 +11,7 @@ use cep_core::engine::{run_to_completion, Engine, EngineConfig, EngineFactory};
 use cep_core::event::{Event, TypeId};
 use cep_core::matches::{validate_match, Match};
 use cep_core::naive::NaiveEngine;
-use cep_core::pattern::{Pattern, PatternBuilder};
+use cep_core::pattern::{Pattern, PatternBuilder, PatternExpr};
 use cep_core::plan::{OrderPlan, TreePlan};
 use cep_core::predicate::{CmpOp, Predicate};
 use cep_core::selection::SelectionStrategy;
@@ -35,6 +35,38 @@ fn seq_pattern(n: usize, window: u64, strategy: SelectionStrategy) -> Pattern {
         .map(|i| b.event(t(i as u32), &format!("e{i}")))
         .collect();
     b.seq(evs).unwrap()
+}
+
+/// `SEQ` (or `AND`) of types 0, 1, 2 with `NOT` type 3 inserted at
+/// `neg_at` (0 leading, 1 and 2 internal, 3 trailing), and the element of
+/// type `kleene` (if any) under `KL`. No predicates.
+fn negation_pattern(
+    is_seq: bool,
+    neg_at: usize,
+    kleene: Option<usize>,
+    window: u64,
+    strategy: SelectionStrategy,
+) -> Pattern {
+    let mut b = PatternBuilder::new(window);
+    b.strategy(strategy);
+    let mut exprs: Vec<PatternExpr> = (0..3)
+        .map(|i| {
+            let e = b.event(t(i as u32), &format!("e{i}"));
+            if kleene == Some(i) {
+                b.kleene(e)
+            } else {
+                b.expr(e)
+            }
+        })
+        .collect();
+    let n = b.event(t(3), "n");
+    exprs.insert(neg_at, b.not(n));
+    if is_seq {
+        b.seq_exprs(exprs)
+    } else {
+        b.and_exprs(exprs)
+    }
+    .unwrap()
 }
 
 /// Deterministic pseudo-random workload (the LCG of the shard tests).
@@ -100,7 +132,7 @@ fn eager(horizon_ms: u64) -> AdaptiveConfig {
 
 /// A test replanner that alternates between two fixed plans on every
 /// replan call, reporting a change each time: guarantees swaps regardless
-/// of what the statistics say, isolating the swap/replay/dedup machinery
+/// of what the statistics say, isolating the swap/replay machinery
 /// from drift detection.
 #[derive(Clone)]
 struct FlipFlop {
@@ -150,6 +182,10 @@ impl Replanner for FlipFlop {
 
     fn consumes(&self) -> bool {
         self.cp.strategy.consumes()
+    }
+
+    fn negated_types(&self) -> Vec<TypeId> {
+        self.cp.negated.iter().map(|ne| ne.event_type).collect()
     }
 }
 
@@ -306,46 +342,77 @@ fn replayed_window_matches_are_never_emitted_twice() {
     }
 }
 
+/// Next-match `SEQ(NOT T1, KL(T0 k), NOT T0) WITHIN 4`: type 0 is both
+/// bound and negated, so the negated tail replays events a match can bind.
+fn bound_and_negated_pattern() -> Pattern {
+    let mut b = PatternBuilder::new(4);
+    b.strategy(SelectionStrategy::SkipTillNextMatch);
+    let (n1, k, n0) = (b.event(t(1), "n1"), b.event(t(0), "k"), b.event(t(0), "n0"));
+    let exprs = [b.not(n1), b.kleene(k), b.not(n0)];
+    b.seq_exprs(exprs).unwrap()
+}
+
 #[test]
 fn next_match_swaps_stay_valid_disjoint_and_deterministic() {
     let stream = lcg_stream(250, 3, 0xBEEF);
-    let cp =
-        CompiledPattern::compile_single(&seq_pattern(3, 12, SelectionStrategy::SkipTillNextMatch))
-            .unwrap();
-    let run = || {
-        let mut adaptive = AdaptiveEngine::new(FlipFlop::new(cp.clone(), false), 12, eager(50));
-        let matches = run_to_completion(&mut adaptive, &stream, true).matches;
-        (matches, adaptive.swaps())
-    };
-    let (matches, swaps) = run();
-    assert!(swaps >= 1);
-    assert!(!matches.is_empty(), "fixture should produce matches");
-    let mut used = std::collections::HashSet::new();
-    for m in &matches {
-        validate_match(&cp, m).unwrap();
-        for e in m.events() {
-            assert!(used.insert(e.seq), "event reused across a swap");
+    for pattern in [
+        seq_pattern(3, 12, SelectionStrategy::SkipTillNextMatch),
+        bound_and_negated_pattern(),
+    ] {
+        let cp = CompiledPattern::compile_single(&pattern).unwrap();
+        let run = || {
+            let mut adaptive =
+                AdaptiveEngine::new(FlipFlop::new(cp.clone(), false), cp.window, eager(50));
+            let matches = run_to_completion(&mut adaptive, &stream, true).matches;
+            (matches, adaptive.swaps())
+        };
+        // Every next-match emission is also an any-match one: in particular
+        // no negation forbids it.
+        let mut any_match = pattern.clone();
+        any_match.strategy = SelectionStrategy::SkipTillAnyMatch;
+        let any_cp = CompiledPattern::compile_single(&any_match).unwrap();
+        let mut static_engine = FlipFlop::new(any_cp, false).build();
+        let allowed: std::collections::HashSet<_> = run_engine(static_engine.as_mut(), &stream)
+            .iter()
+            .map(Match::signature)
+            .collect();
+        let (matches, swaps) = run();
+        assert!(swaps >= 1);
+        assert!(!matches.is_empty(), "fixture should produce matches");
+        let mut used = std::collections::HashSet::new();
+        for m in &matches {
+            validate_match(&cp, m).unwrap();
+            assert!(
+                allowed.contains(&m.signature()),
+                "{pattern}: {m} is forbidden"
+            );
+            for e in m.events() {
+                assert!(used.insert(e.seq), "{pattern}: event reused across a swap");
+            }
         }
+        let (again, _) = run();
+        assert_eq!(matches, again, "repeat runs must be identical");
     }
-    let (again, _) = run();
-    assert_eq!(matches, again, "repeat runs must be identical");
 }
 
 #[test]
 fn retained_buffer_is_window_bounded() {
     let window = 20u64;
-    let cp = CompiledPattern::compile_single(&seq_pattern(
-        2,
+    let cp = CompiledPattern::compile_single(&negation_pattern(
+        true,
+        1,
+        None,
         window,
         SelectionStrategy::SkipTillAnyMatch,
     ))
     .unwrap();
     let mut adaptive = AdaptiveEngine::new(FlipFlop::new(cp, false), window, eager(50));
-    // One event per ms for 300 ms: the buffer must plateau at ~window+1
-    // events instead of growing with the stream.
+    // One event per ms for 300 ms, types cycling 0..4: the buffer must
+    // plateau at ~window+1 events instead of growing with the stream, and
+    // the negated tail at the type-3 events of the window before it.
     let mut b = StreamBuilder::new();
     for ts in 0..300u64 {
-        b.push(Event::new(t(ts as u32 % 2), ts, vec![]));
+        b.push(Event::new(t(ts as u32 % 4), ts, vec![]));
     }
     let stream = b.build();
     let mut out = Vec::new();
@@ -355,7 +422,12 @@ fn retained_buffer_is_window_bounded() {
             adaptive.retained_len() as u64 <= window + 1,
             "retained buffer exceeded the window bound"
         );
+        assert!(
+            adaptive.negated_tail_len() as u64 <= window / 4,
+            "negated tail exceeded the two-window bound"
+        );
     }
+    assert_eq!(adaptive.negated_tail_len() as u64, window / 4);
     let m = adaptive.metrics();
     assert_eq!(m.retained_events, adaptive.retained_len());
     assert!(m.peak_retained_events as u64 <= window + 1);
@@ -365,6 +437,48 @@ fn retained_buffer_is_window_bounded() {
         m.replayed_events > m.plan_swaps,
         "replays should re-process multiple events per swap"
     );
+}
+
+#[test]
+fn swap_keeps_negated_events_older_than_the_retained_window() {
+    // Window 100. C@60 forbids {A@100, B@150} under a leading or a
+    // conjunctive NOT C, but the swap at D@170 (watermark 170, the first
+    // eager check) retains only ts >= 70. Replaying without C, a fresh
+    // engine emits the SEQ match during the replay and parks the AND
+    // match until D@400.
+    let (a, b, c, d) = (t(0), t(1), t(2), t(3));
+    let mut sb = StreamBuilder::new();
+    for (ty, ts) in [(c, 60), (a, 100), (b, 150), (d, 170), (d, 400)] {
+        sb.push(Event::new(ty, ts, vec![]));
+    }
+    let stream = sb.build();
+    for is_seq in [true, false] {
+        let mut pb = PatternBuilder::new(100);
+        let (ea, eb, ec) = (pb.event(a, "a"), pb.event(b, "b"), pb.event(c, "c"));
+        let pattern = if is_seq {
+            let exprs = [pb.not(ec), pb.expr(ea), pb.expr(eb)];
+            pb.seq_exprs(exprs)
+        } else {
+            let exprs = [pb.expr(ea), pb.not(ec), pb.expr(eb)];
+            pb.and_exprs(exprs)
+        }
+        .unwrap();
+        let cp = CompiledPattern::compile_single(&pattern).unwrap();
+        let mut oracle = NaiveEngine::new(cp.clone(), EngineConfig::default());
+        assert!(run_engine(&mut oracle, &stream).is_empty());
+        for tree in [false, true] {
+            let replanner = FlipFlop::new(cp.clone(), tree);
+            let mut static_engine = replanner.build();
+            assert!(run_engine(static_engine.as_mut(), &stream).is_empty());
+            let mut adaptive = AdaptiveEngine::new(replanner, 100, eager(50));
+            let got = run_engine(&mut adaptive, &stream);
+            assert_eq!(adaptive.swaps(), 1);
+            assert!(
+                got.is_empty(),
+                "{pattern} (tree={tree}): the swap emitted {got:?}"
+            );
+        }
+    }
 }
 
 #[test]
@@ -703,12 +817,19 @@ proptest! {
     /// forced to swap as aggressively as the protocol allows — emits
     /// exactly what the never-swapped engine emits, for all three exact
     /// selection strategies and both engine families, and exactly what the
-    /// naive oracle emits under skip-till-any-match.
+    /// naive oracle emits under skip-till-any-match. Patterns are `SEQ` or
+    /// `AND` with a leading, internal or trailing `NOT` and an optional
+    /// Kleene element; windows are short, so negated events leave the
+    /// retained window while they still forbid matches.
     #[test]
     fn swapped_output_equals_static_on_random_workloads(
-        raw in prop::collection::vec((0u32..3, 0u64..3), 1..80),
+        raw in prop::collection::vec((0u32..4, 0u64..3), 1..80),
         strategy_idx in 0usize..3,
         tree in any::<bool>(),
+        is_seq in any::<bool>(),
+        neg_at in 0usize..4,
+        kleene in 0usize..4,
+        window in 2u64..9,
     ) {
         let strategy = [
             SelectionStrategy::SkipTillAnyMatch,
@@ -722,11 +843,13 @@ proptest! {
             b.push(Event::new(t(tid), ts, vec![]));
         }
         let stream = b.build();
-        let cp = CompiledPattern::compile_single(&seq_pattern(3, 10, strategy)).unwrap();
+        let kleene = (kleene < 3).then_some(kleene);
+        let pattern = negation_pattern(is_seq, neg_at, kleene, window, strategy);
+        let cp = CompiledPattern::compile_single(&pattern).unwrap();
         let replanner = FlipFlop::new(cp.clone(), tree);
         let mut static_engine = replanner.build();
         let expected = run_engine(static_engine.as_mut(), &stream);
-        let mut adaptive = AdaptiveEngine::new(replanner, 10, eager(30));
+        let mut adaptive = AdaptiveEngine::new(replanner, window, eager(30));
         let got = run_engine(&mut adaptive, &stream);
         prop_assert_eq!(&got, &expected);
         if strategy == SelectionStrategy::SkipTillAnyMatch {

@@ -206,7 +206,7 @@ pub fn run(
                 writeln!(
                     out,
                     "event {at_event:>7}  replay      {replayed_events} events in \
-                     {replay_ns} ns, {suppressed_matches} duplicate matches suppressed"
+                     {replay_ns} ns, {suppressed_matches} replayed re-detections dropped"
                 )
                 .ok();
             }

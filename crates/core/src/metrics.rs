@@ -50,8 +50,8 @@ pub struct EngineMetrics {
     pub match_latency_ns: LatencyHistogram,
     /// Plan swaps performed by an adaptive wrapper (0 for static engines).
     pub plan_swaps: u64,
-    /// Events re-processed from the retained window across all plan swaps
-    /// (the replay cost of adaptivity, in events).
+    /// Events re-processed from the retained window and its negated tail
+    /// across all plan swaps (the replay cost of adaptivity, in events).
     pub replayed_events: u64,
     /// Nanoseconds spent replaying retained events during plan swaps.
     pub replay_time_ns: u64,

@@ -287,7 +287,10 @@ impl NfaEngine {
     /// Kleene state entry: the instance waits with an empty accumulator and
     /// every buffered candidate spawns subset growth (each non-empty
     /// accumulator also forks a closed copy that advances).
-    fn enter_kleene(&mut self, inst: Instance, k: usize, out: &mut Vec<Match>) {
+    fn enter_kleene(&mut self, mut inst: Instance, k: usize, out: &mut Vec<Match>) {
+        // The gate orders one element's accumulator; a gate left by the
+        // previous step's Kleene element must not filter this one.
+        inst.kl_gate = 0;
         if self.cp.strategy.forks() {
             self.kleene_grow(&inst, k, out);
             self.wait(k, inst);

@@ -244,6 +244,30 @@ mod tests {
     }
 
     #[test]
+    fn consecutive_kleene_steps_all_orders_match_oracle() {
+        // An order that closes KL(C) straight into KL(B) must not filter B's
+        // candidates by the serial-number gate C's accumulator left behind.
+        let mut b = PatternBuilder::new(10);
+        let a = b.event(t(0), "a");
+        let kb = b.event(t(1), "kb");
+        let kc = b.event(t(2), "kc");
+        let d = b.event(t(3), "d");
+        let exprs = [b.expr(a), b.kleene(kb), b.kleene(kc), b.expr(d)];
+        let p = b.seq_exprs(exprs).unwrap();
+        assert_all_orders_match_oracle(
+            &p,
+            vec![
+                ev(0, 1, 0),
+                ev(1, 2, 0),
+                ev(1, 3, 0),
+                ev(2, 4, 0),
+                ev(2, 5, 0),
+                ev(3, 6, 0),
+            ],
+        );
+    }
+
+    #[test]
     fn strict_contiguity_all_orders_match_oracle() {
         let mut b = PatternBuilder::new(10);
         b.strategy(SelectionStrategy::StrictContiguity);

@@ -62,7 +62,8 @@ pub enum TraceRecord {
         replayed_events: u64,
         /// Wall time of the replay in nanoseconds.
         replay_ns: u64,
-        /// Replayed re-detections suppressed by the signature dedup.
+        /// Replayed re-detections dropped: matches the replay completed
+        /// that the old engine had already decided.
         suppressed_matches: u64,
     },
     /// A routing decision (sampled — one in every
