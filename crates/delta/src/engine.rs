@@ -7,7 +7,7 @@ use cep_core::compiled::PredicateProgram;
 use cep_core::engine::{Engine, EngineConfig};
 use cep_core::event::{EventRef, Timestamp};
 use cep_core::instance::{compatible_with, partner_ts_range, Instance};
-use cep_core::keyed::{index_key, IndexKey};
+use cep_core::keyed::index_key;
 use cep_core::matches::{validate_match, Match};
 use cep_core::metrics::EngineMetrics;
 use cep_core::negation::DeferredStore;
@@ -16,26 +16,17 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// The candidate source chosen for one element at one search node.
-/// (A third case — an equality join against an unkeyable partner value —
-/// returns early from [`DeltaEngine::candidates_for`]: `==` can never
-/// hold, so the pool is empty.)
-enum Pool {
-    /// Probe the `(type, attr)` posting list with `key`.
-    Probe(usize, IndexKey),
-    /// Scan the element type's whole windowed store.
-    Scan,
-}
-
 /// The delta-indexed (non-materializing) evaluation engine.
 ///
 /// Semantically a drop-in third backend next to the NFA and tree engines:
 /// byte-identical match output (signatures *and* `emitted_at`) to the
 /// naive oracle under the three exact selection strategies. Instead of
-/// materializing partial matches it keeps only a [`WindowIndex`] of live
-/// events — per-type deques plus equality-key posting lists — and
-/// enumerates the matches completed by each arriving event on demand, by
-/// a backtracking search that picks the cheapest index probe first.
+/// materializing partial matches it keeps only a [`WindowIndex`] of the
+/// live events that can bind — per-type deques plus equality-key posting
+/// lists — and enumerates the matches completed by each arriving event on
+/// demand, by a backtracking search that picks the cheapest index probe
+/// first. An event that fails every filter of its type never enters the
+/// index.
 ///
 /// Under `SkipTillNextMatch` (the only non-exact strategy) the engine is
 /// greedy like the NFA/tree engines, but its enumeration order may pick a
@@ -124,8 +115,10 @@ impl DeltaEngine {
     fn enumerate(&mut self, newest: &EventRef, out: &mut Vec<Match>) {
         let t0 = Instant::now();
         let mut found = Vec::new();
-        let pins: Vec<usize> = self.cp.elements_of_type(newest.type_id).collect();
-        for j in pins {
+        for j in 0..self.cp.n() {
+            if self.cp.elements[j].event_type != newest.type_id {
+                continue;
+            }
             let inst = Instance::empty(self.cp.n());
             if self.cp.elements[j].kleene {
                 self.pinned_kleene(j, newest, &inst, &mut found);
@@ -353,9 +346,10 @@ impl DeltaEngine {
         let Some(range) = partner_ts_range(&self.cp, inst.extents(), &[elem]) else {
             return Vec::new();
         };
-        // Pool: cheapest equality-join probe over bound partners, else scan.
-        let mut pool = Pool::Scan;
-        let mut pool_len = self.index.type_len(ty);
+        // Pool: cheapest equality-join probe over bound partners, else the
+        // whole type store.
+        let mut pool = self.index.of_type(ty);
+        let mut probed = false;
         for join in self.cp.eq_joins(elem) {
             let Some(b) = &inst.bindings[join.other] else {
                 continue;
@@ -366,21 +360,14 @@ impl DeltaEngine {
                 // NaN) holds for no event.
                 return Vec::new();
             };
-            let len = self.index.posting_len(ty, join.attr, &key);
-            if len <= pool_len {
-                pool = Pool::Probe(join.attr, key);
-                pool_len = len;
+            let list = self.index.posting(ty, join.attr, &key);
+            if list.map_or(0, VecDeque::len) <= pool.map_or(0, VecDeque::len) {
+                pool = list;
+                probed = true;
             }
         }
-        let list: Option<&VecDeque<EventRef>> = match &pool {
-            Pool::Probe(attr, key) => self.index.posting(ty, *attr, key),
-            Pool::Scan => self.index.of_type(ty),
-        };
-        let out: Vec<EventRef> = match list {
-            Some(d) => ts_range(d, &range).cloned().collect(),
-            None => Vec::new(),
-        };
-        if matches!(pool, Pool::Probe(..)) {
+        let out = pool.map_or_else(Vec::new, |d| ts_range(d, &range).cloned().collect());
+        if probed {
             self.metrics.index_probes += 1;
         }
         out
@@ -411,16 +398,25 @@ impl Engine for DeltaEngine {
             return;
         }
         self.metrics.events_relevant += 1;
-        let positive = self.cp.elements_of_type(event.type_id).next().is_some();
-        if positive {
-            let inserted = self.index.insert(event.clone());
-            self.metrics.delta_updates += inserted;
-        }
-        if self.cp.negated_of_type(event.type_id).next().is_some() {
-            self.neg_buffers.push(event.clone());
-        }
-        if positive {
-            self.enumerate(event, out);
+        // Eager pruning, as in the NFA: an event that fails the filters of
+        // every positive element of its type (and whose type has no negated
+        // element) would be rejected by `compatible_with` at every bind
+        // attempt, so it is neither indexed nor enumerated.
+        if self
+            .program
+            .can_ever_bind(event, &mut self.metrics.predicate_evaluations)
+        {
+            let positive = self.cp.elements_of_type(event.type_id).next().is_some();
+            if positive {
+                let inserted = self.index.insert(event.clone());
+                self.metrics.delta_updates += inserted;
+            }
+            if self.cp.negated_of_type(event.type_id).next().is_some() {
+                self.neg_buffers.push(event.clone());
+            }
+            if positive {
+                self.enumerate(event, out);
+            }
         }
         self.metrics.record_live(
             self.deferred.len(),

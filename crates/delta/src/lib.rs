@@ -371,6 +371,49 @@ mod tests {
     }
 
     #[test]
+    fn filtered_out_events_stay_out_of_the_index_but_reach_negation() {
+        let events = vec![
+            ev(0, 1, 9),
+            ev(0, 2, 0),
+            ev(0, 3, 1),
+            ev(1, 4, 0),
+            ev(0, 5, 2),
+        ];
+        // SEQ(A a, C c) WHERE a.x > 5: only the first A can ever bind.
+        let mut b = PatternBuilder::new(10);
+        let a = b.event(t(0), "a");
+        let c = b.event(t(1), "c");
+        b.predicate(Predicate::attr_const(a.pos(), 0, CmpOp::Gt, Value::Int(5)));
+        let p = b.seq([a, c]).unwrap();
+        let cp = CompiledPattern::compile_single(&p).unwrap();
+        let mut engine = DeltaEngine::new(cp, EngineConfig::default());
+        let r = run_to_completion(&mut engine, &stream(events.clone()), true);
+        assert_eq!(r.matches.len(), 1);
+        assert_eq!(r.metrics.events_relevant, 5);
+        assert_eq!(
+            r.metrics.peak_buffered_events, 2,
+            "only a@1 and c@4 may enter the index"
+        );
+        assert_eq!(r.metrics.delta_updates, 2, "two inserts, nothing expires");
+
+        // SEQ(A a, NOT A n, C c) WHERE a.x > 5: A events failing `a`'s
+        // filter still forbid the match as `n`.
+        let mut b = PatternBuilder::new(10);
+        let a = b.event(t(0), "a");
+        let n = b.event(t(0), "n");
+        let c = b.event(t(1), "c");
+        b.predicate(Predicate::attr_const(a.pos(), 0, CmpOp::Gt, Value::Int(5)));
+        let exprs = [b.expr(a), b.not(n), b.expr(c)];
+        let p = b.seq_exprs(exprs).unwrap();
+        assert_matches_oracle(&p, events.clone());
+        let cp = CompiledPattern::compile_single(&p).unwrap();
+        let mut engine = DeltaEngine::new(cp, EngineConfig::default());
+        let r = run_to_completion(&mut engine, &stream(events), true);
+        assert!(r.matches.is_empty(), "a@2 and a@3 sit between a@1 and c@4");
+        assert!(r.metrics.peak_buffered_events > 2);
+    }
+
+    #[test]
     fn irrelevant_types_are_skipped_cheaply() {
         let mut b = PatternBuilder::new(10);
         let a = b.event(t(0), "a");

@@ -15,7 +15,6 @@ use std::collections::{BTreeMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Every `ROUTE_SAMPLE_MASK + 1`-th event's routing decision is traced as a
@@ -265,8 +264,8 @@ impl ShardedRuntime {
         let depths: Vec<AtomicU64> = (0..shards).map(|_| AtomicU64::new(0)).collect();
         let start = Instant::now();
         let mut router = ShardRouter::new(shards, policy);
-        let mut txs: Vec<SyncSender<Vec<EventRef>>> = Vec::with_capacity(shards);
-        let mut rxs: Vec<Receiver<Vec<EventRef>>> = Vec::with_capacity(shards);
+        let mut txs: Vec<SyncSender<Vec<&EventRef>>> = Vec::with_capacity(shards);
+        let mut rxs: Vec<Receiver<Vec<&EventRef>>> = Vec::with_capacity(shards);
         for _ in 0..shards {
             let (tx, rx) = sync_channel(self.config.queue_batches);
             txs.push(tx);
@@ -417,8 +416,8 @@ impl ShardedRuntime {
         let traced = tracer.is_enabled();
         let depths: Vec<AtomicU64> = (0..shards).map(|_| AtomicU64::new(0)).collect();
         let start = Instant::now();
-        let mut txs: Vec<SyncSender<Vec<EventRef>>> = Vec::with_capacity(shards);
-        let mut rxs: Vec<Receiver<Vec<EventRef>>> = Vec::with_capacity(shards);
+        let mut txs: Vec<SyncSender<Vec<&EventRef>>> = Vec::with_capacity(shards);
+        let mut rxs: Vec<Receiver<Vec<&EventRef>>> = Vec::with_capacity(shards);
         for _ in 0..shards {
             let (tx, rx) = sync_channel(self.config.queue_batches);
             txs.push(tx);
@@ -533,7 +532,7 @@ pub struct MultiQueryRunResult {
 /// [`run_to_completion`](cep_core::engine::run_to_completion).
 fn worker(
     factory: &dyn EngineFactory,
-    rx: Receiver<Vec<EventRef>>,
+    rx: Receiver<Vec<&EventRef>>,
     collect_matches: bool,
     queue_depth: Option<&AtomicU64>,
 ) -> ShardOutcome {
@@ -568,7 +567,7 @@ fn worker(
             d.fetch_sub(1, Ordering::Relaxed);
         }
         let batch_start = Instant::now();
-        for event in &batch {
+        for &event in &batch {
             let ev_start = Instant::now();
             engine.process(event, &mut scratch);
             events_routed += 1;
@@ -608,21 +607,25 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// closing — the senders so workers flush and return. Returns the number
 /// of extra broadcast deliveries
 /// ([`EngineMetrics::replicated_events`]).
-fn route_and_feed(
+///
+/// Batches carry references into `stream`, not `Arc` clones: the workers
+/// are scoped threads that end before the caller's borrow of the stream
+/// does, so routing and broadcast cost no refcount traffic.
+fn route_and_feed<'s>(
     tracer: &Tracer,
     router: &mut ShardRouter,
-    stream: &EventStream,
-    txs: Vec<SyncSender<Vec<EventRef>>>,
+    stream: &'s EventStream,
+    txs: Vec<SyncSender<Vec<&'s EventRef>>>,
     depths: &[AtomicU64],
     batch_size: usize,
 ) -> u64 {
     let shards = txs.len();
     let traced = tracer.is_enabled();
     let mut replicated_extra = 0u64;
-    let mut batches: Vec<Vec<EventRef>> = (0..shards)
+    let mut batches: Vec<Vec<&EventRef>> = (0..shards)
         .map(|_| Vec::with_capacity(batch_size))
         .collect();
-    let send_batch = |shard: usize, full: Vec<EventRef>| {
+    let send_batch = |shard: usize, full: Vec<&'s EventRef>| {
         if traced {
             let queue_depth = depths[shard].fetch_add(1, Ordering::Relaxed) + 1;
             let len = full.len() as u64;
@@ -636,8 +639,8 @@ fn route_and_feed(
         // the caller's join.
         let _ = txs[shard].send(full);
     };
-    let push = |shard: usize, event: &EventRef, batches: &mut Vec<Vec<EventRef>>| {
-        batches[shard].push(Arc::clone(event));
+    let push = |shard: usize, event: &'s EventRef, batches: &mut Vec<Vec<&'s EventRef>>| {
+        batches[shard].push(event);
         if batches[shard].len() >= batch_size {
             let full = std::mem::replace(&mut batches[shard], Vec::with_capacity(batch_size));
             send_batch(shard, full);
@@ -690,7 +693,7 @@ struct RegistryOutcome {
 /// leaves `events_processed`/`wall_time_ns` untouched).
 fn registry_worker(
     spec: &RegistrySpec,
-    rx: Receiver<Vec<EventRef>>,
+    rx: Receiver<Vec<&EventRef>>,
     collect_matches: bool,
     queue_depth: Option<&AtomicU64>,
 ) -> Result<RegistryOutcome, CepError> {
@@ -730,7 +733,7 @@ fn registry_worker(
             d.fetch_sub(1, Ordering::Relaxed);
         }
         let batch_start = Instant::now();
-        for event in &batch {
+        for &event in &batch {
             let ev_start = Instant::now();
             registry.process(event, &mut scratch);
             events_routed += 1;

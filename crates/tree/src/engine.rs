@@ -231,6 +231,13 @@ impl TreeEngine {
         self.metrics.partial_matches_created += 1;
         if node == self.root {
             // Root instances are full matches; nothing joins against them.
+            // A Kleene leaf at the root still keeps its accumulators: later
+            // events of its type grow them in `leaf_arrival`.
+            if let NodeKind::Leaf { elem } = self.nodes[node].kind {
+                if self.cp.elements[elem].kleene {
+                    self.stores[node].push_in_order(Slot::All, inst.clone(), |i| i.max_ts);
+                }
+            }
             self.finalize(inst, out);
             return;
         }

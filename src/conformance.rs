@@ -44,6 +44,10 @@ pub struct PatternSpec {
     /// taken modulo the element count, self-pairs and negated endpoints
     /// skipped.
     pub predicates: Vec<(usize, usize, u8)>,
+    /// Single-element filters `e_i.attr0 OP const`: `(i, op-code, const)`,
+    /// the index taken modulo the element count and the operator by
+    /// [`filter_op_of`]. Negated and Kleene elements may be filtered too.
+    pub filters: Vec<(usize, u8, i8)>,
     /// Pattern window.
     pub window: u64,
 }
@@ -55,6 +59,18 @@ pub fn op_of(code: u8) -> CmpOp {
         0 => CmpOp::Lt,
         1 => CmpOp::Le,
         2 => CmpOp::Ne,
+        _ => CmpOp::Gt,
+    }
+}
+
+/// Maps a raw op-code to a filter's comparison operator (all six).
+pub fn filter_op_of(code: u8) -> CmpOp {
+    match code % 6 {
+        0 => CmpOp::Lt,
+        1 => CmpOp::Le,
+        2 => CmpOp::Eq,
+        3 => CmpOp::Ne,
+        4 => CmpOp::Ge,
         _ => CmpOp::Gt,
     }
 }
@@ -85,6 +101,14 @@ pub fn build_pattern(spec: &PatternSpec) -> Option<Pattern> {
             op_of(opc),
             evs[j].pos(),
             0,
+        ));
+    }
+    for &(i, opc, c) in &spec.filters {
+        b.predicate(Predicate::attr_const(
+            evs[i % evs.len()].pos(),
+            0,
+            filter_op_of(opc),
+            Value::Int(c as i64),
         ));
     }
     let exprs: Vec<PatternExpr> = evs

@@ -52,6 +52,7 @@ proptest! {
             is_seq,
             elements: types.into_iter().map(|t| (t, 0)).collect(),
             predicates: preds,
+            filters: vec![],
             window,
         };
         check_equivalence(spec, raw, seed);
@@ -69,7 +70,7 @@ proptest! {
         let mut elements: Vec<(u32, u8)> = types.into_iter().map(|t| (t, 0)).collect();
         let k = neg_at % elements.len();
         elements[k].1 = 1;
-        let spec = PatternSpec { is_seq, elements, predicates: vec![], window };
+        let spec = PatternSpec { is_seq, elements, predicates: vec![], filters: vec![], window };
         check_equivalence(spec, raw, seed);
     }
 
@@ -86,7 +87,7 @@ proptest! {
         let mut elements: Vec<(u32, u8)> = types.into_iter().map(|t| (t, 0)).collect();
         let k = kl_at % elements.len();
         elements[k].1 = 2;
-        let spec = PatternSpec { is_seq, elements, predicates: preds, window };
+        let spec = PatternSpec { is_seq, elements, predicates: preds, filters: vec![], window };
         check_equivalence(spec, raw, seed);
     }
 
@@ -100,6 +101,7 @@ proptest! {
             is_seq: true,
             elements: types.into_iter().map(|t| (t, 0)).collect(),
             predicates: vec![],
+            filters: vec![],
             window: 8,
         };
         check_equivalence_under(spec, raw, seed, SelectionStrategy::StrictContiguity);
@@ -133,6 +135,7 @@ proptest! {
                 .map(|(i, &t)| (t, if i == kleene_at { 2 } else { 0 }))
                 .collect(),
             predicates: others,
+            filters: vec![],
             window,
         }) else { return Ok(()); };
         let prims = pattern.primitives();
@@ -199,7 +202,7 @@ proptest! {
                 elements[k].1 = 2;
             }
         }
-        let spec = PatternSpec { is_seq, elements, predicates: preds, window };
+        let spec = PatternSpec { is_seq, elements, predicates: preds, filters: vec![], window };
         for strategy in [
             SelectionStrategy::SkipTillAnyMatch,
             SelectionStrategy::StrictContiguity,
@@ -215,6 +218,61 @@ proptest! {
         cases: 64,
         max_shrink_iters: 200,
     })]
+
+    /// Unary filters (`e_i.attr0 OP const`) on plain, Kleene and negated
+    /// elements: the sweep behind the NFA's and the delta engine's eager
+    /// gate (`PredicateProgram::can_ever_bind`), which drops an event
+    /// failing every filter of its type before it is buffered. With
+    /// `share`, the negated element takes the type of a filtered positive
+    /// element, so an event the positive filter rejects must still reach
+    /// the negation check. Three exact strategies; `prune_every: 1` in half
+    /// the cases.
+    #[test]
+    fn filtered_patterns_equivalent(
+        is_seq in any::<bool>(),
+        types in prop::collection::vec(0u32..3, 2..=4),
+        neg_at in 0usize..6,
+        kl_at in 0usize..6,
+        share in any::<bool>(),
+        filters in prop::collection::vec((0usize..4, 0u8..6, -3i8..4), 1..=2),
+        preds in prop::collection::vec((0usize..4, 0usize..4, 0u8..8), 0..=1),
+        raw in prop::collection::vec((0u32..4, 1u8..3, -3i8..4), 12..=32),
+        seed in any::<u64>(),
+        window in 4u64..10,
+        eager_prune in any::<bool>(),
+    ) {
+        // `neg_at` / `kl_at` past the end draw no negated / Kleene element.
+        let n = types.len();
+        let mut elements: Vec<(u32, u8)> = types.into_iter().map(|t| (t, 0)).collect();
+        let mut filters = filters;
+        if neg_at < n {
+            elements[neg_at].1 = 1;
+            if share {
+                let pos = (neg_at + 1) % n;
+                elements[neg_at].0 = elements[pos].0;
+                filters.push((pos, 5, 0)); // e_pos.attr0 > 0
+            }
+        }
+        if kl_at < n && elements[kl_at].1 == 0 {
+            elements[kl_at].1 = 2;
+        }
+        let spec = PatternSpec { is_seq, elements, predicates: preds, filters, window };
+        let Some(mut pattern) = build_pattern(&spec) else { return Ok(()); };
+        let stream = build_stream(&raw);
+        let cfg = EngineConfig {
+            max_kleene_events: 4,
+            prune_every: if eager_prune { 1 } else { 64 },
+        };
+        for strategy in [
+            SelectionStrategy::SkipTillAnyMatch,
+            SelectionStrategy::StrictContiguity,
+            SelectionStrategy::PartitionContiguity,
+        ] {
+            pattern.strategy = strategy;
+            let Ok(cp) = CompiledPattern::compile_single(&pattern) else { return Ok(()); };
+            check_stream_under(&cp, &stream, &cfg, seed, &format!("{pattern} [{strategy}]"));
+        }
+    }
 
     /// Tie-heavy sweep for the time-bounded probes: about half of the
     /// consecutive events share a timestamp, so equal-`ts` partners sit on
@@ -242,7 +300,7 @@ proptest! {
             .enumerate()
             .map(|(i, &t)| (t, if i == flag_at { flag } else { 0 }))
             .collect();
-        let spec = PatternSpec { is_seq, elements, predicates: preds, window };
+        let spec = PatternSpec { is_seq, elements, predicates: preds, filters: vec![], window };
         for strategy in [
             SelectionStrategy::SkipTillAnyMatch,
             SelectionStrategy::StrictContiguity,
@@ -430,6 +488,67 @@ fn eq_join_adversarial_keys_fixture() {
                 assert!(!expected.is_empty(), "fixture must produce matches");
             }
             for seed in 0..8 {
+                check_stream_under(&cp, &stream, &cfg, seed, &format!("{pattern} [{strategy}]"));
+            }
+        }
+    }
+}
+
+/// A Kleene element that is the pattern's only positive element is the
+/// tree plan's root leaf: its accumulators must still be stored and grown,
+/// or only singleton sets come out. `KL(B)`, `SEQ(NOT A, KL(B))` and
+/// `AND(KL(B), NOT A)` under the three exact strategies.
+#[test]
+fn lone_kleene_root_grows_like_the_oracle() {
+    let mut sb = StreamBuilder::new();
+    for (tid, ts) in [
+        (1, 1),
+        (1, 2),
+        (0, 3),
+        (1, 4),
+        (1, 4),
+        (2, 5),
+        (1, 6),
+        (1, 9),
+    ] {
+        sb.push(Event::new(TypeId(tid), ts, vec![Value::Int(ts as i64 % 3)]));
+    }
+    let stream = sb.build();
+    let cfg = EngineConfig {
+        max_kleene_events: 3,
+        ..Default::default()
+    };
+    for shape in 0..3 {
+        let mut b = PatternBuilder::new(4);
+        let a = b.event(TypeId(0), "a");
+        let k = b.event(TypeId(1), "k");
+        let ke = b.kleene(k);
+        let mut pattern = match shape {
+            0 => b.seq_exprs([ke]),
+            1 => {
+                let ne = b.not(a);
+                b.seq_exprs([ne, ke])
+            }
+            _ => {
+                let ne = b.not(a);
+                b.and_exprs([ke, ne])
+            }
+        }
+        .unwrap();
+        for strategy in [
+            SelectionStrategy::SkipTillAnyMatch,
+            SelectionStrategy::StrictContiguity,
+            SelectionStrategy::PartitionContiguity,
+        ] {
+            pattern.strategy = strategy;
+            let cp = CompiledPattern::compile_single(&pattern).unwrap();
+            let mut oracle = NaiveEngine::new(cp.clone(), cfg.clone());
+            let expected = run_to_completion(&mut oracle, &stream, true).matches;
+            assert!(
+                expected.iter().any(|m| m.events().count() > 1),
+                "fixture must produce a multi-event set for {pattern} [{strategy}]"
+            );
+            for seed in 0..2 {
                 check_stream_under(&cp, &stream, &cfg, seed, &format!("{pattern} [{strategy}]"));
             }
         }

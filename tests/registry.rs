@@ -39,6 +39,7 @@ proptest! {
                 is_seq,
                 elements: ts.iter().map(|&t| (t, 0)).collect(),
                 predicates: preds.clone(),
+                filters: vec![],
                 window,
             })
             .collect();
@@ -70,6 +71,7 @@ proptest! {
                 is_seq: true,
                 elements: ts.iter().map(|&t| (t, 0)).collect(),
                 predicates: vec![],
+                filters: vec![],
                 window,
             })
             .collect();
