@@ -4,9 +4,9 @@
 //! *Join Query Optimization Techniques for Complex Event Processing
 //! Applications* (VLDB 2018).
 //!
-//! This crate defines everything that is shared between the two evaluation
-//! engines (`cep-nfa`, `cep-tree`) and the plan-generation algorithms
-//! (`cep-optimizer`):
+//! This crate defines everything that is shared between the evaluation
+//! engines (`cep-nfa`, `cep-tree`, `cep-delta`) and the plan-generation
+//! algorithms (`cep-optimizer`):
 //!
 //! * the event and stream model ([`event`], [`schema`], [`stream`]),
 //! * the pattern language of Section 2.1 ([`pattern`], [`predicate`],
@@ -20,6 +20,7 @@
 //! * replicate-join partition analysis for sharded execution ([`partition`]),
 //! * runtime support shared by engines: matches ([`mod@matches`]), negation
 //!   intervals ([`negation`]), metrics ([`metrics`]), the [`engine`] trait,
+//!   and the [`shell`] every backend runs its join inside,
 //! * and a [`naive`] exhaustive oracle used as the semantic ground truth in
 //!   tests.
 
@@ -47,6 +48,7 @@ pub mod query_graph;
 pub mod registry;
 pub mod schema;
 pub mod selection;
+pub mod shell;
 pub mod span;
 pub mod stats;
 pub mod stream;

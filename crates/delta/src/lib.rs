@@ -29,10 +29,12 @@
 //! Between two reported matches the search backtracks through at most
 //! `n` levels whose sibling candidates are pruned by necessary
 //! conditions of match validity, so the delay between consecutive
-//! results is bounded by the probe work, not by window size. Negation
-//! uses the same anchored anti-join machinery as every other backend
-//! ([`cep_core::negation::DeferredStore`]) over a dedicated
-//! negated-type buffer pruned in lockstep with the index.
+//! results is bounded by the probe work, not by window size.
+//!
+//! The filter gate, negation, emission and the consumed set are the shared
+//! [`cep_core::shell::EngineShell`]; this crate keeps only the index and
+//! the search. The index expires on every event, because the pool sizes
+//! that pick the search order must count live events only.
 //!
 //! ## Kleene fallback
 //!
@@ -102,12 +104,12 @@ mod tests {
         ks
     }
 
-    fn assert_matches_oracle_under(pattern: &Pattern, events: Vec<Event>, cfg: EngineConfig) {
+    fn assert_matches_oracle(pattern: &Pattern, events: Vec<Event>) {
         let cp = CompiledPattern::compile_single(pattern).unwrap();
         let s = stream(events);
-        let mut oracle = NaiveEngine::new(cp.clone(), cfg.clone());
+        let mut oracle = NaiveEngine::new(cp.clone(), EngineConfig::default());
         let expected = keyed(&run_to_completion(&mut oracle, &s, true).matches);
-        let mut engine = DeltaEngine::new(cp.clone(), cfg);
+        let mut engine = DeltaEngine::new(cp.clone(), EngineConfig::default());
         let r = run_to_completion(&mut engine, &s, true);
         for m in &r.matches {
             validate_match(&cp, m).unwrap();
@@ -117,10 +119,6 @@ mod tests {
             r.metrics.partial_matches_created, 0,
             "delta must not materialize partial matches"
         );
-    }
-
-    fn assert_matches_oracle(pattern: &Pattern, events: Vec<Event>) {
-        assert_matches_oracle_under(pattern, events, EngineConfig::default());
     }
 
     #[test]
@@ -262,21 +260,6 @@ mod tests {
             ev(2, 6, 0),
         ];
         assert_matches_oracle(&p, events);
-    }
-
-    #[test]
-    fn kleene_cap_zero_emits_nothing_like_oracle() {
-        let mut b = PatternBuilder::new(10);
-        let a = b.event(t(0), "a");
-        let k = b.event(t(1), "k");
-        let ae = b.expr(a);
-        let ke = b.kleene(k);
-        let p = b.seq_exprs([ae, ke]).unwrap();
-        let cfg = EngineConfig {
-            max_kleene_events: 0,
-            ..EngineConfig::default()
-        };
-        assert_matches_oracle_under(&p, vec![ev(0, 1, 0), ev(1, 2, 0), ev(1, 3, 0)], cfg);
     }
 
     #[test]

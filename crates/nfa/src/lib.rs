@@ -17,9 +17,11 @@
 //! * **strict / partition contiguity** — serial-number adjacency enforced
 //!   incrementally (span feasibility) and exactly at completion.
 //!
-//! Negations are checked at the earliest decidable point and deferred past
-//! the window end for trailing negations (shared semantics with the tree
-//! engine and the naive oracle, see [`cep_core::negation`]).
+//! This crate keeps only the chain: states, buffers, delivery, catch-up and
+//! Kleene growth. The filter gate, negation (checked at the earliest
+//! decidable point, deferred past the window end for trailing negations),
+//! emission and pruning of the states are the shared
+//! [`cep_core::shell::EngineShell`].
 
 #![warn(missing_docs)]
 

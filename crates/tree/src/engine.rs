@@ -17,23 +17,21 @@
 //! its newest event is processed, and pruning is stable. A new instance
 //! therefore meets only the slice of the sibling bucket that window and
 //! precedence allow ([`partner_ts_range`] over the sibling's elements).
+//!
+//! Everything around the tree — gate, negation, emission, pruning of the
+//! node stores — is the shared [`EngineShell`].
 
-use cep_core::buffer::TypeBuffers;
 use cep_core::compile::CompiledPattern;
 use cep_core::compiled::PredicateProgram;
 use cep_core::engine::{Engine, EngineConfig};
 use cep_core::error::CepError;
-use cep_core::event::{EventRef, Timestamp, TypeId};
-use cep_core::instance::{
-    compatible_with, contiguity_ok, merge_compatible_with, partner_ts_range, sorted_span, Instance,
-    InstanceArena,
-};
+use cep_core::event::{EventRef, TypeId};
+use cep_core::instance::{partner_ts_range, sorted_span, Instance};
 use cep_core::keyed::{EqJoin, KeyedStore, Slot};
 use cep_core::matches::Match;
 use cep_core::metrics::EngineMetrics;
-use cep_core::negation::DeferredStore;
 use cep_core::plan::{TreeNode, TreePlan};
-use cep_core::selection::ConsumedSet;
+use cep_core::shell::{EngineShell, Join};
 use std::sync::Arc;
 
 /// A flattened tree-plan node.
@@ -57,28 +55,18 @@ struct NodeSpec {
 
 /// Tree-based (ZStream-style) evaluation engine.
 pub struct TreeEngine {
-    cp: CompiledPattern,
-    cfg: EngineConfig,
-    /// Compiled predicate program.
-    program: Arc<PredicateProgram>,
+    shell: EngineShell,
+    tree: Tree,
+}
+
+/// The tree's join state: the flattened plan and one store per node.
+struct Tree {
     nodes: Vec<NodeSpec>,
     root: usize,
-    /// `(accepted type, leaf node)` per leaf, in node order.
-    leaves: Vec<(TypeId, usize)>,
+    /// `(accepted type, leaf node, element)` per leaf, in node order.
+    leaves: Vec<(TypeId, usize, usize)>,
     /// Instances stored at each node, within the window.
     stores: Vec<KeyedStore<Instance>>,
-    arena: InstanceArena,
-    /// The empty instance every leaf arrival is checked against and seeded
-    /// from.
-    empty: Instance,
-    /// Buffered events of negated types (for negation checks only; positive
-    /// events live in the leaf stores).
-    buffers: TypeBuffers,
-    deferred: DeferredStore,
-    consumed: ConsumedSet,
-    watermark: Timestamp,
-    events_since_prune: u64,
-    metrics: EngineMetrics,
 }
 
 impl TreeEngine {
@@ -122,27 +110,19 @@ impl TreeEngine {
             .iter()
             .enumerate()
             .filter_map(|(i, n)| match n.kind {
-                NodeKind::Leaf { elem } => Some((cp.elements[elem].event_type, i)),
+                NodeKind::Leaf { elem } => Some((cp.elements[elem].event_type, i, elem)),
                 NodeKind::Internal { .. } => None,
             })
             .collect();
-        let stores = nodes.iter().map(|_| KeyedStore::new()).collect();
-        Ok(TreeEngine {
-            empty: Instance::empty(cp.n()),
-            cp,
-            cfg,
-            program,
+        let tree = Tree {
+            stores: nodes.iter().map(|_| KeyedStore::new()).collect(),
             nodes,
             root,
             leaves,
-            stores,
-            arena: InstanceArena::new(),
-            buffers: TypeBuffers::new(),
-            deferred: DeferredStore::new(),
-            consumed: ConsumedSet::new(),
-            watermark: 0,
-            events_since_prune: 0,
-            metrics: EngineMetrics::new(),
+        };
+        Ok(TreeEngine {
+            shell: EngineShell::new(cp, cfg, program),
+            tree,
         })
     }
 
@@ -153,92 +133,38 @@ impl TreeEngine {
         TreeEngine::new(cp, plan, cfg).expect("trivial plan always fits")
     }
 
-    fn live_instances(&self) -> usize {
-        self.stores.iter().map(KeyedStore::len).sum::<usize>() + self.deferred.len()
-    }
-
     /// The compiled predicate program driving this engine.
     pub fn program(&self) -> &Arc<PredicateProgram> {
-        &self.program
+        self.shell.program()
     }
 
     /// Arena statistics: `(instances derived, shells reused)`.
     pub fn arena_stats(&self) -> (u64, u64) {
-        (self.arena.allocs(), self.arena.reuses())
+        self.shell.arena_stats()
     }
+}
 
-    fn emit(&mut self, m: Match, out: &mut Vec<Match>) {
-        if self.cp.strategy.consumes() {
-            if !self.consumed.consume(&m) {
-                return;
-            }
-            let (consumed, arena) = (&self.consumed, &mut self.arena);
-            for store in &mut self.stores {
-                store.retain(|i| !i.intersects(consumed), |i| arena.retire(i));
-            }
-        }
-        self.metrics.matches_emitted += 1;
-        out.push(m);
-    }
-
-    fn release_deferred(&mut self, watermark: Timestamp, out: &mut Vec<Match>) {
-        if self.cp.negated.is_empty() {
-            return;
-        }
-        let mut ready = Vec::new();
-        self.deferred.drain_ready(watermark, &mut ready);
-        for m in ready {
-            self.emit(m, out);
-        }
-    }
-
-    fn finalize(&mut self, mut inst: Instance, out: &mut Vec<Match>) {
-        if !contiguity_ok(&self.cp, &inst) {
-            self.arena.recycle(inst);
-            return;
-        }
-        let m = Match {
-            bindings: inst
-                .bindings
-                .drain(..)
-                .enumerate()
-                .map(|(i, b)| {
-                    (
-                        self.cp.elements[i].position,
-                        b.expect("root instances bind every element"),
-                    )
-                })
-                .collect(),
-            last_ts: inst.max_ts,
-            emitted_at: self.watermark,
-        };
-        self.arena.recycle(inst);
-        if self.cp.negated.is_empty() {
-            self.emit(m, out);
-            return;
-        }
-        if let Some(m) = self
-            .deferred
-            .admit(&self.cp, m, self.watermark, &self.buffers)
-        {
-            self.emit(m, out);
-        }
-    }
-
+impl Tree {
     /// A freshly created instance at `node` combines with the sibling store
     /// and recurses upward; at the root it becomes a match.
-    fn propagate(&mut self, node: usize, inst: Instance, out: &mut Vec<Match>) {
-        self.metrics.partial_matches_created += 1;
+    fn propagate(
+        &mut self,
+        sh: &mut EngineShell,
+        node: usize,
+        inst: Instance,
+        out: &mut Vec<Match>,
+    ) {
+        sh.metrics.partial_matches_created += 1;
         if node == self.root {
             // Root instances are full matches; nothing joins against them.
             // A Kleene leaf at the root still keeps its accumulators: later
             // events of its type grow them in `leaf_arrival`.
             if let NodeKind::Leaf { elem } = self.nodes[node].kind {
-                if self.cp.elements[elem].kleene {
+                if sh.pattern().elements[elem].kleene {
                     self.stores[node].push_in_order(Slot::All, inst.clone(), |i| i.max_ts);
                 }
             }
-            self.finalize(inst, out);
+            sh.finalize(inst, &mut self.stores, out);
             return;
         }
         let parent = self.nodes[node].parent.expect("non-root has a parent");
@@ -247,7 +173,7 @@ impl TreeEngine {
         // probes the sibling's with.
         let slot = match &self.nodes[node].key {
             Some(join) => {
-                self.metrics.index_probes += 1;
+                sh.metrics.index_probes += 1;
                 inst.join_slot(join.elem, join.attr)
             }
             None => Slot::All,
@@ -255,86 +181,72 @@ impl TreeEngine {
         // Symmetric join with the sibling's current store: every (new, old)
         // pair is considered exactly once, at the newer side's creation.
         // Members outside the window/precedence slice could not merge.
-        let merged: Vec<Instance> = {
-            let cp = &self.cp;
-            let prog: &PredicateProgram = &self.program;
-            let consumed = &self.consumed;
-            let metrics = &mut self.metrics;
-            let arena = &mut self.arena;
-            let members = self.stores[sibling].visit(&slot);
-            let span = partner_ts_range(cp, inst.extents(), &self.nodes[node].sibling_elems)
-                .map_or(0..0, |range| sorted_span(members, &range, |s| s.max_ts));
-            members[span]
-                .iter()
-                .filter(|s| merge_compatible_with(cp, prog, &inst, s, consumed, metrics))
-                .map(|s| arena.merge(&inst, s))
-                .collect()
-        };
+        let members = self.stores[sibling].visit(&slot);
+        let span = partner_ts_range(
+            sh.pattern(),
+            inst.extents(),
+            &self.nodes[node].sibling_elems,
+        )
+        .map_or(0..0, |range| sorted_span(members, &range, |s| s.max_ts));
+        let mut merged = Vec::new();
+        for s in &members[span] {
+            if sh.merge_compatible(&inst, s) {
+                merged.push(sh.arena.merge(&inst, s));
+            }
+        }
         self.stores[node].push_in_order(slot, inst, |i| i.max_ts);
         for m in merged {
-            self.propagate(parent, m, out);
+            self.propagate(sh, parent, m, out);
         }
     }
 
-    /// Handles an event arriving at a leaf.
-    fn leaf_arrival(&mut self, leaf: usize, event: &EventRef, out: &mut Vec<Match>) {
-        let elem = match self.nodes[leaf].kind {
-            NodeKind::Leaf { elem } => elem,
-            NodeKind::Internal { .. } => unreachable!("leaf_arrival on internal node"),
-        };
-        if !compatible_with(
-            &self.cp,
-            &self.program,
-            &self.empty,
-            elem,
-            event,
-            &self.consumed,
-            &mut self.metrics,
-        ) {
+    /// Handles an event arriving at the leaf of element `elem`.
+    fn leaf_arrival(
+        &mut self,
+        sh: &mut EngineShell,
+        leaf: usize,
+        elem: usize,
+        event: &EventRef,
+        out: &mut Vec<Match>,
+    ) {
+        let Some(seed) = sh.seed(elem, event) else {
             return;
-        }
-        if self.cp.elements[elem].kleene {
+        };
+        if sh.pattern().elements[elem].kleene {
             // Grow every stored accumulator (gated by serial number so each
-            // subset appears exactly once), then seed the singleton set.
-            // (A Kleene leaf is never keyed: its store is one bucket.)
-            let grown: Vec<Instance> = {
-                let cp = &self.cp;
-                let prog: &PredicateProgram = &self.program;
-                let cfg = &self.cfg;
-                let consumed = &self.consumed;
-                let metrics = &mut self.metrics;
-                let arena = &mut self.arena;
-                self.stores[leaf]
-                    .visit(&Slot::All)
-                    .iter()
-                    .filter(|i| {
-                        event.seq >= i.kl_gate
-                            && i.kleene_len(elem) < cfg.max_kleene_events
-                            && compatible_with(cp, prog, i, elem, event, consumed, metrics)
-                    })
-                    .map(|i| arena.with_kleene(i, elem, event.clone()))
-                    .collect()
-            };
-            for g in grown {
-                self.propagate(leaf, g, out);
+            // subset appears exactly once) before the singleton set joins
+            // them. (A Kleene leaf is never keyed: its store is one bucket.)
+            let mut grown = Vec::new();
+            for i in self.stores[leaf].visit(&Slot::All) {
+                if event.seq >= i.kl_gate && sh.has_room(i, elem) && sh.compatible(i, elem, event) {
+                    grown.push(sh.arena.with_kleene(i, elem, event.clone()));
+                }
             }
-            let seed = self.arena.with_kleene(&self.empty, elem, event.clone());
-            self.propagate(leaf, seed, out);
-        } else {
-            let seed = self.arena.with_single(&self.empty, elem, event.clone());
-            self.propagate(leaf, seed, out);
+            for g in grown {
+                self.propagate(sh, leaf, g, out);
+            }
+        }
+        self.propagate(sh, leaf, seed, out);
+    }
+}
+
+impl Join for Tree {
+    fn arrive(&mut self, sh: &mut EngineShell, event: &EventRef, out: &mut Vec<Match>) {
+        // Route to every leaf accepting this type.
+        for i in 0..self.leaves.len() {
+            let (accepts, leaf, elem) = self.leaves[i];
+            if accepts == event.type_id {
+                self.leaf_arrival(sh, leaf, elem, event, out);
+            }
         }
     }
 
-    fn prune(&mut self) {
-        let watermark = self.watermark;
-        let window = self.cp.window;
-        self.buffers.prune(watermark, window);
-        let arena = &mut self.arena;
-        for store in &mut self.stores {
-            store.retain(|i| !i.expired(watermark, window), |i| arena.retire(i));
-        }
-        self.consumed.retain_window(watermark, window);
+    fn partials(&mut self) -> &mut [KeyedStore<Instance>] {
+        &mut self.stores
+    }
+
+    fn buffered(&self) -> usize {
+        0
     }
 }
 
@@ -363,47 +275,19 @@ fn flatten(node: &TreeNode, out: &mut Vec<NodeSpec>, elems: &mut Vec<Vec<usize>>
 
 impl Engine for TreeEngine {
     fn process(&mut self, event: &EventRef, out: &mut Vec<Match>) {
-        debug_assert!(event.ts >= self.watermark, "events arrive in ts order");
-        self.metrics.events_processed += 1;
-        self.watermark = self.watermark.max(event.ts);
-        let watermark = self.watermark;
-        self.release_deferred(watermark, out);
-        if !self.cp.negated.is_empty() {
-            self.deferred.on_event(&self.cp, event);
-            if self.cp.negated_of_type(event.type_id).next().is_some() {
-                self.buffers.push(event.clone());
-            }
-        }
-        self.events_since_prune += 1;
-        if self.events_since_prune >= self.cfg.prune_every {
-            self.events_since_prune = 0;
-            self.prune();
-        }
-        if !self.cp.uses_type(event.type_id) {
-            return;
-        }
-        self.metrics.events_relevant += 1;
-        // Route to every leaf accepting this type.
-        for i in 0..self.leaves.len() {
-            let (accepts, leaf) = self.leaves[i];
-            if accepts == event.type_id {
-                self.leaf_arrival(leaf, event, out);
-            }
-        }
-        self.metrics
-            .record_live(self.live_instances(), self.buffers.len());
+        self.shell.process(&mut self.tree, event, out);
     }
 
     fn flush(&mut self, out: &mut Vec<Match>) {
-        self.release_deferred(Timestamp::MAX, out);
+        self.shell.flush(&mut self.tree, out);
     }
 
     fn metrics(&self) -> &EngineMetrics {
-        &self.metrics
+        &self.shell.metrics
     }
 
     fn metrics_mut(&mut self) -> &mut EngineMetrics {
-        &mut self.metrics
+        &mut self.shell.metrics
     }
 
     fn name(&self) -> &'static str {

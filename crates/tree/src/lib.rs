@@ -15,6 +15,10 @@
 //! under skip-till-next-match the tree engine realizes single-use events
 //! by consumption alone (matches stay disjoint, but intermediate instances
 //! may still fork before the first emission claims their events).
+//!
+//! This crate keeps only the tree: node stores, leaf arrival and the
+//! symmetric join. The filter gate, negation, emission and pruning of the
+//! stores are the shared [`cep_core::shell::EngineShell`].
 
 #![warn(missing_docs)]
 

@@ -322,8 +322,10 @@ pub fn check_equivalence_under(
 
 /// The core differential check over an already-compiled pattern and
 /// stream: oracle once, then every backend, every emitted match
-/// structurally validated, outputs compared with [`keyed`]. `context`
-/// names the query in assertion messages.
+/// structurally validated, outputs compared with [`keyed`]. The backends
+/// share one engine shell, so its bookkeeping must agree too: each counts
+/// exactly the matches it emitted, and all count the same processed and
+/// relevant events. `context` names the query in assertion messages.
 #[allow(clippy::ptr_arg)] // `EventStream` is `Vec<EventRef>`; callers hold one.
 pub fn check_stream_under(
     cp: &CompiledPattern,
@@ -334,17 +336,32 @@ pub fn check_stream_under(
 ) {
     let mut oracle = NaiveEngine::new(cp.clone(), cfg.clone());
     let expected = keyed(&run_to_completion(&mut oracle, stream, true).matches);
+    let mut events_seen = None;
     for backend in standard_backends() {
         let mut engine = backend.build(cp, seed, cfg);
-        let matches = run_to_completion(engine.as_mut(), stream, true).matches;
-        for m in &matches {
+        let run = run_to_completion(engine.as_mut(), stream, true);
+        for m in &run.matches {
             validate_match(cp, m)
                 .unwrap_or_else(|e| panic!("{} emitted an invalid match: {e}", backend.name));
         }
         assert_eq!(
-            keyed(&matches),
+            keyed(&run.matches),
             expected,
             "{}(seed {seed}) disagrees with oracle for {context}",
+            backend.name
+        );
+        let m = &run.metrics;
+        assert_eq!(
+            m.matches_emitted,
+            run.matches.len() as u64,
+            "{}(seed {seed}) miscounts its matches for {context}",
+            backend.name
+        );
+        let seen = (m.events_processed, m.events_relevant);
+        assert_eq!(
+            *events_seen.get_or_insert(seen),
+            seen,
+            "{}(seed {seed}) counts other (processed, relevant) events for {context}",
             backend.name
         );
     }

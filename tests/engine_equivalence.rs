@@ -220,8 +220,8 @@ proptest! {
     })]
 
     /// Unary filters (`e_i.attr0 OP const`) on plain, Kleene and negated
-    /// elements: the sweep behind the NFA's and the delta engine's eager
-    /// gate (`PredicateProgram::can_ever_bind`), which drops an event
+    /// elements: the sweep behind the engine shell's eager gate
+    /// (`PredicateProgram::can_ever_bind`), which drops an event
     /// failing every filter of its type before it is buffered. With
     /// `share`, the negated element takes the type of a filtered positive
     /// element, so an event the positive filter rejects must still reach
@@ -549,6 +549,55 @@ fn lone_kleene_root_grows_like_the_oracle() {
                 "fixture must produce a multi-event set for {pattern} [{strategy}]"
             );
             for seed in 0..2 {
+                check_stream_under(&cp, &stream, &cfg, seed, &format!("{pattern} [{strategy}]"));
+            }
+        }
+    }
+}
+
+/// `max_kleene_events: 0` admits no Kleene set, so a pattern with a Kleene
+/// element matches nothing: `KL(K)` first or last, under SEQ and AND, on
+/// `A K K A K`, under the three exact strategies and eight plan seeds (NFA
+/// orders and tree shapes). Each backend must apply the cap where it seeds
+/// a Kleene element, not only where it grows one.
+#[test]
+fn kleene_cap_zero_emits_nothing_on_every_backend() {
+    let mut sb = StreamBuilder::new();
+    for (tid, ts) in [(0, 1), (1, 2), (1, 3), (0, 4), (1, 5)] {
+        sb.push(Event::new(TypeId(tid), ts, vec![Value::Int(0)]));
+    }
+    let stream = sb.build();
+    let cfg = EngineConfig {
+        max_kleene_events: 0,
+        ..Default::default()
+    };
+    for (is_seq, kleene_first) in [(true, true), (true, false), (false, true), (false, false)] {
+        let mut b = PatternBuilder::new(10);
+        let a = b.event(TypeId(0), "a");
+        let k = b.event(TypeId(1), "k");
+        let (ae, ke) = (b.expr(a), b.kleene(k));
+        let exprs = if kleene_first { [ke, ae] } else { [ae, ke] };
+        let mut pattern = if is_seq {
+            b.seq_exprs(exprs)
+        } else {
+            b.and_exprs(exprs)
+        }
+        .unwrap();
+        for strategy in [
+            SelectionStrategy::SkipTillAnyMatch,
+            SelectionStrategy::StrictContiguity,
+            SelectionStrategy::PartitionContiguity,
+        ] {
+            pattern.strategy = strategy;
+            let cp = CompiledPattern::compile_single(&pattern).unwrap();
+            let mut uncapped = NaiveEngine::new(cp.clone(), EngineConfig::default());
+            assert!(
+                !run_to_completion(&mut uncapped, &stream, true)
+                    .matches
+                    .is_empty(),
+                "fixture must match without the cap: {pattern} [{strategy}]"
+            );
+            for seed in 0..8 {
                 check_stream_under(&cp, &stream, &cfg, seed, &format!("{pattern} [{strategy}]"));
             }
         }
