@@ -58,6 +58,19 @@
 //! next-match runs remain valid, event-disjoint, and deterministic per
 //! configuration, but bindings may differ from a never-swapped run's.
 //!
+//! ## The planner-backed replanner
+//!
+//! [`PlanReplanner`] regenerates each DNF branch's plan with a
+//! [`Planner`](cep_optimizer::Planner) for the
+//! [`Backend`](cep_optimizer::Backend) it was built with — the same
+//! algorithm choice the facade builders take — and keeps each branch's
+//! current [`Plan`](cep_core::plan::Plan). A candidate replaces it when
+//! [`CostModel::plan_cost`](cep_core::cost::CostModel::plan_cost) predicts
+//! an improvement beyond the hysteresis margin.
+//! [`Backend::Delta`](cep_optimizer::Backend::Delta) picks its join order
+//! per probe and has no plan, so [`PlanReplanner::new`] rejects it with a
+//! [`CepError::Plan`](cep_core::error::CepError::Plan).
+//!
 //! Every shard of a `cep-shard`-style worker pool can own its own
 //! `AdaptiveEngine` (via [`AdaptiveFactory`]): each worker then replans
 //! independently on the statistics of its slice of the stream.
@@ -71,7 +84,7 @@ pub use engine::{
     AdaptiveConfig, AdaptiveEngine, AdaptiveFactory, ReplanCosts, ReplanVerdict, Replanner,
     SwapCost, DEFAULT_AMORTIZE_WINDOWS,
 };
-pub use replanner::{PlanKind, PlanReplanner};
+pub use replanner::PlanReplanner;
 
 #[cfg(test)]
 mod tests;

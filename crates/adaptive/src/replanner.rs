@@ -9,12 +9,12 @@ use cep_core::engine::{Engine, EngineConfig, MultiEngine};
 use cep_core::error::CepError;
 use cep_core::event::{EventRef, TypeId};
 use cep_core::matches::Match;
-use cep_core::plan::{OrderPlan, TreePlan};
+use cep_core::plan::Plan;
 use cep_core::stats::{MeasuredStats, PatternStats};
 use cep_nfa::NfaEngine;
 use cep_optimizer::planner::LatencyAnchor;
 use cep_optimizer::OutputProfiler;
-use cep_optimizer::{OrderAlgorithm, Planner, SelectivityMonitor, TreeAlgorithm};
+use cep_optimizer::{Backend, Planner, SelectivityMonitor};
 use cep_tree::TreeEngine;
 
 /// Matches a replan is based on before the output profiler may override
@@ -36,28 +36,13 @@ const DEFAULT_PLAN_CACHE_CAP: usize = 64;
 /// for each flip.
 pub const DEFAULT_MIN_IMPROVEMENT: f64 = 0.2;
 
-/// Which plan family (and algorithm) the replanner regenerates.
-#[derive(Debug, Clone, Copy)]
-pub enum PlanKind {
-    /// Order-based plans evaluated by the lazy-NFA engine.
-    Order(OrderAlgorithm),
-    /// Tree-based plans evaluated by the ZStream-style engine.
-    Tree(TreeAlgorithm),
-}
-
-#[derive(Clone)]
-enum CurrentPlan {
-    Order(OrderPlan),
-    Tree(TreePlan),
-}
-
 #[derive(Clone)]
 struct Branch {
     cp: CompiledPattern,
     /// Per-predicate selectivities the current plan was built with;
     /// refreshed from the selectivity monitor when monitoring is enabled.
     sels: Vec<f64>,
-    plan: CurrentPlan,
+    plan: Plan,
     /// Cached statistics, rebuilt **in place** on every replan
     /// ([`PatternStats::update`]) so the hot loop never reallocates the
     /// rate vector or selectivity matrix.
@@ -85,7 +70,7 @@ struct Branch {
 #[derive(Clone)]
 pub struct PlanReplanner {
     planner: Planner,
-    kind: PlanKind,
+    backend: Backend,
     engine_config: EngineConfig,
     window: u64,
     branches: Vec<Branch>,
@@ -103,14 +88,17 @@ pub struct PlanReplanner {
 }
 
 impl PlanReplanner {
-    /// Plans every branch against `initial` statistics and returns a
-    /// replanner holding those plans as current. `branches` pairs each
-    /// compiled DNF branch with the selectivity of each of its predicates.
+    /// Plans every branch against `initial` statistics with `backend`'s
+    /// algorithm and returns a replanner holding those plans as current.
+    /// `branches` pairs each compiled DNF branch with the selectivity of
+    /// each of its predicates. [`Backend::Delta`] has no plan to replan and
+    /// fails with [`CepError::Plan`]
+    /// ([`DELTA_HAS_NO_PLAN`](cep_optimizer::DELTA_HAS_NO_PLAN)).
     pub fn new(
         branches: Vec<(CompiledPattern, Vec<f64>)>,
         initial: &MeasuredStats,
         planner: Planner,
-        kind: PlanKind,
+        backend: Backend,
         engine_config: EngineConfig,
     ) -> Result<PlanReplanner, CepError> {
         if branches.is_empty() {
@@ -120,7 +108,7 @@ impl PlanReplanner {
         let n0 = branches[0].0.n();
         let mut replanner = PlanReplanner {
             planner,
-            kind,
+            backend,
             engine_config,
             window,
             branches: Vec::with_capacity(branches.len()),
@@ -186,35 +174,11 @@ impl PlanReplanner {
         cp: &CompiledPattern,
         sels: &[f64],
         measured: &MeasuredStats,
-    ) -> Result<(CurrentPlan, PatternStats), CepError> {
+    ) -> Result<(Plan, PatternStats), CepError> {
         let planner = self.anchored_planner();
         let stats = planner.stats_for(cp, measured, sels)?;
-        let plan = Self::plan_with(&planner, cp, &stats, self.kind)?;
+        let plan = planner.plan(cp, &stats, self.backend)?;
         Ok((plan, stats))
-    }
-
-    /// Plans one branch with an already-anchored planner and pre-built
-    /// statistics (the shared worker for [`Self::plan_branch`] and
-    /// [`Replanner::replan`]).
-    fn plan_with(
-        planner: &Planner,
-        cp: &CompiledPattern,
-        stats: &cep_core::stats::PatternStats,
-        kind: PlanKind,
-    ) -> Result<CurrentPlan, CepError> {
-        let plan = match kind {
-            PlanKind::Order(algo) => CurrentPlan::Order(planner.plan_order(cp, stats, algo)?),
-            PlanKind::Tree(algo) => CurrentPlan::Tree(planner.plan_tree(cp, stats, algo)?),
-        };
-        // Lint every swap candidate in debug builds; a rejected plan
-        // surfaces as `Err` and the caller keeps the incumbent.
-        if cfg!(debug_assertions) {
-            match &plan {
-                CurrentPlan::Order(p) => cep_analyze::verify_order_plan(cp, p)?,
-                CurrentPlan::Tree(p) => cep_analyze::verify_tree_plan(cp, p)?,
-            }
-        }
-        Ok(plan)
     }
 
     /// The planner to use right now: the configured one, with the latency
@@ -251,28 +215,12 @@ impl PlanReplanner {
         &self.plan_cache
     }
 
-    /// Cost of a plan for one branch under the given statistics and cost
-    /// model.
-    fn plan_cost(
-        cm: &cep_core::cost::CostModel,
-        plan: &CurrentPlan,
-        stats: &cep_core::stats::PatternStats,
-    ) -> f64 {
-        match plan {
-            CurrentPlan::Order(p) => cm.order_plan_cost(stats, p),
-            CurrentPlan::Tree(p) => cm.tree_plan_cost(stats, p),
-        }
-    }
-
     /// Human-readable rendering of the current plan(s), for logs and
     /// examples.
     pub fn describe(&self) -> String {
         self.branches
             .iter()
-            .map(|b| match &b.plan {
-                CurrentPlan::Order(p) => p.to_string(),
-                CurrentPlan::Tree(p) => p.to_string(),
-            })
+            .map(|b| b.plan.to_string())
             .collect::<Vec<_>>()
             .join(" | ")
     }
@@ -295,25 +243,16 @@ impl Replanner for PlanReplanner {
                     .lock()
                     .expect("plan cache poisoned")
                     .get_or_compile(&b.cp);
+                let (cp, config) = (b.cp.clone(), self.engine_config.clone());
                 match &b.plan {
-                    CurrentPlan::Order(plan) => Box::new(
-                        NfaEngine::with_program(
-                            b.cp.clone(),
-                            plan.clone(),
-                            self.engine_config.clone(),
-                            program,
-                        )
-                        .expect("pre-validated plan"),
+                    Plan::Order(plan) => Box::new(
+                        NfaEngine::with_program(cp, plan.clone(), config, program)
+                            .expect("pre-validated plan"),
                     ) as Box<dyn Engine>,
-                    CurrentPlan::Tree(plan) => Box::new(
-                        TreeEngine::with_program(
-                            b.cp.clone(),
-                            plan.clone(),
-                            self.engine_config.clone(),
-                            program,
-                        )
-                        .expect("pre-validated plan"),
-                    ) as Box<dyn Engine>,
+                    Plan::Tree(plan) => Box::new(
+                        TreeEngine::with_program(cp, plan.clone(), config, program)
+                            .expect("pre-validated plan"),
+                    ),
                 }
             })
             .collect();
@@ -338,7 +277,7 @@ impl Replanner for PlanReplanner {
         let planner = self.anchored_planner();
         struct Candidacy {
             /// A candidate beating the incumbent by the hysteresis margin.
-            better: Option<CurrentPlan>,
+            better: Option<Plan>,
             /// Whether that candidate's improvement amortizes the replay.
             amortizes: bool,
             /// The estimates the decision was costed with, if any.
@@ -362,11 +301,11 @@ impl Replanner for PlanReplanner {
             {
                 return ReplanVerdict::Keep;
             }
-            match Self::plan_with(&planner, &b.cp, &b.stats, self.kind) {
+            match planner.plan(&b.cp, &b.stats, self.backend) {
                 Ok(candidate) => {
                     let cm = planner.cost_model(&b.cp);
-                    let current_cost = Self::plan_cost(&cm, &b.plan, &b.stats);
-                    let candidate_cost = Self::plan_cost(&cm, &candidate, &b.stats);
+                    let current_cost = cm.plan_cost(&b.stats, &b.plan);
+                    let candidate_cost = cm.plan_cost(&b.stats, &candidate);
                     // Surface the widest-improvement branch's arithmetic
                     // (ties and non-improvements included, so even a Keep
                     // verdict shows the costs it was judged on).
@@ -381,12 +320,7 @@ impl Replanner for PlanReplanner {
                     }
                     let improves = candidate_cost.is_finite()
                         && candidate_cost < current_cost * (1.0 - self.min_improvement);
-                    let differs = improves
-                        && !match (&b.plan, &candidate) {
-                            (CurrentPlan::Order(old), CurrentPlan::Order(new)) => old == new,
-                            (CurrentPlan::Tree(old), CurrentPlan::Tree(new)) => old == new,
-                            _ => false,
-                        };
+                    let differs = improves && b.plan != candidate;
                     candidacies.push(Candidacy {
                         amortizes: differs && swap.amortizes(current_cost, candidate_cost),
                         better: differs.then_some(candidate),

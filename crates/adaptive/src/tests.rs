@@ -3,11 +3,10 @@
 //! never-swapped engine (and, for skip-till-any-match, the naive oracle)
 //! is the ground truth a swapping engine must reproduce byte-identically.
 
-use crate::{
-    AdaptiveConfig, AdaptiveEngine, AdaptiveFactory, PlanKind, PlanReplanner, Replanner, SwapCost,
-};
+use crate::{AdaptiveConfig, AdaptiveEngine, AdaptiveFactory, PlanReplanner, Replanner, SwapCost};
 use cep_core::compile::CompiledPattern;
 use cep_core::engine::{run_to_completion, Engine, EngineConfig, EngineFactory};
+use cep_core::error::CepError;
 use cep_core::event::{Event, TypeId};
 use cep_core::matches::{validate_match, Match};
 use cep_core::naive::NaiveEngine;
@@ -19,7 +18,7 @@ use cep_core::stats::MeasuredStats;
 use cep_core::stream::{EventStream, StreamBuilder};
 use cep_core::value::Value;
 use cep_nfa::NfaEngine;
-use cep_optimizer::{OrderAlgorithm, Planner};
+use cep_optimizer::{Backend, OrderAlgorithm, Planner};
 use cep_tree::TreeEngine;
 use proptest::prelude::*;
 
@@ -212,7 +211,7 @@ fn real_replanner_swaps_on_drift_and_output_is_byte_identical() {
             vec![(cp, vec![])],
             &phase1_stats(),
             Planner::default(),
-            PlanKind::Order(OrderAlgorithm::DpLd),
+            Backend::Nfa(OrderAlgorithm::DpLd),
             EngineConfig::default(),
         )
         .unwrap();
@@ -246,9 +245,9 @@ fn real_replanner_swaps_on_drift_and_output_is_byte_identical() {
 fn adaptive_replans_hit_the_compiled_plan_cache() {
     use cep_optimizer::TreeAlgorithm;
     let stream = two_phase_stream(4_000);
-    for kind in [
-        PlanKind::Order(OrderAlgorithm::DpLd),
-        PlanKind::Tree(TreeAlgorithm::DpB),
+    for backend in [
+        Backend::Nfa(OrderAlgorithm::DpLd),
+        Backend::Tree(TreeAlgorithm::DpB),
     ] {
         let cp = CompiledPattern::compile_single(&seq_pattern(
             3,
@@ -260,7 +259,7 @@ fn adaptive_replans_hit_the_compiled_plan_cache() {
             vec![(cp, vec![])],
             &phase1_stats(),
             Planner::default(),
-            kind,
+            backend,
             EngineConfig::default(),
         )
         .unwrap();
@@ -288,6 +287,29 @@ fn adaptive_replans_hit_the_compiled_plan_cache() {
         // The counters surface through the adaptive engine's metrics.
         assert_eq!(adaptive.metrics().plan_cache_hits, swaps);
         assert_eq!(adaptive.metrics().plan_cache_misses, 1);
+    }
+}
+
+/// The delta backend has no plan to replan: asking for a delta replanner
+/// is a typed error carrying the facade's message, not a panic later.
+#[test]
+fn delta_replanner_is_a_typed_plan_error() {
+    let cp =
+        CompiledPattern::compile_single(&seq_pattern(3, 50, SelectionStrategy::SkipTillAnyMatch))
+            .unwrap();
+    let result = PlanReplanner::new(
+        vec![(cp, vec![])],
+        &phase1_stats(),
+        Planner::default(),
+        Backend::Delta,
+        EngineConfig::default(),
+    );
+    match result {
+        Err(CepError::Plan(message)) => {
+            assert_eq!(message, cep_optimizer::DELTA_HAS_NO_PLAN)
+        }
+        Err(e) => panic!("expected CepError::Plan, got {e:?}"),
+        Ok(_) => panic!("a delta replanner must not be constructed"),
     }
 }
 
@@ -498,7 +520,7 @@ fn calibration_replans_away_from_wrong_bootstrap_statistics() {
         vec![(cp, vec![])],
         &wrong,
         Planner::default(),
-        PlanKind::Order(OrderAlgorithm::DpLd),
+        Backend::Nfa(OrderAlgorithm::DpLd),
         EngineConfig::default(),
     )
     .unwrap();
@@ -590,7 +612,7 @@ fn correlation_replanner(strategy: SelectionStrategy) -> PlanReplanner {
         vec![(cp, CORRELATION_PHASE1_SELS.to_vec())],
         &correlation_stats(),
         Planner::default(),
-        PlanKind::Order(OrderAlgorithm::DpLd),
+        Backend::Nfa(OrderAlgorithm::DpLd),
         EngineConfig::default(),
     )
     .unwrap()
@@ -669,7 +691,7 @@ fn selectivity_swapped_run_agrees_with_naive_oracle() {
         vec![(cp.clone(), CORRELATION_PHASE1_SELS.to_vec())],
         &correlation_stats(),
         Planner::default(),
-        PlanKind::Order(OrderAlgorithm::DpLd),
+        Backend::Nfa(OrderAlgorithm::DpLd),
         EngineConfig::default(),
     )
     .unwrap()
@@ -929,7 +951,7 @@ fn replan_decisions_are_traced_with_cost_arithmetic() {
         vec![(cp, vec![])],
         &phase1_stats(),
         Planner::default(),
-        PlanKind::Order(OrderAlgorithm::DpLd),
+        Backend::Nfa(OrderAlgorithm::DpLd),
         EngineConfig::default(),
     )
     .unwrap();

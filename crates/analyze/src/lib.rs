@@ -16,8 +16,9 @@
 //!   Kleene/window state blowup (`A009`).
 //! * [`plan_verify`] — plan-invariant verification (`A010`): predicate
 //!   multiset preservation, negation anchoring, precedence sanity, and
-//!   partition-spec soundness. The optimizer, the adaptive swap path,
-//!   and the sharded runtime call these in debug builds.
+//!   partition-spec soundness. The optimizer (every adaptive swap
+//!   candidate included) and the sharded runtime call these in debug
+//!   builds.
 //! * [`query_file`] — self-contained `.sase` files (`TYPE` header plus
 //!   pattern), the input format of the `cep-lint` binary.
 //!

@@ -2,8 +2,8 @@
 //! compiled pattern it claims to evaluate.
 //!
 //! Every check returns `Err(CepError::Plan("A010: ..."))` on violation so
-//! debug builds of the planner, the adaptive swap path, and the sharded
-//! runtime can fail fast on a plan that would silently drop predicates,
+//! debug builds of the planner (every adaptive swap candidate included)
+//! and the sharded runtime can fail fast on a plan that would silently drop predicates,
 //! mis-anchor a negation, or route events unsoundly.
 
 use cep_core::compile::{CompiledPattern, NaryOp};

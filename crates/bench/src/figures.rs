@@ -6,28 +6,28 @@
 
 use crate::env::ExperimentEnv;
 use crate::report::{bytes, si, Table};
-use crate::runner::{geometric_mean, mean, plan_and_run, plan_pattern, Algo, RunOutcome};
+use crate::runner::{geometric_mean, mean, plan_and_run, plan_pattern, RunOutcome};
 use cep_core::engine::EngineConfig;
 use cep_core::selection::SelectionStrategy;
-use cep_optimizer::{OrderAlgorithm, TreeAlgorithm};
+use cep_optimizer::{Backend, OrderAlgorithm, TreeAlgorithm};
 use cep_streamgen::{generate_pattern, PatternSetKind};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::io::Write;
 
 /// The paper's order-based algorithm set (Section 7.1).
-pub fn order_algos() -> Vec<Algo> {
+pub fn order_algos() -> Vec<Backend> {
     OrderAlgorithm::paper_set()
         .into_iter()
-        .map(Algo::Order)
+        .map(Backend::Nfa)
         .collect()
 }
 
 /// The paper's tree-based algorithm set (Section 7.1).
-pub fn tree_algos() -> Vec<Algo> {
+pub fn tree_algos() -> Vec<Backend> {
     TreeAlgorithm::paper_set()
         .into_iter()
-        .map(Algo::Tree)
+        .map(Backend::Tree)
         .collect()
 }
 
@@ -45,7 +45,7 @@ fn engine_config() -> EngineConfig {
 fn run_set(
     env: &ExperimentEnv,
     kind: PatternSetKind,
-    algo: Algo,
+    algo: Backend,
     alpha: f64,
 ) -> Vec<(usize, RunOutcome)> {
     let cfg = engine_config();
@@ -175,18 +175,18 @@ pub fn cost_validation(env: &ExperimentEnv, out: &mut dyn Write) -> std::io::Res
         (
             "order-based plans",
             vec![
-                Algo::Order(OrderAlgorithm::Trivial),
-                Algo::Order(OrderAlgorithm::EFreq),
-                Algo::Order(OrderAlgorithm::Greedy),
-                Algo::Order(OrderAlgorithm::DpLd),
+                Backend::Nfa(OrderAlgorithm::Trivial),
+                Backend::Nfa(OrderAlgorithm::EFreq),
+                Backend::Nfa(OrderAlgorithm::Greedy),
+                Backend::Nfa(OrderAlgorithm::DpLd),
             ],
         ),
         (
             "tree-based plans",
             vec![
-                Algo::Tree(TreeAlgorithm::ZStream),
-                Algo::Tree(TreeAlgorithm::ZStreamOrd),
-                Algo::Tree(TreeAlgorithm::DpB),
+                Backend::Tree(TreeAlgorithm::ZStream),
+                Backend::Tree(TreeAlgorithm::ZStreamOrd),
+                Backend::Tree(TreeAlgorithm::DpB),
             ],
         ),
     ] {
@@ -294,17 +294,17 @@ pub fn large_patterns(
         .into_iter()
         .filter(|&s| s <= max_size && s <= env.gen.type_ids.len())
         .collect();
-    let algos: Vec<Algo> = vec![
-        Algo::Order(OrderAlgorithm::Greedy),
-        Algo::Order(OrderAlgorithm::IIRandom {
+    let algos: Vec<Backend> = vec![
+        Backend::Nfa(OrderAlgorithm::Greedy),
+        Backend::Nfa(OrderAlgorithm::IIRandom {
             restarts: 10,
             seed: 0xCEB,
         }),
-        Algo::Order(OrderAlgorithm::IIGreedy),
-        Algo::Order(OrderAlgorithm::DpLd),
-        Algo::Tree(TreeAlgorithm::ZStream),
-        Algo::Tree(TreeAlgorithm::ZStreamOrd),
-        Algo::Tree(TreeAlgorithm::DpB),
+        Backend::Nfa(OrderAlgorithm::IIGreedy),
+        Backend::Nfa(OrderAlgorithm::DpLd),
+        Backend::Tree(TreeAlgorithm::ZStream),
+        Backend::Tree(TreeAlgorithm::ZStreamOrd),
+        Backend::Tree(TreeAlgorithm::DpB),
     ];
     let mut header = vec!["algorithm".to_string()];
     header.extend(sizes.iter().map(|s| format!("n={s}")));
@@ -340,14 +340,14 @@ pub fn large_patterns(
             let mut times = Vec::new();
             for p in ps {
                 let base = match algo {
-                    Algo::Order(_) => plan_pattern(p, env, Algo::Order(OrderAlgorithm::EFreq), 0.0),
-                    Algo::Tree(_) => {
+                    Backend::Tree(_) => {
                         // EFREQ leaf order as a left-deep tree: ZStream over
                         // the EFREQ order degenerate case is not directly
                         // expressible; use ZStream native as the tree
                         // baseline (the empirically worst tree method).
-                        plan_pattern(p, env, Algo::Tree(TreeAlgorithm::ZStream), 0.0)
+                        plan_pattern(p, env, Backend::Tree(TreeAlgorithm::ZStream), 0.0)
                     }
+                    _ => plan_pattern(p, env, Backend::Nfa(OrderAlgorithm::EFreq), 0.0),
                 };
                 let Ok(base) = base else { continue };
                 // Planning can fail when the size exceeds an algorithm's cap.
@@ -387,16 +387,16 @@ pub fn large_patterns(
 /// α ∈ {0, 0.5, 1}.
 pub fn latency_tradeoff(env: &ExperimentEnv, out: &mut dyn Write) -> std::io::Result<()> {
     writeln!(out, "== Figure 18: throughput vs latency (alpha sweep) ==")?;
-    let algos: Vec<Algo> = vec![
-        Algo::Order(OrderAlgorithm::Greedy),
-        Algo::Order(OrderAlgorithm::IIRandom {
+    let algos: Vec<Backend> = vec![
+        Backend::Nfa(OrderAlgorithm::Greedy),
+        Backend::Nfa(OrderAlgorithm::IIRandom {
             restarts: 10,
             seed: 0xCEB,
         }),
-        Algo::Order(OrderAlgorithm::IIGreedy),
-        Algo::Order(OrderAlgorithm::DpLd),
-        Algo::Tree(TreeAlgorithm::ZStreamOrd),
-        Algo::Tree(TreeAlgorithm::DpB),
+        Backend::Nfa(OrderAlgorithm::IIGreedy),
+        Backend::Nfa(OrderAlgorithm::DpLd),
+        Backend::Tree(TreeAlgorithm::ZStreamOrd),
+        Backend::Tree(TreeAlgorithm::DpB),
     ];
     let mut t = Table::new(&["algorithm", "alpha", "throughput (e/s)", "avg latency (ms)"]);
     for &algo in &algos {
@@ -687,7 +687,7 @@ pub fn cross_partition(
 /// created, where the adaptive engine must beat the static initial plan.
 pub fn adaptive_drift(env: &ExperimentEnv, out: &mut dyn Write) -> std::io::Result<()> {
     use crate::env::drifting_stock_workload;
-    use cep_adaptive::{AdaptiveConfig, AdaptiveEngine, PlanKind, PlanReplanner, Replanner};
+    use cep_adaptive::{AdaptiveConfig, AdaptiveEngine, PlanReplanner, Replanner};
     use cep_core::engine::Engine;
     use cep_core::matches::Match;
     use cep_core::stream::EventStream;
@@ -714,7 +714,7 @@ pub fn adaptive_drift(env: &ExperimentEnv, out: &mut dyn Write) -> std::io::Resu
             vec![(cp.clone(), sels.clone())],
             stats,
             Planner::default(),
-            PlanKind::Order(OrderAlgorithm::DpLd),
+            Backend::Nfa(OrderAlgorithm::DpLd),
             engine_config(),
         )
         .expect("selectivities match the pattern's predicates")
@@ -878,7 +878,7 @@ pub fn adaptive_drift(env: &ExperimentEnv, out: &mut dyn Write) -> std::io::Resu
 /// configurations stay stuck with the stale plan.
 pub fn selectivity_drift(env: &ExperimentEnv, out: &mut dyn Write) -> std::io::Result<()> {
     use crate::env::selectivity_drift_workload;
-    use cep_adaptive::{AdaptiveConfig, AdaptiveEngine, PlanKind, PlanReplanner, Replanner};
+    use cep_adaptive::{AdaptiveConfig, AdaptiveEngine, PlanReplanner, Replanner};
     use cep_core::engine::Engine;
     use cep_core::matches::Match;
     use cep_optimizer::Planner;
@@ -909,7 +909,7 @@ pub fn selectivity_drift(env: &ExperimentEnv, out: &mut dyn Write) -> std::io::R
             vec![(cp.clone(), sels.to_vec())],
             &stats,
             Planner::default(),
-            PlanKind::Order(OrderAlgorithm::DpLd),
+            Backend::Nfa(OrderAlgorithm::DpLd),
             engine_config(),
         )
         .expect("selectivities match the pattern's predicates")

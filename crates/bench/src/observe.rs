@@ -22,7 +22,7 @@
 //! workloads are guaranteed to produce.
 
 use crate::env::{cross_key_stock_workload, drifting_stock_workload};
-use cep_adaptive::{AdaptiveConfig, AdaptiveEngine, PlanKind, PlanReplanner};
+use cep_adaptive::{AdaptiveConfig, AdaptiveEngine, PlanReplanner};
 use cep_core::compiled::PlanCache;
 use cep_core::engine::{run_traced, Engine, EngineConfig};
 use cep_core::partition::QueryPartitioner;
@@ -32,7 +32,7 @@ use cep_obs::{
     validate_prometheus, JsonlSink, LatencyHistogram, MetricsRegistry, RingSink, TraceRecord,
     Tracer,
 };
-use cep_optimizer::{OrderAlgorithm, Planner};
+use cep_optimizer::{Backend, OrderAlgorithm, Planner};
 use cep_shard::{RoutingPolicy, ShardedRuntime};
 use std::io::Write;
 use std::sync::{Arc, Mutex};
@@ -98,7 +98,7 @@ pub fn run(
         vec![(cp, sels)],
         &gen.initial_stats(),
         Planner::default(),
-        PlanKind::Order(OrderAlgorithm::DpLd),
+        Backend::Nfa(OrderAlgorithm::DpLd),
         engine_config(),
     )
     .map_err(|e| format!("replanner setup failed: {e}"))?

@@ -1,48 +1,20 @@
 //! Plan + execute machinery shared by all figures.
 
 use crate::env::ExperimentEnv;
+use cep::BranchFactory;
 use cep_core::compile::CompiledPattern;
-use cep_core::engine::{run_to_completion, Engine, EngineConfig, MultiEngine};
+use cep_core::engine::{run_to_completion, EngineConfig, EngineFactory};
 use cep_core::error::CepError;
 use cep_core::pattern::Pattern;
-use cep_core::plan::{OrderPlan, TreePlan};
-use cep_core::stats::PatternStats;
-use cep_nfa::NfaEngine;
-use cep_optimizer::{OrderAlgorithm, Planner, PlannerConfig, TreeAlgorithm};
+use cep_core::plan::Plan;
+use cep_optimizer::{Backend, Planner, PlannerConfig};
 use cep_streamgen::{analytic_measured_stats, analytic_selectivities};
-use cep_tree::TreeEngine;
 use std::time::Instant;
-
-/// Which evaluation model / algorithm produced a plan.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Algo {
-    /// Order-based (lazy NFA) evaluation.
-    Order(OrderAlgorithm),
-    /// Tree-based evaluation.
-    Tree(TreeAlgorithm),
-}
-
-impl std::fmt::Display for Algo {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Algo::Order(a) => write!(f, "{a}"),
-            Algo::Tree(a) => write!(f, "{a}"),
-        }
-    }
-}
-
-/// A branch plan (one per DNF conjunct).
-pub enum BranchPlan {
-    /// Order plan for the NFA engine.
-    Order(OrderPlan),
-    /// Tree plan for the tree engine.
-    Tree(TreePlan),
-}
 
 /// A fully planned pattern, ready to execute.
 pub struct PlannedPattern {
-    /// `(compiled branch, its statistics, its plan)`.
-    pub branches: Vec<(CompiledPattern, PatternStats, BranchPlan)>,
+    /// `(compiled branch, its plan)`, one per DNF conjunct.
+    pub branches: Vec<(CompiledPattern, Plan)>,
     /// Wall time spent generating the plans (the paper's Figure 17(b)).
     pub plan_time_s: f64,
     /// Summed plan cost across branches, under the planner's cost model.
@@ -51,11 +23,12 @@ pub struct PlannedPattern {
     pub window: u64,
 }
 
-/// Plans every DNF branch of `pattern` with one algorithm.
+/// Plans every DNF branch of `pattern` with one planned backend's
+/// algorithm.
 pub fn plan_pattern(
     pattern: &Pattern,
     env: &ExperimentEnv,
-    algo: Algo,
+    backend: Backend,
     alpha: f64,
 ) -> Result<PlannedPattern, CepError> {
     let branches = CompiledPattern::compile(pattern)?;
@@ -71,19 +44,9 @@ pub fn plan_pattern(
         let sels = analytic_selectivities(&cp, &env.gen);
         let stats = planner.stats_for(&cp, &measured, &sels)?;
         let cm = planner.cost_model(&cp);
-        let plan = match algo {
-            Algo::Order(a) => {
-                let p = planner.plan_order(&cp, &stats, a)?;
-                plan_cost += cm.order_plan_cost(&stats, &p);
-                BranchPlan::Order(p)
-            }
-            Algo::Tree(a) => {
-                let p = planner.plan_tree(&cp, &stats, a)?;
-                plan_cost += cm.tree_plan_cost(&stats, &p);
-                BranchPlan::Tree(p)
-            }
-        };
-        planned.push((cp, stats, plan));
+        let plan = planner.plan(&cp, &stats, backend)?;
+        plan_cost += cm.plan_cost(&stats, &plan);
+        planned.push((cp, plan));
     }
     let plan_time_s = start.elapsed().as_secs_f64();
     Ok(PlannedPattern {
@@ -112,28 +75,20 @@ pub struct RunOutcome {
     pub plan_time_s: f64,
 }
 
-/// Builds the engine(s) for a planned pattern and drives the stream
-/// through them.
+/// Builds the engine(s) for a planned pattern through the facade's
+/// [`BranchFactory`] and drives the stream through them.
 pub fn execute(
     planned: &PlannedPattern,
     env: &ExperimentEnv,
     cfg: &EngineConfig,
 ) -> Result<RunOutcome, CepError> {
-    let mut engines: Vec<Box<dyn Engine>> = Vec::with_capacity(planned.branches.len());
-    for (cp, _, plan) in &planned.branches {
-        let e: Box<dyn Engine> = match plan {
-            BranchPlan::Order(p) => Box::new(NfaEngine::new(cp.clone(), p.clone(), cfg.clone())?),
-            BranchPlan::Tree(p) => Box::new(TreeEngine::new(cp.clone(), p.clone(), cfg.clone())?),
-        };
-        engines.push(e);
-    }
-    let result = if engines.len() == 1 {
-        let mut engine = engines.pop().expect("one engine");
-        run_to_completion(engine.as_mut(), env.stream(), false)
-    } else {
-        let mut multi = MultiEngine::new(engines, planned.window);
-        run_to_completion(&mut multi, env.stream(), false)
-    };
+    let branches = planned
+        .branches
+        .iter()
+        .map(|(cp, plan)| (cp.clone(), Some(plan.clone())))
+        .collect();
+    let mut engine = BranchFactory::new(branches, planned.window, cfg.clone())?.build();
+    let result = run_to_completion(engine.as_mut(), env.stream(), false);
     Ok(RunOutcome {
         throughput_eps: result.metrics.throughput_eps(),
         peak_memory_bytes: result.metrics.peak_memory_bytes,
@@ -148,11 +103,11 @@ pub fn execute(
 pub fn plan_and_run(
     pattern: &Pattern,
     env: &ExperimentEnv,
-    algo: Algo,
+    backend: Backend,
     alpha: f64,
     cfg: &EngineConfig,
 ) -> Result<RunOutcome, CepError> {
-    let planned = plan_pattern(pattern, env, algo, alpha)?;
+    let planned = plan_pattern(pattern, env, backend, alpha)?;
     execute(&planned, env, cfg)
 }
 
@@ -178,6 +133,7 @@ pub fn mean(values: &[f64]) -> f64 {
 mod tests {
     use super::*;
     use crate::env::Scale;
+    use cep_optimizer::{OrderAlgorithm, TreeAlgorithm};
     use cep_streamgen::PatternSetKind;
 
     fn tiny_env() -> ExperimentEnv {
@@ -194,16 +150,16 @@ mod tests {
         let set = env.pattern_set(PatternSetKind::Sequence);
         let cfg = EngineConfig::default();
         let mut match_counts = Vec::new();
-        for algo in [
-            Algo::Order(OrderAlgorithm::Trivial),
-            Algo::Order(OrderAlgorithm::EFreq),
-            Algo::Order(OrderAlgorithm::Greedy),
-            Algo::Order(OrderAlgorithm::DpLd),
-            Algo::Tree(TreeAlgorithm::ZStream),
-            Algo::Tree(TreeAlgorithm::DpB),
+        for backend in [
+            Backend::Nfa(OrderAlgorithm::Trivial),
+            Backend::Nfa(OrderAlgorithm::EFreq),
+            Backend::Nfa(OrderAlgorithm::Greedy),
+            Backend::Nfa(OrderAlgorithm::DpLd),
+            Backend::Tree(TreeAlgorithm::ZStream),
+            Backend::Tree(TreeAlgorithm::DpB),
         ] {
-            let out = plan_and_run(&set[0].pattern, &env, algo, 0.0, &cfg).unwrap();
-            assert!(out.throughput_eps > 0.0, "{algo}: no throughput");
+            let out = plan_and_run(&set[0].pattern, &env, backend, 0.0, &cfg).unwrap();
+            assert!(out.throughput_eps > 0.0, "{backend}: no throughput");
             match_counts.push(out.matches);
         }
         // Every algorithm must detect the same matches.
@@ -220,7 +176,7 @@ mod tests {
         let planned = plan_pattern(
             &set[0].pattern,
             &env,
-            Algo::Order(OrderAlgorithm::Greedy),
+            Backend::Nfa(OrderAlgorithm::Greedy),
             0.0,
         )
         .unwrap();

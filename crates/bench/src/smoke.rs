@@ -141,8 +141,8 @@ fn sharded_scaling() -> ScenarioReport {
 }
 
 fn adaptive_drift() -> ScenarioReport {
-    use cep_adaptive::{AdaptiveConfig, AdaptiveEngine, PlanKind, PlanReplanner, Replanner};
-    use cep_optimizer::{OrderAlgorithm, Planner};
+    use cep_adaptive::{AdaptiveConfig, AdaptiveEngine, PlanReplanner, Replanner};
+    use cep_optimizer::{Backend, OrderAlgorithm, Planner};
     timed("adaptive-drift", || {
         let window_ms = 3_000;
         let (gen, cp, sels) = drifting_stock_workload(5_000, 20_000, 0xCE9, window_ms);
@@ -150,7 +150,7 @@ fn adaptive_drift() -> ScenarioReport {
             vec![(cp, sels)],
             &gen.initial_stats(),
             Planner::default(),
-            PlanKind::Order(OrderAlgorithm::DpLd),
+            Backend::Nfa(OrderAlgorithm::DpLd),
             engine_config(),
         )
         .expect("selectivities match the pattern's predicates");
@@ -190,8 +190,8 @@ fn adaptive_drift() -> ScenarioReport {
 }
 
 fn selectivity_drift() -> ScenarioReport {
-    use cep_adaptive::{AdaptiveConfig, AdaptiveEngine, PlanKind, PlanReplanner, Replanner};
-    use cep_optimizer::{OrderAlgorithm, Planner};
+    use cep_adaptive::{AdaptiveConfig, AdaptiveEngine, PlanReplanner, Replanner};
+    use cep_optimizer::{Backend, OrderAlgorithm, Planner};
     timed("selectivity-drift", || {
         let window_ms = 2_500;
         let (gen, cp, initial_sels, _) = selectivity_drift_workload(8_000, 8_000, 0x5E1, window_ms);
@@ -200,7 +200,7 @@ fn selectivity_drift() -> ScenarioReport {
                 vec![(cp.clone(), initial_sels.clone())],
                 &gen.stats(),
                 Planner::default(),
-                PlanKind::Order(OrderAlgorithm::DpLd),
+                Backend::Nfa(OrderAlgorithm::DpLd),
                 engine_config(),
             )
             .expect("selectivities match the pattern's predicates")

@@ -29,7 +29,7 @@
 //! * `Cost_next_ord` is `Σ_k W·m[k]`, keeping the printed extra `W`
 //!   factor (a monotone transform that does not affect plan choice).
 
-use crate::plan::{OrderPlan, TreeNode, TreePlan};
+use crate::plan::{OrderPlan, Plan, TreeNode, TreePlan};
 use crate::selection::SelectionStrategy;
 use crate::stats::PatternStats;
 
@@ -365,6 +365,14 @@ impl CostModel {
     /// Full objective for a [`TreePlan`].
     pub fn tree_plan_cost(&self, stats: &PatternStats, plan: &TreePlan) -> f64 {
         self.tree_cost(stats, &plan.root)
+    }
+
+    /// Full objective for a [`Plan`] of either family.
+    pub fn plan_cost(&self, stats: &PatternStats, plan: &Plan) -> f64 {
+        match plan {
+            Plan::Order(p) => self.order_plan_cost(stats, p),
+            Plan::Tree(p) => self.tree_plan_cost(stats, p),
+        }
     }
 }
 

@@ -71,7 +71,7 @@ pub mod prelude {
     pub use crate::metrics::EngineMetrics;
     pub use crate::partition::{PartitionSpec, QueryPartitioner, TypeDisposition};
     pub use crate::pattern::{Pattern, PatternBuilder, PatternExpr};
-    pub use crate::plan::{OrderPlan, TreeNode, TreePlan};
+    pub use crate::plan::{OrderPlan, Plan, TreeNode, TreePlan};
     pub use crate::predicate::{CmpOp, Operand, Predicate};
     pub use crate::registry::{
         FragmentBuilder, QueryId, QueryRegistry, RegistrySpec, SetPlanReport,

@@ -5,6 +5,7 @@
 //! A [`TreePlan`] drives the tree-based engine: a binary tree whose leaves
 //! are the positive elements and whose internal nodes combine partial
 //! matches. Both reference elements of a [`CompiledPattern`] by index.
+//! A [`Plan`] is either one: the type every construction path plans into.
 
 use crate::compile::CompiledPattern;
 use crate::error::CepError;
@@ -270,6 +271,36 @@ impl TreePlan {
 impl fmt::Display for TreePlan {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}", self.root)
+    }
+}
+
+/// An evaluation plan of either family. An order plan is a left-deep
+/// tree plan (Section 4–5), so "plan a branch, then build its engine" is
+/// one decision over this one type.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Plan {
+    /// An order plan, evaluated by the order-based (lazy NFA) engine.
+    Order(OrderPlan),
+    /// A tree plan, evaluated by the tree-based engine.
+    Tree(TreePlan),
+}
+
+impl Plan {
+    /// Validates that the plan fits a compiled pattern.
+    pub fn validate(&self, cp: &CompiledPattern) -> Result<(), CepError> {
+        match self {
+            Plan::Order(p) => p.validate(cp),
+            Plan::Tree(p) => p.validate(cp),
+        }
+    }
+}
+
+impl fmt::Display for Plan {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Plan::Order(p) => p.fmt(f),
+            Plan::Tree(p) => p.fmt(f),
+        }
     }
 }
 

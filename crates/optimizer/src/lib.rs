@@ -136,6 +136,34 @@ impl fmt::Display for TreeAlgorithm {
     }
 }
 
+/// The evaluation engine family, and for the planned ones the algorithm
+/// that plans it: the one "which algorithm" choice every construction
+/// path (facade builders, adaptive replanner, experiment runner) shares.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Backend {
+    /// Order-based (lazy chain NFA) evaluation, planned with the given
+    /// order algorithm from stream statistics.
+    Nfa(OrderAlgorithm),
+    /// Tree-based (ZStream-style) evaluation, planned with the given tree
+    /// algorithm from stream statistics.
+    Tree(TreeAlgorithm),
+    /// Delta-indexed, non-materializing evaluation. Needs no plan and no
+    /// statistics — join order is chosen per probe from live index
+    /// sizes — and is therefore the facade builders' default.
+    Delta,
+}
+
+impl fmt::Display for Backend {
+    /// The algorithm name (`DP-LD`, `ZSTREAM`, ...), or `DELTA`.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Backend::Nfa(a) => a.fmt(f),
+            Backend::Tree(a) => a.fmt(f),
+            Backend::Delta => f.write_str("DELTA"),
+        }
+    }
+}
+
 pub use adaptive::{SelectivityMonitor, StatsMonitor};
-pub use planner::{LatencyAnchor, Planner, PlannerConfig};
+pub use planner::{LatencyAnchor, Planner, PlannerConfig, DELTA_HAS_NO_PLAN};
 pub use profiler::OutputProfiler;

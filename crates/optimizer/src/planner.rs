@@ -7,12 +7,18 @@ use crate::dp::{dp_bushy_tree, dp_left_deep_order};
 use crate::kbz::kbz_order;
 use crate::order::{efreq_order, greedy_order, ii_greedy_order, ii_random_order, trivial_order};
 use crate::zstream::{zstream_native, zstream_ordered};
-use crate::{OrderAlgorithm, TreeAlgorithm};
+use crate::{Backend, OrderAlgorithm, TreeAlgorithm};
 use cep_core::compile::CompiledPattern;
 use cep_core::cost::CostModel;
 use cep_core::error::CepError;
-use cep_core::plan::{OrderPlan, TreePlan};
+use cep_core::plan::{OrderPlan, Plan, TreePlan};
 use cep_core::stats::{MeasuredStats, PatternStats, StatsOptions};
+
+/// The [`CepError::Plan`] message for a plan requested of
+/// [`Backend::Delta`] — by [`Planner::plan`], an adaptive replanner, or
+/// the facade's adaptive builders.
+pub const DELTA_HAS_NO_PLAN: &str = "the delta backend picks its join order per probe and has \
+     no plan to replan; use Backend::Nfa or Backend::Tree for adaptive engines";
 
 /// Where the latency anchor (the temporally last element, Section 6.1)
 /// comes from.
@@ -141,6 +147,23 @@ impl Planner {
         }
         Ok(plan)
     }
+
+    /// Generates the plan `backend` evaluates: [`plan_order`](Self::plan_order)
+    /// for the NFA, [`plan_tree`](Self::plan_tree) for the tree engine.
+    /// [`Backend::Delta`] has no plan and fails with [`CepError::Plan`]
+    /// ([`DELTA_HAS_NO_PLAN`]).
+    pub fn plan(
+        &self,
+        cp: &CompiledPattern,
+        stats: &PatternStats,
+        backend: Backend,
+    ) -> Result<Plan, CepError> {
+        match backend {
+            Backend::Nfa(algorithm) => self.plan_order(cp, stats, algorithm).map(Plan::Order),
+            Backend::Tree(algorithm) => self.plan_tree(cp, stats, algorithm).map(Plan::Tree),
+            Backend::Delta => Err(CepError::Plan(DELTA_HAS_NO_PLAN.into())),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -243,6 +266,20 @@ mod tests {
                 "{algo} beat DP-B"
             );
         }
+    }
+
+    #[test]
+    fn plan_dispatches_on_the_backend() {
+        let (cp, stats) = fixture();
+        let planner = Planner::default();
+        let order = planner.plan_order(&cp, &stats, OrderAlgorithm::DpLd);
+        let nfa = planner.plan(&cp, &stats, Backend::Nfa(OrderAlgorithm::DpLd));
+        assert_eq!(nfa.unwrap(), Plan::Order(order.unwrap()));
+        let tree = planner.plan_tree(&cp, &stats, TreeAlgorithm::DpB);
+        let planned = planner.plan(&cp, &stats, Backend::Tree(TreeAlgorithm::DpB));
+        assert_eq!(planned.unwrap(), Plan::Tree(tree.unwrap()));
+        let err = planner.plan(&cp, &stats, Backend::Delta).unwrap_err();
+        assert!(matches!(err, CepError::Plan(m) if m == DELTA_HAS_NO_PLAN));
     }
 
     #[test]

@@ -336,18 +336,29 @@ impl ShardedRuntime {
         branches: &[CompiledPattern],
         collect_matches: bool,
     ) -> Result<ShardedRunResult, CepError> {
-        ShardRouter::for_query(self.config.shards, policy.clone(), branches)?;
-        // Debug builds additionally lint the branches and (for
-        // replicate-join) the partition spec against them (A010).
+        self.checked_router(&policy, branches)?;
+        Ok(self.run(factory, stream, policy, collect_matches))
+    }
+
+    /// The router for `policy` over `branches`, once
+    /// [`ShardRouter::for_query`] has found the policy sound for every
+    /// branch. Debug builds additionally lint the branches and (for
+    /// replicate-join) the partition spec against them (A010).
+    fn checked_router(
+        &self,
+        policy: &RoutingPolicy,
+        branches: &[CompiledPattern],
+    ) -> Result<ShardRouter, CepError> {
+        let router = ShardRouter::for_query(self.config.shards, policy.clone(), branches)?;
         if cfg!(debug_assertions) {
             for cp in branches {
                 cep_analyze::verify_pattern_invariants(cp)?;
             }
-            if let RoutingPolicy::ReplicateJoin(spec) = &policy {
+            if let RoutingPolicy::ReplicateJoin(spec) = policy {
                 cep_analyze::verify_partition_spec(spec, branches)?;
             }
         }
-        Ok(self.run(factory, stream, policy, collect_matches))
+        Ok(router)
     }
 
     /// Drives `stream` through the worker pool with **every query of
@@ -396,15 +407,7 @@ impl ShardedRuntime {
             ));
         }
         let branches: Vec<CompiledPattern> = spec.branches().cloned().collect();
-        let mut router = ShardRouter::for_query(shards, policy.clone(), &branches)?;
-        if cfg!(debug_assertions) {
-            for cp in &branches {
-                cep_analyze::verify_pattern_invariants(cp)?;
-            }
-            if let RoutingPolicy::ReplicateJoin(pspec) = &policy {
-                cep_analyze::verify_partition_spec(pspec, &branches)?;
-            }
-        }
+        let mut router = self.checked_router(&policy, &branches)?;
         // Same regime as `run`: replicated-only matches surface on every
         // shard and must be deduplicated per query, which requires
         // collecting them worker-side.

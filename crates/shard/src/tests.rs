@@ -442,9 +442,9 @@ fn sixteen_shard_replays_are_deterministic() {
 /// engine byte for byte.
 #[test]
 fn sharded_adaptive_engines_replan_per_worker_and_stay_exact() {
-    use cep_adaptive::{AdaptiveConfig, AdaptiveFactory, PlanKind, PlanReplanner, Replanner};
+    use cep_adaptive::{AdaptiveConfig, AdaptiveFactory, PlanReplanner, Replanner};
     use cep_core::stats::MeasuredStats;
-    use cep_optimizer::{OrderAlgorithm, Planner};
+    use cep_optimizer::{Backend, OrderAlgorithm, Planner};
 
     // Two-phase keyed workload: type 0 frequent / type 2 rare, flipping at
     // the halfway point; keys cycle so every shard sees the same drift.
@@ -478,7 +478,7 @@ fn sharded_adaptive_engines_replan_per_worker_and_stay_exact() {
         vec![(cp, vec![1.0, 1.0])],
         &phase1,
         Planner::default(),
-        PlanKind::Order(OrderAlgorithm::DpLd),
+        Backend::Nfa(OrderAlgorithm::DpLd),
         EngineConfig::default(),
     )
     .unwrap();
@@ -526,9 +526,9 @@ fn sharded_adaptive_engines_replan_per_worker_and_stay_exact() {
 /// the single-threaded, never-swapped engine byte for byte.
 #[test]
 fn sharded_selectivity_monitors_replan_per_worker_and_stay_exact() {
-    use cep_adaptive::{AdaptiveConfig, AdaptiveFactory, PlanKind, PlanReplanner, Replanner};
+    use cep_adaptive::{AdaptiveConfig, AdaptiveFactory, PlanReplanner, Replanner};
     use cep_core::stats::MeasuredStats;
-    use cep_optimizer::{OrderAlgorithm, Planner};
+    use cep_optimizer::{Backend, OrderAlgorithm, Planner};
 
     // Events carry (key, value); keys cycle over 4 partitions — with the
     // strides chosen so every key regularly receives all three types — and
@@ -586,7 +586,7 @@ fn sharded_selectivity_monitors_replan_per_worker_and_stay_exact() {
         vec![(cp, vec![0.25, 0.25, 0.95, 0.05])],
         &rates,
         Planner::default(),
-        PlanKind::Order(OrderAlgorithm::DpLd),
+        Backend::Nfa(OrderAlgorithm::DpLd),
         EngineConfig::default(),
     )
     .unwrap()

@@ -92,7 +92,7 @@ fn main() {
             vec![(cp, sels.clone())],
             &gen.initial_stats(),
             Planner::default(),
-            PlanKind::Order(OrderAlgorithm::DpLd),
+            Backend::Nfa(OrderAlgorithm::DpLd),
             Default::default(),
         )
         .unwrap();

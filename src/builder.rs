@@ -36,20 +36,22 @@ use cep_core::compiled::{shared_plan_cache, PredicateProgram, SharedPlanCache};
 use cep_core::engine::{Engine, EngineConfig, EngineFactory, MultiEngine};
 use cep_core::error::CepError;
 use cep_core::pattern::Pattern;
-use cep_core::plan::{OrderPlan, TreePlan};
+use cep_core::plan::{OrderPlan, Plan};
 use cep_core::registry::{prefix_signature, FragmentBuilder, QueryRegistry, RegistrySpec};
 use cep_core::stats::MeasuredStats;
 use cep_core::stream::StreamBuilder;
 use cep_delta::DeltaEngine;
 use cep_nfa::NfaEngine;
-use cep_optimizer::{OrderAlgorithm, Planner, TreeAlgorithm};
+use cep_optimizer::{Planner, DELTA_HAS_NO_PLAN};
 use cep_streamgen::{analytic_measured_stats, analytic_selectivities, GeneratedStream};
 use cep_tree::TreeEngine;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-/// Capacity of a planned factory's compiled-plan cache: one slot per DNF
+pub use cep_optimizer::Backend;
+
+/// Capacity of a [`BranchFactory`]'s compiled-plan cache: one slot per DNF
 /// branch is enough (builds reuse identical patterns), with headroom for
 /// wide disjunctions.
 const PLAN_CACHE_CAP: usize = 64;
@@ -57,23 +59,6 @@ const PLAN_CACHE_CAP: usize = 64;
 /// Event pairs the full-adaptive factories' selectivity monitors sample
 /// per estimate.
 const SELECTIVITY_MAX_PAIRS: usize = 512;
-
-/// The evaluation engine family an [`EngineBuilder`] or
-/// [`RegistryBuilder`] constructs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Backend {
-    /// Order-based (lazy chain NFA) evaluation, planned with the given
-    /// order algorithm from stream statistics
-    /// ([`EngineBuilder::stats`] is required).
-    Nfa(OrderAlgorithm),
-    /// Tree-based (ZStream-style) evaluation, planned with the given
-    /// tree algorithm from stream statistics (`stats` is required).
-    Tree(TreeAlgorithm),
-    /// Delta-indexed, non-materializing evaluation. Needs no plan and no
-    /// statistics — join order is chosen per probe from live index
-    /// sizes — and is therefore the default backend.
-    Delta,
-}
 
 /// Starts a fluent [`EngineBuilder`] for `pattern`.
 ///
@@ -230,82 +215,43 @@ impl<'a> EngineBuilder<'a> {
     }
 
     fn factory_inner(&self) -> Result<Box<dyn EngineFactory>, CepError> {
-        match (self.backend, &self.adaptive) {
-            (Backend::Delta, None) => {
-                let branches = CompiledPattern::compile(self.pattern)?;
-                Ok(Box::new(DeltaFactory {
-                    branches,
-                    window: self.pattern.window,
-                    config: self.config.clone(),
-                    plan_cache: shared_plan_cache(PLAN_CACHE_CAP),
-                }))
+        if let Some((adaptive, full)) = &self.adaptive {
+            if self.backend == Backend::Delta {
+                return Err(CepError::Plan(DELTA_HAS_NO_PLAN.into()));
             }
-            (Backend::Delta, Some(_)) => Err(CepError::Plan(
-                "the delta backend picks its join order per probe and has no plan \
-                 to replan; use Backend::Nfa or Backend::Tree for adaptive engines"
-                    .into(),
-            )),
-            (Backend::Nfa(algorithm), None) => {
-                let gen = self.require_stats("planning an order-based (NFA) engine")?;
-                let planner = Planner::default();
-                let measured = analytic_measured_stats(gen);
-                let compiled = CompiledPattern::compile(self.pattern)?;
-                let mut branches = Vec::with_capacity(compiled.len());
-                for cp in compiled {
-                    let sels = analytic_selectivities(&cp, gen);
-                    let stats = planner.stats_for(&cp, &measured, &sels)?;
-                    let plan = planner.plan_order(&cp, &stats, algorithm)?;
-                    branches.push((cp, plan));
-                }
-                Ok(Box::new(PlannedFactory {
-                    branches: BranchPlans::Order(branches),
-                    window: self.pattern.window,
-                    config: self.config.clone(),
-                    plan_cache: shared_plan_cache(PLAN_CACHE_CAP),
-                }))
-            }
-            (Backend::Tree(algorithm), None) => {
-                let gen = self.require_stats("planning a tree-based engine")?;
-                let planner = Planner::default();
-                let measured = analytic_measured_stats(gen);
-                let compiled = CompiledPattern::compile(self.pattern)?;
-                let mut branches = Vec::with_capacity(compiled.len());
-                for cp in compiled {
-                    let sels = analytic_selectivities(&cp, gen);
-                    let stats = planner.stats_for(&cp, &measured, &sels)?;
-                    let plan = planner.plan_tree(&cp, &stats, algorithm)?;
-                    branches.push((cp, plan));
-                }
-                Ok(Box::new(PlannedFactory {
-                    branches: BranchPlans::Tree(branches),
-                    window: self.pattern.window,
-                    config: self.config.clone(),
-                    plan_cache: shared_plan_cache(PLAN_CACHE_CAP),
-                }))
-            }
-            (Backend::Nfa(algorithm), Some((adaptive, full))) => {
-                let gen = self.require_stats("adaptive replanning")?;
-                adaptive_factory(
-                    self.pattern,
-                    gen,
-                    cep_adaptive::PlanKind::Order(algorithm),
-                    self.config.clone(),
-                    adaptive.clone(),
-                    *full,
-                )
-            }
-            (Backend::Tree(algorithm), Some((adaptive, full))) => {
-                let gen = self.require_stats("adaptive replanning")?;
-                adaptive_factory(
-                    self.pattern,
-                    gen,
-                    cep_adaptive::PlanKind::Tree(algorithm),
-                    self.config.clone(),
-                    adaptive.clone(),
-                    *full,
-                )
-            }
+            let gen = self.require_stats("adaptive replanning")?;
+            return adaptive_factory(
+                self.pattern,
+                gen,
+                self.backend,
+                self.config.clone(),
+                adaptive.clone(),
+                *full,
+            );
         }
+        let planning = match self.backend {
+            Backend::Delta => None,
+            backend => {
+                let gen = self.require_stats(&format!("planning with {backend}"))?;
+                Some((analytic_measured_stats(gen), gen))
+            }
+        };
+        let planner = Planner::default();
+        let branches = CompiledPattern::compile(self.pattern)?
+            .into_iter()
+            .map(|cp| {
+                let plan = planning
+                    .as_ref()
+                    .map(|(measured, gen)| plan_branch(&planner, self.backend, &cp, measured, gen))
+                    .transpose()?;
+                Ok((cp, plan))
+            })
+            .collect::<Result<_, CepError>>()?;
+        Ok(Box::new(BranchFactory::new(
+            branches,
+            self.pattern.window,
+            self.config.clone(),
+        )?))
     }
 }
 
@@ -489,154 +435,112 @@ impl FragmentBuilder for FacadeFragmentBuilder {
         cp: &CompiledPattern,
         program: Arc<PredicateProgram>,
     ) -> Result<Box<dyn Engine>, CepError> {
-        match self.backend {
-            Backend::Delta => Ok(Box::new(DeltaEngine::with_program(
-                cp.clone(),
-                self.config.clone(),
-                program,
-            ))),
-            Backend::Nfa(algorithm) => {
-                let ctx = self.planning.as_ref().expect("planned backend has stats");
-                let sels = analytic_selectivities(cp, &ctx.meta);
-                let stats = self.planner.stats_for(cp, &ctx.measured, &sels)?;
-                let plan = self.align_order(cp, self.planner.plan_order(cp, &stats, algorithm)?);
-                Ok(Box::new(NfaEngine::with_program(
-                    cp.clone(),
-                    plan,
-                    self.config.clone(),
-                    program,
-                )?))
-            }
-            Backend::Tree(algorithm) => {
-                let ctx = self.planning.as_ref().expect("planned backend has stats");
-                let sels = analytic_selectivities(cp, &ctx.meta);
-                let stats = self.planner.stats_for(cp, &ctx.measured, &sels)?;
-                let plan = self.planner.plan_tree(cp, &stats, algorithm)?;
-                Ok(Box::new(TreeEngine::with_program(
-                    cp.clone(),
-                    plan,
-                    self.config.clone(),
-                    program,
-                )?))
-            }
-        }
+        let plan = match &self.planning {
+            None => None,
+            Some(ctx) => Some(
+                match plan_branch(&self.planner, self.backend, cp, &ctx.measured, &ctx.meta)? {
+                    Plan::Order(order) => Plan::Order(self.align_order(cp, order)),
+                    tree => tree,
+                },
+            ),
+        };
+        branch_engine(cp, plan.as_ref(), &self.config, program)
     }
 }
 
-/// Per-branch evaluation plans shared by the engines a factory stamps out.
-enum BranchPlans {
-    Order(Vec<(CompiledPattern, OrderPlan)>),
-    Tree(Vec<(CompiledPattern, TreePlan)>),
+/// Plans one DNF branch for a planned `backend` from the analytic
+/// statistics of a generated stream.
+fn plan_branch(
+    planner: &Planner,
+    backend: Backend,
+    cp: &CompiledPattern,
+    measured: &MeasuredStats,
+    gen: &GeneratedStream,
+) -> Result<Plan, CepError> {
+    let sels = analytic_selectivities(cp, gen);
+    let stats = planner.stats_for(cp, measured, &sels)?;
+    planner.plan(cp, &stats, backend)
 }
 
-/// An [`EngineFactory`] over pre-validated branch plans: plan once, build
-/// fresh engines any number of times (one per worker shard, typically).
-/// Disjunctions build a [`MultiEngine`] over the DNF branches.
-struct PlannedFactory {
-    branches: BranchPlans,
+/// Builds the engine for one compiled branch — the one place a plan
+/// becomes an engine: an order plan runs on the [`NfaEngine`], a tree plan
+/// on the [`TreeEngine`], and `None` on the plan-free [`DeltaEngine`].
+/// `program` is the branch's lowered predicate program (typically from a
+/// [`cep_core::compiled::PlanCache`]). Fails only when the plan does not
+/// fit the pattern ([`Plan::validate`]).
+pub(crate) fn branch_engine(
+    cp: &CompiledPattern,
+    plan: Option<&Plan>,
+    config: &EngineConfig,
+    program: Arc<PredicateProgram>,
+) -> Result<Box<dyn Engine>, CepError> {
+    let (cp, config) = (cp.clone(), config.clone());
+    Ok(match plan {
+        Some(Plan::Order(p)) => Box::new(NfaEngine::with_program(cp, p.clone(), config, program)?),
+        Some(Plan::Tree(p)) => Box::new(TreeEngine::with_program(cp, p.clone(), config, program)?),
+        None => Box::new(DeltaEngine::with_program(cp, config, program)),
+    })
+}
+
+/// An [`EngineFactory`] over planned DNF branches: plan once, build fresh
+/// engines any number of times (one per worker shard, typically). Each
+/// branch pairs its compiled pattern with its plan: an order plan runs on
+/// the [`NfaEngine`], a tree plan on the [`TreeEngine`], and `None` on the
+/// [`DeltaEngine`]. Disjunctions build a [`MultiEngine`] over the branches.
+pub struct BranchFactory {
+    branches: Vec<(CompiledPattern, Option<Plan>)>,
     window: u64,
     config: EngineConfig,
     /// Signature-keyed compiled-program cache shared by every engine this
     /// factory stamps out: each DNF branch's predicates are lowered once
-    /// (on the first build) and every further build — one per worker
-    /// shard, typically — reuses the cached program.
+    /// (on the first build) and every further build reuses the cached
+    /// program.
     plan_cache: SharedPlanCache,
 }
 
-impl EngineFactory for PlannedFactory {
-    fn build(&self) -> Box<dyn Engine> {
-        // `PlannedFactory` is only ever constructed with plans the planner
-        // produced for these very compiled patterns, so engine
-        // construction cannot fail. Each branch's hit/miss is stamped onto
-        // the freshly built engine's metrics, so cache effectiveness
-        // surfaces through the normal metrics pipeline (a [`MultiEngine`]
-        // absorbs branch counters into its aggregate view).
-        let fetch = |cp| {
-            self.plan_cache
-                .lock()
-                .expect("plan cache poisoned")
-                .get_or_compile(cp)
-        };
-        let mut engines: Vec<Box<dyn Engine>> = match &self.branches {
-            BranchPlans::Order(branches) => branches
-                .iter()
-                .map(|(cp, plan)| {
-                    let (program, hits, misses) = fetch(cp);
-                    let mut engine = Box::new(
-                        NfaEngine::with_program(
-                            cp.clone(),
-                            plan.clone(),
-                            self.config.clone(),
-                            program,
-                        )
-                        .expect("pre-validated plan"),
-                    );
-                    engine.metrics_mut().plan_cache_hits = hits;
-                    engine.metrics_mut().plan_cache_misses = misses;
-                    engine as Box<dyn Engine>
-                })
-                .collect(),
-            BranchPlans::Tree(branches) => branches
-                .iter()
-                .map(|(cp, plan)| {
-                    let (program, hits, misses) = fetch(cp);
-                    let mut engine = Box::new(
-                        TreeEngine::with_program(
-                            cp.clone(),
-                            plan.clone(),
-                            self.config.clone(),
-                            program,
-                        )
-                        .expect("pre-validated plan"),
-                    );
-                    engine.metrics_mut().plan_cache_hits = hits;
-                    engine.metrics_mut().plan_cache_misses = misses;
-                    engine as Box<dyn Engine>
-                })
-                .collect(),
-        };
-        if engines.len() == 1 {
-            engines.pop().expect("one engine")
-        } else {
-            Box::new(MultiEngine::new(engines, self.window))
+impl BranchFactory {
+    /// A factory over `branches` of a pattern with the given `window`,
+    /// building every engine under `config`. Fails when a plan does not
+    /// fit its branch, so [`build`](EngineFactory::build) cannot.
+    pub fn new(
+        branches: Vec<(CompiledPattern, Option<Plan>)>,
+        window: u64,
+        config: EngineConfig,
+    ) -> Result<BranchFactory, CepError> {
+        for (cp, plan) in &branches {
+            if let Some(plan) = plan {
+                plan.validate(cp)?;
+            }
         }
+        Ok(BranchFactory {
+            branches,
+            window,
+            config,
+            plan_cache: shared_plan_cache(PLAN_CACHE_CAP),
+        })
     }
 }
 
-/// An [`EngineFactory`] stamping out [`DeltaEngine`]s — one per DNF
-/// branch, wrapped in a [`MultiEngine`] for disjunctions. The delta
-/// engine needs no evaluation plan (its join order is chosen per probe
-/// from live index sizes), so unlike [`PlannedFactory`] there is no
-/// planner input; the shared plan cache still deduplicates predicate
-/// lowering across builds.
-struct DeltaFactory {
-    branches: Vec<CompiledPattern>,
-    window: u64,
-    config: EngineConfig,
-    plan_cache: SharedPlanCache,
-}
-
-impl EngineFactory for DeltaFactory {
+impl EngineFactory for BranchFactory {
     fn build(&self) -> Box<dyn Engine> {
-        let fetch = |cp| {
-            self.plan_cache
-                .lock()
-                .expect("plan cache poisoned")
-                .get_or_compile(cp)
-        };
+        // Each branch's cache hit/miss is stamped onto its freshly built
+        // engine's metrics, so cache effectiveness surfaces through the
+        // normal metrics pipeline (a [`MultiEngine`] absorbs branch
+        // counters into its aggregate view).
         let mut engines: Vec<Box<dyn Engine>> = self
             .branches
             .iter()
-            .map(|cp| {
-                let (program, hits, misses) = fetch(cp);
-                let mut engine = Box::new(DeltaEngine::with_program(
-                    cp.clone(),
-                    self.config.clone(),
-                    program,
-                ));
+            .map(|(cp, plan)| {
+                let (program, hits, misses) = self
+                    .plan_cache
+                    .lock()
+                    .expect("plan cache poisoned")
+                    .get_or_compile(cp);
+                let mut engine = branch_engine(cp, plan.as_ref(), &self.config, program)
+                    .expect("plans validated in BranchFactory::new");
                 engine.metrics_mut().plan_cache_hits = hits;
                 engine.metrics_mut().plan_cache_misses = misses;
-                engine as Box<dyn Engine>
+                engine
             })
             .collect();
         if engines.len() == 1 {
@@ -669,7 +573,7 @@ fn compiled_branches(
 fn adaptive_factory(
     pattern: &Pattern,
     gen: &GeneratedStream,
-    kind: cep_adaptive::PlanKind,
+    backend: Backend,
     config: EngineConfig,
     adaptive: cep_adaptive::AdaptiveConfig,
     monitor_selectivities: bool,
@@ -678,7 +582,7 @@ fn adaptive_factory(
         compiled_branches(pattern, gen)?,
         &analytic_measured_stats(gen),
         Planner::default(),
-        kind,
+        backend,
         config,
     )?;
     if monitor_selectivities {

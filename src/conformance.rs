@@ -23,15 +23,14 @@ use cep_core::event::{Event, EventRef, TypeId};
 use cep_core::matches::{validate_match, Match};
 use cep_core::naive::NaiveEngine;
 use cep_core::pattern::{Pattern, PatternBuilder, PatternExpr};
-use cep_core::plan::{OrderPlan, TreeNode, TreePlan};
+use cep_core::plan::{OrderPlan, Plan, TreeNode, TreePlan};
 use cep_core::predicate::{CmpOp, Predicate};
 use cep_core::registry::{FragmentBuilder, QueryRegistry};
 use cep_core::selection::SelectionStrategy;
 use cep_core::stream::{EventStream, StreamBuilder};
 use cep_core::value::Value;
-use cep_delta::DeltaEngine;
-use cep_nfa::NfaEngine;
-use cep_tree::TreeEngine;
+
+use crate::builder::branch_engine;
 
 /// Random pattern description, typically drawn by proptest.
 #[derive(Debug, Clone)]
@@ -268,24 +267,27 @@ impl Backend {
     }
 }
 
-/// The three production backends: the lazy NFA under a seed-derived random
-/// order plan, the tree engine under a seed-derived random tree plan, and
-/// the (plan-free) delta-indexed engine.
+/// The three production backends, built through the facade's one
+/// branch-engine constructor (`builder::branch_engine`): the lazy NFA
+/// under a seed-derived random order plan, the tree engine under a
+/// seed-derived random tree plan, and the (plan-free) delta-indexed engine.
 pub fn standard_backends() -> Vec<Backend> {
+    fn build(cp: &CompiledPattern, plan: Option<Plan>, cfg: &EngineConfig) -> Box<dyn Engine> {
+        let program = Arc::new(PredicateProgram::compile(cp));
+        branch_engine(cp, plan.as_ref(), cfg, program).expect("valid plan")
+    }
     vec![
         Backend::new("nfa", |cp, seed, cfg| {
             let order = order_from_seed(cp.n(), seed);
             let plan = OrderPlan::new(order).expect("permutation");
-            Box::new(NfaEngine::new(cp.clone(), plan, cfg.clone()).expect("valid plan"))
+            build(cp, Some(Plan::Order(plan)), cfg)
         }),
         Backend::new("tree", |cp, seed, cfg| {
             let order = order_from_seed(cp.n(), seed);
             let tree = TreePlan::new(tree_from_order(&order, seed ^ 0xABCD)).expect("valid tree");
-            Box::new(TreeEngine::new(cp.clone(), tree, cfg.clone()).expect("valid plan"))
+            build(cp, Some(Plan::Tree(tree)), cfg)
         }),
-        Backend::new("delta", |cp, _seed, cfg| {
-            Box::new(DeltaEngine::new(cp.clone(), cfg.clone()))
-        }),
+        Backend::new("delta", |cp, _seed, cfg| build(cp, None, cfg)),
     ]
 }
 

@@ -32,8 +32,8 @@
 //! * [`analyze`] (`cep-analyze`) — static query and plan analysis:
 //!   satisfiability linting (`A001`), schema checks, redundant-predicate
 //!   and dead-negation detection, Kleene state-blowup warnings, and the
-//!   plan-invariant verifier (`A010`) the planner, adaptive swap path,
-//!   and sharded runtime run in debug builds. Ships the `cep-lint` tool.
+//!   plan-invariant verifier (`A010`) the planner (so every adaptive
+//!   swap candidate) and the sharded runtime run in debug builds. Ships the `cep-lint` tool.
 //! * [`obs`] (`cep-obs`) — observability: structured trace records
 //!   (plan-swap decisions, replay windows, shard routing and queue
 //!   depths, match emissions, query registrations) behind a
@@ -90,14 +90,18 @@ pub use cep_tree as tree;
 pub mod builder;
 pub mod conformance;
 
-pub use builder::{engine, registry, Backend, EngineBuilder, RegistryBuilder};
+pub use builder::{engine, registry, Backend, BranchFactory, EngineBuilder, RegistryBuilder};
 
-/// Commonly used items, re-exported for `use cep::prelude::*`.
+/// Commonly used items, re-exported for `use cep::prelude::*`. The plan
+/// types ([`Plan`](cep_core::plan::Plan), `OrderPlan`, `TreePlan`) come
+/// through `cep_core::prelude`; the algorithm choice is the one
+/// [`Backend`], which
+/// [`PlanReplanner::new`](cep_adaptive::PlanReplanner::new) takes as well.
 pub mod prelude {
     pub use crate::builder::{Backend, EngineBuilder, RegistryBuilder};
     pub use cep_adaptive::{
-        AdaptiveConfig, AdaptiveEngine, AdaptiveFactory, PlanKind, PlanReplanner, ReplanVerdict,
-        Replanner, SwapCost,
+        AdaptiveConfig, AdaptiveEngine, AdaptiveFactory, PlanReplanner, ReplanVerdict, Replanner,
+        SwapCost,
     };
     pub use cep_analyze::{
         analyze_pattern, analyze_query_file, Code, Diagnostic, Report, Severity,

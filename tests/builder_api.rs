@@ -56,7 +56,11 @@ fn builder_misuse_is_a_typed_error() {
             .stats(&generated)
             .build(),
     );
-    assert!(matches!(err, CepError::Plan(_)), "got {err:?}");
+    // The same message `PlanReplanner::new` gives for a delta replanner.
+    assert!(
+        matches!(&err, CepError::Plan(m) if m == cep::optimizer::DELTA_HAS_NO_PLAN),
+        "got {err:?}"
+    );
 
     let err = expect_err(
         cep::engine(&pattern)

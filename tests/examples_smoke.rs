@@ -648,7 +648,7 @@ fn adaptive_replanning_core_path_swaps_and_stays_exact() {
             vec![(cp, sels.clone())],
             &gen.initial_stats(),
             Planner::default(),
-            PlanKind::Order(OrderAlgorithm::DpLd),
+            Backend::Nfa(OrderAlgorithm::DpLd),
             EngineConfig::default(),
         )
         .unwrap();
