@@ -108,7 +108,7 @@ impl Instance {
     }
 
     /// Binds `event` at non-Kleene element `elem`, in place.
-    fn bind_single(&mut self, elem: usize, event: EventRef) {
+    pub(crate) fn bind_single(&mut self, elem: usize, event: EventRef) {
         self.absorb_event_extents(&event);
         self.bindings[elem] = Some(Binding::One(event));
         self.kl_gate = 0;
@@ -272,10 +272,45 @@ pub fn compatible_with(
     consumed: &ConsumedSet,
     metrics: &mut EngineMetrics,
 ) -> bool {
+    !(cp.strategy.consumes() && consumed.contains(event.seq))
+        && extends(cp, prog, inst, elem, event, true, metrics)
+}
+
+/// Whether an event that already passed `elem`'s filters and the consumed
+/// check joins `inst` at `elem`: [`compatible_with`] without those two.
+///
+/// For a non-empty `inst` over elements other than `elem` this is also
+/// [`merge_compatible_with`] of `inst` and the event's one-element
+/// instance, less the consumed check, with the same verdict and the same
+/// predicate evaluations (the pair evaluators of `(i, j)` and `(j, i)`
+/// list the same predicates in the same order). The tree's event leaves
+/// join through it without building that instance.
+pub fn joins_event(
+    cp: &CompiledPattern,
+    prog: &PredicateProgram,
+    inst: &Instance,
+    elem: usize,
+    event: &EventRef,
+    metrics: &mut EngineMetrics,
+) -> bool {
+    extends(cp, prog, inst, elem, event, false, metrics)
+}
+
+/// [`compatible_with`] after its consumed check; `filters` says whether
+/// `elem`'s filters still have to run. (`#[inline(always)]`: each caller
+/// gets its own copy with `filters` folded, so the NFA's per-pair check
+/// pays no branch for the tree's variant.)
+#[inline(always)]
+fn extends(
+    cp: &CompiledPattern,
+    prog: &PredicateProgram,
+    inst: &Instance,
+    elem: usize,
+    event: &EventRef,
+    filters: bool,
+    metrics: &mut EngineMetrics,
+) -> bool {
     debug_assert!(inst.extents_cover_bindings(), "extents cover the bindings");
-    if cp.strategy.consumes() && consumed.contains(event.seq) {
-        return false;
-    }
     if (inst.min_seq..=inst.max_seq).contains(&event.seq) && inst.contains_seq(event.seq) {
         return false;
     }
@@ -288,7 +323,7 @@ pub fn compatible_with(
         }
     }
     // Filters.
-    if !prog.element_passes(elem, event, &mut metrics.predicate_evaluations) {
+    if filters && !prog.element_passes(elem, event, &mut metrics.predicate_evaluations) {
         return false;
     }
     // Pairwise predicates and precedence against bound elements. An event
@@ -421,6 +456,39 @@ pub fn merge_compatible_with(
         _ => {}
     }
     true
+}
+
+/// Whether event `a` at element `i` and event `b` at element `j`, two plain
+/// elements whose filters and consumed checks both events already passed,
+/// can bind together: [`merge_compatible_with`] of their one-element
+/// instances less the consumed check, with the same verdict and predicate
+/// evaluations, built without either instance.
+pub fn events_join(
+    cp: &CompiledPattern,
+    prog: &PredicateProgram,
+    (i, a): (usize, &EventRef),
+    (j, b): (usize, &EventRef),
+    metrics: &mut EngineMetrics,
+) -> bool {
+    if a.ts.abs_diff(b.ts) > cp.window || a.seq == b.seq {
+        return false;
+    }
+    if (cp.must_precede(i, j) && a.ts >= b.ts) || (cp.must_precede(j, i) && b.ts >= a.ts) {
+        return false;
+    }
+    for pair in prog.pairs_between(i, j) {
+        metrics.predicate_evaluations += 1;
+        if !pair.eval(a, b) {
+            return false;
+        }
+    }
+    match cp.strategy {
+        SelectionStrategy::StrictContiguity if !cp.has_kleene() => {
+            (a.seq.abs_diff(b.seq) as usize) < cp.n()
+        }
+        SelectionStrategy::PartitionContiguity => a.partition == b.partition,
+        _ => true,
+    }
 }
 
 impl Instance {
@@ -1282,6 +1350,62 @@ mod tests {
                     );
                     prop_assert_eq!(got, want);
                     prop_assert_eq!(fast.predicate_evaluations, full.predicate_evaluations);
+                }
+            }
+        }
+
+        /// The tree's event-leaf checks agree with merging the event's
+        /// one-element instance, from either side: [`joins_event`] for an
+        /// instance and an event at an element it leaves unbound,
+        /// [`events_join`] for two events. Same verdicts, same predicate
+        /// evaluations.
+        #[test]
+        fn event_checks_agree_with_merging_one_element_instances(
+            seq in any::<bool>(),
+            types in prop::collection::vec(0u32..3, 2..=4),
+            kleene_at in 0usize..6,
+            preds in prop::collection::vec((0usize..4, 0usize..4, 0u8..12), 0..=4),
+            strategy in 0u8..4,
+            window in 0u64..8,
+            raw in prop::collection::vec((0u32..3, 0u8..3, -3i8..4, 0u8..7), 4..=12),
+            draws in prop::collection::vec((any::<u8>(), any::<u64>()), 1..=5),
+        ) {
+            let Some(cp) = drawn_pattern(seq, &types, kleene_at, &preds, strategy, window) else {
+                return Ok(());
+            };
+            let prog = PredicateProgram::compile(&cp);
+            let stream = drawn_stream(&raw);
+            let none = ConsumedSet::new();
+            let instances: Vec<Instance> = draws
+                .iter()
+                .map(|&(mask, pick)| drawn_instance(&cp, &stream, mask, pick))
+                .filter(|i| i.event_count > 0)
+                .collect();
+            let plain: Vec<usize> = (0..cp.n()).filter(|&i| !cp.elements[i].kleene).collect();
+            let seed = |elem: usize, e: &EventRef| Instance::empty(cp.n()).with_single(elem, e.clone());
+            for &elem in &plain {
+                for e in &stream {
+                    for inst in instances.iter().filter(|i| i.bindings[elem].is_none()) {
+                        let mut got = EngineMetrics::new();
+                        let verdict = joins_event(&cp, &prog, inst, elem, e, &mut got);
+                        for (left, right) in [(&seed(elem, e), inst), (inst, &seed(elem, e))] {
+                            let mut want = EngineMetrics::new();
+                            let merged = merge_compatible_with(&cp, &prog, left, right, &none, &mut want);
+                            prop_assert_eq!(verdict, merged);
+                            prop_assert_eq!(got.predicate_evaluations, want.predicate_evaluations);
+                        }
+                    }
+                    for &other in plain.iter().filter(|&&o| o != elem) {
+                        for f in &stream {
+                            let (mut got, mut want) = (EngineMetrics::new(), EngineMetrics::new());
+                            let verdict = events_join(&cp, &prog, (elem, e), (other, f), &mut got);
+                            let merged = merge_compatible_with(
+                                &cp, &prog, &seed(elem, e), &seed(other, f), &none, &mut want,
+                            );
+                            prop_assert_eq!(verdict, merged);
+                            prop_assert_eq!(got.predicate_evaluations, want.predicate_evaluations);
+                        }
+                    }
                 }
             }
         }

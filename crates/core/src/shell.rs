@@ -29,7 +29,8 @@ use crate::compiled::PredicateProgram;
 use crate::engine::EngineConfig;
 use crate::event::{EventRef, Timestamp};
 use crate::instance::{
-    compatible_with, contiguity_ok, merge_compatible_with, Instance, InstanceArena,
+    compatible_with, contiguity_ok, events_join, joins_event, merge_compatible_with, Instance,
+    InstanceArena,
 };
 use crate::keyed::KeyedStore;
 use crate::matches::Match;
@@ -229,12 +230,12 @@ impl EngineShell {
         }
     }
 
-    /// The instance that binds `event` alone at `elem`, if it has room
-    /// there and is compatible with the empty instance (the element's
-    /// filters).
-    pub fn seed(&mut self, elem: usize, event: &EventRef) -> Option<Instance> {
-        if !self.has_room(&self.empty, elem)
-            || !compatible_with(
+    /// Whether `event` may bind alone at `elem`: it has room there and is
+    /// compatible with the empty instance (not consumed, passes the
+    /// element's filters).
+    pub fn admits(&mut self, elem: usize, event: &EventRef) -> bool {
+        self.has_room(&self.empty, elem)
+            && compatible_with(
                 &self.cp,
                 &self.program,
                 &self.empty,
@@ -243,7 +244,48 @@ impl EngineShell {
                 &self.consumed,
                 &mut self.metrics,
             )
-        {
+    }
+
+    /// Whether `event`, admitted at `elem`, joins `inst`: the verdict and
+    /// evaluations of [`merge_compatible`](Self::merge_compatible) against
+    /// the event's one-element instance, without building it
+    /// ([`joins_event`]).
+    #[inline]
+    pub fn joins(&mut self, inst: &Instance, elem: usize, event: &EventRef) -> bool {
+        !(self.cp.strategy.consumes()
+            && (self.consumed.contains(event.seq) || inst.intersects(&self.consumed)))
+            && joins_event(
+                &self.cp,
+                &self.program,
+                inst,
+                elem,
+                event,
+                &mut self.metrics,
+            )
+    }
+
+    /// Whether events admitted at plain elements `a.0` and `b.0` bind
+    /// together: [`merge_compatible`](Self::merge_compatible) of their
+    /// one-element instances, without building either ([`events_join`]).
+    #[inline]
+    pub fn events_join(&mut self, a: (usize, &EventRef), b: (usize, &EventRef)) -> bool {
+        !(self.cp.strategy.consumes()
+            && (self.consumed.contains(a.1.seq) || self.consumed.contains(b.1.seq)))
+            && events_join(&self.cp, &self.program, a, b, &mut self.metrics)
+    }
+
+    /// The instance binding event `a.1` at plain element `a.0` and `b.1` at
+    /// `b.0`, derived through the arena.
+    pub fn pair(&mut self, a: (usize, &EventRef), b: (usize, &EventRef)) -> Instance {
+        let mut inst = self.arena.with_single(&self.empty, a.0, a.1.clone());
+        inst.bind_single(b.0, b.1.clone());
+        inst
+    }
+
+    /// The instance that binds `event` alone at `elem`, if the shell
+    /// [`admits`](Self::admits) it there.
+    pub fn seed(&mut self, elem: usize, event: &EventRef) -> Option<Instance> {
+        if !self.admits(elem, event) {
             return None;
         }
         let (arena, empty) = (&mut self.arena, &self.empty);

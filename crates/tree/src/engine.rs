@@ -8,15 +8,22 @@
 //! stored at the *sibling* node, producing new instances at the parent —
 //! a symmetric-join discipline that counts every pair exactly once.
 //!
+//! As in ZStream, a plain leaf holds events, not partial matches: an event
+//! that passes its element's filters waits in the leaf's store as an
+//! [`EventRef`], and an [`Instance`] is built only when it joins the
+//! sibling. A Kleene leaf holds instances, because its sets grow, and so
+//! does the leaf of a one-element pattern, which completes on arrival.
+//!
 //! Node stores are [`KeyedStore`]s: when an equality join crosses a node's
 //! and its sibling's element sets ([`CompiledPattern::join_key`]), both
-//! stores are bucketed by the join value and a new instance meets only the
+//! stores are bucketed by the join value and a new arrival meets only the
 //! sibling bucket of its own value instead of the whole store.
 //!
-//! Every bucket is also sorted by `max_ts`: each instance is created while
-//! its newest event is processed, and pruning is stable. A new instance
-//! therefore meets only the slice of the sibling bucket that window and
-//! precedence allow ([`partner_ts_range`] over the sibling's elements).
+//! Every bucket is also sorted by time (an instance's `max_ts`, an event's
+//! `ts`): each instance is created while its newest event is processed,
+//! events arrive in order, and pruning is stable. A new arrival therefore
+//! meets only the slice of the sibling bucket that window and precedence
+//! allow ([`partner_ts_range`] over the sibling's elements).
 //!
 //! Everything around the tree — gate, negation, emission, pruning of the
 //! node stores — is the shared [`EngineShell`].
@@ -25,7 +32,7 @@ use cep_core::compile::CompiledPattern;
 use cep_core::compiled::PredicateProgram;
 use cep_core::engine::{Engine, EngineConfig};
 use cep_core::error::CepError;
-use cep_core::event::{EventRef, TypeId};
+use cep_core::event::{expired_at, EventRef, Timestamp, TypeId};
 use cep_core::instance::{partner_ts_range, sorted_span, Instance};
 use cep_core::keyed::{EqJoin, KeyedStore, Slot};
 use cep_core::matches::Match;
@@ -34,9 +41,12 @@ use cep_core::plan::{TreeNode, TreePlan};
 use cep_core::shell::{EngineShell, Join};
 use std::sync::Arc;
 
-/// A flattened tree-plan node.
-#[derive(Debug, Clone)]
+/// A flattened tree-plan node. The store of a plain leaf below the root
+/// (`Events`) holds events; that of a Kleene or root leaf (`Leaf`) and of
+/// an internal node holds instances.
+#[derive(Debug, Clone, Copy)]
 enum NodeKind {
+    Events { elem: usize },
     Leaf { elem: usize },
     Internal { left: usize, right: usize },
 }
@@ -49,8 +59,16 @@ struct NodeSpec {
     /// The equality join from this node's elements to its sibling's that
     /// buckets this node's store (the sibling holds the mirrored entry).
     key: Option<EqJoin>,
-    /// The elements every instance stored at the sibling binds.
+    /// The elements every member of the sibling's store binds.
     sibling_elems: Vec<usize>,
+}
+
+/// What joins a node's sibling: a new instance at the node, or an event
+/// admitted at a plain leaf.
+#[derive(Clone, Copy)]
+enum Arrival<'a> {
+    Instance(&'a Instance),
+    Event(usize, &'a EventRef),
 }
 
 /// Tree-based (ZStream-style) evaluation engine.
@@ -63,10 +81,20 @@ pub struct TreeEngine {
 struct Tree {
     nodes: Vec<NodeSpec>,
     root: usize,
-    /// `(accepted type, leaf node, element)` per leaf, in node order.
-    leaves: Vec<(TypeId, usize, usize)>,
-    /// Instances stored at each node, within the window.
-    stores: Vec<KeyedStore<Instance>>,
+    /// `(accepted type, leaf node)` per leaf, in node order.
+    leaves: Vec<(TypeId, usize)>,
+    stores: Stores,
+    /// Instances created but not yet propagated: one stack for all the
+    /// nested joins of an event, so that no join allocates a list.
+    pending: Vec<Instance>,
+}
+
+/// One store per node, holding what arrived there within the window.
+struct Stores {
+    /// Instances at each internal node and instance leaf.
+    instances: Vec<KeyedStore<Instance>>,
+    /// Events at each plain leaf.
+    events: Vec<KeyedStore<EventRef>>,
 }
 
 impl TreeEngine {
@@ -106,19 +134,24 @@ impl TreeEngine {
                 }
             }
         }
-        let leaves = nodes
-            .iter()
-            .enumerate()
-            .filter_map(|(i, n)| match n.kind {
-                NodeKind::Leaf { elem } => Some((cp.elements[elem].event_type, i, elem)),
-                NodeKind::Internal { .. } => None,
-            })
-            .collect();
+        let mut leaves = Vec::new();
+        for (i, node) in nodes.iter_mut().enumerate() {
+            if let NodeKind::Leaf { elem } = node.kind {
+                if i != root && !cp.elements[elem].kleene {
+                    node.kind = NodeKind::Events { elem };
+                }
+                leaves.push((cp.elements[elem].event_type, i));
+            }
+        }
         let tree = Tree {
-            stores: nodes.iter().map(|_| KeyedStore::new()).collect(),
+            stores: Stores {
+                instances: nodes.iter().map(|_| KeyedStore::new()).collect(),
+                events: nodes.iter().map(|_| KeyedStore::new()).collect(),
+            },
             nodes,
             root,
             leaves,
+            pending: Vec::new(),
         };
         Ok(TreeEngine {
             shell: EngineShell::new(cp, cfg, program),
@@ -145,8 +178,8 @@ impl TreeEngine {
 }
 
 impl Tree {
-    /// A freshly created instance at `node` combines with the sibling store
-    /// and recurses upward; at the root it becomes a match.
+    /// A freshly created instance at `node` joins the sibling's store and
+    /// waits in its own; at the root it becomes a match.
     fn propagate(
         &mut self,
         sh: &mut EngineShell,
@@ -159,48 +192,50 @@ impl Tree {
             // Root instances are full matches; nothing joins against them.
             // A Kleene leaf at the root still keeps its accumulators: later
             // events of its type grow them in `leaf_arrival`.
+            let instances = &mut self.stores.instances;
             if let NodeKind::Leaf { elem } = self.nodes[node].kind {
                 if sh.pattern().elements[elem].kleene {
-                    self.stores[node].push_in_order(Slot::All, inst.clone(), |i| i.max_ts);
+                    instances[node].push_in_order(Slot::All, inst.clone(), |i| i.max_ts);
                 }
             }
-            sh.finalize(inst, &mut self.stores, out);
+            sh.finalize(inst, instances, out);
             return;
         }
-        let parent = self.nodes[node].parent.expect("non-root has a parent");
-        let sibling = self.nodes[node].sibling.expect("non-root has a sibling");
-        // The instance lives in its own store under the same join value it
-        // probes the sibling's with.
-        let slot = match &self.nodes[node].key {
-            Some(join) => {
-                sh.metrics.index_probes += 1;
-                inst.join_slot(join.elem, join.attr)
-            }
-            None => Slot::All,
-        };
-        // Symmetric join with the sibling's current store: every (new, old)
-        // pair is considered exactly once, at the newer side's creation.
-        // Members outside the window/precedence slice could not merge.
-        let members = self.stores[sibling].visit(&slot);
-        let span = partner_ts_range(
-            sh.pattern(),
-            inst.extents(),
-            &self.nodes[node].sibling_elems,
-        )
-        .map_or(0..0, |range| sorted_span(members, &range, |s| s.max_ts));
-        let mut merged = Vec::new();
-        for s in &members[span] {
-            if sh.merge_compatible(&inst, s) {
-                merged.push(sh.arena.merge(&inst, s));
-            }
-        }
-        self.stores[node].push_in_order(slot, inst, |i| i.max_ts);
-        for m in merged {
-            self.propagate(sh, parent, m, out);
-        }
+        let base = self.pending.len();
+        let slot = self.stores.join(
+            sh,
+            &self.nodes,
+            node,
+            Arrival::Instance(&inst),
+            &mut self.pending,
+        );
+        self.stores.instances[node].push_in_order(slot, inst, |i| i.max_ts);
+        self.propagate_pending(sh, self.parent(node), base, out);
     }
 
-    /// Handles an event arriving at the leaf of element `elem`.
+    /// An event at the plain leaf of `elem`: once admitted, it joins the
+    /// sibling's store and waits in the leaf's own.
+    fn event_arrival(
+        &mut self,
+        sh: &mut EngineShell,
+        leaf: usize,
+        elem: usize,
+        event: &EventRef,
+        out: &mut Vec<Match>,
+    ) {
+        if !sh.admits(elem, event) {
+            return;
+        }
+        let base = self.pending.len();
+        let arrival = Arrival::Event(elem, event);
+        let slot = self
+            .stores
+            .join(sh, &self.nodes, leaf, arrival, &mut self.pending);
+        self.stores.events[leaf].push_in_order(slot, event.clone(), |e| e.ts);
+        self.propagate_pending(sh, self.parent(leaf), base, out);
+    }
+
+    /// Handles an event arriving at the instance leaf of element `elem`.
     fn leaf_arrival(
         &mut self,
         sh: &mut EngineShell,
@@ -216,17 +251,116 @@ impl Tree {
             // Grow every stored accumulator (gated by serial number so each
             // subset appears exactly once) before the singleton set joins
             // them. (A Kleene leaf is never keyed: its store is one bucket.)
-            let mut grown = Vec::new();
-            for i in self.stores[leaf].visit(&Slot::All) {
+            let base = self.pending.len();
+            for i in self.stores.instances[leaf].visit(&Slot::All) {
                 if event.seq >= i.kl_gate && sh.has_room(i, elem) && sh.compatible(i, elem, event) {
-                    grown.push(sh.arena.with_kleene(i, elem, event.clone()));
+                    self.pending
+                        .push(sh.arena.with_kleene(i, elem, event.clone()));
                 }
             }
-            for g in grown {
-                self.propagate(sh, leaf, g, out);
-            }
+            self.propagate_pending(sh, leaf, base, out);
         }
         self.propagate(sh, leaf, seed, out);
+    }
+
+    fn parent(&self, node: usize) -> usize {
+        self.nodes[node].parent.expect("non-root has a parent")
+    }
+
+    /// Propagates `pending[base..]` at `node`, in creation order. Each
+    /// propagation pops what it pushes, so the stack is back at `base`.
+    fn propagate_pending(
+        &mut self,
+        sh: &mut EngineShell,
+        node: usize,
+        base: usize,
+        out: &mut Vec<Match>,
+    ) {
+        self.pending[base..].reverse();
+        while self.pending.len() > base {
+            let inst = self.pending.pop().expect("above base");
+            self.propagate(sh, node, inst, out);
+        }
+    }
+}
+
+impl Stores {
+    /// Symmetric join of an arrival at `node` with the sibling's store:
+    /// every (new, old) pair is considered exactly once, at the newer
+    /// side's creation. Pushes the instances it creates at the parent onto
+    /// `created` and returns the slot the arrival lives under in its own
+    /// store, the same join value it probes the sibling's with. Members
+    /// outside the window/precedence slice could not join and are not
+    /// visited.
+    fn join(
+        &self,
+        sh: &mut EngineShell,
+        nodes: &[NodeSpec],
+        node: usize,
+        arrival: Arrival,
+        created: &mut Vec<Instance>,
+    ) -> Slot {
+        let spec = &nodes[node];
+        let sibling = spec.sibling.expect("non-root has a sibling");
+        let slot = match (&spec.key, arrival) {
+            (None, _) => Slot::All,
+            (Some(join), Arrival::Instance(inst)) => {
+                sh.metrics.index_probes += 1;
+                inst.join_slot(join.elem, join.attr)
+            }
+            (Some(join), Arrival::Event(_, event)) => {
+                sh.metrics.index_probes += 1;
+                Slot::of(event.attr(join.attr))
+            }
+        };
+        let partner = &spec.sibling_elems;
+        let range = match arrival {
+            Arrival::Instance(inst) => partner_ts_range(sh.pattern(), inst.extents(), partner),
+            Arrival::Event(elem, event) => {
+                let bound = std::iter::once((elem, event.ts, event.ts));
+                partner_ts_range(sh.pattern(), bound, partner)
+            }
+        };
+        let Some(range) = range else {
+            return slot;
+        };
+        match nodes[sibling].kind {
+            NodeKind::Events { elem: other } => {
+                let members = self.events[sibling].visit(&slot);
+                for e in &members[sorted_span(members, &range, |e| e.ts)] {
+                    match arrival {
+                        Arrival::Instance(inst) => {
+                            if sh.joins(inst, other, e) {
+                                created.push(sh.arena.with_single(inst, other, e.clone()));
+                            }
+                        }
+                        Arrival::Event(elem, event) => {
+                            if sh.events_join((elem, event), (other, e)) {
+                                created.push(sh.pair((elem, event), (other, e)));
+                            }
+                        }
+                    }
+                }
+            }
+            NodeKind::Leaf { .. } | NodeKind::Internal { .. } => {
+                let members = self.instances[sibling].visit(&slot);
+                for s in &members[sorted_span(members, &range, |s| s.max_ts)] {
+                    match arrival {
+                        Arrival::Instance(inst) => {
+                            if sh.merge_compatible(inst, s) {
+                                created.push(sh.arena.merge(inst, s));
+                            }
+                        }
+                        Arrival::Event(elem, event) => {
+                            if sh.joins(s, elem, event) {
+                                created.push(sh.arena.with_single(s, elem, event.clone()));
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        slot
     }
 }
 
@@ -234,19 +368,32 @@ impl Join for Tree {
     fn arrive(&mut self, sh: &mut EngineShell, event: &EventRef, out: &mut Vec<Match>) {
         // Route to every leaf accepting this type.
         for i in 0..self.leaves.len() {
-            let (accepts, leaf, elem) = self.leaves[i];
-            if accepts == event.type_id {
-                self.leaf_arrival(sh, leaf, elem, event, out);
+            let (accepts, leaf) = self.leaves[i];
+            if accepts != event.type_id {
+                continue;
+            }
+            match self.nodes[leaf].kind {
+                NodeKind::Events { elem } => self.event_arrival(sh, leaf, elem, event, out),
+                NodeKind::Leaf { elem } => self.leaf_arrival(sh, leaf, elem, event, out),
+                NodeKind::Internal { .. } => unreachable!("leaves are leaf nodes"),
             }
         }
     }
 
     fn partials(&mut self) -> &mut [KeyedStore<Instance>] {
-        &mut self.stores
+        &mut self.stores.instances
     }
 
     fn buffered(&self) -> usize {
-        0
+        self.stores.events.iter().map(KeyedStore::len).sum()
+    }
+
+    fn prune(&mut self, watermark: Timestamp, window: u64, due: bool, _: &mut EngineMetrics) {
+        if due {
+            for store in &mut self.stores.events {
+                store.drain_front_while(|e| expired_at(e.ts, window, watermark));
+            }
+        }
     }
 }
 

@@ -6,10 +6,11 @@
 //! instance-based design supporting arbitrary time windows.
 //!
 //! The engine follows a [`TreePlan`](cep_core::plan::TreePlan): primitive
-//! events enter at leaves, partial matches are combined at internal nodes
-//! when both children have compatible instances, and full matches surface
-//! at the root. Unlike the NFA, no single processing order is imposed: any
-//! arrival order is handled by the symmetric join at each node.
+//! events wait at the leaves as events, a partial match is built only when
+//! two children's members join, and full matches surface at the root.
+//! (A Kleene leaf keeps partial matches, because its sets grow.) Unlike
+//! the NFA, no single processing order is imposed: any arrival order is
+//! handled by the symmetric join at each node.
 //!
 //! Strategy support mirrors `cep-nfa` with one documented difference:
 //! under skip-till-next-match the tree engine realizes single-use events
@@ -18,7 +19,7 @@
 //!
 //! This crate keeps only the tree: node stores, leaf arrival and the
 //! symmetric join. The filter gate, negation, emission and pruning of the
-//! stores are the shared [`cep_core::shell::EngineShell`].
+//! partial-match stores are the shared [`cep_core::shell::EngineShell`].
 
 #![warn(missing_docs)]
 

@@ -307,12 +307,75 @@ fn window_pruning_bounds_state() {
     let s = stream(events);
     let mut engine = TreeEngine::with_trivial_plan(cp, EngineConfig::default());
     let r = run_to_completion(&mut engine, &s, true);
+    // The a events wait at their leaf as events, and the leaf is pruned
+    // every `prune_every` (64) events.
+    assert_eq!(r.metrics.peak_partial_matches, 0);
     assert!(
-        r.metrics.peak_partial_matches < 70,
+        r.metrics.peak_buffered_events < 70,
         "{}",
-        r.metrics.peak_partial_matches
+        r.metrics.peak_buffered_events
     );
     assert!(r.matches.is_empty());
+}
+
+#[test]
+fn plain_leaves_hold_events_and_build_instances_only_on_a_join() {
+    // SEQ(a, c, d) over ((a c) d): the a, c and d leaves hold events. Only
+    // the (a, c) pairs that join become instances; the full matches climb
+    // from there.
+    let mut b = PatternBuilder::new(10);
+    let a = b.event(t(0), "a");
+    let c = b.event(t(1), "c");
+    let d = b.event(t(2), "d");
+    b.predicate(Predicate::attr_cmp(a.pos(), 0, CmpOp::Lt, c.pos(), 0));
+    let cp = CompiledPattern::compile_single(&b.seq([a, c, d]).unwrap()).unwrap();
+    // a@1 (x 5), a@2 (x 0), c@3 (x 3): only (a@2, c@3) joins; d@4 completes it.
+    let s = stream(vec![ev(0, 1, 5), ev(0, 2, 0), ev(1, 3, 3), ev(2, 4, 0)]);
+    let mut engine = TreeEngine::with_trivial_plan(cp, EngineConfig::default());
+    let r = run_to_completion(&mut engine, &s, true);
+    assert_eq!(r.matches.len(), 1);
+    let m = &r.metrics;
+    assert_eq!(
+        m.partial_matches_created, 2,
+        "(a c) at the inner node, then the root"
+    );
+    assert_eq!(
+        m.peak_partial_matches, 1,
+        "only the (a c) instance is stored"
+    );
+    assert_eq!(
+        m.peak_buffered_events, 4,
+        "every admitted event waits at its leaf"
+    );
+}
+
+#[test]
+fn consumed_events_at_a_leaf_never_join_again() {
+    // SEQ(a, c, d) over ((a c) d) under skip-till-next-match: the first
+    // match consumes a@1, c@2 and d@3. The a leaf still holds a@1 until it
+    // expires, so c@4 finds it there and must skip it rather than build an
+    // (a c) instance that can never complete.
+    let mut b = PatternBuilder::new(10);
+    b.strategy(SelectionStrategy::SkipTillNextMatch);
+    let a = b.event(t(0), "a");
+    let c = b.event(t(1), "c");
+    let d = b.event(t(2), "d");
+    let cp = CompiledPattern::compile_single(&b.seq([a, c, d]).unwrap()).unwrap();
+    let s = stream(vec![
+        ev(0, 1, 0),
+        ev(1, 2, 0),
+        ev(2, 3, 0),
+        ev(1, 4, 0),
+        ev(2, 5, 0),
+    ]);
+    let mut engine = TreeEngine::with_trivial_plan(cp, EngineConfig::default());
+    let r = run_to_completion(&mut engine, &s, true);
+    assert_eq!(r.matches.len(), 1, "a@1 binds once");
+    assert_eq!(
+        r.metrics.partial_matches_created, 2,
+        "(a@1 c@2) and the match; no (a@1 c@4)"
+    );
+    assert_eq!(r.metrics.peak_buffered_events, 5);
 }
 
 #[test]
