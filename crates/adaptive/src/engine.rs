@@ -7,9 +7,8 @@ use cep_core::metrics::EngineMetrics;
 use cep_core::selection::ConsumedSet;
 use cep_core::stats::MeasuredStats;
 use cep_obs::{TraceRecord, Tracer};
-use cep_optimizer::StatsMonitor;
+use cep_optimizer::{EventWindow, StatsMonitor};
 use std::collections::VecDeque;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// How often (in processed events) the aggregate metrics view is rebuilt
@@ -24,9 +23,12 @@ pub struct AdaptiveConfig {
     pub horizon_ms: u64,
     /// Relative rate deviation that counts as drift (0.5 = ±50%).
     pub drift_threshold: f64,
-    /// Drift is checked every `check_every` processed events. Checking per
-    /// event would put a map scan on the hot path for no benefit — rates
-    /// move on window timescales, not event timescales.
+    /// Drift is checked every `check_every` processed events. A check
+    /// compares every live type's rate with its baseline and, with
+    /// selectivity monitoring, samples up to `max_pairs` event pairs per
+    /// predicate from the event window; doing that per event would buy
+    /// nothing — rates and selectivities move on window timescales, not
+    /// event timescales.
     pub check_every: u64,
     /// Minimum number of events between two swaps. A swap replays up to a
     /// full window of events; the cooldown keeps a noisy boundary from
@@ -133,6 +135,11 @@ pub enum ReplanVerdict {
 /// uniformly) but *how plans are rebuilt* — which algorithm, which
 /// selectivities, whether an output profiler feeds the latency anchor.
 /// See [`crate::PlanReplanner`] for the full planner-backed implementation.
+///
+/// Implementations that estimate more than rates read the engine's event
+/// buffer: [`Self::stats_drifted`] and [`Self::replan_amortized`] receive
+/// it as an [`EventWindow`] holding at least the last
+/// [`Self::history_ms`] of the stream.
 pub trait Replanner: Send {
     /// Builds a fresh engine, positioned at stream start, from the current
     /// plan.
@@ -148,10 +155,16 @@ pub trait Replanner: Send {
     /// supplies how expensive the resulting hot swap would be, so an
     /// implementation can decline a better-but-not-better-enough plan
     /// ([`ReplanVerdict::Suppressed`]) instead of forcing a replay that
-    /// will not pay for itself. The default ignores the context and
-    /// delegates to `replan`.
-    fn replan_amortized(&mut self, rates: &MeasuredStats, swap: &SwapCost) -> ReplanVerdict {
-        let _ = swap;
+    /// will not pay for itself, and the recent events to re-estimate
+    /// statistics from. The default ignores both and delegates to
+    /// `replan`.
+    fn replan_amortized(
+        &mut self,
+        rates: &MeasuredStats,
+        swap: &SwapCost,
+        window: &EventWindow,
+    ) -> ReplanVerdict {
+        let _ = (swap, window);
         if self.replan(rates) {
             ReplanVerdict::Swap
         } else {
@@ -159,17 +172,27 @@ pub trait Replanner: Send {
         }
     }
 
-    /// Observes one input event *before* it reaches the engine — the hook
-    /// selectivity re-estimation rides on (see
+    /// How much stream history, in milliseconds, the implementation reads
+    /// from the window it is handed; the engine retains at least this
+    /// much. Default: 0 (nothing beyond the pattern window and the rate
+    /// horizon).
+    fn history_ms(&self) -> u64 {
+        0
+    }
+
+    /// Observes one input event *before* it reaches the engine — e.g. to
+    /// count selectivity samples (see
     /// [`crate::PlanReplanner::with_selectivity_monitoring`]). Default:
     /// no-op.
     fn observe_event(&mut self, _e: &EventRef) {}
 
     /// Whether statistics beyond arrival rates (e.g. predicate
-    /// selectivities) have drifted from what the current plan assumes. The
-    /// adaptive engine attempts a replan when *either* this or its own
-    /// rate monitor fires. Default: `false` (rates are the only signal).
-    fn stats_drifted(&self) -> bool {
+    /// selectivities, estimated over `window`) have drifted from what the
+    /// current plan assumes. The adaptive engine attempts a replan when
+    /// *either* this or its own rate monitor fires; a firing check is
+    /// followed by [`Self::replan_amortized`] over the same window.
+    /// Default: `false` (rates are the only signal).
+    fn stats_drifted(&mut self, _window: &EventWindow) -> bool {
         false
     }
 
@@ -223,6 +246,89 @@ pub trait Replanner: Send {
     fn negated_types(&self) -> Vec<TypeId>;
 }
 
+/// The adaptive wrapper's one event buffer: the rate monitor's window,
+/// kept for max(pattern window, rate horizon, [`Replanner::history_ms`]),
+/// plus the negated-type events that outlive it.
+struct Retained {
+    /// Rate counts over the horizon, and the window every other reader
+    /// shares.
+    monitor: StatsMonitor,
+    /// The pattern window.
+    window: u64,
+    /// Stream index of the first event of the replay window: every later
+    /// event has `ts ≥ watermark − window`.
+    replay_from: u64,
+    /// Event types some branch negates (see [`Replanner::negated_types`]).
+    negated: Vec<TypeId>,
+    /// Events of [`Self::negated`] types that left the monitor's window
+    /// and are at most two pattern windows old, in arrival order.
+    negated_tail: VecDeque<EventRef>,
+}
+
+impl Retained {
+    fn push(&mut self, event: &EventRef) {
+        for old in self.monitor.observe(event) {
+            if self.negated.contains(&old.type_id) {
+                self.negated_tail.push_back(old);
+            }
+        }
+        let window = self.monitor.window();
+        // Evict strictly below `watermark − window`: an event exactly one
+        // window old can still share a match with an event at the
+        // watermark (span == window is within the pattern window).
+        let keep_from = window.watermark().saturating_sub(self.window);
+        self.replay_from = self.replay_from.max(window.first_index());
+        while window
+            .get(self.replay_from)
+            .is_some_and(|e| e.ts < keep_from)
+        {
+            self.replay_from += 1;
+        }
+        // Every match a replay can still emit or park has
+        // `max_ts ≥ keep_from`, and a negated element forbids events only
+        // above `max_ts − window`.
+        let tail_from = keep_from.saturating_sub(self.window);
+        while self.negated_tail.front().is_some_and(|e| e.ts < tail_from) {
+            self.negated_tail.pop_front();
+        }
+    }
+
+    /// Events in the replay window.
+    fn len(&self) -> usize {
+        (self.monitor.window().pushed() - self.replay_from) as usize
+    }
+
+    /// What a swap replays, oldest first: the negated-type events of the
+    /// window before the replay window (those that left the shared window,
+    /// then those still in it), then the replay window.
+    fn replay(&self) -> impl Iterator<Item = &EventRef> {
+        let window = self.monitor.window();
+        let keep_from = window.watermark().saturating_sub(self.window);
+        let tail_from = keep_from.saturating_sub(self.window);
+        let before = (self.replay_from - window.first_index()) as usize;
+        let tail = window
+            .iter()
+            .take(before)
+            .filter(move |e| e.ts >= tail_from && self.negated.contains(&e.type_id));
+        self.negated_tail
+            .iter()
+            .chain(tail)
+            .chain(window.iter().skip(before))
+    }
+}
+
+/// Keeps the matches of `out[start..]` that pass `keep`, in order.
+fn retain_from(out: &mut Vec<Match>, start: usize, mut keep: impl FnMut(&Match) -> bool) {
+    let mut kept = start;
+    for i in start..out.len() {
+        if keep(&out[i]) {
+            out.swap(kept, i);
+            kept += 1;
+        }
+    }
+    out.truncate(kept);
+}
+
 /// An [`Engine`] that replans itself while running.
 ///
 /// See the crate docs for the swap protocol and the exactness guarantee.
@@ -233,19 +339,14 @@ pub trait Replanner: Send {
 /// match the replay completes was already decided by the old engine and is
 /// dropped (exact strategies) or rejected by the consumed set
 /// (skip-till-next-match). No emitted match is remembered.
+///
+/// Those events live in one buffer, the rate monitor's window, which also
+/// feeds the rate counts and the replanner's selectivity sample. The
+/// active engine emits straight into the caller's vector.
 pub struct AdaptiveEngine<R: Replanner> {
     inner: Box<dyn Engine>,
     replanner: R,
-    monitor: StatsMonitor,
-    /// Window-bounded replay buffer: every event with
-    /// `ts ≥ watermark − window`, in arrival order.
-    retained: VecDeque<EventRef>,
-    /// Event types some branch negates (see [`Replanner::negated_types`]).
-    negated: Vec<TypeId>,
-    /// Events of [`Self::negated`] types that left `retained` and are at
-    /// most two windows old, in arrival order: all older than every
-    /// retained event, so a replay feeds this tail first.
-    negated_tail: VecDeque<EventRef>,
+    retained: Retained,
     /// Whether the replanner's strategy consumes events (cached).
     consumes: bool,
     /// Events consumed by emitted matches, remembered for one window; only
@@ -259,7 +360,6 @@ pub struct AdaptiveEngine<R: Replanner> {
     /// Aggregate metrics presented to callers; also stores this wrapper's
     /// own counters (events, emissions, swap/replay accounting, timing).
     metrics: EngineMetrics,
-    watermark: Timestamp,
     events_since_swap: u64,
     /// Trace destination for replan decisions and replay windows; the
     /// disabled default costs one branch per decision point.
@@ -273,23 +373,25 @@ impl<R: Replanner> AdaptiveEngine<R> {
         assert!(cfg.check_every >= 1, "check_every must be positive");
         let inner = replanner.build();
         let consumes = replanner.consumes();
-        let negated = replanner.negated_types();
-        let monitor = StatsMonitor::new(cfg.horizon_ms, cfg.drift_threshold);
+        let retained = Retained {
+            monitor: StatsMonitor::new(cfg.horizon_ms, cfg.drift_threshold)
+                .retaining(window.max(replanner.history_ms())),
+            window,
+            replay_from: 0,
+            negated: replanner.negated_types(),
+            negated_tail: VecDeque::new(),
+        };
         let events_since_swap = cfg.cooldown_events; // first swap is not throttled
         AdaptiveEngine {
             inner,
             replanner,
-            monitor,
-            retained: VecDeque::new(),
-            negated,
-            negated_tail: VecDeque::new(),
+            retained,
             consumes,
             consumed: ConsumedSet::new(),
             window,
             cfg,
             retired: EngineMetrics::new(),
             metrics: EngineMetrics::new(),
-            watermark: 0,
             events_since_swap,
             tracer: Tracer::disabled(),
         }
@@ -319,28 +421,43 @@ impl<R: Replanner> AdaptiveEngine<R> {
         self.retained.len()
     }
 
+    /// The event buffer: the rate monitor's window.
+    #[cfg(test)]
+    pub(crate) fn event_window(&self) -> &EventWindow {
+        self.retained.monitor.window()
+    }
+
+    /// The rate monitor.
+    #[cfg(test)]
+    pub(crate) fn rate_monitor(&self) -> &StatsMonitor {
+        &self.retained.monitor
+    }
+
+    /// The events a swap would replay now, oldest first.
+    #[cfg(test)]
+    pub(crate) fn replay_events(&self) -> Vec<EventRef> {
+        self.retained.replay().cloned().collect()
+    }
+
     /// Negated-type events held beyond the retained window.
     #[cfg(test)]
     pub(crate) fn negated_tail_len(&self) -> usize {
-        self.negated_tail.len()
+        self.retained.replay().count() - self.retained.len()
     }
 
-    /// Records consumption state for consuming strategies and forwards
-    /// emissions downstream.
-    fn emit(&mut self, staged: Vec<Match>, out: &mut Vec<Match>) {
-        for m in staged {
-            if self.consumes {
-                // A freshly swapped engine has no memory of what its
-                // predecessor consumed; suppress emissions that would
-                // re-bind a consumed event and record the rest.
-                if !self.consumed.consume(&m) {
-                    continue;
-                }
-            }
-            self.replanner.observe_match(&m);
-            self.metrics.matches_emitted += 1;
-            out.push(m);
+    /// Records consumption state for consuming strategies and counts the
+    /// emissions the active engine appended to `out` from `start` on.
+    fn emit(&mut self, out: &mut Vec<Match>, start: usize) {
+        if self.consumes {
+            // A freshly swapped engine has no memory of what its
+            // predecessor consumed; suppress emissions that would re-bind
+            // a consumed event and record the rest.
+            retain_from(out, start, |m| self.consumed.consume(m));
         }
+        for m in &out[start..] {
+            self.replanner.observe_match(m);
+        }
+        self.metrics.matches_emitted += (out.len() - start) as u64;
     }
 
     /// Folds a retired engine's counters into the sequential accumulator:
@@ -409,36 +526,41 @@ impl<R: Replanner> AdaptiveEngine<R> {
     /// whereas flushing would emit those matches as if the stream ended.
     ///
     /// Every match the replay completes was decided by the old engine (see
-    /// the type docs). The exact strategies drop them all. Under
-    /// skip-till-next-match they pass through [`Self::emit`], except those
-    /// binding a tail event: those were decided a window before anything
-    /// retained, against negated events and consumption marks the wrapper
-    /// no longer holds.
+    /// the type docs). The exact strategies drop them all, event by event.
+    /// Under skip-till-next-match they pass through [`Self::emit`], except
+    /// those binding a tail event: those were decided a window before
+    /// anything retained, against negated events and consumption marks the
+    /// wrapper no longer holds.
     fn swap(&mut self, out: &mut Vec<Match>) {
         let fresh = self.replanner.build();
         let old = std::mem::replace(&mut self.inner, fresh);
         self.retire(old.metrics());
         drop(old);
         let replay_start = Instant::now();
-        let mut staged = Vec::new();
-        for event in self.negated_tail.iter().chain(&self.retained) {
-            self.inner.process(event, &mut staged);
+        let start = out.len();
+        let mut replayed_events = 0u64;
+        let mut replayed_matches = 0u64;
+        for event in self.retained.replay() {
+            replayed_events += 1;
+            self.inner.process(event, out);
+            if !self.consumes {
+                replayed_matches += (out.len() - start) as u64;
+                out.truncate(start);
+            }
         }
         let replay_ns = replay_start.elapsed().as_nanos() as u64;
-        let replayed_events = (self.negated_tail.len() + self.retained.len()) as u64;
         self.metrics.replay_time_ns += replay_ns;
         self.metrics.replay_ns.record(replay_ns);
         self.metrics.replayed_events += replayed_events;
         self.metrics.plan_swaps += 1;
         self.events_since_swap = 0;
-        let replayed_matches = staged.len() as u64;
-        let emitted_before = self.metrics.matches_emitted;
         if self.consumes {
-            let keep_from = self.watermark.saturating_sub(self.window);
-            staged.retain(|m| m.min_ts() >= keep_from);
-            self.emit(staged, out);
+            replayed_matches = (out.len() - start) as u64;
+            let keep_from = self.watermark().saturating_sub(self.window);
+            retain_from(out, start, |m| m.min_ts() >= keep_from);
+            self.emit(out, start);
         }
-        let suppressed_matches = replayed_matches - (self.metrics.matches_emitted - emitted_before);
+        let suppressed_matches = replayed_matches - (out.len() - start) as u64;
         self.tracer.emit_with(|| TraceRecord::ReplayWindow {
             at_event: self.metrics.events_processed,
             replayed_events,
@@ -446,6 +568,10 @@ impl<R: Replanner> AdaptiveEngine<R> {
             suppressed_matches,
         });
         self.refresh_metrics();
+    }
+
+    fn watermark(&self) -> Timestamp {
+        self.retained.monitor.window().watermark()
     }
 
     /// Periodic drift check; replans and swaps when warranted. Without a
@@ -469,20 +595,28 @@ impl<R: Replanner> AdaptiveEngine<R> {
         {
             return;
         }
-        if self.monitor.has_baseline() && !self.monitor.drifted() && !self.replanner.stats_drifted()
+        let monitor = &self.retained.monitor;
+        if monitor.has_baseline()
+            && !monitor.drifted()
+            && !self.replanner.stats_drifted(monitor.window())
         {
             return;
         }
+        // Ascending type order keeps the summed window estimate (and so
+        // the replay fraction) independent of hash-map iteration order.
+        let mut live: Vec<(TypeId, f64)> = monitor.rates().into_iter().collect();
+        live.sort_unstable_by_key(|&(ty, _)| ty);
         let mut rates = MeasuredStats::default();
         let mut expected_window_events = 0.0;
-        for (ty, rate) in self.monitor.rates() {
+        for (ty, rate) in live {
             rates.set_rate(ty, rate);
             expected_window_events += rate * self.window as f64;
         }
+        let retained = self.retained.len();
         let replay_fraction = if expected_window_events > 0.0 {
             // Clamped: a rate estimate collapsing to near zero must not
             // turn a window-bounded buffer into an unbounded bill.
-            (self.retained.len() as f64 / expected_window_events).min(4.0)
+            (retained as f64 / expected_window_events).min(4.0)
         } else {
             1.0
         };
@@ -490,7 +624,9 @@ impl<R: Replanner> AdaptiveEngine<R> {
             replay_fraction,
             amortize_windows: self.cfg.amortize_windows,
         };
-        let verdict = self.replanner.replan_amortized(&rates, &swap_cost);
+        let verdict = self
+            .replanner
+            .replan_amortized(&rates, &swap_cost, monitor.window());
         self.tracer.emit_with(|| {
             // A replanner that bailed before costing (or one that does not
             // track costs) reports the sentinel −1 on both sides.
@@ -510,15 +646,15 @@ impl<R: Replanner> AdaptiveEngine<R> {
                 candidate_cost,
                 replay_fraction,
                 amortize_windows: self.cfg.amortize_windows,
-                retained_events: self.retained.len() as u64,
+                retained_events: retained as u64,
             }
         });
         match verdict {
             ReplanVerdict::Swap => {
-                self.monitor.rebaseline();
+                self.retained.monitor.rebaseline();
                 self.swap(out);
             }
-            ReplanVerdict::Keep => self.monitor.rebaseline(),
+            ReplanVerdict::Keep => self.retained.monitor.rebaseline(),
             ReplanVerdict::Suppressed => {
                 self.metrics.suppressed_swaps += 1;
             }
@@ -530,34 +666,16 @@ impl<R: Replanner> Engine for AdaptiveEngine<R> {
     fn process(&mut self, event: &EventRef, out: &mut Vec<Match>) {
         self.metrics.events_processed += 1;
         self.events_since_swap = self.events_since_swap.saturating_add(1);
-        self.watermark = self.watermark.max(event.ts);
-        self.monitor.observe(event);
         self.replanner.observe_event(event);
-        self.retained.push_back(Arc::clone(event));
-        // Evict strictly below `watermark − window`: an event exactly one
-        // window old can still share a match with an event at the
-        // watermark (span == window is within the pattern window).
-        let keep_from = self.watermark.saturating_sub(self.window);
-        while let Some(e) = self.retained.pop_front_if(|e| e.ts < keep_from) {
-            if self.negated.contains(&e.type_id) {
-                self.negated_tail.push_back(e);
-            }
-        }
-        // Every match a replay can still emit or park has
-        // `max_ts ≥ keep_from`, and a negated element forbids events only
-        // above `max_ts − window`.
-        let tail_from = keep_from.saturating_sub(self.window);
-        while self.negated_tail.front().is_some_and(|e| e.ts < tail_from) {
-            self.negated_tail.pop_front();
-        }
+        self.retained.push(event);
         self.metrics.record_retained(self.retained.len());
-        let mut staged = Vec::new();
-        self.inner.process(event, &mut staged);
-        self.emit(staged, out);
+        let start = out.len();
+        self.inner.process(event, out);
+        self.emit(out, start);
         if self.consumes && self.metrics.events_processed.is_multiple_of(REFRESH_EVERY) {
             // Consumption marks on events older than the window can never
             // be re-bound by a replay.
-            self.consumed.retain_window(self.watermark, self.window);
+            self.consumed.retain_window(self.watermark(), self.window);
         }
         self.maybe_replan(out);
         if self.metrics.events_processed.is_multiple_of(REFRESH_EVERY) {
@@ -566,9 +684,9 @@ impl<R: Replanner> Engine for AdaptiveEngine<R> {
     }
 
     fn flush(&mut self, out: &mut Vec<Match>) {
-        let mut staged = Vec::new();
-        self.inner.flush(&mut staged);
-        self.emit(staged, out);
+        let start = out.len();
+        self.inner.flush(out);
+        self.emit(out, start);
         self.refresh_metrics();
     }
 

@@ -11,13 +11,19 @@
 //!
 //! [`AdaptiveEngine`] wraps any plan-built engine and, per input event:
 //!
-//! 1. feeds a [`StatsMonitor`](cep_optimizer::StatsMonitor) (sliding-horizon
-//!    arrival rates + drift detection) and a **retained-event buffer**
-//!    holding exactly the last pattern window of the stream, plus a
-//!    **negated tail**: the events of negated types
-//!    ([`Replanner::negated_types`]) from the window before it;
-//! 2. forwards the event to the active engine and its emissions downstream
-//!    — no emitted match is remembered;
+//! 1. appends it to **one event window**, the
+//!    [`EventWindow`](cep_optimizer::EventWindow) of a
+//!    [`StatsMonitor`](cep_optimizer::StatsMonitor) kept for
+//!    max(pattern window, rate horizon, [`Replanner::history_ms`]). The
+//!    monitor counts arrival rates over the window's last `horizon_ms`;
+//!    the window's last pattern window is the **retained window** a swap
+//!    replays; the replanner reads its selectivity sample from the window;
+//!    and the events of negated types ([`Replanner::negated_types`]) from
+//!    the pattern window before the retained one form the **negated
+//!    tail** (those that left the window are kept aside until they are
+//!    two pattern windows old);
+//! 2. forwards the event to the active engine, which emits straight into
+//!    the caller's vector — no emitted match is remembered;
 //! 3. every `check_every` events, if the monitor reports drift, asks its
 //!    [`Replanner`] to rebuild the evaluation plan from the live rate
 //!    estimates. If the plan changed, the engine **hot-swaps**: a fresh

@@ -14,7 +14,7 @@ use cep_core::stats::{MeasuredStats, PatternStats};
 use cep_nfa::NfaEngine;
 use cep_optimizer::planner::LatencyAnchor;
 use cep_optimizer::OutputProfiler;
-use cep_optimizer::{Backend, Planner, SelectivityMonitor};
+use cep_optimizer::{Backend, EventWindow, Planner, SelectivityMonitor};
 use cep_tree::TreeEngine;
 
 /// Matches a replan is based on before the output profiler may override
@@ -49,6 +49,10 @@ struct Branch {
     stats: PatternStats,
     /// Live selectivity re-estimation for this branch, when enabled.
     monitor: Option<SelectivityMonitor>,
+    /// The monitor's estimates from the last drift check, stamped with the
+    /// window's [`pushed`](EventWindow::pushed) count: a replan over the
+    /// same window reuses them instead of sampling it again.
+    checked: Option<(u64, Option<Vec<f64>>)>,
 }
 
 /// A [`Replanner`] that regenerates evaluation plans with a
@@ -125,6 +129,7 @@ impl PlanReplanner {
                 plan,
                 stats,
                 monitor: None,
+                checked: None,
             });
         }
         Ok(replanner)
@@ -132,8 +137,9 @@ impl PlanReplanner {
 
     /// Enables online selectivity re-estimation: every branch gets a
     /// [`SelectivityMonitor`] seeded with its construction-time
-    /// selectivities as baseline, retaining `horizon_ms` of relevant
-    /// events and sampling up to `max_pairs` event pairs per estimate.
+    /// selectivities as baseline, reading the last `horizon_ms` of the
+    /// adaptive engine's event window and sampling up to `max_pairs` event
+    /// pairs per estimate.
     /// `threshold` is the relative deviation that counts as selectivity
     /// drift. Replans then use the monitor's fresh estimates (once warmed
     /// up) instead of the frozen construction-time values.
@@ -156,7 +162,8 @@ impl PlanReplanner {
     }
 
     /// Overrides the warm-up threshold of every selectivity monitor (the
-    /// retained-event count below which estimates are not acted on).
+    /// relevant-event count inside the horizon below which estimates are
+    /// not acted on).
     /// No-op unless
     /// [`with_selectivity_monitoring`](Self::with_selectivity_monitoring)
     /// was called first.
@@ -224,50 +231,17 @@ impl PlanReplanner {
             .collect::<Vec<_>>()
             .join(" | ")
     }
-}
 
-impl Replanner for PlanReplanner {
-    fn build(&self) -> Box<dyn Engine> {
-        // Plans were produced by the planner for these very compiled
-        // patterns, so engine construction cannot fail (the same argument
-        // as the facade's static factories).
-        let mut engines: Vec<Box<dyn Engine>> = self
-            .branches
-            .iter()
-            .map(|b| {
-                // Signature-keyed program reuse: across hot swaps the
-                // pattern (and so its signature) is unchanged, so every
-                // rebuild after the first is a cache hit.
-                let (program, _, _) = self
-                    .plan_cache
-                    .lock()
-                    .expect("plan cache poisoned")
-                    .get_or_compile(&b.cp);
-                let (cp, config) = (b.cp.clone(), self.engine_config.clone());
-                match &b.plan {
-                    Plan::Order(plan) => Box::new(
-                        NfaEngine::with_program(cp, plan.clone(), config, program)
-                            .expect("pre-validated plan"),
-                    ) as Box<dyn Engine>,
-                    Plan::Tree(plan) => Box::new(
-                        TreeEngine::with_program(cp, plan.clone(), config, program)
-                            .expect("pre-validated plan"),
-                    ),
-                }
-            })
-            .collect();
-        if engines.len() == 1 {
-            engines.pop().expect("one engine")
-        } else {
-            Box::new(MultiEngine::new(engines, self.window))
-        }
-    }
-
-    fn replan(&mut self, rates: &MeasuredStats) -> bool {
-        self.replan_amortized(rates, &SwapCost::IGNORE) == ReplanVerdict::Swap
-    }
-
-    fn replan_amortized(&mut self, rates: &MeasuredStats, swap: &SwapCost) -> ReplanVerdict {
+    /// One replan attempt: plans every branch under `rates` and the fresh
+    /// selectivity estimates over `window` (the current baselines when
+    /// there is no window or a monitor is not warmed up yet), and adopts
+    /// what beats the incumbents by the margin and amortizes `swap`.
+    fn replan_from(
+        &mut self,
+        rates: &MeasuredStats,
+        swap: &SwapCost,
+        window: Option<&EventWindow>,
+    ) -> ReplanVerdict {
         // Plan all branches first: a planning failure on any branch keeps
         // the engine on its current (complete) plan set. A branch only
         // adopts a candidate that (a) predicts a cost improvement beyond
@@ -287,9 +261,15 @@ impl Replanner for PlanReplanner {
         for b in &mut self.branches {
             // Fresh selectivities: the monitor's live estimates once it has
             // seen enough events, the construction-time values otherwise.
-            // Sampled once here and reused for the baseline below.
-            let fresh_sels = match &b.monitor {
-                Some(m) if m.warmed_up() => Some(m.estimates()),
+            // Taken from this event's drift check when it sampled the same
+            // window, sampled here otherwise, and reused for the baseline
+            // below.
+            let checked = b.checked.take();
+            let fresh_sels = match (&b.monitor, window) {
+                (Some(m), Some(w)) => match checked {
+                    Some((stamp, fresh)) if stamp == w.pushed() => fresh,
+                    _ => m.estimates(w),
+                },
                 _ => None,
             };
             let sels = fresh_sels.as_deref().unwrap_or(&b.sels);
@@ -365,6 +345,67 @@ impl Replanner for PlanReplanner {
             ReplanVerdict::Keep
         }
     }
+}
+
+impl Replanner for PlanReplanner {
+    fn build(&self) -> Box<dyn Engine> {
+        // Plans were produced by the planner for these very compiled
+        // patterns, so engine construction cannot fail (the same argument
+        // as the facade's static factories).
+        let mut engines: Vec<Box<dyn Engine>> = self
+            .branches
+            .iter()
+            .map(|b| {
+                // Signature-keyed program reuse: across hot swaps the
+                // pattern (and so its signature) is unchanged, so every
+                // rebuild after the first is a cache hit.
+                let (program, _, _) = self
+                    .plan_cache
+                    .lock()
+                    .expect("plan cache poisoned")
+                    .get_or_compile(&b.cp);
+                let (cp, config) = (b.cp.clone(), self.engine_config.clone());
+                match &b.plan {
+                    Plan::Order(plan) => Box::new(
+                        NfaEngine::with_program(cp, plan.clone(), config, program)
+                            .expect("pre-validated plan"),
+                    ) as Box<dyn Engine>,
+                    Plan::Tree(plan) => Box::new(
+                        TreeEngine::with_program(cp, plan.clone(), config, program)
+                            .expect("pre-validated plan"),
+                    ),
+                }
+            })
+            .collect();
+        if engines.len() == 1 {
+            engines.pop().expect("one engine")
+        } else {
+            Box::new(MultiEngine::new(engines, self.window))
+        }
+    }
+
+    /// Replans from `rates` and the current selectivity baselines; with no
+    /// event window to sample, selectivities are not re-estimated.
+    fn replan(&mut self, rates: &MeasuredStats) -> bool {
+        self.replan_from(rates, &SwapCost::IGNORE, None) == ReplanVerdict::Swap
+    }
+
+    fn replan_amortized(
+        &mut self,
+        rates: &MeasuredStats,
+        swap: &SwapCost,
+        window: &EventWindow,
+    ) -> ReplanVerdict {
+        self.replan_from(rates, swap, Some(window))
+    }
+
+    fn history_ms(&self) -> u64 {
+        self.branches
+            .iter()
+            .filter_map(|b| b.monitor.as_ref().map(SelectivityMonitor::horizon_ms))
+            .max()
+            .unwrap_or(0)
+    }
 
     fn last_costs(&self) -> Option<ReplanCosts> {
         self.last_costs
@@ -378,10 +419,18 @@ impl Replanner for PlanReplanner {
         }
     }
 
-    fn stats_drifted(&self) -> bool {
-        self.branches
-            .iter()
-            .any(|b| b.monitor.as_ref().is_some_and(|m| m.drifted()))
+    fn stats_drifted(&mut self, window: &EventWindow) -> bool {
+        let stamp = window.pushed();
+        self.branches.iter_mut().any(|b| {
+            let Some(m) = &b.monitor else { return false };
+            if m.baseline().is_empty() {
+                return false;
+            }
+            let fresh = m.estimates(window);
+            let drifted = fresh.as_deref().is_some_and(|f| m.deviates(f));
+            b.checked = Some((stamp, fresh));
+            drifted
+        })
     }
 
     fn selectivity_samples(&self) -> u64 {

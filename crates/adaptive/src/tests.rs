@@ -7,7 +7,7 @@ use crate::{AdaptiveConfig, AdaptiveEngine, AdaptiveFactory, PlanReplanner, Repl
 use cep_core::compile::CompiledPattern;
 use cep_core::engine::{run_to_completion, Engine, EngineConfig, EngineFactory};
 use cep_core::error::CepError;
-use cep_core::event::{Event, TypeId};
+use cep_core::event::{Event, EventRef, TypeId};
 use cep_core::matches::{validate_match, Match};
 use cep_core::naive::NaiveEngine;
 use cep_core::pattern::{Pattern, PatternBuilder, PatternExpr};
@@ -18,7 +18,7 @@ use cep_core::stats::MeasuredStats;
 use cep_core::stream::{EventStream, StreamBuilder};
 use cep_core::value::Value;
 use cep_nfa::NfaEngine;
-use cep_optimizer::{Backend, OrderAlgorithm, Planner};
+use cep_optimizer::{Backend, EventWindow, OrderAlgorithm, Planner, SelectivityMonitor};
 use cep_tree::TreeEngine;
 use proptest::prelude::*;
 
@@ -139,6 +139,10 @@ struct FlipFlop {
     orders: [OrderPlan; 2],
     active: usize,
     tree: bool,
+    /// Selectivity monitoring over the engine's window: once warmed up it
+    /// reports drift at every check, so swaps also come through
+    /// [`Replanner::stats_drifted`], and its horizon widens the window.
+    monitor: Option<SelectivityMonitor>,
 }
 
 impl FlipFlop {
@@ -151,7 +155,16 @@ impl FlipFlop {
             orders: [fwd, rev],
             active: 0,
             tree,
+            monitor: None,
         }
+    }
+
+    /// Adds a selectivity monitor reading `horizon_ms` of the window.
+    fn monitored(mut self, horizon_ms: u64) -> FlipFlop {
+        let sels = vec![1.0; self.cp.predicates.len()];
+        let monitor = SelectivityMonitor::new(self.cp.clone(), sels, horizon_ms, 0.5, 16);
+        self.monitor = Some(monitor.with_min_events(1));
+        self
     }
 }
 
@@ -177,6 +190,28 @@ impl Replanner for FlipFlop {
     fn replan(&mut self, _rates: &MeasuredStats) -> bool {
         self.active = 1 - self.active;
         true
+    }
+
+    fn history_ms(&self) -> u64 {
+        self.monitor
+            .as_ref()
+            .map_or(0, SelectivityMonitor::horizon_ms)
+    }
+
+    fn observe_event(&mut self, e: &EventRef) {
+        if let Some(m) = &mut self.monitor {
+            m.observe(e);
+        }
+    }
+
+    fn stats_drifted(&mut self, window: &EventWindow) -> bool {
+        self.monitor
+            .as_ref()
+            .is_some_and(|m| m.estimates(window).is_some())
+    }
+
+    fn selectivity_samples(&self) -> u64 {
+        self.monitor.as_ref().map_or(0, SelectivityMonitor::samples)
     }
 
     fn consumes(&self) -> bool {
@@ -461,6 +496,134 @@ fn retained_buffer_is_window_bounded() {
     );
 }
 
+/// `SEQ(T0 a, NOT T3 n, T1 b, T2 c) WHERE a.x < b.x`: a pairwise predicate
+/// for the selectivity sample and a negated element for the tail.
+fn negated_join_pattern(window: u64) -> Pattern {
+    let mut b = PatternBuilder::new(window);
+    let (a, n, bb, c) = (
+        b.event(t(0), "a"),
+        b.event(t(3), "n"),
+        b.event(t(1), "b"),
+        b.event(t(2), "c"),
+    );
+    b.predicate(Predicate::attr_cmp(a.pos(), 0, CmpOp::Lt, bb.pos(), 0));
+    let exprs = [b.expr(a), b.not(n), b.expr(bb), b.expr(c)];
+    b.seq_exprs(exprs).unwrap()
+}
+
+#[test]
+fn shared_window_equals_brute_force_suffixes() {
+    use cep_core::stats::estimate_selectivities;
+    let window = 20u64;
+    // Types 0..3 are the pattern's, type 4 is not; mostly dense arrivals
+    // with gaps longer than every span, so whole windows empty at once.
+    let mut state = 0x5EED_u64;
+    let mut draw = |n: u64| {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (state >> 33) % n
+    };
+    let mut sb = StreamBuilder::new();
+    let mut ts = 0u64;
+    for _ in 0..700 {
+        ts += if draw(60) == 0 { 70 } else { draw(3) };
+        sb.push(Event::new(
+            t(draw(5) as u32),
+            ts,
+            vec![Value::Int(draw(10) as i64)],
+        ));
+    }
+    let stream = sb.build();
+    let cp = CompiledPattern::compile_single(&negated_join_pattern(window)).unwrap();
+    let suffix = |prefix: &[EventRef], from: u64| -> Vec<EventRef> {
+        prefix.iter().filter(|e| e.ts >= from).cloned().collect()
+    };
+    let seqs = |events: &[EventRef]| events.iter().map(|e| e.seq).collect::<Vec<_>>();
+    // The rate horizon below, at and above the window and above two
+    // windows, with the selectivity horizon equal to it (as the facade
+    // wires them) or, last, longer than both it and the window.
+    for (horizon, sel_horizon) in [(8u64, 8u64), (20, 20), (30, 30), (50, 50), (8, 50)] {
+        let mut rates = MeasuredStats::default();
+        for ty in 0..5 {
+            rates.set_rate(t(ty), 0.25);
+        }
+        let replanner = PlanReplanner::new(
+            vec![(cp.clone(), vec![0.5])],
+            &rates,
+            Planner::default(),
+            Backend::Nfa(OrderAlgorithm::DpLd),
+            EngineConfig::default(),
+        )
+        .unwrap()
+        .with_selectivity_monitoring(sel_horizon, 0.5, 64)
+        .with_selectivity_min_events(8);
+        let mut static_engine = replanner.build();
+        let expected = run_engine(static_engine.as_mut(), &stream);
+        let cfg = AdaptiveConfig {
+            horizon_ms: horizon,
+            drift_threshold: 0.5,
+            check_every: 16,
+            cooldown_events: 32,
+            ..AdaptiveConfig::default()
+        };
+        let mut adaptive = AdaptiveEngine::new(replanner, window, cfg);
+        let sampler =
+            SelectivityMonitor::new(cp.clone(), vec![0.5], sel_horizon, 0.5, 64).with_min_events(0);
+        let mut out = Vec::new();
+        let mut longest_tail = 0;
+        for (i, e) in stream.iter().enumerate() {
+            adaptive.process(e, &mut out);
+            let prefix = &stream[..=i];
+            let wm = e.ts;
+            // The one buffer spans max(window, horizon, selectivity horizon).
+            let held: Vec<EventRef> = adaptive.event_window().iter().cloned().collect();
+            let span = window.max(horizon).max(sel_horizon);
+            assert_eq!(seqs(&held), seqs(&suffix(prefix, wm.saturating_sub(span))));
+            // Rate counts cover the horizon.
+            let in_horizon = suffix(prefix, wm.saturating_sub(horizon));
+            let elapsed = horizon.min(wm.max(1)).max(1) as f64;
+            for ty in 0..5 {
+                let n = in_horizon.iter().filter(|e| e.type_id == t(ty)).count();
+                assert_eq!(
+                    adaptive.rate_monitor().rate(t(ty)).to_bits(),
+                    (n as f64 / elapsed).to_bits(),
+                    "horizon {horizon}, event {i}, type {ty}"
+                );
+            }
+            // The replay: negated events of the window before, then the
+            // window.
+            let keep_from = wm.saturating_sub(window);
+            let tail_from = keep_from.saturating_sub(window);
+            let retained = suffix(prefix, keep_from);
+            let mut replay: Vec<EventRef> = prefix
+                .iter()
+                .filter(|e| e.type_id == t(3) && e.ts >= tail_from && e.ts < keep_from)
+                .cloned()
+                .collect();
+            assert_eq!(adaptive.negated_tail_len(), replay.len());
+            longest_tail = longest_tail.max(replay.len());
+            replay.extend(retained.iter().cloned());
+            assert_eq!(adaptive.retained_len(), retained.len());
+            assert_eq!(seqs(&adaptive.replay_events()), seqs(&replay));
+            // The selectivity sample is its horizon's suffix.
+            let got = sampler.estimates(adaptive.event_window()).unwrap();
+            let sample = suffix(prefix, wm.saturating_sub(sel_horizon));
+            let want = estimate_selectivities(&sample, &cp, 64);
+            assert_eq!(got[0].to_bits(), want[0].to_bits());
+        }
+        adaptive.flush(&mut out);
+        assert!(
+            longest_tail > 0,
+            "the stream must exercise the negated tail"
+        );
+        assert!(adaptive.swaps() >= 1, "horizon {horizon}: no swap replayed");
+        assert_eq!(canonical(out), expected, "horizon {horizon}");
+        let relevant = stream.iter().filter(|e| e.type_id != t(4)).count();
+        assert_eq!(adaptive.metrics().selectivity_samples, relevant as u64);
+    }
+}
+
 #[test]
 fn swap_keeps_negated_events_older_than_the_retained_window() {
     // Window 100. C@60 forbids {A@100, B@150} under a leading or a
@@ -732,33 +895,93 @@ fn early_replan_does_not_corrupt_the_selectivity_baseline() {
     let mut replanner = correlation_replanner(SelectionStrategy::SkipTillAnyMatch)
         .with_selectivity_monitoring(400, 0.5, 256)
         .with_selectivity_min_events(150);
+    let mut window = EventWindow::new(400);
     let mut seq = 0u64;
-    let mut feed = |r: &mut PlanReplanner, ty: u32, ts: u64, v: i64| {
+    let mut feed = |r: &mut PlanReplanner, w: &mut EventWindow, ty: u32, ts: u64, v: i64| {
         let mut e = Event::new(t(ty), ts, vec![Value::Int(v)]);
         e.seq = seq;
         seq += 1;
-        r.observe_event(&Arc::new(e));
+        let e = Arc::new(e);
+        r.observe_event(&e);
+        w.push(&e);
     };
     for i in 0..40u64 {
-        feed(&mut replanner, 0, i, (i % 100) as i64);
-        feed(&mut replanner, 1, i, 95);
+        feed(&mut replanner, &mut window, 0, i, (i % 100) as i64);
+        feed(&mut replanner, &mut window, 1, i, 95);
     }
-    replanner.replan_amortized(&correlation_stats(), &SwapCost::IGNORE);
+    replanner.replan_amortized(&correlation_stats(), &SwapCost::IGNORE, &window);
     // Finish warming up under the *original* phase-1 correlations.
     for i in 40..200u64 {
-        feed(&mut replanner, 0, i, (i % 100) as i64);
+        feed(&mut replanner, &mut window, 0, i, (i % 100) as i64);
         if i % 4 == 1 {
-            feed(&mut replanner, 1, i, 95);
+            feed(&mut replanner, &mut window, 1, i, 95);
         }
         if i % 4 == 3 {
-            feed(&mut replanner, 2, i, 5);
+            feed(&mut replanner, &mut window, 2, i, 5);
         }
     }
     assert!(
-        !replanner.stats_drifted(),
+        !replanner.stats_drifted(&window),
         "stationary correlations reported as drift: the pre-warm-up \
          replan corrupted the baseline"
     );
+}
+
+#[test]
+fn drift_check_estimates_are_reused_only_for_the_same_window() {
+    use std::sync::Arc;
+    // SEQ(T0 a, T1 b) WHERE a.x < b.x, planned for a pass rate of 1.0.
+    let mut b = PatternBuilder::new(50);
+    let (a, bb) = (b.event(t(0), "a"), b.event(t(1), "b"));
+    b.predicate(Predicate::attr_cmp(a.pos(), 0, CmpOp::Lt, bb.pos(), 0));
+    let cp = CompiledPattern::compile_single(&b.seq([a, bb]).unwrap()).unwrap();
+    let mut rates = MeasuredStats::default();
+    rates.set_rate(t(0), 0.5);
+    rates.set_rate(t(1), 0.5);
+    let mut replanner = PlanReplanner::new(
+        vec![(cp, vec![1.0])],
+        &rates,
+        Planner::default(),
+        Backend::Nfa(OrderAlgorithm::DpLd),
+        EngineConfig::default(),
+    )
+    .unwrap()
+    .with_selectivity_monitoring(100, 0.5, 64)
+    .with_selectivity_min_events(8);
+    let mut window = EventWindow::new(100);
+    let mut seq = 0u64;
+    // 40 events from `ts0` on whose predicate always (or never) passes.
+    let mut feed = |r: &mut PlanReplanner, w: &mut EventWindow, ts0: u64, passes: bool| {
+        for i in 0..20u64 {
+            for (ty, x) in [(0, 1), (1, if passes { 2 } else { 0 })] {
+                let mut e = Event::new(t(ty), ts0 + 2 * i + ty as u64, vec![Value::Int(x)]);
+                e.seq = seq;
+                seq += 1;
+                let e = Arc::new(e);
+                r.observe_event(&e);
+                w.push(&e);
+            }
+        }
+    };
+    feed(&mut replanner, &mut window, 0, true);
+    assert!(!replanner.stats_drifted(&window));
+    // The pass rate collapses: the check fires and keeps its estimates.
+    feed(&mut replanner, &mut window, 1_000, false);
+    assert!(replanner.stats_drifted(&window));
+    // The window moves on before the replan: the kept estimates are stale,
+    // so the replan samples again and its baseline matches the window.
+    feed(&mut replanner, &mut window, 2_000, true);
+    replanner.replan_amortized(&rates, &SwapCost::IGNORE, &window);
+    assert!(
+        !replanner.stats_drifted(&window),
+        "the replan adopted estimates of an older window"
+    );
+    // A replan over the window its firing check saw adopts that check's
+    // estimates: afterwards the same window shows no drift.
+    feed(&mut replanner, &mut window, 3_000, false);
+    assert!(replanner.stats_drifted(&window));
+    replanner.replan_amortized(&rates, &SwapCost::IGNORE, &window);
+    assert!(!replanner.stats_drifted(&window));
 }
 
 #[test]
@@ -842,7 +1065,9 @@ proptest! {
     /// naive oracle emits under skip-till-any-match. Patterns are `SEQ` or
     /// `AND` with a leading, internal or trailing `NOT` and an optional
     /// Kleene element; windows are short, so negated events leave the
-    /// retained window while they still forbid matches.
+    /// retained window while they still forbid matches. The rate horizon
+    /// and the selectivity monitor's horizon (none, or drawn) fall below,
+    /// at and above the window, so the shared event window spans either.
     #[test]
     fn swapped_output_equals_static_on_random_workloads(
         raw in prop::collection::vec((0u32..4, 0u64..3), 1..80),
@@ -852,6 +1077,8 @@ proptest! {
         neg_at in 0usize..4,
         kleene in 0usize..4,
         window in 2u64..9,
+        horizon in 1u64..20,
+        sel_horizon in 0u64..20,
     ) {
         let strategy = [
             SelectionStrategy::SkipTillAnyMatch,
@@ -868,10 +1095,13 @@ proptest! {
         let kleene = (kleene < 3).then_some(kleene);
         let pattern = negation_pattern(is_seq, neg_at, kleene, window, strategy);
         let cp = CompiledPattern::compile_single(&pattern).unwrap();
-        let replanner = FlipFlop::new(cp.clone(), tree);
+        let mut replanner = FlipFlop::new(cp.clone(), tree);
+        if sel_horizon > 0 {
+            replanner = replanner.monitored(sel_horizon);
+        }
         let mut static_engine = replanner.build();
         let expected = run_engine(static_engine.as_mut(), &stream);
-        let mut adaptive = AdaptiveEngine::new(replanner, window, eager(30));
+        let mut adaptive = AdaptiveEngine::new(replanner, window, eager(horizon));
         let got = run_engine(&mut adaptive, &stream);
         prop_assert_eq!(&got, &expected);
         if strategy == SelectionStrategy::SkipTillAnyMatch {

@@ -208,8 +208,8 @@ pub fn cross_key_stock_workload(
 /// (`figures::adaptive_drift`, the `bench-smoke` gate): three symbols
 /// where the frequent (AAA) and rare (CCC) types swap roles after
 /// `phase1_ms`, plus the `SEQ` query whose cheap evaluation order inverts
-/// with them. Returns the stream, the compiled pattern, and its
-/// per-predicate analytic selectivities.
+/// with them. Returns the stream, the pattern and its compiled form, and
+/// its per-predicate analytic selectivities.
 pub fn drifting_stock_workload(
     phase1_ms: u64,
     phase2_ms: u64,
@@ -217,6 +217,7 @@ pub fn drifting_stock_workload(
     window_ms: u64,
 ) -> (
     cep_streamgen::DriftingStream,
+    cep_core::pattern::Pattern,
     cep_core::compile::CompiledPattern,
     Vec<f64>,
 ) {
@@ -263,7 +264,7 @@ pub fn drifting_stock_workload(
         base.symbols[0].lt_selectivity(&base.symbols[1]),
         base.symbols[1].lt_selectivity(&base.symbols[2]),
     ];
-    (gen, cp, sels)
+    (gen, pattern, cp, sels)
 }
 
 /// Selectivity-drifting stock workload shared by the selectivity-adaptive

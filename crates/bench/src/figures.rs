@@ -678,13 +678,18 @@ pub fn cross_partition(
 /// * **static-initial** — the phase-1 plan, kept forever (what a
 ///   non-adaptive deployment runs);
 /// * **adaptive** — `cep_adaptive::AdaptiveEngine` over the same initial
-///   plan, hot-swapping on detected drift;
+///   plan, hot-swapping on detected rate drift;
+/// * **full-adaptive** — the engine `cep::engine().full_adaptive()`
+///   builds (rate and selectivity monitoring, the configuration the
+///   benchmark's `adaptive-drift` workload runs);
 /// * **static-oracle** — the phase-2 plan from the start (the hindsight
 ///   bound on what adaptivity can recover).
 ///
-/// All three must emit byte-identical match vectors (asserted); the
+/// All four must emit byte-identical match vectors (asserted); the
 /// interesting numbers are post-drift throughput and partial matches
 /// created, where the adaptive engine must beat the static initial plan.
+/// The `vs oracle` column is the wrapper's cost: post-drift throughput
+/// against the never-swapped engine on the post-drift plan.
 pub fn adaptive_drift(env: &ExperimentEnv, out: &mut dyn Write) -> std::io::Result<()> {
     use crate::env::drifting_stock_workload;
     use cep_adaptive::{AdaptiveConfig, AdaptiveEngine, PlanReplanner, Replanner};
@@ -693,6 +698,7 @@ pub fn adaptive_drift(env: &ExperimentEnv, out: &mut dyn Write) -> std::io::Resu
     use cep_core::stream::EventStream;
     use cep_optimizer::Planner;
     use cep_shard::canonical_sort;
+    use cep_streamgen::GeneratedStream;
     use std::time::Instant;
 
     writeln!(
@@ -701,7 +707,7 @@ pub fn adaptive_drift(env: &ExperimentEnv, out: &mut dyn Write) -> std::io::Resu
     )?;
     let phase_ms = env.scale.duration_ms.clamp(5_000, 30_000);
     let window_ms = 3_000.min(phase_ms / 2);
-    let (gen, cp, sels) =
+    let (gen, pattern, cp, sels) =
         drifting_stock_workload(phase_ms, phase_ms, env.scale.seed ^ 0xADA, window_ms);
     let split_ts = gen.drift_start_ms();
     writeln!(
@@ -762,6 +768,21 @@ pub fn adaptive_drift(env: &ExperimentEnv, out: &mut dyn Write) -> std::io::Resu
         cooldown_events: 128,
         ..AdaptiveConfig::default()
     };
+    // The facade plans from a generated stream's analytic statistics:
+    // hand it the phase-1 rates, as a bootstrap measurement would see them.
+    let phase1 = GeneratedStream {
+        stream: Vec::new(),
+        type_ids: gen.type_ids.clone(),
+        symbols: gen.symbols.clone(),
+        replicas: 1,
+    };
+    let full_adaptive = cep::engine(&pattern)
+        .backend(Backend::Nfa(OrderAlgorithm::DpLd))
+        .stats(&phase1)
+        .config(engine_config())
+        .full_adaptive(adaptive_cfg.clone())
+        .build()
+        .expect("the drifting pattern plans on the NFA backend");
     let mut engines: Vec<(&str, Box<dyn Engine>)> = vec![
         ("static-initial", initial.build()),
         (
@@ -772,51 +793,36 @@ pub fn adaptive_drift(env: &ExperimentEnv, out: &mut dyn Write) -> std::io::Resu
                 adaptive_cfg,
             )),
         ),
+        ("full-adaptive", full_adaptive),
         ("static-oracle", oracle.build()),
     ];
-    let mut table = Table::new(&[
-        "plan",
-        "post-drift e/s",
-        "vs initial",
-        "partials",
-        "swaps",
-        "replayed",
-        "matches",
-    ]);
-    let mut baseline_eps = 0.0;
-    let mut baseline_partials = 0;
+    struct Row {
+        name: &'static str,
+        eps: f64,
+        partials: u64,
+        swaps: u64,
+        replayed: u64,
+        matches: usize,
+    }
+    let mut rows = Vec::new();
     let mut post_drift_events = 0u64;
-    let mut adaptive_eps = 0.0;
-    let mut adaptive_partials = 0;
-    let mut adaptive_swaps = 0;
     let mut reference: Option<Vec<Match>> = None;
     for (name, engine) in &mut engines {
         let (matches, post_ns, post_events) = drive(engine.as_mut(), &gen.stream, split_ts);
-        let eps = if post_ns == 0 {
-            0.0
-        } else {
-            post_events as f64 / (post_ns as f64 / 1e9)
-        };
+        post_drift_events = post_events;
         let m = engine.metrics();
-        if *name == "static-initial" {
-            baseline_eps = eps;
-            baseline_partials = m.partial_matches_created;
-            post_drift_events = post_events;
-        }
-        if *name == "adaptive" {
-            adaptive_eps = eps;
-            adaptive_partials = m.partial_matches_created;
-            adaptive_swaps = m.plan_swaps;
-        }
-        table.row(vec![
-            name.to_string(),
-            si(eps),
-            format!("{:.2}x", eps / baseline_eps.max(f64::MIN_POSITIVE)),
-            m.partial_matches_created.to_string(),
-            m.plan_swaps.to_string(),
-            m.replayed_events.to_string(),
-            matches.len().to_string(),
-        ]);
+        rows.push(Row {
+            name,
+            eps: if post_ns == 0 {
+                0.0
+            } else {
+                post_events as f64 / (post_ns as f64 / 1e9)
+            },
+            partials: m.partial_matches_created,
+            swaps: m.plan_swaps,
+            replayed: m.replayed_events,
+            matches: matches.len(),
+        });
         match &reference {
             None => reference = Some(matches),
             Some(r) => assert_eq!(
@@ -825,34 +831,72 @@ pub fn adaptive_drift(env: &ExperimentEnv, out: &mut dyn Write) -> std::io::Resu
             ),
         }
     }
+    let row = |name: &str| rows.iter().find(|r| r.name == name).expect("row exists");
+    let (baseline, adaptive, full, oracle_row) = (
+        row("static-initial"),
+        row("adaptive"),
+        row("full-adaptive"),
+        row("static-oracle"),
+    );
+    let ratio = |a: f64, b: f64| a / b.max(f64::MIN_POSITIVE);
+    let mut table = Table::new(&[
+        "plan",
+        "post-drift e/s",
+        "vs initial",
+        "vs oracle",
+        "partials",
+        "swaps",
+        "replayed",
+        "matches",
+    ]);
+    for r in &rows {
+        table.row(vec![
+            r.name.to_string(),
+            si(r.eps),
+            format!("{:.2}x", ratio(r.eps, baseline.eps)),
+            format!("{:.2}x", ratio(r.eps, oracle_row.eps)),
+            r.partials.to_string(),
+            r.swaps.to_string(),
+            r.replayed.to_string(),
+            r.matches.to_string(),
+        ]);
+    }
     write!(out, "{}", table.render())?;
-    assert!(
-        adaptive_swaps >= 1,
-        "the rate flip must trigger at least one plan swap"
-    );
-    assert!(
-        adaptive_partials < baseline_partials,
-        "adaptive ({adaptive_partials} partial matches) must beat the static \
-         initial plan ({baseline_partials}) after the drift point"
-    );
+    for r in [adaptive, full] {
+        assert!(
+            r.swaps >= 1,
+            "{}: the rate flip must trigger at least one plan swap",
+            r.name
+        );
+        assert!(
+            r.partials < baseline.partials,
+            "{} ({} partial matches) must beat the static initial plan ({}) \
+             after the drift point",
+            r.name,
+            r.partials,
+            baseline.partials
+        );
+    }
     // The partial-match assert above is the deterministic form of the
     // throughput claim; wall-clock timing on a loaded machine can still
     // wobble, so an inversion is reported rather than aborting the run.
-    if post_drift_events >= 500 && adaptive_eps <= baseline_eps {
+    if post_drift_events >= 500 && adaptive.eps <= baseline.eps {
         writeln!(
             out,
-            "WARNING: adaptive ({adaptive_eps:.0} e/s) did not beat the \
-             static initial plan ({baseline_eps:.0} e/s) on wall clock \
-             despite doing less work — likely scheduler noise; rerun"
+            "WARNING: adaptive ({:.0} e/s) did not beat the static initial \
+             plan ({:.0} e/s) on wall clock despite doing less work — likely \
+             scheduler noise; rerun",
+            adaptive.eps, baseline.eps
         )?;
     }
     writeln!(
         out,
         "(identical match vectors asserted; adaptive created {:.1}% of the \
          static-initial partial matches and ran {:.2}x its post-drift \
-         throughput)",
-        100.0 * adaptive_partials as f64 / baseline_partials as f64,
-        adaptive_eps / baseline_eps.max(f64::MIN_POSITIVE)
+         throughput; full-adaptive ran {:.2}x the never-swapped oracle plan)",
+        100.0 * adaptive.partials as f64 / baseline.partials as f64,
+        ratio(adaptive.eps, baseline.eps),
+        ratio(full.eps, oracle_row.eps)
     )?;
     Ok(())
 }
@@ -1132,6 +1176,8 @@ mod tests {
         assert!(s.contains("Adaptive drift"));
         assert!(s.contains("static-initial"));
         assert!(s.contains("static-oracle"));
+        assert!(s.contains("full-adaptive"));
+        assert!(s.contains("vs oracle"));
         assert!(s.contains("identical match vectors asserted"));
     }
 

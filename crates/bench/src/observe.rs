@@ -89,7 +89,7 @@ pub fn run(
 
     // --- Adaptive run: every replan decision and replay window traced. --
     let window_ms = 3_000;
-    let (gen, cp, sels) = drifting_stock_workload(4_000, 12_000, 0xCE9, window_ms);
+    let (gen, _, cp, sels) = drifting_stock_workload(4_000, 12_000, 0xCE9, window_ms);
     // The replanner compiles predicate programs through a traced plan
     // cache: the first build records a miss, every post-swap rebuild a hit,
     // all visible as `plan_cache_lookup` records in the timeline below.

@@ -145,7 +145,7 @@ fn adaptive_drift() -> ScenarioReport {
     use cep_optimizer::{Backend, OrderAlgorithm, Planner};
     timed("adaptive-drift", || {
         let window_ms = 3_000;
-        let (gen, cp, sels) = drifting_stock_workload(5_000, 20_000, 0xCE9, window_ms);
+        let (gen, _, cp, sels) = drifting_stock_workload(5_000, 20_000, 0xCE9, window_ms);
         let replanner = PlanReplanner::new(
             vec![(cp, sels)],
             &gen.initial_stats(),

@@ -10,9 +10,9 @@
 //!   SEQ→AND rewrite of Section 5.1, under pairwise independence).
 
 use crate::compile::CompiledPattern;
+use crate::compiled::{CompiledPair, CompiledPredicate};
 use crate::error::CepError;
 use crate::event::{EventRef, TypeId};
-use crate::predicate::Predicate;
 use std::collections::HashMap;
 
 /// Options controlling the statistics transforms.
@@ -123,101 +123,180 @@ impl MeasuredStats {
 /// striding; the estimate is the fraction of satisfying pairs. Unary
 /// predicates use per-event evaluation. Predicates whose types have no
 /// events default to selectivity 1.0 (no information, per the paper's
-/// `f_{i,j} = 1` convention).
+/// `f_{i,j} = 1` convention). See [`SelectivitySampler`].
 pub fn estimate_selectivities(
     stream: &[EventRef],
     cp: &CompiledPattern,
     max_pairs: usize,
 ) -> Vec<f64> {
-    estimate_selectivities_iter(stream, cp, max_pairs)
+    SelectivitySampler::new(cp, max_pairs)
+        .estimate(stream, 0)
+        .expect("no minimum sample size")
 }
 
-/// Iterator-accepting form of [`estimate_selectivities`], for callers whose
-/// event window is not contiguous in memory (e.g. a sliding-horizon ring
-/// buffer): the events are bucketed by type in one pass without first
-/// copying them into a slice.
-pub fn estimate_selectivities_iter<'a>(
-    events: impl IntoIterator<Item = &'a EventRef>,
-    cp: &CompiledPattern,
+/// How one predicate is sampled: its compiled evaluator and the type
+/// slots of the positions it references.
+#[derive(Debug, Clone)]
+enum Recipe {
+    /// A constant predicate, or one referencing a position without an
+    /// element: no information, selectivity 1.0.
+    Unknown,
+    /// A filter over the events of one type.
+    Unary {
+        slot: usize,
+        pred: CompiledPredicate,
+    },
+    /// A pairwise predicate over events of types `a` × `b`.
+    Pair {
+        a: usize,
+        b: usize,
+        pred: CompiledPair,
+    },
+}
+
+/// The pair sampler behind [`estimate_selectivities`] and the online
+/// selectivity monitor, compiled once per pattern.
+///
+/// Every predicate is lowered at construction to a [`CompiledPredicate`]
+/// (filters) or [`CompiledPair`] (pairwise) evaluator over the type slots
+/// of its positions. An estimate counts the events of each slot in one
+/// pass, then reads the strided sample of each side straight from the
+/// events: a filter evaluates every `max(n / max_pairs, 1)`-th event of
+/// its type; a pairwise predicate crosses every `max(n_a / ⌈√max_pairs⌉, 1)`-th
+/// event of one side with every `max(n_b / ⌈√max_pairs⌉, 1)`-th of the
+/// other, skipping pairs of one event (same `seq`), which cannot bind two
+/// positions.
+#[derive(Debug, Clone)]
+pub struct SelectivitySampler {
+    /// Distinct event types of the pattern (elements and negated
+    /// elements), one slot each.
+    types: Vec<TypeId>,
+    /// One recipe per predicate of the pattern, in predicate order.
+    recipes: Vec<Recipe>,
     max_pairs: usize,
-) -> Vec<f64> {
-    // Collect a bounded sample of events per referenced position's type.
-    let mut by_type: HashMap<TypeId, Vec<&EventRef>> = HashMap::new();
-    for e in events {
-        if cp.uses_type(e.type_id) {
-            by_type.entry(e.type_id).or_default().push(e);
-        }
-    }
-    let pos_type = |pos: usize| -> Option<TypeId> {
-        cp.elements
+}
+
+impl SelectivitySampler {
+    /// Compiles the sampling recipe of every predicate of `cp`;
+    /// `max_pairs` bounds the evaluations per predicate and estimate.
+    pub fn new(cp: &CompiledPattern, max_pairs: usize) -> SelectivitySampler {
+        let mut types: Vec<TypeId> = Vec::new();
+        let positions = cp
+            .elements
             .iter()
-            .find(|e| e.position == pos)
-            .map(|e| e.event_type)
-            .or_else(|| {
-                cp.negated
-                    .iter()
-                    .find(|n| n.position == pos)
-                    .map(|n| n.event_type)
-            })
-    };
-    cp.predicates
-        .iter()
-        .map(|p| estimate_one(p, &pos_type, &by_type, max_pairs))
-        .collect()
-}
-
-fn estimate_one(
-    p: &Predicate,
-    pos_type: &impl Fn(usize) -> Option<TypeId>,
-    by_type: &HashMap<TypeId, Vec<&EventRef>>,
-    max_pairs: usize,
-) -> f64 {
-    let (a, b) = p.position_pair();
-    if a == usize::MAX {
-        return 1.0;
-    }
-    let Some(ta) = pos_type(a) else { return 1.0 };
-    let empty = Vec::new();
-    let eva = by_type.get(&ta).unwrap_or(&empty);
-    if eva.is_empty() {
-        return 1.0;
-    }
-    match b {
-        None => {
-            let step = (eva.len() / max_pairs.max(1)).max(1);
-            let sample: Vec<_> = eva.iter().step_by(step).collect();
-            let hits = sample.iter().filter(|e| p.eval_single(a, e)).count();
-            hits as f64 / sample.len() as f64
+            .map(|e| (e.position, e.event_type))
+            .chain(cp.negated.iter().map(|n| (n.position, n.event_type)));
+        for (_, ty) in positions.clone() {
+            if !types.contains(&ty) {
+                types.push(ty);
+            }
         }
-        Some(b) => {
-            let Some(tb) = pos_type(b) else { return 1.0 };
-            let evb = by_type.get(&tb).unwrap_or(&empty);
-            if evb.is_empty() {
-                return 1.0;
+        let slot_of = |pos: usize| {
+            let ty = positions.clone().find(|&(p, _)| p == pos)?.1;
+            types.iter().position(|&t| t == ty)
+        };
+        let recipes = cp
+            .predicates
+            .iter()
+            .map(|p| match p.position_pair() {
+                (a, _) if a == usize::MAX => Recipe::Unknown,
+                (a, None) => match slot_of(a) {
+                    Some(slot) => Recipe::Unary {
+                        slot,
+                        pred: CompiledPredicate::compile(p, a),
+                    },
+                    None => Recipe::Unknown,
+                },
+                (a, Some(b)) => match (slot_of(a), slot_of(b)) {
+                    (Some(sa), Some(sb)) => Recipe::Pair {
+                        a: sa,
+                        b: sb,
+                        pred: CompiledPair::compile(p, a, b),
+                    },
+                    _ => Recipe::Unknown,
+                },
+            })
+            .collect();
+        SelectivitySampler {
+            types,
+            recipes,
+            max_pairs,
+        }
+    }
+
+    /// Whether the pattern references events of type `ty` (as an element
+    /// or a negated element).
+    pub fn uses_type(&self, ty: TypeId) -> bool {
+        self.types.contains(&ty)
+    }
+
+    /// Per-predicate selectivity estimates over `events` (in stream
+    /// order), or `None` when fewer than `min_relevant` of them have a
+    /// type the pattern uses. Predicates whose types have no events
+    /// default to 1.0.
+    pub fn estimate<'a, I>(&self, events: I, min_relevant: usize) -> Option<Vec<f64>>
+    where
+        I: IntoIterator<Item = &'a EventRef>,
+        I::IntoIter: Clone,
+    {
+        let events = events.into_iter();
+        let mut counts = vec![0usize; self.types.len()];
+        for e in events.clone() {
+            if let Some(slot) = self.types.iter().position(|&t| t == e.type_id) {
+                counts[slot] += 1;
             }
-            // Stride both sides so the pair count stays near max_pairs.
-            let budget = (max_pairs as f64).sqrt().ceil() as usize;
-            let sa = (eva.len() / budget.max(1)).max(1);
-            let sb = (evb.len() / budget.max(1)).max(1);
-            let mut total = 0usize;
-            let mut hits = 0usize;
-            for ea in eva.iter().step_by(sa) {
-                for eb in evb.iter().step_by(sb) {
-                    if ea.seq == eb.seq {
-                        continue; // same event cannot bind two positions
-                    }
-                    total += 1;
-                    if p.eval_pair(a, ea, b, eb) {
-                        hits += 1;
-                    }
+        }
+        if counts.iter().sum::<usize>() < min_relevant {
+            return None;
+        }
+        // The events of one slot, every `step`-th one.
+        let strided = |slot: usize, step: usize| {
+            let ty = self.types[slot];
+            events
+                .clone()
+                .filter(move |e| e.type_id == ty)
+                .step_by(step)
+        };
+        let estimates = self.recipes.iter().map(|recipe| match recipe {
+            Recipe::Unknown => 1.0,
+            Recipe::Unary { slot, pred } => {
+                let n = counts[*slot];
+                if n == 0 {
+                    return 1.0;
                 }
-            }
-            if total == 0 {
-                1.0
-            } else {
+                let (mut total, mut hits) = (0usize, 0usize);
+                for e in strided(*slot, (n / self.max_pairs.max(1)).max(1)) {
+                    total += 1;
+                    hits += usize::from(pred.eval(e));
+                }
                 hits as f64 / total as f64
             }
-        }
+            Recipe::Pair { a, b, pred } => {
+                let (na, nb) = (counts[*a], counts[*b]);
+                if na == 0 || nb == 0 {
+                    return 1.0;
+                }
+                // Stride both sides so the pair count stays near max_pairs.
+                let budget = ((self.max_pairs as f64).sqrt().ceil() as usize).max(1);
+                let side_b: Vec<&EventRef> = strided(*b, (nb / budget).max(1)).collect();
+                let (mut total, mut hits) = (0usize, 0usize);
+                for ea in strided(*a, (na / budget).max(1)) {
+                    for eb in &side_b {
+                        if ea.seq == eb.seq {
+                            continue; // same event cannot bind two positions
+                        }
+                        total += 1;
+                        hits += usize::from(pred.eval(ea, eb));
+                    }
+                }
+                if total == 0 {
+                    1.0
+                } else {
+                    hits as f64 / total as f64
+                }
+            }
+        });
+        Some(estimates.collect())
     }
 }
 
@@ -406,8 +485,9 @@ mod tests {
     use super::*;
     use crate::event::Event;
     use crate::pattern::PatternBuilder;
-    use crate::predicate::CmpOp;
+    use crate::predicate::{CmpOp, Operand, Predicate};
     use crate::value::Value;
+    use proptest::prelude::*;
 
     fn t(i: u32) -> TypeId {
         TypeId(i)
@@ -686,5 +766,205 @@ mod tests {
         assert!(!st.explicit_pair[1][2]); // only temporal
         assert!((st.sel[1][2] - 0.5).abs() < 1e-12);
         assert!((st.sel[0][1] - 0.15).abs() < 1e-12);
+    }
+
+    /// The interpreted sampler [`SelectivitySampler`] replaced, kept as the
+    /// reference it must reproduce bit for bit: events bucketed by type,
+    /// every predicate evaluated through [`Predicate::eval_pair`] /
+    /// [`Predicate::eval_single`].
+    fn interpreted_estimates(
+        events: &[EventRef],
+        cp: &CompiledPattern,
+        max_pairs: usize,
+    ) -> Vec<f64> {
+        let mut by_type: HashMap<TypeId, Vec<&EventRef>> = HashMap::new();
+        for e in events {
+            if cp.uses_type(e.type_id) {
+                by_type.entry(e.type_id).or_default().push(e);
+            }
+        }
+        let pos_type = |pos: usize| {
+            cp.elements
+                .iter()
+                .find(|e| e.position == pos)
+                .map(|e| e.event_type)
+                .or_else(|| {
+                    cp.negated
+                        .iter()
+                        .find(|n| n.position == pos)
+                        .map(|n| n.event_type)
+                })
+        };
+        let empty = Vec::new();
+        let of = |ty: TypeId| by_type.get(&ty).unwrap_or(&empty);
+        cp.predicates
+            .iter()
+            .map(|p| {
+                let (a, b) = p.position_pair();
+                if a == usize::MAX {
+                    return 1.0;
+                }
+                let Some(ta) = pos_type(a) else { return 1.0 };
+                let eva = of(ta);
+                if eva.is_empty() {
+                    return 1.0;
+                }
+                let Some(b) = b else {
+                    let step = (eva.len() / max_pairs.max(1)).max(1);
+                    let sample: Vec<_> = eva.iter().step_by(step).collect();
+                    let hits = sample.iter().filter(|e| p.eval_single(a, e)).count();
+                    return hits as f64 / sample.len() as f64;
+                };
+                let Some(tb) = pos_type(b) else { return 1.0 };
+                let evb = of(tb);
+                if evb.is_empty() {
+                    return 1.0;
+                }
+                let budget = (max_pairs as f64).sqrt().ceil() as usize;
+                let sa = (eva.len() / budget.max(1)).max(1);
+                let sb = (evb.len() / budget.max(1)).max(1);
+                let (mut total, mut hits) = (0usize, 0usize);
+                for ea in eva.iter().step_by(sa) {
+                    for eb in evb.iter().step_by(sb) {
+                        if ea.seq == eb.seq {
+                            continue;
+                        }
+                        total += 1;
+                        if p.eval_pair(a, ea, b, eb) {
+                            hits += 1;
+                        }
+                    }
+                }
+                if total == 0 {
+                    1.0
+                } else {
+                    hits as f64 / total as f64
+                }
+            })
+            .collect()
+    }
+
+    /// A deterministic draw source for the sampler property (the vendored
+    /// proptest has no composite strategies).
+    struct Draw(u64);
+
+    impl Draw {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self
+                .0
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (self.0 >> 33) % n
+        }
+
+        /// Values that stress the comparison rules: NaN, signed zeros,
+        /// `Int` vs `Float` across 2^53, strings and booleans.
+        fn value(&mut self) -> Value {
+            match self.below(12) {
+                0 => Value::Float(f64::NAN),
+                1 => Value::Float(-0.0),
+                2 => Value::Float(0.0),
+                3 => Value::Int(0),
+                4 => Value::Int((1 << 53) + 1),
+                5 => Value::Float((1u64 << 53) as f64),
+                6 => Value::from("a"),
+                7 => Value::from("b"),
+                8 => Value::Bool(self.below(2) == 0),
+                9 => Value::Int(self.below(5) as i64 - 2),
+                10 => Value::Float(self.below(5) as f64 - 1.5),
+                _ => Value::Int(self.below(3) as i64),
+            }
+        }
+
+        /// An operand over `positions`: an attribute (index 3 is never
+        /// present), a timestamp, or a constant.
+        fn operand(&mut self, positions: &[usize]) -> Operand {
+            let position = positions[self.below(positions.len() as u64) as usize];
+            match self.below(5) {
+                0 => Operand::Ts { position },
+                1 => Operand::Const(self.value()),
+                _ => Operand::Attr {
+                    position,
+                    attr: self.below(4) as usize,
+                },
+            }
+        }
+
+        fn op(&mut self) -> CmpOp {
+            [
+                CmpOp::Lt,
+                CmpOp::Le,
+                CmpOp::Eq,
+                CmpOp::Ne,
+                CmpOp::Ge,
+                CmpOp::Gt,
+            ][self.below(6) as usize]
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The compiled sampler reproduces the interpreted one bit for bit
+        /// (`f64::to_bits`) over patterns with filters, pairwise, constant
+        /// and timestamp predicates, negated positions and one type at two
+        /// positions, on streams with missing attributes and mixed value
+        /// kinds, for pair budgets 0, 1, 7 and 512.
+        #[test]
+        fn compiled_sampler_matches_interpreted_reference(
+            seed in any::<u64>(),
+            budget_idx in 0usize..4,
+            len in 0usize..160,
+        ) {
+            let max_pairs = [0usize, 1, 7, 512][budget_idx];
+            let mut d = Draw(seed);
+            let mut b = PatternBuilder::new(10);
+            let positives = 2 + d.below(3) as usize;
+            let mut exprs: Vec<_> = (0..positives)
+                .map(|i| {
+                    let ev = b.event(t(d.below(3) as u32), &format!("e{i}"));
+                    b.expr(ev)
+                })
+                .collect();
+            if d.below(2) == 0 {
+                let n = b.event(t(d.below(4) as u32), "n");
+                let at = d.below(exprs.len() as u64 + 1) as usize;
+                exprs.insert(at, b.not(n));
+            }
+            let positions: Vec<usize> = (0..exprs.len()).collect();
+            for _ in 0..1 + d.below(5) {
+                let left = d.operand(&positions);
+                let right = d.operand(&positions);
+                let op = d.op();
+                b.predicate(Predicate { left, op, right });
+            }
+            let pattern = if d.below(2) == 0 {
+                b.seq_exprs(exprs)
+            } else {
+                b.and_exprs(exprs)
+            }
+            .unwrap();
+            let cp = CompiledPattern::compile_single(&pattern).unwrap();
+            let mut sb = crate::stream::StreamBuilder::new();
+            let mut ts = 0u64;
+            for _ in 0..len {
+                ts += d.below(3);
+                let attrs = (0..d.below(4)).map(|_| d.value()).collect();
+                sb.push(Event::new(t(d.below(5) as u32), ts, attrs));
+            }
+            let events = sb.build();
+            let sampler = SelectivitySampler::new(&cp, max_pairs);
+            let got = sampler.estimate(&events, 0).unwrap();
+            let want = interpreted_estimates(&events, &cp, max_pairs);
+            prop_assert_eq!(
+                got.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
+                want.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
+                "{} over {} events", pattern, events.len()
+            );
+            // The minimum sample size counts events of the pattern's types.
+            let relevant = events.iter().filter(|e| cp.uses_type(e.type_id)).count();
+            prop_assert!(sampler.estimate(&events, relevant).is_some());
+            prop_assert!(sampler.estimate(&events, relevant + 1).is_none());
+        }
     }
 }

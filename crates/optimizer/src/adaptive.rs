@@ -7,29 +7,152 @@
 //! over a sliding horizon; callers re-plan when [`StatsMonitor::drifted`]
 //! fires (see the `adaptive_replanning` example in the repository root).
 //!
+//! The monitor keeps the events themselves in an [`EventWindow`], which it
+//! can be asked to keep for longer than its horizon
+//! ([`StatsMonitor::retaining`]): an adaptive engine reads its replay
+//! window and its selectivity sample from that one buffer.
+//!
 //! Rates are only half of the cost model, though: plan choice is equally
 //! driven by predicate *selectivities*, and a stream whose correlations
 //! shift while its rates stay flat leaves `StatsMonitor` blind.
-//! [`SelectivityMonitor`] covers that axis — it retains the pattern's
-//! relevant events over the same kind of sliding horizon, re-estimates
-//! per-predicate pass rates by pair sampling
-//! ([`cep_core::stats::estimate_selectivities`]), and reports drift
+//! [`SelectivityMonitor`] covers that axis — it re-estimates per-predicate
+//! pass rates by pair sampling over the last horizon of an [`EventWindow`]
+//! (with [`cep_core::stats::SelectivitySampler`], the sampler of the
+//! offline [`cep_core::stats::estimate_selectivities`]), and reports drift
 //! against the selectivities the active plan was built with.
 
 use cep_core::compile::CompiledPattern;
 use cep_core::event::{EventRef, Timestamp, TypeId};
-use cep_core::stats::estimate_selectivities_iter;
+use cep_core::stats::SelectivitySampler;
+use std::collections::vec_deque::{Drain, Iter};
 use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// The events of the last `span_ms` of a ts-ordered stream, in arrival
+/// order: every event with `ts ≥ watermark − span_ms`, where the watermark
+/// is the largest timestamp pushed so far.
+///
+/// Events are addressed by *stream index* (the number of events pushed
+/// before them), which stays valid while the front is evicted.
+#[derive(Debug, Clone)]
+pub struct EventWindow {
+    events: VecDeque<EventRef>,
+    span_ms: u64,
+    watermark: Timestamp,
+    /// Stream index of `events[0]`: the number of events evicted so far.
+    first: u64,
+}
+
+impl EventWindow {
+    /// An empty window keeping `span_ms` of history.
+    pub fn new(span_ms: u64) -> EventWindow {
+        EventWindow {
+            events: VecDeque::new(),
+            span_ms,
+            watermark: 0,
+            first: 0,
+        }
+    }
+
+    /// Appends `e` and evicts the events that fell out of the span, which
+    /// the returned drain yields oldest first (dropping it discards them).
+    pub fn push(&mut self, e: &EventRef) -> Drain<'_, EventRef> {
+        self.append(e);
+        self.evict(u64::MAX)
+    }
+
+    fn append(&mut self, e: &EventRef) {
+        self.watermark = self.watermark.max(e.ts);
+        self.events.push_back(EventRef::clone(e));
+    }
+
+    /// Evicts leading events older than the span, but none at or after
+    /// stream index `before`.
+    fn evict(&mut self, before: u64) -> Drain<'_, EventRef> {
+        let from = self.watermark.saturating_sub(self.span_ms);
+        let n = self
+            .events
+            .iter()
+            .zip(self.first..before)
+            .take_while(|(e, _)| e.ts < from)
+            .count();
+        self.first += n as u64;
+        self.events.drain(..n)
+    }
+
+    /// The largest timestamp pushed so far (0 before the first push).
+    pub fn watermark(&self) -> Timestamp {
+        self.watermark
+    }
+
+    /// Stream index of the oldest held event.
+    pub fn first_index(&self) -> u64 {
+        self.first
+    }
+
+    /// Events ever pushed: the stream index the next push gets. Every push
+    /// changes it, so it stamps the window's contents.
+    pub fn pushed(&self) -> u64 {
+        self.first + self.events.len() as u64
+    }
+
+    /// The event at stream index `index`, if still held.
+    pub fn get(&self, index: u64) -> Option<&EventRef> {
+        let i = index.checked_sub(self.first)?;
+        self.events.get(usize::try_from(i).ok()?)
+    }
+
+    /// Held events, oldest first.
+    pub fn iter(&self) -> Iter<'_, EventRef> {
+        self.events.iter()
+    }
+
+    /// Held events with `ts ≥ from`: a suffix, because the window is
+    /// ts-ordered.
+    pub fn since(&self, from: Timestamp) -> Iter<'_, EventRef> {
+        let start = self.events.partition_point(|e| e.ts < from);
+        self.events.range(start..)
+    }
+}
+
+/// Multiplicative (Fibonacci) hashing of a [`TypeId`]: one multiply per
+/// lookup instead of SipHash rounds, for the per-event count update. Type
+/// ids are catalog indices the program assigns, not keys an outside party
+/// picks, so the map needs no collision-attack resistance.
+#[derive(Default)]
+struct TypeIdHasher(u64);
+
+impl Hasher for TypeIdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0.rotate_left(8) ^ u64::from(b)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.0 = u64::from(n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+}
 
 /// Sliding-horizon arrival-rate monitor with drift detection.
+///
+/// The events themselves live in the monitor's [`EventWindow`]; the rate
+/// counts cover its last `horizon_ms`, from a cursor that advances as the
+/// watermark does.
 #[derive(Debug, Clone)]
 pub struct StatsMonitor {
     horizon_ms: u64,
     threshold: f64,
-    events: VecDeque<(TypeId, Timestamp)>,
-    counts: HashMap<TypeId, u64>,
+    window: EventWindow,
+    /// Stream index of the first event inside the horizon.
+    horizon_start: u64,
+    /// Events per type inside the horizon; types at zero are removed.
+    counts: HashMap<TypeId, u64, BuildHasherDefault<TypeIdHasher>>,
     baseline: HashMap<TypeId, f64>,
-    watermark: Timestamp,
 }
 
 impl StatsMonitor {
@@ -41,41 +164,55 @@ impl StatsMonitor {
         StatsMonitor {
             horizon_ms,
             threshold,
-            events: VecDeque::new(),
-            counts: HashMap::new(),
+            window: EventWindow::new(horizon_ms),
+            horizon_start: 0,
+            counts: HashMap::default(),
             baseline: HashMap::new(),
-            watermark: 0,
         }
     }
 
-    /// Feeds one stream event.
-    pub fn observe(&mut self, e: &EventRef) {
-        self.watermark = self.watermark.max(e.ts);
-        self.events.push_back((e.type_id, e.ts));
+    /// Keeps `span_ms` of events in [`Self::window`] (never less than the
+    /// horizon), for callers that read more history than the rates do.
+    pub fn retaining(mut self, span_ms: u64) -> StatsMonitor {
+        self.window.span_ms = span_ms.max(self.horizon_ms);
+        self
+    }
+
+    /// Feeds one stream event. Returns the events that left the window,
+    /// oldest first.
+    pub fn observe(&mut self, e: &EventRef) -> Drain<'_, EventRef> {
+        self.window.append(e);
         *self.counts.entry(e.type_id).or_insert(0) += 1;
-        let horizon_start = self.watermark.saturating_sub(self.horizon_ms);
-        while let Some(&(ty, ts)) = self.events.front() {
-            if ts < horizon_start {
-                self.events.pop_front();
-                // Drop entries that reach zero so `counts` only holds types
-                // alive inside the horizon: `rates()` / `drifted()` stay
-                // proportional to the live type set instead of scanning
-                // every type id ever observed.
-                if let Some(c) = self.counts.get_mut(&ty) {
-                    *c -= 1;
-                    if *c == 0 {
-                        self.counts.remove(&ty);
-                    }
+        let horizon_from = self.window.watermark.saturating_sub(self.horizon_ms);
+        while let Some(old) = self
+            .window
+            .get(self.horizon_start)
+            .filter(|old| old.ts < horizon_from)
+        {
+            // Drop entries that reach zero so `counts` only holds types
+            // alive inside the horizon: `rates()` / `drifted()` stay
+            // proportional to the live type set instead of scanning every
+            // type id ever observed.
+            if let Some(c) = self.counts.get_mut(&old.type_id) {
+                *c -= 1;
+                if *c == 0 {
+                    self.counts.remove(&old.type_id);
                 }
-            } else {
-                break;
             }
+            self.horizon_start += 1;
         }
+        self.window.evict(self.horizon_start)
+    }
+
+    /// The retained events: the horizon, or the longer span set by
+    /// [`Self::retaining`].
+    pub fn window(&self) -> &EventWindow {
+        &self.window
     }
 
     /// Current rate estimate for a type, in events per millisecond.
     pub fn rate(&self, ty: TypeId) -> f64 {
-        let span = self.horizon_ms.min(self.watermark.max(1)).max(1) as f64;
+        let span = self.horizon_ms.min(self.window.watermark.max(1)).max(1) as f64;
         *self.counts.get(&ty).unwrap_or(&0) as f64 / span
     }
 
@@ -152,23 +289,20 @@ const DEFAULT_MIN_EVENTS: usize = 64;
 /// Sliding-horizon predicate-selectivity monitor with drift detection —
 /// the selectivity sibling of [`StatsMonitor`].
 ///
-/// The monitor retains the last `horizon_ms` of events whose types the
-/// pattern references and estimates each predicate's selectivity by
-/// striding sampled event pairs through it, exactly like the offline
+/// The monitor holds no events: it estimates each predicate's selectivity
+/// from the last `horizon_ms` of an [`EventWindow`] the caller keeps,
+/// striding sampled event pairs through it with the same
+/// [`SelectivitySampler`] as the offline
 /// [`cep_core::stats::estimate_selectivities`] bootstrap. Its baseline
-/// starts as the
-/// selectivities the initial plan was built with, so drift is always
-/// "relative to what the active plan assumes".
+/// starts as the selectivities the initial plan was built with, so drift
+/// is always "relative to what the active plan assumes".
 #[derive(Debug, Clone)]
 pub struct SelectivityMonitor {
-    cp: CompiledPattern,
+    sampler: SelectivitySampler,
     horizon_ms: u64,
     threshold: f64,
-    max_pairs: usize,
     min_events: usize,
-    buffer: VecDeque<EventRef>,
     baseline: Vec<f64>,
-    watermark: Timestamp,
     samples: u64,
 }
 
@@ -193,45 +327,48 @@ impl SelectivityMonitor {
             "one baseline selectivity per predicate"
         );
         SelectivityMonitor {
-            cp,
+            sampler: SelectivitySampler::new(&cp, max_pairs.max(1)),
             horizon_ms,
             threshold,
-            max_pairs: max_pairs.max(1),
             min_events: DEFAULT_MIN_EVENTS,
-            buffer: VecDeque::new(),
             baseline: initial,
-            watermark: 0,
             samples: 0,
         }
     }
 
-    /// Overrides the minimum number of retained relevant events before
-    /// [`Self::drifted`] may fire (default 64). Tests use small values.
+    /// Overrides the minimum number of relevant events inside the horizon
+    /// before [`Self::estimates`] are produced and [`Self::drifted`] may
+    /// fire (default 64). Tests use small values.
     pub fn with_min_events(mut self, min_events: usize) -> SelectivityMonitor {
         self.min_events = min_events;
         self
     }
 
-    /// Feeds one stream event; events of types the pattern does not
-    /// reference are ignored (and not counted as samples).
+    /// How much history, in stream milliseconds, the monitor reads from a
+    /// window.
+    pub fn horizon_ms(&self) -> u64 {
+        self.horizon_ms
+    }
+
+    /// Counts one stream event as a sample when the pattern references its
+    /// type.
     pub fn observe(&mut self, e: &EventRef) {
-        self.watermark = self.watermark.max(e.ts);
-        if self.cp.uses_type(e.type_id) {
-            self.buffer.push_back(e.clone());
+        if self.sampler.uses_type(e.type_id) {
             self.samples += 1;
-        }
-        let horizon_start = self.watermark.saturating_sub(self.horizon_ms);
-        while self.buffer.front().is_some_and(|e| e.ts < horizon_start) {
-            self.buffer.pop_front();
         }
     }
 
-    /// Fresh per-predicate selectivity estimates over the retained
-    /// horizon. Predicates whose types have no retained events default to
-    /// 1.0, mirroring the offline estimator. One bucketing pass over the
-    /// ring buffer, no copy, up to `max_pairs` predicate evaluations.
-    pub fn estimates(&self) -> Vec<f64> {
-        estimate_selectivities_iter(self.buffer.iter(), &self.cp, self.max_pairs)
+    /// The events of `window` inside the horizon.
+    fn horizon<'a>(&self, window: &'a EventWindow) -> Iter<'a, EventRef> {
+        window.since(window.watermark().saturating_sub(self.horizon_ms))
+    }
+
+    /// Fresh per-predicate selectivity estimates over the horizon of
+    /// `window`, or `None` before the monitor is
+    /// [warmed up](Self::warmed_up). Predicates whose types have no events
+    /// there default to 1.0, mirroring the offline estimator.
+    pub fn estimates(&self, window: &EventWindow) -> Option<Vec<f64>> {
+        self.sampler.estimate(self.horizon(window), self.min_events)
     }
 
     /// The baseline selectivities the active plan was built with.
@@ -239,27 +376,32 @@ impl SelectivityMonitor {
         &self.baseline
     }
 
-    /// Total relevant events ever absorbed (the `selectivity_samples`
+    /// Total relevant events ever observed (the `selectivity_samples`
     /// metric of adaptive wrappers).
     pub fn samples(&self) -> u64 {
         self.samples
     }
 
-    /// Events currently retained inside the horizon.
-    pub fn retained_len(&self) -> usize {
-        self.buffer.len()
+    /// Relevant events of `window` inside the horizon.
+    pub fn retained_len(&self, window: &EventWindow) -> usize {
+        self.horizon(window)
+            .filter(|e| self.sampler.uses_type(e.type_id))
+            .count()
     }
 
-    /// Whether enough evidence has accumulated for [`Self::drifted`] and
-    /// [`Self::estimates`] to be meaningful.
-    pub fn warmed_up(&self) -> bool {
-        self.buffer.len() >= self.min_events
+    /// Whether enough evidence has accumulated in `window` for
+    /// [`Self::drifted`] and [`Self::estimates`] to be meaningful.
+    pub fn warmed_up(&self, window: &EventWindow) -> bool {
+        self.retained_len(window) >= self.min_events
     }
 
-    /// Adopts the current estimates as the new baseline (call after a
-    /// replan) and returns them.
-    pub fn rebaseline(&mut self) -> Vec<f64> {
-        let fresh = self.estimates();
+    /// Adopts estimates over `window` as the new baseline, warmed up or
+    /// not, and returns them.
+    pub fn rebaseline(&mut self, window: &EventWindow) -> Vec<f64> {
+        let fresh = self
+            .sampler
+            .estimate(self.horizon(window), 0)
+            .expect("no minimum sample size");
         self.set_baseline(fresh.clone());
         fresh
     }
@@ -270,24 +412,29 @@ impl SelectivityMonitor {
     pub fn set_baseline(&mut self, sels: Vec<f64>) {
         assert_eq!(
             sels.len(),
-            self.cp.predicates.len(),
+            self.baseline.len(),
             "one baseline selectivity per predicate"
         );
         self.baseline = sels;
     }
 
-    /// Whether any predicate's estimated selectivity deviates from the
-    /// baseline by more than the threshold, relative to
-    /// `max(baseline, 0.05)`. Always `false` before the monitor is
-    /// [warmed up](Self::warmed_up), and for patterns without predicates.
-    pub fn drifted(&self) -> bool {
-        if !self.warmed_up() || self.baseline.is_empty() {
-            return false;
-        }
-        self.estimates()
+    /// Whether any of `estimates` deviates from the baseline by more than
+    /// the threshold, relative to `max(baseline, 0.05)`.
+    pub fn deviates(&self, estimates: &[f64]) -> bool {
+        estimates
             .iter()
             .zip(&self.baseline)
             .any(|(&now, &base)| (now - base).abs() / base.max(SELECTIVITY_FLOOR) > self.threshold)
+    }
+
+    /// Whether the estimates over `window` [deviate](Self::deviates) from
+    /// the baseline. Always `false` before the monitor is
+    /// [warmed up](Self::warmed_up), and for patterns without predicates.
+    pub fn drifted(&self, window: &EventWindow) -> bool {
+        !self.baseline.is_empty()
+            && self
+                .estimates(window)
+                .is_some_and(|fresh| self.deviates(&fresh))
     }
 }
 
@@ -439,11 +586,17 @@ mod tests {
         Arc::new(e)
     }
 
+    /// Feeds one event to the monitor and the window it samples.
+    fn observe(m: &mut SelectivityMonitor, w: &mut EventWindow, e: EventRef) {
+        m.observe(&e);
+        w.push(&e);
+    }
+
     /// Interleaved T0/T1 events with the given attribute values.
-    fn feed(m: &mut SelectivityMonitor, ts0: u64, n: u64, x_a: i64, x_b: i64) {
+    fn feed(m: &mut SelectivityMonitor, w: &mut EventWindow, ts0: u64, n: u64, x_a: i64, x_b: i64) {
         for i in 0..n {
-            m.observe(&vev(0, ts0 + 2 * i, x_a));
-            m.observe(&vev(1, ts0 + 2 * i + 1, x_b));
+            observe(m, w, vev(0, ts0 + 2 * i, x_a));
+            observe(m, w, vev(1, ts0 + 2 * i + 1, x_b));
         }
     }
 
@@ -452,36 +605,38 @@ mod tests {
         let cp = lt_pattern();
         // Baseline: the predicate always passes (a.x=1 < b.x=2).
         let mut m = SelectivityMonitor::new(cp, vec![1.0], 500, 0.5, 256).with_min_events(16);
-        feed(&mut m, 0, 100, 1, 2);
-        assert!(m.warmed_up());
-        let est = m.estimates();
+        let mut w = EventWindow::new(500);
+        feed(&mut m, &mut w, 0, 100, 1, 2);
+        assert!(m.warmed_up(&w));
+        let est = m.estimates(&w).unwrap();
         assert!((est[0] - 1.0).abs() < 1e-9, "estimated {est:?}");
-        assert!(!m.drifted(), "estimates match the baseline");
+        assert!(!m.drifted(&w), "estimates match the baseline");
         // Correlation flips while both rates stay identical: the predicate
         // now never passes, which must register as drift.
-        feed(&mut m, 1_000, 100, 3, 2);
-        assert!((m.estimates()[0]).abs() < 1e-9);
-        assert!(m.drifted(), "pass-rate collapse must count as drift");
-        let adopted = m.rebaseline();
+        feed(&mut m, &mut w, 1_000, 100, 3, 2);
+        assert!((m.estimates(&w).unwrap()[0]).abs() < 1e-9);
+        assert!(m.drifted(&w), "pass-rate collapse must count as drift");
+        let adopted = m.rebaseline(&w);
         assert!((adopted[0]).abs() < 1e-9);
-        assert!(!m.drifted(), "rebaseline adopts the new correlation");
+        assert!(!m.drifted(&w), "rebaseline adopts the new correlation");
     }
 
     #[test]
     fn selectivity_monitor_is_horizon_bounded_and_counts_samples() {
         let cp = lt_pattern();
         let mut m = SelectivityMonitor::new(cp, vec![0.5], 100, 0.5, 64).with_min_events(8);
-        feed(&mut m, 0, 50, 1, 2);
+        let mut w = EventWindow::new(100);
+        feed(&mut m, &mut w, 0, 50, 1, 2);
         // Irrelevant types are ignored entirely.
-        m.observe(&vev(7, 99, 0));
+        observe(&mut m, &mut w, vev(7, 99, 0));
         assert_eq!(m.samples(), 100);
         // Events slide out with the horizon: retained length is bounded.
-        feed(&mut m, 10_000, 30, 1, 2);
+        feed(&mut m, &mut w, 10_000, 30, 1, 2);
         assert_eq!(m.samples(), 160);
         assert!(
-            m.retained_len() <= 102,
+            m.retained_len(&w) <= 102,
             "horizon must bound the buffer, got {}",
-            m.retained_len()
+            m.retained_len(&w)
         );
     }
 
@@ -490,17 +645,19 @@ mod tests {
         let cp = lt_pattern();
         // Far from warmed up: even a flagrant mismatch must not fire.
         let mut m = SelectivityMonitor::new(cp, vec![1.0], 500, 0.5, 64).with_min_events(1_000);
-        feed(&mut m, 0, 20, 3, 2);
-        assert!(!m.drifted(), "below min_events the monitor stays quiet");
+        let mut w = EventWindow::new(500);
+        feed(&mut m, &mut w, 0, 20, 3, 2);
+        assert!(!m.drifted(&w), "below min_events the monitor stays quiet");
         // A predicate-free pattern has nothing to drift on.
         let mut b = PatternBuilder::new(100);
         let a = b.event(TypeId(0), "a");
         let c = b.event(TypeId(1), "b");
         let plain = CompiledPattern::compile_single(&b.seq([a, c]).unwrap()).unwrap();
         let mut m = SelectivityMonitor::new(plain, vec![], 500, 0.5, 64).with_min_events(1);
-        feed(&mut m, 0, 20, 1, 2);
-        assert!(!m.drifted());
-        assert!(m.estimates().is_empty());
+        let mut w = EventWindow::new(500);
+        feed(&mut m, &mut w, 0, 20, 1, 2);
+        assert!(!m.drifted(&w));
+        assert!(m.estimates(&w).unwrap().is_empty());
     }
 
     #[test]

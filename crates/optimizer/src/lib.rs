@@ -164,6 +164,6 @@ impl fmt::Display for Backend {
     }
 }
 
-pub use adaptive::{SelectivityMonitor, StatsMonitor};
+pub use adaptive::{EventWindow, SelectivityMonitor, StatsMonitor};
 pub use planner::{LatencyAnchor, Planner, PlannerConfig, DELTA_HAS_NO_PLAN};
 pub use profiler::OutputProfiler;

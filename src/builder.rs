@@ -141,7 +141,9 @@ impl<'a> EngineBuilder<'a> {
 
     /// [`adaptive`](EngineBuilder::adaptive) plus online selectivity
     /// re-estimation: correlation drift that leaves arrival rates flat —
-    /// invisible to the rate-only monitor — still triggers a replan.
+    /// invisible to the rate-only monitor — still triggers a replan. The
+    /// selectivities are sampled over the rate horizon of the wrapper's
+    /// own event window, so monitoring adds no buffer.
     pub fn full_adaptive(mut self, adaptive: cep_adaptive::AdaptiveConfig) -> Self {
         self.adaptive = Some((adaptive, true));
         self

@@ -111,7 +111,9 @@ pub mod prelude {
     pub use cep_nfa::NfaEngine;
     pub use cep_obs::{RingSink, TraceSink};
     pub use cep_optimizer::planner::{LatencyAnchor, Planner, PlannerConfig};
-    pub use cep_optimizer::{OrderAlgorithm, SelectivityMonitor, StatsMonitor, TreeAlgorithm};
+    pub use cep_optimizer::{
+        EventWindow, OrderAlgorithm, SelectivityMonitor, StatsMonitor, TreeAlgorithm,
+    };
     pub use cep_sase::{parse_pattern, pretty_pattern};
     pub use cep_shard::{
         MultiQueryRunResult, RouteTarget, RoutingPolicy, ShardConfig, ShardedRuntime,
