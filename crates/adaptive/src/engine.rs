@@ -8,13 +8,13 @@ use cep_core::selection::ConsumedSet;
 use cep_core::stats::MeasuredStats;
 use cep_obs::{TraceRecord, Tracer};
 use cep_optimizer::{EventWindow, StatsMonitor};
+use std::cell::OnceCell;
 use std::collections::VecDeque;
 use std::time::Instant;
 
-/// How often (in processed events) the aggregate metrics view is rebuilt
-/// from the active engine; keeps the per-event hot path free of the
-/// 17-field rebuild (the view is always refreshed at swap and flush).
-const REFRESH_EVERY: u64 = 64;
+/// How often (in processed events) consumption marks older than the
+/// window are pruned.
+const PRUNE_EVERY: u64 = 64;
 
 /// Knobs of the detect → replan → swap loop.
 #[derive(Debug, Clone)]
@@ -357,9 +357,14 @@ pub struct AdaptiveEngine<R: Replanner> {
     cfg: AdaptiveConfig,
     /// Combined counters of engines retired by past swaps.
     retired: EngineMetrics,
-    /// Aggregate metrics presented to callers; also stores this wrapper's
-    /// own counters (events, emissions, swap/replay accounting, timing).
-    metrics: EngineMetrics,
+    /// This wrapper's own counters (events, emissions, swap/replay
+    /// accounting, the retained window) plus whatever the harness records
+    /// through [`metrics_mut`](Engine::metrics_mut) (wall time,
+    /// histograms).
+    own: EngineMetrics,
+    /// The aggregate view [`metrics`](Engine::metrics) returns, folded on
+    /// first read after any change.
+    view: OnceCell<EngineMetrics>,
     events_since_swap: u64,
     /// Trace destination for replan decisions and replay windows; the
     /// disabled default costs one branch per decision point.
@@ -391,7 +396,8 @@ impl<R: Replanner> AdaptiveEngine<R> {
             window,
             cfg,
             retired: EngineMetrics::new(),
-            metrics: EngineMetrics::new(),
+            own: EngineMetrics::new(),
+            view: OnceCell::new(),
             events_since_swap,
             tracer: Tracer::disabled(),
         }
@@ -413,7 +419,7 @@ impl<R: Replanner> AdaptiveEngine<R> {
 
     /// Plan swaps performed so far.
     pub fn swaps(&self) -> u64 {
-        self.metrics.plan_swaps
+        self.own.plan_swaps
     }
 
     /// Events currently held in the retained replay window.
@@ -457,65 +463,37 @@ impl<R: Replanner> AdaptiveEngine<R> {
         for m in &out[start..] {
             self.replanner.observe_match(m);
         }
-        self.metrics.matches_emitted += (out.len() - start) as u64;
+        self.own.matches_emitted += (out.len() - start) as u64;
     }
 
-    /// Folds a retired engine's counters into the sequential accumulator:
-    /// work counters add; live-state peaks take the maximum, because
-    /// retired engines and the active one run one after another on the
-    /// same thread (their peaks never coexist).
+    /// Folds a swapped-out engine into the retired accumulator. Retired
+    /// engines and the active one run one after another on the same
+    /// thread, so they merge like sequential shards: counters add, peaks
+    /// take the maximum (they never coexist), and a gone engine's live
+    /// gauges count as 0.
     fn retire(&mut self, m: &EngineMetrics) {
-        self.retired.events_relevant += m.events_relevant;
-        self.retired.partial_matches_created += m.partial_matches_created;
-        self.retired.predicate_evaluations += m.predicate_evaluations;
-        self.retired.peak_partial_matches = self
-            .retired
-            .peak_partial_matches
-            .max(m.peak_partial_matches);
-        self.retired.peak_buffered_events = self
-            .retired
-            .peak_buffered_events
-            .max(m.peak_buffered_events);
-        self.retired.peak_memory_bytes = self.retired.peak_memory_bytes.max(m.peak_memory_bytes);
+        let mut done = m.clone();
+        done.clear_live();
+        self.retired.merge(&done);
     }
 
-    /// Rebuilds the aggregate metrics: this wrapper's own counters plus the
-    /// retired engines' accumulator plus the active engine's state.
-    fn refresh_metrics(&mut self) {
-        let mut agg = EngineMetrics::new();
-        agg.events_processed = self.metrics.events_processed;
-        agg.matches_emitted = self.metrics.matches_emitted;
-        agg.wall_time_ns = self.metrics.wall_time_ns;
-        agg.event_ns = self.metrics.event_ns.clone();
-        agg.match_latency_ns = self.metrics.match_latency_ns.clone();
-        agg.replay_ns = self.metrics.replay_ns.clone();
-        agg.plan_swaps = self.metrics.plan_swaps;
-        agg.replayed_events = self.metrics.replayed_events;
-        agg.replay_time_ns = self.metrics.replay_time_ns;
-        agg.suppressed_swaps = self.metrics.suppressed_swaps;
+    /// The aggregate view: the engines (retired ones, then the active one)
+    /// folded sequentially, absorbed into this wrapper's own counters,
+    /// with which they share the thread.
+    fn aggregate(&self) -> EngineMetrics {
+        let mut engines = self.retired.clone();
+        engines.merge(self.inner.metrics());
+        let mut agg = self.own.clone();
+        // Ours too, kept by the replanner's monitors.
         agg.selectivity_samples = self.replanner.selectivity_samples();
+        agg.absorb(&engines);
+        // Counted by both layers, so ours stand: matches after consumption
+        // and replay suppression, and the replanner's plan-cache lookups,
+        // which cover every build (an engine's own build may stamp some).
+        agg.matches_emitted = self.own.matches_emitted;
         agg.plan_cache_hits = self.replanner.plan_cache_hits();
         agg.plan_cache_misses = self.replanner.plan_cache_misses();
-        agg.retained_events = self.retained.len();
-        agg.peak_retained_events = self.metrics.peak_retained_events.max(self.retained.len());
-        let inner = self.inner.metrics();
-        agg.events_relevant = self.retired.events_relevant + inner.events_relevant;
-        agg.partial_matches_created =
-            self.retired.partial_matches_created + inner.partial_matches_created;
-        agg.predicate_evaluations =
-            self.retired.predicate_evaluations + inner.predicate_evaluations;
-        agg.live_partial_matches = inner.live_partial_matches;
-        agg.buffered_events = inner.buffered_events;
-        agg.peak_partial_matches = self
-            .retired
-            .peak_partial_matches
-            .max(inner.peak_partial_matches);
-        agg.peak_buffered_events = self
-            .retired
-            .peak_buffered_events
-            .max(inner.peak_buffered_events);
-        agg.peak_memory_bytes = self.retired.peak_memory_bytes.max(inner.peak_memory_bytes);
-        self.metrics = agg;
+        agg
     }
 
     /// Hot swap: build a fresh engine from the replanner's new plan and
@@ -549,10 +527,10 @@ impl<R: Replanner> AdaptiveEngine<R> {
             }
         }
         let replay_ns = replay_start.elapsed().as_nanos() as u64;
-        self.metrics.replay_time_ns += replay_ns;
-        self.metrics.replay_ns.record(replay_ns);
-        self.metrics.replayed_events += replayed_events;
-        self.metrics.plan_swaps += 1;
+        self.own.replay_time_ns += replay_ns;
+        self.own.replay_ns.record(replay_ns);
+        self.own.replayed_events += replayed_events;
+        self.own.plan_swaps += 1;
         self.events_since_swap = 0;
         if self.consumes {
             replayed_matches = (out.len() - start) as u64;
@@ -562,12 +540,11 @@ impl<R: Replanner> AdaptiveEngine<R> {
         }
         let suppressed_matches = replayed_matches - (out.len() - start) as u64;
         self.tracer.emit_with(|| TraceRecord::ReplayWindow {
-            at_event: self.metrics.events_processed,
+            at_event: self.own.events_processed,
             replayed_events,
             replay_ns,
             suppressed_matches,
         });
-        self.refresh_metrics();
     }
 
     fn watermark(&self) -> Timestamp {
@@ -588,7 +565,7 @@ impl<R: Replanner> AdaptiveEngine<R> {
     /// baseline in place so the pending drift retries at the next check.
     fn maybe_replan(&mut self, out: &mut Vec<Match>) {
         if !self
-            .metrics
+            .own
             .events_processed
             .is_multiple_of(self.cfg.check_every)
             || self.events_since_swap < self.cfg.cooldown_events
@@ -635,7 +612,7 @@ impl<R: Replanner> AdaptiveEngine<R> {
                 .last_costs()
                 .map_or((-1.0, -1.0), |c| (c.current, c.candidate));
             TraceRecord::PlanSwapDecision {
-                at_event: self.metrics.events_processed,
+                at_event: self.own.events_processed,
                 verdict: match verdict {
                     ReplanVerdict::Swap => "swap",
                     ReplanVerdict::Keep => "keep",
@@ -656,7 +633,7 @@ impl<R: Replanner> AdaptiveEngine<R> {
             }
             ReplanVerdict::Keep => self.retained.monitor.rebaseline(),
             ReplanVerdict::Suppressed => {
-                self.metrics.suppressed_swaps += 1;
+                self.own.suppressed_swaps += 1;
             }
         }
     }
@@ -664,38 +641,37 @@ impl<R: Replanner> AdaptiveEngine<R> {
 
 impl<R: Replanner> Engine for AdaptiveEngine<R> {
     fn process(&mut self, event: &EventRef, out: &mut Vec<Match>) {
-        self.metrics.events_processed += 1;
+        self.view.take();
+        self.own.events_processed += 1;
         self.events_since_swap = self.events_since_swap.saturating_add(1);
         self.replanner.observe_event(event);
         self.retained.push(event);
-        self.metrics.record_retained(self.retained.len());
+        self.own.record_retained(self.retained.len());
         let start = out.len();
         self.inner.process(event, out);
         self.emit(out, start);
-        if self.consumes && self.metrics.events_processed.is_multiple_of(REFRESH_EVERY) {
+        if self.consumes && self.own.events_processed.is_multiple_of(PRUNE_EVERY) {
             // Consumption marks on events older than the window can never
             // be re-bound by a replay.
             self.consumed.retain_window(self.watermark(), self.window);
         }
         self.maybe_replan(out);
-        if self.metrics.events_processed.is_multiple_of(REFRESH_EVERY) {
-            self.refresh_metrics();
-        }
     }
 
     fn flush(&mut self, out: &mut Vec<Match>) {
+        self.view.take();
         let start = out.len();
         self.inner.flush(out);
         self.emit(out, start);
-        self.refresh_metrics();
     }
 
     fn metrics(&self) -> &EngineMetrics {
-        &self.metrics
+        self.view.get_or_init(|| self.aggregate())
     }
 
     fn metrics_mut(&mut self) -> &mut EngineMetrics {
-        &mut self.metrics
+        self.view.take();
+        &mut self.own
     }
 
     fn name(&self) -> &'static str {

@@ -5,14 +5,16 @@
 
 use crate::{AdaptiveConfig, AdaptiveEngine, AdaptiveFactory, PlanReplanner, Replanner, SwapCost};
 use cep_core::compile::CompiledPattern;
-use cep_core::engine::{run_to_completion, Engine, EngineConfig, EngineFactory};
+use cep_core::engine::{run_to_completion, Engine, EngineConfig, EngineFactory, MultiEngine};
 use cep_core::error::CepError;
 use cep_core::event::{Event, EventRef, TypeId};
 use cep_core::matches::{validate_match, Match};
+use cep_core::metrics::EngineMetrics;
 use cep_core::naive::NaiveEngine;
 use cep_core::pattern::{Pattern, PatternBuilder, PatternExpr};
 use cep_core::plan::{OrderPlan, TreePlan};
 use cep_core::predicate::{CmpOp, Predicate};
+use cep_core::registry::QueryRegistry;
 use cep_core::selection::SelectionStrategy;
 use cep_core::stats::MeasuredStats;
 use cep_core::stream::{EventStream, StreamBuilder};
@@ -21,6 +23,7 @@ use cep_nfa::NfaEngine;
 use cep_optimizer::{Backend, EventWindow, OrderAlgorithm, Planner, SelectivityMonitor};
 use cep_tree::TreeEngine;
 use proptest::prelude::*;
+use std::sync::{Arc, Mutex};
 
 fn t(i: u32) -> TypeId {
     TypeId(i)
@@ -143,6 +146,9 @@ struct FlipFlop {
     /// reports drift at every check, so swaps also come through
     /// [`Replanner::stats_drifted`], and its horizon widens the window.
     monitor: Option<SelectivityMonitor>,
+    /// When set, every built engine publishes its metrics here (see
+    /// [`Published`]).
+    published: Option<Arc<Mutex<Vec<EngineMetrics>>>>,
 }
 
 impl FlipFlop {
@@ -156,6 +162,7 @@ impl FlipFlop {
             active: 0,
             tree,
             monitor: None,
+            published: None,
         }
     }
 
@@ -168,23 +175,77 @@ impl FlipFlop {
     }
 }
 
+/// An NFA engine over `plan`, or a tree engine over its left-deep tree.
+fn order_engine(cp: &CompiledPattern, plan: &OrderPlan, tree: bool) -> Box<dyn Engine> {
+    if tree {
+        Box::new(
+            TreeEngine::new(
+                cp.clone(),
+                TreePlan::left_deep(plan),
+                EngineConfig::default(),
+            )
+            .unwrap(),
+        )
+    } else {
+        Box::new(NfaEngine::new(cp.clone(), plan.clone(), EngineConfig::default()).unwrap())
+    }
+}
+
+/// An engine that copies its metrics to a shared slot after every call,
+/// so a test can read the counters of engines the adaptive wrapper has
+/// swapped out and dropped.
+struct Published {
+    inner: Box<dyn Engine>,
+    all: Arc<Mutex<Vec<EngineMetrics>>>,
+    slot: usize,
+}
+
+impl Published {
+    fn publish(&self) {
+        self.all.lock().unwrap()[self.slot] = self.inner.metrics().clone();
+    }
+}
+
+impl Engine for Published {
+    fn process(&mut self, event: &EventRef, out: &mut Vec<Match>) {
+        self.inner.process(event, out);
+        self.publish();
+    }
+
+    fn flush(&mut self, out: &mut Vec<Match>) {
+        self.inner.flush(out);
+        self.publish();
+    }
+
+    fn metrics(&self) -> &EngineMetrics {
+        self.inner.metrics()
+    }
+
+    fn metrics_mut(&mut self) -> &mut EngineMetrics {
+        self.inner.metrics_mut()
+    }
+
+    fn name(&self) -> &'static str {
+        "published"
+    }
+}
+
 impl Replanner for FlipFlop {
     fn build(&self) -> Box<dyn Engine> {
-        let plan = &self.orders[self.active];
-        if self.tree {
-            Box::new(
-                TreeEngine::new(
-                    self.cp.clone(),
-                    TreePlan::left_deep(plan),
-                    EngineConfig::default(),
-                )
-                .unwrap(),
-            )
-        } else {
-            Box::new(
-                NfaEngine::new(self.cp.clone(), plan.clone(), EngineConfig::default()).unwrap(),
-            )
-        }
+        let engine = order_engine(&self.cp, &self.orders[self.active], self.tree);
+        let Some(all) = &self.published else {
+            return engine;
+        };
+        let slot = {
+            let mut all = all.lock().unwrap();
+            all.push(EngineMetrics::new());
+            all.len() - 1
+        };
+        Box::new(Published {
+            inner: engine,
+            all: all.clone(),
+            slot,
+        })
     }
 
     fn replan(&mut self, _rates: &MeasuredStats) -> bool {
@@ -1270,5 +1331,166 @@ fn default_replanner_reports_no_costs_and_flipflop_uses_sentinel() {
     {
         assert_eq!(current_cost, -1.0);
         assert_eq!(candidate_cost, -1.0);
+    }
+}
+
+/// Keyed `SEQ(a, b, c)` with `a.k == b.k AND b.k == c.k`: every join step
+/// of the NFA and tree engines probes key buckets.
+fn keyed_seq_pattern(window: u64) -> Pattern {
+    let mut b = PatternBuilder::new(window);
+    let (a, bb, c) = (b.event(t(0), "a"), b.event(t(1), "b"), b.event(t(2), "c"));
+    b.predicate(Predicate::attr_cmp(a.pos(), 0, CmpOp::Eq, bb.pos(), 0));
+    b.predicate(Predicate::attr_cmp(bb.pos(), 0, CmpOp::Eq, c.pos(), 0));
+    b.seq([a, bb, c]).unwrap()
+}
+
+/// Deterministic stream of types 0–2 with one key attribute in 0–3.
+fn keyed_stream(len: u64, seed: u64) -> EventStream {
+    let mut state = seed;
+    let mut ts = 0u64;
+    let mut b = StreamBuilder::new();
+    for _ in 0..len {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        ts += (state >> 50) % 3;
+        let key = Value::Int(((state >> 40) % 4) as i64);
+        b.push(Event::new(t(((state >> 33) % 3) as u32), ts, vec![key]));
+    }
+    b.build()
+}
+
+/// The deterministic engine-layer fields a wrapper reports from the
+/// engines it wraps, plus the two it counts itself.
+fn engine_layer(m: &EngineMetrics) -> Vec<(&'static str, u64)> {
+    vec![
+        ("events_processed", m.events_processed),
+        ("matches_emitted", m.matches_emitted),
+        ("events_relevant", m.events_relevant),
+        ("partial_matches_created", m.partial_matches_created),
+        ("predicate_evaluations", m.predicate_evaluations),
+        ("index_probes", m.index_probes),
+        ("delta_updates", m.delta_updates),
+        ("live_partial_matches", m.live_partial_matches as u64),
+        ("buffered_events", m.buffered_events as u64),
+        ("peak_partial_matches", m.peak_partial_matches as u64),
+        ("peak_buffered_events", m.peak_buffered_events as u64),
+        ("peak_memory_bytes", m.peak_memory_bytes as u64),
+    ]
+}
+
+#[test]
+fn wrappers_pass_engine_counters_through() {
+    let window = 20;
+    let pattern = keyed_seq_pattern(window);
+    let cp = CompiledPattern::compile_single(&pattern).unwrap();
+    let stream = keyed_stream(400, 7);
+    let order = OrderPlan::new(vec![1, 2, 0]).unwrap();
+    for tree in [false, true] {
+        let mut bare = order_engine(&cp, &order, tree);
+        run_to_completion(bare.as_mut(), &stream, false);
+        let expected = engine_layer(bare.metrics());
+        assert!(bare.metrics().index_probes > 0, "the joins must probe");
+        assert!(bare.metrics().matches_emitted > 0, "the fixture must match");
+
+        // An adaptive wrapper that never checks, so never swaps.
+        let mut never = FlipFlop::new(cp.clone(), tree);
+        never.orders = [order.clone(), order.clone()];
+        let quiet = AdaptiveConfig {
+            check_every: u64::MAX,
+            ..AdaptiveConfig::default()
+        };
+        let mut adaptive = AdaptiveEngine::new(never, window, quiet);
+        run_to_completion(&mut adaptive, &stream, false);
+        assert_eq!(adaptive.swaps(), 0);
+        assert_eq!(
+            engine_layer(adaptive.metrics()),
+            expected,
+            "adaptive, tree {tree}"
+        );
+
+        let mut multi = MultiEngine::new(vec![order_engine(&cp, &order, tree)], window);
+        run_to_completion(&mut multi, &stream, false);
+        assert_eq!(
+            engine_layer(multi.metrics()),
+            expected,
+            "multi, tree {tree}"
+        );
+
+        let plan = order.clone();
+        let mut registry = QueryRegistry::new(Arc::new(
+            move |cp: &CompiledPattern, program| -> Result<Box<dyn Engine>, CepError> {
+                Ok(if tree {
+                    let plan = TreePlan::left_deep(&plan);
+                    Box::new(TreeEngine::with_program(
+                        cp.clone(),
+                        plan,
+                        EngineConfig::default(),
+                        program,
+                    )?)
+                } else {
+                    Box::new(NfaEngine::with_program(
+                        cp.clone(),
+                        plan.clone(),
+                        EngineConfig::default(),
+                        program,
+                    )?)
+                })
+            },
+        ));
+        let id = registry.register(&pattern).unwrap();
+        let run = registry.run(&stream);
+        assert_eq!(
+            engine_layer(&run.metrics),
+            expected,
+            "registry, tree {tree}"
+        );
+        let query = registry.query_metrics(id).unwrap();
+        assert_eq!(engine_layer(&query), expected, "query view, tree {tree}");
+    }
+}
+
+#[test]
+fn swapped_engines_fold_into_the_adaptive_view() {
+    let window = 20;
+    let cp = CompiledPattern::compile_single(&keyed_seq_pattern(window)).unwrap();
+    let stream = keyed_stream(400, 7);
+    for tree in [false, true] {
+        let built = Arc::new(Mutex::new(Vec::new()));
+        let mut flip = FlipFlop::new(cp.clone(), tree);
+        flip.orders = [
+            OrderPlan::new(vec![1, 2, 0]).unwrap(),
+            OrderPlan::new(vec![0, 1, 2]).unwrap(),
+        ];
+        flip.published = Some(built.clone());
+        let config = AdaptiveConfig {
+            check_every: 50,
+            ..eager(100)
+        };
+        let mut adaptive = AdaptiveEngine::new(flip, window, config);
+        run_to_completion(&mut adaptive, &stream, false);
+        let engines = built.lock().unwrap();
+        assert!(adaptive.swaps() >= 2, "tree {tree}");
+        assert_eq!(engines.len() as u64, adaptive.swaps() + 1);
+        // Retired engines and the active one ran one after another:
+        // counters add, peaks take the maximum.
+        let m = adaptive.metrics();
+        let sum = |f: fn(&EngineMetrics) -> u64| engines.iter().map(f).sum::<u64>();
+        let max = |f: fn(&EngineMetrics) -> usize| engines.iter().map(f).max().unwrap();
+        assert!(sum(|e| e.index_probes) > 0);
+        assert_eq!(m.index_probes, sum(|e| e.index_probes), "tree {tree}");
+        assert_eq!(m.predicate_evaluations, sum(|e| e.predicate_evaluations));
+        assert_eq!(
+            m.partial_matches_created,
+            sum(|e| e.partial_matches_created)
+        );
+        assert_eq!(m.events_relevant, sum(|e| e.events_relevant));
+        assert_eq!(m.peak_partial_matches, max(|e| e.peak_partial_matches));
+        assert_eq!(m.peak_buffered_events, max(|e| e.peak_buffered_events));
+        assert_eq!(m.peak_memory_bytes, max(|e| e.peak_memory_bytes));
+        // Only the active engine still holds live state.
+        let active = engines.last().unwrap();
+        assert_eq!(m.live_partial_matches, active.live_partial_matches);
+        assert_eq!(m.buffered_events, active.buffered_events);
     }
 }

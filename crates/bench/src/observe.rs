@@ -19,12 +19,14 @@
 //! re-validates the Prometheus text, parses every trace line back through
 //! [`TraceRecord::from_json`], asserts the canonical re-encoding is
 //! byte-identical, and requires at least one record of each kind the
-//! workloads are guaranteed to produce.
+//! workloads are guaranteed to produce and one `run="adaptive"` family per
+//! [`EngineMetrics`] field.
 
 use crate::env::{cross_key_stock_workload, drifting_stock_workload};
 use cep_adaptive::{AdaptiveConfig, AdaptiveEngine, PlanReplanner};
 use cep_core::compiled::PlanCache;
 use cep_core::engine::{run_traced, Engine, EngineConfig};
+use cep_core::metrics::{Combine, EngineMetrics};
 use cep_core::partition::QueryPartitioner;
 use cep_core::stats::MeasuredStats;
 use cep_nfa::NfaEngine;
@@ -293,6 +295,33 @@ const REQUIRED_KINDS: &[&str] = &[
     "diagnostic",
 ];
 
+/// Checks that `prom` holds a `run="adaptive"` sample of every
+/// [`EngineMetrics`] field under the family the field table names, so an
+/// export that drops a field fails.
+fn check_field_families(prom: &str) -> Result<(), String> {
+    let missing: Vec<String> = EngineMetrics::FIELDS
+        .iter()
+        .map(|field| match field.combine {
+            // A histogram's samples are its `_bucket`/`_sum`/`_count` series.
+            Combine::Histogram => format!("{}_count", field.family()),
+            _ => field.family(),
+        })
+        .filter(|series| {
+            let sample = format!("{series}{{");
+            !prom
+                .lines()
+                .any(|l| l.starts_with(&sample) && l.contains("run=\"adaptive\""))
+        })
+        .collect();
+    if missing.is_empty() {
+        return Ok(());
+    }
+    Err(format!(
+        "no run=\"adaptive\" sample of {}",
+        missing.join(", ")
+    ))
+}
+
 /// The `check-obs` gate: validates a Prometheus artifact and round-trips a
 /// JSONL trace produced by [`run`].
 pub fn check(prom_path: &str, trace_path: &str, out: &mut dyn Write) -> Result<(), String> {
@@ -300,6 +329,13 @@ pub fn check(prom_path: &str, trace_path: &str, out: &mut dyn Write) -> Result<(
         std::fs::read_to_string(prom_path).map_err(|e| format!("cannot read {prom_path}: {e}"))?;
     validate_prometheus(&prom).map_err(|e| format!("{prom_path}: {e}"))?;
     writeln!(out, "{prom_path}: valid Prometheus exposition").ok();
+    check_field_families(&prom).map_err(|e| format!("{prom_path}: {e}"))?;
+    let fields = EngineMetrics::FIELDS.len();
+    writeln!(
+        out,
+        "{prom_path}: run=\"adaptive\" exports all {fields} fields"
+    )
+    .ok();
 
     let trace = std::fs::read_to_string(trace_path)
         .map_err(|e| format!("cannot read {trace_path}: {e}"))?;
@@ -377,5 +413,25 @@ mod tests {
         std::fs::write(&trace, "{\"type\":\"match_emitted\"}\n").unwrap();
         let mut log = Vec::new();
         assert!(check(prom.to_str().unwrap(), trace.to_str().unwrap(), &mut log).is_err());
+    }
+
+    #[test]
+    fn check_requires_a_family_per_metrics_field() {
+        let mut reg = MetricsRegistry::new();
+        EngineMetrics::new().export(&mut reg, &[("run", "adaptive")]);
+        let prom = reg.render_prometheus();
+        check_field_families(&prom).unwrap();
+        for dropped in ["cep_selectivity_samples_total", "cep_enumeration_ns"] {
+            let without: String = prom
+                .lines()
+                .filter(|l| !l.contains(dropped))
+                .map(|l| format!("{l}\n"))
+                .collect();
+            let err = check_field_families(&without).unwrap_err();
+            assert!(err.contains(dropped), "{err}");
+        }
+        // Samples of another run do not count.
+        let other = prom.replace("run=\"adaptive\"", "run=\"sharded\"");
+        assert!(check_field_families(&other).is_err());
     }
 }

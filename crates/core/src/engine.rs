@@ -246,20 +246,15 @@ impl MultiEngine {
         if !self.started {
             return self.own.clone();
         }
-        // The harness records latency/event-time histograms on *our*
-        // metrics, not the branch engines' — carry them over.
-        let mut agg = EngineMetrics {
-            events_processed: self.own.events_processed,
-            wall_time_ns: self.own.wall_time_ns,
-            event_ns: self.own.event_ns.clone(),
-            match_latency_ns: self.own.match_latency_ns.clone(),
-            replay_ns: self.own.replay_ns.clone(),
-            ..EngineMetrics::new()
-        };
+        // The branches share this thread: absorb them into our own
+        // counters (which hold what the harness records, e.g. wall time
+        // and the latency histograms).
+        let mut agg = self.own.clone();
         for e in &self.engines {
             agg.absorb(e.metrics());
         }
-        // Deduplication may have dropped some emissions: count our own.
+        // Counted by both layers: deduplication may have dropped some
+        // branch emissions, so our own count stands.
         agg.matches_emitted = self.own.matches_emitted;
         agg
     }

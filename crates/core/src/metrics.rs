@@ -1,127 +1,336 @@
 //! Engine runtime metrics: the measurement side of Section 7.2.
+//!
+//! Every [`EngineMetrics`] field is one row of the table at the bottom of
+//! this module: name, type, doc, Prometheus help text and a [`Combine`]
+//! kind. The struct, [`merge`](EngineMetrics::merge),
+//! [`absorb`](EngineMetrics::absorb),
+//! [`clear_live`](EngineMetrics::clear_live),
+//! [`export`](EngineMetrics::export) and [`EngineMetrics::FIELDS`] are all
+//! generated from it, so a new field is a one-row change.
 
 use cep_obs::{LatencyHistogram, MetricsRegistry};
 
-/// Counters collected by an engine while processing a stream.
+/// How an [`EngineMetrics`] field folds when metrics combine, and how it
+/// exports.
 ///
-/// * **Throughput** is primitive events processed per second of engine wall
-///   time.
-/// * **Memory** is the peak of live partial matches plus buffered events,
-///   with a byte estimate — the harness's robust analogue of the paper's
-///   peak-RSS measurement.
-/// * **Latency** records, per emitted match, the wall time between the
-///   start of processing of the event that completed the match and its
-///   emission (deferred emissions add the deferral processing time) — as a
-///   log₂ histogram ([`match_latency_ns`](EngineMetrics::match_latency_ns))
-///   so tail percentiles survive aggregation, not just the mean.
-#[derive(Debug, Clone, Default)]
-pub struct EngineMetrics {
-    /// Total events offered to the engine.
-    pub events_processed: u64,
-    /// Events of types that participate in the pattern.
-    pub events_relevant: u64,
-    /// Full matches emitted.
-    pub matches_emitted: u64,
-    /// Partial matches (instances) ever created.
-    pub partial_matches_created: u64,
-    /// Currently live partial matches.
-    pub live_partial_matches: usize,
-    /// Peak of live partial matches.
-    pub peak_partial_matches: usize,
-    /// Currently buffered events.
-    pub buffered_events: usize,
-    /// Peak of buffered events.
-    pub peak_buffered_events: usize,
-    /// Peak estimated bytes of (partial matches + buffers).
-    pub peak_memory_bytes: usize,
-    /// Predicate evaluations performed.
-    pub predicate_evaluations: u64,
-    /// Total wall time spent inside the engine, in nanoseconds (set by
-    /// [`crate::engine::run_to_completion`]).
-    pub wall_time_ns: u64,
-    /// Log₂ histogram of per-event processing time in nanoseconds, sampled
-    /// (every 8th event) by [`crate::engine::run_to_completion`] to keep
-    /// the hot loop cheap.
-    pub event_ns: LatencyHistogram,
-    /// Log₂ histogram of per-match detection latency in nanoseconds; its
-    /// [`sum`](LatencyHistogram::sum) is the former
-    /// `match_latency_ns_total` counter (see
-    /// [`match_latency_ns_total`](EngineMetrics::match_latency_ns_total)).
-    pub match_latency_ns: LatencyHistogram,
-    /// Plan swaps performed by an adaptive wrapper (0 for static engines).
-    pub plan_swaps: u64,
-    /// Events re-processed from the retained window and its negated tail
-    /// across all plan swaps (the replay cost of adaptivity, in events).
-    pub replayed_events: u64,
-    /// Nanoseconds spent replaying retained events during plan swaps.
-    pub replay_time_ns: u64,
-    /// Log₂ histogram of per-swap replay time in nanoseconds (one sample
-    /// per plan swap; its sum tracks
-    /// [`replay_time_ns`](EngineMetrics::replay_time_ns)).
-    pub replay_ns: LatencyHistogram,
-    /// Events currently held in an adaptive wrapper's retained replay
-    /// window (0 for static engines).
-    pub retained_events: usize,
-    /// Peak of the retained replay window.
-    pub peak_retained_events: usize,
-    /// Events absorbed by an adaptive wrapper's selectivity monitor (0
-    /// when selectivity re-estimation is disabled or for static engines).
-    pub selectivity_samples: u64,
-    /// Plan swaps an adaptive wrapper declined because the predicted
-    /// savings over the amortization horizon would not pay for the replay
-    /// (a cheaper plan existed, but switching to it was not worth it yet).
-    pub suppressed_swaps: u64,
-    /// Extra event deliveries created by replicate-join broadcast routing:
-    /// each event fanned out to all `N` shards adds `N − 1` here, so
-    /// `events_processed == stream length + replicated_events` for a
-    /// sharded run (0 for single-shard, non-replicating, or unsharded
-    /// runs).
-    pub replicated_events: u64,
-    /// Duplicate matches suppressed by a sharded merge's signature dedup
-    /// (a match with no partitioned event is detected by every shard; all
-    /// copies beyond the first count here).
-    pub dedup_hits: u64,
-    /// Compiled-plan cache hits: engine builds (or adaptive replans) that
-    /// reused a [`crate::compiled::PredicateProgram`] from a
-    /// [`crate::compiled::PlanCache`] instead of recompiling (0 when no
-    /// cache is in play).
-    pub plan_cache_hits: u64,
-    /// Compiled-plan cache misses: engine builds that had to lower the
-    /// pattern's predicates from scratch (0 when no cache is in play).
-    pub plan_cache_misses: u64,
-    /// Equality-join probes: posting-list probes of a delta-indexed
-    /// engine, key-bucket probes of the NFA/tree engines' join state
-    /// ([`crate::keyed::KeyedStore`]); 0 when no join step carries a
-    /// usable `==` predicate.
-    pub index_probes: u64,
-    /// Index list operations (inserts + expirations, across the type
-    /// store and every posting list) performed by a delta-indexed engine
-    /// — the amortized-constant per-event maintenance work (0 for
-    /// materializing engines).
-    pub delta_updates: u64,
-    /// Log₂ histogram of per-event on-demand match-enumeration time in
-    /// nanoseconds (one sample per enumerated delta; empty for
-    /// materializing engines).
-    pub enumeration_ns: LatencyHistogram,
-    /// Query registrations accepted by a multi-query registry (0 outside
-    /// registry execution). Counts registrations, not live queries:
-    /// unregistering does not decrement.
-    pub registered_queries: u64,
-    /// Branch subscriptions that landed on an already-running fragment
-    /// instead of building a new engine — the registry's sharing win
-    /// (0 outside registry execution).
-    pub shared_fragments: u64,
-    /// Matches fanned out from shared fragments to subscribed queries:
-    /// one per (query, match) delivery, so a fragment shared by three
-    /// queries adds three per detected match (0 outside registry
-    /// execution).
-    pub fanout_emits: u64,
+/// | kind | [`merge`](EngineMetrics::merge): parallel shards | [`absorb`](EngineMetrics::absorb): engines sharing a thread | [`clear_live`](EngineMetrics::clear_live) | exported as |
+/// |---|---|---|---|---|
+/// | `Counter` | sum | sum | kept | counter `cep_<field>_total` |
+/// | `Peak` | max | sum | kept | gauge `cep_<field>` |
+/// | `Live` | sum | sum | 0 | gauge `cep_<field>` |
+/// | `Total` | sum | left alone | kept | counter `cep_<field>_total` |
+/// | `Elapsed` | max | left alone | kept | counter `cep_<field>_total` |
+/// | `Histogram` | buckets add | buckets add | kept | histogram `cep_<field>` |
+///
+/// An engine that ran before another on the same thread and is gone (a
+/// retired adaptive engine) folds in like a sequential shard:
+/// `clear_live`, then `merge`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Combine {
+    /// Work done, counted by the engine that did it.
+    Counter,
+    /// A high-water mark of live state. Shards, and engines that ran one
+    /// after another, never hold their peaks at once (max); engines
+    /// sharing one thread do (sum).
+    Peak,
+    /// Live state now; an engine that is gone holds none.
+    Live,
+    /// A count the driver keeps for the whole unit (`events_processed`):
+    /// a wrapper counts it itself, so absorbing a child leaves it alone.
+    Total,
+    /// Elapsed time the driver measures (`wall_time_ns`): shards overlap
+    /// (max), and absorbing a child leaves it alone, as for `Total`.
+    Elapsed,
+    /// A log₂ histogram.
+    Histogram,
 }
 
-/// Estimated bytes per live partial match (bindings vector + bookkeeping).
+impl Combine {
+    /// Whether fields of this kind export as Prometheus counters (the
+    /// rest export as gauges, histograms as histograms).
+    fn is_counter(self) -> bool {
+        matches!(self, Combine::Counter | Combine::Total | Combine::Elapsed)
+    }
+}
+
+/// One row of the [`EngineMetrics`] field table, as data.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MetricField {
+    /// The field's name.
+    pub name: &'static str,
+    /// How the field folds and exports.
+    pub combine: Combine,
+    /// The exported family's Prometheus help text.
+    pub help: &'static str,
+}
+
+impl MetricField {
+    /// The exported family: `cep_<name>_total` for counters, `cep_<name>`
+    /// for gauges and histograms.
+    pub fn family(&self) -> String {
+        if self.combine.is_counter() {
+            format!("cep_{}_total", self.name)
+        } else {
+            format!("cep_{}", self.name)
+        }
+    }
+
+    /// Records one scalar sample of this field.
+    fn export_scalar(&self, reg: &mut MetricsRegistry, labels: &[(&str, &str)], value: u64) {
+        if self.combine.is_counter() {
+            reg.counter(&self.family(), self.help, labels, value);
+        } else {
+            reg.gauge(&self.family(), self.help, labels, value as f64);
+        }
+    }
+}
+
+/// Applies one fold to one field: one arm per (fold, kind) rule of the
+/// [`Combine`] table. A kind whose rule does not fit the field's type
+/// (a peak over a histogram, say) fails to compile.
+macro_rules! rule {
+    (merge, Peak, $a:expr, $b:expr) => {
+        $a = $a.max($b)
+    };
+    (merge, Elapsed, $a:expr, $b:expr) => {
+        $a = $a.max($b)
+    };
+    (merge, Histogram, $a:expr, $b:expr) => {
+        $a.merge(&$b)
+    };
+    (merge, $kind:ident, $a:expr, $b:expr) => {
+        $a += $b
+    };
+    (absorb, Total, $a:expr, $b:expr) => {};
+    (absorb, Elapsed, $a:expr, $b:expr) => {};
+    (absorb, Peak, $a:expr, $b:expr) => {
+        $a += $b
+    };
+    (absorb, $kind:ident, $a:expr, $b:expr) => {
+        rule!(merge, $kind, $a, $b)
+    };
+    (clear_live, Live, $a:expr) => {
+        $a = 0
+    };
+    (clear_live, $kind:ident, $a:expr) => {};
+    (export, Histogram, $f:expr, $v:expr, $reg:expr, $labels:expr) => {
+        $reg.histogram(&$f.family(), $f.help, $labels, &$v)
+    };
+    (export, $kind:ident, $f:expr, $v:expr, $reg:expr, $labels:expr) => {
+        $f.export_scalar($reg, $labels, $v as u64)
+    };
+}
+
+/// Generates [`EngineMetrics`] and its folds from the field table.
+macro_rules! engine_metrics {
+    (
+        $(#[$struct_attr:meta])*
+        pub struct EngineMetrics {
+            $(
+                $(#[$attr:meta])*
+                $name:ident: $ty:ty = $kind:ident($help:literal),
+            )*
+        }
+    ) => {
+        $(#[$struct_attr])*
+        pub struct EngineMetrics {
+            $( $(#[$attr])* pub $name: $ty, )*
+        }
+
+        impl EngineMetrics {
+            /// The field table, one row per field in declaration order.
+            pub const FIELDS: &'static [MetricField] = &[
+                $( MetricField { name: stringify!($name), combine: Combine::$kind, help: $help }, )*
+            ];
+
+            /// Merges counters from a *concurrently* executed engine (a
+            /// parallel shard) into `self`.
+            ///
+            /// Contrast with [`absorb`](EngineMetrics::absorb), which
+            /// combines engines sharing one thread and therefore *sums*
+            /// live/peak state: shards run side by side on disjoint slices
+            /// of the stream, so counters and latency sums add, peaks take
+            /// the per-shard maximum (the honest per-worker bound — summing
+            /// would claim a simultaneous peak that never has to occur),
+            /// and wall time takes the maximum (overlapping execution, not
+            /// sequential). See [`Combine`] for the rule of each kind.
+            pub fn merge(&mut self, other: &EngineMetrics) {
+                $( rule!(merge, $kind, self.$name, other.$name); )*
+            }
+
+            /// Merges counters from another engine running on the same
+            /// thread (a branch of a multi-plan evaluation, a registry
+            /// fragment): everything adds, peaks too, except the
+            /// driver-owned `events_processed` and `wall_time_ns`, which
+            /// stay `self`'s. See [`Combine`].
+            pub fn absorb(&mut self, other: &EngineMetrics) {
+                $( rule!(absorb, $kind, self.$name, other.$name); )*
+            }
+
+            /// Zeroes the live-state gauges ([`Combine::Live`]) and keeps
+            /// everything else: the final metrics of an engine that is
+            /// gone, ready to fold into a wrapper's view.
+            pub fn clear_live(&mut self) {
+                $( rule!(clear_live, $kind, self.$name); )*
+            }
+
+            /// Writes this snapshot into a [`MetricsRegistry`] under
+            /// `labels` (e.g. `[("engine", "adaptive")]` or
+            /// `[("shard", "3")]`): one family per field, named by
+            /// [`MetricField::family`], plus the derived
+            /// `cep_throughput_eps` gauge. Repeated calls with distinct
+            /// labels append samples to the same families, so one registry
+            /// can hold per-engine and per-shard series side by side.
+            pub fn export(&self, reg: &mut MetricsRegistry, labels: &[(&str, &str)]) {
+                let mut fields = Self::FIELDS.iter();
+                $(
+                    let field = fields.next().expect("a row per field");
+                    rule!(export, $kind, field, self.$name, reg, labels);
+                )*
+                // Derived from two fields, not a field itself.
+                reg.gauge(
+                    "cep_throughput_eps",
+                    "Events per second of engine wall time",
+                    labels,
+                    self.throughput_eps(),
+                );
+            }
+        }
+
+        /// Every field set to a distinct value: `base + i` for the `i`-th
+        /// row (1-based), histograms holding one sample of that value.
+        #[cfg(test)]
+        fn filled(base: u64) -> EngineMetrics {
+            let mut v = base;
+            EngineMetrics {
+                $( $name: { v += 1; <$ty as tests::Seeded>::seeded(v) }, )*
+            }
+        }
+    };
+}
+
+/// Assumed bytes per live partial match (bindings vector + bookkeeping)
+/// in the coarse [`EngineMetrics::peak_memory_bytes`] estimate: a fixed
+/// guess, not a measured size.
 pub const PARTIAL_MATCH_BYTES: usize = 96;
-/// Estimated bytes per buffered event (Arc + shared payload share).
+/// Assumed bytes per buffered event (Arc + shared payload share) in the
+/// same coarse estimate.
 pub const BUFFERED_EVENT_BYTES: usize = 72;
+
+engine_metrics! {
+    /// Counters collected by an engine while processing a stream.
+    ///
+    /// * **Throughput** is primitive events processed per second of engine
+    ///   wall time.
+    /// * **Memory** is the peak of live partial matches plus buffered
+    ///   events, with a coarse byte estimate (a fixed size per object,
+    ///   [`PARTIAL_MATCH_BYTES`] and [`BUFFERED_EVENT_BYTES`]). It is not a
+    ///   heap measurement: against measured heap bytes it has read from
+    ///   under 1 % to about 70 %. It is kept because the benchmark harness
+    ///   reads it.
+    /// * **Latency** records, per emitted match, the wall time between the
+    ///   start of processing of the event that completed the match and its
+    ///   emission (deferred emissions add the deferral processing time) —
+    ///   as a log₂ histogram
+    ///   ([`match_latency_ns`](EngineMetrics::match_latency_ns)) so tail
+    ///   percentiles survive aggregation, not just the mean.
+    ///
+    /// Each field's [`Combine`] kind fixes how it folds and exports; see
+    /// [`EngineMetrics::FIELDS`].
+    #[derive(Debug, Clone, Default, PartialEq)]
+    pub struct EngineMetrics {
+        /// Total events offered to the engine.
+        events_processed: u64 = Total("Events offered to the engine"),
+        /// Events of types that participate in the pattern.
+        events_relevant: u64 = Counter("Events of pattern-participating types"),
+        /// Full matches emitted.
+        matches_emitted: u64 = Counter("Full matches emitted"),
+        /// Partial matches (instances) ever created.
+        partial_matches_created: u64 = Counter("Partial matches ever created"),
+        /// Currently live partial matches.
+        live_partial_matches: usize = Live("Live partial matches"),
+        /// Peak of live partial matches.
+        peak_partial_matches: usize = Peak("Peak live partial matches"),
+        /// Currently buffered events.
+        buffered_events: usize = Live("Buffered events"),
+        /// Peak of buffered events.
+        peak_buffered_events: usize = Peak("Peak buffered events"),
+        /// Peak of the coarse byte estimate of (partial matches + buffers): live counts times
+        /// [`PARTIAL_MATCH_BYTES`] and [`BUFFERED_EVENT_BYTES`]. Not a heap measurement; kept
+        /// because the benchmark harness reads it.
+        peak_memory_bytes: usize = Peak("Peak estimated bytes of partial matches + buffers"),
+        /// Predicate evaluations performed.
+        predicate_evaluations: u64 = Counter("Predicate evaluations performed"),
+        /// Total wall time spent inside the engine, in nanoseconds (set by
+        /// [`crate::engine::run_to_completion`]).
+        wall_time_ns: u64 = Elapsed("Wall time spent inside the engine (ns)"),
+        /// Log₂ histogram of per-event processing time in nanoseconds, sampled (every 8th event) by
+        /// [`crate::engine::run_to_completion`] to keep the hot loop cheap.
+        event_ns: LatencyHistogram = Histogram("Per-event processing time (ns, sampled)"),
+        /// Log₂ histogram of per-match detection latency in nanoseconds; its
+        /// [`sum`](LatencyHistogram::sum) is the former `match_latency_ns_total` counter (see
+        /// [`match_latency_ns_total`](EngineMetrics::match_latency_ns_total)).
+        match_latency_ns: LatencyHistogram = Histogram("Per-match detection latency (ns)"),
+        /// Plan swaps performed by an adaptive wrapper (0 for static engines).
+        plan_swaps: u64 = Counter("Plan swaps performed by an adaptive wrapper"),
+        /// Events re-processed from the retained window and its negated tail across all plan swaps
+        /// (the replay cost of adaptivity, in events).
+        replayed_events: u64 = Counter("Events re-processed during plan swaps"),
+        /// Nanoseconds spent replaying retained events during plan swaps.
+        replay_time_ns: u64 = Counter("Time spent replaying retained events during plan swaps (ns)"),
+        /// Log₂ histogram of per-swap replay time in nanoseconds (one sample per plan swap; its sum
+        /// tracks [`replay_time_ns`](EngineMetrics::replay_time_ns)).
+        replay_ns: LatencyHistogram = Histogram("Per-swap replay time (ns)"),
+        /// Events currently held in an adaptive wrapper's retained replay window (0 for static
+        /// engines).
+        retained_events: usize = Live("Events held in an adaptive wrapper's retained replay window"),
+        /// Peak of the retained replay window.
+        peak_retained_events: usize = Peak("Peak of the retained replay window"),
+        /// Events absorbed by an adaptive wrapper's selectivity monitor (0 when selectivity
+        /// re-estimation is disabled or for static engines).
+        selectivity_samples: u64 = Counter("Events absorbed by an adaptive wrapper's selectivity monitor"),
+        /// Plan swaps an adaptive wrapper declined because the predicted savings over the
+        /// amortization horizon would not pay for the replay (a cheaper plan existed, but switching
+        /// to it was not worth it yet).
+        suppressed_swaps: u64 = Counter("Plan swaps declined as not amortizable"),
+        /// Extra event deliveries created by replicate-join broadcast routing: each event fanned
+        /// out to all `N` shards adds `N − 1` here, so `events_processed == stream length +
+        /// replicated_events` for a sharded run (0 for single-shard, non-replicating, or unsharded
+        /// runs).
+        replicated_events: u64 = Counter("Extra deliveries from replicate-join broadcast routing"),
+        /// Duplicate matches suppressed by a sharded merge's signature dedup (a match with no
+        /// partitioned event is detected by every shard; all copies beyond the first count here).
+        dedup_hits: u64 = Counter("Duplicate matches suppressed by sharded-merge dedup"),
+        /// Compiled-plan cache hits: engine builds (or adaptive replans) that reused a
+        /// [`crate::compiled::PredicateProgram`] from a [`crate::compiled::PlanCache`] instead of
+        /// recompiling (0 when no cache is in play).
+        plan_cache_hits: u64 = Counter("Compiled-plan cache hits (program reused without recompiling)"),
+        /// Compiled-plan cache misses: engine builds that had to lower the pattern's predicates
+        /// from scratch (0 when no cache is in play).
+        plan_cache_misses: u64 = Counter("Compiled-plan cache misses (program lowered from scratch)"),
+        /// Equality-join probes: posting-list probes of a delta-indexed engine, key-bucket probes
+        /// of the NFA/tree engines' join state ([`crate::keyed::KeyedStore`]); 0 when no join step
+        /// carries a usable `==` predicate.
+        index_probes: u64 = Counter("Equality-join probes (delta posting lists, NFA/tree key buckets)"),
+        /// Index list operations (inserts + expirations, across the type store and every posting
+        /// list) performed by a delta-indexed engine — the amortized-constant per-event maintenance
+        /// work (0 for materializing engines).
+        delta_updates: u64 = Counter("Index list inserts + expirations (delta engine)"),
+        /// Log₂ histogram of per-event on-demand match-enumeration time in nanoseconds (one sample
+        /// per enumerated delta; empty for materializing engines).
+        enumeration_ns: LatencyHistogram = Histogram("Per-delta on-demand match-enumeration time (ns)"),
+        /// Query registrations accepted by a multi-query registry (0 outside registry execution).
+        /// Counts registrations, not live queries: unregistering does not decrement.
+        registered_queries: u64 = Counter("Query registrations accepted by a multi-query registry"),
+        /// Branch subscriptions that landed on an already-running fragment instead of building a
+        /// new engine — the registry's sharing win (0 outside registry execution).
+        shared_fragments: u64 = Counter("Branch subscriptions that reused an already-running fragment"),
+        /// Matches fanned out from shared fragments to subscribed queries: one per (query, match)
+        /// delivery, so a fragment shared by three queries adds three per detected match (0 outside
+        /// registry execution).
+        fanout_emits: u64 = Counter("Matches fanned out from shared fragments to subscribed queries"),
+    }
+}
 
 impl EngineMetrics {
     /// Creates zeroed metrics.
@@ -167,246 +376,6 @@ impl EngineMetrics {
             return 0.0;
         }
         self.match_latency_ns.sum() as f64 / self.matches_emitted as f64 / 1e6
-    }
-
-    /// Merges counters from a *concurrently* executed engine (a parallel
-    /// shard) into `self`.
-    ///
-    /// Contrast with [`absorb`](EngineMetrics::absorb), which combines
-    /// engines sharing one thread and therefore *sums* live/peak state:
-    /// shards run side by side on disjoint slices of the stream, so
-    /// counters and latency sums add, peaks take the per-shard maximum
-    /// (the honest per-worker bound — summing would claim a simultaneous
-    /// peak that never has to occur), and wall time takes the maximum
-    /// (overlapping execution, not sequential).
-    pub fn merge(&mut self, other: &EngineMetrics) {
-        self.events_processed += other.events_processed;
-        self.events_relevant += other.events_relevant;
-        self.matches_emitted += other.matches_emitted;
-        self.partial_matches_created += other.partial_matches_created;
-        self.live_partial_matches += other.live_partial_matches;
-        self.peak_partial_matches = self.peak_partial_matches.max(other.peak_partial_matches);
-        self.buffered_events += other.buffered_events;
-        self.peak_buffered_events = self.peak_buffered_events.max(other.peak_buffered_events);
-        self.peak_memory_bytes = self.peak_memory_bytes.max(other.peak_memory_bytes);
-        self.predicate_evaluations += other.predicate_evaluations;
-        self.wall_time_ns = self.wall_time_ns.max(other.wall_time_ns);
-        self.event_ns.merge(&other.event_ns);
-        self.match_latency_ns.merge(&other.match_latency_ns);
-        self.plan_swaps += other.plan_swaps;
-        self.replayed_events += other.replayed_events;
-        self.replay_time_ns += other.replay_time_ns;
-        self.replay_ns.merge(&other.replay_ns);
-        self.retained_events += other.retained_events;
-        self.peak_retained_events = self.peak_retained_events.max(other.peak_retained_events);
-        self.selectivity_samples += other.selectivity_samples;
-        self.suppressed_swaps += other.suppressed_swaps;
-        self.replicated_events += other.replicated_events;
-        self.dedup_hits += other.dedup_hits;
-        self.plan_cache_hits += other.plan_cache_hits;
-        self.plan_cache_misses += other.plan_cache_misses;
-        self.index_probes += other.index_probes;
-        self.delta_updates += other.delta_updates;
-        self.enumeration_ns.merge(&other.enumeration_ns);
-        self.registered_queries += other.registered_queries;
-        self.shared_fragments += other.shared_fragments;
-        self.fanout_emits += other.fanout_emits;
-    }
-
-    /// Merges counters from another engine (used by multi-plan evaluation).
-    pub fn absorb(&mut self, other: &EngineMetrics) {
-        self.events_relevant += other.events_relevant;
-        self.matches_emitted += other.matches_emitted;
-        self.partial_matches_created += other.partial_matches_created;
-        self.live_partial_matches += other.live_partial_matches;
-        self.peak_partial_matches += other.peak_partial_matches;
-        self.buffered_events += other.buffered_events;
-        self.peak_buffered_events += other.peak_buffered_events;
-        self.peak_memory_bytes += other.peak_memory_bytes;
-        self.predicate_evaluations += other.predicate_evaluations;
-        self.event_ns.merge(&other.event_ns);
-        self.match_latency_ns.merge(&other.match_latency_ns);
-        self.plan_swaps += other.plan_swaps;
-        self.replayed_events += other.replayed_events;
-        self.replay_time_ns += other.replay_time_ns;
-        self.replay_ns.merge(&other.replay_ns);
-        self.retained_events += other.retained_events;
-        self.peak_retained_events += other.peak_retained_events;
-        self.selectivity_samples += other.selectivity_samples;
-        self.suppressed_swaps += other.suppressed_swaps;
-        self.replicated_events += other.replicated_events;
-        self.dedup_hits += other.dedup_hits;
-        self.plan_cache_hits += other.plan_cache_hits;
-        self.plan_cache_misses += other.plan_cache_misses;
-        self.index_probes += other.index_probes;
-        self.delta_updates += other.delta_updates;
-        self.enumeration_ns.merge(&other.enumeration_ns);
-        self.registered_queries += other.registered_queries;
-        self.shared_fragments += other.shared_fragments;
-        self.fanout_emits += other.fanout_emits;
-    }
-
-    /// Writes this snapshot into a [`MetricsRegistry`] under `labels`
-    /// (e.g. `[("engine", "adaptive")]` or `[("shard", "3")]`). Repeated
-    /// calls with distinct labels append samples to the same families, so
-    /// one registry can hold per-engine and per-shard series side by side.
-    pub fn export(&self, reg: &mut MetricsRegistry, labels: &[(&str, &str)]) {
-        reg.counter(
-            "cep_events_processed_total",
-            "Events offered to the engine",
-            labels,
-            self.events_processed,
-        );
-        reg.counter(
-            "cep_events_relevant_total",
-            "Events of pattern-participating types",
-            labels,
-            self.events_relevant,
-        );
-        reg.counter(
-            "cep_matches_emitted_total",
-            "Full matches emitted",
-            labels,
-            self.matches_emitted,
-        );
-        reg.counter(
-            "cep_partial_matches_created_total",
-            "Partial matches ever created",
-            labels,
-            self.partial_matches_created,
-        );
-        reg.counter(
-            "cep_predicate_evaluations_total",
-            "Predicate evaluations performed",
-            labels,
-            self.predicate_evaluations,
-        );
-        reg.counter(
-            "cep_wall_time_ns_total",
-            "Wall time spent inside the engine (ns)",
-            labels,
-            self.wall_time_ns,
-        );
-        reg.gauge(
-            "cep_peak_partial_matches",
-            "Peak live partial matches",
-            labels,
-            self.peak_partial_matches as f64,
-        );
-        reg.gauge(
-            "cep_peak_buffered_events",
-            "Peak buffered events",
-            labels,
-            self.peak_buffered_events as f64,
-        );
-        reg.gauge(
-            "cep_peak_memory_bytes",
-            "Peak estimated bytes of partial matches + buffers",
-            labels,
-            self.peak_memory_bytes as f64,
-        );
-        reg.gauge(
-            "cep_throughput_eps",
-            "Events per second of engine wall time",
-            labels,
-            self.throughput_eps(),
-        );
-        reg.counter(
-            "cep_plan_swaps_total",
-            "Plan swaps performed by an adaptive wrapper",
-            labels,
-            self.plan_swaps,
-        );
-        reg.counter(
-            "cep_suppressed_swaps_total",
-            "Plan swaps declined as not amortizable",
-            labels,
-            self.suppressed_swaps,
-        );
-        reg.counter(
-            "cep_replayed_events_total",
-            "Events re-processed during plan swaps",
-            labels,
-            self.replayed_events,
-        );
-        reg.counter(
-            "cep_replicated_events_total",
-            "Extra deliveries from replicate-join broadcast routing",
-            labels,
-            self.replicated_events,
-        );
-        reg.counter(
-            "cep_dedup_hits_total",
-            "Duplicate matches suppressed by sharded-merge dedup",
-            labels,
-            self.dedup_hits,
-        );
-        reg.counter(
-            "cep_plan_cache_hits_total",
-            "Compiled-plan cache hits (program reused without recompiling)",
-            labels,
-            self.plan_cache_hits,
-        );
-        reg.counter(
-            "cep_plan_cache_misses_total",
-            "Compiled-plan cache misses (program lowered from scratch)",
-            labels,
-            self.plan_cache_misses,
-        );
-        reg.counter(
-            "cep_index_probes_total",
-            "Equality-join probes (delta posting lists, NFA/tree key buckets)",
-            labels,
-            self.index_probes,
-        );
-        reg.counter(
-            "cep_delta_updates_total",
-            "Index list inserts + expirations (delta engine)",
-            labels,
-            self.delta_updates,
-        );
-        reg.counter(
-            "cep_registered_queries_total",
-            "Query registrations accepted by a multi-query registry",
-            labels,
-            self.registered_queries,
-        );
-        reg.counter(
-            "cep_shared_fragments_total",
-            "Branch subscriptions that reused an already-running fragment",
-            labels,
-            self.shared_fragments,
-        );
-        reg.counter(
-            "cep_fanout_emits_total",
-            "Matches fanned out from shared fragments to subscribed queries",
-            labels,
-            self.fanout_emits,
-        );
-        reg.histogram(
-            "cep_event_ns",
-            "Per-event processing time (ns, sampled)",
-            labels,
-            &self.event_ns,
-        );
-        reg.histogram(
-            "cep_match_latency_ns",
-            "Per-match detection latency (ns)",
-            labels,
-            &self.match_latency_ns,
-        );
-        reg.histogram(
-            "cep_replay_ns",
-            "Per-swap replay time (ns)",
-            labels,
-            &self.replay_ns,
-        );
-        reg.histogram(
-            "cep_enumeration_ns",
-            "Per-delta on-demand match-enumeration time (ns)",
-            labels,
-            &self.enumeration_ns,
-        );
     }
 }
 
@@ -521,21 +490,42 @@ mod tests {
 
     #[test]
     fn merge_with_zeroed_is_identity_on_counters() {
-        let mut a = EngineMetrics::new();
-        a.events_processed = 7;
-        a.peak_partial_matches = 2;
-        a.wall_time_ns = 10;
-        a.plan_swaps = 4;
-        a.replayed_events = 9;
-        a.peak_retained_events = 3;
-        let before = a.clone();
-        a.merge(&EngineMetrics::new());
-        assert_eq!(a.events_processed, before.events_processed);
-        assert_eq!(a.peak_partial_matches, before.peak_partial_matches);
-        assert_eq!(a.wall_time_ns, before.wall_time_ns);
-        assert_eq!(a.plan_swaps, before.plan_swaps);
-        assert_eq!(a.replayed_events, before.replayed_events);
-        assert_eq!(a.peak_retained_events, before.peak_retained_events);
+        // Every field, not a sample: zero is the identity of every rule.
+        let a = filled(0);
+        let mut merged = a.clone();
+        merged.merge(&EngineMetrics::new());
+        assert_eq!(merged, a);
+        let mut absorbed = a.clone();
+        absorbed.absorb(&EngineMetrics::new());
+        assert_eq!(absorbed, a);
+    }
+
+    #[test]
+    fn merge_is_commutative_and_associative() {
+        let (a, b, c) = (filled(0), filled(1000), filled(50));
+        let mut ab = a.clone();
+        ab.merge(&b);
+        let mut ba = b.clone();
+        ba.merge(&a);
+        assert_eq!(ab, ba);
+        let mut ab_c = ab;
+        ab_c.merge(&c);
+        let mut bc = b.clone();
+        bc.merge(&c);
+        let mut a_bc = a;
+        a_bc.merge(&bc);
+        assert_eq!(ab_c, a_bc);
+    }
+
+    #[test]
+    fn clear_live_zeroes_live_gauges_only() {
+        let mut m = filled(0);
+        m.clear_live();
+        let mut expected = filled(0);
+        expected.live_partial_matches = 0;
+        expected.buffered_events = 0;
+        expected.retained_events = 0;
+        assert_eq!(m, expected);
     }
 
     #[test]
@@ -567,72 +557,31 @@ mod tests {
         assert_eq!(m.peak_retained_events, 8);
     }
 
-    /// A histogram holding one sample of value `v` (so its post-merge
-    /// `sum()` is as checkable as a plain counter).
-    fn hist1(v: u64) -> LatencyHistogram {
-        let mut h = LatencyHistogram::new();
-        h.record(v);
-        h
+    /// A field value derived from one number, for [`filled`]: scalars
+    /// take it as is, histograms hold one sample of it (so a merged
+    /// histogram's `sum()` is as checkable as a plain counter).
+    pub(super) trait Seeded {
+        fn seeded(v: u64) -> Self;
     }
 
-    /// Every field set to a distinct value derived from `base`. Written as
-    /// a full struct literal on purpose: adding a field to
-    /// [`EngineMetrics`] breaks this helper until the merge/absorb
-    /// coverage tests below are extended to the new counter — which is
-    /// exactly when `merge`/`absorb` themselves must be extended too.
-    fn filled(base: u64) -> EngineMetrics {
-        EngineMetrics {
-            events_processed: base + 1,
-            events_relevant: base + 2,
-            matches_emitted: base + 3,
-            partial_matches_created: base + 4,
-            live_partial_matches: (base + 5) as usize,
-            peak_partial_matches: (base + 6) as usize,
-            buffered_events: (base + 7) as usize,
-            peak_buffered_events: (base + 8) as usize,
-            peak_memory_bytes: (base + 9) as usize,
-            predicate_evaluations: base + 10,
-            wall_time_ns: base + 11,
-            event_ns: hist1(base + 12),
-            match_latency_ns: hist1(base + 13),
-            plan_swaps: base + 14,
-            replayed_events: base + 15,
-            replay_time_ns: base + 16,
-            replay_ns: hist1(base + 17),
-            retained_events: (base + 18) as usize,
-            peak_retained_events: (base + 19) as usize,
-            selectivity_samples: base + 20,
-            suppressed_swaps: base + 21,
-            replicated_events: base + 22,
-            dedup_hits: base + 23,
-            plan_cache_hits: base + 24,
-            plan_cache_misses: base + 25,
-            index_probes: base + 26,
-            delta_updates: base + 27,
-            enumeration_ns: hist1(base + 28),
-            registered_queries: base + 29,
-            shared_fragments: base + 30,
-            fanout_emits: base + 31,
+    impl Seeded for u64 {
+        fn seeded(v: u64) -> Self {
+            v
         }
     }
 
-    /// Number of fields `filled` covers; the canary below cross-checks it
-    /// against the struct itself via its Debug rendering. The histogram
-    /// fields count too: `LatencyHistogram`'s Debug is a single token
-    /// without `": "`, so each one contributes exactly one pair.
-    const FIELD_COUNT: usize = 31;
+    impl Seeded for usize {
+        fn seeded(v: u64) -> Self {
+            v as usize
+        }
+    }
 
-    #[test]
-    fn debug_field_count_matches_coverage() {
-        // `{:?}` renders one `name: value` pair per field and the values
-        // are plain integers, so counting ": " occurrences counts fields.
-        let rendered = format!("{:?}", EngineMetrics::new());
-        assert_eq!(
-            rendered.matches(": ").count(),
-            FIELD_COUNT,
-            "EngineMetrics gained or lost a field; update filled() and the \
-             merge/absorb coverage tests: {rendered}"
-        );
+    impl Seeded for LatencyHistogram {
+        fn seeded(v: u64) -> Self {
+            let mut h = LatencyHistogram::new();
+            h.record(v);
+            h
+        }
     }
 
     #[test]
@@ -739,6 +688,38 @@ mod tests {
         assert!(text.contains("cep_registered_queries_total{engine=\"a\"} 29"));
         assert!(text.contains("cep_shared_fragments_total{engine=\"b\"} 1030"));
         assert!(text.contains("cep_fanout_emits_total{engine=\"a\"} 31"));
+        // One family per field plus the derived throughput gauge, each
+        // carrying its row's value (`filled(0)` gives the i-th row i + 1).
+        assert_eq!(reg.len(), EngineMetrics::FIELDS.len() + 1);
+        assert!(text.contains("# TYPE cep_throughput_eps gauge\n"));
+        for (i, field) in EngineMetrics::FIELDS.iter().enumerate() {
+            let (family, value) = (field.family(), i + 1);
+            let (kind, sample) = match field.combine {
+                Combine::Histogram => (
+                    "histogram",
+                    format!("{family}_sum{{engine=\"a\"}} {value}\n"),
+                ),
+                c if c.is_counter() => ("counter", format!("{family}{{engine=\"a\"}} {value}\n")),
+                _ => ("gauge", format!("{family}{{engine=\"a\"}} {value}\n")),
+            };
+            assert!(
+                text.contains(&format!("# TYPE {family} {kind}\n")),
+                "{} has no {kind} family {family}",
+                field.name
+            );
+            assert!(text.contains(&sample), "missing {sample:?}");
+        }
+        // The six series the hand-written export used to skip.
+        for line in [
+            "cep_live_partial_matches{engine=\"b\"} 1005",
+            "cep_buffered_events{engine=\"b\"} 1007",
+            "cep_replay_time_ns_total{engine=\"b\"} 1016",
+            "cep_retained_events{engine=\"b\"} 1018",
+            "cep_peak_retained_events{engine=\"b\"} 1019",
+            "cep_selectivity_samples_total{engine=\"b\"} 1020",
+        ] {
+            assert!(text.contains(line), "missing {line:?}");
+        }
         // The JSON rendering parses back with the obs-side codec.
         cep_obs::json::parse(&reg.render_json()).expect("registry JSON parses");
     }

@@ -380,9 +380,7 @@ impl QueryRegistry {
                 let mut last = frag.engine.metrics().clone();
                 // The engine is gone: its live-state gauges must not
                 // linger in the monotone aggregate.
-                last.live_partial_matches = 0;
-                last.buffered_events = 0;
-                last.retained_events = 0;
+                last.clear_live();
                 self.retired.absorb(&last);
                 retired += 1;
             }
@@ -553,21 +551,17 @@ impl QueryRegistry {
         }
     }
 
-    /// The registry-wide metrics view: fragment engines' counters
-    /// absorbed **once each** (shared work counts once, however many
-    /// queries subscribe), plus retired fragments' final counters, with
-    /// the registry-owned totals (`events_processed`, `wall_time_ns`,
-    /// `registered_queries`, `shared_fragments`, `fanout_emits`) on top.
+    /// The registry-wide metrics view: the registry-owned counters
+    /// (`events_processed`, `wall_time_ns`, `registered_queries`,
+    /// `shared_fragments`, `fanout_emits`) with retired fragments' final
+    /// counters and every live fragment engine absorbed **once each**
+    /// (shared work counts once, however many queries subscribe).
     pub fn metrics(&self) -> EngineMetrics {
-        let mut agg = self.retired.clone();
+        let mut agg = self.own.clone();
+        agg.absorb(&self.retired);
         for frag in self.slots.iter().flatten() {
             agg.absorb(frag.engine.metrics());
         }
-        agg.events_processed = self.own.events_processed;
-        agg.wall_time_ns = self.own.wall_time_ns;
-        agg.registered_queries = self.own.registered_queries;
-        agg.shared_fragments = self.own.shared_fragments;
-        agg.fanout_emits = self.own.fanout_emits;
         agg
     }
 
@@ -583,6 +577,8 @@ impl QueryRegistry {
             let frag = self.slots[slot].as_ref().expect("live slot");
             agg.absorb(frag.engine.metrics());
         }
+        // Counted by both layers; the query's own counts stand: events
+        // since it registered, and matches after its dedup.
         agg.events_processed = self.own.events_processed - q.registered_at;
         agg.matches_emitted = q.matches_emitted;
         Some(agg)

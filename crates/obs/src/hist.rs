@@ -172,9 +172,8 @@ impl LatencyHistogram {
 }
 
 /// Compact single-token rendering (`hist(n=…, sum=…, p50=…, p95=…,
-/// p99=…)`). Deliberately free of `": "` so a histogram-valued field adds
-/// exactly one `name: value` pair to its parent struct's `{:?}` output —
-/// the `EngineMetrics` field-count canary in `cep-core` counts those.
+/// p99=…)`), so a histogram-valued field reads as one `name: value` pair
+/// in its parent struct's `{:?}` output.
 impl std::fmt::Debug for LatencyHistogram {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
