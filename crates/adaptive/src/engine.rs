@@ -642,6 +642,12 @@ impl<R: Replanner> AdaptiveEngine<R> {
 impl<R: Replanner> Engine for AdaptiveEngine<R> {
     fn process(&mut self, event: &EventRef, out: &mut Vec<Match>) {
         self.view.take();
+        // A late event is dropped before the window push, whose binary
+        // searches assume ts order (`cep_core::event::advance_watermark`).
+        if event.ts < self.watermark() {
+            self.own.late_events_dropped += 1;
+            return;
+        }
         self.own.events_processed += 1;
         self.events_since_swap = self.events_since_swap.saturating_add(1);
         self.replanner.observe_event(event);

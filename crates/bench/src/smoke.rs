@@ -20,9 +20,9 @@
 //! so `--write-baseline` cannot bless a divergence.
 //!
 //! The `compiled-pipeline` scenario runs one workload through the
-//! compiled predicate pipeline (fused evaluators + arena + eager pruning)
-//! on both engine families: match counts and the predicate-evaluation
-//! count are gated like every other scenario.
+//! compiled predicate pipeline (fused evaluators + eager pruning) on
+//! both engine families: match counts and the predicate-evaluation count
+//! are gated like every other scenario.
 //!
 //! The `delta-window-scaling` scenario sweeps the pattern window over the
 //! same rare-completion join workload on the NFA, tree, and delta
@@ -285,10 +285,10 @@ fn cross_partition() -> ScenarioReport {
     })
 }
 
-/// The compiled predicate pipeline (fused evaluators + arena + eager
-/// pruning) on one seeded workload, both engine families. Match counts
-/// and the predicate-evaluation count are deterministic and gated against
-/// the baseline; wall times land in [`ScenarioReport::walls`].
+/// The compiled predicate pipeline (fused evaluators + eager pruning) on
+/// one seeded workload, both engine families. Match counts and the
+/// predicate-evaluation count are deterministic and gated against the
+/// baseline; wall times land in [`ScenarioReport::walls`].
 fn compiled_pipeline() -> ScenarioReport {
     use cep_tree::TreeEngine;
     let start = Instant::now();

@@ -1,6 +1,7 @@
 //! The engine abstraction shared by the NFA, tree, and naive evaluators.
 
 use crate::dedup::BranchDedup;
+use crate::event::{advance_watermark, Timestamp};
 use crate::matches::Match;
 use crate::metrics::EngineMetrics;
 use crate::stream::EventStream;
@@ -38,14 +39,15 @@ impl Default for EngineConfig {
 pub trait Engine {
     /// Processes one event, appending any matches it completes.
     ///
-    /// Precondition: `event.ts` is at or above every timestamp processed
-    /// before (streams are ts-ordered; [`StreamBuilder`] enforces it). The
-    /// NFA, tree and delta backends rely on it: their join stores are then
+    /// Streams are ts-ordered ([`StreamBuilder`] enforces it), and the
+    /// NFA, tree and delta backends rely on it: their join stores are
     /// sorted by time, and a probe visits only the slice that window and
     /// precedence allow
-    /// ([`partner_ts_range`](crate::instance::partner_ts_range)). A late
-    /// event trips a `debug_assert!` there; release builds may miss
-    /// matches.
+    /// ([`partner_ts_range`](crate::instance::partner_ts_range)). An event
+    /// whose `ts` is below one processed before is late: every engine and
+    /// wrapper drops it and counts it in
+    /// [`late_events_dropped`](EngineMetrics::late_events_dropped)
+    /// ([`advance_watermark`]), in debug and release builds alike.
     ///
     /// [`StreamBuilder`]: crate::stream::StreamBuilder
     fn process(&mut self, event: &crate::event::EventRef, out: &mut Vec<Match>);
@@ -197,8 +199,11 @@ pub struct MultiEngine {
     dedup: BranchDedup,
     /// Per-event scratch buffer of the branches' matches.
     staged: Vec<Match>,
-    /// The wrapper's own counters (`events_processed`, `matches_emitted`)
-    /// plus whatever the harness records through
+    /// The largest timestamp processed: a late event is dropped here
+    /// once, not once per branch.
+    watermark: Timestamp,
+    /// The wrapper's own counters (`events_processed`, `matches_emitted`,
+    /// `late_events_dropped`) plus whatever the harness records through
     /// [`metrics_mut`](Engine::metrics_mut) (wall time, histograms).
     own: EngineMetrics,
     /// The aggregate view [`metrics`](Engine::metrics) returns, computed on
@@ -217,6 +222,7 @@ impl MultiEngine {
             engines,
             dedup: BranchDedup::new(window),
             staged: Vec::new(),
+            watermark: 0,
             own: EngineMetrics::new(),
             view: OnceCell::new(),
             started: false,
@@ -262,6 +268,11 @@ impl MultiEngine {
 
 impl Engine for MultiEngine {
     fn process(&mut self, event: &crate::event::EventRef, out: &mut Vec<Match>) {
+        if !advance_watermark(&mut self.watermark, event.ts) {
+            self.view.take();
+            self.own.late_events_dropped += 1;
+            return;
+        }
         self.own.events_processed += 1;
         for e in &mut self.engines {
             e.process(event, &mut self.staged);

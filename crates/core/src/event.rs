@@ -21,6 +21,22 @@ pub fn expired_at(ts: Timestamp, window: u64, watermark: Timestamp) -> bool {
     ts.saturating_add(window) < watermark
 }
 
+/// The late-event rule every entry point shares: advances `watermark`,
+/// the largest timestamp accepted so far, to `ts` and returns `true`, or
+/// returns `false` for an event behind it. The caller drops a late event
+/// before it touches any state and counts it in
+/// [`late_events_dropped`](crate::metrics::EngineMetrics::late_events_dropped),
+/// so the join stores stay sorted by time and every engine, wrapper and
+/// runtime gives the same answer on an out-of-order stream.
+#[inline]
+pub fn advance_watermark(watermark: &mut Timestamp, ts: Timestamp) -> bool {
+    let in_order = ts >= *watermark;
+    if in_order {
+        *watermark = ts;
+    }
+    in_order
+}
+
 /// A primitive event: one data item of the input stream.
 ///
 /// Besides the schema-declared attribute tuple, every event carries:

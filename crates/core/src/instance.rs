@@ -23,7 +23,8 @@ use std::ops::{Range, RangeInclusive};
 #[derive(Debug, Clone)]
 pub struct Instance {
     /// Bindings per element; `None` until the element's plan step runs.
-    pub bindings: Vec<Option<Binding>>,
+    /// An exact-size slice: instances are derived by cloning, never grown.
+    pub bindings: Box<[Option<Binding>]>,
     /// Minimum bound timestamp (`u64::MAX` while empty); at most the `ts`
     /// of every bound event.
     pub min_ts: Timestamp,
@@ -43,18 +44,13 @@ pub struct Instance {
     /// For an instance waiting at a Kleene state: the smallest serial number
     /// the accumulator may take next. Enumerates each subset exactly once.
     pub kl_gate: u64,
-    /// Allocation generation stamped by the [`InstanceArena`] that derived
-    /// this instance (0 for instances created outside an arena). Purely
-    /// diagnostic: reused shells are fully re-initialized, so the
-    /// generation only tells allocations apart.
-    pub generation: u64,
 }
 
 impl Instance {
     /// Fresh empty instance for a pattern of `n` elements.
     pub fn empty(n: usize) -> Instance {
         Instance {
-            bindings: vec![None; n],
+            bindings: vec![None; n].into_boxed_slice(),
             min_ts: Timestamp::MAX,
             max_ts: 0,
             min_seq: u64::MAX,
@@ -62,7 +58,6 @@ impl Instance {
             partition: None,
             event_count: 0,
             kl_gate: 0,
-            generation: 0,
         }
     }
 
@@ -513,131 +508,6 @@ impl Instance {
     }
 }
 
-/// A reuse pool for partial-match instances.
-///
-/// Engine hot paths derive thousands of short-lived instances per event
-/// (forks, Kleene growth, joins) and kill most of them shortly after
-/// (window expiry, consumed events). Deriving through the arena reuses the
-/// `bindings` vector spine of retired instances instead of re-allocating
-/// it, and the engines route kill-path removals
-/// ([`KeyedStore::retain`](crate::keyed::KeyedStore::retain)) back into
-/// the pool. Each derived instance is stamped with a monotonically increasing
-/// [`Instance::generation`].
-///
-/// The arena is purely an allocation strategy: derived instances are fully
-/// re-initialized, so engine results are byte-identical with or without
-/// reuse.
-#[derive(Debug, Default)]
-pub struct InstanceArena {
-    free: Vec<Instance>,
-    generation: u64,
-    allocs: u64,
-    reuses: u64,
-}
-
-impl InstanceArena {
-    /// Retired shells kept for reuse; beyond this the shells are dropped.
-    const MAX_FREE: usize = 4096;
-
-    /// Fresh, empty arena.
-    pub fn new() -> InstanceArena {
-        InstanceArena::default()
-    }
-
-    /// A copy of `src` backed by a reused shell when one is available.
-    fn derive(&mut self, src: &Instance) -> Instance {
-        self.generation += 1;
-        let mut inst = match self.free.pop() {
-            Some(mut shell) => {
-                self.reuses += 1;
-                shell.bindings.clear();
-                shell.bindings.extend(src.bindings.iter().cloned());
-                shell.min_ts = src.min_ts;
-                shell.max_ts = src.max_ts;
-                shell.min_seq = src.min_seq;
-                shell.max_seq = src.max_seq;
-                shell.partition = src.partition;
-                shell.event_count = src.event_count;
-                shell.kl_gate = src.kl_gate;
-                shell
-            }
-            None => {
-                self.allocs += 1;
-                src.clone()
-            }
-        };
-        inst.generation = self.generation;
-        inst
-    }
-
-    /// Arena-backed [`Instance::with_single`].
-    pub fn with_single(&mut self, src: &Instance, elem: usize, event: EventRef) -> Instance {
-        let mut inst = self.derive(src);
-        inst.bind_single(elem, event);
-        inst
-    }
-
-    /// Arena-backed [`Instance::with_kleene`].
-    pub fn with_kleene(&mut self, src: &Instance, elem: usize, event: EventRef) -> Instance {
-        let mut inst = self.derive(src);
-        inst.bind_kleene(elem, event);
-        inst
-    }
-
-    /// Arena-backed [`Instance::merge`].
-    pub fn merge(&mut self, left: &Instance, right: &Instance) -> Instance {
-        let mut out = self.derive(left);
-        for (i, b) in right.bindings.iter().enumerate() {
-            if let Some(b) = b {
-                debug_assert!(out.bindings[i].is_none(), "element bound on both sides");
-                out.bindings[i] = Some(b.clone());
-            }
-        }
-        out.min_ts = left.min_ts.min(right.min_ts);
-        out.max_ts = left.max_ts.max(right.max_ts);
-        out.min_seq = left.min_seq.min(right.min_seq);
-        out.max_seq = left.max_seq.max(right.max_seq);
-        out.partition = left.partition.or(right.partition);
-        out.event_count = left.event_count + right.event_count;
-        out.kl_gate = 0;
-        out
-    }
-
-    /// Returns a dead instance's shell to the pool (bounded), releasing its
-    /// event references immediately.
-    pub fn retire(&mut self, mut inst: Instance) {
-        if self.free.len() < Self::MAX_FREE {
-            inst.bindings.clear();
-            self.free.push(inst);
-        }
-    }
-
-    /// Returns a completed instance's shell to the pool, but only when the
-    /// pool is empty — the one case where the next derivation would
-    /// allocate. Completion then never pools more shells than the kill
-    /// path left behind, so pooled memory stays where it was.
-    pub fn recycle(&mut self, inst: Instance) {
-        if self.free.is_empty() {
-            self.retire(inst);
-        }
-    }
-
-    /// Instances derived from fresh allocations.
-    pub fn allocs(&self) -> u64 {
-        self.allocs
-    }
-
-    /// Instances derived by reusing a retired shell.
-    pub fn reuses(&self) -> u64 {
-        self.reuses
-    }
-
-    /// Shells currently pooled.
-    pub fn pooled(&self) -> usize {
-        self.free.len()
-    }
-}
-
 /// Exact contiguity validation at completion time (the incremental span
 /// check is only a feasibility filter).
 pub fn contiguity_ok(cp: &CompiledPattern, inst: &Instance) -> bool {
@@ -890,43 +760,6 @@ mod tests {
         let left = Instance::empty(2).with_single(0, ev(0, 1, 0, 1));
         let right = Instance::empty(2).with_single(1, ev(1, 50, 1, 9));
         assert!(!merge_compatible(&cp, &left, &right, &consumed, &mut m));
-    }
-
-    #[test]
-    fn arena_reuses_retired_shells_and_stamps_generations() {
-        let mut arena = InstanceArena::new();
-        let base = Instance::empty(2);
-        let a = arena.with_single(&base, 0, ev(0, 5, 3, 1));
-        assert_eq!(a.generation, 1);
-        assert_eq!((arena.allocs(), arena.reuses()), (1, 0));
-        assert_eq!(a.bindings, base.with_single(0, ev(0, 5, 3, 1)).bindings);
-        arena.retire(a);
-        assert_eq!(arena.pooled(), 1);
-        let b = arena.with_single(&base, 0, ev(0, 7, 4, 2));
-        assert_eq!(b.generation, 2);
-        assert_eq!((arena.allocs(), arena.reuses()), (1, 1));
-        assert_eq!(b.min_ts, 7);
-        assert_eq!(b.event_count, 1);
-        assert!(
-            b.contains_seq(4) && !b.contains_seq(3),
-            "fully re-initialized"
-        );
-        // Kleene and merge derivations behave like the clone-based ones.
-        let k = arena.with_kleene(&base, 1, ev(1, 2, 9, 0));
-        assert_eq!(k.kl_gate, 10);
-        let left = Instance::empty(2).with_single(0, ev(0, 1, 0, 1));
-        let right = Instance::empty(2).with_single(1, ev(1, 2, 1, 9));
-        let m_arena = arena.merge(&left, &right);
-        let m_clone = left.merge(&right);
-        assert_eq!(m_arena.bindings, m_clone.bindings);
-        assert_eq!(m_arena.event_count, m_clone.event_count);
-        assert_eq!(m_arena.min_ts, m_clone.min_ts);
-        // Completed shells refill an empty pool and never grow a full one.
-        assert_eq!(arena.pooled(), 0);
-        arena.recycle(b);
-        assert_eq!(arena.pooled(), 1);
-        arena.recycle(k);
-        assert_eq!(arena.pooled(), 1);
     }
 
     /// `SEQ(a, b, c)` (or `AND` when `seq` is false) over types 0, 1, 2.

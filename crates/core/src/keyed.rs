@@ -205,24 +205,15 @@ impl<T> KeyedStore<T> {
         self.buckets[id.0].swap_remove(idx)
     }
 
-    /// Stable in-place retain: members failing `keep` are handed to
-    /// `retired`, kept members preserve their relative order within their
-    /// bucket (engines emit matches in bucket order, so order stability is
-    /// load-bearing for byte-identical output). Emptied keyed buckets are
-    /// dropped.
-    pub fn retain(&mut self, mut keep: impl FnMut(&T) -> bool, mut retired: impl FnMut(T)) {
+    /// Stable in-place retain: members failing `keep` are dropped, kept
+    /// members preserve their relative order within their bucket (engines
+    /// emit matches in bucket order, so order stability is load-bearing for
+    /// byte-identical output). Emptied keyed buckets are dropped.
+    pub fn retain(&mut self, mut keep: impl FnMut(&T) -> bool) {
         for bucket in &mut self.buckets {
-            let mut kept = 0;
-            for idx in 0..bucket.len() {
-                if keep(&bucket[idx]) {
-                    if kept != idx {
-                        bucket.swap(kept, idx);
-                    }
-                    kept += 1;
-                }
-            }
-            self.len -= bucket.len() - kept;
-            bucket.drain(kept..).for_each(&mut retired);
+            let before = bucket.len();
+            bucket.retain(&mut keep);
+            self.len -= before - bucket.len();
         }
         self.drop_empty_buckets();
     }
@@ -302,23 +293,32 @@ mod tests {
 
     #[test]
     fn retain_is_stable_retires_removed_and_drops_empty_buckets() {
+        // Each member holds a reference count, so a removed member that is
+        // still held anywhere shows up in the count.
+        let live = std::rc::Rc::new(());
         let mut store = KeyedStore::new();
         for i in 0..12u32 {
-            store.push(key((i % 3) as i64), i);
+            store.push(key((i % 3) as i64), (i, live.clone()));
         }
-        let mut retired = Vec::new();
-        store.retain(|&i| i % 3 != 0 && i % 2 == 1, |i| retired.push(i));
-        assert_eq!(store.visit(&key(0)), Vec::<u32>::new());
-        assert_eq!(store.visit(&key(1)), vec![1, 7]);
-        assert_eq!(store.visit(&key(2)), vec![5, 11]);
+        store.retain(|(i, _)| i % 3 != 0 && i % 2 == 1);
+        fn ids<T>(store: &KeyedStore<(u32, T)>, slot: Slot) -> Vec<u32> {
+            store.visit(&slot).iter().map(|m| m.0).collect()
+        }
+        assert_eq!(ids(&store, key(0)), Vec::<u32>::new());
+        assert_eq!(ids(&store, key(1)), vec![1, 7]);
+        assert_eq!(ids(&store, key(2)), vec![5, 11]);
         assert_eq!(store.len(), 4);
-        assert_eq!(retired.len(), 8);
+        assert_eq!(
+            std::rc::Rc::strong_count(&live),
+            1 + 4,
+            "removed members dropped"
+        );
         assert_eq!(store.by_key.len(), 2, "emptied bucket dropped");
         // The freed slot is reused by the next new key.
         let slots = store.buckets.len();
-        store.push(key(9), 99);
+        store.push(key(9), (99, live.clone()));
         assert_eq!(store.buckets.len(), slots);
-        assert_eq!(store.visit(&key(9)), vec![99]);
+        assert_eq!(ids(&store, key(9)), vec![99]);
     }
 
     #[test]

@@ -239,8 +239,9 @@ engine_metrics! {
     /// [`EngineMetrics::FIELDS`].
     #[derive(Debug, Clone, Default, PartialEq)]
     pub struct EngineMetrics {
-        /// Total events offered to the engine.
-        events_processed: u64 = Total("Events offered to the engine"),
+        /// Events offered to the engine, less the late ones it dropped
+        /// ([`late_events_dropped`](EngineMetrics::late_events_dropped)).
+        events_processed: u64 = Total("Events offered to the engine, less late ones dropped"),
         /// Events of types that participate in the pattern.
         events_relevant: u64 = Counter("Events of pattern-participating types"),
         /// Full matches emitted.
@@ -329,6 +330,10 @@ engine_metrics! {
         /// delivery, so a fragment shared by three queries adds three per detected match (0 outside
         /// registry execution).
         fanout_emits: u64 = Counter("Matches fanned out from shared fragments to subscribed queries"),
+        /// Events dropped for arriving behind the watermark (below a timestamp already accepted;
+        /// [`crate::event::advance_watermark`]). The entry point that first sees the event drops
+        /// it before any state changes, so it counts in no other field.
+        late_events_dropped: u64 = Counter("Events dropped for arriving behind the watermark"),
     }
 }
 

@@ -11,7 +11,7 @@
 use crate::buffer::TypeBuffers;
 use crate::compile::CompiledPattern;
 use crate::engine::{Engine, EngineConfig};
-use crate::event::{EventRef, Timestamp};
+use crate::event::{advance_watermark, EventRef, Timestamp};
 use crate::matches::{validate_match, Binding, Match};
 use crate::metrics::EngineMetrics;
 use crate::negation::DeferredStore;
@@ -196,8 +196,11 @@ fn bound_seq(bindings: &[Option<Binding>], seq: u64) -> bool {
 
 impl Engine for NaiveEngine {
     fn process(&mut self, event: &EventRef, out: &mut Vec<Match>) {
+        if !advance_watermark(&mut self.watermark, event.ts) {
+            self.metrics.late_events_dropped += 1;
+            return;
+        }
         self.metrics.events_processed += 1;
-        self.watermark = self.watermark.max(event.ts);
         let watermark = self.watermark;
         self.release_deferred(watermark, out);
         self.deferred.on_event(&self.cp, event);

@@ -53,7 +53,7 @@ use crate::compiled::{shared_plan_cache, PredicateProgram, SharedPlanCache};
 use crate::dedup::{branches_can_collide, BranchDedup};
 use crate::engine::Engine;
 use crate::error::CepError;
-use crate::event::{EventRef, TypeId};
+use crate::event::{advance_watermark, EventRef, Timestamp, TypeId};
 use crate::matches::Match;
 use crate::metrics::EngineMetrics;
 use crate::pattern::Pattern;
@@ -179,9 +179,14 @@ pub struct QueryRegistry {
     hit: Vec<usize>,
     visit: Vec<QueryId>,
     next_id: u64,
+    /// The largest timestamp processed. Late events are dropped against
+    /// it, not against the fragments' watermarks: a fragment sees only
+    /// the types it uses, so its watermark lags the registry's.
+    watermark: Timestamp,
     /// Registry-owned counters (`events_processed`, `wall_time_ns`,
-    /// `registered_queries`, `shared_fragments`, `fanout_emits`); the
-    /// rest of the exported view is absorbed from fragment engines.
+    /// `registered_queries`, `shared_fragments`, `fanout_emits`,
+    /// `late_events_dropped`); the rest of the exported view is absorbed
+    /// from fragment engines.
     own: EngineMetrics,
     /// Final metrics of torn-down fragments (live-state gauges zeroed),
     /// so the aggregate view stays monotone across unregistrations.
@@ -216,6 +221,7 @@ impl QueryRegistry {
             hit: Vec::new(),
             visit: Vec::new(),
             next_id: 0,
+            watermark: 0,
             own: EngineMetrics::new(),
             retired: EngineMetrics::new(),
         }
@@ -397,8 +403,13 @@ impl QueryRegistry {
     /// Offers one event to the live fragments its type dispatches to
     /// (each evaluated at most once — see the [module docs](self)) and
     /// fans freshly detected matches out to the subscribed queries,
-    /// tagged with their [`QueryId`].
+    /// tagged with their [`QueryId`]. A late event is dropped
+    /// ([`advance_watermark`]).
     pub fn process(&mut self, event: &EventRef, out: &mut Vec<(QueryId, Match)>) {
+        if !advance_watermark(&mut self.watermark, event.ts) {
+            self.own.late_events_dropped += 1;
+            return;
+        }
         self.own.events_processed += 1;
         let targets = self.by_type.get(&event.type_id).unwrap_or(&self.route_all);
         for &slot in targets {

@@ -4,13 +4,15 @@
 //! The paper treats every CEP plan as a join plan (§4–5), so the backends
 //! differ only in how they join. The rest is one [`EngineShell`]:
 //!
-//! * **State.** The compiled pattern, the predicate program, the instance
-//!   arena and the shared empty instance, the watermark, the deferred
-//!   negation store, the negated-type buffers, the consumed set, the prune
-//!   cadence and the metrics.
-//! * **Prologue** ([`EngineShell::process`]). Advance the watermark,
-//!   release deferred matches, test the event against parked ones, prune,
-//!   skip irrelevant types, gate through
+//! * **State.** The compiled pattern, the predicate program, the shared
+//!   empty instance, the watermark, the deferred negation store, the
+//!   negated-type buffers, the consumed set, the prune cadence and the
+//!   metrics. Partial matches are plain values: a derivation clones its
+//!   source, and a dead instance is dropped where it dies, so the heap
+//!   holds live join state only.
+//! * **Prologue** ([`EngineShell::process`]). Advance the watermark
+//!   (dropping a late event), release deferred matches, test the event
+//!   against parked ones, prune, skip irrelevant types, gate through
 //!   [`PredicateProgram::can_ever_bind`], buffer negated types, and only
 //!   then hand the event to the backend's [`Join::arrive`].
 //! * **Emission** ([`EngineShell::finalize`]). Contiguity and consumed
@@ -27,10 +29,9 @@ use crate::buffer::TypeBuffers;
 use crate::compile::CompiledPattern;
 use crate::compiled::PredicateProgram;
 use crate::engine::EngineConfig;
-use crate::event::{EventRef, Timestamp};
+use crate::event::{advance_watermark, EventRef, Timestamp};
 use crate::instance::{
     compatible_with, contiguity_ok, events_join, joins_event, merge_compatible_with, Instance,
-    InstanceArena,
 };
 use crate::keyed::KeyedStore;
 use crate::matches::Match;
@@ -72,8 +73,6 @@ pub trait Join {
 /// The state and per-event work every backend shares (see the module
 /// docs).
 pub struct EngineShell {
-    /// Reuse pool for the backends' instances.
-    pub arena: InstanceArena,
     /// Runtime metrics.
     pub metrics: EngineMetrics,
     cp: CompiledPattern,
@@ -99,7 +98,6 @@ impl EngineShell {
             cp,
             cfg,
             program,
-            arena: InstanceArena::new(),
             metrics: EngineMetrics::new(),
             watermark: 0,
             deferred: DeferredStore::new(),
@@ -125,17 +123,14 @@ impl EngineShell {
         &self.program
     }
 
-    /// Arena statistics: `(instances derived, shells reused)`.
-    pub fn arena_stats(&self) -> (u64, u64) {
-        (self.arena.allocs(), self.arena.reuses())
-    }
-
     /// Processes one event: the shared prologue, then `join`'s
     /// [`arrive`](Join::arrive) for a relevant event that passes the gate.
     pub fn process<J: Join>(&mut self, join: &mut J, event: &EventRef, out: &mut Vec<Match>) {
-        debug_assert!(event.ts >= self.watermark, "events arrive in ts order");
+        if !advance_watermark(&mut self.watermark, event.ts) {
+            self.metrics.late_events_dropped += 1;
+            return;
+        }
         self.metrics.events_processed += 1;
-        self.watermark = self.watermark.max(event.ts);
         let (watermark, window) = (self.watermark, self.cp.window);
         self.release_deferred(join.partials(), watermark, out);
         if !self.cp.negated.is_empty() {
@@ -148,9 +143,8 @@ impl EngineShell {
         let due = self.events_since_prune >= self.cfg.prune_every;
         if due {
             self.events_since_prune = 0;
-            let arena = &mut self.arena;
             for store in join.partials() {
-                store.retain(|i| !i.expired(watermark, window), |i| arena.retire(i));
+                store.retain(|i| !i.expired(watermark, window));
             }
             self.consumed.retain_window(watermark, window);
         }
@@ -219,14 +213,14 @@ impl EngineShell {
         !self.cp.elements[elem].kleene || inst.kleene_len(elem) < self.cfg.max_kleene_events
     }
 
-    /// `inst` with `event` bound at `elem`, derived through the arena: set
-    /// at a plain element, appended to a Kleene element's accumulator.
+    /// `inst` with `event` bound at `elem`: set at a plain element,
+    /// appended to a Kleene element's accumulator.
     #[inline]
-    pub fn bind(&mut self, inst: &Instance, elem: usize, event: EventRef) -> Instance {
+    pub fn bind(&self, inst: &Instance, elem: usize, event: EventRef) -> Instance {
         if self.cp.elements[elem].kleene {
-            self.arena.with_kleene(inst, elem, event)
+            inst.with_kleene(elem, event)
         } else {
-            self.arena.with_single(inst, elem, event)
+            inst.with_single(elem, event)
         }
     }
 
@@ -275,9 +269,9 @@ impl EngineShell {
     }
 
     /// The instance binding event `a.1` at plain element `a.0` and `b.1` at
-    /// `b.0`, derived through the arena.
-    pub fn pair(&mut self, a: (usize, &EventRef), b: (usize, &EventRef)) -> Instance {
-        let mut inst = self.arena.with_single(&self.empty, a.0, a.1.clone());
+    /// `b.0`.
+    pub fn pair(&self, a: (usize, &EventRef), b: (usize, &EventRef)) -> Instance {
+        let mut inst = self.empty.with_single(a.0, a.1.clone());
         inst.bind_single(b.0, b.1.clone());
         inst
     }
@@ -285,21 +279,13 @@ impl EngineShell {
     /// The instance that binds `event` alone at `elem`, if the shell
     /// [`admits`](Self::admits) it there.
     pub fn seed(&mut self, elem: usize, event: &EventRef) -> Option<Instance> {
-        if !self.admits(elem, event) {
-            return None;
-        }
-        let (arena, empty) = (&mut self.arena, &self.empty);
-        Some(if self.cp.elements[elem].kleene {
-            arena.with_kleene(empty, elem, event.clone())
-        } else {
-            arena.with_single(empty, elem, event.clone())
-        })
+        self.admits(elem, event)
+            .then(|| self.bind(&self.empty, elem, event.clone()))
     }
 
     /// Completes `inst`, which binds every positive element: drops it if
     /// it breaks contiguity or holds a consumed event, otherwise builds
-    /// the match, recycles the instance's shell and admits the match
-    /// through the negation check, emitting it now or parking it until its
+    /// the match and admits it through the negation check, emitting it now or parking it until its
     /// forbidden intervals close.
     pub fn finalize(
         &mut self,
@@ -310,14 +296,14 @@ impl EngineShell {
         if !contiguity_ok(&self.cp, &inst)
             || (self.cp.strategy.consumes() && inst.intersects(&self.consumed))
         {
-            self.arena.recycle(inst);
             return;
         }
         let elements = &self.cp.elements;
         let m = Match {
             bindings: inst
                 .bindings
-                .drain(..)
+                .iter_mut()
+                .map(Option::take)
                 .enumerate()
                 .map(|(i, b)| {
                     let b = b.expect("finalize requires all elements bound");
@@ -327,7 +313,6 @@ impl EngineShell {
             last_ts: inst.max_ts,
             emitted_at: self.watermark,
         };
-        self.arena.recycle(inst);
         if let Some(m) = self
             .deferred
             .admit(&self.cp, m, self.watermark, &self.negated)
@@ -338,16 +323,15 @@ impl EngineShell {
 
     /// Emits `m`. Under a consuming strategy it first consumes the match's
     /// events, dropping the match if one is consumed already, and kills
-    /// the partial matches that hold a consumed event; their shells go back
-    /// to the arena.
+    /// the partial matches that hold a consumed event.
     fn emit(&mut self, m: Match, partials: &mut [KeyedStore<Instance>], out: &mut Vec<Match>) {
         if self.cp.strategy.consumes() {
             if !self.consumed.consume(&m) {
                 return;
             }
-            let (consumed, arena) = (&self.consumed, &mut self.arena);
+            let consumed = &self.consumed;
             for store in partials {
-                store.retain(|i| !i.intersects(consumed), |i| arena.retire(i));
+                store.retain(|i| !i.intersects(consumed));
             }
         }
         self.metrics.matches_emitted += 1;

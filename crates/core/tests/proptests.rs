@@ -64,7 +64,7 @@ proptest! {
                 }
                 5 => {
                     let modulus = arg + 2;
-                    store.retain(|(_, id)| id % modulus != 0, |_| {});
+                    store.retain(|(_, id)| id % modulus != 0);
                     flat.retain(|(_, id)| id % modulus != 0);
                 }
                 6 => {

@@ -1,6 +1,6 @@
 //! The delta-indexed evaluation engine.
 
-use crate::index::{ts_range, WindowIndex};
+use crate::index::{ts_span, WindowIndex};
 use cep_core::compile::CompiledPattern;
 use cep_core::compiled::PredicateProgram;
 use cep_core::engine::{Engine, EngineConfig};
@@ -11,6 +11,7 @@ use cep_core::matches::Match;
 use cep_core::metrics::EngineMetrics;
 use cep_core::shell::{EngineShell, Join};
 use std::collections::VecDeque;
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -38,6 +39,10 @@ pub struct DeltaEngine {
 struct Search {
     index: WindowIndex,
 }
+
+/// A search node's candidates: a ts-ordered index list and the index
+/// range of the members window and precedence let it bind.
+type Pool<'a> = (&'a VecDeque<EventRef>, Range<usize>);
 
 impl DeltaEngine {
     /// Creates a delta engine for one compiled pattern branch. Unlike the
@@ -122,12 +127,12 @@ impl Search {
             return;
         }
         let empty = Instance::empty(sh.pattern().n());
-        let candidates: Vec<EventRef> = self
+        // With no candidate, `newest` still closes the empty subset.
+        let no_candidates = VecDeque::new();
+        let (pool, span) = self
             .candidates_for(sh, j, &empty)
-            .into_iter()
-            .filter(|e| e.seq < newest.seq)
-            .collect();
-        self.pinned_kleene_rec(sh, j, newest, &candidates, 0, &empty, 0, found);
+            .unwrap_or((&no_candidates, 0..0));
+        self.pinned_kleene_rec(sh, j, newest, pool, span, &empty, 0, found);
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -136,8 +141,8 @@ impl Search {
         sh: &mut EngineShell,
         j: usize,
         newest: &EventRef,
-        candidates: &[EventRef],
-        from: usize,
+        pool: &VecDeque<EventRef>,
+        span: Range<usize>,
         inst: &Instance,
         depth: usize,
         found: &mut Vec<Instance>,
@@ -151,12 +156,23 @@ impl Search {
         if depth + 1 >= sh.config().max_kleene_events {
             return;
         }
-        for i in from..candidates.len() {
-            if !sh.compatible(inst, j, &candidates[i]) {
+        for i in span.clone() {
+            let c = &pool[i];
+            // Only older candidates: `newest` closes every subset.
+            if c.seq >= newest.seq || !sh.compatible(inst, j, c) {
                 continue;
             }
-            let grown = inst.with_kleene(j, candidates[i].clone());
-            self.pinned_kleene_rec(sh, j, newest, candidates, i + 1, &grown, depth + 1, found);
+            let grown = inst.with_kleene(j, c.clone());
+            self.pinned_kleene_rec(
+                sh,
+                j,
+                newest,
+                pool,
+                i + 1..span.end,
+                &grown,
+                depth + 1,
+                found,
+            );
         }
     }
 
@@ -173,21 +189,23 @@ impl Search {
             found.push(inst.clone());
             return;
         };
-        let candidates = self.candidates_for(sh, elem, inst);
+        let Some((pool, span)) = self.candidates_for(sh, elem, inst) else {
+            return;
+        };
         if sh.pattern().elements[elem].kleene {
-            self.kleene_subsets(sh, elem, newest, &candidates, 0, inst, found);
+            self.kleene_subsets(sh, elem, newest, pool, span, inst, found);
         } else {
-            for c in candidates {
-                if !sh.compatible(inst, elem, &c) {
+            for c in pool.range(span) {
+                if !sh.compatible(inst, elem, c) {
                     continue;
                 }
-                let bound = inst.with_single(elem, c);
+                let bound = inst.with_single(elem, c.clone());
                 self.extend(sh, newest, &bound, found);
             }
         }
     }
 
-    /// Enumerates non-empty, capped subsets of `candidates` (in serial
+    /// Enumerates non-empty, capped subsets of `pool[span]` (in serial
     /// order, mirroring the oracle) as the Kleene accumulator of `elem`,
     /// recursing into [`Search::extend`] for each.
     #[allow(clippy::too_many_arguments)]
@@ -196,8 +214,8 @@ impl Search {
         sh: &mut EngineShell,
         elem: usize,
         newest: &EventRef,
-        candidates: &[EventRef],
-        from: usize,
+        pool: &VecDeque<EventRef>,
+        span: Range<usize>,
         inst: &Instance,
         found: &mut Vec<Instance>,
     ) {
@@ -207,12 +225,12 @@ impl Search {
         if !sh.has_room(inst, elem) {
             return;
         }
-        for i in from..candidates.len() {
-            if !sh.compatible(inst, elem, &candidates[i]) {
+        for i in span.clone() {
+            if !sh.compatible(inst, elem, &pool[i]) {
                 continue;
             }
-            let grown = inst.with_kleene(elem, candidates[i].clone());
-            self.kleene_subsets(sh, elem, newest, candidates, i + 1, &grown, found);
+            let grown = inst.with_kleene(elem, pool[i].clone());
+            self.kleene_subsets(sh, elem, newest, pool, i + 1..span.end, &grown, found);
         }
     }
 
@@ -252,19 +270,22 @@ impl Search {
         best
     }
 
-    /// Materializes the candidate pool for `elem` under `inst`: the best
-    /// equality-join probe (or full type scan), narrowed to the timestamp
-    /// range that window and precedence constraints against the bound
-    /// elements allow. A superset of the events `compatible_with` accepts,
-    /// so shrinking the pool never loses a match.
-    fn candidates_for(&self, sh: &mut EngineShell, elem: usize, inst: &Instance) -> Vec<EventRef> {
+    /// The candidate pool for `elem` under `inst`: the best equality-join
+    /// probe (or full type scan), cut to the timestamp range that window
+    /// and precedence constraints against the bound elements allow
+    /// (`None`: no candidate). A superset of the events `compatible_with`
+    /// accepts, so shrinking the pool never loses a match.
+    fn candidates_for(
+        &self,
+        sh: &mut EngineShell,
+        elem: usize,
+        inst: &Instance,
+    ) -> Option<Pool<'_>> {
         let cp = sh.pattern();
         let ty = cp.elements[elem].event_type;
         // Timestamp bounds: window span against the bound extents, strict
         // precedence against each bound element.
-        let Some(range) = partner_ts_range(cp, inst.extents(), &[elem]) else {
-            return Vec::new();
-        };
+        let range = partner_ts_range(cp, inst.extents(), &[elem])?;
         // Pool: cheapest equality-join probe over bound partners, else the
         // whole type store.
         let mut pool = self.index.of_type(ty);
@@ -277,7 +298,7 @@ impl Search {
             let Some(key) = partner.attr(join.other_attr).and_then(index_key) else {
                 // `==` against an unkeyable value (missing attribute or
                 // NaN) holds for no event.
-                return Vec::new();
+                return None;
             };
             let list = self.index.posting(ty, join.attr, &key);
             if list.map_or(0, VecDeque::len) <= pool.map_or(0, VecDeque::len) {
@@ -286,7 +307,7 @@ impl Search {
             }
         }
         sh.metrics.index_probes += u64::from(probed);
-        pool.map_or_else(Vec::new, |d| ts_range(d, &range).cloned().collect())
+        pool.map(|d| (d, ts_span(d, &range)))
     }
 }
 

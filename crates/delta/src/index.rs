@@ -14,11 +14,10 @@
 //! expiration or a probe hashes once per attribute.
 
 use cep_core::event::{expired_at, EventRef, Timestamp, TypeId};
-use cep_core::instance::sorted_span;
 use cep_core::keyed::{index_key, IndexKey};
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
-use std::ops::RangeInclusive;
+use std::ops::{Range, RangeInclusive};
 
 /// Posting lists of one indexed attribute: join key → events, in arrival
 /// order. Emptied lists are removed, so key churn cannot grow the map.
@@ -165,16 +164,12 @@ impl WindowIndex {
     }
 }
 
-/// Iterates the events of a ts-ordered deque whose timestamps fall in
-/// `range`, locating the boundaries by binary search on both halves of
-/// the deque's ring buffer.
-pub fn ts_range<'a>(
-    deque: &'a VecDeque<EventRef>,
-    range: &RangeInclusive<Timestamp>,
-) -> impl Iterator<Item = &'a EventRef> {
-    let (a, b) = deque.as_slices();
-    let in_range = |half: &'a [EventRef]| half[sorted_span(half, range, |e| e.ts)].iter();
-    in_range(a).chain(in_range(b))
+/// The index range of the events of a ts-ordered deque whose timestamps
+/// fall in `range` (inclusive bounds), found by binary search.
+pub fn ts_span(deque: &VecDeque<EventRef>, range: &RangeInclusive<Timestamp>) -> Range<usize> {
+    let start = deque.partition_point(|e| e.ts < *range.start());
+    let end = deque.partition_point(|e| e.ts <= *range.end());
+    start..end.max(start)
 }
 
 #[cfg(test)]
@@ -235,10 +230,12 @@ mod tests {
         d.pop_front();
         d.push_back(ev(0, 3, 2, 0));
         d.push_back(ev(0, 4, 3, 0));
-        let ts: Vec<u64> = ts_range(&d, &(2..=3)).map(|e| e.ts).collect();
+        let ts: Vec<u64> = d.range(ts_span(&d, &(2..=3))).map(|e| e.ts).collect();
         assert_eq!(ts, vec![2, 3]);
-        assert_eq!(ts_range(&d, &(5..=10)).count(), 0);
-        assert_eq!(ts_range(&d, &(0..=10)).count(), 3);
+        assert_eq!(ts_span(&d, &(5..=10)).len(), 0);
+        assert_eq!(ts_span(&d, &(0..=10)), 0..3);
+        let empty = RangeInclusive::new(3, 2);
+        assert_eq!(ts_span(&d, &empty).len(), 0, "an empty range");
     }
 
     /// Adversarial attribute values: `Int`/`Float` images of one number,
@@ -327,7 +324,7 @@ mod tests {
                     prop_assert_eq!(got, seqs(of_t.iter().copied()));
                     prop_assert_eq!(idx.type_len(TypeId(t)), of_t.len());
                     let range = lo..=lo + span;
-                    let sliced = idx.of_type(TypeId(t)).map(|d| seqs(ts_range(d, &range)));
+                    let sliced = idx.of_type(TypeId(t)).map(|d| seqs(d.range(ts_span(d, &range))));
                     let want = seqs(of_t.iter().copied().filter(|e| range.contains(&e.ts)));
                     prop_assert_eq!(sliced.unwrap_or_default(), want);
                     for attr in 0..2 {

@@ -62,7 +62,7 @@ mod engine;
 mod index;
 
 pub use engine::DeltaEngine;
-pub use index::{ts_range, WindowIndex};
+pub use index::{ts_span, WindowIndex};
 
 #[cfg(test)]
 mod tests {

@@ -102,11 +102,6 @@ impl NfaEngine {
         self.shell.program()
     }
 
-    /// Arena statistics: `(instances derived, shells reused)`.
-    pub fn arena_stats(&self) -> (u64, u64) {
-        self.shell.arena_stats()
-    }
-
     /// Convenience constructor with the trivial (specification-order) plan.
     pub fn with_trivial_plan(cp: CompiledPattern, cfg: EngineConfig) -> NfaEngine {
         let plan = OrderPlan::trivial(&cp);
@@ -195,7 +190,6 @@ impl Chain {
                     let advanced = sh.bind(&inst, elem, c.clone());
                     self.enter(sh, advanced, k + 1, out);
                     if !forks {
-                        sh.arena.retire(inst);
                         return;
                     }
                 }
@@ -226,7 +220,7 @@ impl Chain {
             if c.seq < base.kl_gate || !sh.compatible(base, elem, c) {
                 continue;
             }
-            let grown = sh.arena.with_kleene(base, elem, c.clone());
+            let grown = base.with_kleene(elem, c.clone());
             sh.metrics.partial_matches_created += 1;
             self.enter(sh, grown.clone(), k + 1, out);
             self.kleene_grow(sh, &grown, k, out);
@@ -280,8 +274,7 @@ impl Chain {
                 sh.metrics.partial_matches_created += u64::from(kleene);
                 let next = sh.bind(inst, elem, event.clone());
                 if !forks {
-                    let old = self.states[k].swap_remove(bucket, idx);
-                    sh.arena.retire(old);
+                    self.states[k].swap_remove(bucket, idx);
                     self.enter(sh, next, k + 1, out);
                     visited += 1;
                     continue; // swap_remove moved a new element to idx

@@ -5,7 +5,7 @@ use crate::router::{RouteTarget, RoutingPolicy, ShardRouter};
 use cep_core::compile::CompiledPattern;
 use cep_core::engine::EngineFactory;
 use cep_core::error::CepError;
-use cep_core::event::EventRef;
+use cep_core::event::{advance_watermark, EventRef};
 use cep_core::matches::Match;
 use cep_core::metrics::EngineMetrics;
 use cep_core::registry::{QueryId, QueryRegistry, RegistrySpec};
@@ -271,7 +271,7 @@ impl ShardedRuntime {
             txs.push(tx);
             rxs.push(rx);
         }
-        let mut replicated_extra = 0u64;
+        let (mut replicated_extra, mut late) = (0u64, 0u64);
         let outcomes: Vec<ShardOutcome> = std::thread::scope(|s| {
             let handles: Vec<_> = rxs
                 .into_iter()
@@ -281,7 +281,7 @@ impl ShardedRuntime {
                     s.spawn(move || worker(factory, rx, collect_in_workers, depth))
                 })
                 .collect();
-            replicated_extra =
+            (replicated_extra, late) =
                 route_and_feed(tracer, &mut router, stream, txs, &depths, batch_size);
             handles
                 .into_iter()
@@ -306,6 +306,7 @@ impl ShardedRuntime {
         }
         metrics.wall_time_ns = wall;
         metrics.replicated_events = replicated_extra;
+        metrics.late_events_dropped = late;
         let mut matches = merge_runs(runs);
         if dedup {
             metrics.dedup_hits = dedup_by_signature(&mut matches);
@@ -426,7 +427,7 @@ impl ShardedRuntime {
             txs.push(tx);
             rxs.push(rx);
         }
-        let mut replicated_extra = 0u64;
+        let (mut replicated_extra, mut late) = (0u64, 0u64);
         // Workers instantiate their own registry from the shared spec
         // (engines are not `Send`, so registries cannot be built here and
         // moved in); a builder failure or a panic aborts that worker,
@@ -441,7 +442,7 @@ impl ShardedRuntime {
                     s.spawn(move || registry_worker(spec, rx, collect_in_workers, depth))
                 })
                 .collect();
-            replicated_extra =
+            (replicated_extra, late) =
                 route_and_feed(tracer, &mut router, stream, txs, &depths, batch_size);
             handles
                 .into_iter()
@@ -480,6 +481,7 @@ impl ShardedRuntime {
         }
         metrics.wall_time_ns = wall;
         metrics.replicated_events = replicated_extra;
+        metrics.late_events_dropped = late;
         let mut dedup_hits = 0u64;
         let mut per_query = BTreeMap::new();
         for (id, shard_runs) in runs {
@@ -609,7 +611,10 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// by the single-query and multi-query runs), consuming — and thereby
 /// closing — the senders so workers flush and return. Returns the number
 /// of extra broadcast deliveries
-/// ([`EngineMetrics::replicated_events`]).
+/// ([`EngineMetrics::replicated_events`]) and of late events
+/// ([`EngineMetrics::late_events_dropped`]). A late event is dropped here,
+/// against the whole stream's watermark and before routing: a shard sees
+/// only its slice of the stream, so its own watermark lags.
 ///
 /// Batches carry references into `stream`, not `Arc` clones: the workers
 /// are scoped threads that end before the caller's borrow of the stream
@@ -621,10 +626,10 @@ fn route_and_feed<'s>(
     txs: Vec<SyncSender<Vec<&'s EventRef>>>,
     depths: &[AtomicU64],
     batch_size: usize,
-) -> u64 {
+) -> (u64, u64) {
     let shards = txs.len();
     let traced = tracer.is_enabled();
-    let mut replicated_extra = 0u64;
+    let (mut replicated_extra, mut late, mut watermark) = (0u64, 0u64, 0);
     let mut batches: Vec<Vec<&EventRef>> = (0..shards)
         .map(|_| Vec::with_capacity(batch_size))
         .collect();
@@ -650,6 +655,10 @@ fn route_and_feed<'s>(
         }
     };
     for event in stream {
+        if !advance_watermark(&mut watermark, event.ts) {
+            late += 1;
+            continue;
+        }
         let target = router.route_target(event);
         if traced && event.seq & ROUTE_SAMPLE_MASK == 0 {
             tracer.emit_with(|| TraceRecord::ShardRoute {
@@ -678,7 +687,7 @@ fn route_and_feed<'s>(
         }
     }
     drop(txs); // close the channels: workers flush and return
-    replicated_extra
+    (replicated_extra, late)
 }
 
 struct RegistryOutcome {

@@ -170,11 +170,6 @@ impl TreeEngine {
     pub fn program(&self) -> &Arc<PredicateProgram> {
         self.shell.program()
     }
-
-    /// Arena statistics: `(instances derived, shells reused)`.
-    pub fn arena_stats(&self) -> (u64, u64) {
-        self.shell.arena_stats()
-    }
 }
 
 impl Tree {
@@ -254,8 +249,7 @@ impl Tree {
             let base = self.pending.len();
             for i in self.stores.instances[leaf].visit(&Slot::All) {
                 if event.seq >= i.kl_gate && sh.has_room(i, elem) && sh.compatible(i, elem, event) {
-                    self.pending
-                        .push(sh.arena.with_kleene(i, elem, event.clone()));
+                    self.pending.push(i.with_kleene(elem, event.clone()));
                 }
             }
             self.propagate_pending(sh, leaf, base, out);
@@ -331,7 +325,7 @@ impl Stores {
                     match arrival {
                         Arrival::Instance(inst) => {
                             if sh.joins(inst, other, e) {
-                                created.push(sh.arena.with_single(inst, other, e.clone()));
+                                created.push(inst.with_single(other, e.clone()));
                             }
                         }
                         Arrival::Event(elem, event) => {
@@ -348,12 +342,12 @@ impl Stores {
                     match arrival {
                         Arrival::Instance(inst) => {
                             if sh.merge_compatible(inst, s) {
-                                created.push(sh.arena.merge(inst, s));
+                                created.push(inst.merge(s));
                             }
                         }
                         Arrival::Event(elem, event) => {
                             if sh.joins(s, elem, event) {
-                                created.push(sh.arena.with_single(s, elem, event.clone()));
+                                created.push(s.with_single(elem, event.clone()));
                             }
                         }
                     }
