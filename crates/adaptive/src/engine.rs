@@ -145,32 +145,21 @@ pub trait Replanner: Send {
     /// plan.
     fn build(&self) -> Box<dyn Engine>;
 
-    /// Re-derives the plan from fresh arrival-rate estimates. Returns
-    /// `true` when the plan changed (the caller then hot-swaps engines).
-    /// Implementations must keep the previous plan on planning errors —
-    /// a live engine never goes down because one replan failed.
-    fn replan(&mut self, rates: &MeasuredStats) -> bool;
-
-    /// Swap-cost-aware replan: like [`Self::replan`], but the caller also
-    /// supplies how expensive the resulting hot swap would be, so an
-    /// implementation can decline a better-but-not-better-enough plan
+    /// Re-derives the plan from fresh arrival-rate estimates and the
+    /// recent events in `window`. [`ReplanVerdict::Swap`] means the plan
+    /// changed (the caller then hot-swaps engines). `swap` says how
+    /// expensive that hot swap would be, so an implementation can decline
+    /// a better-but-not-better-enough plan
     /// ([`ReplanVerdict::Suppressed`]) instead of forcing a replay that
-    /// will not pay for itself, and the recent events to re-estimate
-    /// statistics from. The default ignores both and delegates to
-    /// `replan`.
+    /// will not pay for itself. Implementations must keep the previous
+    /// plan on planning errors — a live engine never goes down because one
+    /// replan failed.
     fn replan_amortized(
         &mut self,
         rates: &MeasuredStats,
         swap: &SwapCost,
         window: &EventWindow,
-    ) -> ReplanVerdict {
-        let _ = (swap, window);
-        if self.replan(rates) {
-            ReplanVerdict::Swap
-        } else {
-            ReplanVerdict::Keep
-        }
-    }
+    ) -> ReplanVerdict;
 
     /// How much stream history, in milliseconds, the implementation reads
     /// from the window it is handed; the engine retains at least this
@@ -215,9 +204,9 @@ pub trait Replanner: Send {
         0
     }
 
-    /// Cost breakdown of the most recent `replan`/`replan_amortized`
-    /// call, for tracing: incumbent vs best candidate, per window, under
-    /// the statistics of that call. `None` when the last attempt bailed
+    /// Cost breakdown of the most recent `replan_amortized` call, for
+    /// tracing: incumbent vs best candidate, per window, under the
+    /// statistics of that call. `None` when the last attempt bailed
     /// out before costing anything (e.g. a planning error) or when the
     /// implementation does not track costs. Default: `None`.
     fn last_costs(&self) -> Option<ReplanCosts> {

@@ -233,14 +233,14 @@ impl PlanReplanner {
     }
 
     /// One replan attempt: plans every branch under `rates` and the fresh
-    /// selectivity estimates over `window` (the current baselines when
-    /// there is no window or a monitor is not warmed up yet), and adopts
+    /// selectivity estimates over `window` (the current baselines when a
+    /// branch has no monitor or its monitor is not warmed up yet), and adopts
     /// what beats the incumbents by the margin and amortizes `swap`.
     fn replan_from(
         &mut self,
         rates: &MeasuredStats,
         swap: &SwapCost,
-        window: Option<&EventWindow>,
+        window: &EventWindow,
     ) -> ReplanVerdict {
         // Plan all branches first: a planning failure on any branch keeps
         // the engine on its current (complete) plan set. A branch only
@@ -265,13 +265,10 @@ impl PlanReplanner {
             // window, sampled here otherwise, and reused for the baseline
             // below.
             let checked = b.checked.take();
-            let fresh_sels = match (&b.monitor, window) {
-                (Some(m), Some(w)) => match checked {
-                    Some((stamp, fresh)) if stamp == w.pushed() => fresh,
-                    _ => m.estimates(w),
-                },
-                _ => None,
-            };
+            let fresh_sels = b.monitor.as_ref().and_then(|m| match checked {
+                Some((stamp, fresh)) if stamp == window.pushed() => fresh,
+                _ => m.estimates(window),
+            });
             let sels = fresh_sels.as_deref().unwrap_or(&b.sels);
             // Incremental statistics rebuild: rates + selectivities are
             // re-derived in place, no reallocation.
@@ -384,19 +381,13 @@ impl Replanner for PlanReplanner {
         }
     }
 
-    /// Replans from `rates` and the current selectivity baselines; with no
-    /// event window to sample, selectivities are not re-estimated.
-    fn replan(&mut self, rates: &MeasuredStats) -> bool {
-        self.replan_from(rates, &SwapCost::IGNORE, None) == ReplanVerdict::Swap
-    }
-
     fn replan_amortized(
         &mut self,
         rates: &MeasuredStats,
         swap: &SwapCost,
         window: &EventWindow,
     ) -> ReplanVerdict {
-        self.replan_from(rates, swap, Some(window))
+        self.replan_from(rates, swap, window)
     }
 
     fn history_ms(&self) -> u64 {

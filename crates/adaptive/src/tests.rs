@@ -3,7 +3,10 @@
 //! never-swapped engine (and, for skip-till-any-match, the naive oracle)
 //! is the ground truth a swapping engine must reproduce byte-identically.
 
-use crate::{AdaptiveConfig, AdaptiveEngine, AdaptiveFactory, PlanReplanner, Replanner, SwapCost};
+use crate::{
+    AdaptiveConfig, AdaptiveEngine, AdaptiveFactory, PlanReplanner, ReplanVerdict, Replanner,
+    SwapCost,
+};
 use cep_core::compile::CompiledPattern;
 use cep_core::engine::{run_to_completion, Engine, EngineConfig, EngineFactory, MultiEngine};
 use cep_core::error::CepError;
@@ -248,9 +251,14 @@ impl Replanner for FlipFlop {
         })
     }
 
-    fn replan(&mut self, _rates: &MeasuredStats) -> bool {
+    fn replan_amortized(
+        &mut self,
+        _rates: &MeasuredStats,
+        _swap: &SwapCost,
+        _window: &EventWindow,
+    ) -> ReplanVerdict {
         self.active = 1 - self.active;
-        true
+        ReplanVerdict::Swap
     }
 
     fn history_ms(&self) -> u64 {

@@ -1,6 +1,6 @@
 //! Every shipped example query (`queries/*.sase`) must parse, lint
-//! clean, and stay in sync with the pattern embedded in its
-//! `examples/*.rs` counterpart.
+//! clean, and be what its `examples/*.rs` counterpart runs: the example
+//! either loads the file or embeds the same pattern.
 
 use cep_analyze::analyze_query_file;
 use std::path::{Path, PathBuf};
@@ -58,6 +58,10 @@ fn query_files_match_their_examples() {
         let example = root.join("examples").join(format!("{stem}.rs"));
         let example_src = std::fs::read_to_string(&example)
             .unwrap_or_else(|e| panic!("{} has no example twin: {e}", path.display()));
+        // An example that loads its query file runs that very pattern.
+        if example_src.contains(&format!("include_str!(\"../queries/{stem}.sase\")")) {
+            continue;
+        }
         let embedded = pattern_in_example(&example_src)
             .unwrap_or_else(|| panic!("{} embeds no PATTERN literal", example.display()));
         let query_src = std::fs::read_to_string(&path).unwrap();

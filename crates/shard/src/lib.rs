@@ -75,6 +75,15 @@
 //! the bound applies backpressure to the router instead of letting queues
 //! grow without limit.
 //!
+//! One driver serves every entry point: [`ShardedRuntime::run`] and
+//! [`ShardedRuntime::run_query`] are the one-query case of
+//! [`ShardedRuntime::run_registry`] (a `QueryRegistry` per worker), with
+//! one worker loop, one per-query merge and one failure policy. A worker
+//! that panics surfaces as
+//! [`CepError::Worker`](cep_core::error::CepError) naming the lowest
+//! failing shard; only `run`, whose signature returns no `Result`, panics
+//! instead, with that error's text.
+//!
 //! Because workers accept *any* factory, they compose with the adaptive
 //! runtime: hand [`ShardedRuntime::run`] a `cep_adaptive::AdaptiveFactory`
 //! and every worker owns a self-replanning engine that monitors, replans,

@@ -1,9 +1,13 @@
 //! The sharded worker-pool runtime and its deterministic, dedup-aware
-//! merge.
+//! merge. One driver serves every entry point: a single-query run
+//! ([`ShardedRuntime::run`], [`ShardedRuntime::run_query`]) is the
+//! one-query case of a registry run ([`ShardedRuntime::run_registry`]),
+//! with one worker loop, one per-query merge and one failure policy (a
+//! worker panic is a [`CepError::Worker`]).
 
 use crate::router::{RouteTarget, RoutingPolicy, ShardRouter};
 use cep_core::compile::CompiledPattern;
-use cep_core::engine::EngineFactory;
+use cep_core::engine::{Engine, EngineFactory};
 use cep_core::error::CepError;
 use cep_core::event::{advance_watermark, EventRef};
 use cep_core::matches::Match;
@@ -174,13 +178,6 @@ pub struct ShardedRuntime {
     tracer: Tracer,
 }
 
-struct ShardOutcome {
-    matches: Vec<Match>,
-    match_count: u64,
-    events_routed: u64,
-    metrics: EngineMetrics,
-}
-
 impl ShardedRuntime {
     /// Runtime with explicit configuration.
     pub fn new(config: ShardConfig) -> ShardedRuntime {
@@ -238,6 +235,11 @@ impl ShardedRuntime {
     /// See the crate docs for when the merged output is exactly the
     /// single-threaded result — the merge order itself is deterministic
     /// for any query and any shard count.
+    ///
+    /// # Panics
+    /// When a worker's engine panics, with the text of the
+    /// [`CepError::Worker`] that [`run_query`](ShardedRuntime::run_query)
+    /// returns for it.
     pub fn run(
         &self,
         factory: &dyn EngineFactory,
@@ -245,82 +247,9 @@ impl ShardedRuntime {
         policy: RoutingPolicy,
         collect_matches: bool,
     ) -> ShardedRunResult {
-        let shards = self.config.shards;
-        let batch_size = self.config.batch_size;
-        // Replicated-only matches surface on every shard; merging must
-        // dedup them, which requires seeing the matches. A spec with no
-        // replicated types broadcasts nothing and cannot duplicate, so it
-        // keeps the flat-memory count-and-discard path.
-        let dedup = shards > 1
-            && matches!(&policy, RoutingPolicy::ReplicateJoin(spec)
-                if !spec.is_fully_partitioned());
-        let collect_in_workers = collect_matches || dedup;
-        let tracer = &self.tracer;
-        let traced = tracer.is_enabled();
-        // In-flight batches per worker queue, maintained (and read) only
-        // when tracing: the router increments at send, the worker
-        // decrements at receive, so each ShardBatch record carries the
-        // receiver's queue depth at the moment the batch was enqueued.
-        let depths: Vec<AtomicU64> = (0..shards).map(|_| AtomicU64::new(0)).collect();
-        let start = Instant::now();
-        let mut router = ShardRouter::new(shards, policy);
-        let mut txs: Vec<SyncSender<Vec<&EventRef>>> = Vec::with_capacity(shards);
-        let mut rxs: Vec<Receiver<Vec<&EventRef>>> = Vec::with_capacity(shards);
-        for _ in 0..shards {
-            let (tx, rx) = sync_channel(self.config.queue_batches);
-            txs.push(tx);
-            rxs.push(rx);
-        }
-        let (mut replicated_extra, mut late) = (0u64, 0u64);
-        let outcomes: Vec<ShardOutcome> = std::thread::scope(|s| {
-            let handles: Vec<_> = rxs
-                .into_iter()
-                .enumerate()
-                .map(|(i, rx)| {
-                    let depth = traced.then(|| &depths[i]);
-                    s.spawn(move || worker(factory, rx, collect_in_workers, depth))
-                })
-                .collect();
-            (replicated_extra, late) =
-                route_and_feed(tracer, &mut router, stream, txs, &depths, batch_size);
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard worker panicked"))
-                .collect()
-        });
-        let wall = start.elapsed().as_nanos() as u64;
-        let mut metrics = EngineMetrics::new();
-        let mut runs = Vec::with_capacity(shards);
-        let mut match_count = 0;
-        let mut per_shard = Vec::with_capacity(shards);
-        for (shard, o) in outcomes.into_iter().enumerate() {
-            metrics.merge(&o.metrics);
-            match_count += o.match_count;
-            runs.push(o.matches);
-            per_shard.push(ShardStats {
-                shard,
-                events_routed: o.events_routed,
-                match_count: o.match_count,
-                metrics: o.metrics,
-            });
-        }
-        metrics.wall_time_ns = wall;
-        metrics.replicated_events = replicated_extra;
-        metrics.late_events_dropped = late;
-        let mut matches = merge_runs(runs);
-        if dedup {
-            metrics.dedup_hits = dedup_by_signature(&mut matches);
-            match_count = matches.len() as u64;
-            if !collect_matches {
-                matches.clear();
-            }
-        }
-        ShardedRunResult {
-            matches,
-            match_count,
-            metrics,
-            per_shard,
-        }
+        let router = ShardRouter::new(self.config.shards, policy);
+        self.run_engines(factory, router, stream, collect_matches)
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// [`run`](ShardedRuntime::run) with the routing policy first checked
@@ -329,6 +258,11 @@ impl ShardedRuntime {
     /// routing a query whose correlation attribute does not key every
     /// element — fail with [`CepError::Routing`] instead of silently
     /// losing cross-shard matches.
+    ///
+    /// # Errors
+    /// [`CepError::Routing`] for a policy unsound for some branch; a
+    /// worker whose engine panics surfaces as [`CepError::Worker`] naming
+    /// the lowest such shard.
     pub fn run_query(
         &self,
         factory: &dyn EngineFactory,
@@ -337,8 +271,26 @@ impl ShardedRuntime {
         branches: &[CompiledPattern],
         collect_matches: bool,
     ) -> Result<ShardedRunResult, CepError> {
-        self.checked_router(&policy, branches)?;
-        Ok(self.run(factory, stream, policy, collect_matches))
+        let router = self.checked_router(&policy, branches)?;
+        self.run_engines(factory, router, stream, collect_matches)
+    }
+
+    /// The one-query case of [`drive`](ShardedRuntime::drive): one engine
+    /// per worker, its run the single query's.
+    fn run_engines(
+        &self,
+        factory: &dyn EngineFactory,
+        router: ShardRouter,
+        stream: &EventStream,
+        collect_matches: bool,
+    ) -> Result<ShardedRunResult, CepError> {
+        let r = self.drive(&|| Ok(factory.build()), 1, router, stream, collect_matches)?;
+        Ok(ShardedRunResult {
+            matches: r.per_query.into_values().next().unwrap_or_default(),
+            match_count: r.match_count,
+            metrics: r.metrics,
+            per_shard: r.per_shard,
+        })
     }
 
     /// The router for `policy` over `branches`, once
@@ -400,50 +352,77 @@ impl ShardedRuntime {
         policy: RoutingPolicy,
         collect_matches: bool,
     ) -> Result<MultiQueryRunResult, CepError> {
-        let shards = self.config.shards;
-        let batch_size = self.config.batch_size;
         if spec.queries() == 0 {
             return Err(CepError::Routing(
                 "cannot shard an empty registry spec: add at least one query".into(),
             ));
         }
         let branches: Vec<CompiledPattern> = spec.branches().cloned().collect();
-        let mut router = self.checked_router(&policy, &branches)?;
-        // Same regime as `run`: replicated-only matches surface on every
-        // shard and must be deduplicated per query, which requires
-        // collecting them worker-side.
+        let router = self.checked_router(&policy, &branches)?;
+        self.drive(
+            &|| spec.instantiate(),
+            spec.queries(),
+            router,
+            stream,
+            collect_matches,
+        )
+    }
+
+    /// The one driver behind every run: spawns one worker per shard,
+    /// routes `stream` into their queues, joins them and merges their
+    /// output per query (query `i` is [`QueryId`]`(i)`).
+    ///
+    /// Each worker builds what it runs itself (engines are not `Send`, so
+    /// they cannot be built here and moved in). A build error or a panic
+    /// aborts that worker, whose queue then drains into a closed channel;
+    /// after the join, the lowest failing shard's error is returned, a
+    /// panic as [`CepError::Worker`].
+    fn drive<W: ShardWork>(
+        &self,
+        build: &(dyn Fn() -> Result<W, CepError> + Sync),
+        queries: usize,
+        mut router: ShardRouter,
+        stream: &EventStream,
+        collect_matches: bool,
+    ) -> Result<MultiQueryRunResult, CepError> {
+        let shards = self.config.shards;
+        // Replicated-only matches surface on every shard; merging must
+        // dedup them, which requires seeing the matches. A spec with no
+        // replicated types broadcasts nothing and cannot duplicate, so it
+        // keeps the flat-memory count-and-discard path.
         let dedup = shards > 1
-            && matches!(&policy, RoutingPolicy::ReplicateJoin(pspec)
-                if !pspec.is_fully_partitioned());
+            && matches!(router.policy(), RoutingPolicy::ReplicateJoin(spec)
+                if !spec.is_fully_partitioned());
         let collect_in_workers = collect_matches || dedup;
         let tracer = &self.tracer;
         let traced = tracer.is_enabled();
+        // In-flight batches per worker queue, maintained (and read) only
+        // when tracing: the router increments at send, the worker
+        // decrements at receive, so each ShardBatch record carries the
+        // receiver's queue depth at the moment the batch was enqueued.
         let depths: Vec<AtomicU64> = (0..shards).map(|_| AtomicU64::new(0)).collect();
         let start = Instant::now();
-        let mut txs: Vec<SyncSender<Vec<&EventRef>>> = Vec::with_capacity(shards);
-        let mut rxs: Vec<Receiver<Vec<&EventRef>>> = Vec::with_capacity(shards);
-        for _ in 0..shards {
-            let (tx, rx) = sync_channel(self.config.queue_batches);
-            txs.push(tx);
-            rxs.push(rx);
-        }
+        let (txs, rxs): (Vec<_>, Vec<_>) = (0..shards)
+            .map(|_| sync_channel(self.config.queue_batches))
+            .unzip();
         let (mut replicated_extra, mut late) = (0u64, 0u64);
-        // Workers instantiate their own registry from the shared spec
-        // (engines are not `Send`, so registries cannot be built here and
-        // moved in); a builder failure or a panic aborts that worker,
-        // whose queue simply drains into a closed channel, and the error
-        // is propagated after join.
-        let results: Vec<Result<RegistryOutcome, CepError>> = std::thread::scope(|s| {
+        let results: Vec<Result<ShardOutcome, CepError>> = std::thread::scope(|s| {
             let handles: Vec<_> = rxs
                 .into_iter()
                 .enumerate()
                 .map(|(i, rx)| {
                     let depth = traced.then(|| &depths[i]);
-                    s.spawn(move || registry_worker(spec, rx, collect_in_workers, depth))
+                    s.spawn(move || worker(build, queries, rx, collect_in_workers, depth))
                 })
                 .collect();
-            (replicated_extra, late) =
-                route_and_feed(tracer, &mut router, stream, txs, &depths, batch_size);
+            (replicated_extra, late) = route_and_feed(
+                tracer,
+                &mut router,
+                stream,
+                txs,
+                &depths,
+                self.config.batch_size,
+            );
             handles
                 .into_iter()
                 .enumerate()
@@ -457,50 +436,47 @@ impl ShardedRuntime {
                 })
                 .collect()
         });
-        let outcomes: Vec<RegistryOutcome> = results.into_iter().collect::<Result<_, _>>()?;
+        let outcomes: Vec<ShardOutcome> = results.into_iter().collect::<Result<_, _>>()?;
         let wall = start.elapsed().as_nanos() as u64;
         let mut metrics = EngineMetrics::new();
-        let mut runs: BTreeMap<QueryId, Vec<Vec<Match>>> = BTreeMap::new();
-        let mut match_counts: BTreeMap<QueryId, u64> = BTreeMap::new();
+        let mut runs: Vec<Vec<Vec<Match>>> =
+            (0..queries).map(|_| Vec::with_capacity(shards)).collect();
+        let mut counts = vec![0u64; queries];
         let mut per_shard = Vec::with_capacity(shards);
         for (shard, o) in outcomes.into_iter().enumerate() {
             metrics.merge(&o.metrics);
-            let shard_matches: u64 = o.counts.values().sum();
-            for (id, ms) in o.per_query {
-                runs.entry(id).or_default().push(ms);
-            }
-            for (id, c) in o.counts {
-                *match_counts.entry(id).or_insert(0) += c;
+            for (q, run) in o.runs.into_iter().enumerate() {
+                runs[q].push(run);
+                counts[q] += o.counts[q];
             }
             per_shard.push(ShardStats {
                 shard,
                 events_routed: o.events_routed,
-                match_count: shard_matches,
+                match_count: o.counts.iter().sum(),
                 metrics: o.metrics,
             });
         }
         metrics.wall_time_ns = wall;
         metrics.replicated_events = replicated_extra;
         metrics.late_events_dropped = late;
-        let mut dedup_hits = 0u64;
         let mut per_query = BTreeMap::new();
-        for (id, shard_runs) in runs {
+        let mut match_counts = BTreeMap::new();
+        for (q, (shard_runs, mut count)) in runs.into_iter().zip(counts).enumerate() {
             let mut ms = merge_runs(shard_runs);
             if dedup {
-                dedup_hits += dedup_by_signature(&mut ms);
-                match_counts.insert(id, ms.len() as u64);
+                metrics.dedup_hits += dedup_by_signature(&mut ms);
+                count = ms.len() as u64;
                 if !collect_matches {
                     ms.clear();
                 }
             }
-            per_query.insert(id, ms);
+            per_query.insert(QueryId(q as u64), ms);
+            match_counts.insert(QueryId(q as u64), count);
         }
-        metrics.dedup_hits = dedup_hits;
-        let match_count = match_counts.values().sum();
         Ok(MultiQueryRunResult {
             per_query,
+            match_count: match_counts.values().sum(),
             match_counts,
-            match_count,
             metrics,
             per_shard,
         })
@@ -531,41 +507,125 @@ pub struct MultiQueryRunResult {
     pub per_shard: Vec<ShardStats>,
 }
 
-/// One worker: builds its engine, drains its queue batch by batch, flushes
-/// on channel close, and hands back its matches as one [`canonical_sort`]ed
-/// run for the merge. Latency accounting mirrors
-/// [`run_to_completion`](cep_core::engine::run_to_completion).
-fn worker(
-    factory: &dyn EngineFactory,
+/// What a worker runs: one engine (a single query) or one registry (a
+/// query set, whose emissions carry their [`QueryId`]).
+trait ShardWork {
+    /// One emission.
+    type Emitted;
+
+    /// Offers one event, appending what it emits to `out`.
+    fn process(&mut self, event: &EventRef, out: &mut Vec<Self::Emitted>);
+
+    /// Signals end-of-stream, appending deferred emissions to `out`.
+    fn flush(&mut self, out: &mut Vec<Self::Emitted>);
+
+    /// Empties `out` into the per-query match counts and, when `keep`,
+    /// the per-query runs.
+    fn deliver(
+        out: &mut Vec<Self::Emitted>,
+        runs: &mut [Vec<Match>],
+        counts: &mut [u64],
+        keep: bool,
+    );
+
+    /// The final metrics snapshot.
+    fn metrics(&self) -> EngineMetrics;
+}
+
+impl ShardWork for Box<dyn Engine> {
+    type Emitted = Match;
+
+    fn process(&mut self, event: &EventRef, out: &mut Vec<Match>) {
+        Engine::process(self.as_mut(), event, out);
+    }
+
+    fn flush(&mut self, out: &mut Vec<Match>) {
+        Engine::flush(self.as_mut(), out);
+    }
+
+    fn deliver(out: &mut Vec<Match>, runs: &mut [Vec<Match>], counts: &mut [u64], keep: bool) {
+        counts[0] += out.len() as u64;
+        if keep {
+            runs[0].append(out);
+        } else {
+            out.clear();
+        }
+    }
+
+    fn metrics(&self) -> EngineMetrics {
+        Engine::metrics(self.as_ref()).clone()
+    }
+}
+
+impl ShardWork for QueryRegistry {
+    type Emitted = (QueryId, Match);
+
+    fn process(&mut self, event: &EventRef, out: &mut Vec<(QueryId, Match)>) {
+        QueryRegistry::process(self, event, out);
+    }
+
+    fn flush(&mut self, out: &mut Vec<(QueryId, Match)>) {
+        QueryRegistry::flush(self, out);
+    }
+
+    fn deliver(
+        out: &mut Vec<(QueryId, Match)>,
+        runs: &mut [Vec<Match>],
+        counts: &mut [u64],
+        keep: bool,
+    ) {
+        for (id, m) in out.drain(..) {
+            counts[id.0 as usize] += 1;
+            if keep {
+                runs[id.0 as usize].push(m);
+            }
+        }
+    }
+
+    fn metrics(&self) -> EngineMetrics {
+        QueryRegistry::metrics(self)
+    }
+}
+
+/// One worker's output: per query, a [`canonical_sort`]ed run and a
+/// match count.
+struct ShardOutcome {
+    runs: Vec<Vec<Match>>,
+    counts: Vec<u64>,
+    events_routed: u64,
+    metrics: EngineMetrics,
+}
+
+/// One worker: builds what it runs, drains its queue batch by batch,
+/// flushes on channel close, and hands back one [`canonical_sort`]ed run
+/// per query for the merge. Latency accounting mirrors
+/// [`run_to_completion`](cep_core::engine::run_to_completion); the samples
+/// land in a local snapshot absorbed into the final metrics once (absorb
+/// leaves `events_processed` / `wall_time_ns` untouched), which works for
+/// any engine, wrappers that fold their view on read included.
+fn worker<W: ShardWork>(
+    build: &(dyn Fn() -> Result<W, CepError> + Sync),
+    queries: usize,
     rx: Receiver<Vec<&EventRef>>,
     collect_matches: bool,
     queue_depth: Option<&AtomicU64>,
-) -> ShardOutcome {
-    let mut engine = factory.build();
-    let mut matches = Vec::new();
+) -> Result<ShardOutcome, CepError> {
+    let mut work = build()?;
+    let mut runs: Vec<Vec<Match>> = (0..queries).map(|_| Vec::new()).collect();
+    let mut counts = vec![0u64; queries];
     let mut scratch = Vec::new();
-    let mut match_count = 0u64;
+    let mut sampled = EngineMetrics::new();
     let mut events_routed = 0u64;
     let mut busy_ns = 0u64;
-    let drain = |engine: &mut Box<dyn cep_core::engine::Engine>,
-                 scratch: &mut Vec<Match>,
-                 matches: &mut Vec<Match>,
-                 latency_start: Instant| {
+    let mut drain = |scratch: &mut Vec<W::Emitted>, sampled: &mut EngineMetrics, since: Instant| {
         if scratch.is_empty() {
-            return 0u64;
+            return;
         }
-        let latency = latency_start.elapsed().as_nanos() as u64;
-        let emitted = scratch.len() as u64;
-        engine
-            .metrics_mut()
+        let latency = since.elapsed().as_nanos() as u64;
+        sampled
             .match_latency_ns
-            .record_n(latency, emitted);
-        if collect_matches {
-            matches.append(scratch);
-        } else {
-            scratch.clear();
-        }
-        emitted
+            .record_n(latency, scratch.len() as u64);
+        W::deliver(scratch, &mut runs, &mut counts, collect_matches);
     };
     while let Ok(batch) = rx.recv() {
         if let Some(d) = queue_depth {
@@ -574,28 +634,30 @@ fn worker(
         let batch_start = Instant::now();
         for &event in &batch {
             let ev_start = Instant::now();
-            engine.process(event, &mut scratch);
+            work.process(event, &mut scratch);
             events_routed += 1;
             if events_routed & EVENT_SAMPLE_MASK == 0 {
                 let dt = ev_start.elapsed().as_nanos() as u64;
-                engine.metrics_mut().event_ns.record(dt);
+                sampled.event_ns.record(dt);
             }
-            match_count += drain(&mut engine, &mut scratch, &mut matches, ev_start);
+            drain(&mut scratch, &mut sampled, ev_start);
         }
         busy_ns += batch_start.elapsed().as_nanos() as u64;
     }
     let flush_start = Instant::now();
-    engine.flush(&mut scratch);
-    match_count += drain(&mut engine, &mut scratch, &mut matches, flush_start);
+    work.flush(&mut scratch);
+    drain(&mut scratch, &mut sampled, flush_start);
     busy_ns += flush_start.elapsed().as_nanos() as u64;
-    engine.metrics_mut().wall_time_ns += busy_ns;
-    canonical_sort(&mut matches);
-    ShardOutcome {
-        matches,
-        match_count,
+    runs.iter_mut().for_each(|run| canonical_sort(run));
+    let mut metrics = work.metrics();
+    metrics.wall_time_ns += busy_ns;
+    metrics.absorb(&sampled);
+    Ok(ShardOutcome {
+        runs,
+        counts,
         events_routed,
-        metrics: engine.metrics().clone(),
-    }
+        metrics,
+    })
 }
 
 /// The message of a panic payload (`panic!` with a literal or a format).
@@ -607,10 +669,9 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         .unwrap_or_else(|| "non-string panic payload".into())
 }
 
-/// Routes and batches the whole stream into the worker channels (shared
-/// by the single-query and multi-query runs), consuming — and thereby
-/// closing — the senders so workers flush and return. Returns the number
-/// of extra broadcast deliveries
+/// Routes and batches the whole stream into the worker channels,
+/// consuming — and thereby closing — the senders so workers flush and
+/// return. Returns the number of extra broadcast deliveries
 /// ([`EngineMetrics::replicated_events`]) and of late events
 /// ([`EngineMetrics::late_events_dropped`]). A late event is dropped here,
 /// against the whole stream's watermark and before routing: a shard sees
@@ -643,7 +704,7 @@ fn route_and_feed<'s>(
                 queue_depth,
             });
         }
-        // A send only fails if the worker died; its panic resurfaces at
+        // A send only fails if the worker died; its error resurfaces at
         // the caller's join.
         let _ = txs[shard].send(full);
     };
@@ -688,103 +749,6 @@ fn route_and_feed<'s>(
     }
     drop(txs); // close the channels: workers flush and return
     (replicated_extra, late)
-}
-
-struct RegistryOutcome {
-    per_query: BTreeMap<QueryId, Vec<Match>>,
-    counts: BTreeMap<QueryId, u64>,
-    events_routed: u64,
-    metrics: EngineMetrics,
-}
-
-/// One multi-query worker: owns a private [`QueryRegistry`], drains its
-/// queue batch by batch, flushes on channel close, and sorts each query's
-/// matches into one canonical run. Latency and per-event
-/// cadence mirror [`worker`]; the sampled histograms land in a local
-/// snapshot absorbed into the registry's metrics at the end (absorb
-/// leaves `events_processed`/`wall_time_ns` untouched).
-fn registry_worker(
-    spec: &RegistrySpec,
-    rx: Receiver<Vec<&EventRef>>,
-    collect_matches: bool,
-    queue_depth: Option<&AtomicU64>,
-) -> Result<RegistryOutcome, CepError> {
-    fn drain(
-        scratch: &mut Vec<(QueryId, Match)>,
-        per_query: &mut BTreeMap<QueryId, Vec<Match>>,
-        counts: &mut BTreeMap<QueryId, u64>,
-        sampled: &mut EngineMetrics,
-        collect: bool,
-        latency_start: Instant,
-    ) {
-        if scratch.is_empty() {
-            return;
-        }
-        let latency = latency_start.elapsed().as_nanos() as u64;
-        sampled
-            .match_latency_ns
-            .record_n(latency, scratch.len() as u64);
-        for (id, m) in scratch.drain(..) {
-            *counts.get_mut(&id).expect("registered id") += 1;
-            if collect {
-                per_query.get_mut(&id).expect("registered id").push(m);
-            }
-        }
-    }
-    let mut registry: QueryRegistry = spec.instantiate()?;
-    let ids = registry.query_ids();
-    let mut per_query: BTreeMap<QueryId, Vec<Match>> =
-        ids.iter().map(|&id| (id, Vec::new())).collect();
-    let mut counts: BTreeMap<QueryId, u64> = ids.iter().map(|&id| (id, 0)).collect();
-    let mut scratch: Vec<(QueryId, Match)> = Vec::new();
-    let mut sampled = EngineMetrics::new();
-    let mut events_routed = 0u64;
-    let mut busy_ns = 0u64;
-    while let Ok(batch) = rx.recv() {
-        if let Some(d) = queue_depth {
-            d.fetch_sub(1, Ordering::Relaxed);
-        }
-        let batch_start = Instant::now();
-        for &event in &batch {
-            let ev_start = Instant::now();
-            registry.process(event, &mut scratch);
-            events_routed += 1;
-            if events_routed & EVENT_SAMPLE_MASK == 0 {
-                let dt = ev_start.elapsed().as_nanos() as u64;
-                sampled.event_ns.record(dt);
-            }
-            drain(
-                &mut scratch,
-                &mut per_query,
-                &mut counts,
-                &mut sampled,
-                collect_matches,
-                ev_start,
-            );
-        }
-        busy_ns += batch_start.elapsed().as_nanos() as u64;
-    }
-    let flush_start = Instant::now();
-    registry.flush(&mut scratch);
-    drain(
-        &mut scratch,
-        &mut per_query,
-        &mut counts,
-        &mut sampled,
-        collect_matches,
-        flush_start,
-    );
-    busy_ns += flush_start.elapsed().as_nanos() as u64;
-    per_query.values_mut().for_each(|ms| canonical_sort(ms));
-    let mut metrics = registry.metrics();
-    metrics.wall_time_ns = busy_ns;
-    metrics.absorb(&sampled);
-    Ok(RegistryOutcome {
-        per_query,
-        counts,
-        events_routed,
-        metrics,
-    })
 }
 
 /// Sorts matches into the canonical deterministic order used to merge

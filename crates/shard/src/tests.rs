@@ -1480,6 +1480,182 @@ fn run_registry_empty_spec_is_a_routing_error() {
     assert!(matches!(err, CepError::Routing(_)), "got {err:?}");
 }
 
+/// An engine that panics on its third event.
+struct PanicsOnThird {
+    inner: Box<dyn Engine>,
+    seen: usize,
+}
+
+impl Engine for PanicsOnThird {
+    fn process(&mut self, event: &cep_core::event::EventRef, out: &mut Vec<Match>) {
+        self.seen += 1;
+        if self.seen == 3 {
+            panic!("engine exploded on event {}", self.seen);
+        }
+        self.inner.process(event, out);
+    }
+
+    fn flush(&mut self, out: &mut Vec<Match>) {
+        self.inner.flush(out);
+    }
+
+    fn metrics(&self) -> &cep_core::metrics::EngineMetrics {
+        self.inner.metrics()
+    }
+
+    fn metrics_mut(&mut self) -> &mut cep_core::metrics::EngineMetrics {
+        self.inner.metrics_mut()
+    }
+
+    fn name(&self) -> &'static str {
+        "panics-on-third"
+    }
+}
+
+fn panicking_factory(cp: CompiledPattern) -> impl EngineFactory {
+    let inner = nfa_factory(cp);
+    move || {
+        Box::new(PanicsOnThird {
+            inner: inner.build(),
+            seen: 0,
+        }) as Box<dyn Engine>
+    }
+}
+
+#[test]
+fn run_query_worker_panic_is_a_typed_error() {
+    let stream = keyed_stream(lcg_workload(200, 3, 4, 0xBEEF));
+    let cp =
+        CompiledPattern::compile_single(&keyed_seq(2, 10, SelectionStrategy::SkipTillAnyMatch))
+            .unwrap();
+    let factory = panicking_factory(cp.clone());
+    for shards in [1usize, 3] {
+        let runtime = ShardedRuntime::with_shards(shards);
+        // Every shard gets at least three events, so every worker dies:
+        // the lowest shard is named.
+        let r = runtime.run(
+            &nfa_factory(cp.clone()),
+            &stream,
+            RoutingPolicy::HashAttr(0),
+            false,
+        );
+        assert!(r.per_shard.iter().all(|s| s.events_routed >= 3));
+        let err = runtime
+            .run_query(
+                &factory,
+                &stream,
+                RoutingPolicy::HashAttr(0),
+                std::slice::from_ref(&cp),
+                true,
+            )
+            .unwrap_err();
+        assert_eq!(
+            err,
+            CepError::Worker {
+                shard: 0,
+                message: "engine exploded on event 3".into()
+            }
+        );
+    }
+}
+
+#[test]
+#[should_panic(expected = "shard 0 worker panicked: engine exploded on event 3")]
+fn run_panics_with_the_worker_error_text() {
+    let stream = keyed_stream(lcg_workload(200, 3, 4, 0xBEEF));
+    let cp =
+        CompiledPattern::compile_single(&keyed_seq(2, 10, SelectionStrategy::SkipTillAnyMatch))
+            .unwrap();
+    ShardedRuntime::with_shards(3).run(
+        &panicking_factory(cp),
+        &stream,
+        RoutingPolicy::HashAttr(0),
+        true,
+    );
+}
+
+/// Every merged field a run fixes: timings zeroed, histograms cut down
+/// to their sample counts, and the registry layer's own counters
+/// (registrations, sharing, fan-out deliveries, plan-cache lookups),
+/// which a run over bare engines does not have, zeroed.
+fn comparable(m: &cep_core::metrics::EngineMetrics) -> cep_core::metrics::EngineMetrics {
+    let mut m = m.clone();
+    m.wall_time_ns = 0;
+    m.replay_time_ns = 0;
+    for h in [
+        &mut m.event_ns,
+        &mut m.match_latency_ns,
+        &mut m.replay_ns,
+        &mut m.enumeration_ns,
+    ] {
+        let n = h.count();
+        *h = cep_obs::LatencyHistogram::new();
+        h.record_n(0, n);
+    }
+    m.registered_queries = 0;
+    m.shared_fragments = 0;
+    m.fanout_emits = 0;
+    m.plan_cache_hits = 0;
+    m.plan_cache_misses = 0;
+    m
+}
+
+#[test]
+fn run_equals_a_one_query_run_registry() {
+    let keyed = keyed_stream(lcg_workload(240, 3, 5, 0x0E1));
+    let cross = cross_key_stream(lcg_cross_key_workload(160, 4, 5, 0x5EED));
+    let cross_query = cross_key_seq(12, SelectionStrategy::SkipTillAnyMatch);
+    let cross_policy =
+        replicate_join_policy(&CompiledPattern::compile_single(&cross_query).unwrap());
+    let RoutingPolicy::ReplicateJoin(spec) = &cross_policy else {
+        unreachable!()
+    };
+    assert!(!spec.is_fully_partitioned(), "the merge must dedup");
+    let cases = [
+        (
+            keyed_seq(3, 12, SelectionStrategy::PartitionContiguity),
+            &keyed,
+            RoutingPolicy::Partition,
+        ),
+        (
+            keyed_seq(3, 12, SelectionStrategy::SkipTillAnyMatch),
+            &keyed,
+            RoutingPolicy::HashAttr(0),
+        ),
+        (cross_query, &cross, cross_policy.clone()),
+    ];
+    for (pattern, stream, policy) in cases {
+        let factory = nfa_factory(CompiledPattern::compile_single(&pattern).unwrap());
+        let mut spec = RegistrySpec::new(nfa_fragment_builder(EngineConfig::default()));
+        let id = spec.add(&pattern).unwrap();
+        for shards in [1usize, 2, 4] {
+            for collect in [true, false] {
+                let ctx = format!("{policy:?}, {shards} shards, collect {collect}");
+                let runtime = ShardedRuntime::with_shards(shards);
+                let one = runtime.run(&factory, stream, policy.clone(), collect);
+                let set = runtime
+                    .run_registry(&spec, stream, policy.clone(), collect)
+                    .unwrap();
+                assert!(one.match_count > 0, "{ctx}: vacuous case");
+                assert_eq!(set.per_query.len(), 1, "{ctx}");
+                assert_eq!(one.matches, set.per_query[&id], "{ctx}");
+                assert_eq!(one.match_count, set.match_count, "{ctx}");
+                assert_eq!(one.match_count, set.match_counts[&id], "{ctx}");
+                assert_eq!(comparable(&one.metrics), comparable(&set.metrics), "{ctx}");
+                let raw: u64 = one.per_shard.iter().map(|s| s.match_count).sum();
+                assert_eq!(set.metrics.fanout_emits, raw, "{ctx}");
+                assert_eq!(one.per_shard.len(), set.per_shard.len(), "{ctx}");
+                for (a, b) in one.per_shard.iter().zip(&set.per_shard) {
+                    assert_eq!(a.shard, b.shard, "{ctx}");
+                    assert_eq!(a.events_routed, b.events_routed, "{ctx}");
+                    assert_eq!(a.match_count, b.match_count, "{ctx}");
+                    assert_eq!(comparable(&a.metrics), comparable(&b.metrics), "{ctx}");
+                }
+            }
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Merge order under dense ties: worker-side run sorts plus the k-way merge
 // must return, element for element, what one cached `(emitted_at, last_ts,

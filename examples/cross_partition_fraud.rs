@@ -18,10 +18,10 @@
 //!
 //! Run with `cargo run --release --example cross_partition_fraud [-- --shards N]`.
 
+use cep::analyze::parse_query_file;
 use cep::core::compile::CompiledPattern;
 use cep::core::engine::{run_to_completion, Engine, EngineConfig};
 use cep::core::event::Event;
-use cep::core::schema::{Catalog, ValueKind};
 use cep::core::stats::MeasuredStats;
 use cep::core::stream::StreamBuilder;
 use cep::core::value::Value;
@@ -34,32 +34,13 @@ use std::sync::Arc;
 fn main() {
     let shards_flag = parse_shards_flag();
 
-    let mut catalog = Catalog::new();
-    let swipe = catalog
-        .add_type(
-            "CardSwipe",
-            &[("account", ValueKind::Int), ("amount", ValueKind::Float)],
-        )
-        .unwrap();
-    let withdraw = catalog
-        .add_type(
-            "Withdrawal",
-            &[("account", ValueKind::Int), ("amount", ValueKind::Float)],
-        )
-        .unwrap();
-    let bulletin = catalog
-        .add_type("Bulletin", &[("level", ValueKind::Int)])
-        .unwrap();
-
     // Swipe and withdrawal correlate on `account`; the bulletin is global
-    // (no account at all) — the unkeyed side replicate-join broadcasts.
-    let pattern = parse_pattern(
-        "PATTERN SEQ(Bulletin b, CardSwipe s, Withdrawal w)
-         WHERE (s.account == w.account AND b.level >= 3 AND w.amount >= 500)
-         WITHIN 60 s",
-        &catalog,
-    )
-    .unwrap();
+    // (no account at all) — the unkeyed side replicate-join broadcasts. The
+    // types and the pattern come from the query file `cep-lint` checks.
+    let query = parse_query_file(include_str!("../queries/cross_partition_fraud.sase")).unwrap();
+    let id = |name| query.catalog.type_id(name).unwrap();
+    let (swipe, withdraw, bulletin) = (id("CardSwipe"), id("Withdrawal"), id("Bulletin"));
+    let pattern = query.pattern;
     println!("pattern: {pattern}\n");
 
     // Activity on 48 accounts spread over 16 terminals: every event lands

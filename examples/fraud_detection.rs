@@ -5,9 +5,9 @@
 //!
 //! Run with `cargo run --release --example fraud_detection`.
 
+use cep::analyze::parse_query_file;
 use cep::core::engine::{run_to_completion, EngineConfig};
 use cep::core::event::Event;
-use cep::core::schema::{Catalog, ValueKind};
 use cep::core::stream::StreamBuilder;
 use cep::core::value::Value;
 use cep::prelude::*;
@@ -15,33 +15,13 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 fn main() {
-    let mut catalog = Catalog::new();
-    let small = catalog
-        .add_type(
-            "SmallTxn",
-            &[("account", ValueKind::Int), ("amount", ValueKind::Float)],
-        )
-        .unwrap();
-    let verify = catalog
-        .add_type("Verify", &[("account", ValueKind::Int)])
-        .unwrap();
-    let withdraw = catalog
-        .add_type(
-            "Withdrawal",
-            &[("account", ValueKind::Int), ("amount", ValueKind::Float)],
-        )
-        .unwrap();
-
     // One or more small transactions on the same account, no verification
-    // in between, then a big withdrawal — all within 30 seconds.
-    let pattern = parse_pattern(
-        "PATTERN SEQ(KL(SmallTxn s), NOT(Verify v), Withdrawal w)
-         WHERE (s.account == w.account AND v.account == w.account
-                AND s.amount < 50 AND w.amount >= 500)
-         WITHIN 30 s",
-        &catalog,
-    )
-    .unwrap();
+    // in between, then a big withdrawal — all within 30 seconds. The types
+    // and the pattern come from the query file `cep-lint` checks.
+    let query = parse_query_file(include_str!("../queries/fraud_detection.sase")).unwrap();
+    let id = |name| query.catalog.type_id(name).unwrap();
+    let (small, verify, withdraw) = (id("SmallTxn"), id("Verify"), id("Withdrawal"));
+    let pattern = query.pattern;
     println!("pattern: {pattern}\n");
 
     // Simulate activity on a handful of accounts. Account 1 shows the

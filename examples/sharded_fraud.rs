@@ -12,10 +12,10 @@
 //! Run with `cargo run --release --example sharded_fraud [-- --shards N]`.
 //! Without a flag it sweeps 1/2/4/8 shards and checks the counts agree.
 
+use cep::analyze::parse_query_file;
 use cep::core::compile::CompiledPattern;
 use cep::core::engine::{run_to_completion, Engine, EngineConfig};
 use cep::core::event::Event;
-use cep::core::schema::{Catalog, ValueKind};
 use cep::core::stream::StreamBuilder;
 use cep::core::value::Value;
 use cep::prelude::*;
@@ -26,33 +26,13 @@ use rand::{Rng, SeedableRng};
 fn main() {
     let shards_flag = parse_shards_flag();
 
-    let mut catalog = Catalog::new();
-    let small = catalog
-        .add_type(
-            "SmallTxn",
-            &[("account", ValueKind::Int), ("amount", ValueKind::Float)],
-        )
-        .unwrap();
-    let verify = catalog
-        .add_type("Verify", &[("account", ValueKind::Int)])
-        .unwrap();
-    let withdraw = catalog
-        .add_type(
-            "Withdrawal",
-            &[("account", ValueKind::Int), ("amount", ValueKind::Float)],
-        )
-        .unwrap();
-
     // Same shape as examples/fraud_detection.rs, but every position is
-    // keyed by account — the property that makes sharding exact.
-    let pattern = parse_pattern(
-        "PATTERN SEQ(KL(SmallTxn s), NOT(Verify v), Withdrawal w)
-         WHERE (s.account == w.account AND v.account == w.account
-                AND s.amount < 50 AND w.amount >= 500)
-         WITHIN 30 s",
-        &catalog,
-    )
-    .unwrap();
+    // keyed by account — the property that makes sharding exact. The types
+    // and the pattern come from the query file `cep-lint` checks.
+    let query = parse_query_file(include_str!("../queries/sharded_fraud.sase")).unwrap();
+    let id = |name| query.catalog.type_id(name).unwrap();
+    let (small, verify, withdraw) = (id("SmallTxn"), id("Verify"), id("Withdrawal"));
+    let pattern = query.pattern;
     println!("pattern: {pattern}\n");
 
     // Activity on many accounts; partition = account. Every third account

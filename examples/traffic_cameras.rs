@@ -7,11 +7,11 @@
 //!
 //! Run with `cargo run --release --example traffic_cameras`.
 
+use cep::analyze::parse_query_file;
 use cep::core::compile::CompiledPattern;
 use cep::core::engine::{run_to_completion, EngineConfig};
 use cep::core::event::Event;
 use cep::core::plan::OrderPlan;
-use cep::core::schema::{Catalog, ValueKind};
 use cep::core::stream::StreamBuilder;
 use cep::core::value::Value;
 use cep::prelude::*;
@@ -19,26 +19,15 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 fn main() {
-    // Camera reading types, each with the spotted vehicle id.
-    let mut catalog = Catalog::new();
+    // Camera reading types, each with the spotted vehicle id, and the
+    // pattern from the paper, in SASE syntax: both come from the query
+    // file `cep-lint` checks.
+    let query = parse_query_file(include_str!("../queries/traffic_cameras.sase")).unwrap();
     let cams: Vec<_> = ["A", "B", "C", "D"]
         .iter()
-        .map(|n| {
-            catalog
-                .add_type(n, &[("vehicleID", ValueKind::Int)])
-                .unwrap()
-        })
+        .map(|n| query.catalog.type_id(n).unwrap())
         .collect();
-
-    // The pattern from the paper, in SASE syntax.
-    let pattern = parse_pattern(
-        "PATTERN SEQ(A a, B b, C c, D d)
-         WHERE (a.vehicleID == b.vehicleID AND b.vehicleID == c.vehicleID
-                AND c.vehicleID == d.vehicleID)
-         WITHIN 60 s",
-        &catalog,
-    )
-    .unwrap();
+    let pattern = query.pattern;
 
     // Simulate the road: vehicles pass every camera in order; camera D
     // only transmits 1 of 10 frames.
