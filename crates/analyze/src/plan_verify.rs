@@ -8,9 +8,11 @@
 
 use cep_core::compile::{CompiledPattern, NaryOp};
 use cep_core::error::CepError;
+use cep_core::join_graph::EqJoin;
 use cep_core::partition::PartitionSpec;
 use cep_core::plan::{OrderPlan, TreePlan};
-use std::collections::HashMap;
+use cep_core::predicate::CmpOp;
+use std::collections::{BTreeSet, HashMap};
 
 fn a010(message: impl std::fmt::Display) -> CepError {
     CepError::Plan(format!("A010: {message}"))
@@ -28,6 +30,10 @@ fn a010(message: impl std::fmt::Display) -> CepError {
 ///    relation.
 /// 3. **Precedence sanity** — irreflexive, antisymmetric, and total for
 ///    `SEQ` branches.
+/// 4. **Join-graph fidelity** — every `==` between attributes of two
+///    distinct positive elements is exactly its two mirrored edges of
+///    [`CompiledPattern::join_graph`], every positive–negated one exactly
+///    one negated link, and the graph holds no other edge, link or node.
 pub fn verify_pattern_invariants(cp: &CompiledPattern) -> Result<(), CepError> {
     let n = cp.n();
     let pos_to_elem: HashMap<usize, usize> = cp
@@ -43,8 +49,10 @@ pub fn verify_pattern_invariants(cp: &CompiledPattern) -> Result<(), CepError> {
         .map(|(k, ne)| (ne.position, k))
         .collect();
 
-    // Expected reachability count per predicate.
+    // Expected reachability count per predicate, and the expected join
+    // graph as (is_link, pred, owner, elem, attr, other, other_attr).
     let mut expected = vec![0usize; cp.predicates.len()];
+    let mut want_graph = Vec::new();
     for (pi, p) in cp.predicates.iter().enumerate() {
         let (a, b) = p.position_pair();
         if a == usize::MAX {
@@ -74,6 +82,19 @@ pub fn verify_pattern_invariants(cp: &CompiledPattern) -> Result<(), CepError> {
                 }
             }
         };
+        if let (CmpOp::Eq, Some((pa, aa)), Some((pb, ab))) =
+            (p.op, p.left.as_attr(), p.right.as_attr())
+        {
+            let (ea, eb) = (pos_to_elem.get(&pa), pos_to_elem.get(&pb));
+            match (ea, eb, pos_to_neg.get(&pa), pos_to_neg.get(&pb)) {
+                (Some(&i), Some(&j), ..) if i != j => {
+                    want_graph.extend([(false, pi, i, i, aa, j, ab), (false, pi, j, j, ab, i, aa)])
+                }
+                (Some(&i), _, _, Some(&k)) => want_graph.push((true, pi, k, k, ab, i, aa)),
+                (_, Some(&j), Some(&k), _) => want_graph.push((true, pi, k, k, aa, j, ab)),
+                _ => {}
+            }
+        }
     }
 
     // Actual reachability from the evaluation indexes.
@@ -169,6 +190,30 @@ pub fn verify_pattern_invariants(cp: &CompiledPattern) -> Result<(), CepError> {
         }
     }
 
+    // Join-graph fidelity.
+    let graph = cp.join_graph();
+    let owned = |link: bool, owner: usize, e: &EqJoin| {
+        (link, e.pred, owner, e.elem, e.attr, e.other, e.other_attr)
+    };
+    let mut have_graph: Vec<_> = (0..n)
+        .flat_map(|i| graph.edges(i).iter().map(move |e| owned(false, i, e)))
+        .chain(
+            (0..cp.negated.len())
+                .flat_map(|k| (graph.negated_links(k).iter()).map(move |e| owned(true, k, e))),
+        )
+        .collect();
+    let want_nodes: BTreeSet<(usize, usize)> = want_graph.iter().map(|e| (e.5, e.6)).collect();
+    have_graph.sort_unstable();
+    want_graph.sort_unstable();
+    if have_graph != want_graph || graph.nodes().ne(want_nodes.iter().copied()) {
+        return Err(a010(format!(
+            "join graph does not match the `==` predicates: it holds edges and links \
+             {have_graph:?} and nodes {:?}, the predicates give {want_graph:?} and \
+             {want_nodes:?}",
+            graph.nodes().collect::<Vec<_>>()
+        )));
+    }
+
     Ok(())
 }
 
@@ -232,7 +277,7 @@ mod tests {
     use super::*;
     use cep_core::event::TypeId;
     use cep_core::pattern::PatternBuilder;
-    use cep_core::predicate::{CmpOp, Operand, Predicate};
+    use cep_core::predicate::{Operand, Predicate};
     use cep_core::value::Value;
 
     fn sample() -> CompiledPattern {
@@ -286,6 +331,27 @@ mod tests {
         let err = verify_pattern_invariants(&cp).unwrap_err();
         assert!(err.to_string().contains("A010"), "{err}");
         assert!(err.to_string().contains("multiset"), "{err}");
+    }
+
+    #[test]
+    fn equality_missing_from_the_join_graph_is_detected() {
+        let mut b = PatternBuilder::new(5_000);
+        let a = b.event(TypeId(0), "a");
+        let x = b.event(TypeId(1), "x");
+        let c = b.event(TypeId(2), "c");
+        b.predicate(Predicate::attr_cmp(a.pos(), 0, CmpOp::Eq, c.pos(), 0));
+        b.predicate(Predicate::attr_cmp(a.pos(), 1, CmpOp::Lt, c.pos(), 1));
+        b.predicate(Predicate::attr_cmp(x.pos(), 0, CmpOp::Eq, c.pos(), 0));
+        let exprs = vec![b.expr(a), b.not(x), b.expr(c)];
+        let mut cp = CompiledPattern::compile_single(&b.seq_exprs(exprs).unwrap()).unwrap();
+        verify_pattern_invariants(&cp).unwrap();
+        // `a.1 < c.1` becomes `a.1 == c.1` after compilation: the same
+        // positions, so every predicate index still holds it, but the join
+        // graph has no edge for it.
+        cp.predicates[1].op = CmpOp::Eq;
+        let err = verify_pattern_invariants(&cp).unwrap_err().to_string();
+        assert!(err.contains("A010") && err.contains("join graph"), "{err}");
+        assert!(!err.contains("multiset"), "{err}");
     }
 
     #[test]

@@ -17,9 +17,9 @@
 
 use crate::error::CepError;
 use crate::event::TypeId;
-use crate::keyed::EqJoin;
+use crate::join_graph::{Binder, EqJoin, JoinGraph};
 use crate::pattern::{Pattern, PatternExpr};
-use crate::predicate::{CmpOp, Operand, Predicate};
+use crate::predicate::Predicate;
 use crate::selection::SelectionStrategy;
 use std::collections::HashMap;
 
@@ -103,8 +103,8 @@ pub struct CompiledPattern {
     neg_preds: Vec<Vec<usize>>,
     /// position -> positive element index.
     pos_to_elem: HashMap<usize, usize>,
-    /// Equality joins owned by each positive element, in predicate order.
-    eq_joins: Vec<Vec<EqJoin>>,
+    /// The `==` part of the query graph.
+    join_graph: JoinGraph,
 }
 
 impl CompiledPattern {
@@ -273,81 +273,44 @@ impl CompiledPattern {
             .cloned()
             .collect();
 
-        // Index predicates by element pairs / filters / negated involvement.
-        let neg_pos_to_idx: HashMap<usize, usize> = negated
-            .iter()
-            .enumerate()
-            .map(|(i, ne)| (ne.position, i))
-            .collect();
+        // Index predicates by element pairs / filters / negated involvement,
+        // and build the equality graph in the same pass.
+        let binder = |pos: usize| match pos_to_elem.get(&pos) {
+            Some(&i) => Some(Binder::Positive(i)),
+            None => (negated.iter().position(|ne| ne.position == pos)).map(Binder::Negated),
+        };
         let mut pred_pairs = vec![vec![Vec::new(); n]; n];
         let mut filters = vec![Vec::new(); n];
         let mut neg_preds = vec![Vec::new(); negated.len()];
+        let mut join_graph = JoinGraph::new(n, negated.len());
         for (pi, p) in predicates.iter().enumerate() {
             let (a, b) = p.position_pair();
             if a == usize::MAX {
                 continue; // constant-only predicate: ignored
             }
             match b {
-                None => {
-                    if let Some(&e) = pos_to_elem.get(&a) {
-                        filters[e].push(pi);
-                    } else if let Some(&k) = neg_pos_to_idx.get(&a) {
-                        neg_preds[k].push(pi);
-                    }
-                }
+                None => match binder(a) {
+                    Some(Binder::Positive(e)) => filters[e].push(pi),
+                    Some(Binder::Negated(k)) => neg_preds[k].push(pi),
+                    None => {}
+                },
                 Some(b) => {
-                    match (pos_to_elem.get(&a), pos_to_elem.get(&b)) {
-                        (Some(&ea), Some(&eb)) => {
+                    match (binder(a), binder(b)) {
+                        (Some(Binder::Positive(ea)), Some(Binder::Positive(eb))) => {
                             pred_pairs[ea][eb].push(pi);
                             pred_pairs[eb][ea].push(pi);
                         }
-                        _ => {
-                            // At least one side is a negated position.
-                            if let Some(&k) = neg_pos_to_idx.get(&a) {
-                                neg_preds[k].push(pi);
-                            }
-                            if let Some(&k) = neg_pos_to_idx.get(&b) {
-                                neg_preds[k].push(pi);
+                        // At least one side is a negated position.
+                        sides => {
+                            for side in [sides.0, sides.1] {
+                                if let Some(Binder::Negated(k)) = side {
+                                    neg_preds[k].push(pi);
+                                }
                             }
                         }
                     }
+                    join_graph.add(pi, p, binder);
                 }
-            }
-        }
-
-        // Equality joins between positive elements. Negated positions have
-        // no element index; their predicates are enforced by the
-        // deferred-negation machinery, not by join state.
-        let mut eq_joins = vec![Vec::new(); n];
-        for (pred, p) in predicates.iter().enumerate() {
-            let (
-                CmpOp::Eq,
-                Operand::Attr {
-                    position: pa,
-                    attr: aa,
-                },
-                Operand::Attr {
-                    position: pb,
-                    attr: ab,
-                },
-            ) = (p.op, &p.left, &p.right)
-            else {
-                continue;
-            };
-            let (Some(&i), Some(&j)) = (pos_to_elem.get(pa), pos_to_elem.get(pb)) else {
-                continue;
-            };
-            if i == j {
-                continue;
-            }
-            for (elem, attr, other, other_attr) in [(i, *aa, j, *ab), (j, *ab, i, *aa)] {
-                eq_joins[elem].push(EqJoin {
-                    pred,
-                    elem,
-                    attr,
-                    other,
-                    other_attr,
-                });
             }
         }
 
@@ -363,7 +326,7 @@ impl CompiledPattern {
             filters,
             neg_preds,
             pos_to_elem,
-            eq_joins,
+            join_graph,
         })
     }
 
@@ -392,27 +355,25 @@ impl CompiledPattern {
         &self.neg_preds[k]
     }
 
-    /// The equality joins owned by positive element `i`, in predicate
-    /// order: an `a.x == b.y` predicate between two positive elements
-    /// yields one entry under `a` and a mirrored one under `b` (Kleene
-    /// elements included).
-    pub fn eq_joins(&self, i: usize) -> &[EqJoin] {
-        &self.eq_joins[i]
+    /// The `==` part of this branch's query graph: direct edges, positive
+    /// equality classes and negated links, built once at compile.
+    pub fn join_graph(&self) -> &JoinGraph {
+        &self.join_graph
     }
 
     /// The equality key of a join step between the element sets `own` and
-    /// `partners`: the earliest `==` predicate crossing them with both
-    /// sides non-Kleene, from `own`'s point of view — so the call with the
-    /// sets swapped returns the mirrored entry of the same predicate.
-    /// `None` (one unkeyed bucket) when there is no such predicate, and
-    /// under skip-till-next-match, whose greedy `swap_remove` order over
-    /// the whole store is result-relevant.
+    /// `partners`: the earliest direct edge of the join graph crossing
+    /// them with both sides non-Kleene, from `own`'s point of view — so the
+    /// call with the sets swapped returns the mirrored edge of the same
+    /// predicate. `None` (one unkeyed bucket) when there is no such edge,
+    /// and under skip-till-next-match, whose greedy `swap_remove` order
+    /// over the whole store is result-relevant.
     pub fn join_key(&self, own: &[usize], partners: &[usize]) -> Option<&EqJoin> {
         if self.strategy.consumes() {
             return None;
         }
         own.iter()
-            .flat_map(|&i| &self.eq_joins[i])
+            .flat_map(|&i| self.join_graph.edges(i))
             .filter(|j| {
                 partners.contains(&j.other)
                     && !self.elements[j.elem].kleene

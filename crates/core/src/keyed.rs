@@ -1,14 +1,15 @@
 //! Hash-partitioned join state shared by the NFA and tree engines.
 //!
 //! A join step that carries an `a.x == b.y` predicate between two
-//! non-Kleene elements (an [`EqJoin`]) keeps its state — waiting
-//! instances, buffered events — in a [`KeyedStore`] bucketed by the
-//! canonical [`IndexKey`] of the join attribute. An arriving event or
-//! entering instance then visits only the bucket of its own key: members
-//! of every other bucket could never have passed the equality, so the
-//! successes, and the order they occur in, are exactly those of a scan
-//! over the whole store. A step without a usable key puts everything in
-//! the store's one unkeyed bucket ([`Slot::All`]) and runs the same code.
+//! non-Kleene elements (an [`EqJoin`](crate::join_graph::EqJoin)) keeps
+//! its state — waiting instances, buffered events — in a [`KeyedStore`]
+//! bucketed by the canonical [`IndexKey`] of the join attribute. An
+//! arriving event or entering instance then visits only the bucket of its
+//! own key: members of every other bucket could never have passed the
+//! equality, so the successes, and the order they occur in, are exactly
+//! those of a scan over the whole store. A step without a usable key puts
+//! everything in the store's one unkeyed bucket ([`Slot::All`]) and runs
+//! the same code.
 
 use crate::value::Value;
 use std::collections::HashMap;
@@ -56,24 +57,6 @@ pub fn index_key(value: &Value) -> Option<IndexKey> {
         Value::Bool(b) => Some(IndexKey::Bool(*b)),
         Value::Str(s) => Some(IndexKey::Str(s.clone())),
     }
-}
-
-/// An equality join between two positive elements, extracted from an
-/// `elem.attr == other.other_attr` predicate. Every such predicate yields
-/// two mirrored entries, one owned by each side (see
-/// [`CompiledPattern::eq_joins`](crate::compile::CompiledPattern::eq_joins)).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EqJoin {
-    /// Index of the `==` predicate in the pattern's predicate list.
-    pub pred: usize,
-    /// Owning element index.
-    pub elem: usize,
-    /// Join attribute of the owning element.
-    pub attr: usize,
-    /// Partner element index.
-    pub other: usize,
-    /// Join attribute of the partner element.
-    pub other_attr: usize,
 }
 
 /// The bucket address of one member, or of one probe, of a [`KeyedStore`].

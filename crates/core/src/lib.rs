@@ -16,7 +16,8 @@
 //!   signature-keyed plan cache ([`compiled`]),
 //! * order-based and tree-based evaluation plans ([`plan`]),
 //! * the cost models of Sections 3, 4 and 6 ([`cost`]),
-//! * statistics acquisition ([`stats`]) and the query graph ([`query_graph`]),
+//! * statistics acquisition ([`stats`]), the query graph ([`query_graph`])
+//!   and its equality part, built once per compiled branch ([`join_graph`]),
 //! * replicate-join partition analysis for sharded execution ([`partition`]),
 //! * runtime support shared by engines: matches ([`mod@matches`]), negation
 //!   intervals ([`negation`]), metrics ([`metrics`]), the [`engine`] trait,
@@ -35,6 +36,7 @@ pub mod engine;
 pub mod error;
 pub mod event;
 pub mod instance;
+pub mod join_graph;
 pub mod keyed;
 pub mod matches;
 pub mod metrics;

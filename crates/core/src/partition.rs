@@ -13,28 +13,23 @@
 //! * **replicated** types are broadcast to *every* shard, so whatever a
 //!   match needs beyond the key group is present wherever the match lands.
 //!
-//! The [`QueryPartitioner`] computes that classification from a compiled
-//! pattern's equality predicates: it builds, per DNF branch, a graph over
-//! `(element, attribute)` nodes connected by `==` predicates, and searches
-//! for the assignment of key attributes that keeps the largest estimated
-//! event rate partitioned (replicating the low-rate side). Types that
-//! cannot be proven key-linked in every branch are replicated.
+//! The [`QueryPartitioner`] computes that classification from each
+//! branch's equality graph ([`CompiledPattern::join_graph`], whose module
+//! states which `==` predicates may link what), and searches for the
+//! assignment of key attributes that keeps the largest estimated event
+//! rate partitioned (replicating the low-rate side). Types that cannot be
+//! proven key-linked in every branch are replicated.
 //!
 //! Soundness rules encoded here (see `valid_for`):
 //!
 //! * within a branch, all *positive* elements of partitioned types must
-//!   sit in **one** connected component of the equality graph built from
-//!   predicates **between positive elements only**, through their assigned
+//!   sit in **one** equality class of the graph through their assigned
 //!   key attributes — otherwise one match could span several keys and
-//!   therefore several shards. Predicates that involve a negated element
-//!   never join this component: they are only ever evaluated against
-//!   candidate *negation* events, so they constrain no positive binding
-//!   (two positives "linked" solely through a negated mediator are not
-//!   key-equal);
+//!   therefore several shards;
 //! * a negated element of a partitioned type requires a positive
-//!   partitioned element in the same branch and a *direct* equality
-//!   predicate into that key component — otherwise shards that never see
-//!   the forbidding events would emit false matches;
+//!   partitioned element in the same branch and a *direct* negated link
+//!   into that key class — otherwise shards that never see the forbidding
+//!   events would emit false matches;
 //! * a branch whose only partitioned element is a single positive element
 //!   needs no equality link at all (its own key attribute routes the
 //!   match).
@@ -46,10 +41,8 @@
 use crate::compile::CompiledPattern;
 use crate::error::CepError;
 use crate::event::TypeId;
-use crate::predicate::{CmpOp, Operand};
 use crate::stats::MeasuredStats;
-use crate::union_find::UnionFind;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// How a sharded router treats events of one type under replicate-join.
@@ -149,15 +142,15 @@ impl PartitionSpec {
                 )));
             }
         }
-        let attrs: HashMap<TypeId, usize> = self
+        let attrs: BTreeMap<TypeId, usize> = self
             .iter()
             .filter_map(|(t, d)| match d {
                 TypeDisposition::Partitioned { attr } => Some((t, attr)),
                 TypeDisposition::Replicated => None,
             })
             .collect();
-        for (bi, (branch, graph)) in branches.iter().zip(branch_graphs(branches)).enumerate() {
-            valid_for(branch, &graph, &attrs).map_err(|why| {
+        for (bi, branch) in branches.iter().enumerate() {
+            valid_for(branch, &attrs).map_err(|why| {
                 CepError::Routing(format!(
                     "partition spec is unsound for branch {bi}: {why}; \
                      replicate the offending type or re-run QueryPartitioner::analyze"
@@ -208,7 +201,6 @@ impl QueryPartitioner {
                 "cannot partition a query with zero branches".into(),
             ));
         }
-        let graphs = branch_graphs(branches);
         let used: Vec<TypeId> = used_types(branches).into_iter().collect();
         let rate_of = |ty: TypeId| {
             let r = rate(ty);
@@ -227,28 +219,33 @@ impl QueryPartitioner {
                 .then_with(|| a.0.cmp(&b.0))
         });
         // Candidate key attributes per type: every attribute that appears
-        // in an equality-graph node of one of the type's elements.
+        // in an equality-graph node or negated link of one of the type's
+        // elements.
         let mut candidate_attrs: BTreeMap<TypeId, BTreeSet<usize>> = BTreeMap::new();
-        for (branch, graph) in branches.iter().zip(&graphs) {
-            for &(slot, attr) in graph.nodes.keys().chain(graph.neg_links.keys()) {
-                candidate_attrs
-                    .entry(slot_type(branch, slot))
-                    .or_default()
-                    .insert(attr);
+        for cp in branches {
+            let graph = cp.join_graph();
+            let positive = graph
+                .nodes()
+                .map(|(elem, attr)| (cp.elements[elem].event_type, attr));
+            let negated = (cp.negated.iter().enumerate()).flat_map(|(k, ne)| {
+                graph
+                    .negated_links(k)
+                    .iter()
+                    .map(|l| (ne.event_type, l.attr))
+            });
+            for (ty, attr) in positive.chain(negated) {
+                candidate_attrs.entry(ty).or_default().insert(attr);
             }
         }
-        let valid = |attrs: &HashMap<TypeId, usize>| {
-            branches
-                .iter()
-                .zip(&graphs)
-                .all(|(b, g)| valid_for(b, g, attrs).is_ok())
-        };
+        let valid =
+            |attrs: &BTreeMap<TypeId, usize>| branches.iter().all(|b| valid_for(b, attrs).is_ok());
         // Try each candidate anchor (type, attr); grow greedily; keep the
-        // assignment with the largest partitioned rate mass.
-        let mut best: Option<(f64, usize, HashMap<TypeId, usize>)> = None;
+        // assignment with the largest partitioned rate mass, summed in
+        // type-id order so a tie cannot be broken by hash order.
+        let mut best: Option<(f64, usize, BTreeMap<TypeId, usize>)> = None;
         for &anchor_ty in &by_rate {
             for &anchor_attr in candidate_attrs.get(&anchor_ty).into_iter().flatten() {
-                let mut attrs = HashMap::from([(anchor_ty, anchor_attr)]);
+                let mut attrs = BTreeMap::from([(anchor_ty, anchor_attr)]);
                 if !valid(&attrs) {
                     continue;
                 }
@@ -309,12 +306,12 @@ pub fn partition_local_on(branches: &[CompiledPattern], attr: usize) -> Result<(
             "cannot check partition-locality of zero branches".into(),
         ));
     }
-    for (bi, (branch, graph)) in branches.iter().zip(branch_graphs(branches)).enumerate() {
-        let attrs: HashMap<TypeId, usize> = used_types(std::slice::from_ref(branch))
+    for (bi, branch) in branches.iter().enumerate() {
+        let attrs: BTreeMap<TypeId, usize> = used_types(std::slice::from_ref(branch))
             .into_iter()
             .map(|t| (t, attr))
             .collect();
-        valid_for(branch, &graph, &attrs).map_err(|why| {
+        valid_for(branch, &attrs).map_err(|why| {
             CepError::Routing(format!(
                 "query is not partition-local on attribute {attr} (branch {bi}: {why})"
             ))
@@ -336,162 +333,41 @@ fn used_types(branches: &[CompiledPattern]) -> BTreeSet<TypeId> {
         .collect()
 }
 
-/// Element slots of one branch: positives are `0..n`, negated elements
-/// follow at `n..n + negated.len()`.
-fn slot_type(cp: &CompiledPattern, slot: usize) -> TypeId {
-    let n = cp.n();
-    if slot < n {
-        cp.elements[slot].event_type
-    } else {
-        cp.negated[slot - n].event_type
-    }
-}
-
-fn slot_is_negated(cp: &CompiledPattern, slot: usize) -> bool {
-    slot >= cp.n()
-}
-
-/// Equality graph of one branch.
-///
-/// Positive `(slot, attr)` nodes form a union-find connected by `==`
-/// predicates **between two positive elements** — those are the only
-/// equalities every engine enforces on the bound events of a match, so
-/// only they may establish that two positive elements share a key. A
-/// predicate between a positive and a negated element is recorded
-/// separately in `neg_links`: it pins the negated element's key to that
-/// positive node (the engines evaluate it against candidate negation
-/// events), but it must **not** bridge positive components — a value
-/// constraint on an *absent* event says nothing about the positives'
-/// values. Predicates linking two negated elements are dropped entirely
-/// (engines never evaluate them against a single candidate).
-struct BranchGraph {
-    nodes: HashMap<(usize, usize), usize>,
-    uf: UnionFind,
-    /// Negated `(slot, attr)` → positive node ids it is directly
-    /// equality-linked to.
-    neg_links: HashMap<(usize, usize), Vec<usize>>,
-}
-
-impl BranchGraph {
-    fn node(&mut self, key: (usize, usize)) -> usize {
-        match self.nodes.get(&key) {
-            Some(&id) => id,
-            None => {
-                let id = self.uf.make();
-                self.nodes.insert(key, id);
-                id
-            }
-        }
-    }
-
-    fn find(&self, id: usize) -> usize {
-        self.uf.find(id)
-    }
-
-    fn union(&mut self, a: usize, b: usize) {
-        self.uf.union(a, b);
-    }
-
-    /// Root of `(slot, attr)` if the node participates in any equality.
-    fn root(&self, key: (usize, usize)) -> Option<usize> {
-        self.nodes.get(&key).map(|&id| self.uf.find(id))
-    }
-}
-
-fn branch_graphs(branches: &[CompiledPattern]) -> Vec<BranchGraph> {
-    branches
-        .iter()
-        .map(|cp| {
-            let mut g = BranchGraph {
-                nodes: HashMap::new(),
-                uf: UnionFind::new(),
-                neg_links: HashMap::new(),
-            };
-            let slot_of = |position: usize| -> Option<usize> {
-                cp.elem_index(position).or_else(|| {
-                    cp.negated
-                        .iter()
-                        .position(|ne| ne.position == position)
-                        .map(|k| cp.n() + k)
-                })
-            };
-            for p in &cp.predicates {
-                if p.op != CmpOp::Eq {
-                    continue;
-                }
-                let (
-                    Operand::Attr {
-                        position: pa,
-                        attr: aa,
-                    },
-                    Operand::Attr {
-                        position: pb,
-                        attr: ab,
-                    },
-                ) = (&p.left, &p.right)
-                else {
-                    continue;
-                };
-                if pa == pb {
-                    continue;
-                }
-                let (Some(sa), Some(sb)) = (slot_of(*pa), slot_of(*pb)) else {
-                    continue;
-                };
-                match (slot_is_negated(cp, sa), slot_is_negated(cp, sb)) {
-                    (false, false) => {
-                        let na = g.node((sa, *aa));
-                        let nb = g.node((sb, *ab));
-                        g.union(na, nb);
-                    }
-                    (false, true) => {
-                        let na = g.node((sa, *aa));
-                        g.neg_links.entry((sb, *ab)).or_default().push(na);
-                    }
-                    (true, false) => {
-                        let nb = g.node((sb, *ab));
-                        g.neg_links.entry((sa, *aa)).or_default().push(nb);
-                    }
-                    (true, true) => {}
-                }
-            }
-            g
-        })
-        .collect()
-}
-
 /// The soundness check: with `attrs` assigning a key attribute to each
 /// partitioned type, are all of this branch's partitioned elements
 /// guaranteed to share one key value in every match?
-fn valid_for(
-    cp: &CompiledPattern,
-    graph: &BranchGraph,
-    attrs: &HashMap<TypeId, usize>,
-) -> Result<(), String> {
-    let slots: Vec<usize> = (0..cp.n() + cp.negated.len())
-        .filter(|&s| attrs.contains_key(&slot_type(cp, s)))
+fn valid_for(cp: &CompiledPattern, attrs: &BTreeMap<TypeId, usize>) -> Result<(), String> {
+    let graph = cp.join_graph();
+    // (element index, type, key attribute) of each partitioned element.
+    let positive: Vec<(usize, TypeId, usize)> = cp
+        .elements
+        .iter()
+        .enumerate()
+        .filter_map(|(i, e)| Some((i, e.event_type, *attrs.get(&e.event_type)?)))
         .collect();
-    if slots.is_empty() {
-        return Ok(()); // replicated-only branch: every shard detects it
-    }
-    let (positive, negated): (Vec<usize>, Vec<usize>) =
-        slots.iter().partition(|&&s| !slot_is_negated(cp, s));
+    let negated: Vec<(usize, TypeId, usize)> = cp
+        .negated
+        .iter()
+        .enumerate()
+        .filter_map(|(k, ne)| Some((k, ne.event_type, *attrs.get(&ne.event_type)?)))
+        .collect();
     if positive.is_empty() {
-        return Err(format!(
-            "type {} appears only negated with no positive key anchor",
-            slot_type(cp, slots[0]).0
-        ));
+        return match negated.first() {
+            None => Ok(()), // replicated-only branch: every shard detects it
+            Some(&(_, ty, _)) => Err(format!(
+                "type {} appears only negated with no positive key anchor",
+                ty.0
+            )),
+        };
     }
-    if slots.len() == 1 {
+    if positive.len() + negated.len() == 1 {
         return Ok(()); // a single positive element keys the match by itself
     }
-    // Positive elements must share one key component through positive-only
-    // equality edges — the predicates every match is guaranteed to satisfy.
+    // Positive elements must share one equality class — the predicates
+    // every match is guaranteed to satisfy.
     let mut root = None;
-    for &s in &positive {
-        let ty = slot_type(cp, s);
-        let attr = attrs[&ty];
-        let Some(r) = graph.root((s, attr)) else {
+    for &(i, ty, attr) in &positive {
+        let Some(r) = graph.class_of(i, attr) else {
             return Err(format!(
                 "element of type {} is not equality-linked on attribute {attr}",
                 ty.0
@@ -505,17 +381,12 @@ fn valid_for(
             ));
         }
     }
-    let root = root.expect("at least one positive slot was checked");
-    // Negated elements must be *directly* equality-linked to a positive in
-    // that component: only a positive-to-negated predicate is evaluated
-    // against candidate negation events, so only it pins their key.
-    for &s in &negated {
-        let ty = slot_type(cp, s);
-        let attr = attrs[&ty];
-        let anchored = graph
-            .neg_links
-            .get(&(s, attr))
-            .is_some_and(|links| links.iter().any(|&p| graph.find(p) == root));
+    // Negated elements must be *directly* linked to a positive in that
+    // class: only a negated link is evaluated against candidate negation
+    // events, so only it pins their key.
+    for &(k, ty, attr) in &negated {
+        let anchored = (graph.negated_links(k).iter())
+            .any(|l| l.attr == attr && graph.class_of(l.other, l.other_attr) == root);
         if !anchored {
             return Err(format!(
                 "negated element of type {} is not directly key-linked to the \
@@ -531,7 +402,7 @@ fn valid_for(
 mod tests {
     use super::*;
     use crate::pattern::PatternBuilder;
-    use crate::predicate::Predicate;
+    use crate::predicate::{CmpOp, Predicate};
 
     fn t(i: u32) -> TypeId {
         TypeId(i)
@@ -873,6 +744,44 @@ mod tests {
             .unwrap()
             .validate(std::slice::from_ref(&cp))
             .unwrap();
+    }
+
+    /// Regression: the rate mass was summed in `HashMap` order, so two
+    /// assignments of equal mass (here all-`a0` and all-`a1`) could swap
+    /// places from one call to the next by an ulp of the float sum.
+    #[test]
+    fn equal_mass_ties_break_the_same_way_every_call() {
+        let mut b = PatternBuilder::new(100);
+        let a = b.event(t(0), "a");
+        let bb = b.event(t(1), "b");
+        let c = b.event(t(2), "c");
+        for attr in [0, 1] {
+            b.predicate(Predicate::attr_cmp(
+                a.pos(),
+                attr,
+                CmpOp::Eq,
+                bb.pos(),
+                attr,
+            ));
+            b.predicate(Predicate::attr_cmp(
+                bb.pos(),
+                attr,
+                CmpOp::Eq,
+                c.pos(),
+                attr,
+            ));
+        }
+        let cp = CompiledPattern::compile_single(&b.seq([a, bb, c]).unwrap()).unwrap();
+        for _ in 0..64 {
+            let spec = QueryPartitioner::analyze(std::slice::from_ref(&cp), |ty| {
+                10.0 / (1.0 + ty.0 as f64)
+            })
+            .unwrap();
+            assert_eq!(
+                spec.to_string(),
+                "{T0: partitioned(a0), T1: partitioned(a0), T2: partitioned(a0)}"
+            );
+        }
     }
 
     #[test]

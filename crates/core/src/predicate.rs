@@ -40,6 +40,14 @@ impl Operand {
         }
     }
 
+    /// `(position, attr)` of an attribute operand.
+    pub fn as_attr(&self) -> Option<(usize, usize)> {
+        match *self {
+            Operand::Attr { position, attr } => Some((position, attr)),
+            _ => None,
+        }
+    }
+
     fn resolve<'a>(&self, lookup: &impl Fn(usize) -> Option<&'a Event>) -> Option<Value> {
         match self {
             Operand::Attr { position, attr } => lookup(*position)?.attr(*attr).cloned(),

@@ -1,14 +1,12 @@
-//! A small union-find (disjoint-set) structure.
-//!
-//! Extracted from the partition-analysis equality graph so that other
-//! analyses — notably the congruence-closure pass in `cep-analyze` —
-//! can share the same machinery instead of re-implementing it.
+//! A small union-find (disjoint-set) structure, shared by the equality
+//! classes of [`crate::join_graph`] and the congruence-closure pass in
+//! `cep-analyze`.
 
 /// Disjoint-set forest over dense `usize` ids.
 ///
-/// Ids are allocated with [`UnionFind::make`] and merged with
-/// [`UnionFind::union`]. The representative of a class is always the
-/// smallest id that was merged into it, which keeps results
+/// Starts empty ([`Default`]); ids are allocated with [`UnionFind::make`]
+/// and merged with [`UnionFind::union`]. The representative of a class is
+/// always the smallest id that was merged into it, which keeps results
 /// deterministic regardless of union order.
 #[derive(Debug, Clone, Default)]
 pub struct UnionFind {
@@ -16,26 +14,11 @@ pub struct UnionFind {
 }
 
 impl UnionFind {
-    /// Creates an empty structure.
-    pub fn new() -> UnionFind {
-        UnionFind::default()
-    }
-
     /// Allocates a fresh singleton class and returns its id.
     pub fn make(&mut self) -> usize {
         let id = self.parent.len();
         self.parent.push(id);
         id
-    }
-
-    /// Number of allocated ids.
-    pub fn len(&self) -> usize {
-        self.parent.len()
-    }
-
-    /// Whether no ids have been allocated.
-    pub fn is_empty(&self) -> bool {
-        self.parent.is_empty()
     }
 
     /// Returns the representative of `id`'s class.
@@ -57,11 +40,6 @@ impl UnionFind {
             self.parent[ra.max(rb)] = ra.min(rb);
         }
     }
-
-    /// Whether `a` and `b` are currently in the same class.
-    pub fn same(&self, a: usize, b: usize) -> bool {
-        self.find(a) == self.find(b)
-    }
 }
 
 #[cfg(test)]
@@ -70,37 +48,36 @@ mod tests {
 
     #[test]
     fn singletons_are_their_own_roots() {
-        let mut uf = UnionFind::new();
+        let mut uf = UnionFind::default();
         let a = uf.make();
         let b = uf.make();
         assert_eq!(uf.find(a), a);
         assert_eq!(uf.find(b), b);
-        assert!(!uf.same(a, b));
-        assert_eq!(uf.len(), 2);
+        assert_ne!(uf.find(a), uf.find(b));
+        assert_eq!(uf.make(), 2);
     }
 
     #[test]
     fn union_uses_smallest_id_as_representative() {
-        let mut uf = UnionFind::new();
+        let mut uf = UnionFind::default();
         let ids: Vec<usize> = (0..5).map(|_| uf.make()).collect();
         uf.union(ids[3], ids[4]);
         uf.union(ids[4], ids[1]);
         assert_eq!(uf.find(ids[3]), ids[1]);
         assert_eq!(uf.find(ids[4]), ids[1]);
-        assert!(uf.same(ids[1], ids[3]));
-        assert!(!uf.same(ids[0], ids[1]));
+        assert_ne!(uf.find(ids[0]), uf.find(ids[1]));
         uf.union(ids[0], ids[3]);
         assert_eq!(uf.find(ids[4]), ids[0]);
     }
 
     #[test]
     fn union_is_idempotent() {
-        let mut uf = UnionFind::new();
+        let mut uf = UnionFind::default();
         let a = uf.make();
         let b = uf.make();
         uf.union(a, b);
         uf.union(a, b);
         uf.union(b, a);
-        assert!(uf.same(a, b));
+        assert_eq!(uf.find(a), uf.find(b));
     }
 }

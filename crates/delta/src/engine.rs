@@ -61,9 +61,10 @@ impl DeltaEngine {
         cfg: EngineConfig,
         program: Arc<PredicateProgram>,
     ) -> DeltaEngine {
+        let graph = cp.join_graph();
         let keys = (0..cp.n()).flat_map(|elem| {
             let ty = cp.elements[elem].event_type;
-            cp.eq_joins(elem).iter().map(move |j| (ty, j.attr))
+            graph.edges(elem).iter().map(move |j| (ty, j.attr))
         });
         let search = Search {
             index: WindowIndex::new(keys),
@@ -257,7 +258,7 @@ impl Search {
     fn pool_estimate(&self, cp: &CompiledPattern, elem: usize, inst: &Instance) -> usize {
         let ty = cp.elements[elem].event_type;
         let mut best = self.index.type_len(ty);
-        for join in cp.eq_joins(elem) {
+        for join in cp.join_graph().edges(elem) {
             let Some(b) = &inst.bindings[join.other] else {
                 continue;
             };
@@ -290,7 +291,7 @@ impl Search {
         // whole type store.
         let mut pool = self.index.of_type(ty);
         let mut probed = false;
-        for join in cp.eq_joins(elem) {
+        for join in cp.join_graph().edges(elem) {
             let Some(b) = &inst.bindings[join.other] else {
                 continue;
             };

@@ -28,7 +28,7 @@
 pub mod adaptive;
 pub mod dp;
 pub mod kbz;
-pub mod masks;
+mod masks;
 pub mod order;
 pub mod planner;
 pub mod profiler;

@@ -17,14 +17,14 @@ pub struct SubsetTables {
     pub pm_order: Vec<f64>,
     /// `PM(S)` under the tree convention (no filters).
     pub pm_tree: Vec<f64>,
-    n: usize,
 }
 
 impl SubsetTables {
     /// Builds the tables for all subsets of `stats.n()` elements.
     ///
     /// # Panics
-    /// Panics if `stats.n() > MAX_DP_ELEMENTS`.
+    /// Panics if `stats.n() > MAX_DP_ELEMENTS`; every planner in this crate
+    /// returns a typed error before calling it with more.
     pub fn build(stats: &PatternStats, strategy: SelectionStrategy) -> SubsetTables {
         let n = stats.n();
         assert!(
@@ -73,21 +73,7 @@ impl SubsetTables {
         }
         pm_order[0] = 0.0;
         pm_tree[0] = 0.0;
-        SubsetTables {
-            pm_order,
-            pm_tree,
-            n,
-        }
-    }
-
-    /// Number of elements.
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
-    /// Full-set mask.
-    pub fn full_mask(&self) -> usize {
-        (1usize << self.n) - 1
+        SubsetTables { pm_order, pm_tree }
     }
 }
 

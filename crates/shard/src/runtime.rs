@@ -82,6 +82,8 @@ pub struct ShardStats {
     pub match_count: u64,
     /// The shard engine's final metrics; `wall_time_ns` is the shard's
     /// *busy* time (processing only, excluding waits on the input queue).
+    /// `plan_cache_hits` / `plan_cache_misses` read 0: workers share one
+    /// plan cache, so the run reports those lookups once, merged.
     pub metrics: EngineMetrics,
 }
 
@@ -443,8 +445,11 @@ impl ShardedRuntime {
             (0..queries).map(|_| Vec::with_capacity(shards)).collect();
         let mut counts = vec![0u64; queries];
         let mut per_shard = Vec::with_capacity(shards);
-        for (shard, o) in outcomes.into_iter().enumerate() {
+        for (shard, mut o) in outcomes.into_iter().enumerate() {
             metrics.merge(&o.metrics);
+            // Which worker misses the shared plan cache is a race.
+            o.metrics.plan_cache_hits = 0;
+            o.metrics.plan_cache_misses = 0;
             for (q, run) in o.runs.into_iter().enumerate() {
                 runs[q].push(run);
                 counts[q] += o.counts[q];

@@ -34,7 +34,8 @@ use cep_core::engine::{Engine, EngineConfig};
 use cep_core::error::CepError;
 use cep_core::event::{expired_at, EventRef, Timestamp, TypeId};
 use cep_core::instance::{partner_ts_range, sorted_span, Instance};
-use cep_core::keyed::{EqJoin, KeyedStore, Slot};
+use cep_core::join_graph::EqJoin;
+use cep_core::keyed::{KeyedStore, Slot};
 use cep_core::matches::Match;
 use cep_core::metrics::EngineMetrics;
 use cep_core::plan::{TreeNode, TreePlan};

@@ -85,3 +85,50 @@ fn delta_factory_shares_compiled_programs_across_builds() {
     assert_eq!(second.metrics().plan_cache_hits, 1);
     assert_eq!(second.metrics().plan_cache_misses, 0);
 }
+
+/// Every shard worker builds from one shared plan cache, so which worker
+/// records the miss is a race. The plan-cache counters are therefore
+/// reported once, in the merged metrics, and read 0 in every shard's.
+#[test]
+fn plan_cache_counters_are_reported_once_per_sharded_run() {
+    let mut b = PatternBuilder::new(10);
+    let a = b.event(TypeId(0), "a");
+    let c = b.event(TypeId(1), "c");
+    b.predicate(Predicate::attr_cmp(a.pos(), 0, CmpOp::Eq, c.pos(), 0));
+    let pattern = b.seq([a, c]).unwrap();
+    let mut sb = StreamBuilder::new();
+    for i in 0..200u64 {
+        sb.push(Event::new(
+            TypeId((i % 2) as u32),
+            i,
+            vec![Value::Int((i / 2 % 8) as i64)],
+        ));
+    }
+    let stream = sb.build();
+    let policy = RoutingPolicy::HashAttr(0);
+    for shards in [2u64, 4] {
+        let runtime = ShardedRuntime::with_shards(shards as usize);
+        let factory = cep::engine(&pattern).factory().unwrap();
+        let one = runtime.run(factory.as_ref(), &stream, policy.clone(), false);
+        let mut spec = cep::registry().spec().unwrap();
+        spec.add(&pattern).unwrap();
+        let set = runtime
+            .run_registry(&spec, &stream, policy.clone(), false)
+            .unwrap();
+        for (m, per_shard) in [
+            (&one.metrics, &one.per_shard),
+            (&set.metrics, &set.per_shard),
+        ] {
+            // One lowering for the whole run, reused by every other worker.
+            assert_eq!((m.plan_cache_misses, m.plan_cache_hits), (1, shards - 1));
+            for s in per_shard {
+                assert_eq!(
+                    (s.metrics.plan_cache_misses, s.metrics.plan_cache_hits),
+                    (0, 0),
+                    "{shards} shards, shard {}",
+                    s.shard
+                );
+            }
+        }
+    }
+}
