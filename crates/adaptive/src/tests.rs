@@ -1,23 +1,22 @@
-//! Exactness and protocol tests for the adaptive runtime, following the
-//! naive-oracle / canonical-sort harness pattern of `cep-shard`: the
-//! never-swapped engine (and, for skip-till-any-match, the naive oracle)
-//! is the ground truth a swapping engine must reproduce byte-identically.
+//! Protocol tests for the adaptive runtime: drift detection, replanning,
+//! swap amortization, the retained window, tracing and next-match. The
+//! never-swapped engine is the ground truth here; swapped runs against the
+//! naive oracle, and the wrapper's metrics view against the engines it
+//! built, are checked by the composition matrix (`cep::conformance::check`,
+//! driven from the facade's `src/tests.rs`).
 
 use crate::{
     AdaptiveConfig, AdaptiveEngine, AdaptiveFactory, PlanReplanner, ReplanVerdict, Replanner,
     SwapCost,
 };
 use cep_core::compile::CompiledPattern;
-use cep_core::engine::{run_to_completion, Engine, EngineConfig, EngineFactory, MultiEngine};
+use cep_core::engine::{run_to_completion, Engine, EngineConfig, EngineFactory};
 use cep_core::error::CepError;
 use cep_core::event::{Event, EventRef, TypeId};
 use cep_core::matches::{validate_match, Match};
-use cep_core::metrics::EngineMetrics;
-use cep_core::naive::NaiveEngine;
 use cep_core::pattern::{Pattern, PatternBuilder, PatternExpr};
 use cep_core::plan::{OrderPlan, TreePlan};
 use cep_core::predicate::{CmpOp, Predicate};
-use cep_core::registry::QueryRegistry;
 use cep_core::selection::SelectionStrategy;
 use cep_core::stats::MeasuredStats;
 use cep_core::stream::{EventStream, StreamBuilder};
@@ -26,7 +25,6 @@ use cep_nfa::NfaEngine;
 use cep_optimizer::{Backend, EventWindow, OrderAlgorithm, Planner, SelectivityMonitor};
 use cep_tree::TreeEngine;
 use proptest::prelude::*;
-use std::sync::{Arc, Mutex};
 
 fn t(i: u32) -> TypeId {
     TypeId(i)
@@ -145,13 +143,6 @@ struct FlipFlop {
     orders: [OrderPlan; 2],
     active: usize,
     tree: bool,
-    /// Selectivity monitoring over the engine's window: once warmed up it
-    /// reports drift at every check, so swaps also come through
-    /// [`Replanner::stats_drifted`], and its horizon widens the window.
-    monitor: Option<SelectivityMonitor>,
-    /// When set, every built engine publishes its metrics here (see
-    /// [`Published`]).
-    published: Option<Arc<Mutex<Vec<EngineMetrics>>>>,
 }
 
 impl FlipFlop {
@@ -164,17 +155,7 @@ impl FlipFlop {
             orders: [fwd, rev],
             active: 0,
             tree,
-            monitor: None,
-            published: None,
         }
-    }
-
-    /// Adds a selectivity monitor reading `horizon_ms` of the window.
-    fn monitored(mut self, horizon_ms: u64) -> FlipFlop {
-        let sels = vec![1.0; self.cp.predicates.len()];
-        let monitor = SelectivityMonitor::new(self.cp.clone(), sels, horizon_ms, 0.5, 16);
-        self.monitor = Some(monitor.with_min_events(1));
-        self
     }
 }
 
@@ -194,61 +175,9 @@ fn order_engine(cp: &CompiledPattern, plan: &OrderPlan, tree: bool) -> Box<dyn E
     }
 }
 
-/// An engine that copies its metrics to a shared slot after every call,
-/// so a test can read the counters of engines the adaptive wrapper has
-/// swapped out and dropped.
-struct Published {
-    inner: Box<dyn Engine>,
-    all: Arc<Mutex<Vec<EngineMetrics>>>,
-    slot: usize,
-}
-
-impl Published {
-    fn publish(&self) {
-        self.all.lock().unwrap()[self.slot] = self.inner.metrics().clone();
-    }
-}
-
-impl Engine for Published {
-    fn process(&mut self, event: &EventRef, out: &mut Vec<Match>) {
-        self.inner.process(event, out);
-        self.publish();
-    }
-
-    fn flush(&mut self, out: &mut Vec<Match>) {
-        self.inner.flush(out);
-        self.publish();
-    }
-
-    fn metrics(&self) -> &EngineMetrics {
-        self.inner.metrics()
-    }
-
-    fn metrics_mut(&mut self) -> &mut EngineMetrics {
-        self.inner.metrics_mut()
-    }
-
-    fn name(&self) -> &'static str {
-        "published"
-    }
-}
-
 impl Replanner for FlipFlop {
     fn build(&self) -> Box<dyn Engine> {
-        let engine = order_engine(&self.cp, &self.orders[self.active], self.tree);
-        let Some(all) = &self.published else {
-            return engine;
-        };
-        let slot = {
-            let mut all = all.lock().unwrap();
-            all.push(EngineMetrics::new());
-            all.len() - 1
-        };
-        Box::new(Published {
-            inner: engine,
-            all: all.clone(),
-            slot,
-        })
+        order_engine(&self.cp, &self.orders[self.active], self.tree)
     }
 
     fn replan_amortized(
@@ -259,28 +188,6 @@ impl Replanner for FlipFlop {
     ) -> ReplanVerdict {
         self.active = 1 - self.active;
         ReplanVerdict::Swap
-    }
-
-    fn history_ms(&self) -> u64 {
-        self.monitor
-            .as_ref()
-            .map_or(0, SelectivityMonitor::horizon_ms)
-    }
-
-    fn observe_event(&mut self, e: &EventRef) {
-        if let Some(m) = &mut self.monitor {
-            m.observe(e);
-        }
-    }
-
-    fn stats_drifted(&mut self, window: &EventWindow) -> bool {
-        self.monitor
-            .as_ref()
-            .is_some_and(|m| m.estimates(window).is_some())
-    }
-
-    fn selectivity_samples(&self) -> u64 {
-        self.monitor.as_ref().map_or(0, SelectivityMonitor::samples)
     }
 
     fn consumes(&self) -> bool {
@@ -414,57 +321,6 @@ fn delta_replanner_is_a_typed_plan_error() {
         }
         Err(e) => panic!("expected CepError::Plan, got {e:?}"),
         Ok(_) => panic!("a delta replanner must not be constructed"),
-    }
-}
-
-#[test]
-fn forced_swaps_are_exact_for_both_engine_families() {
-    let stream = lcg_stream(300, 3, 0xADA971);
-    for strategy in [
-        SelectionStrategy::SkipTillAnyMatch,
-        SelectionStrategy::StrictContiguity,
-        SelectionStrategy::PartitionContiguity,
-    ] {
-        let cp = CompiledPattern::compile_single(&seq_pattern(3, 12, strategy)).unwrap();
-        for tree in [false, true] {
-            let replanner = FlipFlop::new(cp.clone(), tree);
-            let mut static_engine = replanner.build();
-            let expected = run_engine(static_engine.as_mut(), &stream);
-            let mut adaptive = AdaptiveEngine::new(replanner, 12, eager(50));
-            let got = run_engine(&mut adaptive, &stream);
-            assert!(
-                adaptive.swaps() >= 2,
-                "eager flip-flop must swap repeatedly, got {}",
-                adaptive.swaps()
-            );
-            assert_eq!(
-                got, expected,
-                "{strategy} (tree={tree}): forced swaps changed the output"
-            );
-        }
-    }
-}
-
-#[test]
-fn replayed_window_matches_are_never_emitted_twice() {
-    // Dense single-key stream: plenty of matches complete right before each
-    // swap, so every replay re-detects recently emitted matches.
-    let stream = lcg_stream(400, 3, 7);
-    let cp =
-        CompiledPattern::compile_single(&seq_pattern(3, 15, SelectionStrategy::SkipTillAnyMatch))
-            .unwrap();
-    let mut adaptive = AdaptiveEngine::new(FlipFlop::new(cp.clone(), false), 15, eager(60));
-    let got = run_to_completion(&mut adaptive, &stream, true).matches;
-    assert!(!got.is_empty());
-    assert!(adaptive.swaps() >= 2);
-    assert!(adaptive.metrics().replayed_events > 0);
-    let mut sigs = std::collections::HashSet::new();
-    for m in &got {
-        validate_match(&cp, m).unwrap();
-        assert!(
-            sigs.insert(m.signature()),
-            "duplicate emission of {m} after a swap replay"
-        );
     }
 }
 
@@ -694,48 +550,6 @@ fn shared_window_equals_brute_force_suffixes() {
 }
 
 #[test]
-fn swap_keeps_negated_events_older_than_the_retained_window() {
-    // Window 100. C@60 forbids {A@100, B@150} under a leading or a
-    // conjunctive NOT C, but the swap at D@170 (watermark 170, the first
-    // eager check) retains only ts >= 70. Replaying without C, a fresh
-    // engine emits the SEQ match during the replay and parks the AND
-    // match until D@400.
-    let (a, b, c, d) = (t(0), t(1), t(2), t(3));
-    let mut sb = StreamBuilder::new();
-    for (ty, ts) in [(c, 60), (a, 100), (b, 150), (d, 170), (d, 400)] {
-        sb.push(Event::new(ty, ts, vec![]));
-    }
-    let stream = sb.build();
-    for is_seq in [true, false] {
-        let mut pb = PatternBuilder::new(100);
-        let (ea, eb, ec) = (pb.event(a, "a"), pb.event(b, "b"), pb.event(c, "c"));
-        let pattern = if is_seq {
-            let exprs = [pb.not(ec), pb.expr(ea), pb.expr(eb)];
-            pb.seq_exprs(exprs)
-        } else {
-            let exprs = [pb.expr(ea), pb.not(ec), pb.expr(eb)];
-            pb.and_exprs(exprs)
-        }
-        .unwrap();
-        let cp = CompiledPattern::compile_single(&pattern).unwrap();
-        let mut oracle = NaiveEngine::new(cp.clone(), EngineConfig::default());
-        assert!(run_engine(&mut oracle, &stream).is_empty());
-        for tree in [false, true] {
-            let replanner = FlipFlop::new(cp.clone(), tree);
-            let mut static_engine = replanner.build();
-            assert!(run_engine(static_engine.as_mut(), &stream).is_empty());
-            let mut adaptive = AdaptiveEngine::new(replanner, 100, eager(50));
-            let got = run_engine(&mut adaptive, &stream);
-            assert_eq!(adaptive.swaps(), 1);
-            assert!(
-                got.is_empty(),
-                "{pattern} (tree={tree}): the swap emitted {got:?}"
-            );
-        }
-    }
-}
-
-#[test]
 fn calibration_replans_away_from_wrong_bootstrap_statistics() {
     // Bootstrap the plan from statistics claiming type 2 is frequent and
     // type 0 rare — the opposite of the stream. The first drift check has
@@ -903,54 +717,6 @@ fn selectivity_drift_swaps_only_with_monitoring_and_stays_exact() {
             assert!(!expected.is_empty(), "fixture should produce matches");
         }
     }
-}
-
-#[test]
-fn selectivity_swapped_run_agrees_with_naive_oracle() {
-    // A smaller instance of the correlation flip (the oracle is
-    // exponential in live subsets, so the full fixture is out of reach):
-    // the swapping engine must still agree with the exhaustive baseline.
-    let stream: EventStream = correlation_flip_stream(360)
-        .into_iter()
-        .filter(|e| e.ts % 2 == 0 || e.type_id != t(0))
-        .collect();
-    let cp = CompiledPattern::compile_single(&correlation_pattern(
-        60,
-        SelectionStrategy::SkipTillAnyMatch,
-    ))
-    .unwrap();
-    let replanner = PlanReplanner::new(
-        vec![(cp.clone(), CORRELATION_PHASE1_SELS.to_vec())],
-        &correlation_stats(),
-        Planner::default(),
-        Backend::Nfa(OrderAlgorithm::DpLd),
-        EngineConfig::default(),
-    )
-    .unwrap()
-    .with_selectivity_monitoring(200, 0.5, 128)
-    .with_selectivity_min_events(16);
-    let mut adaptive = AdaptiveEngine::new(
-        replanner,
-        60,
-        AdaptiveConfig {
-            horizon_ms: 200,
-            drift_threshold: 0.5,
-            check_every: 16,
-            cooldown_events: 32,
-            ..AdaptiveConfig::default()
-        },
-    );
-    let got = run_engine(&mut adaptive, &stream);
-    let mut oracle = NaiveEngine::new(cp, EngineConfig::default());
-    let oracle_matches = run_engine(&mut oracle, &stream);
-    assert!(!oracle_matches.is_empty(), "fixture should produce matches");
-    assert_eq!(
-        got.iter().map(|m| m.signature()).collect::<Vec<_>>(),
-        oracle_matches
-            .iter()
-            .map(|m| m.signature())
-            .collect::<Vec<_>>()
-    );
 }
 
 #[test]
@@ -1126,64 +892,6 @@ fn factory_builds_independent_adaptive_engines() {
     assert_eq!(a.name(), "adaptive");
 }
 
-proptest! {
-    /// The tentpole property: on random workloads, a swapping engine —
-    /// forced to swap as aggressively as the protocol allows — emits
-    /// exactly what the never-swapped engine emits, for all three exact
-    /// selection strategies and both engine families, and exactly what the
-    /// naive oracle emits under skip-till-any-match. Patterns are `SEQ` or
-    /// `AND` with a leading, internal or trailing `NOT` and an optional
-    /// Kleene element; windows are short, so negated events leave the
-    /// retained window while they still forbid matches. The rate horizon
-    /// and the selectivity monitor's horizon (none, or drawn) fall below,
-    /// at and above the window, so the shared event window spans either.
-    #[test]
-    fn swapped_output_equals_static_on_random_workloads(
-        raw in prop::collection::vec((0u32..4, 0u64..3), 1..80),
-        strategy_idx in 0usize..3,
-        tree in any::<bool>(),
-        is_seq in any::<bool>(),
-        neg_at in 0usize..4,
-        kleene in 0usize..4,
-        window in 2u64..9,
-        horizon in 1u64..20,
-        sel_horizon in 0u64..20,
-    ) {
-        let strategy = [
-            SelectionStrategy::SkipTillAnyMatch,
-            SelectionStrategy::StrictContiguity,
-            SelectionStrategy::PartitionContiguity,
-        ][strategy_idx];
-        let mut ts = 0u64;
-        let mut b = StreamBuilder::new();
-        for (tid, dt) in raw {
-            ts += dt;
-            b.push(Event::new(t(tid), ts, vec![]));
-        }
-        let stream = b.build();
-        let kleene = (kleene < 3).then_some(kleene);
-        let pattern = negation_pattern(is_seq, neg_at, kleene, window, strategy);
-        let cp = CompiledPattern::compile_single(&pattern).unwrap();
-        let mut replanner = FlipFlop::new(cp.clone(), tree);
-        if sel_horizon > 0 {
-            replanner = replanner.monitored(sel_horizon);
-        }
-        let mut static_engine = replanner.build();
-        let expected = run_engine(static_engine.as_mut(), &stream);
-        let mut adaptive = AdaptiveEngine::new(replanner, window, eager(horizon));
-        let got = run_engine(&mut adaptive, &stream);
-        prop_assert_eq!(&got, &expected);
-        if strategy == SelectionStrategy::SkipTillAnyMatch {
-            let mut oracle = NaiveEngine::new(cp, EngineConfig::default());
-            let oracle_matches = run_engine(&mut oracle, &stream);
-            prop_assert_eq!(
-                got.iter().map(|m| m.signature()).collect::<Vec<_>>(),
-                oracle_matches.iter().map(|m| m.signature()).collect::<Vec<_>>()
-            );
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Observability: tracing must observe without perturbing.
 
@@ -1339,166 +1047,5 @@ fn default_replanner_reports_no_costs_and_flipflop_uses_sentinel() {
     {
         assert_eq!(current_cost, -1.0);
         assert_eq!(candidate_cost, -1.0);
-    }
-}
-
-/// Keyed `SEQ(a, b, c)` with `a.k == b.k AND b.k == c.k`: every join step
-/// of the NFA and tree engines probes key buckets.
-fn keyed_seq_pattern(window: u64) -> Pattern {
-    let mut b = PatternBuilder::new(window);
-    let (a, bb, c) = (b.event(t(0), "a"), b.event(t(1), "b"), b.event(t(2), "c"));
-    b.predicate(Predicate::attr_cmp(a.pos(), 0, CmpOp::Eq, bb.pos(), 0));
-    b.predicate(Predicate::attr_cmp(bb.pos(), 0, CmpOp::Eq, c.pos(), 0));
-    b.seq([a, bb, c]).unwrap()
-}
-
-/// Deterministic stream of types 0–2 with one key attribute in 0–3.
-fn keyed_stream(len: u64, seed: u64) -> EventStream {
-    let mut state = seed;
-    let mut ts = 0u64;
-    let mut b = StreamBuilder::new();
-    for _ in 0..len {
-        state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        ts += (state >> 50) % 3;
-        let key = Value::Int(((state >> 40) % 4) as i64);
-        b.push(Event::new(t(((state >> 33) % 3) as u32), ts, vec![key]));
-    }
-    b.build()
-}
-
-/// The deterministic engine-layer fields a wrapper reports from the
-/// engines it wraps, plus the two it counts itself.
-fn engine_layer(m: &EngineMetrics) -> Vec<(&'static str, u64)> {
-    vec![
-        ("events_processed", m.events_processed),
-        ("matches_emitted", m.matches_emitted),
-        ("events_relevant", m.events_relevant),
-        ("partial_matches_created", m.partial_matches_created),
-        ("predicate_evaluations", m.predicate_evaluations),
-        ("index_probes", m.index_probes),
-        ("delta_updates", m.delta_updates),
-        ("live_partial_matches", m.live_partial_matches as u64),
-        ("buffered_events", m.buffered_events as u64),
-        ("peak_partial_matches", m.peak_partial_matches as u64),
-        ("peak_buffered_events", m.peak_buffered_events as u64),
-        ("peak_memory_bytes", m.peak_memory_bytes as u64),
-    ]
-}
-
-#[test]
-fn wrappers_pass_engine_counters_through() {
-    let window = 20;
-    let pattern = keyed_seq_pattern(window);
-    let cp = CompiledPattern::compile_single(&pattern).unwrap();
-    let stream = keyed_stream(400, 7);
-    let order = OrderPlan::new(vec![1, 2, 0]).unwrap();
-    for tree in [false, true] {
-        let mut bare = order_engine(&cp, &order, tree);
-        run_to_completion(bare.as_mut(), &stream, false);
-        let expected = engine_layer(bare.metrics());
-        assert!(bare.metrics().index_probes > 0, "the joins must probe");
-        assert!(bare.metrics().matches_emitted > 0, "the fixture must match");
-
-        // An adaptive wrapper that never checks, so never swaps.
-        let mut never = FlipFlop::new(cp.clone(), tree);
-        never.orders = [order.clone(), order.clone()];
-        let quiet = AdaptiveConfig {
-            check_every: u64::MAX,
-            ..AdaptiveConfig::default()
-        };
-        let mut adaptive = AdaptiveEngine::new(never, window, quiet);
-        run_to_completion(&mut adaptive, &stream, false);
-        assert_eq!(adaptive.swaps(), 0);
-        assert_eq!(
-            engine_layer(adaptive.metrics()),
-            expected,
-            "adaptive, tree {tree}"
-        );
-
-        let mut multi = MultiEngine::new(vec![order_engine(&cp, &order, tree)], window);
-        run_to_completion(&mut multi, &stream, false);
-        assert_eq!(
-            engine_layer(multi.metrics()),
-            expected,
-            "multi, tree {tree}"
-        );
-
-        let plan = order.clone();
-        let mut registry = QueryRegistry::new(Arc::new(
-            move |cp: &CompiledPattern, program| -> Result<Box<dyn Engine>, CepError> {
-                Ok(if tree {
-                    let plan = TreePlan::left_deep(&plan);
-                    Box::new(TreeEngine::with_program(
-                        cp.clone(),
-                        plan,
-                        EngineConfig::default(),
-                        program,
-                    )?)
-                } else {
-                    Box::new(NfaEngine::with_program(
-                        cp.clone(),
-                        plan.clone(),
-                        EngineConfig::default(),
-                        program,
-                    )?)
-                })
-            },
-        ));
-        let id = registry.register(&pattern).unwrap();
-        let run = registry.run(&stream);
-        assert_eq!(
-            engine_layer(&run.metrics),
-            expected,
-            "registry, tree {tree}"
-        );
-        let query = registry.query_metrics(id).unwrap();
-        assert_eq!(engine_layer(&query), expected, "query view, tree {tree}");
-    }
-}
-
-#[test]
-fn swapped_engines_fold_into_the_adaptive_view() {
-    let window = 20;
-    let cp = CompiledPattern::compile_single(&keyed_seq_pattern(window)).unwrap();
-    let stream = keyed_stream(400, 7);
-    for tree in [false, true] {
-        let built = Arc::new(Mutex::new(Vec::new()));
-        let mut flip = FlipFlop::new(cp.clone(), tree);
-        flip.orders = [
-            OrderPlan::new(vec![1, 2, 0]).unwrap(),
-            OrderPlan::new(vec![0, 1, 2]).unwrap(),
-        ];
-        flip.published = Some(built.clone());
-        let config = AdaptiveConfig {
-            check_every: 50,
-            ..eager(100)
-        };
-        let mut adaptive = AdaptiveEngine::new(flip, window, config);
-        run_to_completion(&mut adaptive, &stream, false);
-        let engines = built.lock().unwrap();
-        assert!(adaptive.swaps() >= 2, "tree {tree}");
-        assert_eq!(engines.len() as u64, adaptive.swaps() + 1);
-        // Retired engines and the active one ran one after another:
-        // counters add, peaks take the maximum.
-        let m = adaptive.metrics();
-        let sum = |f: fn(&EngineMetrics) -> u64| engines.iter().map(f).sum::<u64>();
-        let max = |f: fn(&EngineMetrics) -> usize| engines.iter().map(f).max().unwrap();
-        assert!(sum(|e| e.index_probes) > 0);
-        assert_eq!(m.index_probes, sum(|e| e.index_probes), "tree {tree}");
-        assert_eq!(m.predicate_evaluations, sum(|e| e.predicate_evaluations));
-        assert_eq!(
-            m.partial_matches_created,
-            sum(|e| e.partial_matches_created)
-        );
-        assert_eq!(m.events_relevant, sum(|e| e.events_relevant));
-        assert_eq!(m.peak_partial_matches, max(|e| e.peak_partial_matches));
-        assert_eq!(m.peak_buffered_events, max(|e| e.peak_buffered_events));
-        assert_eq!(m.peak_memory_bytes, max(|e| e.peak_memory_bytes));
-        // Only the active engine still holds live state.
-        let active = engines.last().unwrap();
-        assert_eq!(m.live_partial_matches, active.live_partial_matches);
-        assert_eq!(m.buffered_events, active.buffered_events);
     }
 }

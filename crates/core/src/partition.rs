@@ -30,9 +30,9 @@
 //!   partitioned element in the same branch and a *direct* negated link
 //!   into that key class — otherwise shards that never see the forbidding
 //!   events would emit false matches;
-//! * a branch whose only partitioned element is a single positive element
-//!   needs no equality link at all (its own key attribute routes the
-//!   match).
+//! * a branch whose only partitioned element is a single positive,
+//!   non-Kleene element needs no equality link at all (its own key
+//!   attribute routes the match).
 //!
 //! Matches containing no partitioned event are detected by *every* shard;
 //! the sharded merge deduplicates them by signature (exactly like
@@ -360,8 +360,10 @@ fn valid_for(cp: &CompiledPattern, attrs: &BTreeMap<TypeId, usize>) -> Result<()
             )),
         };
     }
-    if positive.len() + negated.len() == 1 {
-        return Ok(()); // a single positive element keys the match by itself
+    // A single plain positive element keys the match by itself; a Kleene
+    // one binds several events, which only an equality link keys alike.
+    if positive.len() + negated.len() == 1 && !cp.elements[positive[0].0].kleene {
+        return Ok(());
     }
     // Positive elements must share one equality class — the predicates
     // every match is guaranteed to satisfy.
@@ -509,6 +511,18 @@ mod tests {
             spec.disposition(t(0)),
             Some(TypeDisposition::Partitioned { attr: 0 })
         );
+    }
+
+    #[test]
+    fn a_lone_kleene_element_is_not_keyed_by_itself() {
+        // SEQ(KL(A a)): one match binds several A events, of any keys.
+        let mut b = PatternBuilder::new(100);
+        let a = b.event(t(0), "a");
+        let kleene = b.kleene(a);
+        let cp = CompiledPattern::compile_single(&b.seq_exprs(vec![kleene]).unwrap()).unwrap();
+        assert!(partition_local_on(std::slice::from_ref(&cp), 0).is_err());
+        let spec = QueryPartitioner::analyze(&[cp], |_| 1.0).unwrap();
+        assert_eq!(spec.disposition(t(0)), Some(TypeDisposition::Replicated));
     }
 
     #[test]

@@ -1,14 +1,15 @@
-//! Equivalence and determinism tests for the sharded runtime, following
-//! the naive-oracle harness pattern of `crates/tree/src/tests.rs`: the
-//! single-threaded engine (and, for plan-independent strategies, the naive
-//! oracle) is the ground truth the parallel runtime must reproduce.
+//! Determinism and mechanics tests for the sharded runtime: merge order
+//! under ties, worker failures, tracing, next-match, and runs at 8 and 16
+//! shards. The single-threaded engine is the ground truth here; sharded
+//! equivalence to the naive oracle over every entry point and routing
+//! policy is checked by the composition matrix (`cep::conformance::check`,
+//! driven from the facade's `src/tests.rs`).
 
 use crate::{canonical_sort, RoutingPolicy, ShardConfig, ShardedRuntime};
 use cep_core::compile::CompiledPattern;
 use cep_core::engine::{run_to_completion, Engine, EngineConfig, EngineFactory};
 use cep_core::event::{Event, TypeId};
 use cep_core::matches::Match;
-use cep_core::naive::NaiveEngine;
 use cep_core::pattern::{Pattern, PatternBuilder};
 use cep_core::predicate::{CmpOp, Predicate};
 use cep_core::selection::SelectionStrategy;
@@ -88,35 +89,6 @@ fn lcg_workload(len: u64, types: u32, keys: i64, seed: u64) -> Vec<(u32, u64, i6
         .collect()
 }
 
-#[test]
-fn sharded_equals_single_threaded_for_every_exact_strategy() {
-    let stream = keyed_stream(lcg_workload(160, 3, 4, 0xC0FFEE));
-    for strategy in [
-        SelectionStrategy::SkipTillAnyMatch,
-        SelectionStrategy::StrictContiguity,
-        SelectionStrategy::PartitionContiguity,
-    ] {
-        let cp = CompiledPattern::compile_single(&keyed_seq(3, 12, strategy)).unwrap();
-        let factory = nfa_factory(cp);
-        let expected = single_threaded(&factory, &stream);
-        for policy in [RoutingPolicy::Partition, RoutingPolicy::HashAttr(0)] {
-            for shards in [1, 2, 3, 4] {
-                let r = ShardedRuntime::with_shards(shards).run(
-                    &factory,
-                    &stream,
-                    policy.clone(),
-                    true,
-                );
-                assert_eq!(
-                    r.matches, expected,
-                    "{strategy} under {policy} with {shards} shards diverged"
-                );
-                assert_eq!(r.match_count, expected.len() as u64);
-            }
-        }
-    }
-}
-
 /// Skip-till-next-match is *greedy*: an empty instance binds the first
 /// candidate event of any key, so its binding choices depend on how
 /// partitions interleave — they are interleaving-dependent even
@@ -155,53 +127,6 @@ fn next_match_sharded_runs_are_valid_disjoint_and_deterministic() {
         );
         assert_eq!(r.matches, again.matches, "repeat runs must be identical");
     }
-}
-
-#[test]
-fn any_match_sharded_run_agrees_with_naive_oracle() {
-    let stream = keyed_stream(lcg_workload(100, 3, 3, 0xBEEF));
-    let cp =
-        CompiledPattern::compile_single(&keyed_seq(3, 10, SelectionStrategy::SkipTillAnyMatch))
-            .unwrap();
-    let mut oracle = NaiveEngine::new(cp.clone(), EngineConfig::default());
-    let mut expected = run_to_completion(&mut oracle, &stream, true).matches;
-    canonical_sort(&mut expected);
-    assert!(!expected.is_empty(), "fixture should produce matches");
-    let r = ShardedRuntime::with_shards(4).run(
-        &nfa_factory(cp),
-        &stream,
-        RoutingPolicy::Partition,
-        true,
-    );
-    assert_eq!(
-        r.matches.iter().map(|m| m.signature()).collect::<Vec<_>>(),
-        expected.iter().map(|m| m.signature()).collect::<Vec<_>>(),
-    );
-}
-
-#[test]
-fn shard_count_does_not_change_results() {
-    let stream = keyed_stream(lcg_workload(200, 3, 8, 7));
-    let cp =
-        CompiledPattern::compile_single(&keyed_seq(3, 15, SelectionStrategy::SkipTillAnyMatch))
-            .unwrap();
-    let factory = nfa_factory(cp);
-    let base =
-        ShardedRuntime::with_shards(1).run(&factory, &stream, RoutingPolicy::Partition, true);
-    assert!(!base.matches.is_empty(), "fixture should produce matches");
-    for shards in [2, 4, 8] {
-        let r = ShardedRuntime::with_shards(shards).run(
-            &factory,
-            &stream,
-            RoutingPolicy::Partition,
-            true,
-        );
-        assert_eq!(r.matches, base.matches, "{shards} shards diverged");
-    }
-    // Repeat runs are bit-identical too.
-    let again =
-        ShardedRuntime::with_shards(4).run(&factory, &stream, RoutingPolicy::Partition, true);
-    assert_eq!(again.matches, base.matches);
 }
 
 /// The benchmark's `sharded-keyed` shape — replicated market, `SEQ(3)`
@@ -282,111 +207,6 @@ fn tiny_batches_and_queues_only_change_plumbing() {
 }
 
 #[test]
-fn metrics_are_aggregated_across_shards() {
-    let stream = keyed_stream(lcg_workload(150, 3, 4, 5));
-    let cp =
-        CompiledPattern::compile_single(&keyed_seq(3, 12, SelectionStrategy::SkipTillAnyMatch))
-            .unwrap();
-    let factory = nfa_factory(cp);
-    let r = ShardedRuntime::with_shards(4).run(&factory, &stream, RoutingPolicy::Partition, true);
-    assert_eq!(r.metrics.events_processed, stream.len() as u64);
-    assert_eq!(
-        r.per_shard.iter().map(|s| s.events_routed).sum::<u64>(),
-        stream.len() as u64
-    );
-    assert_eq!(
-        r.per_shard.iter().map(|s| s.match_count).sum::<u64>(),
-        r.match_count
-    );
-    assert_eq!(r.match_count, r.matches.len() as u64);
-    assert!(r.metrics.wall_time_ns > 0);
-    assert!(r.metrics.throughput_eps() > 0.0);
-    // Peaks are per-shard maxima, not sums.
-    let peak = r
-        .per_shard
-        .iter()
-        .map(|s| s.metrics.peak_partial_matches)
-        .max()
-        .unwrap();
-    assert_eq!(r.metrics.peak_partial_matches, peak);
-}
-
-#[test]
-fn uncollected_runs_still_count_matches() {
-    let stream = keyed_stream(lcg_workload(150, 3, 4, 5));
-    let cp =
-        CompiledPattern::compile_single(&keyed_seq(3, 12, SelectionStrategy::SkipTillAnyMatch))
-            .unwrap();
-    let factory = nfa_factory(cp);
-    let collected =
-        ShardedRuntime::with_shards(2).run(&factory, &stream, RoutingPolicy::Partition, true);
-    let counted =
-        ShardedRuntime::with_shards(2).run(&factory, &stream, RoutingPolicy::Partition, false);
-    assert!(counted.matches.is_empty());
-    assert_eq!(counted.match_count, collected.match_count);
-}
-
-#[test]
-fn round_robin_is_exact_for_filter_patterns() {
-    // Single-element pattern: no joins, so splitting key groups is harmless.
-    let mut b = PatternBuilder::new(10);
-    let a = b.event(t(0), "a");
-    b.predicate(Predicate::attr_const(a.pos(), 0, CmpOp::Ge, Value::Int(3)));
-    let p = b.seq([a]).unwrap();
-    let cp = CompiledPattern::compile_single(&p).unwrap();
-    let stream = keyed_stream(lcg_workload(120, 2, 6, 11));
-    let factory = nfa_factory(cp);
-    let expected = single_threaded(&factory, &stream);
-    assert!(!expected.is_empty());
-    let r = ShardedRuntime::with_shards(4).run(&factory, &stream, RoutingPolicy::RoundRobin, true);
-    assert_eq!(r.matches, expected);
-}
-
-#[test]
-fn empty_stream_yields_empty_result() {
-    let cp =
-        CompiledPattern::compile_single(&keyed_seq(2, 10, SelectionStrategy::SkipTillAnyMatch))
-            .unwrap();
-    let r = ShardedRuntime::with_shards(4).run(
-        &nfa_factory(cp),
-        &Vec::new(),
-        RoutingPolicy::Partition,
-        true,
-    );
-    assert!(r.matches.is_empty());
-    assert_eq!(r.match_count, 0);
-    assert_eq!(r.metrics.events_processed, 0);
-}
-
-#[test]
-fn single_event_stream_is_routed_and_matched() {
-    // A one-element pattern over a one-event stream: the smallest possible
-    // sharded run must still produce the match, on every policy.
-    let mut b = PatternBuilder::new(10);
-    let a = b.event(t(0), "a");
-    let p = b.seq([a]).unwrap();
-    let cp = CompiledPattern::compile_single(&p).unwrap();
-    let stream = keyed_stream(vec![(0, 5, 2)]);
-    let factory = nfa_factory(cp);
-    let expected = single_threaded(&factory, &stream);
-    assert_eq!(expected.len(), 1);
-    for policy in [
-        RoutingPolicy::Partition,
-        RoutingPolicy::HashAttr(0),
-        RoutingPolicy::RoundRobin,
-    ] {
-        let r = ShardedRuntime::with_shards(4).run(&factory, &stream, policy.clone(), true);
-        assert_eq!(r.matches, expected, "{policy} lost the only event");
-        assert_eq!(r.metrics.events_processed, 1);
-        assert_eq!(
-            r.per_shard.iter().map(|s| s.events_routed).sum::<u64>(),
-            1,
-            "{policy} must route the event exactly once"
-        );
-    }
-}
-
-#[test]
 fn more_shards_than_events_is_exact() {
     // 8 shards, 3 events: most workers never see input and must still
     // start, drain, flush, and merge cleanly.
@@ -432,90 +252,6 @@ fn sixteen_shard_replays_are_deterministic() {
         single_threaded(&tree, &stream),
         "tree family diverged at 16 shards"
     );
-}
-
-/// Per-worker adaptivity: every shard owns an
-/// [`cep_adaptive::AdaptiveEngine`] and replans independently on the
-/// statistics of its own slice of the stream. For a partition-local query
-/// the combination of both exactness guarantees must hold at once — the
-/// sharded, swapping run reproduces the single-threaded, never-swapped
-/// engine byte for byte.
-#[test]
-fn sharded_adaptive_engines_replan_per_worker_and_stay_exact() {
-    use cep_adaptive::{AdaptiveConfig, AdaptiveFactory, PlanReplanner, Replanner};
-    use cep_core::stats::MeasuredStats;
-    use cep_optimizer::{Backend, OrderAlgorithm, Planner};
-
-    // Two-phase keyed workload: type 0 frequent / type 2 rare, flipping at
-    // the halfway point; keys cycle so every shard sees the same drift.
-    let mut events = Vec::new();
-    for phase in 0..2u64 {
-        let (every_a, every_c) = if phase == 0 { (1, 30) } else { (30, 1) };
-        let base = phase * 600;
-        for i in 0..600u64 {
-            let ts = base + i;
-            let key = (i % 4) as i64;
-            if i % every_a == 0 {
-                events.push((0u32, ts, key));
-            }
-            if i % 5 == 0 {
-                events.push((1u32, ts, (i / 5 % 4) as i64));
-            }
-            if i % every_c == 0 {
-                events.push((2u32, ts, (i / 7 % 4) as i64));
-            }
-        }
-    }
-    let stream = keyed_stream(events);
-    let cp =
-        CompiledPattern::compile_single(&keyed_seq(3, 12, SelectionStrategy::SkipTillAnyMatch))
-            .unwrap();
-    let mut phase1 = MeasuredStats::default();
-    phase1.set_rate(t(0), 1.0);
-    phase1.set_rate(t(1), 0.2);
-    phase1.set_rate(t(2), 1.0 / 30.0);
-    let replanner = PlanReplanner::new(
-        vec![(cp, vec![1.0, 1.0])],
-        &phase1,
-        Planner::default(),
-        Backend::Nfa(OrderAlgorithm::DpLd),
-        EngineConfig::default(),
-    )
-    .unwrap();
-    // Never-swapped single-threaded ground truth on the unsplit stream.
-    let mut static_engine = replanner.build();
-    let mut expected = run_to_completion(static_engine.as_mut(), &stream, true).matches;
-    canonical_sort(&mut expected);
-    assert!(!expected.is_empty(), "fixture should produce matches");
-    let factory = AdaptiveFactory::new(
-        replanner,
-        12,
-        AdaptiveConfig {
-            horizon_ms: 100,
-            drift_threshold: 0.5,
-            check_every: 32,
-            cooldown_events: 64,
-            ..AdaptiveConfig::default()
-        },
-    );
-    for shards in [2, 4] {
-        let r = ShardedRuntime::with_shards(shards).run(
-            &factory,
-            &stream,
-            RoutingPolicy::Partition,
-            true,
-        );
-        assert_eq!(
-            r.matches, expected,
-            "{shards}-shard adaptive run diverged from the static baseline"
-        );
-        assert!(
-            r.metrics.plan_swaps >= shards as u64,
-            "every worker should replan on the flip (got {} swaps across {shards} shards)",
-            r.metrics.plan_swaps
-        );
-        assert!(r.metrics.replayed_events > 0, "swaps must replay state");
-    }
 }
 
 /// Per-shard **selectivity** adaptivity: every worker owns an
@@ -632,53 +368,13 @@ fn sharded_selectivity_monitors_replan_per_worker_and_stay_exact() {
     }
 }
 
-proptest! {
-    /// The tentpole equivalence property: for random partitioned keyed
-    /// workloads, all three exact selection strategies, both exact routing
-    /// policies, and both engine families, the sharded match set equals the
-    /// single-threaded engine's. (Skip-till-next-match is greedy and
-    /// interleaving-dependent; see
-    /// `next_match_sharded_runs_are_valid_disjoint_and_deterministic`.)
-    #[test]
-    fn sharded_equals_single_threaded_on_random_workloads(
-        raw in prop::collection::vec((0u32..3, 0u64..3, 0i64..4), 1..70),
-        shards in 1usize..5,
-        strategy_idx in 0usize..3,
-        policy_idx in 0usize..2,
-    ) {
-        let strategy = [
-            SelectionStrategy::SkipTillAnyMatch,
-            SelectionStrategy::StrictContiguity,
-            SelectionStrategy::PartitionContiguity,
-        ][strategy_idx];
-        let policy = [RoutingPolicy::Partition, RoutingPolicy::HashAttr(0)][policy_idx].clone();
-        let mut ts = 0u64;
-        let events: Vec<(u32, u64, i64)> = raw
-            .into_iter()
-            .map(|(tid, dt, key)| {
-                ts += dt;
-                (tid, ts, key)
-            })
-            .collect();
-        let stream = keyed_stream(events);
-        let cp = CompiledPattern::compile_single(&keyed_seq(3, 10, strategy)).unwrap();
-        let runtime = ShardedRuntime::with_shards(shards);
-        let nfa = nfa_factory(cp.clone());
-        let r = runtime.run(&nfa, &stream, policy.clone(), true);
-        prop_assert_eq!(r.matches, single_threaded(&nfa, &stream));
-        let tree = tree_factory(cp);
-        let r = runtime.run(&tree, &stream, policy, true);
-        prop_assert_eq!(r.matches, single_threaded(&tree, &stream));
-    }
-}
-
 // ---------------------------------------------------------------------------
-// Replicate-join: cross-partition queries (correlation attr != partition
-// attr) must reproduce the single-threaded engine byte for byte at any
-// shard count, with cross-shard duplicates suppressed by the merge.
+// Cross-partition fixtures (correlation attr != partition attr) for the
+// policy-rejection and merge-order tests below. Replicate-join runs are
+// held to the oracle by the composition matrix (`cep::conformance`).
 // ---------------------------------------------------------------------------
 
-use cep_core::partition::{QueryPartitioner, TypeDisposition};
+use cep_core::partition::QueryPartitioner;
 use std::sync::Arc as StdArc;
 
 /// An event whose attribute 0 is the *correlation* key and attribute 1 the
@@ -705,394 +401,6 @@ fn cross_key_seq(window: u64, strategy: SelectionStrategy) -> Pattern {
     let c = b.event(t(2), "c");
     b.predicate(Predicate::attr_cmp(a.pos(), 0, CmpOp::Eq, bb.pos(), 0));
     b.seq([a, bb, c]).unwrap()
-}
-
-fn replicate_join_policy(cp: &CompiledPattern) -> RoutingPolicy {
-    let spec = QueryPartitioner::analyze(std::slice::from_ref(cp), |_| 1.0).unwrap();
-    RoutingPolicy::ReplicateJoin(StdArc::new(spec))
-}
-
-/// Deterministic cross-key workload: key and channel drawn independently,
-/// so key groups straddle channels (and therefore shards under any
-/// split-only policy).
-fn lcg_cross_key_workload(len: u64, keys: i64, chans: i64, seed: u64) -> Vec<(u32, u64, i64, i64)> {
-    let mut state = seed;
-    let mut ts = 0u64;
-    (0..len)
-        .map(|_| {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let tid = ((state >> 33) % 3) as u32;
-            let key = ((state >> 20) % keys as u64) as i64;
-            let chan = ((state >> 45) % chans as u64) as i64;
-            ts += (state >> 50) % 3;
-            (tid, ts, key, chan)
-        })
-        .collect()
-}
-
-/// The acceptance-criterion sweep: shard counts {1, 2, 4, 8, 16}, all
-/// three exact strategies, both engine families — byte-identical to the
-/// single-threaded engine on a cross-partition query.
-#[test]
-fn replicate_join_equals_single_threaded_for_every_exact_strategy() {
-    let stream = cross_key_stream(lcg_cross_key_workload(160, 4, 5, 0xCA11));
-    for strategy in [
-        SelectionStrategy::SkipTillAnyMatch,
-        SelectionStrategy::StrictContiguity,
-        SelectionStrategy::PartitionContiguity,
-    ] {
-        let cp = CompiledPattern::compile_single(&cross_key_seq(12, strategy)).unwrap();
-        let policy = replicate_join_policy(&cp);
-        let nfa = nfa_factory(cp.clone());
-        let tree = tree_factory(cp);
-        let expected_nfa = single_threaded(&nfa, &stream);
-        let expected_tree = single_threaded(&tree, &stream);
-        for shards in [1usize, 2, 4, 8, 16] {
-            let r = ShardedRuntime::with_shards(shards).run(&nfa, &stream, policy.clone(), true);
-            assert_eq!(
-                r.matches, expected_nfa,
-                "nfa {strategy} with {shards} shards diverged"
-            );
-            assert_eq!(r.match_count, expected_nfa.len() as u64);
-            let r = ShardedRuntime::with_shards(shards).run(&tree, &stream, policy.clone(), true);
-            assert_eq!(
-                r.matches, expected_tree,
-                "tree {strategy} with {shards} shards diverged"
-            );
-        }
-    }
-}
-
-#[test]
-fn replicate_join_agrees_with_naive_oracle() {
-    let stream = cross_key_stream(lcg_cross_key_workload(110, 3, 4, 0xFACE));
-    let cp =
-        CompiledPattern::compile_single(&cross_key_seq(10, SelectionStrategy::SkipTillAnyMatch))
-            .unwrap();
-    let mut oracle = NaiveEngine::new(cp.clone(), EngineConfig::default());
-    let mut expected = run_to_completion(&mut oracle, &stream, true).matches;
-    canonical_sort(&mut expected);
-    assert!(!expected.is_empty(), "fixture should produce matches");
-    let policy = replicate_join_policy(&cp);
-    let r = ShardedRuntime::with_shards(4).run(&nfa_factory(cp), &stream, policy, true);
-    assert_eq!(
-        r.matches.iter().map(|m| m.signature()).collect::<Vec<_>>(),
-        expected.iter().map(|m| m.signature()).collect::<Vec<_>>(),
-    );
-}
-
-/// The classic wrong-answer shape the replicate-join layer exists for:
-/// split-only routing silently loses every cross-shard match, while
-/// replicate-join recovers the full single-threaded match set.
-#[test]
-fn replicate_join_recovers_matches_split_routing_loses() {
-    let stream = cross_key_stream(lcg_cross_key_workload(200, 4, 7, 0x90DD));
-    let cp =
-        CompiledPattern::compile_single(&cross_key_seq(12, SelectionStrategy::SkipTillAnyMatch))
-            .unwrap();
-    let factory = nfa_factory(cp.clone());
-    let expected = single_threaded(&factory, &stream);
-    assert!(!expected.is_empty(), "fixture should produce matches");
-    // Partition routing splits correlation groups across channels: wrong.
-    let lossy =
-        ShardedRuntime::with_shards(4).run(&factory, &stream, RoutingPolicy::Partition, true);
-    assert!(
-        lossy.matches.len() < expected.len(),
-        "fixture must actually exercise cross-partition correlation \
-         ({} lossy vs {} expected)",
-        lossy.matches.len(),
-        expected.len()
-    );
-    // Replicate-join recovers exactness.
-    let exact =
-        ShardedRuntime::with_shards(4).run(&factory, &stream, replicate_join_policy(&cp), true);
-    assert_eq!(exact.matches, expected);
-    // And run_query refuses the lossy policy outright.
-    let err = ShardedRuntime::with_shards(4)
-        .run_query(
-            &factory,
-            &stream,
-            RoutingPolicy::Partition,
-            std::slice::from_ref(&cp),
-            true,
-        )
-        .unwrap_err();
-    assert!(matches!(err, cep_core::error::CepError::Routing(_)));
-    let ok = ShardedRuntime::with_shards(4)
-        .run_query(
-            &factory,
-            &stream,
-            replicate_join_policy(&cp),
-            std::slice::from_ref(&cp),
-            true,
-        )
-        .unwrap();
-    assert_eq!(ok.matches, expected);
-}
-
-/// A query with no equality structure replicates everything: every shard
-/// detects every match and the merge must collapse them to exactly the
-/// single-threaded result, counting the suppressed copies.
-#[test]
-fn replicated_only_matches_are_deduplicated() {
-    let stream = cross_key_stream(lcg_cross_key_workload(60, 3, 4, 0xD0D0));
-    let mut b = PatternBuilder::new(8);
-    let a = b.event(t(0), "a");
-    let c = b.event(t(1), "c");
-    b.predicate(Predicate::attr_cmp(a.pos(), 0, CmpOp::Lt, c.pos(), 0));
-    let cp = CompiledPattern::compile_single(&b.seq([a, c]).unwrap()).unwrap();
-    let spec = QueryPartitioner::analyze(std::slice::from_ref(&cp), |_| 1.0).unwrap();
-    assert!(spec.is_fully_replicated(), "no keys: everything broadcast");
-    let factory = nfa_factory(cp);
-    let expected = single_threaded(&factory, &stream);
-    assert!(!expected.is_empty(), "fixture should produce matches");
-    for shards in [2usize, 4] {
-        let r = ShardedRuntime::with_shards(shards).run(
-            &factory,
-            &stream,
-            RoutingPolicy::ReplicateJoin(StdArc::new(spec.clone())),
-            true,
-        );
-        assert_eq!(r.matches, expected, "{shards} shards diverged");
-        assert_eq!(
-            r.metrics.dedup_hits,
-            (shards as u64 - 1) * expected.len() as u64,
-            "every shard re-detects every replicated-only match"
-        );
-        assert_eq!(
-            r.per_shard.iter().map(|s| s.match_count).sum::<u64>(),
-            shards as u64 * expected.len() as u64
-        );
-    }
-}
-
-#[test]
-fn replicate_join_metrics_account_for_broadcast() {
-    let events = lcg_cross_key_workload(150, 4, 5, 0xB00);
-    let replicated_sources = events.iter().filter(|(tid, ..)| *tid == 2).count() as u64;
-    let stream = cross_key_stream(events);
-    let cp =
-        CompiledPattern::compile_single(&cross_key_seq(10, SelectionStrategy::SkipTillAnyMatch))
-            .unwrap();
-    let factory = nfa_factory(cp.clone());
-    let shards = 4;
-    let r = ShardedRuntime::with_shards(shards).run(
-        &factory,
-        &stream,
-        replicate_join_policy(&cp),
-        true,
-    );
-    assert_eq!(
-        r.metrics.replicated_events,
-        replicated_sources * (shards as u64 - 1),
-        "each broadcast event adds shards-1 extra deliveries"
-    );
-    assert_eq!(
-        r.metrics.events_processed,
-        stream.len() as u64 + r.metrics.replicated_events,
-        "engines see the stream plus the broadcast copies"
-    );
-    assert_eq!(
-        r.per_shard.iter().map(|s| s.events_routed).sum::<u64>(),
-        stream.len() as u64 + r.metrics.replicated_events
-    );
-    // A 1-shard replicate-join run broadcasts nothing extra.
-    let r1 =
-        ShardedRuntime::with_shards(1).run(&factory, &stream, replicate_join_policy(&cp), true);
-    assert_eq!(r1.metrics.replicated_events, 0);
-    assert_eq!(r1.metrics.dedup_hits, 0);
-}
-
-#[test]
-fn replicate_join_uncollected_runs_count_distinct_matches() {
-    let stream = cross_key_stream(lcg_cross_key_workload(140, 3, 5, 0xC0DE));
-    let cp =
-        CompiledPattern::compile_single(&cross_key_seq(10, SelectionStrategy::SkipTillAnyMatch))
-            .unwrap();
-    let factory = nfa_factory(cp.clone());
-    let policy = replicate_join_policy(&cp);
-    let collected = ShardedRuntime::with_shards(4).run(&factory, &stream, policy.clone(), true);
-    let counted = ShardedRuntime::with_shards(4).run(&factory, &stream, policy, false);
-    assert!(counted.matches.is_empty());
-    assert_eq!(
-        counted.match_count, collected.match_count,
-        "uncollected counts must already be deduplicated"
-    );
-    assert_eq!(counted.metrics.dedup_hits, collected.metrics.dedup_hits);
-}
-
-/// Negation under replicate-join, both ways the partitioner can classify
-/// the negated type: key-linked (partitioned with the match key) and
-/// unkeyed (broadcast so no shard misses a forbidding event).
-#[test]
-fn replicate_join_with_internal_negation_stays_exact() {
-    for keyed_negation in [true, false] {
-        let mut b = PatternBuilder::new(14);
-        let a = b.event(t(0), "a");
-        let n = b.event(t(1), "n");
-        let c = b.event(t(2), "c");
-        b.predicate(Predicate::attr_cmp(a.pos(), 0, CmpOp::Eq, c.pos(), 0));
-        if keyed_negation {
-            b.predicate(Predicate::attr_cmp(n.pos(), 0, CmpOp::Eq, a.pos(), 0));
-        }
-        let ae = b.expr(a);
-        let ne = b.not(n);
-        let ce = b.expr(c);
-        let p = b.seq_exprs([ae, ne, ce]).unwrap();
-        let cp = CompiledPattern::compile_single(&p).unwrap();
-        let spec = QueryPartitioner::analyze(std::slice::from_ref(&cp), |_| 1.0).unwrap();
-        assert_eq!(
-            spec.disposition(t(1)),
-            Some(if keyed_negation {
-                TypeDisposition::Partitioned { attr: 0 }
-            } else {
-                TypeDisposition::Replicated
-            })
-        );
-        let stream = cross_key_stream(lcg_cross_key_workload(
-            150,
-            3,
-            4,
-            0x707 + keyed_negation as u64,
-        ));
-        let factory = nfa_factory(cp);
-        let expected = single_threaded(&factory, &stream);
-        assert!(
-            !expected.is_empty(),
-            "fixture should survive some negations (keyed={keyed_negation})"
-        );
-        for shards in [2usize, 4, 8] {
-            let r = ShardedRuntime::with_shards(shards).run(
-                &factory,
-                &stream,
-                RoutingPolicy::ReplicateJoin(StdArc::new(spec.clone())),
-                true,
-            );
-            assert_eq!(
-                r.matches, expected,
-                "negation (keyed={keyed_negation}) diverged at {shards} shards"
-            );
-        }
-    }
-}
-
-/// A fully keyed query under replicate-join routing broadcasts nothing,
-/// so the runtime must keep the flat-memory count-and-discard path (no
-/// shard-side match buffering for dedup) while still counting exactly.
-#[test]
-fn fully_partitioned_replicate_join_keeps_count_and_discard_path() {
-    let stream = keyed_stream(lcg_workload(150, 3, 4, 0xFA57));
-    let cp =
-        CompiledPattern::compile_single(&keyed_seq(3, 12, SelectionStrategy::SkipTillAnyMatch))
-            .unwrap();
-    let spec = QueryPartitioner::analyze(std::slice::from_ref(&cp), |_| 1.0).unwrap();
-    assert!(
-        spec.is_fully_partitioned(),
-        "keyed query: nothing to broadcast"
-    );
-    let factory = nfa_factory(cp);
-    let expected = single_threaded(&factory, &stream);
-    assert!(!expected.is_empty(), "fixture should produce matches");
-    let policy = RoutingPolicy::ReplicateJoin(StdArc::new(spec));
-    let collected = ShardedRuntime::with_shards(4).run(&factory, &stream, policy.clone(), true);
-    assert_eq!(collected.matches, expected);
-    let counted = ShardedRuntime::with_shards(4).run(&factory, &stream, policy, false);
-    assert!(counted.matches.is_empty());
-    assert_eq!(counted.match_count, expected.len() as u64);
-    assert_eq!(counted.metrics.replicated_events, 0);
-    assert_eq!(counted.metrics.dedup_hits, 0);
-    // Without dedup buffering, per-shard counts sum to the total exactly.
-    assert_eq!(
-        counted.per_shard.iter().map(|s| s.match_count).sum::<u64>(),
-        counted.match_count
-    );
-}
-
-/// Regression for the unsound positive-bridging-through-negation spec:
-/// `a.0 == n.0` and `n.0 == c.0` under NOT(N) must not be treated as
-/// `a.0 == c.0` — matches may bind different keys for A and C (whenever no
-/// violating N exists), so C has to be replicated, and the sharded run
-/// must still reproduce the single-threaded match set exactly.
-#[test]
-fn negation_bridged_positives_stay_exact_under_replicate_join() {
-    let mut b = PatternBuilder::new(14);
-    let a = b.event(t(0), "a");
-    let n = b.event(t(1), "n");
-    let c = b.event(t(2), "c");
-    b.predicate(Predicate::attr_cmp(a.pos(), 0, CmpOp::Eq, n.pos(), 0));
-    b.predicate(Predicate::attr_cmp(n.pos(), 0, CmpOp::Eq, c.pos(), 0));
-    let ae = b.expr(a);
-    let ne = b.not(n);
-    let ce = b.expr(c);
-    let p = b.seq_exprs([ae, ne, ce]).unwrap();
-    let cp = CompiledPattern::compile_single(&p).unwrap();
-    let spec = QueryPartitioner::analyze(std::slice::from_ref(&cp), |_| 1.0).unwrap();
-    assert!(
-        spec.replicated_types().count() >= 1,
-        "one positive side must be replicated: {spec}"
-    );
-    let stream = cross_key_stream(lcg_cross_key_workload(160, 3, 4, 0xB71D));
-    let factory = nfa_factory(cp);
-    let expected = single_threaded(&factory, &stream);
-    assert!(
-        expected.iter().any(|m| {
-            m.events()
-                .map(|e| e.attr(0).cloned())
-                .collect::<Vec<_>>()
-                .windows(2)
-                .any(|w| w[0] != w[1])
-        }),
-        "fixture must contain a cross-key (a.0 != c.0) match"
-    );
-    for shards in [2usize, 4, 8] {
-        let r = ShardedRuntime::with_shards(shards).run(
-            &factory,
-            &stream,
-            RoutingPolicy::ReplicateJoin(StdArc::new(spec.clone())),
-            true,
-        );
-        assert_eq!(r.matches, expected, "{shards} shards diverged");
-    }
-}
-
-proptest! {
-    /// Replicate-join tentpole property: for random cross-key workloads,
-    /// all three exact strategies, shard counts up to 16, and both engine
-    /// families, the merged match vector is byte-identical to the
-    /// single-threaded engine's.
-    #[test]
-    fn replicate_join_equals_single_threaded_on_random_workloads(
-        raw in prop::collection::vec((0u32..3, 0u64..3, 0i64..4, 0i64..4), 1..60),
-        shards_pow in 0usize..5,
-        strategy_idx in 0usize..3,
-    ) {
-        let strategy = [
-            SelectionStrategy::SkipTillAnyMatch,
-            SelectionStrategy::StrictContiguity,
-            SelectionStrategy::PartitionContiguity,
-        ][strategy_idx];
-        let shards = 1usize << shards_pow; // 1, 2, 4, 8, 16
-        let mut ts = 0u64;
-        let events: Vec<(u32, u64, i64, i64)> = raw
-            .into_iter()
-            .map(|(tid, dt, key, chan)| {
-                ts += dt;
-                (tid, ts, key, chan)
-            })
-            .collect();
-        let stream = cross_key_stream(events);
-        let cp = CompiledPattern::compile_single(&cross_key_seq(10, strategy)).unwrap();
-        let policy = replicate_join_policy(&cp);
-        let runtime = ShardedRuntime::with_shards(shards);
-        let nfa = nfa_factory(cp.clone());
-        let r = runtime.run(&nfa, &stream, policy.clone(), true);
-        prop_assert_eq!(r.matches, single_threaded(&nfa, &stream));
-        let tree = tree_factory(cp);
-        let r = runtime.run(&tree, &stream, policy, true);
-        prop_assert_eq!(r.matches, single_threaded(&tree, &stream));
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1277,7 +585,7 @@ fn untraced_runtime_keeps_disabled_tracer() {
 use cep_core::compiled::PredicateProgram;
 use cep_core::error::CepError;
 use cep_core::plan::OrderPlan;
-use cep_core::registry::{FragmentBuilder, QueryId, RegistrySpec};
+use cep_core::registry::{FragmentBuilder, RegistrySpec};
 
 /// Fragment builder over the lazy NFA with the trivial plan, threading the
 /// registry's cached predicate program through.
@@ -1293,108 +601,6 @@ fn nfa_fragment_builder(cfg: EngineConfig) -> StdArc<dyn FragmentBuilder> {
             )?) as Box<dyn Engine>)
         },
     )
-}
-
-/// Per-query single-threaded ground truth in canonical merge order.
-fn expected_per_query(patterns: &[Pattern], stream: &EventStream) -> Vec<Vec<Match>> {
-    patterns
-        .iter()
-        .map(|p| {
-            let cp = CompiledPattern::compile_single(p).unwrap();
-            let factory = nfa_factory(cp);
-            single_threaded(&factory, stream)
-        })
-        .collect()
-}
-
-#[test]
-fn run_registry_equals_independent_engines_per_query() {
-    let stream = keyed_stream(lcg_workload(200, 3, 4, 0xBEEF));
-    // Three queries, two of them identical: the registry shares one
-    // fragment between q0 and q2, and q1 rides the same routed stream.
-    let patterns = vec![
-        keyed_seq(2, 10, SelectionStrategy::SkipTillAnyMatch),
-        keyed_seq(3, 12, SelectionStrategy::SkipTillAnyMatch),
-        keyed_seq(2, 10, SelectionStrategy::SkipTillAnyMatch),
-    ];
-    let expected = expected_per_query(&patterns, &stream);
-    let cfg = EngineConfig::default();
-    let mut spec = RegistrySpec::new(nfa_fragment_builder(cfg.clone()));
-    let ids: Vec<QueryId> = patterns.iter().map(|p| spec.add(p).unwrap()).collect();
-    for shards in [1usize, 2, 4] {
-        let r = ShardedRuntime::with_shards(shards)
-            .run_registry(&spec, &stream, RoutingPolicy::HashAttr(0), true)
-            .unwrap();
-        for (i, id) in ids.iter().enumerate() {
-            assert_eq!(
-                r.per_query[id], expected[i],
-                "query {id} with {shards} shards diverged"
-            );
-            assert_eq!(r.match_counts[id], expected[i].len() as u64);
-        }
-        let total: usize = expected.iter().map(Vec::len).sum();
-        assert_eq!(r.match_count, total as u64);
-        assert_eq!(r.per_shard.len(), shards);
-        // Every worker registered the whole set and shared the duplicate.
-        assert_eq!(r.metrics.registered_queries, 3 * shards as u64);
-        assert_eq!(r.metrics.shared_fragments, shards as u64);
-        assert!(r.metrics.fanout_emits >= r.match_count);
-    }
-}
-
-#[test]
-fn run_registry_replicate_join_dedups_per_query() {
-    let stream = cross_key_stream(lcg_cross_key_workload(160, 4, 5, 0x5EED));
-    let pattern = cross_key_seq(12, SelectionStrategy::SkipTillAnyMatch);
-    let cp = CompiledPattern::compile_single(&pattern).unwrap();
-    let policy = replicate_join_policy(&cp);
-    // The same cross-partition query registered twice: replicated-only
-    // matches surface on every shard and must be deduplicated per query.
-    let patterns = vec![pattern.clone(), pattern];
-    let expected = expected_per_query(&patterns, &stream);
-    let cfg = EngineConfig::default();
-    let mut spec = RegistrySpec::new(nfa_fragment_builder(cfg.clone()));
-    let ids: Vec<QueryId> = patterns.iter().map(|p| spec.add(p).unwrap()).collect();
-    for shards in [1usize, 2, 4, 8] {
-        let r = ShardedRuntime::with_shards(shards)
-            .run_registry(&spec, &stream, policy.clone(), true)
-            .unwrap();
-        for (i, id) in ids.iter().enumerate() {
-            assert_eq!(
-                r.per_query[id], expected[i],
-                "query {id} with {shards} shards diverged"
-            );
-        }
-        if shards > 1 {
-            assert!(
-                r.metrics.replicated_events > 0,
-                "replicate-join broadcastings must be accounted"
-            );
-        }
-    }
-}
-
-#[test]
-fn run_registry_uncollected_still_counts_per_query() {
-    let stream = keyed_stream(lcg_workload(200, 3, 4, 0xBEEF));
-    let patterns = vec![
-        keyed_seq(2, 10, SelectionStrategy::SkipTillAnyMatch),
-        keyed_seq(3, 12, SelectionStrategy::SkipTillAnyMatch),
-    ];
-    let expected = expected_per_query(&patterns, &stream);
-    let cfg = EngineConfig::default();
-    let mut spec = RegistrySpec::new(nfa_fragment_builder(cfg.clone()));
-    let ids: Vec<QueryId> = patterns.iter().map(|p| spec.add(p).unwrap()).collect();
-    let r = ShardedRuntime::with_shards(3)
-        .run_registry(&spec, &stream, RoutingPolicy::HashAttr(0), false)
-        .unwrap();
-    for (i, id) in ids.iter().enumerate() {
-        assert!(
-            r.per_query[id].is_empty(),
-            "uncollected run buffered matches"
-        );
-        assert_eq!(r.match_counts[id], expected[i].len() as u64);
-    }
 }
 
 #[test]
@@ -1572,88 +778,6 @@ fn run_panics_with_the_worker_error_text() {
         RoutingPolicy::HashAttr(0),
         true,
     );
-}
-
-/// Every merged field a run fixes: timings zeroed, histograms cut down
-/// to their sample counts, and the registry layer's own counters
-/// (registrations, sharing, fan-out deliveries, plan-cache lookups),
-/// which a run over bare engines does not have, zeroed.
-fn comparable(m: &cep_core::metrics::EngineMetrics) -> cep_core::metrics::EngineMetrics {
-    let mut m = m.clone();
-    m.wall_time_ns = 0;
-    m.replay_time_ns = 0;
-    for h in [
-        &mut m.event_ns,
-        &mut m.match_latency_ns,
-        &mut m.replay_ns,
-        &mut m.enumeration_ns,
-    ] {
-        let n = h.count();
-        *h = cep_obs::LatencyHistogram::new();
-        h.record_n(0, n);
-    }
-    m.registered_queries = 0;
-    m.shared_fragments = 0;
-    m.fanout_emits = 0;
-    m.plan_cache_hits = 0;
-    m.plan_cache_misses = 0;
-    m
-}
-
-#[test]
-fn run_equals_a_one_query_run_registry() {
-    let keyed = keyed_stream(lcg_workload(240, 3, 5, 0x0E1));
-    let cross = cross_key_stream(lcg_cross_key_workload(160, 4, 5, 0x5EED));
-    let cross_query = cross_key_seq(12, SelectionStrategy::SkipTillAnyMatch);
-    let cross_policy =
-        replicate_join_policy(&CompiledPattern::compile_single(&cross_query).unwrap());
-    let RoutingPolicy::ReplicateJoin(spec) = &cross_policy else {
-        unreachable!()
-    };
-    assert!(!spec.is_fully_partitioned(), "the merge must dedup");
-    let cases = [
-        (
-            keyed_seq(3, 12, SelectionStrategy::PartitionContiguity),
-            &keyed,
-            RoutingPolicy::Partition,
-        ),
-        (
-            keyed_seq(3, 12, SelectionStrategy::SkipTillAnyMatch),
-            &keyed,
-            RoutingPolicy::HashAttr(0),
-        ),
-        (cross_query, &cross, cross_policy.clone()),
-    ];
-    for (pattern, stream, policy) in cases {
-        let factory = nfa_factory(CompiledPattern::compile_single(&pattern).unwrap());
-        let mut spec = RegistrySpec::new(nfa_fragment_builder(EngineConfig::default()));
-        let id = spec.add(&pattern).unwrap();
-        for shards in [1usize, 2, 4] {
-            for collect in [true, false] {
-                let ctx = format!("{policy:?}, {shards} shards, collect {collect}");
-                let runtime = ShardedRuntime::with_shards(shards);
-                let one = runtime.run(&factory, stream, policy.clone(), collect);
-                let set = runtime
-                    .run_registry(&spec, stream, policy.clone(), collect)
-                    .unwrap();
-                assert!(one.match_count > 0, "{ctx}: vacuous case");
-                assert_eq!(set.per_query.len(), 1, "{ctx}");
-                assert_eq!(one.matches, set.per_query[&id], "{ctx}");
-                assert_eq!(one.match_count, set.match_count, "{ctx}");
-                assert_eq!(one.match_count, set.match_counts[&id], "{ctx}");
-                assert_eq!(comparable(&one.metrics), comparable(&set.metrics), "{ctx}");
-                let raw: u64 = one.per_shard.iter().map(|s| s.match_count).sum();
-                assert_eq!(set.metrics.fanout_emits, raw, "{ctx}");
-                assert_eq!(one.per_shard.len(), set.per_shard.len(), "{ctx}");
-                for (a, b) in one.per_shard.iter().zip(&set.per_shard) {
-                    assert_eq!(a.shard, b.shard, "{ctx}");
-                    assert_eq!(a.events_routed, b.events_routed, "{ctx}");
-                    assert_eq!(a.match_count, b.match_count, "{ctx}");
-                    assert_eq!(comparable(&a.metrics), comparable(&b.metrics), "{ctx}");
-                }
-            }
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------

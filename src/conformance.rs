@@ -1,36 +1,53 @@
 //! Backend-parametric conformance harness: differential testing of any
-//! [`Engine`] backend against the naive exhaustive oracle.
+//! [`Engine`] backend, and of every wrapper layered over one, against the
+//! naive exhaustive oracle.
 //!
 //! This is the load-bearing correctness property behind the whole
 //! evaluation — Section 2.2's claim that "all (n!) NFAs track the exact
 //! same pattern", extended to tree plans and the delta-indexed backend.
 //! The harness owns the random-pattern/random-stream machinery the
 //! `engine_equivalence` integration suite draws from, plus the backend
-//! registry: a [`Backend`] is a named constructor from a compiled pattern
-//! (and a plan seed) to a boxed engine, and [`check_equivalence_under`]
-//! runs every registered backend over the same stream, asserting output
-//! *byte-identical*
-//! to the oracle: sorted `(signature, emitted_at)` pairs, not just match
-//! sets. New backends get the full differential sweep by adding one entry
-//! to [`standard_backends`].
+//! registry: a [`SeededBackend`] is a named constructor from a compiled
+//! pattern (and a plan seed) to a boxed engine, and
+//! [`check_equivalence_under`] runs every registered backend over the same
+//! stream, asserting output *byte-identical* to the oracle: sorted
+//! `(signature, emitted_at)` pairs, not just match sets. New backends get
+//! the full differential sweep by adding one entry to
+//! [`standard_backends`].
+//!
+//! The same claim must survive every wrapper: [`check`] runs one
+//! [`Composition`] (bare engine, `MultiEngine`, registry, shards, adaptive
+//! swaps) and holds it to the oracle's matches and to the bare engine's
+//! metrics ([`comparable`], less the [`LAYER_FIELDS`]).
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
+use cep_adaptive::{
+    AdaptiveConfig, AdaptiveEngine, AdaptiveFactory, PlanReplanner, ReplanVerdict, Replanner,
+    SwapCost,
+};
 use cep_core::compile::CompiledPattern;
 use cep_core::compiled::PredicateProgram;
 use cep_core::engine::{run_to_completion, Engine, EngineConfig, MultiEngine};
 use cep_core::event::{Event, EventRef, TypeId};
 use cep_core::matches::{validate_match, Match};
+use cep_core::metrics::{Combine, EngineMetrics};
 use cep_core::naive::NaiveEngine;
+use cep_core::partition::QueryPartitioner;
 use cep_core::pattern::{Pattern, PatternBuilder, PatternExpr};
 use cep_core::plan::{OrderPlan, Plan, TreeNode, TreePlan};
 use cep_core::predicate::{CmpOp, Predicate};
-use cep_core::registry::{FragmentBuilder, QueryRegistry};
+use cep_core::registry::{FragmentBuilder, QueryRegistry, RegistrySpec};
 use cep_core::selection::SelectionStrategy;
+use cep_core::stats::MeasuredStats;
 use cep_core::stream::{EventStream, StreamBuilder};
 use cep_core::value::Value;
+use cep_obs::json::Json;
+use cep_obs::MetricsRegistry;
+use cep_optimizer::{EventWindow, Planner};
+use cep_shard::{RouteTarget, RoutingPolicy, ShardRouter, ShardedRuntime};
 
-use crate::builder::branch_engine;
+use crate::builder::{branch_engine, Backend};
 
 /// Random pattern description, typically drawn by proptest.
 #[derive(Debug, Clone)]
@@ -235,29 +252,30 @@ pub fn tree_from_order(order: &[usize], seed: u64) -> TreeNode {
 }
 
 /// A backend constructor: compiled pattern + plan seed + config → engine.
-/// `Send + Sync` so a [`Backend`] can double as a registry
-/// [`FragmentBuilder`] in the multi-query conformance check.
+/// Shared and `Send + Sync`, so a [`SeededBackend`] clones into a registry
+/// [`FragmentBuilder`] or a replanner.
 type BackendCtor =
-    Box<dyn Fn(&CompiledPattern, u64, &EngineConfig) -> Box<dyn Engine> + Send + Sync>;
+    Arc<dyn Fn(&CompiledPattern, u64, &EngineConfig) -> Box<dyn Engine> + Send + Sync>;
 
 /// A named engine backend under conformance test: a constructor from a
 /// compiled pattern, a plan seed (backends that need an evaluation plan
 /// derive a deterministic random one from it), and an engine config.
-pub struct Backend {
+#[derive(Clone)]
+pub struct SeededBackend {
     /// Backend name, used in assertion messages.
     pub name: &'static str,
     build: BackendCtor,
 }
 
-impl Backend {
+impl SeededBackend {
     /// Creates a backend from a name and a constructor.
     pub fn new(
         name: &'static str,
         build: impl Fn(&CompiledPattern, u64, &EngineConfig) -> Box<dyn Engine> + Send + Sync + 'static,
-    ) -> Backend {
-        Backend {
+    ) -> SeededBackend {
+        SeededBackend {
             name,
-            build: Box::new(build),
+            build: Arc::new(build),
         }
     }
 
@@ -271,29 +289,32 @@ impl Backend {
 /// branch-engine constructor (`builder::branch_engine`): the lazy NFA
 /// under a seed-derived random order plan, the tree engine under a
 /// seed-derived random tree plan, and the (plan-free) delta-indexed engine.
-pub fn standard_backends() -> Vec<Backend> {
+pub fn standard_backends() -> Vec<SeededBackend> {
     fn build(cp: &CompiledPattern, plan: Option<Plan>, cfg: &EngineConfig) -> Box<dyn Engine> {
         let program = Arc::new(PredicateProgram::compile(cp));
         branch_engine(cp, plan.as_ref(), cfg, program).expect("valid plan")
     }
     vec![
-        Backend::new("nfa", |cp, seed, cfg| {
+        SeededBackend::new("nfa", |cp, seed, cfg| {
             let order = order_from_seed(cp.n(), seed);
             let plan = OrderPlan::new(order).expect("permutation");
             build(cp, Some(Plan::Order(plan)), cfg)
         }),
-        Backend::new("tree", |cp, seed, cfg| {
+        SeededBackend::new("tree", |cp, seed, cfg| {
             let order = order_from_seed(cp.n(), seed);
             let tree = TreePlan::new(tree_from_order(&order, seed ^ 0xABCD)).expect("valid tree");
             build(cp, Some(Plan::Tree(tree)), cfg)
         }),
-        Backend::new("delta", |cp, _seed, cfg| build(cp, None, cfg)),
+        SeededBackend::new("delta", |cp, _seed, cfg| build(cp, None, cfg)),
     ]
 }
 
-/// [`check_equivalence_under`] with skip-till-any-match.
-pub fn check_equivalence(spec: PatternSpec, raw_stream: Vec<(u32, u8, i8)>, seed: u64) {
-    check_equivalence_under(spec, raw_stream, seed, SelectionStrategy::SkipTillAnyMatch);
+/// Every [`standard_backends`] engine for `cp`, plans from seed 0.
+pub fn standard_engines(cp: &CompiledPattern, cfg: &EngineConfig) -> Vec<Box<dyn Engine>> {
+    standard_backends()
+        .iter()
+        .map(|b| b.build(cp, 0, cfg))
+        .collect()
 }
 
 /// Runs every [`standard_backends`] backend over the spec'd pattern and
@@ -315,11 +336,7 @@ pub fn check_equivalence_under(
         return;
     };
     let stream = build_stream(&raw_stream);
-    let base_cfg = EngineConfig {
-        max_kleene_events: 4,
-        ..Default::default()
-    };
-    check_stream_under(&cp, &stream, &base_cfg, seed, &format!("{pattern}"));
+    check_stream_under(&cp, &stream, &check_config(), seed, &format!("{pattern}"));
 }
 
 /// The core differential check over an already-compiled pattern and
@@ -369,95 +386,680 @@ pub fn check_stream_under(
     }
 }
 
-/// Multi-query conformance: registers every pattern in one
-/// [`QueryRegistry`] per standard backend and asserts each query's
-/// collected output byte-identical and in the same order ([`in_order`])
-/// to an independent per-query [`MultiEngine`] over the same backend's
-/// branch engines, built under the same plan seed. This is the
+/// Multi-query conformance over proptest-drawn specs: every buildable
+/// spec becomes one query (degenerate draws skipped) under `strategy`,
+/// all registered in one [`QueryRegistry`] per standard backend, and each
+/// query's collected output must be byte-identical and in the same order
+/// ([`in_order`]) to an independent [`MultiEngine`] over the same
+/// backend's branch engines, built under the same plan seed. This is the
 /// registry's core contract: sharing fragments across queries must be
 /// invisible in every query's output.
-#[allow(clippy::ptr_arg)] // `EventStream` is `Vec<EventRef>`; callers hold one.
-pub fn check_registry_stream(
-    patterns: &[Pattern],
-    stream: &EventStream,
-    cfg: &EngineConfig,
-    seed: u64,
-) {
-    for backend in standard_backends() {
-        let backend = Arc::new(backend);
-        // Independent baselines: a fresh MultiEngine per query (one
-        // branch engine per DNF branch, registry-style dedup).
-        let mut expected = Vec::new();
-        for pattern in patterns {
-            let branches = CompiledPattern::compile(pattern).expect("compilable pattern");
-            let engines: Vec<Box<dyn Engine>> = branches
-                .iter()
-                .map(|cp| backend.build(cp, seed, cfg))
-                .collect();
-            let mut multi = MultiEngine::new(engines, pattern.window);
-            expected.push(in_order(
-                &run_to_completion(&mut multi, stream, true).matches,
-            ));
-        }
-        // One registry over all the queries, same builder and seed.
-        let b = Arc::clone(&backend);
-        let bcfg = cfg.clone();
-        let builder: Arc<dyn FragmentBuilder> = Arc::new(
-            move |cp: &CompiledPattern, _program: Arc<PredicateProgram>| {
-                Ok(b.build(cp, seed, &bcfg))
-            },
-        );
-        let mut registry = QueryRegistry::new(builder);
-        let ids: Vec<_> = patterns
-            .iter()
-            .map(|p| registry.register(p).expect("registration"))
-            .collect();
-        let result = registry.run(stream);
-        for (id, want) in ids.iter().zip(&expected) {
-            let got = in_order(result.per_query.get(id).map_or(&[][..], Vec::as_slice));
-            assert_eq!(
-                &got, want,
-                "{}(seed {seed}): registry query {id} diverged from its independent engine",
-                backend.name
-            );
-        }
-    }
-}
-
-/// [`check_registry_equivalence_under`] with skip-till-any-match.
-pub fn check_registry_equivalence(
-    specs: Vec<PatternSpec>,
-    raw_stream: Vec<(u32, u8, i8)>,
-    seed: u64,
-) {
-    check_registry_equivalence_under(specs, raw_stream, seed, SelectionStrategy::SkipTillAnyMatch);
-}
-
-/// [`check_registry_stream`] over proptest-drawn specs: every buildable
-/// spec becomes one registered query (degenerate draws skipped), all
-/// evaluated under `strategy` over one shared stream.
 pub fn check_registry_equivalence_under(
     specs: Vec<PatternSpec>,
     raw_stream: Vec<(u32, u8, i8)>,
     seed: u64,
     strategy: SelectionStrategy,
 ) {
-    let patterns: Vec<Pattern> = specs
-        .iter()
-        .filter_map(build_pattern)
+    let patterns: Vec<Pattern> = (specs.iter().filter_map(build_pattern))
         .map(|mut p| {
             p.strategy = strategy;
             p
         })
         .filter(|p| CompiledPattern::compile(p).is_ok())
         .collect();
-    if patterns.is_empty() {
-        return;
+    let (stream, cfg) = (build_stream(&raw_stream), check_config());
+    for backend in standard_backends() {
+        let mut registry = QueryRegistry::new(fragment_builder(&backend, seed, &cfg));
+        let ids: Vec<_> = (patterns.iter())
+            .map(|p| registry.register(p).expect("registration"))
+            .collect();
+        let mut result = registry.run(&stream);
+        for (id, pattern) in ids.iter().zip(&patterns) {
+            let branches = CompiledPattern::compile(pattern).expect("compilable pattern");
+            let engines = branches.iter().map(|cp| backend.build(cp, seed, &cfg));
+            let mut multi = MultiEngine::new(engines.collect(), pattern.window);
+            let want = in_order(&run_to_completion(&mut multi, &stream, true).matches);
+            let got = in_order(&result.per_query.remove(id).unwrap_or_default());
+            let name = backend.name;
+            assert_eq!(
+                got, want,
+                "{name}(seed {seed}): registry query {id} diverged"
+            );
+        }
     }
-    let stream = build_stream(&raw_stream);
-    let base_cfg = EngineConfig {
+}
+
+/// A registry fragment builder over `backend` under plan seed `seed`.
+fn fragment_builder(
+    backend: &SeededBackend,
+    seed: u64,
+    cfg: &EngineConfig,
+) -> Arc<dyn FragmentBuilder> {
+    let (backend, cfg) = (backend.clone(), cfg.clone());
+    let build = move |cp: &CompiledPattern| Ok(backend.build(cp, seed, &cfg));
+    Arc::new(move |cp: &CompiledPattern, _: Arc<PredicateProgram>| build(cp))
+}
+
+/// Materializes a raw `(type, Δts, attr, lag)` tuple list like
+/// [`build_stream`], except that an event arrives `lag % 4` ms behind the
+/// stream's clock: some such events are late, others land on a tie.
+/// Events are partitioned by their attribute. Built without
+/// [`StreamBuilder`], which rejects late events.
+pub fn build_late_stream(raw: &[(u32, u8, i8, u8)]) -> EventStream {
+    let mut ts = 0u64;
+    let mut part_seqs = std::collections::HashMap::new();
+    let events = raw.iter().enumerate().map(|(i, &(tid, dt, x, lag))| {
+        ts += (dt % 4) as u64;
+        let at = ts.saturating_sub((lag % 4) as u64);
+        let mut e = Event::new(TypeId(tid % 5), at, vec![Value::Int(x as i64)]);
+        (e.seq, e.partition) = (i as u64, x as u8 as u32);
+        let part_seq = part_seqs.entry(e.partition).or_insert(0);
+        (e.part_seq, *part_seq) = (*part_seq, *part_seq + 1);
+        Arc::new(e)
+    });
+    events.collect()
+}
+
+/// `stream` without its late events (those below a timestamp before
+/// them), and how many there were.
+pub fn split_late(stream: &EventStream) -> (EventStream, u64) {
+    let mut watermark = 0;
+    let in_order: EventStream = (stream.iter())
+        .filter(|e| {
+            let keep = e.ts >= watermark;
+            watermark = watermark.max(e.ts);
+            keep
+        })
+        .cloned()
+        .collect();
+    let late = (stream.len() - in_order.len()) as u64;
+    (in_order, late)
+}
+
+/// A match's canonical digest: signature, `last_ts`, `emitted_at`.
+pub type Digest = (Vec<(usize, Vec<u64>)>, u64, u64);
+
+/// The matches' digests in canonical order ([`Match::canonical_cmp`]):
+/// the sharded merge's order, in which every composition is compared
+/// (emission order within one `emitted_at` is not part of the contract).
+pub fn digests(ms: &[Match]) -> Vec<Digest> {
+    let mut sorted: Vec<&Match> = ms.iter().collect();
+    sorted.sort_by(|a, b| a.canonical_cmp(b));
+    (sorted.iter())
+        .map(|m| (m.signature(), m.last_ts, m.emitted_at))
+        .collect()
+}
+
+/// Every deterministic [`EngineMetrics`] field by name, read through
+/// [`EngineMetrics::FIELDS`] and each row's exported family: a measured
+/// time (the [`Combine::Elapsed`] kind, and `replay_time_ns`, a counter of
+/// nanoseconds) is left out, a histogram reads as its sample count, and
+/// every other row as its value. A new row is compared by default.
+pub fn comparable(m: &EngineMetrics) -> Vec<(&'static str, u64)> {
+    let mut reg = MetricsRegistry::new();
+    m.export(&mut reg, &[]);
+    let doc = cep_obs::json::parse(&reg.render_json()).expect("registry JSON parses");
+    let Some(Json::Arr(families)) = doc.get("metrics") else {
+        panic!("registry JSON lists its families")
+    };
+    let sample = |family: &str| match families
+        .iter()
+        .find(|f| f.get("name").and_then(Json::as_str) == Some(family))?
+        .get("samples")?
+    {
+        Json::Arr(samples) => samples.first().cloned(),
+        _ => None,
+    };
+    (EngineMetrics::FIELDS.iter())
+        .filter(|f| f.combine != Combine::Elapsed && f.name != "replay_time_ns")
+        .map(|f| {
+            let key = match f.combine {
+                Combine::Histogram => "count",
+                _ => "value",
+            };
+            let value = sample(&f.family()).and_then(|s| s.get(key)?.as_u64());
+            (f.name, value.expect("every field exports a count"))
+        })
+        .collect()
+}
+
+/// The fields a wrapper layer counts itself and the bare engine under it
+/// does not: the registry's counters, the plan-cache lookups and the
+/// adaptive wrapper's swap counters. [`check`] compares every other
+/// [`comparable`] field against the bare engine's.
+#[rustfmt::skip]
+pub const LAYER_FIELDS: &[&str] = &[
+    "registered_queries", "shared_fragments", "fanout_emits",
+    "plan_cache_hits", "plan_cache_misses",
+    "plan_swaps", "replayed_events", "replay_ns", "retained_events", "peak_retained_events",
+    "selectivity_samples", "suppressed_swaps",
+];
+
+/// How a sharded composition routes: [`RoutingPolicy::Partition`],
+/// [`RoutingPolicy::HashAttr`], [`RoutingPolicy::RoundRobin`], or
+/// [`RoutingPolicy::ReplicateJoin`] under the pattern's
+/// [`QueryPartitioner::analyze`] spec at uniform rates.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[allow(missing_docs)]
+pub enum Route {
+    Partition,
+    HashAttr(usize),
+    RoundRobin,
+    ReplicateJoin,
+}
+
+/// The [`ShardedRuntime`] entry point a sharded composition runs through:
+/// `run`, `run_query` (the policy checked against the branches first),
+/// `run_registry` over a spec holding the pattern `queries` times, or
+/// `run` over an [`AdaptiveFactory`] of `replanner` per worker (held to
+/// the oracle only, as [`Replan::Planned`] is).
+#[derive(Debug, Clone)]
+#[allow(missing_docs)]
+pub enum Entry {
+    Run,
+    RunQuery,
+    RunRegistry {
+        queries: usize,
+    },
+    RunAdaptive {
+        replanner: fn(&[CompiledPattern]) -> PlanReplanner,
+        config: AdaptiveConfig,
+    },
+}
+
+/// How an adaptive composition replans.
+#[derive(Debug, Clone, Copy)]
+pub enum Replan {
+    /// Drift reported at every check, and every replan swaps between the
+    /// backend's plans under the seed and the seed + 1 (a delta backend
+    /// swaps to an identical engine); the replanner reads `history_ms` of
+    /// the stream.
+    Forced {
+        /// The replanner's history horizon, in ms.
+        history_ms: u64,
+    },
+    /// A [`PlanReplanner`] built from the compiled branches (see
+    /// [`skewed_replanner`]). It builds its own engines, so the backend and
+    /// seed handed to [`check`] are unused and no bare engine stands for
+    /// them: its run is held to the oracle only.
+    Planned(fn(&[CompiledPattern]) -> PlanReplanner),
+}
+
+/// One way to run a pattern: the wrappers its engines run under.
+#[derive(Debug, Clone)]
+pub enum Composition {
+    /// The bare engine (a `MultiEngine` for a pattern of several branches).
+    Bare,
+    /// The pattern's branch engines in a [`MultiEngine`].
+    Multi,
+    /// A [`QueryRegistry`] holding the pattern `queries` times (the copies
+    /// share its fragments), each copy read through `per_query` and
+    /// [`QueryRegistry::query_metrics`].
+    Registry {
+        /// Copies of the pattern registered.
+        queries: usize,
+    },
+    /// A [`ShardedRuntime`] run at `shards` workers.
+    #[allow(missing_docs)]
+    Sharded {
+        shards: usize,
+        route: Route,
+        entry: Entry,
+        /// Whether the run collects its matches or only counts them.
+        collect: bool,
+    },
+    /// An [`AdaptiveEngine`].
+    #[allow(missing_docs)]
+    Adaptive {
+        replan: Replan,
+        config: AdaptiveConfig,
+    },
+}
+
+impl Composition {
+    /// [`Composition::Sharded`] at `shards` workers.
+    pub fn sharded(shards: usize, route: Route, entry: Entry, collect: bool) -> Composition {
+        Composition::Sharded {
+            shards,
+            route,
+            entry,
+            collect,
+        }
+    }
+}
+
+/// What [`check`] saw, for the caller's own assertions (a fixture that
+/// matches, a run that swapped): the oracle's match count and the
+/// composition's whole-run metrics.
+#[derive(Debug)]
+#[allow(missing_docs)]
+pub struct Checked {
+    pub matches: u64,
+    pub metrics: EngineMetrics,
+}
+
+/// The engine config every [`check`] runs under (Kleene sets capped at 4
+/// events).
+pub fn check_config() -> EngineConfig {
+    EngineConfig {
         max_kleene_events: 4,
         ..Default::default()
+    }
+}
+
+/// An eager adaptive configuration: a `horizon_ms` rate horizon, a
+/// hair-trigger drift threshold, a check every 4 events, no cooldown.
+pub fn eager(horizon_ms: u64) -> AdaptiveConfig {
+    AdaptiveConfig {
+        horizon_ms,
+        drift_threshold: 1e-6,
+        check_every: 4,
+        cooldown_events: 0,
+        ..AdaptiveConfig::default()
+    }
+}
+
+/// A [`PlanReplanner`] planning `branches` with `algorithm` from skewed
+/// bootstrap rates (the elements' types at 5, 1 and 0.01 events per ms,
+/// cycling) and selectivity 0.5, so that the even rates of a drawn stream
+/// make it swap under an [`eager`] configuration.
+pub fn skewed_replanner(branches: &[CompiledPattern], algorithm: Backend) -> PlanReplanner {
+    let mut skewed = MeasuredStats::default();
+    for cp in branches {
+        for (e, rate) in cp.elements.iter().zip([5.0, 1.0, 0.01].iter().cycle()) {
+            skewed.set_rate(e.event_type, *rate);
+        }
+    }
+    let branches = (branches.iter())
+        .map(|cp| (cp.clone(), vec![0.5; cp.predicates.len()]))
+        .collect();
+    let planner = Planner::default();
+    PlanReplanner::new(branches, &skewed, planner, algorithm, check_config()).expect("a plan")
+}
+
+/// One engine over every branch: the backend's engine for a one-branch
+/// pattern, a [`MultiEngine`] over them otherwise.
+fn bare_engine(
+    backend: &SeededBackend,
+    branches: &[CompiledPattern],
+    seed: u64,
+    window: u64,
+) -> Box<dyn Engine> {
+    let mut engines: Vec<_> = (branches.iter())
+        .map(|cp| backend.build(cp, seed, &check_config()))
+        .collect();
+    match engines.len() {
+        1 => engines.pop().expect("one engine"),
+        _ => Box::new(MultiEngine::new(engines, window)),
+    }
+}
+
+/// The engine work of a registry's fragments for the pattern: each
+/// branch's bare engine over what the registry dispatches to it (its
+/// types; every event if it negates one), absorbed as the registry's
+/// views absorb them.
+fn fragments(
+    backend: &SeededBackend,
+    branches: &[CompiledPattern],
+    seed: u64,
+    stream: &EventStream,
+) -> EngineMetrics {
+    let mut m = EngineMetrics::new();
+    for cp in branches {
+        let types: Vec<_> = cp.elements.iter().map(|e| e.event_type).collect();
+        let dispatched: EventStream = (stream.iter())
+            .filter(|e| !cp.negated.is_empty() || types.contains(&e.type_id))
+            .cloned()
+            .collect();
+        let mut engine = backend.build(cp, seed, &check_config());
+        drive(engine.as_mut(), &dispatched);
+        m.absorb(engine.metrics());
+    }
+    m
+}
+
+/// Offers every event, then flushes: no driver-side timing, so every
+/// histogram sample comes from the engines and wrappers themselves.
+fn drive(engine: &mut dyn Engine, stream: &EventStream) -> Vec<Match> {
+    let mut out = Vec::new();
+    for e in stream {
+        engine.process(e, &mut out);
+    }
+    engine.flush(&mut out);
+    out
+}
+
+/// Runs `pattern` under `strategy` (one of the three exact strategies)
+/// through `composition` over `backend` (plans from `seed`), and holds it
+/// to three things:
+///
+/// * its matches, as canonical [`digests`] (or, uncollected, their
+///   count), equal the oracle's over the stream's in-order subsequence
+///   ([`split_late`]): every branch's naive engine, duplicates removed;
+/// * it drops the stream's late events and processes the rest (sharded:
+///   plus the replicated deliveries);
+/// * every [`comparable`] field but the [`LAYER_FIELDS`] equals the bare
+///   engine's, built from the same backend and seed: over the whole
+///   stream, over what a registry dispatches to each fragment, per shard
+///   over the slice the router hands it (merged, the extra deliveries and
+///   the deduplicated copies counted), or, under forced swaps, every
+///   engine the adaptive wrapper built, folded as its view folds them.
+///
+/// Panics with the composition, backend, seed and pattern on the first
+/// difference.
+pub fn check(
+    composition: &Composition,
+    backend: &SeededBackend,
+    seed: u64,
+    strategy: SelectionStrategy,
+    pattern: &Pattern,
+    stream: &EventStream,
+) -> Checked {
+    let mut pattern = pattern.clone();
+    pattern.strategy = strategy;
+    let branches = CompiledPattern::compile(&pattern).expect("a compilable pattern");
+    let name = backend.name;
+    let ctx = format!("{composition:?} over {name}(seed {seed}), {strategy}: {pattern}");
+    let (in_order, late) = split_late(stream);
+    let naive =
+        |cp: &CompiledPattern| drive(&mut NaiveEngine::new(cp.clone(), check_config()), &in_order);
+    let mut seen = std::collections::HashSet::new();
+    let mut want = digests(&branches.iter().flat_map(naive).collect::<Vec<_>>());
+    want.retain(|d| seen.insert(d.0.clone()));
+    let (window, cfg) = (pattern.window, check_config());
+    let bare = || bare_engine(backend, &branches, seed, window);
+    // Each output's matches (`None` uncollected) and count, and the
+    // (view, its metrics, the bare engine's) triples compared field by
+    // field; the arm yields the whole-run metrics.
+    let mut outputs: Vec<(Option<Vec<Match>>, u64)> = Vec::new();
+    let mut views: Vec<(String, EngineMetrics, EngineMetrics)> = Vec::new();
+    let metrics = match composition {
+        Composition::Bare => {
+            let mut engine = bare();
+            let ms = drive(engine.as_mut(), stream);
+            // Its own match counter is held to the oracle as an output too.
+            outputs.push((None, engine.metrics().matches_emitted));
+            outputs.push((Some(ms), 0));
+            engine.metrics().clone()
+        }
+        Composition::Multi => {
+            let engines = branches.iter().map(|cp| backend.build(cp, seed, &cfg));
+            let mut multi = MultiEngine::new(engines.collect(), window);
+            outputs.push((Some(drive(&mut multi, stream)), 0));
+            let mut engine = bare();
+            drive(engine.as_mut(), stream);
+            let m = multi.metrics().clone();
+            views.push(("multi".into(), m.clone(), engine.metrics().clone()));
+            m
+        }
+        Composition::Registry { queries } => {
+            let mut registry = QueryRegistry::new(fragment_builder(backend, seed, &cfg));
+            let ids: Vec<_> = (0..*queries)
+                .map(|_| registry.register(&pattern).expect("registration"))
+                .collect();
+            let mut run = registry.run(stream);
+            // A query's own counts stand in its view.
+            let mut base = fragments(backend, &branches, seed, &in_order);
+            base.events_processed = in_order.len() as u64;
+            base.matches_emitted = want.len() as u64;
+            for id in ids {
+                outputs.push((run.per_query.remove(&id), 0));
+                let view = registry.query_metrics(id).expect("a live query");
+                views.push((format!("query {id}"), view, base.clone()));
+            }
+            run.metrics
+        }
+        Composition::Sharded {
+            shards,
+            route,
+            entry,
+            collect,
+        } => {
+            let policy = match route {
+                Route::Partition => RoutingPolicy::Partition,
+                Route::HashAttr(attr) => RoutingPolicy::HashAttr(*attr),
+                Route::RoundRobin => RoutingPolicy::RoundRobin,
+                Route::ReplicateJoin => RoutingPolicy::ReplicateJoin(Arc::new(
+                    QueryPartitioner::analyze(&branches, |_| 1.0).expect("a partition spec"),
+                )),
+            };
+            let runtime = ShardedRuntime::with_shards(*shards);
+            let keep = |ms: Vec<Match>| collect.then_some(ms);
+            let (copies, metrics, per_shard) = match entry {
+                Entry::Run | Entry::RunQuery => {
+                    let r = match entry {
+                        Entry::Run => runtime.run(&bare, stream, policy.clone(), *collect),
+                        _ => {
+                            (runtime.run_query(&bare, stream, policy.clone(), &branches, *collect))
+                                .unwrap_or_else(|e| panic!("{ctx}: {e}"))
+                        }
+                    };
+                    outputs.push((keep(r.matches), r.match_count));
+                    (1, r.metrics, r.per_shard)
+                }
+                Entry::RunRegistry { queries } => {
+                    let mut spec = RegistrySpec::new(fragment_builder(backend, seed, &cfg));
+                    let ids: Vec<_> = (0..*queries)
+                        .map(|_| spec.add(&pattern).expect("registration"))
+                        .collect();
+                    let mut r = (runtime.run_registry(&spec, stream, policy.clone(), *collect))
+                        .unwrap_or_else(|e| panic!("{ctx}: {e}"));
+                    for id in ids {
+                        let ms = r.per_query.remove(&id).expect("an entry per query");
+                        outputs.push((keep(ms), r.match_counts[&id]));
+                    }
+                    (*queries as u64, r.metrics, r.per_shard)
+                }
+                Entry::RunAdaptive { replanner, config } => {
+                    // The workers' replanners build their own engines: no
+                    // bare engine stands for them.
+                    let factory =
+                        AdaptiveFactory::new(replanner(&branches), window, config.clone());
+                    let r = runtime.run(&factory, stream, policy.clone(), *collect);
+                    outputs.push((keep(r.matches), r.match_count));
+                    (0, r.metrics, vec![])
+                }
+            };
+            // Per shard, the bare engine over its slice, sampled as a worker
+            // samples (as `run_to_completion` does, one latency per delivered
+            // match); a registry worker's fragments see what it dispatches.
+            let mut router = ShardRouter::new(*shards, policy);
+            let mut slices: Vec<EventStream> = vec![Vec::new(); *shards];
+            for e in &in_order {
+                match router.route_target(e) {
+                    RouteTarget::One(i) => slices[i].push(e.clone()),
+                    RouteTarget::All => slices.iter_mut().for_each(|s| s.push(e.clone())),
+                }
+            }
+            let mut merged = EngineMetrics::new();
+            let mut delivered = 0;
+            for (s, slice) in per_shard.into_iter().zip(&slices) {
+                let mut base = run_to_completion(bare().as_mut(), slice, false).metrics;
+                let shard_delivered = base.matches_emitted * copies;
+                if let Entry::RunRegistry { .. } = entry {
+                    let mut frags = fragments(backend, &branches, seed, slice);
+                    frags.events_processed = base.events_processed;
+                    frags.event_ns = base.event_ns;
+                    frags.match_latency_ns.record_n(0, shard_delivered);
+                    base = frags;
+                }
+                let at = format!("shard {}", s.shard);
+                assert_eq!(s.events_routed, slice.len() as u64, "{ctx}: {at}");
+                assert_eq!(s.match_count, shard_delivered, "{ctx}: {at}");
+                merged.merge(&base);
+                delivered += shard_delivered;
+                views.push((at, s.metrics, base));
+            }
+            if copies > 0 {
+                assert_eq!(views.len(), *shards, "{ctx}: a result per shard");
+                merged.replicated_events = merged.events_processed - in_order.len() as u64;
+                merged.dedup_hits = delivered.saturating_sub(copies * want.len() as u64);
+                merged.late_events_dropped = late;
+                views.push(("merged".into(), metrics.clone(), merged));
+            }
+            metrics
+        }
+        Composition::Adaptive { replan, config } => {
+            let built = Arc::new(Mutex::new(Vec::new()));
+            let config = config.clone();
+            let mut adaptive: Box<dyn Engine> = match replan {
+                Replan::Forced { history_ms } => {
+                    let forced = Forced {
+                        backend: backend.clone(),
+                        branches: branches.clone(),
+                        seeds: [seed, seed + 1],
+                        window,
+                        history_ms: *history_ms,
+                        built: Arc::clone(&built),
+                    };
+                    Box::new(AdaptiveEngine::new(forced, window, config))
+                }
+                Replan::Planned(planned) => {
+                    Box::new(AdaptiveEngine::new(planned(&branches), window, config))
+                }
+            };
+            let ms = drive(adaptive.as_mut(), stream);
+            // Read before the lock: a view read publishes the active engine.
+            let metrics = adaptive.metrics().clone();
+            let built = built.lock().expect("unpoisoned");
+            if !built.is_empty() {
+                // The engines one after another, the retired ones holding
+                // no live state; the wrapper's own counts stand.
+                let mut base = EngineMetrics::new();
+                for (i, engine) in built.iter().enumerate() {
+                    let mut engine = engine.clone();
+                    if i + 1 < built.len() {
+                        engine.clear_live();
+                    }
+                    base.merge(&engine);
+                }
+                base.events_processed = in_order.len() as u64;
+                base.matches_emitted = ms.len() as u64;
+                base.late_events_dropped = late;
+                views.push(("adaptive".into(), metrics.clone(), base));
+            }
+            outputs.push((Some(ms), 0));
+            metrics
+        }
     };
-    check_registry_stream(&patterns, &stream, &base_cfg, seed);
+    // A shard's watermark follows its own slice, so it may release a
+    // deferred match (emitted after its last event) later than the unsplit
+    // stream does, never earlier (see the cep-shard crate docs).
+    let lags = matches!(composition, Composition::Sharded { .. });
+    for (i, (ms, count)) in outputs.iter().enumerate() {
+        let Some(ms) = ms else {
+            assert_eq!(*count, want.len() as u64, "{ctx}: output {i} count");
+            continue;
+        };
+        let (mut got, mut exp) = (digests(ms), want.clone());
+        if lags {
+            got.sort();
+            exp.sort();
+            for (g, w) in got.iter_mut().zip(&exp) {
+                if (&g.0, g.1) == (&w.0, w.1) && w.2 > w.1 && g.2 > w.2 {
+                    g.2 = w.2;
+                }
+            }
+        }
+        assert_eq!(got, exp, "{ctx}: output {i}");
+    }
+    assert_eq!(metrics.late_events_dropped, late, "{ctx}: late events");
+    let processed = metrics.events_processed - metrics.replicated_events;
+    assert_eq!(processed, in_order.len() as u64, "{ctx}: events processed");
+    let owned = |&(name, _): &(&str, u64)| !LAYER_FIELDS.contains(&name);
+    for (view, got, base) in views {
+        let got: Vec<_> = comparable(&got).into_iter().filter(owned).collect();
+        let base: Vec<_> = comparable(&base).into_iter().filter(owned).collect();
+        assert_eq!(got, base, "{ctx}: {view} metrics against the bare engine's");
+    }
+    let matches = want.len() as u64;
+    Checked { matches, metrics }
+}
+
+/// [`Replan::Forced`]. It records the final metrics of every engine it
+/// builds, so [`check`] can fold the ones the wrapper swapped out and
+/// dropped.
+struct Forced {
+    backend: SeededBackend,
+    branches: Vec<CompiledPattern>,
+    seeds: [u64; 2],
+    window: u64,
+    history_ms: u64,
+    built: Arc<Mutex<Vec<EngineMetrics>>>,
+}
+
+impl Replanner for Forced {
+    fn build(&self) -> Box<dyn Engine> {
+        let inner = bare_engine(&self.backend, &self.branches, self.seeds[0], self.window);
+        let mut built = self.built.lock().expect("unpoisoned");
+        built.push(EngineMetrics::new());
+        let (built, slot) = (Arc::clone(&self.built), built.len() - 1);
+        Box::new(Published { inner, built, slot })
+    }
+
+    fn replan_amortized(
+        &mut self,
+        _: &MeasuredStats,
+        _: &SwapCost,
+        _: &EventWindow,
+    ) -> ReplanVerdict {
+        self.seeds.swap(0, 1);
+        ReplanVerdict::Swap
+    }
+
+    fn history_ms(&self) -> u64 {
+        self.history_ms
+    }
+
+    fn stats_drifted(&mut self, _: &EventWindow) -> bool {
+        true
+    }
+
+    fn consumes(&self) -> bool {
+        self.branches[0].strategy.consumes()
+    }
+
+    fn negated_types(&self) -> Vec<TypeId> {
+        let negated = self.branches.iter().flat_map(|cp| &cp.negated);
+        negated.map(|ne| ne.event_type).collect()
+    }
+}
+
+/// An engine that copies its metrics into its [`Forced`] slot after every
+/// call.
+struct Published {
+    inner: Box<dyn Engine>,
+    built: Arc<Mutex<Vec<EngineMetrics>>>,
+    slot: usize,
+}
+
+impl Published {
+    fn publish(&self) {
+        self.built.lock().expect("unpoisoned")[self.slot] = self.inner.metrics().clone();
+    }
+}
+
+impl Engine for Published {
+    fn process(&mut self, event: &EventRef, out: &mut Vec<Match>) {
+        self.inner.process(event, out);
+        self.publish();
+    }
+
+    fn flush(&mut self, out: &mut Vec<Match>) {
+        self.inner.flush(out);
+        self.publish();
+    }
+
+    fn metrics(&self) -> &EngineMetrics {
+        self.publish();
+        self.inner.metrics()
+    }
+
+    fn metrics_mut(&mut self) -> &mut EngineMetrics {
+        self.inner.metrics_mut()
+    }
+
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
 }

@@ -89,6 +89,8 @@ pub use cep_tree as tree;
 
 pub mod builder;
 pub mod conformance;
+#[cfg(test)]
+mod tests;
 
 pub use builder::{engine, registry, Backend, BranchFactory, EngineBuilder, RegistryBuilder};
 

@@ -5,15 +5,13 @@
 //! delta counters (index probes, delta updates, enumeration histogram)
 //! survive the cross-shard metrics merge.
 
-use cep::conformance::keyed;
-use cep::core::compile::CompiledPattern;
-use cep::core::engine::{run_to_completion, EngineConfig};
+use cep::conformance::{check, standard_backends, Composition, Entry, Route};
 use cep::core::event::{Event, TypeId};
 use cep::core::pattern::PatternBuilder;
 use cep::core::predicate::{CmpOp, Predicate};
+use cep::core::selection::SelectionStrategy;
 use cep::core::stream::StreamBuilder;
 use cep::core::value::Value;
-use cep::delta::DeltaEngine;
 use cep::shard::{RoutingPolicy, ShardedRuntime};
 
 #[test]
@@ -42,30 +40,17 @@ fn sharded_delta_is_byte_identical_to_serial() {
     }
     let stream = sb.build();
 
-    let cp = CompiledPattern::compile_single(&pattern).unwrap();
-    let mut serial = DeltaEngine::new(cp, EngineConfig::default());
-    let expected = run_to_completion(&mut serial, &stream, true);
-    assert!(expected.match_count > 0, "fixture must produce matches");
-
-    let factory = cep::engine(&pattern).factory().unwrap();
+    // Output, and every counter per shard and merged, are the serial
+    // delta engine's: the delta counters survive the merge.
+    let delta = &standard_backends()[2];
+    let any = SelectionStrategy::SkipTillAnyMatch;
     for shards in [1, 2, 4] {
-        let runtime = ShardedRuntime::with_shards(shards);
-        let r = runtime.run(factory.as_ref(), &stream, RoutingPolicy::HashAttr(0), true);
-        assert_eq!(
-            keyed(&r.matches),
-            keyed(&expected.matches),
-            "{shards}-shard delta merge diverged from serial"
-        );
-        assert_eq!(
-            r.metrics.partial_matches_created, 0,
-            "delta shards must not materialize partial matches"
-        );
-        assert!(
-            r.metrics.index_probes > 0,
-            "index probes must survive the cross-shard metrics merge"
-        );
-        assert!(r.metrics.delta_updates > 0);
-        assert!(r.metrics.enumeration_ns.count() > 0);
+        let c = Composition::sharded(shards, Route::HashAttr(0), Entry::Run, true);
+        let checked = check(&c, delta, 0, any, &pattern, &stream);
+        assert!(checked.matches > 0, "fixture must produce matches");
+        let m = &checked.metrics;
+        assert_eq!(m.partial_matches_created, 0, "nothing materialized");
+        assert!(m.index_probes > 0 && m.delta_updates > 0 && m.enumeration_ns.count() > 0);
     }
 }
 

@@ -2,9 +2,9 @@
 //! engines over generated stock streams, with every algorithm agreeing on
 //! the detected matches and the strategy semantics holding.
 
+use cep::conformance::signatures;
 use cep::core::compile::CompiledPattern;
 use cep::core::engine::{run_to_completion, EngineConfig};
-use cep::core::matches::Match;
 use cep::core::schema::Catalog;
 use cep::core::selection::SelectionStrategy;
 use cep::prelude::*;
@@ -15,12 +15,6 @@ fn setup(seed: u64) -> (Catalog, GeneratedStream) {
     let mut catalog = Catalog::new();
     let gen = StockStreamGenerator::generate(&config, &mut catalog).unwrap();
     (catalog, gen)
-}
-
-fn signatures(ms: &[Match]) -> Vec<Vec<(usize, Vec<u64>)>> {
-    let mut sigs: Vec<_> = ms.iter().map(|m| m.signature()).collect();
-    sigs.sort();
-    sigs
 }
 
 #[test]

@@ -4,28 +4,26 @@
 //! router or an adaptive wrapper — in release builds as in debug ones.
 //! A dropped event counts in no other field, `events_processed` included.
 //! Every entry point then answers as the naive oracle does on the same
-//! stream with its late events left out.
+//! stream with its late events left out: each test runs its compositions
+//! through `cep::conformance::check`.
 
-use cep::adaptive::{AdaptiveConfig, AdaptiveEngine, PlanReplanner};
-use cep::conformance::{keyed, standard_backends, MatchKey};
+use cep::adaptive::PlanReplanner;
+use cep::conformance::{
+    build_late_stream, build_pattern, check, eager, skewed_replanner, split_late,
+    standard_backends, Composition, Entry, PatternSpec, Replan, Route, SeededBackend,
+};
 use cep::core::compile::CompiledPattern;
-use cep::core::compiled::PredicateProgram;
-use cep::core::engine::{run_to_completion, Engine, EngineConfig, MultiEngine};
 use cep::core::event::{Event, TypeId};
-use cep::core::matches::Match;
-use cep::core::metrics::EngineMetrics;
 use cep::core::naive::NaiveEngine;
-use cep::core::pattern::{Pattern, PatternBuilder};
+use cep::core::partition::partition_local_on;
+use cep::core::pattern::{Pattern, PatternBuilder, PatternExpr};
 use cep::core::predicate::{CmpOp, Predicate};
-use cep::core::registry::{FragmentBuilder, QueryRegistry};
-use cep::core::stats::MeasuredStats;
+use cep::core::selection::SelectionStrategy;
 use cep::core::stream::EventStream;
 use cep::core::value::Value;
-use cep::nfa::NfaEngine;
-use cep::optimizer::planner::Planner;
-use cep::optimizer::OrderAlgorithm;
-use cep::shard::{RoutingPolicy, ShardedRuntime};
+use cep::optimizer::{OrderAlgorithm, TreeAlgorithm};
 use cep::Backend;
+use proptest::prelude::*;
 use std::sync::Arc;
 
 const WINDOW: u64 = 12;
@@ -67,143 +65,130 @@ fn stream() -> EventStream {
         .collect()
 }
 
-/// The stream's late events: those below the largest timestamp before
-/// them.
-fn late_count(stream: &EventStream) -> u64 {
-    let mut watermark = 0;
-    let mut late = 0;
-    for e in stream {
-        if e.ts < watermark {
-            late += 1;
-        }
-        watermark = watermark.max(e.ts);
-    }
-    late
+/// Plans with DP-LD or ZStream-Ord from skewed bootstrap rates.
+const PLANNED: [fn(&[CompiledPattern]) -> PlanReplanner; 2] = [
+    |b| skewed_replanner(b, Backend::Nfa(OrderAlgorithm::DpLd)),
+    |b| skewed_replanner(b, Backend::Tree(TreeAlgorithm::ZStreamOrd)),
+];
+
+/// Every composition of the matrix: the bare engine, a `MultiEngine`, a
+/// registry, the adaptive wrapper under forced swaps and under a DP-LD
+/// replanner, and each shard entry point at 1 and 2 shards under `route`.
+fn compositions(route: Route, window: u64, collect: bool) -> Vec<Composition> {
+    let config = eager(window);
+    let adaptive = |replan| Composition::Adaptive {
+        replan,
+        config: eager(window),
+    };
+    let replanner = PLANNED[0];
+    let entries = [
+        Entry::Run,
+        Entry::RunQuery,
+        Entry::RunRegistry { queries: 1 },
+        Entry::RunAdaptive { replanner, config },
+    ];
+    let sharded = (1..=2).flat_map(|n| {
+        entries
+            .clone()
+            .map(|e| Composition::sharded(n, route, e, collect))
+    });
+    let wrapped = [
+        Composition::Bare,
+        Composition::Multi,
+        Composition::Registry { queries: 2 },
+        adaptive(Replan::Forced { history_ms: 0 }),
+        adaptive(Replan::Planned(replanner)),
+    ];
+    wrapped.into_iter().chain(sharded).collect()
 }
 
-/// What a run answers: its matches, and the events it dropped as late and
-/// the ones it processed.
-type Answer = (Vec<MatchKey>, u64, u64);
-
-fn answer(matches: &[Match], metrics: &EngineMetrics) -> Answer {
-    let counts = (metrics.late_events_dropped, metrics.events_processed);
-    (keyed(matches), counts.0, counts.1)
-}
-
-fn run(engine: &mut dyn Engine, stream: &EventStream) -> Answer {
-    let result = run_to_completion(engine, stream, true);
-    answer(&result.matches, &result.metrics)
-}
-
-/// The oracle's answer: the naive engine's matches over the stream
-/// without its late events.
-fn expected(cp: &CompiledPattern, stream: &EventStream) -> Vec<MatchKey> {
-    let mut watermark = 0;
-    let in_order: EventStream = stream
-        .iter()
-        .filter(|e| {
-            let keep = e.ts >= watermark;
-            watermark = watermark.max(e.ts);
-            keep
-        })
-        .cloned()
-        .collect();
-    let mut naive = NaiveEngine::new(cp.clone(), EngineConfig::default());
-    run(&mut naive, &in_order).0
+/// The naive engine as a backend: late events reach it as they reach any
+/// other engine.
+fn naive() -> SeededBackend {
+    SeededBackend::new("naive", |cp, _, cfg| {
+        Box::new(NaiveEngine::new(cp.clone(), cfg.clone()))
+    })
 }
 
 #[test]
 fn every_entry_point_drops_and_counts_late_events() {
-    let pattern = pattern();
-    let cp = CompiledPattern::compile_single(&pattern).unwrap();
-    let stream = stream();
-    let late = late_count(&stream);
-    let matches = expected(&cp, &stream);
+    let (pattern, stream) = (pattern(), stream());
+    let (_, late) = split_late(&stream);
     assert!(late >= 5, "the fixture has late events ({late})");
-    assert!(
-        matches.len() >= 5,
-        "the fixture has matches ({})",
-        matches.len()
-    );
-    let want = (matches, late, stream.len() as u64 - late);
-    let cfg = EngineConfig::default();
-
-    let mut naive = NaiveEngine::new(cp.clone(), cfg.clone());
-    assert_eq!(run(&mut naive, &stream), want, "naive");
-
-    let backends = standard_backends();
-    for backend in &backends {
+    let any = SelectionStrategy::SkipTillAnyMatch;
+    for backend in std::iter::once(naive()).chain(standard_backends()) {
         for seed in 0..3 {
-            let mut engine = backend.build(&cp, seed, &cfg);
-            let got = run(engine.as_mut(), &stream);
-            assert_eq!(got, want, "{}(seed {seed})", backend.name);
+            for c in compositions(Route::HashAttr(0), WINDOW, true) {
+                let checked = check(&c, &backend, seed, any, &pattern, &stream);
+                assert!(checked.matches >= 5, "the fixture has matches");
+                if let Composition::Adaptive { .. } = c {
+                    assert!(checked.metrics.plan_swaps >= 1, "{c:?} swaps plans");
+                }
+            }
         }
     }
+}
 
-    // Two branches of one pattern: the wrapper drops a late event once,
-    // not once per branch, and dedups the shared matches.
-    let branches = backends.iter().map(|b| b.build(&cp, 1, &cfg)).collect();
-    let mut multi = MultiEngine::new(branches, WINDOW);
-    assert_eq!(run(&mut multi, &stream), want, "multi");
-
-    // A one-query registry drops against its own watermark: the type-3
-    // events advance it, not the fragment's.
-    let nfa = Arc::new(backends.into_iter().next().unwrap());
-    let fcfg = cfg.clone();
-    let builder: Arc<dyn FragmentBuilder> =
-        Arc::new(move |cp: &CompiledPattern, _: Arc<PredicateProgram>| Ok(nfa.build(cp, 0, &fcfg)));
-    let mut registry = QueryRegistry::new(builder);
-    let id = registry.register(&pattern).unwrap();
-    let result = registry.run(&stream);
-    let got = answer(&result.per_query[&id], &result.metrics);
-    assert_eq!(got, want, "registry");
-
-    // The shard router drops against the whole stream's watermark, before
-    // routing.
-    let factory_cp = cp.clone();
-    let factory = move || -> Box<dyn Engine> {
-        Box::new(NfaEngine::with_trivial_plan(
-            factory_cp.clone(),
-            EngineConfig::default(),
-        ))
-    };
-    for shards in [1, 2] {
-        let result = ShardedRuntime::with_shards(shards).run(
-            &factory,
-            &stream,
-            RoutingPolicy::HashAttr(0),
-            true,
-        );
-        let got = answer(&result.matches, &result.metrics);
-        assert_eq!(got, want, "{shards} shards");
+proptest! {
+    /// Drawn patterns over drawn streams with late events, through every
+    /// composition, backend and exact strategy (an adaptive one may replan
+    /// with DP-LD, ZStream-Ord or forced swaps). A drawn pattern may join
+    /// its positive elements on attribute 0 and may turn its second and
+    /// third elements into an `OR`. Sharded runs hash attribute 0 where
+    /// that is exact for the pattern, and replicate joins elsewhere.
+    #[test]
+    fn drawn_out_of_order_streams_agree_with_the_oracle_everywhere(
+        elements in prop::collection::vec((0u32..4, 0u8..4), 1..5),
+        predicates in prop::collection::vec((0usize..4, 0usize..4, 0u8..4), 0..3),
+        flags in (any::<bool>(), any::<bool>(), any::<bool>(), any::<bool>()),
+        tree_planned in any::<bool>(),
+        window in 2u64..8,
+        raw in prop::collection::vec((0u32..5, 0u8..4, 0i8..3, 0u8..8), 0..40),
+        composition_idx in 0usize..13,
+        backend_idx in 0usize..3,
+        strategy_idx in 0usize..3,
+        seed in 0u64..4,
+    ) {
+        let (is_seq, keyed, disjoin, collect) = flags;
+        let spec = PatternSpec {
+            is_seq,
+            // Flags 0 plain, 1 negated, 2 Kleene; 3 reads as plain.
+            elements: elements.into_iter().map(|(t, f)| (t, f % 3)).collect(),
+            predicates,
+            filters: vec![],
+            window,
+        };
+        let Some(mut pattern) = build_pattern(&spec) else { return Ok(()) };
+        if keyed {
+            let positive: Vec<_> = pattern.primitives().into_iter().filter(|p| !p.negated).collect();
+            for w in positive.windows(2) {
+                let eq = Predicate::attr_cmp(w[0].position, 0, CmpOp::Eq, w[1].position, 0);
+                pattern.predicates.push(eq);
+            }
+        }
+        if let (true, PatternExpr::Seq(children) | PatternExpr::And(children)) = (disjoin, &mut pattern.expr) {
+            if children.len() >= 3 {
+                let pair = children.drain(1..3).collect();
+                children.insert(1, PatternExpr::Or(pair));
+            }
+        }
+        let Ok(branches) = CompiledPattern::compile(&pattern) else { return Ok(()) };
+        let route = match partition_local_on(&branches, 0) {
+            Ok(()) => Route::HashAttr(0),
+            Err(_) => Route::ReplicateJoin,
+        };
+        let mut c = compositions(route, window, collect).swap_remove(composition_idx);
+        if let (true, Composition::Adaptive { replan: replan @ Replan::Planned(_), .. }) =
+            (tree_planned, &mut c)
+        {
+            *replan = Replan::Planned(PLANNED[1]);
+        }
+        let strategy = [
+            SelectionStrategy::SkipTillAnyMatch,
+            SelectionStrategy::StrictContiguity,
+            SelectionStrategy::PartitionContiguity,
+        ][strategy_idx];
+        let backend = &standard_backends()[backend_idx];
+        check(&c, backend, seed, strategy, &pattern, &build_late_stream(&raw));
     }
-
-    // The adaptive wrapper drops before its event window. Its initial
-    // plan is built for skewed rates, so the even ones it sees make it
-    // swap plans and replay its window into the new engine.
-    let mut skewed = MeasuredStats::default();
-    for (ty, rate) in [(0, 5.0), (1, 1.0), (2, 0.01)] {
-        skewed.set_rate(TypeId(ty), rate);
-    }
-    let replanner = PlanReplanner::new(
-        vec![(cp.clone(), vec![0.5; cp.predicates.len()])],
-        &skewed,
-        Planner::default(),
-        Backend::Nfa(OrderAlgorithm::DpLd),
-        cfg.clone(),
-    )
-    .unwrap();
-    let mut adaptive = AdaptiveEngine::new(
-        replanner,
-        WINDOW,
-        AdaptiveConfig {
-            horizon_ms: WINDOW,
-            drift_threshold: 1e-6,
-            check_every: 4,
-            cooldown_events: 0,
-            ..AdaptiveConfig::default()
-        },
-    );
-    assert_eq!(run(&mut adaptive, &stream), want, "adaptive");
-    assert!(adaptive.swaps() >= 1, "the adaptive run swaps plans");
 }

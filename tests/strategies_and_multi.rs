@@ -1,6 +1,7 @@
 //! Deeper coverage of the selection strategies, multi-engine disjunction
 //! handling, and engine lifecycle edge cases.
 
+use cep::conformance::standard_engines;
 use cep::core::compile::CompiledPattern;
 use cep::core::engine::{run_to_completion, Engine, EngineConfig, MultiEngine};
 use cep::core::event::{Event, TypeId};
@@ -11,7 +12,6 @@ use cep::core::predicate::{CmpOp, Predicate};
 use cep::core::selection::SelectionStrategy;
 use cep::core::stream::StreamBuilder;
 use cep::core::value::Value;
-use cep::delta::DeltaEngine;
 use cep::nfa::NfaEngine;
 use cep::tree::TreeEngine;
 
@@ -31,15 +31,6 @@ fn stream(events: Vec<Event>) -> Vec<cep::core::event::EventRef> {
     b.build()
 }
 
-/// The NFA, tree and delta engines for `cp`, each with its trivial plan.
-fn every_backend(cp: &CompiledPattern, cfg: EngineConfig) -> [Box<dyn Engine>; 3] {
-    [
-        Box::new(NfaEngine::with_trivial_plan(cp.clone(), cfg.clone())),
-        Box::new(TreeEngine::with_trivial_plan(cp.clone(), cfg.clone())),
-        Box::new(DeltaEngine::new(cp.clone(), cfg)),
-    ]
-}
-
 #[test]
 fn empty_stream_produces_no_matches() {
     let mut b = PatternBuilder::new(10);
@@ -47,7 +38,7 @@ fn empty_stream_produces_no_matches() {
     let c = b.event(t(1), "c");
     let cp = CompiledPattern::compile_single(&b.seq([a, c]).unwrap()).unwrap();
     let s: Vec<cep::core::event::EventRef> = Vec::new();
-    for mut engine in every_backend(&cp, EngineConfig::default()) {
+    for mut engine in standard_engines(&cp, &EngineConfig::default()) {
         let r = run_to_completion(engine.as_mut(), &s, true);
         assert_eq!(r.match_count, 0, "{}", engine.name());
     }
@@ -59,7 +50,7 @@ fn single_element_pattern_matches_every_event() {
     let a = b.event(t(0), "a");
     let cp = CompiledPattern::compile_single(&b.seq([a]).unwrap()).unwrap();
     let s = stream(vec![ev(0, 1, 0), ev(1, 2, 0), ev(0, 3, 0)]);
-    for mut engine in every_backend(&cp, EngineConfig::default()) {
+    for mut engine in standard_engines(&cp, &EngineConfig::default()) {
         let r = run_to_completion(engine.as_mut(), &s, true);
         assert_eq!(r.match_count, 2, "{}", engine.name());
     }
@@ -70,7 +61,7 @@ fn flush_without_events_is_harmless() {
     let mut b = PatternBuilder::new(10);
     let a = b.event(t(0), "a");
     let cp = CompiledPattern::compile_single(&b.seq([a]).unwrap()).unwrap();
-    for mut engine in every_backend(&cp, EngineConfig::default()) {
+    for mut engine in standard_engines(&cp, &EngineConfig::default()) {
         let mut out = Vec::new();
         engine.flush(&mut out);
         engine.flush(&mut out);
@@ -153,7 +144,7 @@ fn next_match_stays_disjoint_after_consuming_a_hundred_thousand_events() {
             exprs.insert(1, b.not(nc));
         }
         let cp = CompiledPattern::compile_single(&b.and_exprs(exprs).unwrap()).unwrap();
-        for mut engine in every_backend(&cp, cfg.clone()) {
+        for mut engine in standard_engines(&cp, &cfg) {
             let r = run_to_completion(engine.as_mut(), &s, true);
             let name = engine.name();
             let mut used = std::collections::HashSet::new();
