@@ -9,10 +9,10 @@
 //! `engine_equivalence` integration suite draws from, plus the backend
 //! registry: a [`SeededBackend`] is a named constructor from a compiled
 //! pattern (and a plan seed) to a boxed engine, and
-//! [`check_equivalence_under`] runs every registered backend over the same
-//! stream, asserting output *byte-identical* to the oracle: sorted
-//! `(signature, emitted_at)` pairs, not just match sets. New backends get
-//! the full differential sweep by adding one entry to
+//! [`check_stream_under`] runs every registered backend over the same
+//! stream, asserting output *byte-identical* to the oracle: canonical
+//! `(signature, last_ts, emitted_at)` digests, not just match sets. New
+//! backends get the full differential sweep by adding one entry to
 //! [`standard_backends`].
 //!
 //! The same claim must survive every wrapper: [`check`] runs one
@@ -20,6 +20,7 @@
 //! swaps) and holds it to the oracle's matches and to the bare engine's
 //! metrics ([`comparable`], less the [`LAYER_FIELDS`]).
 
+use std::collections::HashSet;
 use std::sync::{Arc, Mutex};
 
 use cep_adaptive::{
@@ -318,10 +319,9 @@ pub fn standard_engines(cp: &CompiledPattern, cfg: &EngineConfig) -> Vec<Box<dyn
 }
 
 /// Runs every [`standard_backends`] backend over the spec'd pattern and
-/// stream under `strategy`, asserting each backend's output byte-identical
-/// (`(signature, emitted_at)`, see [`keyed`]) to the naive oracle's.
-/// Degenerate draws (unbuildable patterns) are silently skipped, matching
-/// proptest usage.
+/// stream under `strategy` through [`check_stream_under`]. Degenerate
+/// draws (unbuildable patterns) are silently skipped, matching proptest
+/// usage.
 pub fn check_equivalence_under(
     spec: PatternSpec,
     raw_stream: Vec<(u32, u8, i8)>,
@@ -332,100 +332,44 @@ pub fn check_equivalence_under(
         return; // structurally degenerate draw
     };
     pattern.strategy = strategy;
-    let Ok(cp) = CompiledPattern::compile_single(&pattern) else {
-        return;
-    };
-    let stream = build_stream(&raw_stream);
-    check_stream_under(&cp, &stream, &check_config(), seed, &format!("{pattern}"));
+    if CompiledPattern::compile_single(&pattern).is_ok() {
+        check_stream_under(&pattern, &build_stream(&raw_stream), &check_config(), seed);
+    }
 }
 
-/// The core differential check over an already-compiled pattern and
-/// stream: oracle once, then every backend, every emitted match
-/// structurally validated, outputs compared with [`keyed`]. The backends
-/// share one engine shell, so its bookkeeping must agree too: each counts
-/// exactly the matches it emitted, and all count the same processed and
-/// relevant events. `context` names the query in assertion messages.
-#[allow(clippy::ptr_arg)] // `EventStream` is `Vec<EventRef>`; callers hold one.
-pub fn check_stream_under(
-    cp: &CompiledPattern,
-    stream: &EventStream,
-    cfg: &EngineConfig,
-    seed: u64,
-    context: &str,
-) {
-    let mut oracle = NaiveEngine::new(cp.clone(), cfg.clone());
-    let expected = keyed(&run_to_completion(&mut oracle, stream, true).matches);
-    let mut events_seen = None;
-    for backend in standard_backends() {
-        let mut engine = backend.build(cp, seed, cfg);
-        let run = run_to_completion(engine.as_mut(), stream, true);
-        for m in &run.matches {
-            validate_match(cp, m)
-                .unwrap_or_else(|e| panic!("{} emitted an invalid match: {e}", backend.name));
-        }
-        assert_eq!(
-            keyed(&run.matches),
-            expected,
-            "{}(seed {seed}) disagrees with oracle for {context}",
-            backend.name
-        );
-        let m = &run.metrics;
-        assert_eq!(
-            m.matches_emitted,
-            run.matches.len() as u64,
-            "{}(seed {seed}) miscounts its matches for {context}",
-            backend.name
-        );
-        let seen = (m.events_processed, m.events_relevant);
-        assert_eq!(
-            *events_seen.get_or_insert(seen),
-            seen,
-            "{}(seed {seed}) counts other (processed, relevant) events for {context}",
-            backend.name
-        );
-    }
+/// [`check`] of the bare engine of every [`standard_backends`] backend
+/// (plans from `seed`, engines under `cfg`) over pattern `p` under its own
+/// strategy and stream `s`: every match valid, byte-identical to the
+/// oracle's, and the shell's bookkeeping (matches, processed and relevant
+/// events) the oracle's too. Returns the oracle's match count.
+pub fn check_stream_under(p: &Pattern, s: &EventStream, cfg: &EngineConfig, seed: u64) -> u64 {
+    let (bare, strategy) = (Composition::Bare, p.strategy);
+    let run = |b: &SeededBackend| check(&bare, b, seed, cfg, strategy, p, s).matches;
+    standard_backends().iter().map(run).max().unwrap_or(0)
 }
 
 /// Multi-query conformance over proptest-drawn specs: every buildable
 /// spec becomes one query (degenerate draws skipped) under `strategy`,
-/// all registered in one [`QueryRegistry`] per standard backend, and each
-/// query's collected output must be byte-identical and in the same order
-/// ([`in_order`]) to an independent [`MultiEngine`] over the same
-/// backend's branch engines, built under the same plan seed. This is the
-/// registry's core contract: sharing fragments across queries must be
-/// invisible in every query's output.
+/// and [`check`] runs them all in one [`Composition::Registry`] per
+/// standard backend. This is the registry's core contract: sharing
+/// fragments across queries must be invisible in every query's output.
 pub fn check_registry_equivalence_under(
     specs: Vec<PatternSpec>,
     raw_stream: Vec<(u32, u8, i8)>,
     seed: u64,
     strategy: SelectionStrategy,
 ) {
-    let patterns: Vec<Pattern> = (specs.iter().filter_map(build_pattern))
-        .map(|mut p| {
-            p.strategy = strategy;
-            p
-        })
+    let mut patterns: Vec<Pattern> = (specs.iter().filter_map(build_pattern))
         .filter(|p| CompiledPattern::compile(p).is_ok())
         .collect();
+    if patterns.is_empty() {
+        return;
+    }
+    let first = patterns.remove(0);
+    let c = Composition::Registry { others: patterns };
     let (stream, cfg) = (build_stream(&raw_stream), check_config());
     for backend in standard_backends() {
-        let mut registry = QueryRegistry::new(fragment_builder(&backend, seed, &cfg));
-        let ids: Vec<_> = (patterns.iter())
-            .map(|p| registry.register(p).expect("registration"))
-            .collect();
-        let mut result = registry.run(&stream);
-        for (id, pattern) in ids.iter().zip(&patterns) {
-            let branches = CompiledPattern::compile(pattern).expect("compilable pattern");
-            let engines = branches.iter().map(|cp| backend.build(cp, seed, &cfg));
-            let mut multi = MultiEngine::new(engines.collect(), pattern.window);
-            let want = in_order(&run_to_completion(&mut multi, &stream, true).matches);
-            let got = in_order(&result.per_query.remove(id).unwrap_or_default());
-            let name = backend.name;
-            assert_eq!(
-                got, want,
-                "{name}(seed {seed}): registry query {id} diverged"
-            );
-        }
+        check(&c, &backend, seed, &cfg, strategy, &first, &stream);
     }
 }
 
@@ -550,16 +494,17 @@ pub enum Route {
 
 /// The [`ShardedRuntime`] entry point a sharded composition runs through:
 /// `run`, `run_query` (the policy checked against the branches first),
-/// `run_registry` over a spec holding the pattern `queries` times, or
-/// `run` over an [`AdaptiveFactory`] of `replanner` per worker (held to
-/// the oracle only, as [`Replan::Planned`] is).
+/// `run_registry` over a spec holding the pattern and then `others` (each
+/// query held to its own oracle; a copy of the pattern shares its
+/// fragments), or `run` over an [`AdaptiveFactory`] of `replanner` per
+/// worker (held to the oracle only, as [`Replan::Planned`] is).
 #[derive(Debug, Clone)]
 #[allow(missing_docs)]
 pub enum Entry {
     Run,
     RunQuery,
     RunRegistry {
-        queries: usize,
+        others: Vec<Pattern>,
     },
     RunAdaptive {
         replanner: fn(&[CompiledPattern]) -> PlanReplanner,
@@ -579,9 +524,9 @@ pub enum Replan {
         history_ms: u64,
     },
     /// A [`PlanReplanner`] built from the compiled branches (see
-    /// [`skewed_replanner`]). It builds its own engines, so the backend and
-    /// seed handed to [`check`] are unused and no bare engine stands for
-    /// them: its run is held to the oracle only.
+    /// [`skewed_replanner`]). It builds its own engines, so the backend,
+    /// seed and config handed to [`check`] are unused and no bare engine
+    /// stands for them: its run is held to the oracle only.
     Planned(fn(&[CompiledPattern]) -> PlanReplanner),
 }
 
@@ -592,12 +537,14 @@ pub enum Composition {
     Bare,
     /// The pattern's branch engines in a [`MultiEngine`].
     Multi,
-    /// A [`QueryRegistry`] holding the pattern `queries` times (the copies
-    /// share its fragments), each copy read through `per_query` and
-    /// [`QueryRegistry::query_metrics`].
+    /// A [`QueryRegistry`] holding the pattern and then `others`, each
+    /// query read through `per_query` (in emission order, its bare
+    /// engine's) and [`QueryRegistry::query_metrics`], and held to its own
+    /// oracle.
     Registry {
-        /// Copies of the pattern registered.
-        queries: usize,
+        /// The queries registered after the pattern (a copy of the pattern
+        /// shares its fragments).
+        others: Vec<Pattern>,
     },
     /// A [`ShardedRuntime`] run at `shards` workers.
     #[allow(missing_docs)]
@@ -683,10 +630,11 @@ fn bare_engine(
     backend: &SeededBackend,
     branches: &[CompiledPattern],
     seed: u64,
+    cfg: &EngineConfig,
     window: u64,
 ) -> Box<dyn Engine> {
     let mut engines: Vec<_> = (branches.iter())
-        .map(|cp| backend.build(cp, seed, &check_config()))
+        .map(|cp| backend.build(cp, seed, cfg))
         .collect();
     match engines.len() {
         1 => engines.pop().expect("one engine"),
@@ -694,24 +642,30 @@ fn bare_engine(
     }
 }
 
-/// The engine work of a registry's fragments for the pattern: each
+/// The engine work of a registry's fragments for `branches`: each
 /// branch's bare engine over what the registry dispatches to it (its
 /// types; every event if it negates one), absorbed as the registry's
-/// views absorb them.
-fn fragments(
+/// views absorb them. With `shared`, a branch whose signature came before
+/// is the same fragment and counts once, as in the registry-wide view.
+fn fragments<'a>(
     backend: &SeededBackend,
-    branches: &[CompiledPattern],
+    branches: impl IntoIterator<Item = &'a CompiledPattern>,
+    shared: bool,
     seed: u64,
+    cfg: &EngineConfig,
     stream: &EventStream,
 ) -> EngineMetrics {
-    let mut m = EngineMetrics::new();
+    let (mut m, mut seen) = (EngineMetrics::new(), HashSet::new());
     for cp in branches {
+        if shared && !seen.insert(cp.signature()) {
+            continue;
+        }
         let types: Vec<_> = cp.elements.iter().map(|e| e.event_type).collect();
         let dispatched: EventStream = (stream.iter())
             .filter(|e| !cp.negated.is_empty() || types.contains(&e.type_id))
             .cloned()
             .collect();
-        let mut engine = backend.build(cp, seed, &check_config());
+        let mut engine = backend.build(cp, seed, cfg);
         drive(engine.as_mut(), &dispatched);
         m.absorb(engine.metrics());
     }
@@ -729,15 +683,28 @@ fn drive(engine: &mut dyn Engine, stream: &EventStream) -> Vec<Match> {
     out
 }
 
+/// One query of a composition: its pattern (under the checked strategy),
+/// its branches, and the oracle's digests and relevant events for it.
+struct Query {
+    pattern: Pattern,
+    branches: Vec<CompiledPattern>,
+    want: Vec<Digest>,
+    relevant: u64,
+}
+
 /// Runs `pattern` under `strategy` (one of the three exact strategies)
-/// through `composition` over `backend` (plans from `seed`), and holds it
-/// to three things:
+/// through `composition` over `backend` (plans from `seed`, engines under
+/// `cfg`), and holds it to three things:
 ///
-/// * its matches, as canonical [`digests`] (or, uncollected, their
-///   count), equal the oracle's over the stream's in-order subsequence
-///   ([`split_late`]): every branch's naive engine, duplicates removed;
+/// * its matches (for a registry, each query's) are valid, and as
+///   canonical [`digests`] (or, uncollected, their count) equal the
+///   oracle's over the stream's in-order subsequence ([`split_late`]):
+///   every branch's naive engine, duplicates removed. A sharded output is
+///   in canonical order, a registry query's in its bare engine's emission
+///   order;
 /// * it drops the stream's late events and processes the rest (sharded:
-///   plus the replicated deliveries);
+///   plus the replicated deliveries); a bare engine counts the oracle's
+///   relevant events;
 /// * every [`comparable`] field but the [`LAYER_FIELDS`] equals the bare
 ///   engine's, built from the same backend and seed: over the whole
 ///   stream, over what a registry dispatches to each fragment, per shard
@@ -745,68 +712,110 @@ fn drive(engine: &mut dyn Engine, stream: &EventStream) -> Vec<Match> {
 ///   the deduplicated copies counted), or, under forced swaps, every
 ///   engine the adaptive wrapper built, folded as its view folds them.
 ///
+/// A [`Replan::Planned`] or [`Entry::RunAdaptive`] replanner builds its
+/// own engines, under [`check_config`]: check it under that config.
+///
 /// Panics with the composition, backend, seed and pattern on the first
 /// difference.
 pub fn check(
     composition: &Composition,
     backend: &SeededBackend,
     seed: u64,
+    cfg: &EngineConfig,
     strategy: SelectionStrategy,
     pattern: &Pattern,
     stream: &EventStream,
 ) -> Checked {
-    let mut pattern = pattern.clone();
-    pattern.strategy = strategy;
-    let branches = CompiledPattern::compile(&pattern).expect("a compilable pattern");
     let name = backend.name;
     let ctx = format!("{composition:?} over {name}(seed {seed}), {strategy}: {pattern}");
-    let (in_order, late) = split_late(stream);
-    let naive =
-        |cp: &CompiledPattern| drive(&mut NaiveEngine::new(cp.clone(), check_config()), &in_order);
-    let mut seen = std::collections::HashSet::new();
-    let mut want = digests(&branches.iter().flat_map(naive).collect::<Vec<_>>());
-    want.retain(|d| seen.insert(d.0.clone()));
-    let (window, cfg) = (pattern.window, check_config());
-    let bare = || bare_engine(backend, &branches, seed, window);
-    // Each output's matches (`None` uncollected) and count, and the
-    // (view, its metrics, the bare engine's) triples compared field by
-    // field; the arm yields the whole-run metrics.
-    let mut outputs: Vec<(Option<Vec<Match>>, u64)> = Vec::new();
+    let (on_time, late) = split_late(stream);
+    let others: &[Pattern] = match composition {
+        Composition::Registry { others }
+        | Composition::Sharded {
+            entry: Entry::RunRegistry { others },
+            ..
+        } => others,
+        _ => &[],
+    };
+    let queries: Vec<Query> = (std::iter::once(pattern).chain(others))
+        .map(|p| {
+            let mut pattern = p.clone();
+            pattern.strategy = strategy;
+            let branches = CompiledPattern::compile(&pattern).expect("a compilable pattern");
+            let (mut matches, mut relevant) = (Vec::new(), 0);
+            for cp in &branches {
+                let mut naive = NaiveEngine::new(cp.clone(), cfg.clone());
+                matches.extend(drive(&mut naive, &on_time));
+                relevant += naive.metrics().events_relevant;
+            }
+            let (mut want, mut seen) = (digests(&matches), HashSet::new());
+            want.retain(|d| seen.insert(d.0.clone()));
+            Query {
+                pattern,
+                branches,
+                want,
+                relevant,
+            }
+        })
+        .collect();
+    let (branches, window) = (&queries[0].branches, pattern.window);
+    let bare_of = |q: &Query| bare_engine(backend, &q.branches, seed, cfg, q.pattern.window);
+    let bare = || bare_of(&queries[0]);
+    // Each output as (its query, its matches or `None` uncollected, its
+    // count), and the (view, its metrics, the bare engine's) triples
+    // compared field by field; the arm yields the whole-run metrics.
+    let mut outputs: Vec<(usize, Option<Vec<Match>>, u64)> = Vec::new();
     let mut views: Vec<(String, EngineMetrics, EngineMetrics)> = Vec::new();
     let metrics = match composition {
         Composition::Bare => {
             let mut engine = bare();
             let ms = drive(engine.as_mut(), stream);
+            let m = engine.metrics().clone();
             // Its own match counter is held to the oracle as an output too.
-            outputs.push((None, engine.metrics().matches_emitted));
-            outputs.push((Some(ms), 0));
-            engine.metrics().clone()
+            outputs.push((0, None, m.matches_emitted));
+            outputs.push((0, Some(ms), 0));
+            assert_eq!(m.events_relevant, queries[0].relevant, "{ctx}: relevant");
+            m
         }
         Composition::Multi => {
-            let engines = branches.iter().map(|cp| backend.build(cp, seed, &cfg));
+            let engines = branches.iter().map(|cp| backend.build(cp, seed, cfg));
             let mut multi = MultiEngine::new(engines.collect(), window);
-            outputs.push((Some(drive(&mut multi, stream)), 0));
+            outputs.push((0, Some(drive(&mut multi, stream)), 0));
             let mut engine = bare();
             drive(engine.as_mut(), stream);
             let m = multi.metrics().clone();
             views.push(("multi".into(), m.clone(), engine.metrics().clone()));
             m
         }
-        Composition::Registry { queries } => {
-            let mut registry = QueryRegistry::new(fragment_builder(backend, seed, &cfg));
-            let ids: Vec<_> = (0..*queries)
-                .map(|_| registry.register(&pattern).expect("registration"))
+        Composition::Registry { .. } => {
+            let mut registry = QueryRegistry::new(fragment_builder(backend, seed, cfg));
+            let ids: Vec<_> = (queries.iter())
+                .map(|q| registry.register(&q.pattern).expect("registration"))
                 .collect();
             let mut run = registry.run(stream);
-            // A query's own counts stand in its view.
-            let mut base = fragments(backend, &branches, seed, &in_order);
-            base.events_processed = in_order.len() as u64;
-            base.matches_emitted = want.len() as u64;
-            for id in ids {
-                outputs.push((run.per_query.remove(&id), 0));
+            for (i, (id, q)) in ids.into_iter().zip(&queries).enumerate() {
+                let ms = run.per_query.remove(&id).expect("an entry per query");
+                let alone = drive(bare_of(q).as_mut(), stream);
+                let at = format!("query {id}");
+                assert_eq!(in_order(&ms), in_order(&alone), "{ctx}: {at} order");
+                outputs.push((i, Some(ms), 0));
+                // A query's own counts stand in its view. `query_metrics`
+                // does not count the late events the registry drops before
+                // dispatch, as a `MultiEngine` would: that field is left
+                // out until it does.
                 let view = registry.query_metrics(id).expect("a live query");
-                views.push((format!("query {id}"), view, base.clone()));
+                let mut base = fragments(backend, &q.branches, false, seed, cfg, &on_time);
+                base.events_processed = on_time.len() as u64;
+                base.matches_emitted = q.want.len() as u64;
+                base.late_events_dropped = view.late_events_dropped;
+                views.push((at, view, base));
             }
+            // Shared work counts once in the registry-wide view.
+            let all = queries.iter().flat_map(|q| &q.branches);
+            let mut base = fragments(backend, all, true, seed, cfg, &on_time);
+            base.events_processed = on_time.len() as u64;
+            base.late_events_dropped = late;
+            views.push(("registry".into(), run.metrics.clone(), base));
             run.metrics
         }
         Composition::Sharded {
@@ -815,69 +824,76 @@ pub fn check(
             entry,
             collect,
         } => {
+            let all: Vec<CompiledPattern> = (queries.iter())
+                .flat_map(|q| q.branches.iter().cloned())
+                .collect();
             let policy = match route {
                 Route::Partition => RoutingPolicy::Partition,
                 Route::HashAttr(attr) => RoutingPolicy::HashAttr(*attr),
                 Route::RoundRobin => RoutingPolicy::RoundRobin,
                 Route::ReplicateJoin => RoutingPolicy::ReplicateJoin(Arc::new(
-                    QueryPartitioner::analyze(&branches, |_| 1.0).expect("a partition spec"),
+                    QueryPartitioner::analyze(&all, |_| 1.0).expect("a partition spec"),
                 )),
             };
             let runtime = ShardedRuntime::with_shards(*shards);
             let keep = |ms: Vec<Match>| collect.then_some(ms);
-            let (copies, metrics, per_shard) = match entry {
+            let (metrics, per_shard) = match entry {
                 Entry::Run | Entry::RunQuery => {
                     let r = match entry {
                         Entry::Run => runtime.run(&bare, stream, policy.clone(), *collect),
-                        _ => {
-                            (runtime.run_query(&bare, stream, policy.clone(), &branches, *collect))
-                                .unwrap_or_else(|e| panic!("{ctx}: {e}"))
-                        }
+                        _ => (runtime.run_query(&bare, stream, policy.clone(), branches, *collect))
+                            .unwrap_or_else(|e| panic!("{ctx}: {e}")),
                     };
-                    outputs.push((keep(r.matches), r.match_count));
-                    (1, r.metrics, r.per_shard)
+                    outputs.push((0, keep(r.matches), r.match_count));
+                    (r.metrics, r.per_shard)
                 }
-                Entry::RunRegistry { queries } => {
-                    let mut spec = RegistrySpec::new(fragment_builder(backend, seed, &cfg));
-                    let ids: Vec<_> = (0..*queries)
-                        .map(|_| spec.add(&pattern).expect("registration"))
+                Entry::RunRegistry { .. } => {
+                    let mut spec = RegistrySpec::new(fragment_builder(backend, seed, cfg));
+                    let ids: Vec<_> = (queries.iter())
+                        .map(|q| spec.add(&q.pattern).expect("registration"))
                         .collect();
                     let mut r = (runtime.run_registry(&spec, stream, policy.clone(), *collect))
                         .unwrap_or_else(|e| panic!("{ctx}: {e}"));
-                    for id in ids {
+                    let total: usize = queries.iter().map(|q| q.want.len()).sum();
+                    assert_eq!(r.match_count, total as u64, "{ctx}: matches of all queries");
+                    for (i, id) in ids.into_iter().enumerate() {
                         let ms = r.per_query.remove(&id).expect("an entry per query");
-                        outputs.push((keep(ms), r.match_counts[&id]));
+                        outputs.push((i, keep(ms), r.match_counts[&id]));
                     }
-                    (*queries as u64, r.metrics, r.per_shard)
+                    (r.metrics, r.per_shard)
                 }
                 Entry::RunAdaptive { replanner, config } => {
                     // The workers' replanners build their own engines: no
                     // bare engine stands for them.
-                    let factory =
-                        AdaptiveFactory::new(replanner(&branches), window, config.clone());
+                    let factory = AdaptiveFactory::new(replanner(branches), window, config.clone());
                     let r = runtime.run(&factory, stream, policy.clone(), *collect);
-                    outputs.push((keep(r.matches), r.match_count));
-                    (0, r.metrics, vec![])
+                    outputs.push((0, keep(r.matches), r.match_count));
+                    (r.metrics, vec![])
                 }
             };
             // Per shard, the bare engine over its slice, sampled as a worker
             // samples (as `run_to_completion` does, one latency per delivered
-            // match); a registry worker's fragments see what it dispatches.
+            // match); a registry worker's fragments see what it dispatches
+            // and it delivers each query's matches.
             let mut router = ShardRouter::new(*shards, policy);
             let mut slices: Vec<EventStream> = vec![Vec::new(); *shards];
-            for e in &in_order {
+            for e in &on_time {
                 match router.route_target(e) {
                     RouteTarget::One(i) => slices[i].push(e.clone()),
                     RouteTarget::All => slices.iter_mut().for_each(|s| s.push(e.clone())),
                 }
             }
-            let mut merged = EngineMetrics::new();
-            let mut delivered = 0;
-            for (s, slice) in per_shard.into_iter().zip(&slices) {
+            let registry = matches!(entry, Entry::RunRegistry { .. });
+            let (mut merged, mut delivered) = (EngineMetrics::new(), 0);
+            for (s, slice) in per_shard.iter().zip(&slices) {
                 let mut base = run_to_completion(bare().as_mut(), slice, false).metrics;
-                let shard_delivered = base.matches_emitted * copies;
-                if let Entry::RunRegistry { .. } = entry {
-                    let mut frags = fragments(backend, &branches, seed, slice);
+                let mut shard_delivered = base.matches_emitted;
+                if registry {
+                    shard_delivered = (queries.iter())
+                        .map(|q| drive(bare_of(q).as_mut(), slice).len() as u64)
+                        .sum();
+                    let all = queries.iter().flat_map(|q| &q.branches);
+                    let mut frags = fragments(backend, all, true, seed, cfg, slice);
                     frags.events_processed = base.events_processed;
                     frags.event_ns = base.event_ns;
                     frags.match_latency_ns.record_n(0, shard_delivered);
@@ -888,12 +904,13 @@ pub fn check(
                 assert_eq!(s.match_count, shard_delivered, "{ctx}: {at}");
                 merged.merge(&base);
                 delivered += shard_delivered;
-                views.push((at, s.metrics, base));
+                views.push((at, s.metrics.clone(), base));
             }
-            if copies > 0 {
-                assert_eq!(views.len(), *shards, "{ctx}: a result per shard");
-                merged.replicated_events = merged.events_processed - in_order.len() as u64;
-                merged.dedup_hits = delivered.saturating_sub(copies * want.len() as u64);
+            if !matches!(entry, Entry::RunAdaptive { .. }) {
+                assert_eq!(per_shard.len(), *shards, "{ctx}: a result per shard");
+                let distinct: usize = queries.iter().map(|q| q.want.len()).sum();
+                merged.replicated_events = merged.events_processed - on_time.len() as u64;
+                merged.dedup_hits = delivered - distinct as u64;
                 merged.late_events_dropped = late;
                 views.push(("merged".into(), metrics.clone(), merged));
             }
@@ -908,6 +925,7 @@ pub fn check(
                         backend: backend.clone(),
                         branches: branches.clone(),
                         seeds: [seed, seed + 1],
+                        cfg: cfg.clone(),
                         window,
                         history_ms: *history_ms,
                         built: Arc::clone(&built),
@@ -915,14 +933,16 @@ pub fn check(
                     Box::new(AdaptiveEngine::new(forced, window, config))
                 }
                 Replan::Planned(planned) => {
-                    Box::new(AdaptiveEngine::new(planned(&branches), window, config))
+                    Box::new(AdaptiveEngine::new(planned(branches), window, config))
                 }
             };
             let ms = drive(adaptive.as_mut(), stream);
             // Read before the lock: a view read publishes the active engine.
             let metrics = adaptive.metrics().clone();
             let built = built.lock().expect("unpoisoned");
-            if !built.is_empty() {
+            if let Replan::Forced { .. } = replan {
+                let swaps = metrics.plan_swaps;
+                assert_eq!(built.len() as u64, swaps + 1, "{ctx}: an engine per swap");
                 // The engines one after another, the retired ones holding
                 // no live state; the wrapper's own counts stand.
                 let mut base = EngineMetrics::new();
@@ -933,26 +953,36 @@ pub fn check(
                     }
                     base.merge(&engine);
                 }
-                base.events_processed = in_order.len() as u64;
+                base.events_processed = on_time.len() as u64;
                 base.matches_emitted = ms.len() as u64;
                 base.late_events_dropped = late;
                 views.push(("adaptive".into(), metrics.clone(), base));
             }
-            outputs.push((Some(ms), 0));
+            outputs.push((0, Some(ms), 0));
             metrics
         }
     };
     // A shard's watermark follows its own slice, so it may release a
     // deferred match (emitted after its last event) later than the unsplit
     // stream does, never earlier (see the cep-shard crate docs).
-    let lags = matches!(composition, Composition::Sharded { .. });
-    for (i, (ms, count)) in outputs.iter().enumerate() {
+    let sharded = matches!(composition, Composition::Sharded { .. });
+    for (i, (query, ms, count)) in outputs.iter().enumerate() {
+        let q = &queries[*query];
         let Some(ms) = ms else {
-            assert_eq!(*count, want.len() as u64, "{ctx}: output {i} count");
+            assert_eq!(*count, q.want.len() as u64, "{ctx}: output {i} count");
             continue;
         };
-        let (mut got, mut exp) = (digests(ms), want.clone());
-        if lags {
+        for m in ms {
+            let mut verdicts = q.branches.iter().map(|cp| validate_match(cp, m));
+            let first = verdicts.next().expect("a branch");
+            if let (Err(e), false) = (&first, verdicts.any(|v| v.is_ok())) {
+                panic!("{ctx}: output {i} holds an invalid match: {e}");
+            }
+        }
+        let (mut got, mut exp) = (digests(ms), q.want.clone());
+        if sharded {
+            let canonical = ms.is_sorted_by(|a, b| a.canonical_cmp(b).is_le());
+            assert!(canonical, "{ctx}: output {i} out of canonical order");
             got.sort();
             exp.sort();
             for (g, w) in got.iter_mut().zip(&exp) {
@@ -965,14 +995,14 @@ pub fn check(
     }
     assert_eq!(metrics.late_events_dropped, late, "{ctx}: late events");
     let processed = metrics.events_processed - metrics.replicated_events;
-    assert_eq!(processed, in_order.len() as u64, "{ctx}: events processed");
+    assert_eq!(processed, on_time.len() as u64, "{ctx}: events processed");
     let owned = |&(name, _): &(&str, u64)| !LAYER_FIELDS.contains(&name);
     for (view, got, base) in views {
         let got: Vec<_> = comparable(&got).into_iter().filter(owned).collect();
         let base: Vec<_> = comparable(&base).into_iter().filter(owned).collect();
         assert_eq!(got, base, "{ctx}: {view} metrics against the bare engine's");
     }
-    let matches = want.len() as u64;
+    let matches = queries[0].want.len() as u64;
     Checked { matches, metrics }
 }
 
@@ -983,6 +1013,7 @@ struct Forced {
     backend: SeededBackend,
     branches: Vec<CompiledPattern>,
     seeds: [u64; 2],
+    cfg: EngineConfig,
     window: u64,
     history_ms: u64,
     built: Arc<Mutex<Vec<EngineMetrics>>>,
@@ -990,7 +1021,8 @@ struct Forced {
 
 impl Replanner for Forced {
     fn build(&self) -> Box<dyn Engine> {
-        let inner = bare_engine(&self.backend, &self.branches, self.seeds[0], self.window);
+        let (seed, cfg) = (self.seeds[0], &self.cfg);
+        let inner = bare_engine(&self.backend, &self.branches, seed, cfg, self.window);
         let mut built = self.built.lock().expect("unpoisoned");
         built.push(EngineMetrics::new());
         let (built, slot) = (Arc::clone(&self.built), built.len() - 1);

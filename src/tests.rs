@@ -16,7 +16,7 @@ use cep_core::event::{Event, TypeId};
 use cep_core::matches::Match;
 use cep_core::metrics::EngineMetrics;
 use cep_core::naive::NaiveEngine;
-use cep_core::partition::QueryPartitioner;
+use cep_core::partition::{PartitionSpec, QueryPartitioner, TypeDisposition};
 use cep_core::pattern::{Pattern, PatternBuilder, PatternExpr};
 use cep_core::predicate::{CmpOp, Predicate};
 use cep_core::selection::SelectionStrategy;
@@ -39,15 +39,32 @@ fn t(i: u32) -> TypeId {
     TypeId(i)
 }
 
-/// [`check`] over the NFA backend under skip-till-any-match.
-fn nfa(c: &Composition, pattern: &Pattern, stream: &EventStream) -> Checked {
-    check(c, &standard_backends()[0], 0, ANY, pattern, stream)
+/// [`check`] under [`check_config`] with plans from seed 0.
+fn run(
+    c: &Composition,
+    b: &SeededBackend,
+    s: SelectionStrategy,
+    p: &Pattern,
+    stream: &EventStream,
+) -> Checked {
+    check(c, b, 0, &check_config(), s, p, stream)
 }
 
-/// [`check`] over every backend; the oracle's match count.
+/// [`run`] over the NFA backend under skip-till-any-match.
+fn nfa(c: &Composition, pattern: &Pattern, stream: &EventStream) -> Checked {
+    run(c, &standard_backends()[0], ANY, pattern, stream)
+}
+
+/// [`run`] over every backend; the oracle's match count.
 fn every(c: &Composition, s: SelectionStrategy, pattern: &Pattern, stream: &EventStream) -> u64 {
-    let run = |b: &SeededBackend| check(c, b, 0, s, pattern, stream).matches;
+    let run = |b: &SeededBackend| run(c, b, s, pattern, stream).matches;
     standard_backends().iter().map(run).max().unwrap_or(0)
+}
+
+/// The replicate-join spec of `pattern` at uniform rates.
+fn spec_of(pattern: &Pattern) -> PartitionSpec {
+    let branches = CompiledPattern::compile(pattern).unwrap();
+    QueryPartitioner::analyze(&branches, |_| 1.0).unwrap()
 }
 
 fn forced(config: AdaptiveConfig) -> Composition {
@@ -257,18 +274,21 @@ proptest! {
 #[test]
 fn run_registry_equals_independent_engines_per_query() {
     let stream = lcg_workload(200, 3, 4, 0xBEEF);
-    for pattern in [keyed_seq(2, 10), keyed_seq(3, 12)] {
-        for shards in [1, 2, 4] {
-            let entry = Entry::RunRegistry { queries: 3 };
-            let c = Composition::sharded(shards, Route::HashAttr(0), entry, true);
-            let checked = nfa(&c, &pattern, &stream);
-            // Every worker registered the whole set; the copies share.
-            let (m, shards) = (&checked.metrics, shards as u64);
-            assert!(checked.matches > 0, "fixture should produce matches");
-            assert_eq!(m.registered_queries, 3 * shards);
-            assert_eq!(m.shared_fragments, 2 * shards);
-            assert_eq!(m.fanout_emits, 3 * m.matches_emitted);
-        }
+    // Three queries, two of them identical: the registry shares one
+    // fragment between q0 and q2, and q1 rides the same routed stream.
+    let others = vec![keyed_seq(3, 12), keyed_seq(2, 10)];
+    for shards in [1, 2, 4] {
+        let entry = Entry::RunRegistry {
+            others: others.clone(),
+        };
+        let c = Composition::sharded(shards, Route::HashAttr(0), entry, true);
+        let checked = nfa(&c, &keyed_seq(2, 10), &stream);
+        // Every worker registered the whole set and shared the duplicate.
+        let (m, shards) = (&checked.metrics, shards as u64);
+        assert!(checked.matches > 0, "fixture should produce matches");
+        assert_eq!(m.registered_queries, 3 * shards);
+        assert_eq!(m.shared_fragments, shards);
+        assert!(m.fanout_emits > m.matches_emitted, "q0 and q2 share");
     }
 }
 
@@ -285,13 +305,13 @@ fn run_equals_a_one_query_run_registry() {
     let entries = [
         Entry::Run,
         Entry::RunQuery,
-        Entry::RunRegistry { queries: 1 },
+        Entry::RunRegistry { others: vec![] },
     ];
     for (strategy, pattern, stream, route) in cases {
         for (shards, collect) in [1, 2, 4].into_iter().flat_map(|s| [(s, true), (s, false)]) {
             for entry in entries.clone() {
                 let c = Composition::sharded(shards, route, entry, collect);
-                let checked = check(&c, &standard_backends()[0], 0, strategy, &pattern, stream);
+                let checked = run(&c, &standard_backends()[0], strategy, &pattern, stream);
                 assert!(checked.matches > 0, "{c:?}: vacuous case");
                 let broadcast = route == Route::ReplicateJoin && shards > 1;
                 assert_eq!(checked.metrics.replicated_events > 0, broadcast, "{c:?}");
@@ -353,6 +373,7 @@ fn replicated_only_matches_are_deduplicated() {
     let (a, c) = (b.event(t(0), "a"), b.event(t(1), "c"));
     b.predicate(Predicate::attr_cmp(a.pos(), 0, CmpOp::Lt, c.pos(), 0));
     let pattern = b.seq([a, c]).unwrap();
+    assert!(spec_of(&pattern).is_fully_replicated(), "no keys");
     for shards in [2, 4] {
         let c = Composition::sharded(shards, Route::ReplicateJoin, Entry::Run, true);
         let checked = nfa(&c, &pattern, &lcg_cross_key_workload(60, 3, 4, 0xD0D0));
@@ -395,6 +416,11 @@ fn replicate_join_with_internal_negation_stays_exact() {
         }
         let exprs = [b.expr(a), b.not(n), b.expr(c)];
         let pattern = b.seq_exprs(exprs).unwrap();
+        let negated = match keyed_negation {
+            true => TypeDisposition::Partitioned { attr: 0 },
+            false => TypeDisposition::Replicated,
+        };
+        assert_eq!(spec_of(&pattern).disposition(t(1)), Some(negated));
         let stream = lcg_cross_key_workload(150, 3, 4, 0x707 + keyed_negation as u64);
         for shards in [2, 4] {
             let c = Composition::sharded(shards, Route::ReplicateJoin, Entry::Run, true);
@@ -408,9 +434,11 @@ fn replicate_join_with_internal_negation_stays_exact() {
 /// still counting exactly.
 #[test]
 fn fully_partitioned_replicate_join_keeps_count_and_discard_path() {
+    let pattern = keyed_seq(3, 12);
+    assert!(spec_of(&pattern).is_fully_partitioned(), "keyed");
     for collect in [true, false] {
         let c = Composition::sharded(4, Route::ReplicateJoin, Entry::Run, collect);
-        let checked = nfa(&c, &keyed_seq(3, 12), &lcg_workload(150, 3, 4, 0xFA57));
+        let checked = nfa(&c, &pattern, &lcg_workload(150, 3, 4, 0xFA57));
         assert!(checked.matches > 0, "fixture should produce matches");
         assert_eq!(checked.metrics.replicated_events, 0, "nothing broadcast");
     }
@@ -428,9 +456,9 @@ fn negation_bridged_positives_stay_exact_under_replicate_join() {
     b.predicate(Predicate::attr_cmp(n.pos(), 0, CmpOp::Eq, c.pos(), 0));
     let exprs = [b.expr(a), b.not(n), b.expr(c)];
     let pattern = b.seq_exprs(exprs).unwrap();
-    let cp = CompiledPattern::compile_single(&pattern).unwrap();
-    let spec = QueryPartitioner::analyze(std::slice::from_ref(&cp), |_| 1.0).unwrap();
+    let spec = spec_of(&pattern);
     assert!(spec.replicated_types().count() >= 1, "{spec}");
+    let cp = CompiledPattern::compile_single(&pattern).unwrap();
     let stream = lcg_cross_key_workload(160, 3, 4, 0xB71D);
     let mut naive = NaiveEngine::new(cp, check_config());
     let oracle = run_to_completion(&mut naive, &stream, true).matches;
@@ -448,7 +476,9 @@ fn run_registry_replicate_join_dedups_per_query() {
     // matches surface on every shard and are deduplicated per query.
     let stream = lcg_cross_key_workload(160, 4, 5, 0x5EED);
     for shards in [1, 2, 4] {
-        let entry = Entry::RunRegistry { queries: 2 };
+        let entry = Entry::RunRegistry {
+            others: vec![cross_key_seq(12)],
+        };
         let c = Composition::sharded(shards, Route::ReplicateJoin, entry, true);
         let m = nfa(&c, &cross_key_seq(12), &stream).metrics;
         assert_eq!(m.replicated_events > 0, shards > 1, "broadcasts count");
@@ -457,11 +487,11 @@ fn run_registry_replicate_join_dedups_per_query() {
 
 #[test]
 fn run_registry_uncollected_still_counts_per_query() {
-    for pattern in [keyed_seq(2, 10), keyed_seq(3, 12)] {
-        let entry = Entry::RunRegistry { queries: 2 };
-        let c = Composition::sharded(3, Route::HashAttr(0), entry, false);
-        nfa(&c, &pattern, &lcg_workload(200, 3, 4, 0xBEEF));
-    }
+    let entry = Entry::RunRegistry {
+        others: vec![keyed_seq(3, 12)],
+    };
+    let c = Composition::sharded(3, Route::HashAttr(0), entry, false);
+    nfa(&c, &keyed_seq(2, 10), &lcg_workload(200, 3, 4, 0xBEEF));
 }
 
 /// Per-worker adaptivity: every shard owns an `AdaptiveEngine` and
@@ -544,7 +574,7 @@ fn forced_swaps_are_exact_for_both_engine_families() {
     for strategy in EXACT {
         for backend in standard_backends() {
             let c = forced(eager(50));
-            let checked = check(&c, &backend, 0, strategy, &seq_pattern(3, 12), &stream);
+            let checked = run(&c, &backend, strategy, &seq_pattern(3, 12), &stream);
             let swaps = checked.metrics.plan_swaps;
             assert!(swaps >= 2, "forced swaps repeat, got {swaps}");
         }
@@ -584,7 +614,7 @@ fn swap_keeps_negated_events_older_than_the_retained_window() {
         };
         let (pattern, c) = (p.unwrap(), forced(eager(50)));
         for backend in standard_backends() {
-            let checked = check(&c, &backend, 0, ANY, &pattern, &stream);
+            let checked = run(&c, &backend, ANY, &pattern, &stream);
             assert_eq!((checked.matches, checked.metrics.plan_swaps), (0, 1));
         }
     }
@@ -712,7 +742,7 @@ proptest! {
         let replan = Replan::Forced { history_ms };
         let c = Composition::Adaptive { replan, config: eager(horizon) };
         let backend = &standard_backends()[backend_idx];
-        check(&c, backend, 0, EXACT[strategy_idx], &pattern, &b.build());
+        run(&c, backend, EXACT[strategy_idx], &pattern, &b.build());
     }
 }
 
@@ -733,15 +763,17 @@ fn wrappers_pass_engine_counters_through() {
         ..AdaptiveConfig::default()
     });
     for backend in standard_backends() {
-        let bare = check(&Composition::Bare, &backend, 0, ANY, &pattern, &stream);
+        let bare = run(&Composition::Bare, &backend, ANY, &pattern, &stream);
         assert!(bare.matches > 0, "the fixture must match");
         assert!(bare.metrics.index_probes > 0, "the joins must probe");
         for c in [
             Composition::Multi,
-            Composition::Registry { queries: 2 },
+            Composition::Registry {
+                others: vec![pattern.clone()],
+            },
             quiet.clone(),
         ] {
-            let checked = check(&c, &backend, 0, ANY, &pattern, &stream);
+            let checked = run(&c, &backend, ANY, &pattern, &stream);
             assert_eq!(checked.metrics.plan_swaps, 0, "{c:?}");
         }
     }
@@ -755,7 +787,7 @@ fn swapped_engines_fold_into_the_adaptive_view() {
         ..eager(100)
     });
     for backend in standard_backends() {
-        let checked = check(&c, &backend, 0, ANY, &pattern, &stream);
+        let checked = run(&c, &backend, ANY, &pattern, &stream);
         assert!(checked.metrics.plan_swaps >= 2, "{}", backend.name);
     }
 }
@@ -778,7 +810,15 @@ fn nfa_and_tree_agree_on_random_streams() {
     });
     for backend in standard_backends() {
         for seed in 0..3 {
-            let checked = check(&Composition::Bare, &backend, seed, ANY, &pattern, &stream);
+            let checked = check(
+                &Composition::Bare,
+                &backend,
+                seed,
+                &check_config(),
+                ANY,
+                &pattern,
+                &stream,
+            );
             assert!(checked.matches > 0, "fixture should produce matches");
         }
     }

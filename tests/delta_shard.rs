@@ -5,7 +5,7 @@
 //! delta counters (index probes, delta updates, enumeration histogram)
 //! survive the cross-shard metrics merge.
 
-use cep::conformance::{check, standard_backends, Composition, Entry, Route};
+use cep::conformance::{check, check_config, standard_backends, Composition, Entry, Route};
 use cep::core::event::{Event, TypeId};
 use cep::core::pattern::PatternBuilder;
 use cep::core::predicate::{CmpOp, Predicate};
@@ -46,7 +46,7 @@ fn sharded_delta_is_byte_identical_to_serial() {
     let any = SelectionStrategy::SkipTillAnyMatch;
     for shards in [1, 2, 4] {
         let c = Composition::sharded(shards, Route::HashAttr(0), Entry::Run, true);
-        let checked = check(&c, delta, 0, any, &pattern, &stream);
+        let checked = check(&c, delta, 0, &check_config(), any, &pattern, &stream);
         assert!(checked.matches > 0, "fixture must produce matches");
         let m = &checked.metrics;
         assert_eq!(m.partial_matches_created, 0, "nothing materialized");

@@ -9,7 +9,7 @@
 
 use cep::adaptive::PlanReplanner;
 use cep::conformance::{
-    build_late_stream, build_pattern, check, eager, skewed_replanner, split_late,
+    build_late_stream, build_pattern, check, check_config, eager, skewed_replanner, split_late,
     standard_backends, Composition, Entry, PatternSpec, Replan, Route, SeededBackend,
 };
 use cep::core::compile::CompiledPattern;
@@ -71,10 +71,23 @@ const PLANNED: [fn(&[CompiledPattern]) -> PlanReplanner; 2] = [
     |b| skewed_replanner(b, Backend::Tree(TreeAlgorithm::ZStreamOrd)),
 ];
 
-/// Every composition of the matrix: the bare engine, a `MultiEngine`, a
-/// registry, the adaptive wrapper under forced swaps and under a DP-LD
-/// replanner, and each shard entry point at 1 and 2 shards under `route`.
-fn compositions(route: Route, window: u64, collect: bool) -> Vec<Composition> {
+/// `SEQ(b, c)` over types 1 and 2 with `b.0 == c.0`: a second query for
+/// the registries, keyed on attribute 0 like the routes they run under.
+fn other_query(window: u64) -> Pattern {
+    let mut b = PatternBuilder::new(window);
+    let (m, c) = (b.event(TypeId(1), "b"), b.event(TypeId(2), "c"));
+    b.predicate(Predicate::attr_cmp(m.pos(), 0, CmpOp::Eq, c.pos(), 0));
+    b.seq([m, c]).unwrap()
+}
+
+/// Every composition of `pattern` in the matrix: the bare engine, a
+/// `MultiEngine`, a registry, the adaptive wrapper under forced swaps and
+/// under a DP-LD replanner, and each shard entry point at 1 and 2 shards
+/// under `route`. The registries also hold a copy of the pattern and
+/// [`other_query`].
+fn compositions(pattern: &Pattern, route: Route, collect: bool) -> Vec<Composition> {
+    let window = pattern.window;
+    let others = vec![pattern.clone(), other_query(window)];
     let config = eager(window);
     let adaptive = |replan| Composition::Adaptive {
         replan,
@@ -84,7 +97,9 @@ fn compositions(route: Route, window: u64, collect: bool) -> Vec<Composition> {
     let entries = [
         Entry::Run,
         Entry::RunQuery,
-        Entry::RunRegistry { queries: 1 },
+        Entry::RunRegistry {
+            others: others.clone(),
+        },
         Entry::RunAdaptive { replanner, config },
     ];
     let sharded = (1..=2).flat_map(|n| {
@@ -95,7 +110,7 @@ fn compositions(route: Route, window: u64, collect: bool) -> Vec<Composition> {
     let wrapped = [
         Composition::Bare,
         Composition::Multi,
-        Composition::Registry { queries: 2 },
+        Composition::Registry { others },
         adaptive(Replan::Forced { history_ms: 0 }),
         adaptive(Replan::Planned(replanner)),
     ];
@@ -118,8 +133,8 @@ fn every_entry_point_drops_and_counts_late_events() {
     let any = SelectionStrategy::SkipTillAnyMatch;
     for backend in std::iter::once(naive()).chain(standard_backends()) {
         for seed in 0..3 {
-            for c in compositions(Route::HashAttr(0), WINDOW, true) {
-                let checked = check(&c, &backend, seed, any, &pattern, &stream);
+            for c in compositions(&pattern, Route::HashAttr(0), true) {
+                let checked = check(&c, &backend, seed, &check_config(), any, &pattern, &stream);
                 assert!(checked.matches >= 5, "the fixture has matches");
                 if let Composition::Adaptive { .. } = c {
                     assert!(checked.metrics.plan_swaps >= 1, "{c:?} swaps plans");
@@ -177,7 +192,7 @@ proptest! {
             Ok(()) => Route::HashAttr(0),
             Err(_) => Route::ReplicateJoin,
         };
-        let mut c = compositions(route, window, collect).swap_remove(composition_idx);
+        let mut c = compositions(&pattern, route, collect).swap_remove(composition_idx);
         if let (true, Composition::Adaptive { replan: replan @ Replan::Planned(_), .. }) =
             (tree_planned, &mut c)
         {
@@ -189,6 +204,6 @@ proptest! {
             SelectionStrategy::PartitionContiguity,
         ][strategy_idx];
         let backend = &standard_backends()[backend_idx];
-        check(&c, backend, seed, strategy, &pattern, &build_late_stream(&raw));
+        check(&c, backend, seed, &check_config(), strategy, &pattern, &build_late_stream(&raw));
     }
 }

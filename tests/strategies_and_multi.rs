@@ -1,16 +1,16 @@
 //! Deeper coverage of the selection strategies, multi-engine disjunction
 //! handling, and engine lifecycle edge cases.
 
-use cep::conformance::standard_engines;
+use cep::conformance::{check, standard_backends, standard_engines, Composition, SeededBackend};
 use cep::core::compile::CompiledPattern;
 use cep::core::engine::{run_to_completion, Engine, EngineConfig, MultiEngine};
 use cep::core::event::{Event, TypeId};
 use cep::core::naive::NaiveEngine;
-use cep::core::pattern::PatternBuilder;
+use cep::core::pattern::{Pattern, PatternBuilder};
 use cep::core::plan::{OrderPlan, TreeNode, TreePlan};
 use cep::core::predicate::{CmpOp, Predicate};
 use cep::core::selection::SelectionStrategy;
-use cep::core::stream::StreamBuilder;
+use cep::core::stream::{EventStream, StreamBuilder};
 use cep::core::value::Value;
 use cep::nfa::NfaEngine;
 use cep::tree::TreeEngine;
@@ -31,29 +31,32 @@ fn stream(events: Vec<Event>) -> Vec<cep::core::event::EventRef> {
     b.build()
 }
 
+/// [`check`] of the bare engine of every standard backend (plans from seed
+/// 0) under the pattern's own strategy; the oracle's match count.
+fn bare(pattern: &Pattern, s: &EventStream) -> u64 {
+    let (cfg, strategy) = (EngineConfig::default(), pattern.strategy);
+    let run = |b: &SeededBackend| check(&Composition::Bare, b, 0, &cfg, strategy, pattern, s);
+    standard_backends()
+        .iter()
+        .map(|b| run(b).matches)
+        .max()
+        .unwrap_or(0)
+}
+
 #[test]
 fn empty_stream_produces_no_matches() {
     let mut b = PatternBuilder::new(10);
     let a = b.event(t(0), "a");
     let c = b.event(t(1), "c");
-    let cp = CompiledPattern::compile_single(&b.seq([a, c]).unwrap()).unwrap();
-    let s: Vec<cep::core::event::EventRef> = Vec::new();
-    for mut engine in standard_engines(&cp, &EngineConfig::default()) {
-        let r = run_to_completion(engine.as_mut(), &s, true);
-        assert_eq!(r.match_count, 0, "{}", engine.name());
-    }
+    assert_eq!(bare(&b.seq([a, c]).unwrap(), &vec![]), 0);
 }
 
 #[test]
 fn single_element_pattern_matches_every_event() {
     let mut b = PatternBuilder::new(10);
     let a = b.event(t(0), "a");
-    let cp = CompiledPattern::compile_single(&b.seq([a]).unwrap()).unwrap();
     let s = stream(vec![ev(0, 1, 0), ev(1, 2, 0), ev(0, 3, 0)]);
-    for mut engine in standard_engines(&cp, &EngineConfig::default()) {
-        let r = run_to_completion(engine.as_mut(), &s, true);
-        assert_eq!(r.match_count, 2, "{}", engine.name());
-    }
+    assert_eq!(bare(&b.seq([a]).unwrap(), &s), 2);
 }
 
 #[test]
@@ -199,7 +202,6 @@ fn tree_engine_negation_matches_oracle_under_all_tree_shapes() {
     let ce = b.expr(c);
     let de = b.expr(d);
     let p = b.and_exprs([ae, ne, ce, de]).unwrap();
-    let cp = CompiledPattern::compile_single(&p).unwrap();
     let s = stream(vec![
         ev(2, 1, 0),
         ev(0, 2, 0),
@@ -209,34 +211,18 @@ fn tree_engine_negation_matches_oracle_under_all_tree_shapes() {
         ev(2, 13, 0),
         ev(3, 14, 0),
     ]);
-    let mut oracle = NaiveEngine::new(cp.clone(), EngineConfig::default());
-    let expected: Vec<_> = run_to_completion(&mut oracle, &s, true)
-        .matches
-        .iter()
-        .map(|m| m.signature())
-        .collect();
-    for tree in [
-        TreeNode::join(
-            TreeNode::join(TreeNode::Leaf(0), TreeNode::Leaf(1)),
-            TreeNode::Leaf(2),
-        ),
-        TreeNode::join(
-            TreeNode::Leaf(2),
-            TreeNode::join(TreeNode::Leaf(1), TreeNode::Leaf(0)),
-        ),
-    ] {
-        let plan = TreePlan::new(tree).unwrap();
-        let mut te = TreeEngine::new(cp.clone(), plan, EngineConfig::default()).unwrap();
-        let got: Vec<_> = run_to_completion(&mut te, &s, true)
-            .matches
-            .iter()
-            .map(|m| m.signature())
-            .collect();
-        let mut g = got.clone();
-        let mut e = expected.clone();
-        g.sort();
-        e.sort();
-        assert_eq!(g, e);
+    // The tree engine under the seed-th shape.
+    let shapes = SeededBackend::new("tree", |cp, seed, cfg| {
+        let (leaf, join) = (TreeNode::Leaf, TreeNode::join);
+        let tree = match seed {
+            0 => join(join(leaf(0), leaf(1)), leaf(2)),
+            _ => join(leaf(2), join(leaf(1), leaf(0))),
+        };
+        Box::new(TreeEngine::new(cp.clone(), TreePlan::new(tree).unwrap(), cfg.clone()).unwrap())
+    });
+    let (cfg, any) = (EngineConfig::default(), SelectionStrategy::SkipTillAnyMatch);
+    for seed in 0..2 {
+        check(&Composition::Bare, &shapes, seed, &cfg, any, &p, &s);
     }
 }
 
@@ -246,26 +232,15 @@ fn metrics_are_populated_consistently() {
     let a = b.event(t(0), "a");
     let c = b.event(t(1), "c");
     b.predicate(Predicate::attr_cmp(a.pos(), 0, CmpOp::Le, c.pos(), 0));
-    let cp = CompiledPattern::compile_single(&b.seq([a, c]).unwrap()).unwrap();
+    let pattern = b.seq([a, c]).unwrap();
     let s = stream(vec![ev(0, 1, 0), ev(1, 2, 0), ev(0, 3, 0), ev(1, 4, 1)]);
-    for engine in [
-        Box::new(NfaEngine::with_trivial_plan(
-            cp.clone(),
-            EngineConfig::default(),
-        )) as Box<dyn Engine>,
-        Box::new(TreeEngine::with_trivial_plan(
-            cp.clone(),
-            EngineConfig::default(),
-        )),
-        Box::new(NaiveEngine::new(cp.clone(), EngineConfig::default())),
-    ] {
-        let mut engine = engine;
+    // `check` holds each backend's processed, relevant and emitted counts
+    // to the oracle's.
+    assert_eq!(bare(&pattern, &s), 3);
+    let cp = CompiledPattern::compile_single(&pattern).unwrap();
+    for mut engine in standard_engines(&cp, &EngineConfig::default()) {
         let r = run_to_completion(engine.as_mut(), &s, true);
-        assert_eq!(r.metrics.events_processed, 4);
-        assert_eq!(r.metrics.events_relevant, 4);
-        assert_eq!(r.metrics.matches_emitted, r.match_count);
-        assert!(r.metrics.wall_time_ns > 0);
-        assert_eq!(r.match_count, 3, "{}", engine.name());
+        assert!(r.metrics.wall_time_ns > 0, "{}", engine.name());
     }
 }
 
@@ -297,11 +272,5 @@ fn kleene_under_contiguity_validates_exactly() {
         expected[0],
         vec![(0, vec![0]), (1, vec![1, 2]), (2, vec![3])]
     );
-    let mut nfa = NfaEngine::with_trivial_plan(cp.clone(), EngineConfig::default());
-    let got: Vec<_> = run_to_completion(&mut nfa, &s, true)
-        .matches
-        .iter()
-        .map(|m| m.signature())
-        .collect();
-    assert_eq!(got, expected);
+    bare(&p, &s);
 }

@@ -4,33 +4,27 @@
 //! runs of equal timestamps pile up exactly at window boundaries — the
 //! regime where an off-by-one in the expiration rule (`ts + window <
 //! watermark`, boundary events survive) flips match sets. Each case
-//! asserts the delta engine's output byte-identical (signatures *and*
-//! `emitted_at`) to the naive oracle, and that expired events are
-//! *actually evicted*: the engine's peak live-event count must equal an
-//! independently simulated bound, catching the unbounded-growth failure
-//! mode where matches stay correct but the index silently retains the
-//! whole stream.
+//! holds the delta engine to the naive oracle through
+//! `cep::conformance::check` (signatures, `last_ts` *and* `emitted_at`),
+//! and checks that expired events are *actually evicted*: the engine's
+//! peak live-event count must equal an independently simulated bound,
+//! catching the unbounded-growth failure mode where matches stay correct
+//! but the index silently retains the whole stream.
 
-use cep_core::compile::CompiledPattern;
-use cep_core::engine::{run_to_completion, EngineConfig};
-use cep_core::event::{Event, EventRef, TypeId};
-use cep_core::matches::Match;
-use cep_core::naive::NaiveEngine;
-use cep_core::pattern::{Pattern, PatternBuilder};
-use cep_core::predicate::{CmpOp, Predicate};
-use cep_core::stream::StreamBuilder;
-use cep_core::value::Value;
-use cep_delta::DeltaEngine;
+use cep::conformance::{check, standard_backends, Checked, Composition};
+use cep::core::engine::EngineConfig;
+use cep::core::event::{Event, EventRef, TypeId};
+use cep::core::pattern::{Pattern, PatternBuilder};
+use cep::core::predicate::{CmpOp, Predicate};
+use cep::core::selection::SelectionStrategy;
+use cep::core::stream::{EventStream, StreamBuilder};
+use cep::core::value::Value;
 use proptest::prelude::*;
 
-/// A match's byte-identity key: its signature paired with `emitted_at`.
-type MatchKey = (Vec<(usize, Vec<u64>)>, u64);
-
-/// Sorted `(signature, emitted_at)` pairs: the byte-identity key.
-fn keyed(ms: &[Match]) -> Vec<MatchKey> {
-    let mut ks: Vec<_> = ms.iter().map(|m| (m.signature(), m.emitted_at)).collect();
-    ks.sort();
-    ks
+/// [`check`] of the bare delta engine.
+fn delta(pattern: &Pattern, stream: &EventStream, cfg: &EngineConfig) -> Checked {
+    let (bare, any) = (Composition::Bare, SelectionStrategy::SkipTillAnyMatch);
+    check(&bare, &standard_backends()[2], 0, cfg, any, pattern, stream)
 }
 
 /// Builds a tie-heavy stream: `dt` is taken modulo 3, so about a third of
@@ -83,24 +77,18 @@ proptest! {
         raw in prop::collection::vec((0u32..3, 0u8..3, 0i8..3), 10..=60),
         window in 1u64..6,
     ) {
-        let p = seq_eq_pattern(window);
-        let cp = CompiledPattern::compile_single(&p).unwrap();
         let stream = tie_stream(&raw);
-        let mut oracle = NaiveEngine::new(cp.clone(), EngineConfig::default());
-        let expected = keyed(&run_to_completion(&mut oracle, &stream, true).matches);
-        let mut engine = DeltaEngine::new(cp.clone(), EngineConfig::default());
-        let r = run_to_completion(&mut engine, &stream, true);
-        prop_assert_eq!(keyed(&r.matches), expected);
+        let m = delta(&seq_eq_pattern(window), &stream, &EngineConfig::default()).metrics;
         // Eviction actually happened: the engine's peak equals the
         // simulated retention bound (type 2 is stream noise — it
         // advances the watermark but is never stored).
         let bound = simulated_peak(&stream, &[0, 1], window);
         prop_assert_eq!(
-            r.metrics.peak_buffered_events, bound,
+            m.peak_buffered_events, bound,
             "index retention diverged from the window rule (peak {} vs bound {})",
-            r.metrics.peak_buffered_events, bound
+            m.peak_buffered_events, bound
         );
-        prop_assert_eq!(r.metrics.partial_matches_created, 0);
+        prop_assert_eq!(m.partial_matches_created, 0);
     }
 
     #[test]
@@ -120,13 +108,7 @@ proptest! {
         let ne = b.not(nb);
         let ce = b.expr(c);
         let p = b.seq_exprs([ae, ne, ce]).unwrap();
-        let cp = CompiledPattern::compile_single(&p).unwrap();
-        let stream = tie_stream(&raw);
-        let mut oracle = NaiveEngine::new(cp.clone(), EngineConfig::default());
-        let expected = keyed(&run_to_completion(&mut oracle, &stream, true).matches);
-        let mut engine = DeltaEngine::new(cp.clone(), EngineConfig::default());
-        let r = run_to_completion(&mut engine, &stream, true);
-        prop_assert_eq!(keyed(&r.matches), expected);
+        delta(&p, &tie_stream(&raw), &EngineConfig::default());
     }
 
     #[test]
@@ -142,14 +124,8 @@ proptest! {
         let ae = b.expr(a);
         let ke = b.kleene(k);
         let p = b.seq_exprs([ae, ke]).unwrap();
-        let cp = CompiledPattern::compile_single(&p).unwrap();
-        let stream = tie_stream(&raw);
         let cfg = EngineConfig { max_kleene_events: 4, ..Default::default() };
-        let mut oracle = NaiveEngine::new(cp.clone(), cfg.clone());
-        let expected = keyed(&run_to_completion(&mut oracle, &stream, true).matches);
-        let mut engine = DeltaEngine::new(cp, cfg);
-        let r = run_to_completion(&mut engine, &stream, true);
-        prop_assert_eq!(keyed(&r.matches), expected);
+        delta(&p, &tie_stream(&raw), &cfg);
     }
 }
 
@@ -158,19 +134,12 @@ proptest! {
 /// must not.
 #[test]
 fn boundary_event_survives_exactly_to_the_window_edge() {
-    let p = seq_eq_pattern(5);
-    let cp = CompiledPattern::compile_single(&p).unwrap();
     let mut sb = StreamBuilder::new();
     sb.push(Event::new(TypeId(0), 0, vec![Value::Int(1)]));
     // Exactly at the edge: 0 + 5 == 5 → still live, match expected.
     sb.push(Event::new(TypeId(1), 5, vec![Value::Int(1)]));
     // One past the edge relative to the first event: no second match.
     sb.push(Event::new(TypeId(1), 6, vec![Value::Int(1)]));
-    let stream = sb.build();
-    let mut engine = DeltaEngine::new(cp.clone(), EngineConfig::default());
-    let r = run_to_completion(&mut engine, &stream, true);
-    let mut oracle = NaiveEngine::new(cp, EngineConfig::default());
-    let expected = run_to_completion(&mut oracle, &stream, true);
-    assert_eq!(keyed(&r.matches), keyed(&expected.matches));
-    assert_eq!(r.matches.len(), 1, "only the edge event pairs up");
+    let checked = delta(&seq_eq_pattern(5), &sb.build(), &EngineConfig::default());
+    assert_eq!(checked.matches, 1, "only the edge event pairs up");
 }
