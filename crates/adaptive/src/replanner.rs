@@ -9,9 +9,8 @@ use cep_core::engine::{Engine, EngineConfig, MultiEngine};
 use cep_core::error::CepError;
 use cep_core::event::{EventRef, TypeId};
 use cep_core::matches::Match;
-use cep_core::plan::Plan;
+use cep_core::plan::{Plan, TreePlan};
 use cep_core::stats::{MeasuredStats, PatternStats};
-use cep_nfa::NfaEngine;
 use cep_optimizer::planner::LatencyAnchor;
 use cep_optimizer::OutputProfiler;
 use cep_optimizer::{Backend, EventWindow, Planner, SelectivityMonitor};
@@ -361,17 +360,14 @@ impl Replanner for PlanReplanner {
                     .lock()
                     .expect("plan cache poisoned")
                     .get_or_compile(&b.cp);
+                // An order plan runs as its left-deep tree (§4).
+                let tree = match &b.plan {
+                    Plan::Order(plan) => TreePlan::left_deep(plan),
+                    Plan::Tree(plan) => plan.clone(),
+                };
                 let (cp, config) = (b.cp.clone(), self.engine_config.clone());
-                match &b.plan {
-                    Plan::Order(plan) => Box::new(
-                        NfaEngine::with_program(cp, plan.clone(), config, program)
-                            .expect("pre-validated plan"),
-                    ) as Box<dyn Engine>,
-                    Plan::Tree(plan) => Box::new(
-                        TreeEngine::with_program(cp, plan.clone(), config, program)
-                            .expect("pre-validated plan"),
-                    ),
-                }
+                let engine = TreeEngine::with_program(cp, tree, config, program);
+                Box::new(engine.expect("pre-validated plan")) as Box<dyn Engine>
             })
             .collect();
         if engines.len() == 1 {

@@ -21,7 +21,6 @@ use cep_core::selection::SelectionStrategy;
 use cep_core::stats::MeasuredStats;
 use cep_core::stream::{EventStream, StreamBuilder};
 use cep_core::value::Value;
-use cep_nfa::NfaEngine;
 use cep_optimizer::{Backend, EventWindow, OrderAlgorithm, Planner, SelectivityMonitor};
 use cep_tree::TreeEngine;
 use proptest::prelude::*;
@@ -142,11 +141,10 @@ struct FlipFlop {
     cp: CompiledPattern,
     orders: [OrderPlan; 2],
     active: usize,
-    tree: bool,
 }
 
 impl FlipFlop {
-    fn new(cp: CompiledPattern, tree: bool) -> FlipFlop {
+    fn new(cp: CompiledPattern) -> FlipFlop {
         let n = cp.n();
         let fwd = OrderPlan::new((0..n).collect()).unwrap();
         let rev = OrderPlan::new((0..n).rev().collect()).unwrap();
@@ -154,30 +152,15 @@ impl FlipFlop {
             cp,
             orders: [fwd, rev],
             active: 0,
-            tree,
         }
-    }
-}
-
-/// An NFA engine over `plan`, or a tree engine over its left-deep tree.
-fn order_engine(cp: &CompiledPattern, plan: &OrderPlan, tree: bool) -> Box<dyn Engine> {
-    if tree {
-        Box::new(
-            TreeEngine::new(
-                cp.clone(),
-                TreePlan::left_deep(plan),
-                EngineConfig::default(),
-            )
-            .unwrap(),
-        )
-    } else {
-        Box::new(NfaEngine::new(cp.clone(), plan.clone(), EngineConfig::default()).unwrap())
     }
 }
 
 impl Replanner for FlipFlop {
     fn build(&self) -> Box<dyn Engine> {
-        order_engine(&self.cp, &self.orders[self.active], self.tree)
+        let tree = TreePlan::left_deep(&self.orders[self.active]);
+        let engine = TreeEngine::new(self.cp.clone(), tree, EngineConfig::default());
+        Box::new(engine.unwrap())
     }
 
     fn replan_amortized(
@@ -343,8 +326,7 @@ fn next_match_swaps_stay_valid_disjoint_and_deterministic() {
     ] {
         let cp = CompiledPattern::compile_single(&pattern).unwrap();
         let run = || {
-            let mut adaptive =
-                AdaptiveEngine::new(FlipFlop::new(cp.clone(), false), cp.window, eager(50));
+            let mut adaptive = AdaptiveEngine::new(FlipFlop::new(cp.clone()), cp.window, eager(50));
             let matches = run_to_completion(&mut adaptive, &stream, true).matches;
             (matches, adaptive.swaps())
         };
@@ -353,7 +335,7 @@ fn next_match_swaps_stay_valid_disjoint_and_deterministic() {
         let mut any_match = pattern.clone();
         any_match.strategy = SelectionStrategy::SkipTillAnyMatch;
         let any_cp = CompiledPattern::compile_single(&any_match).unwrap();
-        let mut static_engine = FlipFlop::new(any_cp, false).build();
+        let mut static_engine = FlipFlop::new(any_cp).build();
         let allowed: std::collections::HashSet<_> = run_engine(static_engine.as_mut(), &stream)
             .iter()
             .map(Match::signature)
@@ -388,7 +370,7 @@ fn retained_buffer_is_window_bounded() {
         SelectionStrategy::SkipTillAnyMatch,
     ))
     .unwrap();
-    let mut adaptive = AdaptiveEngine::new(FlipFlop::new(cp, false), window, eager(50));
+    let mut adaptive = AdaptiveEngine::new(FlipFlop::new(cp), window, eager(50));
     // One event per ms for 300 ms, types cycling 0..4: the buffer must
     // plateau at ~window+1 events instead of growing with the stream, and
     // the negated tail at the type-3 events of the window before it.
@@ -881,7 +863,7 @@ fn factory_builds_independent_adaptive_engines() {
     let cp =
         CompiledPattern::compile_single(&seq_pattern(2, 10, SelectionStrategy::SkipTillAnyMatch))
             .unwrap();
-    let factory = AdaptiveFactory::new(FlipFlop::new(cp, false), 10, eager(50));
+    let factory = AdaptiveFactory::new(FlipFlop::new(cp), 10, eager(50));
     let f: &dyn EngineFactory = &factory;
     let mut a = f.build();
     let b = f.build();
@@ -898,12 +880,11 @@ fn factory_builds_independent_adaptive_engines() {
 proptest! {
     /// A traced adaptive run — ring sink attached, decisions and matches
     /// recorded — emits byte-identical matches to the untraced run, for
-    /// all three exact strategies and both engine families.
+    /// all three exact strategies.
     #[test]
     fn traced_adaptive_run_is_byte_identical_to_untraced(
         raw in prop::collection::vec((0u32..3, 0u64..3), 1..80),
         strategy_idx in 0usize..3,
-        tree in any::<bool>(),
     ) {
         let strategy = [
             SelectionStrategy::SkipTillAnyMatch,
@@ -918,7 +899,7 @@ proptest! {
         }
         let stream = b.build();
         let cp = CompiledPattern::compile_single(&seq_pattern(3, 10, strategy)).unwrap();
-        let replanner = FlipFlop::new(cp, tree);
+        let replanner = FlipFlop::new(cp);
         let mut plain = AdaptiveEngine::new(replanner.clone(), 10, eager(30));
         let expected = run_engine(&mut plain, &stream);
         let ring = std::sync::Arc::new(cep_obs::RingSink::new(1 << 16));
@@ -1023,7 +1004,7 @@ fn default_replanner_reports_no_costs_and_flipflop_uses_sentinel() {
     let cp =
         CompiledPattern::compile_single(&seq_pattern(2, 10, SelectionStrategy::SkipTillAnyMatch))
             .unwrap();
-    let flip = FlipFlop::new(cp, false);
+    let flip = FlipFlop::new(cp);
     assert_eq!(flip.last_costs(), None, "default impl tracks nothing");
     // A traced engine over such a replanner emits the −1 sentinel.
     let ring = std::sync::Arc::new(cep_obs::RingSink::new(64));

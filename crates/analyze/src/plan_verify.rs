@@ -217,7 +217,7 @@ pub fn verify_pattern_invariants(cp: &CompiledPattern) -> Result<(), CepError> {
     Ok(())
 }
 
-/// Verifies an order-based (NFA) plan against its compiled branch: the
+/// Verifies an order-based plan against its compiled branch: the
 /// plan must be a permutation of the branch's elements, and the branch
 /// itself must satisfy [`verify_pattern_invariants`].
 pub fn verify_order_plan(cp: &CompiledPattern, plan: &OrderPlan) -> Result<(), CepError> {

@@ -478,8 +478,8 @@ pub fn sharded_scaling(
 ) -> std::io::Result<()> {
     use crate::env::replicated_stock_workload;
     use cep_core::engine::{run_to_completion, Engine};
-    use cep_nfa::NfaEngine;
     use cep_shard::{RoutingPolicy, ShardedRuntime};
+    use cep_tree::TreeEngine;
 
     writeln!(
         out,
@@ -495,7 +495,7 @@ pub fn sharded_scaling(
     );
     let factory = {
         move || {
-            Box::new(NfaEngine::with_trivial_plan(cp.clone(), engine_config())) as Box<dyn Engine>
+            Box::new(TreeEngine::with_trivial_plan(cp.clone(), engine_config())) as Box<dyn Engine>
         }
     };
     writeln!(
@@ -569,8 +569,8 @@ pub fn cross_partition(
     use cep_core::engine::{run_to_completion, Engine};
     use cep_core::partition::QueryPartitioner;
     use cep_core::stats::MeasuredStats;
-    use cep_nfa::NfaEngine;
     use cep_shard::{RoutingPolicy, ShardedRuntime};
+    use cep_tree::TreeEngine;
     use std::sync::Arc;
 
     writeln!(
@@ -602,7 +602,7 @@ pub fn cross_partition(
     let factory = {
         let cp = cp.clone();
         move || {
-            Box::new(NfaEngine::with_trivial_plan(cp.clone(), engine_config())) as Box<dyn Engine>
+            Box::new(TreeEngine::with_trivial_plan(cp.clone(), engine_config())) as Box<dyn Engine>
         }
     };
     // The routing guard: split-only policies are rejected for this query.

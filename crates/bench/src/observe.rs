@@ -29,13 +29,13 @@ use cep_core::engine::{run_traced, Engine, EngineConfig};
 use cep_core::metrics::{Combine, EngineMetrics};
 use cep_core::partition::QueryPartitioner;
 use cep_core::stats::MeasuredStats;
-use cep_nfa::NfaEngine;
 use cep_obs::{
     validate_prometheus, JsonlSink, LatencyHistogram, MetricsRegistry, RingSink, TraceRecord,
     Tracer,
 };
 use cep_optimizer::{Backend, OrderAlgorithm, Planner};
 use cep_shard::{RoutingPolicy, ShardedRuntime};
+use cep_tree::TreeEngine;
 use std::io::Write;
 use std::sync::{Arc, Mutex};
 
@@ -144,7 +144,7 @@ pub fn run(
     let spec = QueryPartitioner::analyze_measured(std::slice::from_ref(&cp), &stats)
         .map_err(|e| format!("cross-key query fails to partition: {e}"))?;
     let factory = move || {
-        Box::new(NfaEngine::with_trivial_plan(cp.clone(), engine_config())) as Box<dyn Engine>
+        Box::new(TreeEngine::with_trivial_plan(cp.clone(), engine_config())) as Box<dyn Engine>
     };
     let sharded = ShardedRuntime::with_shards(4)
         .with_tracer(tracer.clone())

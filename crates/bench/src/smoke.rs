@@ -20,20 +20,20 @@
 //! so `--write-baseline` cannot bless a divergence.
 //!
 //! The `compiled-pipeline` scenario runs one workload through the
-//! compiled predicate pipeline (fused evaluators + eager pruning) on
-//! both engine families: match counts and the predicate-evaluation count
-//! are gated like every other scenario.
+//! compiled predicate pipeline (fused evaluators + eager pruning): match
+//! counts and the predicate-evaluation count are gated like every other
+//! scenario.
 //!
 //! The `delta-window-scaling` scenario sweeps the pattern window over the
-//! same rare-completion join workload on the NFA, tree, and delta
-//! backends: match counts must agree exactly, and the gated peak counts
+//! same rare-completion join workload on the tree and delta backends:
+//! match counts must agree exactly, and the gated peak counts
 //! pin down the storage asymmetry — materializing partial matches blow up
 //! superlinearly with the window while the delta engine's buffered-event
 //! peak grows at most linearly and it materializes no partials at all.
 //!
 //! The `keyed-join` scenario runs one keyed `SEQ(3)` over 1, 16 and 64
-//! interleaved replicas of the same event sequence on the NFA and tree
-//! backends: with hash-partitioned join state a replica's work does not
+//! interleaved replicas of the same event sequence on the tree backend:
+//! with hash-partitioned join state a replica's work does not
 //! depend on how many other replicas are live, so matches *and* predicate
 //! evaluations must scale exactly linearly in the replica count.
 
@@ -42,9 +42,9 @@ use crate::env::{
     selectivity_drift_workload,
 };
 use cep_core::engine::{run_to_completion, Engine, EngineConfig};
-use cep_nfa::NfaEngine;
 use cep_obs::json::Json;
 use cep_shard::{RoutingPolicy, ShardedRuntime};
+use cep_tree::TreeEngine;
 use std::io::Write;
 use std::time::Instant;
 
@@ -104,7 +104,7 @@ fn sharded_scaling() -> ScenarioReport {
         let (gen, cp) = replicated_stock_workload(4_000, 0.5, 0xCE9, 8, 1_500);
         let factory = {
             move || {
-                Box::new(NfaEngine::with_trivial_plan(cp.clone(), engine_config()))
+                Box::new(TreeEngine::with_trivial_plan(cp.clone(), engine_config()))
                     as Box<dyn Engine>
             }
         };
@@ -252,7 +252,7 @@ fn cross_partition() -> ScenarioReport {
         let factory = {
             let cp = cp.clone();
             move || {
-                Box::new(NfaEngine::with_trivial_plan(cp.clone(), engine_config()))
+                Box::new(TreeEngine::with_trivial_plan(cp.clone(), engine_config()))
                     as Box<dyn Engine>
             }
         };
@@ -286,46 +286,39 @@ fn cross_partition() -> ScenarioReport {
 }
 
 /// The compiled predicate pipeline (fused evaluators + eager pruning) on
-/// one seeded workload, both engine families. Match counts and the
-/// predicate-evaluation count are deterministic and gated against the
-/// baseline; wall times land in [`ScenarioReport::walls`].
+/// one seeded workload. Match counts and the predicate-evaluation count
+/// are deterministic and gated against the baseline (`compiled_matches`
+/// and `tree_compiled_matches` are one count under two historical keys);
+/// the wall time lands in [`ScenarioReport::walls`].
 fn compiled_pipeline() -> ScenarioReport {
-    use cep_tree::TreeEngine;
     let start = Instant::now();
     let (gen, cp) = replicated_stock_workload(6_000, 0.5, 0xCE9, 8, 1_500);
-    let mut nfa = NfaEngine::with_trivial_plan(cp.clone(), engine_config());
-    let t = Instant::now();
-    let matches = run_to_completion(&mut nfa, &gen.stream, false).match_count;
-    let nfa_wall = t.elapsed().as_secs_f64() * 1e3;
     let mut tree = TreeEngine::with_trivial_plan(cp, engine_config());
     let t = Instant::now();
-    let tree_matches = run_to_completion(&mut tree, &gen.stream, false).match_count;
-    let tree_wall = t.elapsed().as_secs_f64() * 1e3;
+    let matches = run_to_completion(&mut tree, &gen.stream, false).match_count;
+    let wall = t.elapsed().as_secs_f64() * 1e3;
     ScenarioReport {
         name: "compiled-pipeline",
         wall_ms: start.elapsed().as_secs_f64() * 1e3,
         counts: vec![
             ("compiled_matches", matches),
-            ("compiled_pred_evals", nfa.metrics().predicate_evaluations),
-            ("tree_compiled_matches", tree_matches),
+            ("compiled_pred_evals", tree.metrics().predicate_evaluations),
+            ("tree_compiled_matches", matches),
         ],
-        percentiles: vec![("compiled_event_ns", nfa.metrics().event_ns.percentiles())],
-        walls: vec![
-            ("nfa_compiled_ms", nfa_wall),
-            ("tree_compiled_ms", tree_wall),
-        ],
+        percentiles: vec![("compiled_event_ns", tree.metrics().event_ns.percentiles())],
+        walls: vec![("tree_compiled_ms", wall)],
     }
 }
 
 /// Window-scaling sweep for the delta-indexed backend: the same
 /// equality-correlated `SEQ(A, B, C)` workload evaluated at increasing
-/// windows by the NFA, the tree engine, and the delta engine. The
-/// materializing backends' peak partial-match counts grow superlinearly
+/// windows by the tree engine and the delta engine. The materializing
+/// tree's peak partial-match count grows superlinearly
 /// with the window (every live `A` and joinable `A×B` pair is stored),
 /// while the delta engine stores only the windowed events themselves —
 /// `partial_matches_created` stays zero and `peak_buffered_events` tracks
 /// the window linearly. Match counts per window are asserted equal across
-/// all three backends here and gated against the baseline; wall times per
+/// both backends here and gated against the baseline; wall times per
 /// backend land in [`ScenarioReport::walls`].
 fn delta_window_scaling() -> ScenarioReport {
     use cep_core::compile::CompiledPattern;
@@ -335,7 +328,6 @@ fn delta_window_scaling() -> ScenarioReport {
     use cep_core::stream::StreamBuilder;
     use cep_core::value::Value;
     use cep_delta::DeltaEngine;
-    use cep_tree::TreeEngine;
 
     let start = Instant::now();
     // 6 000 events, ts = i. Blocks of 4 consecutive events share one of 32
@@ -364,41 +356,38 @@ fn delta_window_scaling() -> ScenarioReport {
     // One row of static count/wall names per window: the canonical
     // baseline JSON needs `&'static str` keys.
     #[allow(clippy::type_complexity)]
-    let rows: [(u64, [&'static str; 5], [&'static str; 2], &'static str); 3] = [
+    let rows: [(u64, [&'static str; 4], [&'static str; 2], &'static str); 3] = [
         (
             250,
             [
                 "matches_w250",
-                "nfa_peak_partials_w250",
                 "tree_peak_partials_w250",
                 "delta_peak_buffered_w250",
                 "delta_index_probes_w250",
             ],
-            ["nfa_w250_ms", "delta_w250_ms"],
+            ["tree_w250_ms", "delta_w250_ms"],
             "delta_enum_ns_w250",
         ),
         (
             1_000,
             [
                 "matches_w1000",
-                "nfa_peak_partials_w1000",
                 "tree_peak_partials_w1000",
                 "delta_peak_buffered_w1000",
                 "delta_index_probes_w1000",
             ],
-            ["nfa_w1000_ms", "delta_w1000_ms"],
+            ["tree_w1000_ms", "delta_w1000_ms"],
             "delta_enum_ns_w1000",
         ),
         (
             4_000,
             [
                 "matches_w4000",
-                "nfa_peak_partials_w4000",
                 "tree_peak_partials_w4000",
                 "delta_peak_buffered_w4000",
                 "delta_index_probes_w4000",
             ],
-            ["nfa_w4000_ms", "delta_w4000_ms"],
+            ["tree_w4000_ms", "delta_w4000_ms"],
             "delta_enum_ns_w4000",
         ),
     ];
@@ -407,33 +396,26 @@ fn delta_window_scaling() -> ScenarioReport {
     let mut walls = Vec::new();
     for (window, count_keys, wall_keys, enum_key) in rows {
         let cp = CompiledPattern::compile_single(&pattern_for(window)).unwrap();
-        let mut nfa = NfaEngine::with_trivial_plan(cp.clone(), engine_config());
-        let t = Instant::now();
-        let nfa_matches = run_to_completion(&mut nfa, &stream, false).match_count;
-        let nfa_wall = t.elapsed().as_secs_f64() * 1e3;
         let mut tree = TreeEngine::with_trivial_plan(cp.clone(), engine_config());
+        let t = Instant::now();
         let tree_matches = run_to_completion(&mut tree, &stream, false).match_count;
+        let tree_wall = t.elapsed().as_secs_f64() * 1e3;
         let mut delta = DeltaEngine::new(cp, engine_config());
         let t = Instant::now();
         let delta_matches = run_to_completion(&mut delta, &stream, false).match_count;
         let delta_wall = t.elapsed().as_secs_f64() * 1e3;
         let dm = delta.metrics();
         assert_eq!(
-            nfa_matches, delta_matches,
-            "delta diverged from NFA at w={window}"
-        );
-        assert_eq!(
             tree_matches, delta_matches,
             "delta diverged from tree at w={window}"
         );
         assert_eq!(dm.partial_matches_created, 0);
         counts.push((count_keys[0], delta_matches));
-        counts.push((count_keys[1], nfa.metrics().peak_partial_matches as u64));
-        counts.push((count_keys[2], tree.metrics().peak_partial_matches as u64));
-        counts.push((count_keys[3], dm.peak_buffered_events as u64));
-        counts.push((count_keys[4], dm.index_probes));
+        counts.push((count_keys[1], tree.metrics().peak_partial_matches as u64));
+        counts.push((count_keys[2], dm.peak_buffered_events as u64));
+        counts.push((count_keys[3], dm.index_probes));
         percentiles.push((enum_key, dm.enumeration_ns.percentiles()));
-        walls.push((wall_keys[0], nfa_wall));
+        walls.push((wall_keys[0], tree_wall));
         walls.push((wall_keys[1], delta_wall));
     }
     ScenarioReport {
@@ -458,7 +440,7 @@ fn multi_query_sharing() -> ScenarioReport {
     use cep_core::compile::CompiledPattern;
     use cep_core::event::{Event, TypeId};
     use cep_core::pattern::{Pattern, PatternBuilder};
-    use cep_core::plan::OrderPlan;
+    use cep_core::plan::{OrderPlan, TreePlan};
     use cep_core::predicate::{CmpOp, Predicate};
     use cep_core::registry::QueryRegistry;
     use cep_core::stream::StreamBuilder;
@@ -516,9 +498,10 @@ fn multi_query_sharing() -> ScenarioReport {
         move |cp: &CompiledPattern,
               program: Arc<cep_core::compiled::PredicateProgram>|
               -> Result<Box<dyn Engine>, cep_core::error::CepError> {
-            Ok(Box::new(NfaEngine::with_program(
+            let plan = TreePlan::left_deep(&OrderPlan::trivial(cp));
+            Ok(Box::new(TreeEngine::with_program(
                 cp.clone(),
-                OrderPlan::trivial(cp),
+                plan,
                 config.clone(),
                 program,
             )?))
@@ -539,7 +522,7 @@ fn multi_query_sharing() -> ScenarioReport {
     let mut independent_evals = 0u64;
     for q in &queries {
         let cp = CompiledPattern::compile_single(q).unwrap();
-        let mut engine = NfaEngine::with_trivial_plan(cp, config.clone());
+        let mut engine = TreeEngine::with_trivial_plan(cp, config.clone());
         let r = run_to_completion(&mut engine, &stream, false);
         independent_matches += r.match_count;
         independent_evals += r.metrics.predicate_evaluations;
@@ -573,8 +556,8 @@ fn multi_query_sharing() -> ScenarioReport {
 /// (plus one inequality, so buckets still run a residual predicate) over
 /// `k ∈ {1, 16, 64}` interleaved replicas of one seeded event sequence —
 /// replica `r` carries key `r`, all replicas of an event share its
-/// timestamp. The NFA and tree engines keep the join state of such steps
-/// in key buckets, so the scenario asserts (and the baseline pins) that
+/// timestamp. The tree engine keeps the join state of such joins in key
+/// buckets, so the scenario asserts (and the baseline pins) that
 /// matches and predicate evaluations are exactly `k ×` the single-replica
 /// counts — evaluations *per event* flat in `k` — and that the work was
 /// done by index probes.
@@ -585,7 +568,6 @@ fn keyed_join() -> ScenarioReport {
     use cep_core::predicate::{CmpOp, Predicate};
     use cep_core::stream::StreamBuilder;
     use cep_core::value::Value;
-    use cep_tree::TreeEngine;
 
     let start = Instant::now();
     let mut b = PatternBuilder::new(12);
@@ -599,44 +581,34 @@ fn keyed_join() -> ScenarioReport {
 
     // One row of static count and wall names per replica count: the
     // canonical baseline JSON needs `&'static str` keys.
-    let rows: [(u64, [&'static str; 5], &'static str); 3] = [
+    let rows: [(u64, [&'static str; 3], &'static str); 3] = [
         (
             1,
-            [
-                "matches_k1",
-                "nfa_pred_evals_k1",
-                "tree_pred_evals_k1",
-                "nfa_index_probes_k1",
-                "tree_index_probes_k1",
-            ],
-            "nfa_k1_ms",
+            ["matches_k1", "tree_pred_evals_k1", "tree_index_probes_k1"],
+            "tree_k1_ms",
         ),
         (
             16,
             [
                 "matches_k16",
-                "nfa_pred_evals_k16",
                 "tree_pred_evals_k16",
-                "nfa_index_probes_k16",
                 "tree_index_probes_k16",
             ],
-            "nfa_k16_ms",
+            "tree_k16_ms",
         ),
         (
             64,
             [
                 "matches_k64",
-                "nfa_pred_evals_k64",
                 "tree_pred_evals_k64",
-                "nfa_index_probes_k64",
                 "tree_index_probes_k64",
             ],
-            "nfa_k64_ms",
+            "tree_k64_ms",
         ),
     ];
     let mut counts = Vec::new();
     let mut walls = Vec::new();
-    let mut single: Option<[u64; 3]> = None;
+    let mut single: Option<[u64; 2]> = None;
     for (replicas, keys, wall_key) in rows {
         let mut sb = StreamBuilder::new();
         for i in 0..1_500u64 {
@@ -652,19 +624,13 @@ fn keyed_join() -> ScenarioReport {
             }
         }
         let stream = sb.build();
-        let mut nfa = NfaEngine::with_trivial_plan(cp.clone(), engine_config());
-        let t = Instant::now();
-        let matches = run_to_completion(&mut nfa, &stream, false).match_count;
-        let nfa_wall = t.elapsed().as_secs_f64() * 1e3;
         let mut tree = TreeEngine::with_trivial_plan(cp.clone(), engine_config());
-        let tree_matches = run_to_completion(&mut tree, &stream, false).match_count;
-        let (nm, tm) = (nfa.metrics(), tree.metrics());
-        assert_eq!(
-            matches, tree_matches,
-            "tree diverged from NFA at k={replicas}"
-        );
-        assert!(nm.index_probes > 0 && tm.index_probes > 0);
-        let row = [matches, nm.predicate_evaluations, tm.predicate_evaluations];
+        let t = Instant::now();
+        let matches = run_to_completion(&mut tree, &stream, false).match_count;
+        let wall = t.elapsed().as_secs_f64() * 1e3;
+        let tm = tree.metrics();
+        assert!(tm.index_probes > 0);
+        let row = [matches, tm.predicate_evaluations];
         let base = *single.get_or_insert(row);
         assert_eq!(
             row,
@@ -673,12 +639,10 @@ fn keyed_join() -> ScenarioReport {
         );
         counts.extend([
             (keys[0], matches),
-            (keys[1], nm.predicate_evaluations),
-            (keys[2], tm.predicate_evaluations),
-            (keys[3], nm.index_probes),
-            (keys[4], tm.index_probes),
+            (keys[1], tm.predicate_evaluations),
+            (keys[2], tm.index_probes),
         ]);
-        walls.push((wall_key, nfa_wall));
+        walls.push((wall_key, wall));
     }
     ScenarioReport {
         name: "keyed-join",
@@ -919,8 +883,8 @@ mod tests {
     }
 
     /// The delta backend's headline property at bench scale: as the window
-    /// grows 16×, the materializing backends' peak partial-match counts
-    /// blow up ≥10×, while the delta engine stores no partial matches and
+    /// grows 16×, the materializing tree's peak partial-match count blows
+    /// up ≥10×, while the delta engine stores no partial matches and
     /// its peak buffered-event count grows no faster than the window.
     #[test]
     fn delta_window_scaling_blows_up_materializing_backends_only() {
@@ -936,16 +900,10 @@ mod tests {
         // scenario; re-check the counts are present and non-trivial.
         assert!(count("matches_w250") > 0, "fixture must produce matches");
         assert!(count("matches_w4000") > count("matches_w250"));
-        let nfa_ratio =
-            count("nfa_peak_partials_w4000") as f64 / count("nfa_peak_partials_w250").max(1) as f64;
         let tree_ratio = count("tree_peak_partials_w4000") as f64
             / count("tree_peak_partials_w250").max(1) as f64;
         let delta_ratio = count("delta_peak_buffered_w4000") as f64
             / count("delta_peak_buffered_w250").max(1) as f64;
-        assert!(
-            nfa_ratio >= 10.0,
-            "NFA partial matches should blow up ≥10× over a 16× window (got {nfa_ratio:.1}×)"
-        );
         assert!(
             tree_ratio >= 10.0,
             "tree partial matches should blow up ≥10× over a 16× window (got {tree_ratio:.1}×)"
@@ -956,8 +914,8 @@ mod tests {
              (got {delta_ratio:.1}× over a 16× window)"
         );
         assert!(
-            delta_ratio < nfa_ratio / 2.0,
-            "delta storage ({delta_ratio:.1}×) should scale far below NFA partials ({nfa_ratio:.1}×)"
+            delta_ratio < tree_ratio / 2.0,
+            "delta storage ({delta_ratio:.1}×) should scale far below tree partials ({tree_ratio:.1}×)"
         );
     }
 }

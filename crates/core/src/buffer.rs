@@ -10,8 +10,7 @@ use std::collections::VecDeque;
 /// The naive oracle buffers every participating event here; the engines
 /// buffer the events of negated types (the anti-join scan of
 /// [`DeferredStore::admit`](crate::negation::DeferredStore::admit)). The
-/// lazy NFA's positive catch-up buffers are
-/// [`KeyedStore`](crate::keyed::KeyedStore)s, one per plan step.
+/// tree's leaf stores are [`KeyedStore`](crate::keyed::KeyedStore)s.
 #[derive(Debug, Default)]
 pub struct TypeBuffers {
     buffers: HashMap<TypeId, VecDeque<EventRef>>,

@@ -366,8 +366,7 @@ impl CompiledPattern {
     /// them with both sides non-Kleene, from `own`'s point of view — so the
     /// call with the sets swapped returns the mirrored edge of the same
     /// predicate. `None` (one unkeyed bucket) when there is no such edge,
-    /// and under skip-till-next-match, whose greedy `swap_remove` order
-    /// over the whole store is result-relevant.
+    /// and under skip-till-next-match, whose stores stay one bucket.
     pub fn join_key(&self, own: &[usize], partners: &[usize]) -> Option<&EqJoin> {
         if self.strategy.consumes() {
             return None;

@@ -1,4 +1,4 @@
-//! The engine abstraction shared by the NFA, tree, and naive evaluators.
+//! The engine abstraction shared by the tree, delta and naive evaluators.
 
 use crate::dedup::BranchDedup;
 use crate::event::{advance_watermark, Timestamp};
@@ -40,7 +40,7 @@ pub trait Engine {
     /// Processes one event, appending any matches it completes.
     ///
     /// Streams are ts-ordered ([`StreamBuilder`] enforces it), and the
-    /// NFA, tree and delta backends rely on it: their join stores are
+    /// tree and delta backends rely on it: their join stores are
     /// sorted by time, and a probe visits only the slice that window and
     /// precedence allow
     /// ([`partner_ts_range`](crate::instance::partner_ts_range)). An event

@@ -1,5 +1,5 @@
-//! Partial-match instances and extension/merge compatibility checks,
-//! shared by the order-based (NFA) and tree-based engines.
+//! Partial-match instances and extension/merge compatibility checks of
+//! the tree engine.
 
 use crate::compile::CompiledPattern;
 use crate::compiled::PredicateProgram;
@@ -10,7 +10,7 @@ use crate::metrics::EngineMetrics;
 use crate::selection::{ConsumedSet, SelectionStrategy};
 use std::ops::{Range, RangeInclusive};
 
-/// A partial match progressing through the NFA chain.
+/// A partial match climbing the plan tree.
 ///
 /// `bindings` is indexed by *element index* of the compiled pattern (not by
 /// plan step), so predicate checks can address elements directly.
@@ -22,7 +22,7 @@ use std::ops::{Range, RangeInclusive};
 /// here keeps them exact.
 #[derive(Debug, Clone)]
 pub struct Instance {
-    /// Bindings per element; `None` until the element's plan step runs.
+    /// Bindings per element; `None` until the element is bound.
     /// An exact-size slice: instances are derived by cloning, never grown.
     pub bindings: Box<[Option<Binding>]>,
     /// Minimum bound timestamp (`u64::MAX` while empty); at most the `ts`
@@ -41,7 +41,7 @@ pub struct Instance {
     pub partition: Option<u32>,
     /// Number of bound events (Kleene sets count their members).
     pub event_count: usize,
-    /// For an instance waiting at a Kleene state: the smallest serial number
+    /// For an instance at a Kleene leaf: the smallest serial number
     /// the accumulator may take next. Enumerates each subset exactly once.
     pub kl_gate: u64,
 }
@@ -293,8 +293,8 @@ pub fn joins_event(
 
 /// [`compatible_with`] after its consumed check; `filters` says whether
 /// `elem`'s filters still have to run. (`#[inline(always)]`: each caller
-/// gets its own copy with `filters` folded, so the NFA's per-pair check
-/// pays no branch for the tree's variant.)
+/// gets its own copy with `filters` folded, so neither variant pays a
+/// branch for the other.)
 #[inline(always)]
 fn extends(
     cp: &CompiledPattern,

@@ -1,7 +1,7 @@
 //! The equality part of a compiled pattern's query graph (Sections 3–4),
 //! built once per branch ([`CompiledPattern::join_graph`]). Every key,
-//! bucket and partition decision reads it: the NFA's and tree's join
-//! keys ([`CompiledPattern::join_key`]), delta's index keys and the
+//! bucket and partition decision reads it: the tree's join keys
+//! ([`CompiledPattern::join_key`]), delta's index keys and the
 //! replicate-join partitioner.
 //!
 //! **Soundness rule.** Only an `==` between two *positive* elements holds

@@ -1,4 +1,4 @@
-//! Hash-partitioned join state shared by the NFA and tree engines.
+//! Hash-partitioned join state of the tree engine.
 //!
 //! A join step that carries an `a.x == b.y` predicate between two
 //! non-Kleene elements (an [`EqJoin`](crate::join_graph::EqJoin)) keeps
@@ -81,12 +81,6 @@ impl Slot {
     }
 }
 
-/// Handle to one bucket of a [`KeyedStore`], valid until the store's next
-/// [`retain`](KeyedStore::retain) or
-/// [`drain_front_while`](KeyedStore::drain_front_while).
-#[derive(Debug, Clone, Copy)]
-pub struct BucketId(usize);
-
 /// Insertion-ordered buckets under a hash map of [`IndexKey`]s, plus one
 /// unkeyed bucket holding the [`Slot::All`] and [`Slot::Never`] members.
 ///
@@ -162,30 +156,17 @@ impl<T> KeyedStore<T> {
         self.push(slot, item);
     }
 
-    /// The bucket a probe with `slot` visits, if any member could match.
-    pub fn probe(&self, slot: &Slot) -> Option<BucketId> {
-        match slot {
-            Slot::All => Some(BucketId(0)),
-            Slot::Key(key) => self.by_key.get(key).map(|&id| BucketId(id)),
-            Slot::Never => None,
-        }
-    }
-
-    /// The members of one bucket, in insertion order.
-    pub fn bucket(&self, id: BucketId) -> &[T] {
-        self.buckets.get(id.0).map_or(&[], Vec::as_slice)
-    }
-
-    /// The members a probe with `slot` visits, in insertion order.
+    /// The members a probe with `slot` visits, in insertion order: the
+    /// bucket of its key, the unkeyed bucket for [`Slot::All`], and none
+    /// for [`Slot::Never`].
     pub fn visit(&self, slot: &Slot) -> &[T] {
-        self.probe(slot).map_or(&[], |id| self.bucket(id))
-    }
-
-    /// Removes and returns member `idx` of a bucket, moving the bucket's
-    /// last member into its place.
-    pub fn swap_remove(&mut self, id: BucketId, idx: usize) -> T {
-        self.len -= 1;
-        self.buckets[id.0].swap_remove(idx)
+        let id = match slot {
+            Slot::All => Some(0),
+            Slot::Key(key) => self.by_key.get(key).copied(),
+            Slot::Never => None,
+        };
+        id.and_then(|id| self.buckets.get(id))
+            .map_or(&[], Vec::as_slice)
     }
 
     /// Stable in-place retain: members failing `keep` are dropped, kept
@@ -268,10 +249,7 @@ mod tests {
             store.push(Slot::All, i);
         }
         assert_eq!(store.visit(&Slot::All), vec![0, 1, 2, 3, 4]);
-        let id = store.probe(&Slot::All).unwrap();
-        assert_eq!(store.swap_remove(id, 1), 1);
-        assert_eq!(store.visit(&Slot::All), vec![0, 4, 2, 3]);
-        assert_eq!(store.len(), 4);
+        assert_eq!(store.len(), 5);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! Applications* (VLDB 2018).
 //!
 //! This crate defines everything that is shared between the evaluation
-//! engines (`cep-nfa`, `cep-tree`, `cep-delta`) and the plan-generation
+//! engines (`cep-tree`, `cep-delta`) and the plan-generation
 //! algorithms (`cep-optimizer`):
 //!
 //! * the event and stream model ([`event`], [`schema`], [`stream`]),

@@ -310,9 +310,9 @@ engine_metrics! {
         /// from scratch (0 when no cache is in play).
         plan_cache_misses: u64 = Counter("Compiled-plan cache misses (program lowered from scratch)"),
         /// Equality-join probes: posting-list probes of a delta-indexed engine, key-bucket probes
-        /// of the NFA/tree engines' join state ([`crate::keyed::KeyedStore`]); 0 when no join step
+        /// of the tree engine's join state ([`crate::keyed::KeyedStore`]); 0 when no join step
         /// carries a usable `==` predicate.
-        index_probes: u64 = Counter("Equality-join probes (delta posting lists, NFA/tree key buckets)"),
+        index_probes: u64 = Counter("Equality-join probes (delta posting lists, tree key buckets)"),
         /// Index list operations (inserts + expirations, across the type store and every posting
         /// list) performed by a delta-indexed engine — the amortized-constant per-event maintenance
         /// work (0 for materializing engines).

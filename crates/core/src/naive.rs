@@ -4,7 +4,7 @@
 //! window buffer: every arriving event triggers enumeration of all matches
 //! in which it is the latest event. Runtime is exponential, but the engine
 //! is *obviously correct*, which makes it the semantic ground truth for the
-//! NFA and tree engines in equivalence tests. It shares the negation and
+//! tree and delta engines in equivalence tests. It shares the negation and
 //! buffering infrastructure with the real engines so all three implement
 //! identical semantics.
 

@@ -1,8 +1,9 @@
 //! Evaluation plans (Section 3.1).
 //!
-//! An [`OrderPlan`] drives the order-based (lazy NFA) engine: a permutation
-//! of the positive elements giving the order in which events are matched.
-//! A [`TreePlan`] drives the tree-based engine: a binary tree whose leaves
+//! An [`OrderPlan`] is a permutation of the positive elements giving the
+//! order in which events are matched; it runs as its left-deep tree
+//! ([`TreePlan::left_deep`], Section 4's reduction). A [`TreePlan`] drives
+//! the tree-based engine: a binary tree whose leaves
 //! are the positive elements and whose internal nodes combine partial
 //! matches. Both reference elements of a [`CompiledPattern`] by index.
 //! A [`Plan`] is either one: the type every construction path plans into.
@@ -279,7 +280,7 @@ impl fmt::Display for TreePlan {
 /// one decision over this one type.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Plan {
-    /// An order plan, evaluated by the order-based (lazy NFA) engine.
+    /// An order plan, evaluated by the tree engine over its left-deep tree.
     Order(OrderPlan),
     /// A tree plan, evaluated by the tree-based engine.
     Tree(TreePlan),

@@ -146,6 +146,8 @@ struct QueryEntry {
     fragments: Vec<usize>,
     /// The registry's `events_processed` when this query registered.
     registered_at: u64,
+    /// The registry's `late_events_dropped` when this query registered.
+    late_at: u64,
     /// Signature memory, present only when two branches bind the same
     /// positions (`branches_can_collide`).
     dedup: Option<BranchDedup>,
@@ -349,6 +351,7 @@ impl QueryRegistry {
             QueryEntry {
                 fragments,
                 registered_at: self.own.events_processed,
+                late_at: self.own.late_events_dropped,
                 dedup,
                 matches_emitted: 0,
             },
@@ -579,8 +582,9 @@ impl QueryRegistry {
     /// One query's metrics view, mirroring what a `MultiEngine` over the
     /// query's branch engines would report: subscribed fragments'
     /// counters absorbed (shared work appears in *every* subscriber's
-    /// view), `events_processed` and post-dedup `matches_emitted` the
-    /// query's own. `None` for unknown ids.
+    /// view); `events_processed`, `late_events_dropped` (both since the
+    /// query registered) and post-dedup `matches_emitted` the query's own.
+    /// `None` for unknown ids.
     pub fn query_metrics(&self, id: QueryId) -> Option<EngineMetrics> {
         let q = self.queries.get(&id)?;
         let mut agg = EngineMetrics::new();
@@ -588,9 +592,11 @@ impl QueryRegistry {
             let frag = self.slots[slot].as_ref().expect("live slot");
             agg.absorb(frag.engine.metrics());
         }
-        // Counted by both layers; the query's own counts stand: events
+        // Counted by both layers, or by the registry alone (late events are
+        // dropped before dispatch); the query's own counts stand: events
         // since it registered, and matches after its dedup.
         agg.events_processed = self.own.events_processed - q.registered_at;
+        agg.late_events_dropped = self.own.late_events_dropped - q.late_at;
         agg.matches_emitted = q.matches_emitted;
         Some(agg)
     }
@@ -1141,6 +1147,22 @@ mod tests {
         let expected = run_to_completion(&mut multi, &stream[join_at..].to_vec(), true).matches;
         assert!(!expected.is_empty());
         assert_eq!(keyed(&late_matches), keyed(&expected));
+    }
+
+    #[test]
+    fn query_views_count_late_events_from_registration_on() {
+        let mut reg = QueryRegistry::new(naive_builder(&EngineConfig::default()));
+        let at = |ts| std::sync::Arc::new(Event::new(t(0), ts, vec![Value::Int(0)]));
+        let mut out = Vec::new();
+        let early = reg.register(&seq_ab(10, 0, 1, false)).unwrap();
+        reg.process(&at(5), &mut out);
+        reg.process(&at(3), &mut out); // late: before the second query
+        let later = reg.register(&seq_ab(10, 0, 1, false)).unwrap();
+        reg.process(&at(4), &mut out); // late: seen by both
+        reg.process(&at(6), &mut out);
+        let late = |id| reg.query_metrics(id).unwrap().late_events_dropped;
+        assert_eq!((late(early), late(later)), (2, 1));
+        assert_eq!(reg.metrics().late_events_dropped, 2);
     }
 
     #[test]

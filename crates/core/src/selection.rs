@@ -36,14 +36,6 @@ pub enum SelectionStrategy {
 }
 
 impl SelectionStrategy {
-    /// Whether partial matches fork on every matching event. Only
-    /// skip-till-next-match advances linearly (first match, no fork); the
-    /// contiguity strategies *constrain* matches but still enumerate every
-    /// valid combination, which out-of-order plans require forking for.
-    pub fn forks(self) -> bool {
-        !matches!(self, SelectionStrategy::SkipTillNextMatch)
-    }
-
     /// Whether events are consumed (removed from further consideration) when
     /// a full match is emitted.
     pub fn consumes(self) -> bool {
@@ -152,10 +144,6 @@ mod tests {
             SelectionStrategy::default(),
             SelectionStrategy::SkipTillAnyMatch
         );
-        assert!(SelectionStrategy::SkipTillAnyMatch.forks());
-        assert!(!SelectionStrategy::SkipTillNextMatch.forks());
-        assert!(SelectionStrategy::StrictContiguity.forks());
-        assert!(SelectionStrategy::PartitionContiguity.forks());
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The engine shell: everything the NFA, tree and delta backends do around
+//! The engine shell: everything the tree and delta backends do around
 //! their join.
 //!
 //! The paper treats every CEP plan as a join plan (§4–5), so the backends
@@ -40,8 +40,8 @@ use crate::negation::DeferredStore;
 use crate::selection::ConsumedSet;
 use std::sync::Arc;
 
-/// A backend's join: the state and code that differ between the NFA, tree
-/// and delta engines.
+/// A backend's join: the state and code that differ between the tree and
+/// delta engines.
 pub trait Join {
     /// Binds `event` into the join state. The shell calls it only for an
     /// event of a pattern type that passed the gate; an event of a negated
@@ -213,17 +213,6 @@ impl EngineShell {
         !self.cp.elements[elem].kleene || inst.kleene_len(elem) < self.cfg.max_kleene_events
     }
 
-    /// `inst` with `event` bound at `elem`: set at a plain element,
-    /// appended to a Kleene element's accumulator.
-    #[inline]
-    pub fn bind(&self, inst: &Instance, elem: usize, event: EventRef) -> Instance {
-        if self.cp.elements[elem].kleene {
-            inst.with_kleene(elem, event)
-        } else {
-            inst.with_single(elem, event)
-        }
-    }
-
     /// Whether `event` may bind alone at `elem`: it has room there and is
     /// compatible with the empty instance (not consumed, passes the
     /// element's filters).
@@ -277,10 +266,18 @@ impl EngineShell {
     }
 
     /// The instance that binds `event` alone at `elem`, if the shell
-    /// [`admits`](Self::admits) it there.
+    /// [`admits`](Self::admits) it there: set at a plain element, the
+    /// first member of a Kleene element's accumulator.
     pub fn seed(&mut self, elem: usize, event: &EventRef) -> Option<Instance> {
-        self.admits(elem, event)
-            .then(|| self.bind(&self.empty, elem, event.clone()))
+        if !self.admits(elem, event) {
+            return None;
+        }
+        let event = event.clone();
+        Some(if self.cp.elements[elem].kleene {
+            self.empty.with_kleene(elem, event)
+        } else {
+            self.empty.with_single(elem, event)
+        })
     }
 
     /// Completes `inst`, which binds every positive element: drops it if

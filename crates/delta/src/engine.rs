@@ -17,7 +17,7 @@ use std::time::Instant;
 
 /// The delta-indexed (non-materializing) evaluation engine.
 ///
-/// Semantically a drop-in third backend next to the NFA and tree engines:
+/// Semantically a drop-in second backend next to the tree engine:
 /// byte-identical match output (signatures *and* `emitted_at`) to the
 /// naive oracle under the three exact selection strategies. Instead of
 /// materializing partial matches it keeps only a [`WindowIndex`] of the
@@ -27,7 +27,7 @@ use std::time::Instant;
 /// first. Gate, negation and emission are the shared [`EngineShell`].
 ///
 /// Under `SkipTillNextMatch` (the only non-exact strategy) the engine is
-/// greedy like the NFA/tree engines, but its enumeration order may pick a
+/// consuming like the tree engine, but its enumeration order may pick a
 /// different witness than the oracle's, so only the three exact
 /// strategies carry the byte-identity guarantee.
 pub struct DeltaEngine {
@@ -46,7 +46,7 @@ type Pool<'a> = (&'a VecDeque<EventRef>, Range<usize>);
 
 impl DeltaEngine {
     /// Creates a delta engine for one compiled pattern branch. Unlike the
-    /// NFA/tree constructors this is infallible: the delta engine needs no
+    /// tree constructors this is infallible: the delta engine needs no
     /// evaluation plan — its join order is chosen per search node from
     /// live posting-list sizes.
     pub fn new(cp: CompiledPattern, cfg: EngineConfig) -> DeltaEngine {

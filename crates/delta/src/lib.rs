@@ -1,7 +1,7 @@
 //! # cep-delta
 //!
-//! Delta-indexed CEP evaluation: a non-materializing third backend next to
-//! the NFA and tree engines, in the style of dynamic query evaluation for
+//! Delta-indexed CEP evaluation: a non-materializing second backend next
+//! to the tree engine, in the style of dynamic query evaluation for
 //! theta joins under updates (Idris et al., arXiv:1905.09848).
 //!
 //! ## Index layout
@@ -50,8 +50,8 @@
 //!
 //! Under the three exact selection strategies (skip-till-any-match and
 //! both contiguity modes), output is byte-identical — signatures *and*
-//! `emitted_at` — to the naive oracle and hence to the NFA and tree
-//! engines, negation and Kleene included. Under skip-till-next-match the
+//! `emitted_at` — to the naive oracle and hence to the tree engine under
+//! every plan, negation and Kleene included. Under skip-till-next-match the
 //! engine is greedy like the others, but enumeration order may choose a
 //! different witness set than the oracle, so byte-identity is not
 //! guaranteed there.

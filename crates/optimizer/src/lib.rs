@@ -141,8 +141,8 @@ impl fmt::Display for TreeAlgorithm {
 /// path (facade builders, adaptive replanner, experiment runner) shares.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backend {
-    /// Order-based (lazy chain NFA) evaluation, planned with the given
-    /// order algorithm from stream statistics.
+    /// Order-based evaluation, planned with the given order algorithm from
+    /// stream statistics and run as the order's left-deep tree (Section 4).
     Nfa(OrderAlgorithm),
     /// Tree-based (ZStream-style) evaluation, planned with the given tree
     /// algorithm from stream statistics.

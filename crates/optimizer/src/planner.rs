@@ -149,7 +149,8 @@ impl Planner {
     }
 
     /// Generates the plan `backend` evaluates: [`plan_order`](Self::plan_order)
-    /// for the NFA, [`plan_tree`](Self::plan_tree) for the tree engine.
+    /// for [`Backend::Nfa`], [`plan_tree`](Self::plan_tree) for
+    /// [`Backend::Tree`].
     /// [`Backend::Delta`] has no plan and fails with [`CepError::Plan`]
     /// ([`DELTA_HAS_NO_PLAN`]).
     pub fn plan(

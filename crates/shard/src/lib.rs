@@ -4,8 +4,8 @@
 //! spirit of multi-way stream-join scale-out (Dossinger & Michel,
 //! arXiv:2104.07742): a [`ShardRouter`] assigns each input event to one of
 //! `N` worker shards, every worker owns a private engine built from a
-//! shared compiled plan (any [`cep_core::engine::EngineFactory`] — lazy
-//! NFA, ZStream tree, a `MultiEngine` over DNF branches, or the naive
+//! shared compiled plan (any [`cep_core::engine::EngineFactory`] — the
+//! tree or delta engine, a `MultiEngine` over DNF branches, or the naive
 //! oracle), and per-shard outputs are combined by a deterministic merge.
 //!
 //! ## Semantics and the determinism guarantee
@@ -42,10 +42,10 @@
 //! contiguity) — the merged output of [`ShardedRuntime::run`] is the
 //! single-threaded result vector in [`canonical_sort`] order: same
 //! `Match` values, same order, whether it ran on 1 shard or 16.
-//! Skip-till-next-match is excluded from the exactness guarantee: its
-//! greedy, non-forking advancement binds the first candidate of *any*
-//! key, so its choices depend on how partitions interleave (the strategy
-//! is already plan-dependent single-threaded). A sharded next-match run
+//! Skip-till-next-match is excluded from the exactness guarantee: an
+//! emission consumes its events for every later candidate of *any* key,
+//! so which matches survive depends on how partitions interleave (the
+//! strategy is already plan-dependent single-threaded). A sharded next-match run
 //! is still deterministic per configuration, its matches valid and
 //! event-disjoint across all shards, but bindings may differ from the
 //! global greedy run's. [`RoutingPolicy::RoundRobin`] offers no exactness

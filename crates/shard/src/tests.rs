@@ -15,7 +15,6 @@ use cep_core::predicate::{CmpOp, Predicate};
 use cep_core::selection::SelectionStrategy;
 use cep_core::stream::{EventStream, StreamBuilder};
 use cep_core::value::Value;
-use cep_nfa::NfaEngine;
 use cep_tree::TreeEngine;
 use proptest::prelude::*;
 
@@ -44,15 +43,6 @@ fn keyed_seq(n: usize, window: u64, strategy: SelectionStrategy) -> Pattern {
         b.predicate(Predicate::attr_cmp(w[0].pos(), 0, CmpOp::Eq, w[1].pos(), 0));
     }
     b.seq(evs).unwrap()
-}
-
-fn nfa_factory(cp: CompiledPattern) -> impl EngineFactory {
-    move || {
-        Box::new(NfaEngine::with_trivial_plan(
-            cp.clone(),
-            EngineConfig::default(),
-        )) as Box<dyn Engine>
-    }
 }
 
 fn tree_factory(cp: CompiledPattern) -> impl EngineFactory {
@@ -103,7 +93,7 @@ fn next_match_sharded_runs_are_valid_disjoint_and_deterministic() {
     let cp =
         CompiledPattern::compile_single(&keyed_seq(3, 12, SelectionStrategy::SkipTillNextMatch))
             .unwrap();
-    let factory = nfa_factory(cp.clone());
+    let factory = tree_factory(cp.clone());
     for shards in [1, 2, 4] {
         let r = ShardedRuntime::with_shards(shards).run(
             &factory,
@@ -131,8 +121,8 @@ fn next_match_sharded_runs_are_valid_disjoint_and_deterministic() {
 
 /// The benchmark's `sharded-keyed` shape — replicated market, `SEQ(3)`
 /// equating `replica` along the chain plus a `difference` chain — on the
-/// hash-partitioned join state: NFA (in an order that keys both later
-/// steps) and tree, each byte-identical to its serial run at 1/2/4 shards.
+/// hash-partitioned join state: the left-deep tree in an order that keys
+/// both later joins, byte-identical to its serial run at 1/2/4 shards.
 #[test]
 fn sharded_keyed_query_is_byte_identical_to_serial_on_keyed_stores() {
     use cep_core::plan::{OrderPlan, TreePlan};
@@ -150,43 +140,28 @@ fn sharded_keyed_query_is_byte_identical_to_serial_on_keyed_stores() {
     )
     .unwrap();
     let cp = CompiledPattern::compile_single(&pattern).unwrap();
-    let nfa = {
-        let cp = cp.clone();
-        move || {
-            let plan = OrderPlan::new(vec![1, 2, 0]).unwrap();
-            Box::new(NfaEngine::new(cp.clone(), plan, EngineConfig::default()).unwrap())
-                as Box<dyn Engine>
-        }
-    };
-    let tree = move || {
+    let factory = move || {
         let plan = TreePlan::left_deep(&OrderPlan::new(vec![1, 2, 0]).unwrap());
         Box::new(TreeEngine::new(cp.clone(), plan, EngineConfig::default()).unwrap())
             as Box<dyn Engine>
     };
-    let factories: [(&str, &dyn EngineFactory); 2] = [("nfa", &nfa), ("tree", &tree)];
-    let mut serial_counts = Vec::new();
-    for (name, factory) in factories {
-        let mut engine = factory.build();
-        let serial = run_to_completion(engine.as_mut(), &gen.stream, true);
-        assert!(!serial.matches.is_empty(), "fixture should produce matches");
-        assert!(
-            serial.metrics.index_probes > 0,
-            "{name}: the replica equalities must key the join state"
+    let serial = run_to_completion(factory.build().as_mut(), &gen.stream, true);
+    assert!(!serial.matches.is_empty(), "fixture should produce matches");
+    assert!(
+        serial.metrics.index_probes > 0,
+        "the replica equalities must key the join state"
+    );
+    let mut expected = serial.matches;
+    canonical_sort(&mut expected);
+    for shards in [1, 2, 4] {
+        let r = ShardedRuntime::with_shards(shards).run(
+            &factory,
+            &gen.stream,
+            RoutingPolicy::Partition,
+            true,
         );
-        let mut expected = serial.matches;
-        canonical_sort(&mut expected);
-        for shards in [1, 2, 4] {
-            let r = ShardedRuntime::with_shards(shards).run(
-                factory,
-                &gen.stream,
-                RoutingPolicy::Partition,
-                true,
-            );
-            assert_eq!(r.matches, expected, "{name} with {shards} shards diverged");
-        }
-        serial_counts.push(expected.len());
+        assert_eq!(r.matches, expected, "{shards} shards diverged");
     }
-    assert_eq!(serial_counts[0], serial_counts[1], "nfa and tree disagree");
 }
 
 #[test]
@@ -195,7 +170,7 @@ fn tiny_batches_and_queues_only_change_plumbing() {
     let cp =
         CompiledPattern::compile_single(&keyed_seq(3, 12, SelectionStrategy::SkipTillAnyMatch))
             .unwrap();
-    let factory = nfa_factory(cp);
+    let factory = tree_factory(cp);
     let expected = single_threaded(&factory, &stream);
     let runtime = ShardedRuntime::new(ShardConfig {
         shards: 3,
@@ -214,7 +189,7 @@ fn more_shards_than_events_is_exact() {
     let cp =
         CompiledPattern::compile_single(&keyed_seq(3, 10, SelectionStrategy::SkipTillAnyMatch))
             .unwrap();
-    let factory = nfa_factory(cp);
+    let factory = tree_factory(cp);
     let expected = single_threaded(&factory, &stream);
     assert_eq!(expected.len(), 1, "fixture is one complete match");
     for policy in [RoutingPolicy::Partition, RoutingPolicy::HashAttr(0)] {
@@ -228,30 +203,24 @@ fn more_shards_than_events_is_exact() {
 fn sixteen_shard_replays_are_deterministic() {
     // The widest configuration the runtime is expected to see in tests:
     // repeat the identical 16-shard run and require bit-identical output
-    // (merge order included), for both engine families.
+    // (merge order included).
     let stream = keyed_stream(lcg_workload(300, 3, 16, 0x516));
     let cp =
         CompiledPattern::compile_single(&keyed_seq(3, 14, SelectionStrategy::SkipTillAnyMatch))
             .unwrap();
-    let nfa = nfa_factory(cp.clone());
-    let tree = tree_factory(cp);
-    let expected_nfa = single_threaded(&nfa, &stream);
-    assert!(!expected_nfa.is_empty(), "fixture should produce matches");
+    let factory = tree_factory(cp);
+    let expected = single_threaded(&factory, &stream);
+    assert!(!expected.is_empty(), "fixture should produce matches");
     let mut previous: Option<Vec<Match>> = None;
     for replay in 0..3 {
-        let r = ShardedRuntime::with_shards(16).run(&nfa, &stream, RoutingPolicy::Partition, true);
-        assert_eq!(r.matches, expected_nfa, "replay {replay} diverged");
+        let r =
+            ShardedRuntime::with_shards(16).run(&factory, &stream, RoutingPolicy::Partition, true);
+        assert_eq!(r.matches, expected, "replay {replay} diverged");
         if let Some(prev) = &previous {
             assert_eq!(&r.matches, prev, "replay {replay} not bit-identical");
         }
         previous = Some(r.matches);
     }
-    let r = ShardedRuntime::with_shards(16).run(&tree, &stream, RoutingPolicy::Partition, true);
-    assert_eq!(
-        r.matches,
-        single_threaded(&tree, &stream),
-        "tree family diverged at 16 shards"
-    );
 }
 
 /// Per-shard **selectivity** adaptivity: every worker owns an
@@ -434,7 +403,7 @@ proptest! {
             SelectionStrategy::SkipTillAnyMatch,
         ))
         .unwrap();
-        let factory = nfa_factory(cp);
+        let factory = tree_factory(cp);
         let plain = ShardedRuntime::with_shards(shards)
             .run(&factory, &stream, RoutingPolicy::Partition, true);
         let ring = StdArc::new(RingSink::new(1 << 16));
@@ -464,7 +433,7 @@ fn shard_trace_records_describe_routing_and_queue_depths() {
     let cp =
         CompiledPattern::compile_single(&keyed_seq(3, 12, SelectionStrategy::SkipTillAnyMatch))
             .unwrap();
-    let factory = nfa_factory(cp);
+    let factory = tree_factory(cp);
     let ring = StdArc::new(RingSink::new(1 << 16));
     let r = ShardedRuntime::new(config.clone())
         .with_tracer(Tracer::to_sink(ring.clone()))
@@ -527,7 +496,7 @@ fn export_exposes_per_shard_busy_times_and_imbalance() {
     let cp =
         CompiledPattern::compile_single(&keyed_seq(3, 12, SelectionStrategy::SkipTillAnyMatch))
             .unwrap();
-    let factory = nfa_factory(cp);
+    let factory = tree_factory(cp);
     let r = ShardedRuntime::with_shards(4).run(&factory, &stream, RoutingPolicy::Partition, true);
 
     let ratio = r.imbalance_ratio();
@@ -564,7 +533,7 @@ fn untraced_runtime_keeps_disabled_tracer() {
     let cp =
         CompiledPattern::compile_single(&keyed_seq(3, 10, SelectionStrategy::SkipTillAnyMatch))
             .unwrap();
-    let factory = nfa_factory(cp);
+    let factory = tree_factory(cp);
     let tracer = Tracer::to_sink(ring.clone());
     tracer.set_enabled(false);
     ShardedRuntime::with_shards(2).with_tracer(tracer).run(
@@ -584,21 +553,17 @@ fn untraced_runtime_keeps_disabled_tracer() {
 
 use cep_core::compiled::PredicateProgram;
 use cep_core::error::CepError;
-use cep_core::plan::OrderPlan;
+use cep_core::plan::{OrderPlan, TreePlan};
 use cep_core::registry::{FragmentBuilder, RegistrySpec};
 
-/// Fragment builder over the lazy NFA with the trivial plan, threading the
-/// registry's cached predicate program through.
-fn nfa_fragment_builder(cfg: EngineConfig) -> StdArc<dyn FragmentBuilder> {
+/// Fragment builder over the left-deep tree in specification order,
+/// threading the registry's cached predicate program through.
+fn trivial_fragment_builder(cfg: EngineConfig) -> StdArc<dyn FragmentBuilder> {
     StdArc::new(
         move |cp: &CompiledPattern, program: StdArc<PredicateProgram>| {
-            let plan = OrderPlan::trivial(cp);
-            Ok(Box::new(NfaEngine::with_program(
-                cp.clone(),
-                plan,
-                cfg.clone(),
-                program,
-            )?) as Box<dyn Engine>)
+            let plan = TreePlan::left_deep(&OrderPlan::trivial(cp));
+            let engine = TreeEngine::with_program(cp.clone(), plan, cfg.clone(), program)?;
+            Ok(Box::new(engine) as Box<dyn Engine>)
         },
     )
 }
@@ -608,7 +573,7 @@ fn run_registry_rejects_policy_unsound_for_any_member() {
     // q0 is partition-local on attribute 0; q1 joins across keys —
     // hash-attr routing is sound for the first but not the set.
     let cfg = EngineConfig::default();
-    let mut spec = RegistrySpec::new(nfa_fragment_builder(cfg.clone()));
+    let mut spec = RegistrySpec::new(trivial_fragment_builder(cfg.clone()));
     spec.add(&keyed_seq(2, 10, SelectionStrategy::SkipTillAnyMatch))
         .unwrap();
     spec.add(&cross_key_seq(12, SelectionStrategy::SkipTillAnyMatch))
@@ -649,7 +614,7 @@ fn run_registry_worker_panic_is_a_typed_error() {
     // One worker of three dies (a formatted panic message); the others
     // run to completion and the call still returns the typed error.
     let calls = StdArc::new(AtomicUsize::new(0));
-    let nfa = nfa_fragment_builder(cfg.clone());
+    let inner = trivial_fragment_builder(cfg.clone());
     let counted = StdArc::clone(&calls);
     let once: StdArc<dyn FragmentBuilder> = StdArc::new(
         move |cp: &CompiledPattern, program: StdArc<PredicateProgram>| {
@@ -657,7 +622,7 @@ fn run_registry_worker_panic_is_a_typed_error() {
             if call == 1 {
                 panic!("fragment builder exploded on call {call}");
             }
-            nfa.build_fragment(cp, program)
+            inner.build_fragment(cp, program)
         },
     );
     let mut spec = RegistrySpec::new(once);
@@ -678,7 +643,7 @@ fn run_registry_worker_panic_is_a_typed_error() {
 #[test]
 fn run_registry_empty_spec_is_a_routing_error() {
     let cfg = EngineConfig::default();
-    let spec = RegistrySpec::new(nfa_fragment_builder(cfg.clone()));
+    let spec = RegistrySpec::new(trivial_fragment_builder(cfg.clone()));
     let stream = keyed_stream(vec![]);
     let err = ShardedRuntime::with_shards(2)
         .run_registry(&spec, &stream, RoutingPolicy::RoundRobin, true)
@@ -719,7 +684,7 @@ impl Engine for PanicsOnThird {
 }
 
 fn panicking_factory(cp: CompiledPattern) -> impl EngineFactory {
-    let inner = nfa_factory(cp);
+    let inner = tree_factory(cp);
     move || {
         Box::new(PanicsOnThird {
             inner: inner.build(),
@@ -740,7 +705,7 @@ fn run_query_worker_panic_is_a_typed_error() {
         // Every shard gets at least three events, so every worker dies:
         // the lowest shard is named.
         let r = runtime.run(
-            &nfa_factory(cp.clone()),
+            &tree_factory(cp.clone()),
             &stream,
             RoutingPolicy::HashAttr(0),
             false,
@@ -799,7 +764,7 @@ fn cached_key_order(mut matches: Vec<Match>) -> Vec<Match> {
 /// The serial NFA output of `pattern` on `stream` in reference order.
 fn serial_in_cached_key_order(pattern: &Pattern, stream: &EventStream) -> Vec<Match> {
     let cp = CompiledPattern::compile_single(pattern).unwrap();
-    let mut engine = nfa_factory(cp).build();
+    let mut engine = tree_factory(cp).build();
     cached_key_order(run_to_completion(engine.as_mut(), stream, true).matches)
 }
 
@@ -812,8 +777,8 @@ fn assert_sharded_order(
     policies: &[RoutingPolicy],
     expected: &[Match],
 ) {
-    let factory = nfa_factory(CompiledPattern::compile_single(pattern).unwrap());
-    let mut spec = RegistrySpec::new(nfa_fragment_builder(EngineConfig::default()));
+    let factory = tree_factory(CompiledPattern::compile_single(pattern).unwrap());
+    let mut spec = RegistrySpec::new(trivial_fragment_builder(EngineConfig::default()));
     let id = spec.add(pattern).unwrap();
     for shards in [1usize, 2, 4, 8, 16] {
         let runtime = ShardedRuntime::with_shards(shards);
@@ -970,7 +935,7 @@ fn replicate_join_dedup_keeps_the_earliest_released_copy() {
         "fixture must release some match at different watermarks on different shards"
     );
     assert_sharded_order(&pattern, &stream, std::slice::from_ref(&policy), &expected);
-    let r = ShardedRuntime::with_shards(shards).run(&nfa_factory(cp), &stream, policy, true);
+    let r = ShardedRuntime::with_shards(shards).run(&tree_factory(cp), &stream, policy, true);
     assert_eq!(
         r.metrics.dedup_hits,
         (shards as u64 - 1) * expected.len() as u64

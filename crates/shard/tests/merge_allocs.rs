@@ -14,8 +14,8 @@ use cep_core::partition::QueryPartitioner;
 use cep_core::pattern::PatternBuilder;
 use cep_core::stream::{EventStream, StreamBuilder};
 use cep_core::value::Value;
-use cep_nfa::NfaEngine;
 use cep_shard::{canonical_sort, RoutingPolicy, ShardConfig, ShardedRuntime};
+use cep_tree::TreeEngine;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
@@ -124,7 +124,7 @@ fn replicate_join_dedup_allocations_do_not_grow_with_matches() {
     assert!(spec.is_fully_replicated());
     let policy = RoutingPolicy::ReplicateJoin(Arc::new(spec));
     let factory = move || {
-        Box::new(NfaEngine::with_trivial_plan(
+        Box::new(TreeEngine::with_trivial_plan(
             cp.clone(),
             EngineConfig::default(),
         )) as Box<dyn Engine>

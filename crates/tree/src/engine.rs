@@ -40,6 +40,7 @@ use cep_core::matches::Match;
 use cep_core::metrics::EngineMetrics;
 use cep_core::plan::{TreeNode, TreePlan};
 use cep_core::shell::{EngineShell, Join};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// A flattened tree-plan node. The store of a plain leaf below the root
@@ -60,8 +61,9 @@ struct NodeSpec {
     /// The equality join from this node's elements to its sibling's that
     /// buckets this node's store (the sibling holds the mirrored entry).
     key: Option<EqJoin>,
-    /// The elements every member of the sibling's store binds.
-    sibling_elems: Vec<usize>,
+    /// The elements every member of this node's store binds: a run of the
+    /// plan's in-order leaf sequence ([`Tree::elems`]).
+    span: Range<usize>,
 }
 
 /// What joins a node's sibling: a new instance at the node, or an event
@@ -81,6 +83,8 @@ pub struct TreeEngine {
 /// The tree's join state: the flattened plan and one store per node.
 struct Tree {
     nodes: Vec<NodeSpec>,
+    /// The leaves' elements, left to right: each node covers a run of it.
+    elems: Vec<usize>,
     root: usize,
     /// `(accepted type, leaf node)` per leaf, in node order.
     leaves: Vec<(TypeId, usize)>,
@@ -121,17 +125,17 @@ impl TreeEngine {
         program: Arc<PredicateProgram>,
     ) -> Result<TreeEngine, CepError> {
         plan.validate(&cp)?;
-        let mut nodes = Vec::new();
-        let mut elems = Vec::new();
+        let mut nodes = Vec::with_capacity(2 * cp.n() - 1);
+        let mut elems = Vec::with_capacity(cp.n());
         let root = flatten(&plan.root, &mut nodes, &mut elems);
         // Fill parent/sibling links and the join keys crossing each pair.
         for i in 0..nodes.len() {
             if let NodeKind::Internal { left, right } = nodes[i].kind {
                 for (node, sibling) in [(left, right), (right, left)] {
+                    let (own, other) = (nodes[node].span.clone(), nodes[sibling].span.clone());
                     nodes[node].parent = Some(i);
                     nodes[node].sibling = Some(sibling);
-                    nodes[node].key = cp.join_key(&elems[node], &elems[sibling]).cloned();
-                    nodes[node].sibling_elems = elems[sibling].clone();
+                    nodes[node].key = cp.join_key(&elems[own], &elems[other]).cloned();
                 }
             }
         }
@@ -150,6 +154,7 @@ impl TreeEngine {
                 events: nodes.iter().map(|_| KeyedStore::new()).collect(),
             },
             nodes,
+            elems,
             root,
             leaves,
             pending: Vec::new(),
@@ -198,13 +203,8 @@ impl Tree {
             return;
         }
         let base = self.pending.len();
-        let slot = self.stores.join(
-            sh,
-            &self.nodes,
-            node,
-            Arrival::Instance(&inst),
-            &mut self.pending,
-        );
+        let (nodes, elems, created) = (&self.nodes, &self.elems, &mut self.pending);
+        let slot = (self.stores).join(sh, nodes, elems, node, Arrival::Instance(&inst), created);
         self.stores.instances[node].push_in_order(slot, inst, |i| i.max_ts);
         self.propagate_pending(sh, self.parent(node), base, out);
     }
@@ -223,10 +223,9 @@ impl Tree {
             return;
         }
         let base = self.pending.len();
+        let (nodes, elems, created) = (&self.nodes, &self.elems, &mut self.pending);
         let arrival = Arrival::Event(elem, event);
-        let slot = self
-            .stores
-            .join(sh, &self.nodes, leaf, arrival, &mut self.pending);
+        let slot = (self.stores).join(sh, nodes, elems, leaf, arrival, created);
         self.stores.events[leaf].push_in_order(slot, event.clone(), |e| e.ts);
         self.propagate_pending(sh, self.parent(leaf), base, out);
     }
@@ -291,6 +290,7 @@ impl Stores {
         &self,
         sh: &mut EngineShell,
         nodes: &[NodeSpec],
+        elems: &[usize],
         node: usize,
         arrival: Arrival,
         created: &mut Vec<Instance>,
@@ -308,7 +308,7 @@ impl Stores {
                 Slot::of(event.attr(join.attr))
             }
         };
-        let partner = &spec.sibling_elems;
+        let partner = &elems[nodes[sibling].span.clone()];
         let range = match arrival {
             Arrival::Instance(inst) => partner_ts_range(sh.pattern(), inst.extents(), partner),
             Arrival::Event(elem, event) => {
@@ -392,16 +392,19 @@ impl Join for Tree {
     }
 }
 
-/// Flattens `node` into `out` (children before parents), recording each
-/// flattened node's element set in `elems`; returns the node's index.
-fn flatten(node: &TreeNode, out: &mut Vec<NodeSpec>, elems: &mut Vec<Vec<usize>>) -> usize {
-    let (kind, covered) = match node {
-        TreeNode::Leaf(elem) => (NodeKind::Leaf { elem: *elem }, vec![*elem]),
+/// Flattens `node` into `out` (children before parents), appending its
+/// leaves' elements to `elems` left to right; returns the node's index.
+fn flatten(node: &TreeNode, out: &mut Vec<NodeSpec>, elems: &mut Vec<usize>) -> usize {
+    let start = elems.len();
+    let kind = match node {
+        TreeNode::Leaf(elem) => {
+            elems.push(*elem);
+            NodeKind::Leaf { elem: *elem }
+        }
         TreeNode::Node(l, r) => {
             let left = flatten(l, out, elems);
             let right = flatten(r, out, elems);
-            let covered = [elems[left].as_slice(), elems[right].as_slice()].concat();
-            (NodeKind::Internal { left, right }, covered)
+            NodeKind::Internal { left, right }
         }
     };
     out.push(NodeSpec {
@@ -409,9 +412,8 @@ fn flatten(node: &TreeNode, out: &mut Vec<NodeSpec>, elems: &mut Vec<Vec<usize>>
         parent: None,
         sibling: None,
         key: None,
-        sibling_elems: Vec::new(),
+        span: start..elems.len(),
     });
-    elems.push(covered);
     out.len() - 1
 }
 

@@ -7,7 +7,7 @@ use cep_core::event::{Event, TypeId};
 use cep_core::matches::{validate_match, Match};
 use cep_core::naive::NaiveEngine;
 use cep_core::pattern::{Pattern, PatternBuilder};
-use cep_core::plan::{TreeNode, TreePlan};
+use cep_core::plan::{OrderPlan, TreeNode, TreePlan};
 use cep_core::predicate::{CmpOp, Predicate};
 use cep_core::selection::SelectionStrategy;
 use cep_core::stream::StreamBuilder;
@@ -438,7 +438,7 @@ fn keyed_nodes_match_oracle_in_every_tree() {
 }
 
 #[test]
-fn kleene_partner_falls_back_to_one_bucket() {
+fn kleene_partner_and_next_match_fall_back_to_one_bucket() {
     // b is Kleene: neither equality has two plain sides, nothing is keyed.
     let (p, events) = keyed_chain(3, true);
     let cp = CompiledPattern::compile_single(&p).unwrap();
@@ -453,4 +453,108 @@ fn kleene_partner_falls_back_to_one_bucket() {
         assert_eq!(signatures(&r.matches), expected);
         assert_eq!(r.metrics.index_probes, 0);
     }
+    // Skip-till-next-match keys no join (`CompiledPattern::join_key`): the
+    // stores stay one bucket.
+    let (mut p, events) = keyed_chain(3, false);
+    p.strategy = SelectionStrategy::SkipTillNextMatch;
+    let cp = CompiledPattern::compile_single(&p).unwrap();
+    let mut engine = TreeEngine::with_trivial_plan(cp, EngineConfig::default());
+    let r = run_to_completion(&mut engine, &stream(events), true);
+    assert!(!r.matches.is_empty());
+    assert_eq!(r.metrics.index_probes, 0);
+}
+
+#[test]
+fn rare_last_plan_creates_fewer_instances() {
+    // The intro's four-cameras effect: putting the rare type first
+    // creates fewer partial matches than the trivial order.
+    let mut b = PatternBuilder::new(1000);
+    let a = b.event(t(0), "a");
+    let c = b.event(t(1), "c");
+    let d = b.event(t(2), "d");
+    let p = b.seq([a, c, d]).unwrap();
+    let cp = CompiledPattern::compile_single(&p).unwrap();
+    let mut events = Vec::new();
+    // a, c frequent; d rare (every 10th round).
+    for i in 0..200u64 {
+        events.push(ev(0, i * 5, 0));
+        events.push(ev(1, i * 5 + 1, 0));
+        if i % 10 == 0 {
+            events.push(ev(2, i * 5 + 2, 0));
+        }
+    }
+    let s = stream(events);
+    let run = |order: Vec<usize>| {
+        let plan = TreePlan::left_deep(&OrderPlan::new(order).unwrap());
+        let mut e = TreeEngine::new(cp.clone(), plan, EngineConfig::default()).unwrap();
+        run_to_completion(&mut e, &s, true)
+    };
+    let (trivial, lazy) = (run(vec![0, 1, 2]), run(vec![2, 0, 1]));
+    assert_eq!(
+        signatures(&trivial.matches),
+        signatures(&lazy.matches),
+        "plans must agree on results"
+    );
+    assert!(
+        lazy.metrics.peak_partial_matches < trivial.metrics.peak_partial_matches,
+        "lazy {} vs trivial {}",
+        lazy.metrics.peak_partial_matches,
+        trivial.metrics.peak_partial_matches
+    );
+}
+
+#[test]
+fn equality_steps_probe_one_bucket_and_scale_flat_in_keys() {
+    let run = |keys: i64| {
+        let (p, events) = keyed_chain(keys, false);
+        let cp = CompiledPattern::compile_single(&p).unwrap();
+        // b first: both later joins carry an equality against it.
+        let plan = TreePlan::left_deep(&OrderPlan::new(vec![1, 2, 0]).unwrap());
+        let mut engine = TreeEngine::new(cp, plan, EngineConfig::default()).unwrap();
+        run_to_completion(&mut engine, &stream(events), true)
+    };
+    let (one, many) = (run(1), run(16));
+    assert!(!one.matches.is_empty(), "fixture must produce matches");
+    assert_eq!(many.matches.len(), 16 * one.matches.len());
+    assert_eq!(
+        many.metrics.predicate_evaluations,
+        16 * one.metrics.predicate_evaluations,
+        "per-key work must not depend on how many other keys are live"
+    );
+    assert_eq!(
+        many.metrics.partial_matches_created,
+        16 * one.metrics.partial_matches_created
+    );
+    assert!(many.metrics.index_probes > 0);
+}
+
+#[test]
+fn unkeyable_join_values_are_parked_until_expiry() {
+    // Every a carries NaN: no c can ever equal it, so each a waits at its
+    // leaf unprobed (`Slot::Never`) until the window drops it.
+    let mut b = PatternBuilder::new(4);
+    let a = b.event(t(0), "a");
+    let c = b.event(t(1), "c");
+    b.predicate(Predicate::attr_cmp(a.pos(), 0, CmpOp::Eq, c.pos(), 0));
+    let p = b.seq([a, c]).unwrap();
+    let cp = CompiledPattern::compile_single(&p).unwrap();
+    let mut events = Vec::new();
+    for i in 0..200u64 {
+        let x = if i % 2 == 0 { f64::NAN } else { 0.5 };
+        events.push(Event::new(t((i % 2) as u32), i, vec![Value::Float(x)]));
+    }
+    let cfg = EngineConfig {
+        prune_every: 1,
+        ..EngineConfig::default()
+    };
+    let mut engine = TreeEngine::with_trivial_plan(cp, cfg);
+    let r = run_to_completion(&mut engine, &stream(events), true);
+    assert!(r.matches.is_empty());
+    assert_eq!(r.metrics.predicate_evaluations, 0, "parked, never probed");
+    assert_eq!(r.metrics.partial_matches_created, 0);
+    assert_eq!(
+        r.metrics.peak_buffered_events, 5,
+        "the window's five events (ts w - 4 ..= w), parked ones included: \
+         parked events expire with the window"
+    );
 }

@@ -100,7 +100,7 @@ fn main() {
     let factory = {
         let cp = cp.clone();
         move || {
-            Box::new(NfaEngine::with_trivial_plan(
+            Box::new(TreeEngine::with_trivial_plan(
                 cp.clone(),
                 EngineConfig::default(),
             )) as Box<dyn Engine>

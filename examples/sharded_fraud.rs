@@ -108,7 +108,7 @@ fn main() {
         ..Default::default()
     };
     let factory =
-        move || Box::new(NfaEngine::with_trivial_plan(cp.clone(), cfg.clone())) as Box<dyn Engine>;
+        move || Box::new(TreeEngine::with_trivial_plan(cp.clone(), cfg.clone())) as Box<dyn Engine>;
 
     // Single-threaded ground truth, in the runtime's canonical merge order.
     let mut engine = (factory)();

@@ -62,7 +62,7 @@ fn main() {
     let stats = planner.stats_for(&cp, &measured, &sels).unwrap();
     let cm = planner.cost_model(&cp);
 
-    println!("order-based algorithms (lazy NFA):");
+    println!("order-based algorithms (left-deep trees):");
     for algo in [
         OrderAlgorithm::Trivial,
         OrderAlgorithm::EFreq,

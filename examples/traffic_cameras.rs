@@ -1,7 +1,7 @@
 //! The paper's introductory example (Section 1, Figure 1): four traffic
 //! cameras A → B → C → D report sightings of vehicles; camera D is
 //! malfunctioning and transmits only one frame for every ten from the
-//! others. Detecting SEQ(A, B, C, D) with the trivial NFA creates a partial
+//! others. Detecting SEQ(A, B, C, D) in the trivial order creates a partial
 //! match for every prefix; the lazy (out-of-order) plan waits for the rare
 //! D first — same matches, far fewer partial matches.
 //!
@@ -48,18 +48,20 @@ fn main() {
 
     let cp = CompiledPattern::compile_single(&pattern).unwrap();
 
-    // Figure 1(a): the trivial in-order NFA.
+    // Figure 1(a): the trivial in-order plan.
     let trivial = OrderPlan::trivial(&cp);
-    // Figure 1(b): the lazy NFA that waits for the rare D first, then
+    // Figure 1(b): the lazy plan that waits for the rare D first, then
     // walks the equality chain backwards (d=c, c=b, b=a) so every step is
     // constrained by a predicate.
     let lazy = OrderPlan::new(vec![3, 2, 1, 0]).unwrap();
 
+    // An order plan runs as its left-deep join tree (Section 4).
     for (name, plan) in [
-        ("in-order NFA (Fig 1a)", trivial),
-        ("lazy NFA (Fig 1b)", lazy),
+        ("in-order plan (Fig 1a)", trivial),
+        ("lazy plan (Fig 1b)", lazy),
     ] {
-        let mut engine = NfaEngine::new(cp.clone(), plan.clone(), EngineConfig::default()).unwrap();
+        let tree = TreePlan::left_deep(&plan);
+        let mut engine = TreeEngine::new(cp.clone(), tree, EngineConfig::default()).unwrap();
         let r = run_to_completion(&mut engine, &stream, false);
         println!(
             "{name:>22} plan {plan}: {} matches, {:>6} partial matches created, peak {:>4}",

@@ -36,12 +36,11 @@ use cep_core::compiled::{shared_plan_cache, PredicateProgram, SharedPlanCache};
 use cep_core::engine::{Engine, EngineConfig, EngineFactory, MultiEngine};
 use cep_core::error::CepError;
 use cep_core::pattern::Pattern;
-use cep_core::plan::{OrderPlan, Plan};
+use cep_core::plan::{OrderPlan, Plan, TreePlan};
 use cep_core::registry::{prefix_signature, FragmentBuilder, QueryRegistry, RegistrySpec};
 use cep_core::stats::MeasuredStats;
 use cep_core::stream::StreamBuilder;
 use cep_delta::DeltaEngine;
-use cep_nfa::NfaEngine;
 use cep_optimizer::{Planner, DELTA_HAS_NO_PLAN};
 use cep_streamgen::{analytic_measured_stats, analytic_selectivities, GeneratedStream};
 use cep_tree::TreeEngine;
@@ -465,8 +464,9 @@ fn plan_branch(
 }
 
 /// Builds the engine for one compiled branch — the one place a plan
-/// becomes an engine: an order plan runs on the [`NfaEngine`], a tree plan
-/// on the [`TreeEngine`], and `None` on the plan-free [`DeltaEngine`].
+/// becomes an engine: a tree plan runs on the [`TreeEngine`], an order
+/// plan on the [`TreeEngine`] over its left-deep tree (§4's reduction),
+/// and `None` on the plan-free [`DeltaEngine`].
 /// `program` is the branch's lowered predicate program (typically from a
 /// [`cep_core::compiled::PlanCache`]). Fails only when the plan does not
 /// fit the pattern ([`Plan::validate`]).
@@ -478,7 +478,10 @@ pub(crate) fn branch_engine(
 ) -> Result<Box<dyn Engine>, CepError> {
     let (cp, config) = (cp.clone(), config.clone());
     Ok(match plan {
-        Some(Plan::Order(p)) => Box::new(NfaEngine::with_program(cp, p.clone(), config, program)?),
+        Some(Plan::Order(p)) => {
+            let tree = TreePlan::left_deep(p);
+            Box::new(TreeEngine::with_program(cp, tree, config, program)?)
+        }
         Some(Plan::Tree(p)) => Box::new(TreeEngine::with_program(cp, p.clone(), config, program)?),
         None => Box::new(DeltaEngine::with_program(cp, config, program)),
     })
@@ -486,9 +489,8 @@ pub(crate) fn branch_engine(
 
 /// An [`EngineFactory`] over planned DNF branches: plan once, build fresh
 /// engines any number of times (one per worker shard, typically). Each
-/// branch pairs its compiled pattern with its plan: an order plan runs on
-/// the [`NfaEngine`], a tree plan on the [`TreeEngine`], and `None` on the
-/// [`DeltaEngine`]. Disjunctions build a [`MultiEngine`] over the branches.
+/// branch pairs its compiled pattern with its plan: an order or tree plan
+/// runs on the [`TreeEngine`] and `None` on the [`DeltaEngine`]. Disjunctions build a [`MultiEngine`] over the branches.
 pub struct BranchFactory {
     branches: Vec<(CompiledPattern, Option<Plan>)>,
     window: u64,

@@ -286,15 +286,17 @@ impl SeededBackend {
     }
 }
 
-/// The three production backends, built through the facade's one
-/// branch-engine constructor (`builder::branch_engine`): the lazy NFA
-/// under a seed-derived random order plan, the tree engine under a
-/// seed-derived random tree plan, and the (plan-free) delta-indexed engine.
+/// Builds `cp`'s engine through the facade's one branch-engine
+/// constructor (`builder::branch_engine`).
+fn build(cp: &CompiledPattern, plan: Option<Plan>, cfg: &EngineConfig) -> Box<dyn Engine> {
+    let program = Arc::new(PredicateProgram::compile(cp));
+    branch_engine(cp, plan.as_ref(), cfg, program).expect("valid plan")
+}
+
+/// The three production backends: an order plan (run as its left-deep
+/// tree) drawn at random from the seed, a random tree plan drawn from the
+/// seed, and the (plan-free) delta-indexed engine.
 pub fn standard_backends() -> Vec<SeededBackend> {
-    fn build(cp: &CompiledPattern, plan: Option<Plan>, cfg: &EngineConfig) -> Box<dyn Engine> {
-        let program = Arc::new(PredicateProgram::compile(cp));
-        branch_engine(cp, plan.as_ref(), cfg, program).expect("valid plan")
-    }
     vec![
         SeededBackend::new("nfa", |cp, seed, cfg| {
             let order = order_from_seed(cp.n(), seed);
@@ -308,6 +310,32 @@ pub fn standard_backends() -> Vec<SeededBackend> {
         }),
         SeededBackend::new("delta", |cp, _seed, cfg| build(cp, None, cfg)),
     ]
+}
+
+/// The order-plan backend under the `seed`-th permutation of the
+/// elements (the seed's mixed-radix digits pick them one by one), so seeds
+/// `0..n!` run every order plan exactly once.
+pub fn every_order() -> SeededBackend {
+    SeededBackend::new("order", |cp, seed, cfg| {
+        let (mut rest, mut k): (Vec<usize>, _) = ((0..cp.n()).collect(), seed as usize);
+        let order = (1..=cp.n()).rev().map(|n| {
+            let i = k % n;
+            k /= n;
+            rest.remove(i)
+        });
+        let plan = OrderPlan::new(order.collect()).expect("permutation");
+        build(cp, Some(Plan::Order(plan)), cfg)
+    })
+}
+
+/// [`check`] of the bare engine under every order plan ([`every_order`])
+/// over the one-branch pattern `p` under its own strategy and stream `s`,
+/// engines under `cfg`. Returns the oracle's match count.
+pub fn check_every_order(p: &Pattern, s: &EventStream, cfg: &EngineConfig) -> u64 {
+    let (bare, backend) = (Composition::Bare, every_order());
+    let orders = (1..=CompiledPattern::compile_single(p).expect("one branch").n() as u64).product();
+    let run = |seed| check(&bare, &backend, seed, cfg, p.strategy, p, s).matches;
+    (0..orders).map(run).max().unwrap_or(0)
 }
 
 /// Every [`standard_backends`] engine for `cp`, plans from seed 0.
@@ -799,15 +827,12 @@ pub fn check(
                 let at = format!("query {id}");
                 assert_eq!(in_order(&ms), in_order(&alone), "{ctx}: {at} order");
                 outputs.push((i, Some(ms), 0));
-                // A query's own counts stand in its view. `query_metrics`
-                // does not count the late events the registry drops before
-                // dispatch, as a `MultiEngine` would: that field is left
-                // out until it does.
+                // A query's own counts stand in its view.
                 let view = registry.query_metrics(id).expect("a live query");
                 let mut base = fragments(backend, &q.branches, false, seed, cfg, &on_time);
                 base.events_processed = on_time.len() as u64;
                 base.matches_emitted = q.want.len() as u64;
-                base.late_events_dropped = view.late_events_dropped;
+                base.late_events_dropped = late;
                 views.push((at, view, base));
             }
             // Shared work counts once in the registry-wide view.

@@ -11,8 +11,8 @@
 //!   plans, cost models, statistics, the naive oracle engine, and the
 //!   multi-query [`core::registry::QueryRegistry`] with shared-fragment
 //!   execution.
-//! * [`nfa`] (`cep-nfa`) — the order-based (lazy chain NFA) engine.
-//! * [`tree`] (`cep-tree`) — the tree-based (ZStream-style) engine.
+//! * [`tree`] (`cep-tree`) — the join executor (ZStream-style tree):
+//!   a tree plan runs as given, an order plan as its left-deep tree.
 //! * [`delta`] (`cep-delta`) — the delta-indexed, non-materializing
 //!   engine: windowed equality-join indexes instead of partial matches,
 //!   with on-demand match enumeration.
@@ -63,7 +63,7 @@
 //!     &catalog,
 //! ).unwrap();
 //!
-//! // Plan with an adapted join algorithm and run the NFA engine.
+//! // Plan an order with an adapted join algorithm and run it.
 //! let mut engine = cep::engine(&pattern)
 //!     .backend(Backend::Nfa(OrderAlgorithm::DpLd))
 //!     .stats(&generated)
@@ -79,7 +79,6 @@ pub use cep_adaptive as adaptive;
 pub use cep_analyze as analyze;
 pub use cep_core as core;
 pub use cep_delta as delta;
-pub use cep_nfa as nfa;
 pub use cep_obs as obs;
 pub use cep_optimizer as optimizer;
 pub use cep_sase as sase;
@@ -110,7 +109,6 @@ pub mod prelude {
     };
     pub use cep_core::prelude::*;
     pub use cep_delta::DeltaEngine;
-    pub use cep_nfa::NfaEngine;
     pub use cep_obs::{RingSink, TraceSink};
     pub use cep_optimizer::planner::{LatencyAnchor, Planner, PlannerConfig};
     pub use cep_optimizer::{

@@ -1,16 +1,16 @@
-//! The composition matrix over the sharded runtime, the adaptive wrapper
-//! and the tree engine: each test runs its fixtures through
+//! The composition matrix over the sharded runtime, the adaptive wrapper,
+//! the tree engine and every order plan: each test runs its fixtures through
 //! [`conformance::check`](crate::conformance::check), which holds every
 //! run to the naive oracle's matches and to the bare engine's metrics.
 
 use crate::builder::Backend;
 use crate::conformance::{
-    check, check_config, comparable, eager, standard_backends, Checked, Composition, Entry, Replan,
-    Route, SeededBackend,
+    check, check_config, check_every_order, comparable, eager, standard_backends, Checked,
+    Composition, Entry, Replan, Route, SeededBackend,
 };
 use cep_adaptive::{AdaptiveConfig, PlanReplanner};
 use cep_core::compile::CompiledPattern;
-use cep_core::engine::run_to_completion;
+use cep_core::engine::{run_to_completion, EngineConfig};
 use cep_core::error::CepError;
 use cep_core::event::{Event, TypeId};
 use cep_core::matches::Match;
@@ -50,7 +50,7 @@ fn run(
     check(c, b, 0, &check_config(), s, p, stream)
 }
 
-/// [`run`] over the NFA backend under skip-till-any-match.
+/// [`run`] over the order-plan backend under skip-till-any-match.
 fn nfa(c: &Composition, pattern: &Pattern, stream: &EventStream) -> Checked {
     run(c, &standard_backends()[0], ANY, pattern, stream)
 }
@@ -822,6 +822,184 @@ fn nfa_and_tree_agree_on_random_streams() {
             assert!(checked.matches > 0, "fixture should produce matches");
         }
     }
+}
+
+/// An event of type `tid` at `ts` whose attribute 0 is `x`.
+fn ev(tid: u32, ts: u64, x: i64) -> Event {
+    Event::new(t(tid), ts, vec![Value::Int(x)])
+}
+
+/// [`check_every_order`] of `pattern` over `events` under the default
+/// engine config: every order plan's left-deep tree is the oracle's.
+fn all_orders(pattern: &Pattern, events: Vec<Event>) -> u64 {
+    let mut sb = StreamBuilder::new();
+    for e in events {
+        sb.push(e);
+    }
+    check_every_order(pattern, &sb.build(), &EngineConfig::default())
+}
+
+#[test]
+fn sequence_all_orders_match_oracle() {
+    let mut b = PatternBuilder::new(10);
+    let (a, c, d) = (b.event(t(0), "a"), b.event(t(1), "c"), b.event(t(2), "d"));
+    b.predicate(Predicate::attr_cmp(a.pos(), 0, CmpOp::Lt, d.pos(), 0));
+    let p = b.seq([a, c, d]).unwrap();
+    let events = vec![
+        ev(0, 1, 3),
+        ev(1, 2, 0),
+        ev(0, 3, 7),
+        ev(2, 4, 5),
+        ev(1, 5, 0),
+        ev(2, 6, 9),
+        ev(0, 7, 1),
+        ev(2, 8, 2),
+    ];
+    all_orders(&p, events);
+}
+
+#[test]
+fn conjunction_all_orders_match_oracle() {
+    let mut b = PatternBuilder::new(6);
+    let (a, c, d) = (b.event(t(0), "a"), b.event(t(1), "c"), b.event(t(2), "d"));
+    b.predicate(Predicate::attr_cmp(a.pos(), 0, CmpOp::Le, c.pos(), 0));
+    let p = b.and([a, c, d]).unwrap();
+    let events = vec![
+        ev(2, 1, 0),
+        ev(1, 2, 4),
+        ev(0, 3, 4),
+        ev(1, 4, 1),
+        ev(0, 5, 9),
+        ev(2, 6, 0),
+        ev(0, 7, 0),
+    ];
+    all_orders(&p, events);
+}
+
+#[test]
+fn duplicate_types_all_orders_match_oracle() {
+    // SEQ(A a1, A a2) — same type at two positions.
+    let mut b = PatternBuilder::new(10);
+    let (a1, a2) = (b.event(t(0), "a1"), b.event(t(0), "a2"));
+    let p = b.seq([a1, a2]).unwrap();
+    all_orders(&p, vec![ev(0, 1, 0), ev(0, 2, 0), ev(0, 3, 0)]);
+}
+
+#[test]
+fn negation_all_orders_match_oracle() {
+    let mut b = PatternBuilder::new(10);
+    let (a, nb, c) = (b.event(t(0), "a"), b.event(t(1), "nb"), b.event(t(2), "c"));
+    b.predicate(Predicate::attr_cmp(a.pos(), 0, CmpOp::Eq, nb.pos(), 0));
+    let exprs = [b.expr(a), b.not(nb), b.expr(c)];
+    let p = b.seq_exprs(exprs).unwrap();
+    let events = vec![
+        ev(0, 1, 1),
+        ev(1, 2, 1), // kills matches of a@1
+        ev(0, 3, 2),
+        ev(2, 4, 0),
+        ev(1, 5, 2), // after c: harmless for (a@3, c@4)
+        ev(2, 6, 0),
+    ];
+    all_orders(&p, events);
+}
+
+#[test]
+fn trailing_negation_all_orders_match_oracle() {
+    let mut b = PatternBuilder::new(5);
+    let (a, c, nb) = (b.event(t(0), "a"), b.event(t(1), "c"), b.event(t(2), "nb"));
+    let exprs = [b.expr(a), b.expr(c), b.not(nb)];
+    let p = b.seq_exprs(exprs).unwrap();
+    let events = vec![
+        ev(0, 1, 0),
+        ev(1, 2, 0),
+        ev(2, 3, 0), // kills (a@1, c@2)
+        ev(0, 10, 0),
+        ev(1, 11, 0), // survives: no later nb within window
+    ];
+    all_orders(&p, events);
+}
+
+#[test]
+fn kleene_all_orders_match_oracle() {
+    let mut b = PatternBuilder::new(10);
+    let (a, k, c) = (b.event(t(0), "a"), b.event(t(1), "k"), b.event(t(2), "c"));
+    let exprs = [b.expr(a), b.kleene(k), b.expr(c)];
+    let p = b.seq_exprs(exprs).unwrap();
+    let events = vec![
+        ev(0, 1, 0),
+        ev(1, 2, 0),
+        ev(1, 3, 0),
+        ev(2, 4, 0),
+        ev(1, 5, 0),
+        ev(2, 6, 0),
+    ];
+    all_orders(&p, events);
+}
+
+#[test]
+fn kleene_first_element_in_plan() {
+    // KL(B) ordered first by the plan: the Kleene leaf is the deepest one.
+    let mut b = PatternBuilder::new(10);
+    let (a, k) = (b.event(t(0), "a"), b.event(t(1), "k"));
+    let exprs = [b.expr(a), b.kleene(k)];
+    let p = b.seq_exprs(exprs).unwrap();
+    let events = vec![
+        ev(0, 1, 0),
+        ev(1, 2, 0),
+        ev(1, 3, 0),
+        ev(0, 4, 0),
+        ev(1, 5, 0),
+    ];
+    all_orders(&p, events);
+}
+
+#[test]
+fn consecutive_kleene_steps_all_orders_match_oracle() {
+    // An order that joins KL(C) straight into KL(B) must not filter B's
+    // candidates by the serial-number gate C's accumulator left behind.
+    let mut b = PatternBuilder::new(10);
+    let (a, kb) = (b.event(t(0), "a"), b.event(t(1), "kb"));
+    let (kc, d) = (b.event(t(2), "kc"), b.event(t(3), "d"));
+    let exprs = [b.expr(a), b.kleene(kb), b.kleene(kc), b.expr(d)];
+    let p = b.seq_exprs(exprs).unwrap();
+    let events = vec![
+        ev(0, 1, 0),
+        ev(1, 2, 0),
+        ev(1, 3, 0),
+        ev(2, 4, 0),
+        ev(2, 5, 0),
+        ev(3, 6, 0),
+    ];
+    all_orders(&p, events);
+}
+
+#[test]
+fn strict_contiguity_all_orders_match_oracle() {
+    let mut b = PatternBuilder::new(10);
+    b.strategy(SelectionStrategy::StrictContiguity);
+    let (a, c) = (b.event(t(0), "a"), b.event(t(1), "c"));
+    let p = b.seq([a, c]).unwrap();
+    let events = vec![
+        ev(0, 1, 0),
+        ev(1, 2, 0), // adjacent: match
+        ev(0, 3, 0),
+        ev(2, 4, 0), // irrelevant type still breaks contiguity
+        ev(1, 5, 0),
+    ];
+    all_orders(&p, events);
+}
+
+#[test]
+fn keyed_steps_match_oracle_in_every_order() {
+    // SEQ(A a, B b, C c) equating attribute 0 along the chain, over three
+    // interleaved copies of one event sequence (copy r carries key r).
+    let mut b = PatternBuilder::new(6);
+    let (a, bb, c) = (b.event(t(0), "a"), b.event(t(1), "b"), b.event(t(2), "c"));
+    b.predicate(Predicate::attr_cmp(a.pos(), 0, CmpOp::Eq, bb.pos(), 0));
+    b.predicate(Predicate::attr_cmp(bb.pos(), 0, CmpOp::Eq, c.pos(), 0));
+    let p = b.seq([a, bb, c]).unwrap();
+    let events = (0..30u64).flat_map(|i| (0..3).map(move |r| ev((i * 7 % 3) as u32, i, r)));
+    assert!(all_orders(&p, events.collect()) > 0, "fixture must match");
 }
 
 /// A time field added to `engine_metrics!` must be named here: compared by

@@ -1,5 +1,5 @@
-//! Dead partial matches hold no memory: once every partial match of an
-//! NFA or tree engine has expired and been pruned, the engine holds as
+//! Dead partial matches hold no memory: once every partial match of the
+//! tree engine has expired and been pruned, the engine holds as
 //! many live allocations after 2,000 partial matches as after 500.
 //!
 //! A counting global allocator tallies allocations and frees per thread,
@@ -11,7 +11,6 @@ use cep::core::event::{Event, TypeId};
 use cep::core::pattern::PatternBuilder;
 use cep::core::stream::EventStream;
 use cep::core::value::Value;
-use cep::nfa::NfaEngine;
 use cep::tree::TreeEngine;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -102,16 +101,10 @@ fn dead_partial_matches_hold_no_memory() {
         prune_every: 1,
         ..EngineConfig::default()
     };
-    let nfa = || NfaEngine::with_trivial_plan(pattern(), cfg.clone());
     let tree = || TreeEngine::with_trivial_plan(pattern(), cfg.clone());
     // Both sizes stay below 4,096, so even a pool that kept that many dead
     // instances for reuse would show up as a difference.
     let (small, large) = (500, 2_000);
-    assert_eq!(
-        live_after_expiry(&mut nfa(), small),
-        live_after_expiry(&mut nfa(), large),
-        "nfa: live allocations grow with the dead partial matches"
-    );
     assert_eq!(
         live_after_expiry(&mut tree(), small),
         live_after_expiry(&mut tree(), large),

@@ -98,7 +98,7 @@ fn disjunction_equals_union_of_branches() {
     assert_eq!(branches.len(), 2);
     let mut union = 0u64;
     for cp in branches {
-        let mut e = cep::nfa::NfaEngine::with_trivial_plan(cp, EngineConfig::default());
+        let mut e = cep::tree::TreeEngine::with_trivial_plan(cp, EngineConfig::default());
         union += run_to_completion(&mut e, &gen.stream, true).match_count;
     }
     assert_eq!(combined.match_count, union);

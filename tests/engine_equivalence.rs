@@ -1,6 +1,6 @@
 //! Property-based cross-backend conformance: for random patterns and
-//! random streams, every production backend — the lazy NFA (under a
-//! random order plan), the tree engine (under a random tree plan), and
+//! random streams, every production backend — an order plan (run as its
+//! left-deep tree), the tree engine under a random tree plan, and
 //! the delta-indexed engine — must emit output byte-identical
 //! (signatures *and* `emitted_at`) to the naive exhaustive oracle. This
 //! is the load-bearing correctness property behind the whole evaluation —
@@ -14,8 +14,9 @@
 use std::collections::HashSet;
 
 use cep::conformance::{
-    build_pattern, build_stream, check, check_equivalence_under, check_stream_under, in_order,
-    keyed, standard_backends, Composition, PatternSpec, SeededBackend,
+    build_pattern, build_stream, check, check_equivalence_under, check_every_order,
+    check_stream_under, in_order, keyed, standard_backends, Composition, PatternSpec,
+    SeededBackend,
 };
 use cep::core::compile::CompiledPattern;
 use cep::core::engine::{run_to_completion, EngineConfig};
@@ -23,12 +24,11 @@ use cep::core::event::{Event, TypeId};
 use cep::core::matches::validate_match;
 use cep::core::naive::NaiveEngine;
 use cep::core::pattern::PatternBuilder;
-use cep::core::plan::{OrderPlan, TreeNode, TreePlan};
+use cep::core::plan::{TreeNode, TreePlan};
 use cep::core::predicate::{CmpOp, Predicate};
 use cep::core::selection::SelectionStrategy;
 use cep::core::stream::StreamBuilder;
 use cep::core::value::Value;
-use cep::nfa::NfaEngine;
 use cep::tree::TreeEngine;
 use proptest::prelude::*;
 
@@ -381,17 +381,6 @@ fn four_cameras_all_plans_agree() {
         }
     }
     let stream = sb.build();
-    // The NFA under the seed-th of the 24 orders (mixed-radix digits).
-    let orders = SeededBackend::new("nfa-order", |cp, seed, cfg| {
-        let (mut rest, mut k): (Vec<usize>, _) = ((0..4).collect(), seed as usize);
-        let order = (1..=4).rev().map(|n| {
-            let i = k % n;
-            k /= n;
-            rest.remove(i)
-        });
-        let plan = OrderPlan::new(order.collect()).unwrap();
-        Box::new(NfaEngine::new(cp.clone(), plan, cfg.clone()).unwrap())
-    });
     let bushy = SeededBackend::new("tree-bushy", |cp, _, cfg| {
         let (leaf, join) = (TreeNode::Leaf, TreeNode::join);
         let tree = join(join(leaf(3), leaf(2)), join(leaf(1), leaf(0)));
@@ -400,12 +389,10 @@ fn four_cameras_all_plans_agree() {
     let (cfg, any) = (EngineConfig::default(), SelectionStrategy::SkipTillAnyMatch);
     let run =
         |b: &SeededBackend, seed| check(&Composition::Bare, b, seed, &cfg, any, &pattern, &stream);
-    for seed in 0..24 {
-        assert!(
-            run(&orders, seed).matches > 0,
-            "fixture must produce matches"
-        );
-    }
+    assert!(
+        check_every_order(&pattern, &stream, &cfg) > 0,
+        "fixture must produce matches"
+    );
     run(&bushy, 0);
     // The plan-free delta backend.
     let delta = run(&standard_backends()[2], 0).metrics;

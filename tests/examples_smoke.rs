@@ -133,7 +133,7 @@ fn cross_partition_fraud_core_path_matches() {
     let factory = {
         let cp = cp.clone();
         move || {
-            Box::new(NfaEngine::with_trivial_plan(
+            Box::new(TreeEngine::with_trivial_plan(
                 cp.clone(),
                 EngineConfig::default(),
             )) as Box<dyn Engine>
@@ -269,15 +269,12 @@ fn fraud_detection_core_path_matches() {
         max_kleene_events: 8,
         ..Default::default()
     };
-    let mut nfa = NfaEngine::with_trivial_plan(cp.clone(), cfg.clone());
-    let nfa_result = run_to_completion(&mut nfa, &stream, true);
     let mut tree = TreeEngine::with_trivial_plan(cp, cfg);
-    let tree_result = run_to_completion(&mut tree, &stream, true);
+    let result = run_to_completion(&mut tree, &stream, true);
 
-    assert!(nfa_result.match_count >= 1, "fraud pattern must alert");
-    assert_eq!(nfa_result.match_count, tree_result.match_count);
+    assert!(result.match_count >= 1, "fraud pattern must alert");
     assert!(
-        nfa_result.matches.iter().all(|m| {
+        result.matches.iter().all(|m| {
             m.events()
                 .all(|e| e.attr(0) == Some(&Value::Int(1)) || e.attr(0).is_none())
         }),
@@ -360,7 +357,7 @@ fn sharded_fraud_core_path_matches() {
         ..Default::default()
     };
     let factory =
-        move || Box::new(NfaEngine::with_trivial_plan(cp.clone(), cfg.clone())) as Box<dyn Engine>;
+        move || Box::new(TreeEngine::with_trivial_plan(cp.clone(), cfg.clone())) as Box<dyn Engine>;
     let mut engine = EngineFactory::build(&factory);
     let mut baseline = run_to_completion(engine.as_mut(), &stream, true);
     canonical_sort(&mut baseline.matches);
@@ -503,7 +500,8 @@ fn traffic_cameras_core_path_matches() {
     let lazy = OrderPlan::new(vec![3, 2, 1, 0]).unwrap();
 
     let run = |plan: OrderPlan| {
-        let mut engine = NfaEngine::new(cp.clone(), plan, EngineConfig::default()).unwrap();
+        let plan = TreePlan::left_deep(&plan);
+        let mut engine = TreeEngine::new(cp.clone(), plan, EngineConfig::default()).unwrap();
         let r = run_to_completion(&mut engine, &stream, false);
         (r.match_count, r.metrics.partial_matches_created)
     };

@@ -7,7 +7,6 @@ use cep::core::event::Event;
 use cep::core::schema::{Catalog, ValueKind};
 use cep::core::stream::StreamBuilder;
 use cep::core::value::Value;
-use cep::nfa::NfaEngine;
 use cep::prelude::*;
 use cep::tree::TreeEngine;
 
@@ -20,7 +19,7 @@ fn catalog() -> Catalog {
     cat
 }
 
-fn run_both(spec: &str, events: Vec<(u32, u64, i64, f64)>) -> (u64, u64) {
+fn run(spec: &str, events: Vec<(u32, u64, i64, f64)>) -> u64 {
     let cat = catalog();
     let pattern = parse_pattern(spec, &cat).expect("spec parses");
     let mut sb = StreamBuilder::new();
@@ -37,20 +36,17 @@ fn run_both(spec: &str, events: Vec<(u32, u64, i64, f64)>) -> (u64, u64) {
         ..Default::default()
     };
     let branches = CompiledPattern::compile(&pattern).unwrap();
-    let mut nfa_total = 0;
-    let mut tree_total = 0;
+    let mut total = 0;
     for cp in branches {
-        let mut nfa = NfaEngine::with_trivial_plan(cp.clone(), cfg.clone());
-        nfa_total += run_to_completion(&mut nfa, &stream, true).match_count;
         let mut tree = TreeEngine::with_trivial_plan(cp, cfg.clone());
-        tree_total += run_to_completion(&mut tree, &stream, true).match_count;
+        total += run_to_completion(&mut tree, &stream, true).match_count;
     }
-    (nfa_total, tree_total)
+    total
 }
 
 #[test]
 fn seq_with_where_and_constants() {
-    let (n, t) = run_both(
+    let n = run(
         "PATTERN SEQ(A a, B b) WHERE a.x < b.x AND b.y >= 1.5 WITHIN 10",
         vec![
             (0, 1, 1, 0.0),
@@ -59,21 +55,21 @@ fn seq_with_where_and_constants() {
             (1, 4, 5, 1.0), // y too small
         ],
     );
-    assert_eq!((n, t), (1, 1));
+    assert_eq!(n, 1);
 }
 
 #[test]
 fn and_is_order_insensitive() {
-    let (n, t) = run_both(
+    let n = run(
         "PATTERN AND(A a, B b) WITHIN 10",
         vec![(1, 1, 0, 0.0), (0, 2, 0, 0.0)],
     );
-    assert_eq!((n, t), (1, 1));
+    assert_eq!(n, 1);
 }
 
 #[test]
 fn or_branches_union() {
-    let (n, t) = run_both(
+    let n = run(
         "PATTERN OR(SEQ(A a, B b), SEQ(C c, D d)) WITHIN 10",
         vec![
             (0, 1, 0, 0.0),
@@ -82,12 +78,12 @@ fn or_branches_union() {
             (3, 4, 0, 0.0),
         ],
     );
-    assert_eq!((n, t), (2, 2));
+    assert_eq!(n, 2);
 }
 
 #[test]
 fn not_with_linked_predicate() {
-    let (n, t) = run_both(
+    let n = run(
         "PATTERN SEQ(A a, NOT(B b), C c) WHERE b.x == a.x WITHIN 10",
         vec![
             (0, 1, 7, 0.0),
@@ -100,28 +96,28 @@ fn not_with_linked_predicate() {
     );
     // (a@1, c@3) killed; (a@1, c@6) killed (same b between);
     // (a@4, c@6) survives.
-    assert_eq!((n, t), (1, 1));
+    assert_eq!(n, 1);
 }
 
 #[test]
 fn kleene_counts_subsets() {
-    let (n, t) = run_both(
+    let n = run(
         "PATTERN SEQ(A a, KL(B b)) WITHIN 10",
         vec![(0, 1, 0, 0.0), (1, 2, 0, 0.0), (1, 3, 0, 0.0)],
     );
     // Subsets of {b@2, b@3}: 3 non-empty.
-    assert_eq!((n, t), (3, 3));
+    assert_eq!(n, 3);
 }
 
 #[test]
 fn ts_operands_enforce_extra_ordering() {
     // AND with an explicit a.ts < b.ts condition behaves like SEQ.
-    let (n, t) = run_both(
+    let n = run(
         "PATTERN AND(A a, B b) WHERE a.ts < b.ts WITHIN 10",
         vec![(1, 1, 0, 0.0), (0, 2, 0, 0.0), (1, 3, 0, 0.0)],
     );
     // Only (a@2, b@3) respects a.ts < b.ts.
-    assert_eq!((n, t), (1, 1));
+    assert_eq!(n, 1);
 }
 
 #[test]
@@ -129,15 +125,15 @@ fn strategy_clause_changes_results() {
     let spec_any = "PATTERN SEQ(A a, B b) WITHIN 10";
     let spec_next = "PATTERN SEQ(A a, B b) WITHIN 10 STRATEGY next";
     let events = vec![(0u32, 1u64, 0i64, 0.0f64), (0, 2, 0, 0.0), (1, 3, 0, 0.0)];
-    let (any_n, _) = run_both(spec_any, events.clone());
-    let (next_n, _) = run_both(spec_next, events);
+    let any_n = run(spec_any, events.clone());
+    let next_n = run(spec_next, events);
     assert_eq!(any_n, 2);
     assert_eq!(next_n, 1);
 }
 
 #[test]
 fn deeply_nested_specification() {
-    let (n, t) = run_both(
+    let n = run(
         "PATTERN OR(AND(A a, OR(B b, C c)), SEQ(D d1, D d2)) WITHIN 10",
         vec![
             (0, 1, 0, 0.0), // a
@@ -147,5 +143,5 @@ fn deeply_nested_specification() {
         ],
     );
     // Branches: AND(A,B): 0; AND(A,C): 1; SEQ(D,D): 1.
-    assert_eq!((n, t), (2, 2));
+    assert_eq!(n, 2);
 }

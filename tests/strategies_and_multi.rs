@@ -7,12 +7,11 @@ use cep::core::engine::{run_to_completion, Engine, EngineConfig, MultiEngine};
 use cep::core::event::{Event, TypeId};
 use cep::core::naive::NaiveEngine;
 use cep::core::pattern::{Pattern, PatternBuilder};
-use cep::core::plan::{OrderPlan, TreeNode, TreePlan};
+use cep::core::plan::{TreeNode, TreePlan};
 use cep::core::predicate::{CmpOp, Predicate};
 use cep::core::selection::SelectionStrategy;
 use cep::core::stream::{EventStream, StreamBuilder};
 use cep::core::value::Value;
-use cep::nfa::NfaEngine;
 use cep::tree::TreeEngine;
 
 fn t(i: u32) -> TypeId {
@@ -81,9 +80,8 @@ fn next_match_greedy_takes_earliest_pairs_in_order_plans() {
     let c = b.event(t(1), "c");
     let cp = CompiledPattern::compile_single(&b.seq([a, c]).unwrap()).unwrap();
     let s = stream(vec![ev(0, 1, 0), ev(0, 2, 0), ev(1, 3, 0), ev(1, 4, 0)]);
-    let mut nfa =
-        NfaEngine::new(cp.clone(), OrderPlan::trivial(&cp), EngineConfig::default()).unwrap();
-    let r = run_to_completion(&mut nfa, &s, true);
+    let mut engine = TreeEngine::with_trivial_plan(cp, EngineConfig::default());
+    let r = run_to_completion(&mut engine, &s, true);
     assert_eq!(r.match_count, 2);
     let sigs: Vec<_> = r.matches.iter().map(|m| m.signature()).collect();
     assert!(sigs.contains(&vec![(0, vec![0]), (1, vec![2])]));
@@ -114,9 +112,8 @@ fn next_match_under_negation_consumes_only_emitted() {
         ev(0, 5, 0),
         ev(2, 6, 0),
     ]);
-    let mut nfa =
-        NfaEngine::new(cp.clone(), OrderPlan::trivial(&cp), EngineConfig::default()).unwrap();
-    let r = run_to_completion(&mut nfa, &s, true);
+    let mut engine = TreeEngine::with_trivial_plan(cp, EngineConfig::default());
+    let r = run_to_completion(&mut engine, &s, true);
     assert_eq!(r.match_count, 1);
     assert_eq!(r.matches[0].signature(), vec![(0, vec![4]), (2, vec![5])]);
 }
@@ -175,8 +172,8 @@ fn multi_engine_prunes_dedup_memory() {
     let a2 = b2.event(t(0), "a");
     let cp2 = CompiledPattern::compile_single(&b2.seq([a2]).unwrap()).unwrap();
     let engines: Vec<Box<dyn Engine>> = vec![
-        Box::new(NfaEngine::with_trivial_plan(cp1, EngineConfig::default())),
-        Box::new(NfaEngine::with_trivial_plan(cp2, EngineConfig::default())),
+        Box::new(TreeEngine::with_trivial_plan(cp1, EngineConfig::default())),
+        Box::new(TreeEngine::with_trivial_plan(cp2, EngineConfig::default())),
     ];
     let mut me = MultiEngine::new(engines, 5);
     let mut events = Vec::new();
