@@ -438,7 +438,7 @@ fn keyed_nodes_match_oracle_in_every_tree() {
 }
 
 #[test]
-fn kleene_partner_and_next_match_fall_back_to_one_bucket() {
+fn kleene_partner_falls_back_to_one_bucket() {
     // b is Kleene: neither equality has two plain sides, nothing is keyed.
     let (p, events) = keyed_chain(3, true);
     let cp = CompiledPattern::compile_single(&p).unwrap();
@@ -448,6 +448,30 @@ fn kleene_partner_and_next_match_fall_back_to_one_bucket() {
     assert!(!expected.is_empty(), "fixture must produce matches");
     for root in all_trees(3) {
         let plan = TreePlan::new(root).unwrap();
+        let mut engine = TreeEngine::new(cp.clone(), plan, EngineConfig::default()).unwrap();
+        let r = run_to_completion(&mut engine, &s, true);
+        assert_eq!(signatures(&r.matches), expected);
+        assert_eq!(r.metrics.index_probes, 0);
+    }
+}
+
+#[test]
+fn kleene_partner_and_next_match_fall_back_to_one_bucket() {
+    // The same Kleene fixture through every order plan, run left-deep.
+    let (p, events) = keyed_chain(3, true);
+    let cp = CompiledPattern::compile_single(&p).unwrap();
+    let s = stream(events);
+    let mut oracle = NaiveEngine::new(cp.clone(), EngineConfig::default());
+    let expected = signatures(&run_to_completion(&mut oracle, &s, true).matches);
+    for order in [
+        [0, 1, 2],
+        [0, 2, 1],
+        [1, 0, 2],
+        [1, 2, 0],
+        [2, 0, 1],
+        [2, 1, 0],
+    ] {
+        let plan = TreePlan::left_deep(&OrderPlan::new(order.to_vec()).unwrap());
         let mut engine = TreeEngine::new(cp.clone(), plan, EngineConfig::default()).unwrap();
         let r = run_to_completion(&mut engine, &s, true);
         assert_eq!(signatures(&r.matches), expected);
